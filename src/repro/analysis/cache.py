@@ -23,8 +23,8 @@ from repro.graph.serialize import fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.calc.analyze import Diagnostic as CalcDiagnostic
+    from repro.codegen.ir import Procs
     from repro.lint.diagnostics import Diagnostic as LintDiagnostic
-    from repro.sim.plan import CommPlan
 
 #: Bump when analyzer semantics change so stale entries can never be served
 #: across versions (keys embed this).
@@ -103,23 +103,23 @@ def cached_program_diagnostics(
     )
 
 
-def plan_key(plan: "CommPlan") -> str:
+def plan_key(procs: "Procs") -> str:
     """Content-addressed key for one communication plan's CG5xx analysis."""
     from repro.analysis.concurrency import plan_signature
 
-    doc = plan_signature(plan)
+    doc = plan_signature(procs)
     doc["version"] = ANALYSIS_VERSION
     return fingerprint(doc)
 
 
 def cached_plan_diagnostics(
-    plan: "CommPlan", cache: AnalysisCache | None = None
+    procs: "Procs", cache: AnalysisCache | None = None
 ) -> tuple["LintDiagnostic", ...]:
-    """Concurrency verification of a communication plan, memoized on the
-    channel-op protocol it lowers to."""
+    """Concurrency verification of lowered step lists, memoized on their
+    channel-op protocol."""
     from repro.analysis.concurrency import analyze_plan
 
     cache = cache if cache is not None else _SHARED
     return cache.get_or_compute(
-        plan_key(plan), lambda: tuple(analyze_plan(plan))
+        plan_key(procs), lambda: tuple(analyze_plan(procs))
     )

@@ -1,7 +1,7 @@
 """Static verification of communication plans: the ``CG5xx`` rule family.
 
-The code generators (:mod:`repro.codegen.pygen` and friends) lower a
-schedule to per-processor step sequences communicating over blocking
+The code generators (:mod:`repro.codegen`) lower a schedule to
+per-processor step sequences communicating over blocking
 ``queue.Queue(maxsize=1)`` channels.  That protocol has exactly the failure
 modes of real message passing — a receive with no sender, a message nobody
 consumes, two writers racing on one channel, and circular waits — and all
@@ -10,10 +10,13 @@ fixed at generation time.
 
 This module extracts the per-processor channel-op sequences **from the
 shared lowering IR** (:func:`repro.codegen.ir.lower_steps`, which itself
-delegates ordering to :func:`repro.codegen.pygen.proc_steps` at call time),
+delegates ordering to :func:`repro.codegen.ir.proc_steps` at call time),
 so the analyzer verifies exactly the step lists every backend consumes; any
 reordering in the lowering is visible to the analyzer and to all emitters
-identically, by construction.
+identically, by construction.  Every entry point takes the IR's ``procs``
+mapping — a :attr:`LoweredProgram.procs
+<repro.codegen.ir.LoweredProgram.procs>` or the first element of a
+``lower_steps`` result.
 
 Rules:
 
@@ -41,8 +44,7 @@ from typing import TYPE_CHECKING
 from repro.lint.diagnostics import Diagnostic, make_diagnostic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.codegen.ir import ComputeStep
-    from repro.sim.plan import CommPlan
+    from repro.codegen.ir import Procs
 
 #: (src_task, dst_task, var, dst_proc) — the IR's channel identity.
 Channel = tuple[str, str, str, int]
@@ -51,16 +53,10 @@ Channel = tuple[str, str, str, int]
 Op = tuple[str, Channel, str]
 
 
-def ir_ops(
-    procs: "dict[int, tuple[ComputeStep, ...]]",
-) -> dict[int, list[Op]]:
-    """Per-processor channel-op sequences of lowered step lists.
-
-    Takes the ``procs`` mapping of a
-    :class:`~repro.codegen.ir.LoweredProgram` (or the first element of a
-    :func:`~repro.codegen.ir.lower_steps` result) — the analyzer reads the
-    same step lists the backends emit from.
-    """
+def ir_ops(procs: "Procs") -> dict[int, list[Op]]:
+    """Per-processor channel-op sequences of lowered step lists, in
+    execution order — the analyzer reads the same step lists the backends
+    emit from."""
     ops: dict[int, list[Op]] = {}
     for proc in sorted(procs):
         seq: list[Op] = []
@@ -74,35 +70,21 @@ def ir_ops(
     return ops
 
 
-def plan_ops(plan: "CommPlan") -> dict[int, list[Op]]:
-    """Per-processor channel-op sequences, in generated execution order.
-
-    Lowers the plan through the shared IR
-    (:func:`repro.codegen.ir.lower_steps`, which delegates ordering to
-    :func:`repro.codegen.pygen.proc_steps` at call time, so a patched
-    generator is analyzed as patched).
-    """
-    from repro.codegen.ir import lower_steps
-
-    procs, _channels = lower_steps(plan)
-    return ir_ops(procs)
-
-
-def plan_signature(plan: "CommPlan") -> dict:
+def plan_signature(procs: "Procs") -> dict:
     """A canonical, JSON-serializable digest of the channel protocol —
     the cache key material for incremental plan analysis."""
     return {
         "kind": "comm-plan-ops",
         "procs": {
             str(proc): [[kind, list(chan)] for kind, chan, _task in seq]
-            for proc, seq in plan_ops(plan).items()
+            for proc, seq in ir_ops(procs).items()
         },
     }
 
 
-def analyze_plan(plan: "CommPlan") -> list[Diagnostic]:
+def analyze_plan(procs: "Procs") -> list[Diagnostic]:
     """Every CG5xx diagnostic for one communication plan."""
-    ops = plan_ops(plan)
+    ops = ir_ops(procs)
     diags: list[Diagnostic] = []
 
     sends: dict[Channel, list[tuple[int, str]]] = {}
@@ -204,7 +186,7 @@ def _simulate(ops: dict[int, list[Op]]) -> dict[int, Op]:
     }
 
 
-def execute_plan_protocol(plan: "CommPlan", timeout: float = 5.0) -> bool:
+def execute_plan_protocol(procs: "Procs", timeout: float = 5.0) -> bool:
     """Run the plan's communication skeleton on real threads and queues.
 
     Dummy payloads, no PITS execution: this isolates the channel protocol,
@@ -212,7 +194,7 @@ def execute_plan_protocol(plan: "CommPlan", timeout: float = 5.0) -> bool:
     True iff every processor thread ran its op sequence to completion
     within ``timeout`` seconds.
     """
-    ops = plan_ops(plan)
+    ops = ir_ops(procs)
     channels: dict[Channel, queue.Queue] = {}
     for seq in ops.values():
         for _kind, chan, _task in seq:

@@ -410,10 +410,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-#: legacy ``--language`` names -> backend targets
-_LEGACY_LANGUAGES = {"python": "threads", "mpi": "mpi", "c": "c"}
-
-
 def cmd_codegen(args: argparse.Namespace) -> int:
     from repro.codegen.api import generate as generate_source, run as run_target
 
@@ -431,15 +427,12 @@ def cmd_codegen(args: argparse.Namespace) -> int:
     if not args.project:
         raise UsageError("codegen needs a project file (or --list)")
     project = _load(args.project)
-    if args.target and args.language:
-        raise UsageError("pass --target or --language, not both")
-    target = args.target or _LEGACY_LANGUAGES.get(args.language or "", "threads")
     if args.run:
-        outputs = run_target(project, target=target, scheduler=args.scheduler)
+        outputs = run_target(project, target=args.target, scheduler=args.scheduler)
         for name in sorted(outputs):
             print(f"{name} = {outputs[name]}")
         return 0
-    source = generate_source(project, target=target, scheduler=args.scheduler)
+    source = generate_source(project, target=args.target, scheduler=args.scheduler)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(source)
@@ -845,12 +838,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_scheduler(p)
     p.add_argument(
-        "--target", choices=("threads", "inproc", "mpi", "c"),
+        "--target", choices=("threads", "inproc", "mpi", "c"), default="threads",
         help="codegen backend (default: threads)",
-    )
-    p.add_argument(
-        "--language", choices=("python", "mpi", "c"),
-        help="legacy alias for --target ('python' means 'threads')",
     )
     p.add_argument(
         "--run", action="store_true",

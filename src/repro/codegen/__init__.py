@@ -11,9 +11,7 @@ backends (:mod:`repro.codegen.backends`) render or execute it:
 
 The public entry points are :func:`generate` (source text for any target)
 and :func:`run` (execute on a runnable target); :func:`list_backends`
-enumerates targets.  The historical per-target functions
-(:func:`generate_python`, :func:`generate_mpi`, :func:`generate_c`) are
-:class:`DeprecationWarning` aliases with byte-identical output.
+enumerates targets.
 
 PITS-level translation lives in :mod:`repro.codegen.pits2py`
 (:func:`gen_task_function`), with runtime semantics shared with the
@@ -32,11 +30,8 @@ from repro.codegen.backends import (
     run_generated,
     trace_problems,
 )
-from repro.codegen.cgen import generate_c
 from repro.codegen.ir import LoweredProgram, lower
-from repro.codegen.mpigen import generate_mpi
 from repro.codegen.pits2py import function_name, gen_expr, gen_task_function, mangle
-from repro.codegen.pygen import generate_python
 
 __all__ = [
     "BACKENDS",
@@ -50,9 +45,6 @@ __all__ = [
     "gen_expr",
     "gen_task_function",
     "generate",
-    "generate_c",
-    "generate_mpi",
-    "generate_python",
     "get_backend",
     "list_backends",
     "lower",

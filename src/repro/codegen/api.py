@@ -3,10 +3,7 @@
 Every codegen surface — :class:`~repro.env.project.BangerProject`, the CLI,
 the daemon — funnels through :func:`generate` (source) or :func:`run`
 (execution): coerce the argument to a :class:`~repro.codegen.ir.LoweredProgram`
-once (:func:`as_lowered`), then hand it to the registered backend.  The old
-per-target entry points (``generate_python`` / ``generate_mpi`` /
-``generate_c``) survive as :class:`DeprecationWarning` aliases over this
-API and emit byte-identical output.
+once (:func:`as_lowered`), then hand it to the registered backend.
 """
 
 from __future__ import annotations

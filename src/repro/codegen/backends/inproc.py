@@ -2,12 +2,14 @@
 
 Where the ``threads`` backend renders Python text and ``exec``\\ s it, this
 backend walks the :class:`~repro.codegen.ir.LoweredProgram` itself: one
-worker thread per used processor, a ``Queue(maxsize=1)`` per channel, task
-functions compiled once from the IR's stored Python bodies.  Besides the
-design outputs it returns a **timestamped event trace** — every compute,
-send, and receive with a global sequence number — which is what the
-``exec_trace`` conformance oracle checks against the schedule's precedence
-and channel plan (:func:`trace_problems`).
+worker thread per used processor, a ``Queue(maxsize=1)`` per channel
+(:func:`run_workers` — the one worker loop, which the PITS-interpreter
+executor :mod:`repro.sim.threaded` drives too), task functions compiled
+once from the IR's stored Python bodies.  Besides the design outputs it
+returns a **timestamped event trace** — every compute, send, and receive
+with a global sequence number — which is what the ``exec_trace``
+conformance oracle checks against the schedule's precedence and channel
+plan (:func:`trace_problems`).
 
 Event-ordering guarantees the recorder enforces (and the oracle relies on):
 
@@ -24,17 +26,21 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.codegen.backends.base import Backend
-from repro.codegen.ir import Channel, ComputeStep, LoweredProgram
+from repro.codegen.ir import Channel, ComputeStep, LoweredProgram, Procs
 from repro.codegen.pits2py import function_name
-from repro.errors import CodegenError
+from repro.errors import CodegenError, ReproError
 
 #: Seconds one worker may block on a single receive before declaring the
-#: run wedged (same budget as the threaded simulator).
+#: run wedged (generous: trial runs are small).
 RECV_TIMEOUT = 30.0
+
+#: Put on a channel whose sender died, so its receiver stops waiting.
+_ABORTED = object()
 
 
 @dataclass(frozen=True)
@@ -119,6 +125,103 @@ def compile_task_functions(program: LoweredProgram) -> dict[str, Callable[..., d
     return fns
 
 
+def run_workers(
+    procs: Procs,
+    channels: Iterable[Channel],
+    output_sources: dict[str, tuple[str, int]],
+    bound: dict[str, Any],
+    run_step: Callable[[ComputeStep, dict[str, Any]], dict[str, Any]],
+    record: Callable[..., None],
+    error: type[ReproError],
+) -> dict[str, Any]:
+    """Run lowered step lists on one thread per processor; returns outputs.
+
+    Each step binds its graph inputs from ``bound``, reads locals from its
+    processor's store, blocks on its receives, calls ``run_step(step, env)``
+    for the task's output values, stores them, then sends.  ``record`` is
+    told of every ``recv``/``compute``/``send`` in the order documented on
+    this module.  Protocol failures (receive timeout, wedged thread, missing
+    graph output) raise ``error``; the first exception a worker raises is
+    re-raised here.  A worker that stops early puts :data:`_ABORTED` on the
+    channels it still owed, so its consumers stop too instead of waiting out
+    :data:`RECV_TIMEOUT`.
+    """
+    queues: dict[Channel, queue.Queue] = {
+        chan: queue.Queue(maxsize=1) for chan in channels
+    }
+    stores: dict[int, dict[tuple[str, str], Any]] = {p: {} for p in procs}
+    failures: list[BaseException] = []
+
+    def worker(proc: int) -> None:
+        store = stores[proc]
+        owed = deque(
+            ComputeStep.send_channel(s) for step in procs[proc] for s in step.sends
+        )
+        try:
+            for step in procs[proc]:
+                env: dict[str, Any] = {}
+                for var in step.graph_inputs:
+                    env[var] = bound[var]
+                for read in step.reads:
+                    if read.var:
+                        env[read.var] = store[(read.src_task, read.var)]
+                for recv in step.recvs:
+                    chan = step.recv_channel(recv)
+                    try:
+                        value = queues[chan].get(timeout=RECV_TIMEOUT)
+                    except queue.Empty:
+                        raise error(
+                            f"processor {proc}: timed out waiting for "
+                            f"{recv.var!r} from {recv.src_task!r} "
+                            f"(processor {recv.src_proc})"
+                        ) from None
+                    if value is _ABORTED:
+                        return
+                    record("recv", proc, step.task, chan)
+                    if recv.var:
+                        env[recv.var] = value
+                out = run_step(step, env)
+                record("compute", proc, step.task)
+                for var, value in out.items():
+                    store[(step.task, var)] = value
+                for send in step.sends:
+                    chan = owed[0]
+                    record("send", proc, step.task, chan)
+                    queues[chan].put(store.get((send.src_task, send.var)))
+                    owed.popleft()
+        except BaseException as exc:  # propagate to the caller's thread
+            failures.append(exc)
+        finally:
+            for chan in owed:
+                try:
+                    queues[chan].put_nowait(_ABORTED)
+                except queue.Full:
+                    pass  # a second writer got there first; the reader wakes anyway
+
+    threads = [
+        threading.Thread(target=worker, args=(p,), name=f"proc{p}", daemon=True)
+        for p in procs
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=RECV_TIMEOUT * 4)
+        if t.is_alive():
+            raise error(f"thread {t.name} did not finish (deadlock?)")
+    if failures:
+        raise failures[0]
+
+    outputs: dict[str, Any] = {}
+    for var, (producer, proc) in output_sources.items():
+        try:
+            outputs[var] = stores[proc][(producer, var)]
+        except KeyError:
+            raise error(
+                f"graph output {var!r} missing from processor {proc}"
+            ) from None
+    return outputs
+
+
 class InprocBackend(Backend):
     """Direct IR execution on worker threads, with an event trace."""
 
@@ -146,78 +249,21 @@ class InprocBackend(Backend):
             raise CodegenError(f"missing graph input value(s): {', '.join(missing)}")
 
         fns = compile_task_functions(program)
-        channels: dict[Channel, queue.Queue] = {
-            chan: queue.Queue(maxsize=1) for chan in program.channels
-        }
-        stores: dict[int, dict[tuple[str, str], Any]] = {
-            p: {} for p in program.procs_used()
-        }
         recorder = _Recorder()
         displays: list[str] = []
         display_lock = threading.Lock()
-        failures: list[BaseException] = []
 
-        def worker(proc: int) -> None:
-            try:
-                store = stores[proc]
-                for step in program.steps(proc):
-                    env: dict[str, Any] = {}
-                    for var in step.graph_inputs:
-                        env[var] = bound[var]
-                    for read in step.reads:
-                        if read.var:
-                            env[read.var] = store[(read.src_task, read.var)]
-                    for recv in step.recvs:
-                        chan = step.recv_channel(recv)
-                        try:
-                            value = channels[chan].get(timeout=RECV_TIMEOUT)
-                        except queue.Empty:
-                            raise CodegenError(
-                                f"processor {proc}: timed out waiting for "
-                                f"{recv.var!r} from {recv.src_task!r} "
-                                f"(processor {recv.src_proc})"
-                            ) from None
-                        recorder.record("recv", proc, step.task, chan)
-                        if recv.var:
-                            env[recv.var] = value
+        def run_step(step: ComputeStep, env: dict[str, Any]) -> dict[str, Any]:
+            def display(line: str) -> None:
+                with display_lock:
+                    displays.append(f"{step.task}: {line}")
 
-                    def _display(line: str, _task: str = step.task) -> None:
-                        with display_lock:
-                            displays.append(f"{_task}: {line}")
+            return fns[step.task](env, display)
 
-                    out = fns[step.task](env, _display)
-                    recorder.record("compute", proc, step.task)
-                    for var, value in out.items():
-                        store[(step.task, var)] = value
-                    for send in step.sends:
-                        chan = ComputeStep.send_channel(send)
-                        payload = store.get((send.src_task, send.var)) if send.var else None
-                        recorder.record("send", proc, step.task, chan)
-                        channels[chan].put(payload)
-            except BaseException as exc:  # propagate to the caller's thread
-                failures.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(p,), name=f"proc{p}", daemon=True)
-            for p in program.procs_used()
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=RECV_TIMEOUT * 4)
-            if t.is_alive():
-                raise CodegenError(f"thread {t.name} did not finish (deadlock?)")
-        if failures:
-            raise failures[0]
-
-        outputs: dict[str, Any] = {}
-        for var, (producer, proc) in program.output_sources.items():
-            try:
-                outputs[var] = stores[proc][(producer, var)]
-            except KeyError:
-                raise CodegenError(
-                    f"graph output {var!r} missing from processor {proc}"
-                ) from None
+        outputs = run_workers(
+            program.procs, program.channels, program.output_sources,
+            bound, run_step, recorder.record, CodegenError,
+        )
         return ExecutionResult(
             outputs=outputs, displays=displays, events=recorder.events()
         )
@@ -278,8 +324,9 @@ def trace_problems(
                 f"channel {chan!r}: recv (seq {recv.seq}) observed before "
                 f"send (seq {send.seq})"
             )
+    planned = set(program.channels)
     for chan in set(sends) | set(recvs):
-        if chan not in set(program.channels):
+        if chan not in planned:
             problems.append(f"unplanned channel {chan!r} carried traffic")
 
     # --- step-local ordering and cross-step precedence ------------------ #

@@ -13,10 +13,10 @@ execution layer does with it:
   extracts its channel-op sequences from the same step lists, so whatever
   the backends emit is exactly what gets verified.
 
-Step ordering is delegated to the generator's historical ordering hook,
-:func:`repro.codegen.pygen.proc_steps` (looked up at call time): patching
-the hook changes the IR, and therefore *every* backend and the analyzer,
-identically — that is the drift-proofing this module exists for.
+Step ordering is delegated to the ordering hook :func:`proc_steps` (looked
+up at call time): patching the hook changes the IR, and therefore *every*
+backend and the analyzer, identically — that is the drift-proofing this
+module exists for.
 
 The IR is canonical-JSON-serializable (:meth:`LoweredProgram.to_dict` /
 :meth:`from_dict` round-trip) and content-hashed with the same fingerprint
@@ -30,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.errors import CodegenError
+from repro.errors import CodegenError, SimError
 from repro.graph.serialize import _decode_value, _encode_value, fingerprint
-from repro.sched.schedule import Schedule
-from repro.sim.plan import CommPlan, build_comm_plan
+from repro.sched.schedule import Placement, Schedule
 
 #: Bump when the document layout changes; hashes embed it, so old cache
 #: entries can never be mistaken for new ones.
@@ -95,6 +94,10 @@ class ComputeStep:
         return (send.src_task, send.dst_task, send.var, send.dst_proc)
 
 
+#: processor -> its step list, in execution order
+Procs = dict[int, tuple[ComputeStep, ...]]
+
+
 @dataclass(frozen=True)
 class TaskCode:
     """Both renderings of one task's routine the backends need."""
@@ -121,9 +124,8 @@ class LoweredProgram:
     task_order: tuple[str, ...]
     tasks: dict[str, TaskCode] = field(default_factory=dict)
     input_defaults: dict[str, Any] = field(default_factory=dict)
-    #: processor -> its step list, in execution order; empty processors
-    #: are omitted (keys iterate sorted)
-    procs: dict[int, tuple[ComputeStep, ...]] = field(default_factory=dict)
+    #: empty processors are omitted (keys iterate sorted)
+    procs: Procs = field(default_factory=dict)
     #: every channel, deduplicated, in first-send order
     channels: tuple[Channel, ...] = ()
     #: graph output variable -> (producer task, processor holding it)
@@ -207,7 +209,7 @@ class LoweredProgram:
                 f"unsupported lowered-program format {doc.get('format')!r}; "
                 f"this build reads version {IR_VERSION}"
             )
-        procs: dict[int, tuple[ComputeStep, ...]] = {}
+        procs: Procs = {}
         for entry in doc.get("procs", []):
             proc = int(entry["proc"])
             procs[proc] = tuple(
@@ -261,50 +263,108 @@ class LoweredProgram:
 # --------------------------------------------------------------------- #
 # lowering
 # --------------------------------------------------------------------- #
-def lower_steps(
-    plan: CommPlan,
-) -> tuple[dict[int, tuple[ComputeStep, ...]], tuple[Channel, ...]]:
-    """The structural half of lowering: per-processor step lists + channels.
+def proc_steps(schedule: Schedule, proc: int) -> list[Placement]:
+    """The task copies of one processor, in the order the program runs them.
 
-    Ordering is delegated to :func:`repro.codegen.pygen.proc_steps` (looked
-    up at call time, so a patched hook changes the IR — and with it every
-    backend and the concurrency analyzer — identically).
+    This is the single point deciding execution order; :func:`lower_steps`
+    calls it for every processor, so whatever order it returns is what every
+    backend emits and what the static concurrency analyzer
+    (:mod:`repro.analysis.concurrency`) checks for deadlock freedom.
     """
-    from repro.codegen import pygen
+    return schedule.on_proc(proc)
 
-    procs: dict[int, tuple[ComputeStep, ...]] = {}
-    channels: list[Channel] = []
-    seen: set[Channel] = set()
-    for proc in sorted(plan.steps_by_proc):
-        steps = []
-        for step in pygen.proc_steps(plan, proc):
-            compute = ComputeStep(
-                task=step.task,
-                proc=proc,
-                start=step.start,
-                graph_inputs=tuple(step.graph_inputs),
-                reads=tuple(ReadOp(r.src_task, r.var) for r in step.local_reads),
-                recvs=tuple(
-                    RecvOp(r.src_task, r.var, r.src_proc, r.size)
-                    for r in step.recvs
-                ),
-                sends=tuple(
-                    SendOp(s.src_task, s.dst_task, s.var, s.dst_proc, s.size)
-                    for s in step.sends
-                ),
+
+def lower_steps(
+    schedule: Schedule,
+) -> tuple[Procs, tuple[Channel, ...], dict[str, tuple[str, int]]]:
+    """The structural half of lowering: the explicit message-passing program.
+
+    Returns the per-processor step lists, the channel table in first-send
+    order, and the graph-output wiring ``var -> (producer, processor)``.
+
+    Sender selection matches the replay engine (:mod:`repro.sim.dynamic`):
+    each (consumer copy, in-edge) pair takes its datum from the copy of the
+    producer with the cheapest static ``finish + comm_cost``; a local copy
+    always wins (cost 0 beats any message).
+    """
+    graph, machine = schedule.graph, schedule.machine
+    if not schedule.is_complete():
+        missing = [t for t in graph.task_names if t not in schedule]
+        raise SimError(f"cannot plan an incomplete schedule; missing: {missing[:5]}")
+
+    # collect copies, reject two copies of one task on one processor (the
+    # channel naming scheme keys consumers by processor)
+    procs_of: dict[str, list[int]] = {}
+    finish_of: dict[tuple[str, int], float] = {}
+    for entry in schedule:
+        if (entry.task, entry.proc) in finish_of:
+            raise SimError(
+                f"task {entry.task!r} appears twice on processor {entry.proc}"
             )
-            steps.append(compute)
-            for send in compute.sends:
-                chan = ComputeStep.send_channel(send)
-                if chan not in seen:
-                    seen.add(chan)
-                    channels.append(chan)
+        procs_of.setdefault(entry.task, []).append(entry.proc)
+        finish_of[(entry.task, entry.proc)] = entry.finish
+
+    # wire edges: chosen sender per (consumer copy, edge)
+    reads: dict[tuple[str, int], list[ReadOp]] = {k: [] for k in finish_of}
+    recvs: dict[tuple[str, int], list[RecvOp]] = {k: [] for k in finish_of}
+    sends: dict[tuple[str, int], list[SendOp]] = {k: [] for k in finish_of}
+    for task in graph.task_names:
+        for dst_proc in procs_of[task]:
+            for edge in graph.in_edges(task):
+                sender_proc = min(
+                    procs_of[edge.src],
+                    key=lambda p: (
+                        finish_of[(edge.src, p)]
+                        + machine.comm_cost(p, dst_proc, edge.size),
+                        p,
+                    ),
+                )
+                if sender_proc == dst_proc:
+                    reads[(task, dst_proc)].append(ReadOp(edge.src, edge.var))
+                else:
+                    recvs[(task, dst_proc)].append(
+                        RecvOp(edge.src, edge.var, sender_proc, edge.size)
+                    )
+                    sends[(edge.src, sender_proc)].append(
+                        SendOp(edge.src, task, edge.var, dst_proc, edge.size)
+                    )
+
+    # graph inputs are preloaded on every processor that consumes them
+    graph_inputs: dict[str, list[str]] = {}
+    for var, consumers in graph.graph_inputs.items():
+        for task in consumers:
+            graph_inputs.setdefault(task, []).append(var)
+
+    procs: Procs = {}
+    for proc in machine.procs():
+        steps = tuple(
+            ComputeStep(
+                task=placement.task,
+                proc=proc,
+                start=placement.start,
+                graph_inputs=tuple(graph_inputs.get(placement.task, ())),
+                reads=tuple(reads[(placement.task, proc)]),
+                recvs=tuple(recvs[(placement.task, proc)]),
+                sends=tuple(sends[(placement.task, proc)]),
+            )
+            for placement in proc_steps(schedule, proc)
+        )
         if steps:
-            procs[proc] = tuple(steps)
-    return procs, tuple(channels)
+            procs[proc] = steps
+    channels = dict.fromkeys(
+        ComputeStep.send_channel(send)
+        for steps in procs.values()
+        for step in steps
+        for send in step.sends
+    )
+    output_sources = {
+        var: (producer, schedule.primary(producer).proc)
+        for var, producer in graph.graph_outputs.items()
+    }
+    return procs, tuple(channels), output_sources
 
 
-def lower(schedule: Schedule, plan: CommPlan | None = None) -> LoweredProgram:
+def lower(schedule: Schedule) -> LoweredProgram:
     """Lower one schedule to its canonical :class:`LoweredProgram`.
 
     Raises :class:`CodegenError` if any task has no PITS program or a
@@ -314,7 +374,6 @@ def lower(schedule: Schedule, plan: CommPlan | None = None) -> LoweredProgram:
     from repro.codegen.pits2py import gen_task_function
 
     graph = schedule.graph
-    plan = plan if plan is not None else build_comm_plan(schedule)
 
     task_order = tuple(dict.fromkeys(graph.topological_order()))
     tasks: dict[str, TaskCode] = {}
@@ -326,7 +385,7 @@ def lower(schedule: Schedule, plan: CommPlan | None = None) -> LoweredProgram:
             )
         tasks[task] = TaskCode(pits=source, python=gen_task_function(task, source))
 
-    procs, channels = lower_steps(plan)
+    procs, channels, output_sources = lower_steps(schedule)
     return LoweredProgram(
         design=graph.name,
         machine=schedule.machine.name,
@@ -338,8 +397,5 @@ def lower(schedule: Schedule, plan: CommPlan | None = None) -> LoweredProgram:
         input_defaults=dict(graph.input_values),
         procs=procs,
         channels=channels,
-        output_sources={
-            var: (task, proc)
-            for var, (task, proc) in plan.output_sources.items()
-        },
+        output_sources=output_sources,
     )

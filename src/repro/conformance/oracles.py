@@ -39,11 +39,12 @@ name             kind    invariant
                          byte-identical to the full-reference reschedule;
                          an unchanged graph returns the prior schedule
                          object verbatim
-``dynamic_null`` graph   the dynamic simulator under an *empty* fault
-                         scenario is byte-identical to the static replay
-                         (uniform machines), degradation-only and
-                         deterministic under the derived scenario; static
-                         schedulers stay heterogeneity-blind
+``dynamic_null`` graph   the replay engine under an *empty* fault scenario
+                         times every task at exactly its placement's
+                         duration and every hop at exactly the cost model's
+                         hop time (uniform machines), is degradation-only
+                         and deterministic under the derived scenario;
+                         static schedulers stay heterogeneity-blind
 ``reactive_safe``
                  graph   every reactive replanning round stays feasible
                          (SCH201-SCH205), never re-maps a started task,
@@ -84,8 +85,8 @@ from repro.machine.scenario import PROFILES, FaultScenario, seeded_scenario
 from repro.sched import get_scheduler
 from repro.sched.serialize import schedule_from_dict, schedule_to_dict
 from repro.sched.validate import schedule_problems
-from repro.sim.dynamic import expected_stranded, simulate_dynamic
-from repro.sim.executor import compare_with_static, simulate
+from repro.sim.dynamic import expected_stranded, simulate, simulate_dynamic
+from repro.sim.trace import compare_with_static
 
 
 class CaseContext:
@@ -128,10 +129,10 @@ class CaseContext:
 
     @property
     def plan(self):
-        """The communication plan lowered from :attr:`schedule`."""
-        from repro.sim.plan import build_comm_plan
+        """The per-processor step lists lowered from :attr:`schedule`."""
+        from repro.codegen.ir import lower_steps
 
-        return self._get("plan", lambda: build_comm_plan(self.schedule))
+        return self._get("plan", lambda: lower_steps(self.schedule)[0])
 
     @property
     def scenario(self) -> FaultScenario:
@@ -353,20 +354,37 @@ def _incremental(ctx: CaseContext) -> list[str]:
 
 
 @register("dynamic_null", GRAPH,
-          "empty-scenario dynamic replay is byte-identical to the static "
-          "replay; faults only ever slow execution down, deterministically")
+          "empty-scenario replay times every task and hop exactly as the "
+          "cost model does; faults only ever slow execution down, "
+          "deterministically")
 def _dynamic_null(ctx: CaseContext) -> list[str]:
     problems: list[str] = []
     empty = FaultScenario.empty()
 
     if ctx.machine.is_uniform:
-        # The null contract proper: with no faults and a uniform machine the
-        # dynamic engine must reproduce the static replay bit for bit.
+        # The null contract proper: with no faults and a uniform machine
+        # every scale is exactly 1.0, so the replay's arithmetic is the cost
+        # model's, float for float.
         null = simulate_dynamic(ctx.schedule, empty)
-        if null.runs != ctx.trace.runs:
-            problems.append("empty-scenario dynamic runs differ from static")
-        if null.hops != ctx.trace.hops:
-            problems.append("empty-scenario dynamic hops differ from static")
+        nominal = {(p.task, p.proc): p.duration for p in ctx.schedule}
+        for run in null.runs:
+            if run.finish != run.start + nominal[(run.task, run.proc)]:
+                problems.append(
+                    f"empty-scenario run of {run.task!r} on processor "
+                    f"{run.proc} differs from its placement's duration"
+                )
+        params = ctx.machine.params
+        size = {(e.src, e.dst, e.var): e.size for e in ctx.graph.edges}
+        for hop in null.hops:
+            hop_time = params.hop_latency + (
+                size[(hop.src_task, hop.dst_task, hop.var)]
+                / params.transmission_rate
+            )
+            if hop.finish != hop.start + hop_time:
+                problems.append(
+                    f"empty-scenario hop {hop.src_task!r}->{hop.dst_task!r} "
+                    f"on link {hop.link} differs from the cost model's hop time"
+                )
         if null.stranded or null.killed_runs or null.lost:
             problems.append(
                 "empty scenario stranded/killed/lost something: "

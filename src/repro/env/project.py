@@ -12,7 +12,6 @@ available at every point and trial runs of single nodes or the whole design.
 from __future__ import annotations
 
 import json
-import warnings
 from typing import Any, Sequence
 
 from repro.calc.cost import measure_work
@@ -132,16 +131,6 @@ class BangerProject:
         if old is not None:
             self._invalidate(design=False, old_machine=old)
         return self
-
-    def set_machine_object(self, machine: TargetMachine) -> "BangerProject":
-        """Deprecated alias for :meth:`set_machine` with a machine object."""
-        warnings.warn(
-            "BangerProject.set_machine_object() is deprecated; "
-            "set_machine() now accepts a TargetMachine directly",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.set_machine(machine)
 
     def _require_machine(self) -> TargetMachine:
         if self.machine is None:

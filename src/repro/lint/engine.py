@@ -17,11 +17,11 @@ from repro.lint.diagnostics import Diagnostic, Report, make_diagnostic
 from repro.lint.machinefit import machine_diagnostics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.codegen.ir import Procs
     from repro.env.project import BangerProject
     from repro.graph.dataflow import DataflowGraph
     from repro.machine.machine import TargetMachine
     from repro.sched.schedule import Schedule
-    from repro.sim.plan import CommPlan
 
 
 def lint_design(
@@ -98,23 +98,25 @@ def lint_project(
         design, project.machine, name=project.name, suppress=suppress
     )
     if concurrency and design is not None and not report.error_count:
-        from repro.sim.plan import build_comm_plan
+        from repro.codegen.ir import lower_steps
 
-        plan = build_comm_plan(project.schedule(scheduler))
-        extra = lint_comm_plan(plan, name=project.name).diagnostics
+        procs, _channels, _outputs = lower_steps(project.schedule(scheduler))
+        extra = lint_comm_plan(procs, name=project.name).diagnostics
         report = Report(report.diagnostics + extra, report.name).suppress(suppress)
     return report
 
 
-def lint_comm_plan(plan: "CommPlan", name: str = "") -> Report:
-    """Verify one communication plan's channel protocol (CG5xx).
+def lint_comm_plan(procs: "Procs", name: str = "") -> Report:
+    """Verify the channel protocol of lowered step lists (CG5xx).
 
-    Results are memoized on the plan's channel-op signature, so repeated
-    lints of an unchanged schedule are answered from the analysis cache.
+    ``procs`` is the first element of
+    :func:`repro.codegen.ir.lower_steps` (or a ``LoweredProgram.procs``).
+    Results are memoized on the channel-op signature, so repeated lints of
+    an unchanged schedule are answered from the analysis cache.
     """
     from repro.analysis.cache import cached_plan_diagnostics
 
-    return Report(tuple(cached_plan_diagnostics(plan)), name)
+    return Report(tuple(cached_plan_diagnostics(procs)), name)
 
 
 def lint_schedule(

@@ -3,12 +3,13 @@
 * :func:`simulate` — discrete-event replay of a schedule on the machine
   model (our stand-in for the paper's physical hypercubes), with optional
   link contention; returns a :class:`Trace`;
+* :func:`simulate_dynamic` — the same replay engine under heterogeneity
+  factors and a fault scenario; returns a :class:`DynamicTrace`;
 * :func:`run_dataflow` — sequential reference execution of a design's PITS
   programs (semantic ground truth);
 * :func:`run_parallel` / :class:`ThreadedExecutor` — real threads + queues
-  executing the schedule's communication plan;
-* :func:`build_comm_plan` — explicit send/recv program derived from a
-  schedule (shared with the code generators);
+  executing the schedule's message-passing program
+  (:func:`repro.codegen.ir.lower_steps`) with the PITS interpreter;
 * :func:`calibrate_works` — measure task weights by trial-running a design.
 """
 
@@ -24,33 +25,26 @@ from repro.sim.dynamic import (
     DynamicTrace,
     dynamic_counters,
     reset_dynamic_counters,
+    simulate,
     simulate_dynamic,
 )
 from repro.sim.engine import EventEngine
-from repro.sim.executor import compare_with_static, simulate
-from repro.sim.plan import CommPlan, LocalRead, Recv, Send, Step, build_comm_plan
 from repro.sim.stats import TaskTiming, TraceStats, trace_statistics
 from repro.sim.threaded import ParallelResult, ThreadedExecutor, run_parallel
-from repro.sim.trace import MessageHop, TaskRun, Trace
+from repro.sim.trace import MessageHop, TaskRun, Trace, compare_with_static
 
 __all__ = [
-    "CommPlan",
     "DataflowResult",
     "DynamicTrace",
     "EventEngine",
-    "LocalRead",
     "MessageHop",
     "ParallelResult",
-    "Recv",
-    "Send",
-    "Step",
     "TaskRun",
     "TaskTiming",
     "ThreadedExecutor",
     "Trace",
     "TraceStats",
     "trace_statistics",
-    "build_comm_plan",
     "calibrate_works",
     "collect_task_env",
     "compare_with_static",

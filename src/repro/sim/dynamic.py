@@ -1,33 +1,52 @@
-"""Dynamic replay: the event-driven simulator under faults and heterogeneity.
+"""The replay engine: a schedule executed event by event on the machine model.
 
-:func:`simulate_dynamic` replays a schedule exactly like
-:func:`repro.sim.executor.simulate`, but consumes the machine's
-heterogeneity factors and a :class:`~repro.machine.scenario.FaultScenario`:
+One event loop (:func:`_replay`) serves both entry points:
 
-* task durations are scaled by ``1 / speed_factor(proc)``, by the
-  processor's current slowdown multiplier, and by the scenario's per-task
-  lognormal noise; a ``proc_slowdown`` event arriving mid-run re-times the
-  remaining fraction of the running task;
-* hop times are scaled by ``1 / bandwidth_factor(link)`` and the link's
-  current slowdown multiplier; a message whose hop would complete after a
-  ``link_fail`` is *lost* (recorded on the trace) and never delivered;
-* a ``proc_fail`` kills the running task at its timestamp (fault events
-  take effect first among simultaneous events) and the processor dispatches
-  nothing afterwards; tasks that consequently never run are *stranded*.
+* :func:`simulate` replays a :class:`~repro.sched.schedule.Schedule` under
+  the same four-parameter cost model the scheduler used — processors run
+  their placements in schedule order, messages travel hop-by-hop over the
+  topology's links — and returns a plain :class:`~repro.sim.trace.Trace`.
+  It is the loop under the empty scenario on the factor-stripped machine
+  (:meth:`~repro.machine.machine.TargetMachine.uniform`), so it stays blind
+  to heterogeneity factors.
+* :func:`simulate_dynamic` additionally consumes the machine's
+  heterogeneity factors and a :class:`~repro.machine.scenario.FaultScenario`:
+
+  * task durations are scaled by ``1 / speed_factor(proc)``, by the
+    processor's current slowdown multiplier, and by the scenario's per-task
+    lognormal noise; a ``proc_slowdown`` event arriving mid-run re-times the
+    remaining fraction of the running task;
+  * hop times are scaled by ``1 / bandwidth_factor(link)`` and the link's
+    current slowdown multiplier; a message whose hop would complete after a
+    ``link_fail`` is *lost* (recorded on the trace) and never delivered;
+  * a ``proc_fail`` kills the running task at its timestamp (fault events
+    take effect first among simultaneous events) and the processor
+    dispatches nothing afterwards; tasks that consequently never run are
+    *stranded*.
+
+Cross-validation contract (tested): with ``contention=False`` the simulated
+start/finish of every task equals the static schedule's *or is earlier* —
+earlier only because the static schedule may include slack the event-driven
+replay squeezes out; with ``contention=True`` links carry one message at a
+time and the makespan can only grow relative to the contention-free replay.
+
+Senders are fixed up front exactly like generated code fixes them
+(:func:`repro.codegen.ir.lower_steps`): each (consumer copy, in-edge) pair
+takes its data from the source copy with the cheapest static
+``finish + comm_cost``.
 
 The null contract — fuzzed by the ``dynamic_null`` conformance oracle and
-convictable by the mutation suite — is byte-identity: with an empty
-scenario on a uniform machine every scale is exactly 1.0, the code path
-degenerates to the static replay's arithmetic in the same event order, and
-the resulting trace equals :func:`simulate`'s bit for bit.  All scaling
-funnels through :func:`_scaled`, the single seam the mutation tests corrupt
-to prove the oracle can convict drift between the two engines.
+convictable by the mutation suite — is exactness: with an empty scenario on
+a uniform machine every scale is exactly 1.0, so every task runs for exactly
+its placement's duration and every hop lasts exactly ``hop_latency + size /
+transmission_rate``.  All scaling funnels through :func:`_scaled`, the
+single seam the mutation tests corrupt to prove the oracle convicts drift.
 
 Stranding is transitive and honest: a stranded task's descendants are
-stranded too (their data never arrives), and the deadlock guard of the
-static simulator only relaxes when the scenario actually contains failure
-events — an empty or slowdown-only scenario must still complete every task
-or the replay raises :class:`~repro.errors.SimError` as before.
+stranded too (their data never arrives), and the deadlock guard only
+relaxes when the scenario actually contains failure events — an empty or
+slowdown-only scenario must still complete every task or the replay raises
+:class:`~repro.errors.SimError`.
 """
 
 from __future__ import annotations
@@ -36,6 +55,7 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.errors import SimError
+from repro.machine.machine import TargetMachine
 from repro.machine.scenario import (
     LINK_FAIL,
     LINK_SLOWDOWN,
@@ -100,13 +120,13 @@ class DynamicTrace(Trace):
 
 
 def _scaled(value: float, scale: float) -> float:
-    """Scale one duration — THE seam between static and dynamic timing.
+    """Scale one duration — THE seam between nominal and dynamic timing.
 
     ``scale == 1.0`` returns ``value`` untouched (the exact float, not a
     multiplication by 1.0), which is what makes the empty-scenario replay
-    byte-identical to the static simulator.  The dynamic-oracle mutation
-    tests monkeypatch this function to prove ``dynamic_null`` convicts any
-    drift injected here.
+    reproduce the cost model's arithmetic exactly.  The dynamic-oracle
+    mutation tests monkeypatch this function to prove ``dynamic_null``
+    convicts any drift injected here.
     """
     return value if scale == 1.0 else value * scale
 
@@ -127,6 +147,19 @@ class _Copy:
     consumer_edges: list[tuple["_Copy", str, str, float]] = field(default_factory=list)
 
 
+def simulate(schedule: Schedule, contention: bool = False) -> Trace:
+    """Event-driven replay of ``schedule``; returns the observed trace."""
+    replayed = _replay(
+        schedule, schedule.machine.uniform(), FaultScenario.empty(), contention, {}
+    )
+    return Trace(
+        machine_name=replayed.machine_name,
+        graph_name=replayed.graph_name,
+        runs=replayed.runs,
+        hops=replayed.hops,
+    )
+
+
 def simulate_dynamic(
     schedule: Schedule,
     scenario: FaultScenario | None = None,
@@ -141,9 +174,26 @@ def simulate_dynamic(
     ``T``, even if its new processor was idle earlier).
     """
     scenario = scenario or FaultScenario.empty()
-    graph, machine = schedule.graph, schedule.machine
-    scenario.validate_for(machine)
-    floors = dispatch_floors or {}
+    scenario.validate_for(schedule.machine)
+    trace = _replay(
+        schedule, schedule.machine, scenario, contention, dispatch_floors or {}
+    )
+    _bump("dynamic_sims")
+    if trace.stranded:
+        _bump("stranded_tasks", len(trace.stranded))
+    return trace
+
+
+def _replay(
+    schedule: Schedule,
+    machine: TargetMachine,
+    scenario: FaultScenario,
+    contention: bool,
+    floors: dict[str, float],
+) -> DynamicTrace:
+    """The event loop.  ``machine`` is ``schedule.machine`` as the replay
+    should time it: with its heterogeneity factors, or stripped of them."""
+    graph = schedule.graph
     if not schedule.is_complete():
         missing = [t for t in graph.task_names if t not in schedule]
         raise SimError(f"schedule is incomplete; unscheduled tasks: {missing[:5]}")
@@ -203,7 +253,7 @@ def simulate_dynamic(
         return scale
 
     # ------------------------------------------------------------------ #
-    # build copies, per-processor order, and fixed senders (as in static)
+    # build copies, per-processor order, and fixed senders
     # ------------------------------------------------------------------ #
     by_proc: dict[int, list[_Copy]] = {p: [] for p in machine.procs()}
     copies_of: dict[str, list[_Copy]] = {}
@@ -400,9 +450,6 @@ def simulate_dynamic(
     trace.lost.sort()
     trace.runs.sort(key=lambda r: (r.proc, r.start))
     trace.hops.sort(key=lambda h: (h.start, h.link))
-    _bump("dynamic_sims")
-    if trace.stranded:
-        _bump("stranded_tasks", len(trace.stranded))
     return trace
 
 

@@ -1,29 +1,28 @@
 """Real parallel execution of a scheduled design with one thread per processor.
 
 This is the "run the whole program" end of Banger's instant feedback: the
-schedule's communication plan (:mod:`repro.sim.plan`) is executed with real
-threads and real queues standing in for processors and links, mpi4py-style
-(blocking ``recv`` from a per-channel mailbox, eager ``send`` after the
-producing task finishes).  Results must match the sequential reference
-executor exactly — scheduling must never change answers.
+schedule's message-passing program (:func:`repro.codegen.ir.lower_steps`)
+is executed by the one worker loop
+(:func:`repro.codegen.backends.inproc.run_workers`) — real threads and real
+queues standing in for processors and links, mpi4py-style (blocking ``recv``
+from a per-channel mailbox, eager ``send`` after the producing task
+finishes) — with every task run by the PITS interpreter, so no program is
+translated.  Results must match the sequential reference executor exactly —
+scheduling must never change answers.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.calc.interp import RunResult
+from repro.codegen.backends.inproc import run_workers
+from repro.codegen.ir import ComputeStep, lower_steps
 from repro.errors import SimError
 from repro.sched.schedule import Schedule
 from repro.sim.dataflow_exec import required_outputs, run_task
-from repro.sim.plan import CommPlan, build_comm_plan
-
-#: Seconds a processor thread may block on one receive before declaring
-#: deadlock (generous: trial runs are small).
-RECV_TIMEOUT = 30.0
 
 
 @dataclass
@@ -40,7 +39,7 @@ class ParallelResult:
 
 
 class ThreadedExecutor:
-    """Executes a schedule's communication plan with real threads.
+    """Executes a schedule's message-passing program with real threads.
 
     Parameters
     ----------
@@ -50,7 +49,7 @@ class ThreadedExecutor:
 
     def __init__(self, schedule: Schedule):
         self.schedule = schedule
-        self.plan: CommPlan = build_comm_plan(schedule)
+        self.procs, self.channels, self.output_sources = lower_steps(schedule)
 
     def run(self, inputs: dict[str, Any] | None = None) -> ParallelResult:
         graph = self.schedule.graph
@@ -60,89 +59,31 @@ class ThreadedExecutor:
         if missing:
             raise SimError(f"missing graph input value(s): {', '.join(missing)}")
 
-        channels: dict[tuple[str, str, str, int], queue.Queue] = {}
-        for step in self.plan.all_steps():
-            for send in step.sends:
-                key = (send.src_task, send.dst_task, send.var, send.dst_proc)
-                channels[key] = queue.Queue(maxsize=1)
-
-        stores: dict[int, dict[tuple[str, str], Any]] = {
-            p: {} for p in self.schedule.machine.procs()
-        }
         task_results: dict[str, RunResult] = {}
-        results_lock = threading.Lock()
-        failures: list[BaseException] = []
-        sent_counter = [0]
+        lock = threading.Lock()
 
-        def worker(proc: int) -> None:
-            try:
-                store = stores[proc]
-                for step in self.plan.steps_by_proc[proc]:
-                    env: dict[str, Any] = {}
-                    for var in step.graph_inputs:
-                        env[var] = bound[var]
-                    for read in step.local_reads:
-                        if read.var:
-                            env[read.var] = store[(read.src_task, read.var)]
-                    for recv in step.recvs:
-                        key = (recv.src_task, step.task, recv.var, proc)
-                        try:
-                            value = channels[key].get(timeout=RECV_TIMEOUT)
-                        except queue.Empty:
-                            raise SimError(
-                                f"processor {proc}: timed out waiting for "
-                                f"{recv.var!r} from {recv.src_task!r} "
-                                f"(processor {recv.src_proc})"
-                            ) from None
-                        if recv.var:
-                            env[recv.var] = value
-                    run = run_task(graph, step.task, env)
-                    with results_lock:
-                        # under duplication several copies run; keep the first
-                        task_results.setdefault(step.task, run)
-                    for var, value in run.outputs.items():
-                        store[(step.task, var)] = value
-                    for need in required_outputs(graph, step.task):
-                        if (step.task, need) not in store:
-                            raise SimError(
-                                f"task {step.task!r} did not produce {need!r}"
-                            )
-                    for send in step.sends:
-                        key = (send.src_task, send.dst_task, send.var, send.dst_proc)
-                        payload = store.get((send.src_task, send.var))
-                        channels[key].put(payload)
-                        with results_lock:
-                            sent_counter[0] += 1
-            except BaseException as exc:  # propagate to the caller's thread
-                failures.append(exc)
+        def run_step(step: ComputeStep, env: dict[str, Any]) -> dict[str, Any]:
+            run = run_task(graph, step.task, env)
+            with lock:
+                # under duplication several copies run; keep the first
+                task_results.setdefault(step.task, run)
+            for need in required_outputs(graph, step.task):
+                if need not in run.outputs:
+                    raise SimError(f"task {step.task!r} did not produce {need!r}")
+            return run.outputs
 
-        threads = [
-            threading.Thread(target=worker, args=(p,), name=f"proc{p}", daemon=True)
-            for p in self.schedule.machine.procs()
-            if self.plan.steps_by_proc[p]
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=RECV_TIMEOUT * 4)
-            if t.is_alive():
-                raise SimError(f"thread {t.name} did not finish (deadlock?)")
-        if failures:
-            raise failures[0]
-
-        outputs: dict[str, Any] = {}
-        for var, (producer, proc) in self.plan.output_sources.items():
-            try:
-                outputs[var] = stores[proc][(producer, var)]
-            except KeyError:
-                raise SimError(
-                    f"graph output {var!r} missing from processor {proc}"
-                ) from None
+        outputs = run_workers(
+            self.procs, self.channels, self.output_sources,
+            bound, run_step, lambda *_event: None, SimError,
+        )
         return ParallelResult(
             outputs=outputs,
             task_results=task_results,
-            procs_used=self.plan.procs_used(),
-            messages_sent=sent_counter[0],
+            procs_used=sorted(self.procs),
+            # the run completed, so every step performed every send
+            messages_sent=sum(
+                len(step.sends) for steps in self.procs.values() for step in steps
+            ),
         )
 
 

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
+from repro.approx import TOL, approx_le
 from repro.errors import SimError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sched.schedule import Schedule
 
 
 @dataclass(frozen=True)
@@ -79,3 +84,24 @@ class Trace:
             f"runs={len(self.runs)}, hops={len(self.hops)}, "
             f"makespan={self.makespan():.3f})"
         )
+
+
+def compare_with_static(schedule: "Schedule", trace: Trace, tol: float = TOL) -> list[str]:
+    """Differences between static schedule times and a simulated trace.
+
+    Used in tests and by the ``makespan`` conformance oracle: with
+    ``contention=False`` the list must only contain entries where the
+    simulation was *earlier* (slack removal), never later.  The tolerance
+    is the shared :data:`repro.approx.TOL`.
+    """
+    problems: list[str] = []
+    finish_by_task = trace.finish_times()
+    for task in schedule.graph.task_names:
+        static_finish = schedule.primary(task).finish
+        sim_finish = finish_by_task[task]
+        if not approx_le(sim_finish, static_finish, tol):
+            problems.append(
+                f"task {task!r}: simulated finish {sim_finish:g} after "
+                f"static {static_finish:g}"
+            )
+    return problems

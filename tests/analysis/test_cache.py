@@ -79,17 +79,12 @@ class TestKeys:
             c.ANALYSIS_VERSION -= 1
 
     def test_plan_key_tracks_op_order(self):
-        from repro.sim.plan import CommPlan, Send, Step
+        from repro.codegen.ir import ComputeStep, SendOp
 
         def plan(sends):
-            return CommPlan(
-                steps_by_proc={
-                    0: [Step(task="a", proc=0, start=0.0, sends=list(sends))]
-                },
-                output_sources={},
-            )
+            return {0: (ComputeStep(task="a", proc=0, start=0.0, sends=tuple(sends)),)}
 
-        s1, s2 = Send("a", "b", "x", 1), Send("a", "c", "y", 1)
+        s1, s2 = SendOp("a", "b", "x", 1), SendOp("a", "c", "y", 1)
         assert plan_key(plan([s1, s2])) != plan_key(plan([s2, s1]))
         assert plan_key(plan([s1])) == plan_key(plan([s1]))
 
@@ -105,15 +100,12 @@ class TestCachedEntryPoints:
         assert cache.stats()["hits"] == 1
 
     def test_cached_plan_diagnostics_hits(self):
-        from repro.sim.plan import CommPlan, Recv, Step
+        from repro.codegen.ir import ComputeStep, RecvOp
 
         cache = AnalysisCache()
-        plan = CommPlan(
-            steps_by_proc={
-                1: [Step(task="b", proc=1, start=0.0, recvs=[Recv("a", "x", 0)])]
-            },
-            output_sources={},
-        )
+        plan = {
+            1: (ComputeStep(task="b", proc=1, start=0.0, recvs=(RecvOp("a", "x", 0),)),)
+        }
         d1 = cached_plan_diagnostics(plan, cache)
         d2 = cached_plan_diagnostics(plan, cache)
         assert d1 is d2

@@ -12,11 +12,11 @@ import pytest
 
 from repro.analysis.concurrency import analyze_plan
 from repro.calc.analyze import analyze
+from repro.codegen.ir import lower_steps
 from repro.conformance import load_entry
 from repro.conformance.cases import GRAPH, PITS
 from repro.sched import get_scheduler
 from repro.severity import Severity
-from repro.sim.plan import build_comm_plan
 
 CORPUS = pathlib.Path(__file__).parent.parent / "conformance" / "corpus"
 ENTRIES = sorted(CORPUS.glob("*.json"))
@@ -39,6 +39,6 @@ def test_corpus_entry_is_not_convicted(path):
         schedule = get_scheduler(case.scheduler).schedule(
             case.taskgraph(), case.machine()
         )
-        diags = analyze_plan(build_comm_plan(schedule))
+        diags = analyze_plan(lower_steps(schedule)[0])
         errors = [d for d in diags if d.severity is Severity.ERROR]
         assert not errors, [d.message for d in errors]

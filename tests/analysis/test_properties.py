@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from repro.analysis.absint import interpret
 from repro.analysis.concurrency import analyze_plan
 from repro.calc.analyze import analyze
+from repro.codegen.ir import lower_steps
 from repro.conformance.cases import GRAPH, PITS
 from repro.conformance.generators import CaseGenerator
 from repro.severity import Severity
-from repro.sim.plan import build_comm_plan
 
 FUZZ_RUNS = 200
 
@@ -67,7 +67,7 @@ def test_fuzz_sweep_has_zero_false_convictions():
             schedule = get_scheduler(case.scheduler).schedule(
                 case.taskgraph(), case.machine()
             )
-            diags = analyze_plan(build_comm_plan(schedule))
+            diags = analyze_plan(lower_steps(schedule)[0])
             errors = [d for d in diags if d.severity is Severity.ERROR]
             assert not errors, (case.case_id, [d.message for d in errors])
     # the 3:1 mix must actually exercise both analyzers

@@ -1,6 +1,5 @@
 """The public codegen API: ``generate`` / ``run`` / ``as_lowered`` accept a
-project or a schedule, and the historical per-language functions survive as
-DeprecationWarning aliases with byte-identical output."""
+project or a schedule."""
 
 import pytest
 
@@ -89,26 +88,6 @@ class TestGenerateAndRun:
         via_schedule = generate(project.schedule("mh"), target="threads")
         assert via_project == via_schedule
 
-
-class TestDeprecatedAliases:
-    """The one place the old names are exercised on purpose."""
-
-    def test_aliases_warn_and_match_new_api(self, schedule):
-        from repro.codegen import generate_c, generate_mpi, generate_python
-
-        for alias, target in (
-            (generate_python, "threads"),
-            (generate_mpi, "mpi"),
-            (generate_c, "c"),
-        ):
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                old = alias(schedule)
-            assert old == generate(schedule, target=target)
-
-    def test_module_doc_kwarg_still_flows(self, schedule):
-        from repro.codegen import generate_python
-
-        with pytest.warns(DeprecationWarning):
-            old = generate_python(schedule, module_doc="custom preamble")
-        assert old == generate(schedule, target="threads", module_doc="custom preamble")
-        assert "custom preamble" in old
+    def test_module_doc_kwarg_flows_to_the_backend(self, schedule):
+        source = generate(schedule, target="threads", module_doc="custom preamble")
+        assert source.startswith('"""custom preamble\n"""')

@@ -44,13 +44,8 @@ def test_public_entry_points_are_documented():
         assert f"`{name}" in TEXT, name
 
 
-def test_deprecated_aliases_are_listed():
-    assert "DeprecationWarning" in TEXT
-    for alias in ("generate_python", "generate_mpi", "generate_c"):
-        assert alias in TEXT, alias
-    assert "--language" in TEXT
-
-
 def test_referenced_files_exist():
     for path in re.findall(r"`((?:src|tests|benchmarks|docs)/[\w./]+)`", TEXT):
+        if path.startswith("benchmarks/out/"):
+            continue  # gitignored benchmark output; no test run writes it
         assert (ROOT / path).exists(), path

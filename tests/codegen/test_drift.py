@@ -1,16 +1,15 @@
 """Drift-proofing: one ordering hook feeds the IR, every backend, and the
-concurrency analyzer.  Patching ``pygen.proc_steps`` must change all of
+concurrency analyzer.  Patching ``ir.proc_steps`` must change all of
 them together — no consumer may hold a private copy of the step order."""
 
 import pytest
 
-from repro.analysis.concurrency import plan_ops
-from repro.codegen import generate, pygen
+from repro.analysis.concurrency import ir_ops
+from repro.codegen import generate, ir
 from repro.codegen.ir import lower, lower_steps
 from repro.graph import DataflowGraph, flatten
 from repro.machine import MachineParams, make_machine
 from repro.sched import get_scheduler
-from repro.sim import build_comm_plan
 
 PARAMS = MachineParams(msg_startup=1.0, transmission_rate=2.0)
 
@@ -35,8 +34,8 @@ def chain_schedule():
     return get_scheduler("roundrobin").schedule(tg, machine)
 
 
-def reversed_steps(plan, proc):
-    return list(reversed(plan.steps_by_proc[proc]))
+def reversed_steps(schedule, proc):
+    return list(reversed(schedule.on_proc(proc)))
 
 
 def test_mutation_changes_every_backend_identically(monkeypatch):
@@ -44,7 +43,7 @@ def test_mutation_changes_every_backend_identically(monkeypatch):
     clean = {t: generate(schedule, target=t) for t in ("threads", "mpi", "c")}
     clean_ir = lower(schedule)
 
-    monkeypatch.setattr(pygen, "proc_steps", reversed_steps)
+    monkeypatch.setattr(ir, "proc_steps", reversed_steps)
     mutated_ir = lower(schedule)
     assert mutated_ir.content_hash() != clean_ir.content_hash()
     for target in ("threads", "mpi", "c"):
@@ -61,15 +60,12 @@ def test_mutation_changes_every_backend_identically(monkeypatch):
 
 def test_analyzer_and_ir_read_the_same_hook(monkeypatch):
     schedule = chain_schedule()
-    plan = build_comm_plan(schedule)
 
-    from repro.analysis.concurrency import ir_ops
-
-    clean = plan_ops(plan)
-    assert clean == ir_ops(lower_steps(plan)[0])
-    monkeypatch.setattr(pygen, "proc_steps", reversed_steps)
-    mutated = plan_ops(plan)
-    assert mutated == ir_ops(lower_steps(plan)[0])
+    clean = ir_ops(lower_steps(schedule)[0])
+    assert clean == ir_ops(lower(schedule).procs)
+    monkeypatch.setattr(ir, "proc_steps", reversed_steps)
+    mutated = ir_ops(lower_steps(schedule)[0])
+    assert mutated == ir_ops(lower(schedule).procs)
     assert mutated != clean
 
 
@@ -79,6 +75,6 @@ def test_backends_share_the_ir_channel_table(monkeypatch):
     tag table keys stay in lockstep for every consumer."""
     schedule = chain_schedule()
     clean = lower(schedule)
-    monkeypatch.setattr(pygen, "proc_steps", reversed_steps)
+    monkeypatch.setattr(ir, "proc_steps", reversed_steps)
     mutated = lower(schedule)
     assert set(clean.channels) == set(mutated.channels)

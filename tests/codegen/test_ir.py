@@ -186,3 +186,28 @@ class TestContentHash:
         ).content_hash()
         hashes.add(local)
         assert len(hashes) == 1, f"content hash varies across processes: {hashes}"
+
+
+def test_codegen_never_imports_sim():
+    """One dependency direction: ``sim`` reads ``codegen.ir``, never the
+    reverse (``codegen`` used to loop back through ``sim.plan``)."""
+    import ast
+    import pathlib
+
+    import repro.codegen
+
+    root = pathlib.Path(repro.codegen.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                if node.module == "repro":
+                    names = [f"repro.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(n == "repro.sim" or n.startswith("repro.sim.") for n in names):
+                offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert offenders == []

@@ -119,9 +119,9 @@ class TestGenerateMPI:
     def test_rank_blocks_cover_used_procs(self):
         schedule = schedule_for(diamond_design())
         source = generate(schedule, target="mpi")
-        from repro.sim import build_comm_plan
+        from repro.codegen.ir import lower_steps
 
-        for proc in build_comm_plan(schedule).procs_used():
+        for proc in lower_steps(schedule)[0]:
             assert f"rank == {proc}" in source
 
     def test_tags_pair_up(self):

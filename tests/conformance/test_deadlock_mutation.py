@@ -1,7 +1,7 @@
 """Mutation check: a channel-ordering bug in the generator must be caught.
 
 The acceptance test for the concurrency analyzer: inject an emission-order
-bug into ``pygen.proc_steps`` (reverse each processor's step sequence — the
+bug into ``ir.proc_steps`` (reverse each processor's step sequence — the
 classic "emit receives before the sends that feed them" mistake) and verify
 that
 
@@ -20,15 +20,15 @@ import pytest
 from repro.analysis.concurrency import (
     analyze_plan,
     execute_plan_protocol,
-    plan_ops,
+    ir_ops,
 )
-from repro.codegen import pygen
+from repro.codegen import ir
+from repro.codegen.ir import lower_steps
 from repro.conformance import ORACLES, CaseContext, graph_case
 from repro.graph import DataflowGraph, flatten
 from repro.machine import MachineParams, make_machine
 from repro.sched import get_scheduler
 from repro.severity import Severity
-from repro.sim import build_comm_plan
 
 
 def chain_schedule():
@@ -52,23 +52,22 @@ def chain_schedule():
     return tg, machine, get_scheduler("roundrobin").schedule(tg, machine)
 
 
-def reversed_steps(plan, proc):
-    return list(reversed(plan.steps_by_proc[proc]))
+def reversed_steps(schedule, proc):
+    return list(reversed(schedule.on_proc(proc)))
 
 
 def test_unmutated_plan_is_clean_and_completes():
     _, _, schedule = chain_schedule()
-    plan = build_comm_plan(schedule)
-    assert plan_ops(plan), "the pinned case must actually communicate"
+    plan = lower_steps(schedule)[0]
+    assert ir_ops(plan), "the pinned case must actually communicate"
     assert analyze_plan(plan) == []
     assert execute_plan_protocol(plan, timeout=5.0)
 
 
 def test_reordering_mutation_is_convicted_statically(monkeypatch):
     _, _, schedule = chain_schedule()
-    plan = build_comm_plan(schedule)
-    monkeypatch.setattr(pygen, "proc_steps", reversed_steps)
-    diags = analyze_plan(plan)
+    monkeypatch.setattr(ir, "proc_steps", reversed_steps)
+    diags = analyze_plan(lower_steps(schedule)[0])
     assert [d.rule_id for d in diags] == ["CG501"]
     (d,) = diags
     assert d.severity is Severity.ERROR
@@ -78,9 +77,8 @@ def test_reordering_mutation_is_convicted_statically(monkeypatch):
 
 def test_reordering_mutation_really_deadlocks(monkeypatch):
     _, _, schedule = chain_schedule()
-    plan = build_comm_plan(schedule)
-    monkeypatch.setattr(pygen, "proc_steps", reversed_steps)
-    assert not execute_plan_protocol(plan, timeout=0.5)
+    monkeypatch.setattr(ir, "proc_steps", reversed_steps)
+    assert not execute_plan_protocol(lower_steps(schedule)[0], timeout=0.5)
 
 
 def test_codegen_deadlock_oracle_reports_the_mutant(monkeypatch):
@@ -90,7 +88,7 @@ def test_codegen_deadlock_oracle_reports_the_mutant(monkeypatch):
 
     assert oracle.check(CaseContext(case)) == []
 
-    monkeypatch.setattr(pygen, "proc_steps", reversed_steps)
+    monkeypatch.setattr(ir, "proc_steps", reversed_steps)
     problems = oracle.check(CaseContext(case))
     assert problems
     assert any("CG501" in p for p in problems)
@@ -103,6 +101,6 @@ def test_mutation_reaches_the_emitted_program(monkeypatch):
 
     _, _, schedule = chain_schedule()
     clean = generate(schedule, target="threads")
-    monkeypatch.setattr(pygen, "proc_steps", reversed_steps)
+    monkeypatch.setattr(ir, "proc_steps", reversed_steps)
     mutated = generate(schedule, target="threads")
     assert mutated != clean

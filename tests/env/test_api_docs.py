@@ -44,11 +44,6 @@ def test_service_methods_documented():
         assert re.search(rf"`{name}\(", TEXT), name
 
 
-def test_deprecation_table_lists_set_machine_object():
-    assert "set_machine_object" in TEXT
-    assert "DeprecationWarning" in TEXT
-
-
 def test_no_ghost_methods():
     """Every `name(...)` the doc claims on BangerProject really exists."""
     documented = set(re.findall(r"`([a-z_]+)\(", TEXT))

@@ -169,7 +169,7 @@ class TestSweep:
 
 class TestCodegenTopologyDemo:
     def test_codegen_stdout(self, project_path, capsys):
-        assert main(["codegen", project_path, "--language", "mpi"]) == 0
+        assert main(["codegen", project_path, "--target", "mpi"]) == 0
         assert "mpi4py" in capsys.readouterr().out
 
     def test_codegen_to_file(self, project_path, tmp_path, capsys):

@@ -47,16 +47,6 @@ class TestMachineOddsAndEnds:
         assert project.machine is machine
         assert project.schedule("serial").n_procs == 4
 
-    def test_set_machine_object_deprecated_alias(self):
-        from repro.env import BangerProject
-
-        g = DataflowGraph("d")
-        g.add_task("t", program="output x\nx := 1")
-        machine = TargetMachine(Hypercube(2), MachineParams())
-        with pytest.warns(DeprecationWarning, match="set_machine_object"):
-            project = BangerProject().set_design(g).set_machine_object(machine)
-        assert project.machine is machine
-
 
 class TestScheduleOddsAndEnds:
     def test_scheduled_tasks_sorted(self):

@@ -1,13 +1,17 @@
-"""Tests for the comm plan and the real threaded executor."""
+"""Tests for the lowered message-passing program and the real threaded executor."""
+
+import time
 
 import numpy as np
 import pytest
 
-from repro.errors import SimError
+from repro.codegen import run
+from repro.errors import CalcRuntimeError, SimError
 from repro.graph import DataflowGraph, TaskGraph, flatten
 from repro.machine import MachineParams, make_machine, single_processor
 from repro.sched import Schedule, get_scheduler
-from repro.sim import build_comm_plan, run_dataflow, run_parallel
+from repro.codegen.ir import lower_steps
+from repro.sim import run_dataflow, run_parallel
 
 PARAMS = MachineParams(msg_startup=1.0, transmission_rate=2.0)
 
@@ -42,45 +46,40 @@ def scheduled_design(n_procs=4, scheduler="mh"):
     return tg, get_scheduler(scheduler).schedule(tg, machine)
 
 
-class TestCommPlan:
+def all_steps(schedule):
+    procs, _channels, _outputs = lower_steps(schedule)
+    return [step for proc in sorted(procs) for step in procs[proc]]
+
+
+class TestLowerSteps:
     def test_steps_cover_all_tasks(self):
         tg, schedule = scheduled_design()
-        plan = build_comm_plan(schedule)
-        tasks = [s.task for s in plan.all_steps()]
+        tasks = [s.task for s in all_steps(schedule)]
         assert sorted(tasks) == sorted(tg.task_names)
 
     def test_sends_match_recvs(self):
         _, schedule = scheduled_design(scheduler="roundrobin")
-        plan = build_comm_plan(schedule)
-        sends = {
-            (s.src_task, s.dst_task, s.var, s.dst_proc)
-            for step in plan.all_steps()
-            for s in step.sends
-        }
-        recvs = {
-            (r.src_task, step.task, r.var, step.proc)
-            for step in plan.all_steps()
-            for r in step.recvs
-        }
+        steps = all_steps(schedule)
+        sends = {step.send_channel(s) for step in steps for s in step.sends}
+        recvs = {step.recv_channel(r) for step in steps for r in step.recvs}
         assert sends == recvs
+        assert sends == set(lower_steps(schedule)[1])
 
     def test_local_wins_over_message(self):
         _, schedule = scheduled_design(n_procs=1)
-        plan = build_comm_plan(schedule)
-        assert plan.channel_count() == 0
-        assert all(not s.recvs for s in plan.all_steps())
+        assert lower_steps(schedule)[1] == ()
+        assert all(not s.recvs for s in all_steps(schedule))
 
     def test_graph_inputs_attached(self):
         _, schedule = scheduled_design()
-        plan = build_comm_plan(schedule)
-        split = next(s for s in plan.all_steps() if s.task == "split")
-        assert split.graph_inputs == ["x"]
+        split = next(s for s in all_steps(schedule) if s.task == "split")
+        assert split.graph_inputs == ("x",)
 
     def test_output_sources(self):
         _, schedule = scheduled_design()
-        plan = build_comm_plan(schedule)
-        assert "y" in plan.output_sources
-        task, proc = plan.output_sources["y"]
+        _procs, _channels, output_sources = lower_steps(schedule)
+        assert "y" in output_sources
+        task, proc = output_sources["y"]
         assert task == "join"
 
     def test_incomplete_schedule_rejected(self):
@@ -88,7 +87,39 @@ class TestCommPlan:
         tg.add_task("a")
         machine = make_machine("full", 2, PARAMS)
         with pytest.raises(SimError, match="incomplete"):
-            build_comm_plan(Schedule(tg, machine))
+            lower_steps(Schedule(tg, machine))
+
+
+def failing_producer_schedule():
+    """producer (processor 0) divides by a zero input; consumer (processor
+    1) blocks on its message.  Static analysis cannot see the zero."""
+    g = DataflowGraph("boom")
+    g.add_storage("d", initial=0.0)
+    g.add_task("producer", program="input d\noutput x\nx := 1 / d", work=1)
+    g.add_storage("x")
+    g.add_task("consumer", program="input x\noutput y\ny := x + 1", work=1)
+    g.add_storage("y")
+    for src, dst in [("d", "producer"), ("producer", "x"),
+                     ("x", "consumer"), ("consumer", "y")]:
+        g.connect(src, dst)
+    schedule = get_scheduler("roundrobin").schedule(
+        flatten(g), make_machine("full", 2, PARAMS)
+    )
+    assert schedule.proc_of("producer") != schedule.proc_of("consumer")
+    return schedule
+
+
+@pytest.mark.parametrize(
+    "execute",
+    [run_parallel, lambda schedule: run(schedule, target="inproc")],
+    ids=["run_parallel", "inproc"],
+)
+def test_failing_task_raises_its_own_error_without_hanging(execute):
+    schedule = failing_producer_schedule()
+    started = time.perf_counter()
+    with pytest.raises(CalcRuntimeError, match="division by zero"):
+        execute(schedule)
+    assert time.perf_counter() - started < 2.0
 
 
 class TestThreadedExecution:
@@ -114,7 +145,7 @@ class TestThreadedExecution:
     def test_message_count_positive_when_spread(self):
         _, schedule = scheduled_design(n_procs=4, scheduler="roundrobin")
         par = run_parallel(schedule)
-        assert par.messages_sent == build_comm_plan(schedule).channel_count()
+        assert par.messages_sent == len(lower_steps(schedule)[1])
         assert par.messages_sent > 0
 
     def test_arrays_travel_through_queues(self):
