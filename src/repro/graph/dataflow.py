@@ -8,6 +8,7 @@ the paper's Figure 1.  Composite nodes carry a nested ``DataflowGraph`` (see
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Iterator
 
 from repro.errors import CycleError, GraphError, ValidationError
@@ -115,6 +116,9 @@ class DataflowGraph:
         When ``var`` is omitted and either endpoint is a storage node, the
         label defaults to that storage node's datum; when ``size`` is
         omitted it defaults to the storage node's size (or 1.0).
+
+        Costs O(out-degree of ``src``): a duplicate ``(src, dst, var)`` can
+        only sit among ``src``'s outgoing arcs, so only those are checked.
         """
         for endpoint in (src, dst):
             if endpoint not in self._nodes:
@@ -130,7 +134,7 @@ class DataflowGraph:
         if size is None:
             size = storage.size if storage is not None else DEFAULT_ARC_SIZE
         arc = Arc(src, dst, var=var, size=size)
-        if any(a.src == src and a.dst == dst and a.var == var for a in self._arcs):
+        if any(a.dst == dst and a.var == var for a in self._succ[src]):
             raise GraphError(
                 f"duplicate arc {src}->{dst} for variable {var!r} in graph {self.name!r}"
             )
@@ -146,11 +150,10 @@ class DataflowGraph:
         del self._nodes[name]
         self._subgraphs.pop(name, None)
         self._arcs = [a for a in self._arcs if name not in (a.src, a.dst)]
-        self._succ.pop(name)
-        self._pred.pop(name)
-        for adj in (self._succ, self._pred):
-            for key in adj:
-                adj[key] = [a for a in adj[key] if name not in (a.src, a.dst)]
+        for arc in self._succ.pop(name):
+            self._pred[arc.dst].remove(arc)
+        for arc in self._pred.pop(name):
+            self._succ[arc.src].remove(arc)
 
     def remove_arc(self, src: str, dst: str, var: str | None = None) -> None:
         """Delete the arc(s) ``src -> dst`` (all labels, or just ``var``)."""
@@ -245,10 +248,10 @@ class DataflowGraph:
         Ties are broken by insertion order so the result is deterministic.
         """
         indeg = {n: len(self._pred[n]) for n in self._nodes}
-        ready = [n for n in self._nodes if indeg[n] == 0]
+        ready = deque(n for n in self._nodes if indeg[n] == 0)
         order: list[str] = []
         while ready:
-            n = ready.pop(0)
+            n = ready.popleft()
             order.append(n)
             for arc in self._succ[n]:
                 indeg[arc.dst] -= 1

@@ -55,12 +55,23 @@ def expand(graph: DataflowGraph) -> DataflowGraph:
     * an outgoing arc ``C -> w`` carrying ``v`` is rerouted to
       ``C.S.outputs[v] -> w``.
 
+    The result is always an independent deep copy (one ``deepcopy`` per
+    node), even for a design with nothing to inline; :func:`flatten` only
+    reads the single-level view and so skips that copy.
+
     Raises :class:`GraphError` when an arc's variable has no matching port
     (run :meth:`DataflowGraph.validate` first for a full problem list).
     """
+    return _single_level(graph).copy()
+
+
+def _single_level(graph: DataflowGraph) -> DataflowGraph:
+    """Read-only single-level view: ``graph`` itself when it has no
+    composites, otherwise a new graph that still shares node objects and
+    ``meta`` values with ``graph`` — callers must not mutate it."""
     # Expand one level at a time until no composites remain; this keeps the
     # arc-rerouting logic simple even for deeply nested designs.
-    work = graph.copy()
+    work = graph
     guard = 0
     while work.composites:
         guard += 1
@@ -76,19 +87,21 @@ def _expand_once(graph: DataflowGraph) -> DataflowGraph:
 
     out = DataflowGraph(graph.name, inputs=graph.inputs, outputs=graph.outputs)
 
-    # 1. copy every non-composite node unchanged
+    # 1. carry every non-composite node over unchanged (shared, not copied)
     for node in graph.nodes:
         if isinstance(node, TaskNode) and node.is_composite:
             continue
-        out.add_node(_copy.deepcopy(node))
+        out.add_node(node)
 
-    # 2. splice in each composite's subgraph under a namespace
+    # 2. splice in each composite's subgraph under a namespace; the renamed
+    # nodes are shallow clones with a fresh ``meta`` dict
     for comp in graph.composites:
         sub = graph.subgraph(comp.name)
         prefix = comp.name + SCOPE_SEP
         for node in sub.nodes:
-            clone = _copy.deepcopy(node)
+            clone = _copy.copy(node)
             clone.name = prefix + node.name
+            clone.meta = dict(node.meta)
             out.add_node(clone)
             if isinstance(node, TaskNode) and node.is_composite:
                 # keep the nested subgraph attached, with internal names as-is
@@ -128,6 +141,10 @@ def _expand_once(graph: DataflowGraph) -> DataflowGraph:
 def flatten(graph: DataflowGraph, validate: bool = True) -> TaskGraph:
     """Expand ``graph`` and elide storage, producing the scheduling IR.
 
+    Linear in nodes + arcs.  ``graph`` is only read: a composite-free design
+    is walked in place, never copied, and the returned tasks get their own
+    ``meta`` dict (a shallow copy — nested values are shared).
+
     Storage elision rules (``P`` = producer task, ``C`` = consumer task,
     ``S`` = storage node holding variable ``v``):
 
@@ -146,7 +163,7 @@ def flatten(graph: DataflowGraph, validate: bool = True) -> TaskGraph:
     """
     if validate:
         graph.validate()
-    flat = expand(graph)
+    flat = _single_level(graph)
     tg = TaskGraph(graph.name)
 
     topo_index: dict[str, int] = {}
@@ -168,6 +185,7 @@ def flatten(graph: DataflowGraph, validate: bool = True) -> TaskGraph:
         tg.add_task(node.name, work=node.work, label=node.label, program=node.program, **node.meta)
 
     seen_edges: set[tuple[str, str, str]] = set()
+    seen_inputs: set[tuple[str, str]] = set()
 
     def add_edge(src: str, dst: str, var: str, size: float) -> None:
         key = (src, dst, var)
@@ -185,10 +203,11 @@ def flatten(graph: DataflowGraph, validate: bool = True) -> TaskGraph:
             for consumer in consumers:
                 add_edge(producer, consumer, var, node.size)
         elif consumers:  # graph input
-            tg.graph_inputs.setdefault(var, [])
+            readers = tg.graph_inputs.setdefault(var, [])
             for consumer in consumers:
-                if consumer not in tg.graph_inputs[var]:
-                    tg.graph_inputs[var].append(consumer)
+                if (var, consumer) not in seen_inputs:
+                    seen_inputs.add((var, consumer))
+                    readers.append(consumer)
             tg.input_sizes[var] = node.size
             if node.initial is not None:
                 tg.input_values[var] = node.initial

@@ -41,7 +41,8 @@ class NodeKind(enum.Enum):
 def _check_name(name: str) -> str:
     if not isinstance(name, str) or not name:
         raise GraphError(f"node name must be a non-empty string, got {name!r}")
-    if any(ch.isspace() for ch in name):
+    # split() cuts at exactly the str.isspace() characters
+    if name.split() != [name]:
         raise GraphError(f"node name may not contain whitespace: {name!r}")
     return name
 

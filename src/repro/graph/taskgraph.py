@@ -10,6 +10,7 @@ This is the structure every scheduler in :mod:`repro.sched` consumes.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -96,11 +97,13 @@ class TaskGraph:
         return spec
 
     def add_edge(self, src: str, dst: str, var: str = "", size: float = 1.0) -> TaskEdge:
+        """Add ``src -> dst`` carrying ``var``; the duplicate check scans only
+        ``src``'s outgoing edges, so the cost is O(out-degree of ``src``)."""
         for endpoint in (src, dst):
             if endpoint not in self._tasks:
                 raise GraphError(f"unknown task {endpoint!r} in task graph {self.name!r}")
         edge = TaskEdge(src, dst, var=var, size=size)
-        if any(e.src == src and e.dst == dst and e.var == var for e in self._edges):
+        if any(e.dst == dst and e.var == var for e in self._succ[src]):
             raise GraphError(f"duplicate edge {src}->{dst} ({var!r})")
         self._edges.append(edge)
         self._succ[src].append(edge)
@@ -195,10 +198,10 @@ class TaskGraph:
     def topological_order(self) -> list[str]:
         """Deterministic Kahn sort; raises :class:`CycleError` on cycles."""
         indeg = {t: len(self._pred[t]) for t in self._tasks}
-        ready = [t for t in self._tasks if indeg[t] == 0]
+        ready = deque(t for t in self._tasks if indeg[t] == 0)
         order: list[str] = []
         while ready:
-            t = ready.pop(0)
+            t = ready.popleft()
             order.append(t)
             for e in self._succ[t]:
                 indeg[e.dst] -= 1

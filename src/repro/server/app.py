@@ -72,6 +72,10 @@ DEBUG_ROUTES = {
 
 DEFAULT_PORT = 8045
 
+#: Total body bytes the response LRU may hold, on top of its entry bound:
+#: 512 replies to a large design (~0.5 MB each) would otherwise pin ~250 MB.
+RESPONSE_CACHE_MAX_BYTES = 64 * 1024 * 1024
+
 
 class _ClientGone(Exception):
     """The client disconnected while its response was being computed."""
@@ -118,7 +122,8 @@ class BangerDaemon:
         Per-request compute budget in seconds; exceeding it answers 504
         and recycles the worker.
     cache_entries:
-        Bound of the response LRU (successful responses only).
+        Entry bound of the response LRU (successful responses only); the
+        LRU is also capped at ``RESPONSE_CACHE_MAX_BYTES`` of bodies.
     debug:
         Expose ``/debug/*`` fault-injection routes.
     access_log:
@@ -175,6 +180,7 @@ class BangerDaemon:
         self._started = time.monotonic()
 
         self._cache: "OrderedDict[str, bytes]" = OrderedDict()
+        self._cache_bytes = 0
         self._key_cache: "OrderedDict[str, str]" = OrderedDict()
         self._key_futures: dict[str, asyncio.Future] = {}
         self._inflight: dict[str, _Inflight] = {}
@@ -638,10 +644,13 @@ class BangerDaemon:
         return body
 
     def _cache_put(self, key: str, body: bytes) -> None:
+        self._cache_bytes += len(body) - len(self._cache.pop(key, b""))
         self._cache[key] = body
-        self._cache.move_to_end(key)
-        while len(self._cache) > self.cache_entries:
-            self._cache.popitem(last=False)
+        while (
+            len(self._cache) > self.cache_entries
+            or self._cache_bytes > RESPONSE_CACHE_MAX_BYTES
+        ):
+            self._cache_bytes -= len(self._cache.popitem(last=False)[1])
 
     # ------------------------------------------------------------------ #
     # introspection documents
@@ -674,6 +683,8 @@ class BangerDaemon:
             "response_cache": {
                 "entries": len(self._cache),
                 "max_entries": self.cache_entries,
+                "bytes": self._cache_bytes,
+                "max_bytes": RESPONSE_CACHE_MAX_BYTES,
             },
             "service": shared_service().stats().as_dict(),
             "store": self.store.stats() if self.store is not None else None,

@@ -1,9 +1,13 @@
 """Unit tests for PITL node and arc types."""
 
+import sys
+import unicodedata
+
 import pytest
 
 from repro.errors import GraphError
 from repro.graph import Arc, NodeKind, StorageNode, TaskNode
+from repro.graph.node import _check_name
 
 
 class TestTaskNode:
@@ -91,3 +95,45 @@ class TestArc:
         a = Arc("u", "v")
         with pytest.raises(Exception):
             a.src = "z"  # type: ignore[misc]
+
+
+class TestNameCheck:
+    """``_check_name`` rejects exactly the names the per-character
+    ``any(ch.isspace() for ch in name)`` scan used to reject."""
+
+    #: every code point Python calls whitespace, grouped by Unicode category
+    #: (Zs/Zl/Zp separators, and the Cc controls with a whitespace bidi class)
+    WHITESPACE = [chr(cp) for cp in range(sys.maxunicode + 1) if chr(cp).isspace()]
+
+    def test_the_whitespace_classes_are_all_covered(self):
+        assert {unicodedata.category(ch) for ch in self.WHITESPACE} == {
+            "Zs", "Zl", "Zp", "Cc"
+        }
+        assert {" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0",
+                "\u2028", "\u2029", "\u3000"} <= set(self.WHITESPACE)
+
+    @pytest.mark.parametrize("name", ["", None, 7, b"t", ("t",)], ids=repr)
+    def test_rejects_empty_and_non_string_names(self, name):
+        with pytest.raises(GraphError, match="non-empty string"):
+            _check_name(name)
+
+    @pytest.mark.parametrize("ch", WHITESPACE, ids=lambda ch: f"U+{ord(ch):04X}")
+    @pytest.mark.parametrize("template", ["{}", "{}a", "a{}"])
+    def test_rejects_whitespace_alone_leading_and_trailing(self, ch, template):
+        with pytest.raises(GraphError, match="whitespace"):
+            _check_name(template.format(ch))
+
+    def test_accepts_every_name_without_whitespace(self):
+        # format controls and marks that merely *look* blank are not whitespace
+        for name in ["t", "outer.inner.t", "a\u200bb", "a\u2060b", "\ufeffa", "é", "名前", "a\x00b"]:
+            assert _check_name(name) == name
+
+    def test_agrees_with_the_per_character_scan_on_every_code_point(self):
+        for cp in range(sys.maxunicode + 1):
+            name = "a" + chr(cp) + "b"
+            try:
+                _check_name(name)
+                rejected = False
+            except GraphError:
+                rejected = True
+            assert rejected == any(ch.isspace() for ch in name), hex(cp)
