@@ -15,11 +15,10 @@ share one).  Entries are immutable tuples, so sharing is safe.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
 from repro.graph.serialize import fingerprint
+from repro.lru import LRU
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.calc.analyze import Diagnostic as CalcDiagnostic
@@ -31,39 +30,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ANALYSIS_VERSION = 1
 
 
-class AnalysisCache:
+class AnalysisCache(LRU):
     """A bounded, thread-safe LRU mapping fingerprints to analysis results."""
 
     def __init__(self, maxsize: int = 512) -> None:
-        self.maxsize = max(1, int(maxsize))
-        self._entries: OrderedDict[str, Any] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:
-        with self._lock:
-            if key in self._entries:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return self._entries[key]
-        value = compute()
-        with self._lock:
-            self.misses += 1
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-        return value
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        super().__init__(max(1, int(maxsize)))
+        self.maxsize = self.max_entries
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
+        super().clear()
+        self.hits = self.misses = 0
 
     def stats(self) -> dict[str, int]:
         with self._lock:

@@ -15,23 +15,23 @@ topology once into flat all-pairs distance and route tables:
   consumer stays **byte-identical** to the uncompiled answers;
 * content-addressed by :meth:`TargetMachine.content_hash` and canonical-JSON
   serializable (:meth:`to_dict` / :meth:`from_dict`), so the tables land in
-  the :class:`~repro.sched.service.ScheduleService` LRU + versioned disk tier
-  and are shareable across processes and shards.
+  the :class:`~repro.sched.service.ScheduleService` versioned disk tier and
+  are shareable across processes and shards.
 
-A small process-wide cache (:func:`compiled_for`) keyed by machine hash lets
-every kernel build on a warm topology skip BFS entirely.  Hits and misses are
-counted under a lock (mirroring the kernel counters in ``sched/core``) and
-surface as ``compiled_hits`` / ``compiled_misses`` in
+A small process-wide LRU (:func:`compiled_for`) keyed by machine hash lets
+every kernel build on a warm topology skip BFS entirely.  It is the only
+in-memory tier: :meth:`ScheduleService.compiled` peeks it, then the disk
+namespace, then compiles.  ``compiled_for`` lookups are counted and surface
+as ``compiled_hits`` / ``compiled_misses`` in
 :func:`repro.sched.core.kernel_counters` and ``ServiceStats``.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import MachineError
+from repro.lru import LRU, Counters
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard (machine -> sched)
     from repro.machine.machine import TargetMachine
@@ -198,11 +198,8 @@ class CompiledTopology:
 #: Enough for a daemon serving many machines without unbounded growth.
 _CACHE_CAP = 128
 
-_LOCK = threading.Lock()
-_CACHE: "OrderedDict[str, CompiledTopology]" = OrderedDict()
-
-_ZERO_COUNTERS = {"compiled_hits": 0, "compiled_misses": 0}
-_counters: dict[str, int] = dict(_ZERO_COUNTERS)
+_CACHE = LRU(_CACHE_CAP)
+_COUNTERS = Counters(compiled_hits=0, compiled_misses=0)
 
 
 def compiled_for(machine: "TargetMachine") -> CompiledTopology:
@@ -212,14 +209,11 @@ def compiled_for(machine: "TargetMachine") -> CompiledTopology:
     share one entry.  A kernel built on a warm machine therefore never runs
     BFS — the tables are fetched by hash in O(1).
     """
-    key = machine.content_hash()
-    with _LOCK:
-        hit = _CACHE.get(key)
-        if hit is not None:
-            _CACHE.move_to_end(key)
-            _counters["compiled_hits"] += 1
-            return hit
-        _counters["compiled_misses"] += 1
+    hit = _CACHE.get(machine.content_hash())
+    if hit is not None:
+        _COUNTERS.bump("compiled_hits")
+        return hit
+    _COUNTERS.bump("compiled_misses")
     compiled = CompiledTopology.compile(machine)
     seed_compiled(compiled)
     return compiled
@@ -227,37 +221,15 @@ def compiled_for(machine: "TargetMachine") -> CompiledTopology:
 
 def seed_compiled(compiled: CompiledTopology) -> None:
     """Insert pre-built tables (e.g. loaded from the service disk tier)."""
-    with _LOCK:
-        _CACHE[compiled.machine_hash] = compiled
-        _CACHE.move_to_end(compiled.machine_hash)
-        while len(_CACHE) > _CACHE_CAP:
-            _CACHE.popitem(last=False)
+    _CACHE.put(compiled.machine_hash, compiled)
 
 
-def cached_compiled(machine_hash: str) -> CompiledTopology | None:
-    """Peek the process cache by machine hash without counting or compiling."""
-    with _LOCK:
-        return _CACHE.get(machine_hash)
-
-
-def evict_compiled(machine_hash: str) -> None:
-    """Drop one machine's tables (mirrors ``ScheduleService.invalidate``)."""
-    with _LOCK:
-        _CACHE.pop(machine_hash, None)
-
-
-def clear_compiled() -> None:
-    """Drop every cached table (tests; ``ScheduleService.clear``)."""
-    with _LOCK:
-        _CACHE.clear()
-
-
-def compiled_counters() -> dict[str, int]:
-    """Snapshot of the process-wide compiled-table hit/miss counters."""
-    with _LOCK:
-        return dict(_counters)
-
-
-def reset_compiled_counters() -> None:
-    with _LOCK:
-        _counters.update(_ZERO_COUNTERS)
+#: Peek the process cache by machine hash without counting or compiling.
+cached_compiled = _CACHE.peek
+#: Drop one machine's tables (mirrors ``ScheduleService.invalidate``).
+evict_compiled = _CACHE.pop
+#: Drop every cached table (tests, benchmarks); the counters are left alone.
+clear_compiled = _CACHE.clear
+#: Snapshot of the process-wide compiled-table hit/miss counters; its reset.
+compiled_counters = _COUNTERS.snapshot
+reset_compiled_counters = _COUNTERS.reset

@@ -37,7 +37,6 @@ shows kernel builds and route-cache behaviour.
 from __future__ import annotations
 
 import heapq
-import threading
 import time
 from bisect import insort
 from typing import Callable, Sequence
@@ -45,6 +44,7 @@ from typing import Callable, Sequence
 from repro.errors import ScheduleError
 from repro.graph.analysis import b_levels, static_levels, t_levels
 from repro.graph.taskgraph import TaskEdge, TaskGraph
+from repro.lru import Counters
 from repro.machine.compiled import (
     compiled_counters,
     compiled_for,
@@ -56,22 +56,12 @@ from repro.sched.schedule import Message, Placement, Schedule
 # --------------------------------------------------------------------- #
 # observability
 # --------------------------------------------------------------------- #
-_ZERO_COUNTERS = {
-    "kernel_builds": 0,
-    "kernel_build_ms": 0.0,
-    "route_cache_hits": 0,
-    "route_cache_misses": 0,
-}
-_COUNTERS = dict(_ZERO_COUNTERS)
-
-#: Counter increments are read-modify-write; concurrent server traffic
-#: (threaded inline mode, the stats stress test) must not drop counts.
-_COUNTER_LOCK = threading.Lock()
-
-
-def _bump(name: str, delta: int | float = 1) -> None:
-    with _COUNTER_LOCK:
-        _COUNTERS[name] += delta
+#: Bumps are locked read-modify-writes: concurrent server traffic (threaded
+#: inline mode, the stats stress test) must not drop counts.
+_COUNTERS = Counters(
+    kernel_builds=0, kernel_build_ms=0.0, route_cache_hits=0, route_cache_misses=0
+)
+_bump = _COUNTERS.bump
 
 
 def kernel_counters() -> dict[str, int | float]:
@@ -83,16 +73,14 @@ def kernel_counters() -> dict[str, int | float]:
     ``compiled_hits``/``compiled_misses`` count compiled-topology table
     lookups (see :mod:`repro.machine.compiled`).
     """
-    with _COUNTER_LOCK:
-        snapshot: dict[str, int | float] = dict(_COUNTERS)
+    snapshot = _COUNTERS.snapshot()
     snapshot.update(compiled_counters())
     return snapshot
 
 
 def reset_kernel_counters() -> None:
     """Zero the kernel counters (benchmarks and tests)."""
-    with _COUNTER_LOCK:
-        _COUNTERS.update(_ZERO_COUNTERS)
+    _COUNTERS.reset()
     reset_compiled_counters()
 
 
@@ -140,9 +128,8 @@ class SchedKernel:
         self._routes: dict[tuple[int, int], tuple[int, ...]] = {}
         self._mean_comm: dict[float, float] = {}
         self._levels: dict[str, dict[str, float]] = {}
-        with _COUNTER_LOCK:
-            _COUNTERS["kernel_builds"] += 1
-            _COUNTERS["kernel_build_ms"] += (time.perf_counter() - t0) * 1000.0
+        _bump("kernel_builds")
+        _bump("kernel_build_ms", (time.perf_counter() - t0) * 1000.0)
 
     # ------------------------------------------------------------------ #
     # memoized cost model (identical values to TargetMachine's methods)

@@ -42,10 +42,10 @@ audit trail (``ReactiveResult.plans`` / ``traces`` / ``rounds``).
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.lru import Counters
 from repro.machine.scenario import LINK_FAIL, PROC_FAIL, FaultScenario
 from repro.sched.core import KernelState, SchedKernel
 from repro.sched.schedule import Schedule
@@ -60,25 +60,11 @@ NAME_SUFFIX = "+reactive"
 #: Default observed/nominal duration ratio that flags a straggler.
 DEFAULT_THRESHOLD = 2.0
 
-_ZERO_COUNTERS = {"reactive_remaps": 0, "reactive_rounds": 0}
-_COUNTERS = dict(_ZERO_COUNTERS)
-_COUNTER_LOCK = threading.Lock()
-
-
-def reactive_counters() -> dict[str, int]:
-    """Process-wide reactive-rescheduling counters (thread-safe snapshot)."""
-    with _COUNTER_LOCK:
-        return dict(_COUNTERS)
-
-
-def reset_reactive_counters() -> None:
-    with _COUNTER_LOCK:
-        _COUNTERS.update(_ZERO_COUNTERS)
-
-
-def _bump(name: str, delta: int = 1) -> None:
-    with _COUNTER_LOCK:
-        _COUNTERS[name] += delta
+_COUNTERS = Counters(reactive_remaps=0, reactive_rounds=0)
+_bump = _COUNTERS.bump
+#: Process-wide reactive-rescheduling counters (thread-safe snapshot) and their reset.
+reactive_counters = _COUNTERS.snapshot
+reset_reactive_counters = _COUNTERS.reset
 
 
 # --------------------------------------------------------------------- #

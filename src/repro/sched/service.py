@@ -38,19 +38,20 @@ import os
 import pickle
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import ScheduleError
 from repro.graph.analysis import average_parallelism
 from repro.graph.serialize import fingerprint
 from repro.graph.taskgraph import TaskGraph
+from repro.lru import LRU, Counters
 from repro.machine.compiled import (
     CompiledTopology,
+    cached_compiled,
     compiled_for,
     evict_compiled,
     seed_compiled,
@@ -268,23 +269,21 @@ class ScheduleService:
                 disk_cache_max_bytes = 0
         self.disk_cache_max_bytes = disk_cache_max_bytes or None
         self.max_workers = max_workers or (os.cpu_count() or 1)
-        self._lru: "OrderedDict[tuple[str, str, str], Schedule]" = OrderedDict()
+        self._lru = LRU(max_entries)  # (graph, machine, scheduler) -> Schedule
         # Lowered-program cache (memory only): same content key as the
         # schedule LRU — the IR is a pure function of (graph, machine,
         # scheduler) — but a separate store, because the disk layer only
         # knows how to round-trip Schedule documents.
-        self._ir_lru: "OrderedDict[tuple[str, str, str], Any]" = OrderedDict()
-        # Compiled-topology tables, keyed by machine hash alone (they depend
-        # on nothing else).  Also written through to the disk tier so warm
-        # tables are shared across processes and shards.
-        self._compiled_lru: "OrderedDict[str, CompiledTopology]" = OrderedDict()
+        self._ir_lru = LRU(max_entries)
         self._disk_dir = self._resolve_disk_dir(disk_cache)
-        self._stats = ServiceStats(max_workers=self.max_workers)
         # One service may be shared by many threads (the banger daemon's
-        # inline mode, threaded test drivers): every LRU mutation and stats
-        # increment happens under this lock so concurrent traffic cannot
-        # drop counts or corrupt the OrderedDict.
-        self._lock = threading.RLock()
+        # inline mode, threaded test drivers): the LRUs and this counter set
+        # lock themselves, so concurrent traffic cannot drop counts.
+        self._counts = Counters(
+            disk_hits=0, disk_writes=0, disk_evictions=0, disk_gc_deletions=0,
+            evictions=0, sweeps=0, parallel_sweeps=0, serial_fallbacks=0,
+        )
+        self._last_sweep = (0.0, 1)  # (seconds, jobs), replaced whole
         # Kernel counters are process-wide; remember where they stood at
         # construction so stats() reports only this service's share.
         self._kernel_base = kernel_counters()
@@ -360,31 +359,25 @@ class ScheduleService:
     def compiled(self, machine: TargetMachine) -> CompiledTopology:
         """The compiled routing tables for ``machine``, memoized by hash.
 
-        Three tiers: this service's LRU, the versioned disk cache (under
-        ``compiled/<machine-hash>.json``), then compilation via
-        :func:`repro.machine.compiled.compiled_for`.  Whatever tier answers,
-        the process-wide cache consulted by :class:`~repro.sched.core.SchedKernel`
-        is seeded, so subsequent kernel builds hit in O(1).
+        Two tiers, then compilation: the process-wide cache every
+        :class:`~repro.sched.core.SchedKernel` consults (an uncounted peek),
+        the versioned disk cache (under ``compiled/<machine-hash>.json``),
+        then :func:`repro.machine.compiled.compiled_for`, whose result is
+        written through to disk.  Whatever answers, the process-wide cache
+        holds the tables afterwards, so subsequent kernel builds hit in O(1).
         """
         key = machine.content_hash()
-        with self._lock:
-            hit = self._compiled_lru.get(key)
-            if hit is not None:
-                self._compiled_lru.move_to_end(key)
-                return hit
-        tables = self._compiled_disk_get(key)
-        from_disk = tables is not None
+        tables = cached_compiled(key)
         if tables is None:
-            tables = compiled_for(machine)
-        else:
-            seed_compiled(tables)
-        with self._lock:
-            self._compiled_lru[key] = tables
-            self._compiled_lru.move_to_end(key)
-            while len(self._compiled_lru) > self.max_entries:
-                self._compiled_lru.popitem(last=False)
-        if not from_disk:
-            self._compiled_disk_put(tables)
+            entry, disk_key = f"compiled/{key}.json", ["compiled", key]
+            tables = self._disk_read(
+                entry, disk_key, "compiled", CompiledTopology.from_dict
+            )
+            if tables is not None and tables.machine_hash == key:
+                seed_compiled(tables)
+            else:  # absent, corrupt, or tables for another machine: rewrite
+                tables = compiled_for(machine)
+                self._disk_write(entry, disk_key, "compiled", tables.to_dict)
         return tables
 
     def lower(
@@ -408,20 +401,10 @@ class ScheduleService:
         sched = resolve_scheduler(scheduler)
         if not use_cache:
             return _lower(sched.schedule(graph, machine))
-        key = self._key(graph, machine, sched)
-        with self._lock:
-            if key in self._ir_lru:
-                self._ir_lru.move_to_end(key)
-                self._stats.ir_hits += 1
-                return self._ir_lru[key]
-            self._stats.ir_misses += 1
-        program = _lower(self.schedule(graph, machine, sched))
-        with self._lock:
-            self._ir_lru[key] = program
-            self._ir_lru.move_to_end(key)
-            while len(self._ir_lru) > self.max_entries:
-                self._ir_lru.popitem(last=False)
-        return program
+        return self._ir_lru.get_or_compute(
+            self._key(graph, machine, sched),
+            lambda: _lower(self.schedule(graph, machine, sched)),
+        )
 
     # ------------------------------------------------------------------ #
     # sweeps
@@ -526,26 +509,18 @@ class ScheduleService:
         actually used for the misses.
         """
         graph_fps: dict[int, str] = {}
+        keys: dict[int, tuple[str, str, str]] = {}
         results: list[Schedule | None] = [None] * len(items)
-        missing: list[int] = []
-        for i, (graph, machine, sched) in enumerate(items):
-            if not use_cache:
-                missing.append(i)
-                continue
+        for i, (graph, machine, sched) in enumerate(items if use_cache else ()):
             fp = graph_fps.setdefault(id(graph), graph.content_hash())
-            key = self._key(graph, machine, sched, graph_fp=fp)
-            cached = self._get(key)
-            if cached is not None:
-                results[i] = cached
-            else:
-                missing.append(i)
+            keys[i] = self._key(graph, machine, sched, graph_fp=fp)
+            results[i] = self._get(keys[i])
+        missing = [i for i, cached in enumerate(results) if cached is None]
         jobs_used = self._effective_jobs(jobs, missing, items)
         fresh = self._run_missing([items[i] for i in missing], jobs_used)
         for i, schedule in zip(missing, fresh):
             if use_cache:
-                graph, machine, sched = items[i]
-                fp = graph_fps.setdefault(id(graph), graph.content_hash())
-                self._put(self._key(graph, machine, sched, graph_fp=fp), schedule)
+                self._put(keys[i], schedule)
             results[i] = schedule
         return results, jobs_used  # type: ignore[return-value]
 
@@ -580,116 +555,97 @@ class ScheduleService:
                     pool.submit(_schedule_worker, s, g, m) for g, m, s in work
                 ]
                 results = [f.result() for f in futures]
-            with self._lock:
-                self._stats.parallel_sweeps += 1
+            self._counts.bump("parallel_sweeps")
             return results
         except _POOL_ERRORS:
             # Unpicklable scheduler/graph or a broken pool: do the same work
             # serially — identical results, just slower.  Real scheduling
             # errors re-raise from the serial run.
-            with self._lock:
-                self._stats.serial_fallbacks += 1
+            self._counts.bump("serial_fallbacks")
             return [s.schedule(g, m) for g, m, s in work]
 
     def _note_sweep(self, t0: float, jobs_used: int) -> None:
-        with self._lock:
-            self._stats.sweeps += 1
-            self._stats.last_sweep_seconds = time.perf_counter() - t0
-            self._stats.last_sweep_jobs = jobs_used
+        self._counts.bump("sweeps")
+        self._last_sweep = (time.perf_counter() - t0, jobs_used)
 
     # ------------------------------------------------------------------ #
     # cache internals
     # ------------------------------------------------------------------ #
     def _get(self, key: tuple[str, str, str]) -> Schedule | None:
-        with self._lock:
-            if key in self._lru:
-                self._lru.move_to_end(key)
-                self._stats.hits += 1
-                return self._lru[key]
-        disk = self._disk_get(key)
-        with self._lock:
-            if disk is not None:
-                self._stats.hits += 1
-                self._stats.disk_hits += 1
-                self._insert(key, disk)
-                return disk
-            self._stats.misses += 1
-            return None
+        cached = self._lru.get(key)
+        if cached is None:
+            cached = self._disk_read(
+                fingerprint(list(key)) + ".json", list(key), "schedule",
+                schedule_from_dict,
+            )
+            if cached is not None:
+                self._lru.put(key, cached)
+                self._counts.bump("disk_hits")
+        return cached
 
     def _put(self, key: tuple[str, str, str], schedule: Schedule) -> None:
-        with self._lock:
-            self._insert(key, schedule)
-        self._disk_put(key, schedule)
-
-    def _insert(self, key: tuple[str, str, str], schedule: Schedule) -> None:
-        with self._lock:
-            self._lru[key] = schedule
-            self._lru.move_to_end(key)
-            while len(self._lru) > self.max_entries:
-                self._lru.popitem(last=False)
-                self._stats.evictions += 1
+        self._lru.put(key, schedule)
+        if self._disk_write(
+            fingerprint(list(key)) + ".json", list(key), "schedule",
+            lambda: schedule_to_dict(schedule),
+        ):
+            self._counts.bump("disk_writes")
 
     # ------------------------------------------------------------------ #
-    # disk cache (optional, corruption-tolerant)
+    # disk cache (optional, corruption-tolerant): one entry format, two
+    # namespaces — schedules at the top of the versioned directory, compiled
+    # tables under compiled/ so the one-JSON-per-key layout is undisturbed
     # ------------------------------------------------------------------ #
-    def _disk_path(self, key: tuple[str, str, str]) -> Path:
-        assert self._disk_dir is not None
-        return self._disk_dir / (fingerprint(list(key)) + ".json")
-
-    def _disk_get(self, key: tuple[str, str, str]) -> Schedule | None:
+    def _disk_read(
+        self, entry: str, key: list[str], field: str, decode: Callable[[Any], Any]
+    ) -> Any | None:
+        """Decode ``doc[field]`` of the entry file, or ``None`` on a miss."""
         if self._disk_dir is None:
             return None
-        path = self._disk_path(key)
+        path = self._disk_dir / entry
         try:
             text = path.read_text(encoding="utf-8")
         except OSError:
             return None
         try:
             doc = json.loads(text)
-            if doc.get("cache_version") != CACHE_VERSION or doc.get("key") != list(key):
+            if doc.get("cache_version") != CACHE_VERSION or doc.get("key") != key:
                 raise ValueError("cache entry does not match its key")
-            return schedule_from_dict(doc["schedule"])
+            return decode(doc[field])
         except Exception:
             # Corrupt or mismatched entry: evict it, never raise.
-            with self._lock:
-                self._stats.disk_evictions += 1
+            self._counts.bump("disk_evictions")
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
 
-    def _disk_put(self, key: tuple[str, str, str], schedule: Schedule) -> None:
+    def _disk_write(
+        self, entry: str, key: list[str], field: str, encode: Callable[[], Any]
+    ) -> bool:
+        """Write ``{field: encode()}`` atomically; ``True`` when it landed."""
         if self._disk_dir is None:
-            return
+            return False
+        wrote = False
         try:
-            self._disk_dir.mkdir(parents=True, exist_ok=True)
-            path = self._disk_path(key)
-            doc = {
-                "cache_version": CACHE_VERSION,
-                "key": list(key),
-                "schedule": schedule_to_dict(schedule),
-            }
-            tmp = path.with_suffix(".tmp")
+            path = self._disk_dir / entry
+            path.parent.mkdir(parents=True, exist_ok=True)
+            doc = {"cache_version": CACHE_VERSION, "key": key, field: encode()}
+            # The temp name is unique per process and thread: two writers of
+            # one key (daemon workers sharing BANGER_CACHE_DIR) must never
+            # rename each other's half-written file into place.
+            tmp = path.with_name(
+                f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+            )
             tmp.write_text(json.dumps(doc), encoding="utf-8")
             tmp.replace(path)
-            with self._lock:
-                self._stats.disk_writes += 1
+            wrote = True
         except OSError:
             # A read-only or full cache directory must never break scheduling.
             pass
-        self._enforce_disk_cap()
-
-    def _enforce_disk_cap(self) -> None:
-        """Trim the disk tier oldest-first back under its byte cap."""
-        if self._disk_dir is None or not self.disk_cache_max_bytes:
-            return
-        deleted = enforce_size_cap(
-            dir_files(self._disk_dir), self.disk_cache_max_bytes
-        )
-        if deleted:
-            with self._lock:
-                self._stats.disk_gc_deletions += len(deleted)
+        self.gc_disk()  # back under the configured byte cap, if there is one
+        return wrote
 
     def gc_disk(self, max_bytes: int | None = None) -> int:
         """Explicitly trim the disk cache to ``max_bytes`` (or the configured
@@ -699,65 +655,8 @@ class ScheduleService:
         if self._disk_dir is None or not cap:
             return 0
         deleted = enforce_size_cap(dir_files(self._disk_dir), cap)
-        with self._lock:
-            self._stats.disk_gc_deletions += len(deleted)
+        self._counts.bump("disk_gc_deletions", len(deleted))
         return len(deleted)
-
-    # ------------------------------------------------------------------ #
-    # compiled-topology disk tier (same directory, namespaced keys)
-    # ------------------------------------------------------------------ #
-    def _compiled_disk_path(self, machine_hash: str) -> Path:
-        # Namespaced under compiled/ so the schedule-entry layout (one JSON
-        # per key at the top of the versioned directory) is undisturbed.
-        assert self._disk_dir is not None
-        return self._disk_dir / "compiled" / (machine_hash + ".json")
-
-    def _compiled_disk_get(self, machine_hash: str) -> CompiledTopology | None:
-        if self._disk_dir is None:
-            return None
-        path = self._compiled_disk_path(machine_hash)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        try:
-            doc = json.loads(text)
-            if doc.get("cache_version") != CACHE_VERSION or doc.get("key") != [
-                "compiled",
-                machine_hash,
-            ]:
-                raise ValueError("cache entry does not match its key")
-            tables = CompiledTopology.from_dict(doc["compiled"])
-            if tables.machine_hash != machine_hash:
-                raise ValueError("compiled tables carry the wrong machine hash")
-            return tables
-        except Exception:
-            # Corrupt or mismatched tables: evict and recompile, never raise.
-            # The schedule-entry disk counters are left alone — compiled
-            # traffic is observable via compiled_hits / compiled_misses.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def _compiled_disk_put(self, tables: CompiledTopology) -> None:
-        if self._disk_dir is None:
-            return
-        try:
-            path = self._compiled_disk_path(tables.machine_hash)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            doc = {
-                "cache_version": CACHE_VERSION,
-                "key": ["compiled", tables.machine_hash],
-                "compiled": tables.to_dict(),
-            }
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(doc), encoding="utf-8")
-            tmp.replace(path)
-        except OSError:
-            pass
-        self._enforce_disk_cap()
 
     # ------------------------------------------------------------------ #
     # invalidation + observability
@@ -772,68 +671,56 @@ class ScheduleService:
         entries that can no longer be asked for.  Returns the count evicted.
 
         A machine-hash-targeted eviction also drops that machine's
-        compiled-topology tables — from this service's LRU, from the
-        process-wide cache the kernels consult, and from the disk tier — so
-        an in-place topology mutation can never be served routes compiled
-        for the old link set.
+        compiled-topology tables — from the process-wide cache the kernels
+        consult and from the disk tier — so an in-place topology mutation
+        can never be served routes compiled for the old link set.
         """
-        with self._lock:
-            doomed = [
-                key
-                for key in self._lru
-                if (graph_hash is not None and key[0] == graph_hash)
-                or (machine_hash is not None and key[1] == machine_hash)
-            ]
-            for key in doomed:
-                del self._lru[key]
-            for key in list(self._ir_lru):
-                if (graph_hash is not None and key[0] == graph_hash) or (
-                    machine_hash is not None and key[1] == machine_hash
-                ):
-                    del self._ir_lru[key]
-            self._stats.evictions += len(doomed)
-            if machine_hash is not None:
-                self._compiled_lru.pop(machine_hash, None)
+
+        def stale(key: tuple[str, str, str]) -> bool:
+            return (graph_hash is not None and key[0] == graph_hash) or (
+                machine_hash is not None and key[1] == machine_hash
+            )
+
+        evicted = 0
+        for key in filter(stale, self._lru.keys()):
+            evicted += self._lru.pop(key) is not None
+        for key in filter(stale, self._ir_lru.keys()):
+            self._ir_lru.pop(key)
+        self._counts.bump("evictions", evicted)
         if machine_hash is not None:
             evict_compiled(machine_hash)
             if self._disk_dir is not None:
                 try:
-                    self._compiled_disk_path(machine_hash).unlink()
+                    (self._disk_dir / f"compiled/{machine_hash}.json").unlink()
                 except OSError:
                     pass
-        return len(doomed)
+        return evicted
 
     def clear(self) -> None:
         """Drop every in-memory entry (the disk cache is left alone)."""
-        with self._lock:
-            self._stats.evictions += len(self._lru)
-            self._lru.clear()
-            self._ir_lru.clear()
-            self._compiled_lru.clear()
+        self._counts.bump("evictions", self._lru.clear())
+        self._ir_lru.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._lru)
+        return len(self._lru)
 
     def stats(self) -> ServiceStats:
-        """A snapshot of the service counters (thread-safe)."""
-        with self._lock:
-            snap = replace(self._stats)
-            snap.entries = len(self._lru)
+        """A snapshot of the service counters (thread-safe).
+
+        The memory-tier numbers are read off the LRUs: a lookup the disk
+        answered is a memory miss, so it moves from ``misses`` to ``hits``;
+        ``evictions`` adds capacity evictions to invalidated/cleared entries.
+        """
+        snap = ServiceStats(**self._counts.snapshot(), max_workers=self.max_workers)
+        snap.last_sweep_seconds, snap.last_sweep_jobs = self._last_sweep
+        lru, ir = self._lru, self._ir_lru
+        snap.hits = lru.hits + snap.disk_hits
+        snap.misses = lru.misses - snap.disk_hits
+        snap.evictions += lru.evictions
+        snap.ir_hits, snap.ir_misses, snap.entries = ir.hits, ir.misses, len(lru)
         counters = kernel_counters()
-        base = self._kernel_base
-        snap.kernel_builds = int(counters["kernel_builds"] - base["kernel_builds"])
-        snap.kernel_build_ms = counters["kernel_build_ms"] - base["kernel_build_ms"]
-        snap.route_cache_hits = int(
-            counters["route_cache_hits"] - base["route_cache_hits"]
-        )
-        snap.route_cache_misses = int(
-            counters["route_cache_misses"] - base["route_cache_misses"]
-        )
-        snap.compiled_hits = int(counters["compiled_hits"] - base["compiled_hits"])
-        snap.compiled_misses = int(
-            counters["compiled_misses"] - base["compiled_misses"]
-        )
+        for name, base in self._kernel_base.items():
+            setattr(snap, name, counters[name] - base)
         return snap
 
     def __repr__(self) -> str:

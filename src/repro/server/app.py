@@ -7,8 +7,8 @@ on it.  A request travels::
            -> response cache?  -> in-flight duplicate?  -> worker pool
            -> response bytes  -> cache + every coalesced waiter
 
-The coalesce key is content-addressed — ``(graph content_hash, machine
-content_hash, scheduler cache key, options)`` via
+The coalesce key is content-addressed — ``(project name, graph content_hash,
+machine content_hash, scheduler cache key, options)`` via
 :func:`repro.server.ops.coalesce_key` — so N concurrent identical
 requests cost one scheduler run and share byte-identical responses, and
 a warm repeat is a hash lookup.  Identical *bytes* short-circuit even the
@@ -31,13 +31,13 @@ import json
 import signal
 import sys
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro import __version__
 from repro.errors import ReproError
+from repro.lru import LRU
 from repro.server import ops as ops_mod
 from repro.server.metrics import ServerMetrics
 from repro.server.ops import DEBUG_OPS, coalesce_key, execute, shared_service
@@ -179,9 +179,9 @@ class BangerDaemon:
         self._server: asyncio.AbstractServer | None = None
         self._started = time.monotonic()
 
-        self._cache: "OrderedDict[str, bytes]" = OrderedDict()
-        self._cache_bytes = 0
-        self._key_cache: "OrderedDict[str, str]" = OrderedDict()
+        # coalesce key -> 200 response body; body hash -> coalesce key
+        self._cache = LRU(cache_entries, max_bytes=RESPONSE_CACHE_MAX_BYTES)
+        self._key_cache = LRU(4096)
         self._key_futures: dict[str, asyncio.Future] = {}
         self._inflight: dict[str, _Inflight] = {}
         self._active_ops = 0
@@ -406,7 +406,7 @@ class BangerDaemon:
         except ReproError as exc:
             return 400, error_body("bad-request", str(exc)), "error"
 
-        cached = self._cache_get(key)
+        cached = self._cache.get(key)
         if cached is not None:
             return 200, cached, "cache"
 
@@ -548,7 +548,7 @@ class BangerDaemon:
         if outcome.counters:
             self.metrics.fold_work(outcome.counters)
         if key is not None and outcome.status == 200:
-            self._cache_put(key, outcome.body)
+            self._cache.put(key, outcome.body)
         if not entry.future.done():
             entry.future.set_result(outcome)
 
@@ -618,7 +618,6 @@ class BangerDaemon:
         body_sha = hashlib.sha256(op.encode() + b"\0" + body).hexdigest()
         key = self._key_cache.get(body_sha)
         if key is not None:
-            self._key_cache.move_to_end(body_sha)
             return key
         pending = self._key_futures.get(body_sha)
         if pending is None:
@@ -631,26 +630,8 @@ class BangerDaemon:
                 self._key_futures.pop(body_sha, None)
         else:
             key = await asyncio.shield(pending)
-        self._key_cache[body_sha] = key
-        self._key_cache.move_to_end(body_sha)
-        while len(self._key_cache) > 4096:
-            self._key_cache.popitem(last=False)
+        self._key_cache.put(body_sha, key)
         return key
-
-    def _cache_get(self, key: str) -> bytes | None:
-        body = self._cache.get(key)
-        if body is not None:
-            self._cache.move_to_end(key)
-        return body
-
-    def _cache_put(self, key: str, body: bytes) -> None:
-        self._cache_bytes += len(body) - len(self._cache.pop(key, b""))
-        self._cache[key] = body
-        while (
-            len(self._cache) > self.cache_entries
-            or self._cache_bytes > RESPONSE_CACHE_MAX_BYTES
-        ):
-            self._cache_bytes -= len(self._cache.popitem(last=False)[1])
 
     # ------------------------------------------------------------------ #
     # introspection documents
@@ -683,7 +664,7 @@ class BangerDaemon:
             "response_cache": {
                 "entries": len(self._cache),
                 "max_entries": self.cache_entries,
-                "bytes": self._cache_bytes,
+                "bytes": self._cache.bytes,
                 "max_bytes": RESPONSE_CACHE_MAX_BYTES,
             },
             "service": shared_service().stats().as_dict(),

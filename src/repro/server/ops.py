@@ -10,8 +10,8 @@ and its caching from the process-local :func:`shared_service`.
 :class:`~repro.sched.service.ServiceStats` deltas) so the daemon can
 aggregate *work* observability across processes, and
 :func:`coalesce_key` derives the content-addressed identity the daemon
-coalesces and caches on: ``(graph content_hash, machine content_hash,
-scheduler cache key, remaining options)``.
+coalesces and caches on: ``(op, project name, graph content_hash, machine
+content_hash, scheduler cache key, every other payload field)``.
 """
 
 from __future__ import annotations
@@ -100,15 +100,28 @@ def _scheduler_name(payload: dict[str, Any], key: str = "scheduler") -> str:
     return name
 
 
+def _number(payload: dict[str, Any], field: str, cast: type, default: Any) -> Any:
+    """``cast(payload[field])``; options are user input, so a bad one is a 400."""
+    raw = payload.get(field, default)
+    try:
+        return cast(raw)
+    except (TypeError, ValueError):
+        kind = "an integer" if cast is int else "a number"
+        raise OpError(f"{field} must be {kind}, got {raw!r}") from None
+
+
 def _request(payload: dict[str, Any]) -> ScheduleRequest:
+    family = payload.get("family")
+    if family is not None and not isinstance(family, str):
+        raise OpError(f"family must be a topology family name, got {family!r}")
     return ScheduleRequest(
         scheduler=_scheduler_name(payload),
         proc_counts=_proc_counts(payload),
-        family=payload.get("family"),
+        family=family,
         # Server-side sweeps default to serial workers: the daemon already
         # fans requests out across its own pool, and nesting process pools
         # inside worker processes multiplies memory for little gain.
-        jobs=int(payload.get("jobs", 1)),
+        jobs=_number(payload, "jobs", int, 1),
         use_cache=bool(payload.get("use_cache", True)),
     )
 
@@ -278,10 +291,7 @@ def op_simulate(payload: dict[str, Any]) -> dict[str, Any]:
     if payload.get("reactive"):
         from repro.sched.reactive import reactive_execute
 
-        try:
-            threshold = float(payload.get("threshold", 2.0))
-        except (TypeError, ValueError) as exc:
-            raise OpError(f"threshold must be a number: {exc}") from None
+        threshold = _number(payload, "threshold", float, 2.0)
         result = reactive_execute(
             schedule, scenario, threshold=threshold, contention=contention
         )
@@ -349,17 +359,12 @@ def op_conform(payload: dict[str, Any]) -> dict[str, Any]:
     oracles = payload.get("oracles") or None
     if oracles is not None and not isinstance(oracles, list):
         raise OpError(f"oracles must be a list of oracle names, got {oracles!r}")
-    try:
-        seed = int(payload.get("seed", 0))
-        runs = int(payload.get("runs", 50))
-    except (TypeError, ValueError) as exc:
-        raise OpError(f"seed/runs must be integers: {exc}") from None
     budget = payload.get("budget")
     report = run(
-        seed=seed,
-        runs=runs,
+        seed=_number(payload, "seed", int, 0),
+        runs=_number(payload, "runs", int, 50),
         oracles=[str(o) for o in oracles] if oracles else None,
-        time_budget=float(budget) if budget is not None else None,
+        time_budget=None if budget is None else _number(payload, "budget", float, 0),
     )
     doc = report.as_dict()
     doc["type"] = "banger-conform"
@@ -405,26 +410,17 @@ DEBUG_OPS = frozenset({"crash", "sleep", "boom"})
 #: Ops whose payload carries a project document (keyed by content hashes).
 PROJECT_OPS = frozenset({"lint", "schedule", "speedup", "sweep", "simulate", "codegen"})
 
-#: Payload fields consumed by each project op beyond the project itself —
-#: everything that changes the answer must be part of the coalesce key.
-_OPTION_FIELDS: dict[str, tuple[str, ...]] = {
-    "lint": ("suppress", "fail_on", "concurrency", "scheduler"),
-    "schedule": ("use_cache", "gantt", "base_schedule"),
-    "speedup": ("proc_counts", "family", "use_cache"),
-    "sweep": ("schedulers", "proc_counts", "family", "use_cache"),
-    "simulate": ("contention", "use_cache", "scenario", "reactive", "threshold"),
-    "codegen": ("target", "run", "use_cache"),
-}
-
 
 def coalesce_key(op: str, payload: dict[str, Any]) -> str:
     """The content-addressed identity of one request.
 
     Two requests with equal keys are guaranteed the same answer, so the
     daemon runs one and shares the bytes.  Project ops are keyed by the
-    flattened graph's content hash, the machine's content hash, the
-    resolved scheduler's cache key, and the op's remaining options — a
-    reordered-but-identical JSON body maps to the same key.
+    project's name (replies quote it), the flattened graph's content hash,
+    the machine's content hash, the resolved scheduler's cache key, and
+    every other payload field — whatever option an op reads is in the key
+    without a per-op table to keep in step — so a reordered-but-identical
+    JSON body maps to the same key.
     """
     if op not in OPS:
         raise OpError(f"unknown operation {op!r}")
@@ -437,9 +433,23 @@ def coalesce_key(op: str, payload: dict[str, Any]) -> str:
             )
         else:
             sched_key = ""
-        options = {f: payload.get(f) for f in _OPTION_FIELDS[op]}
-        return fingerprint([op, fps["graph"], fps["machine"], sched_key, options])
+        options = {f: v for f, v in payload.items() if f != "project"}
+        return fingerprint(
+            [op, project.name, fps["graph"], fps["machine"], sched_key, options]
+        )
     return fingerprint([op, payload])
+
+
+def _work_counters() -> dict[str, int | float]:
+    """The ten process-wide work counters :func:`execute` reports deltas of."""
+    stats = shared_service().stats()
+    return {
+        "sched_runs": stats.misses,
+        "service_hits": stats.hits,
+        **kernel_counters(),
+        "reactive_remaps": reactive_counters()["reactive_remaps"],
+        "stranded_tasks": dynamic_counters()["stranded_tasks"],
+    }
 
 
 def execute(op: str, payload: dict[str, Any]) -> dict[str, Any]:
@@ -453,26 +463,10 @@ def execute(op: str, payload: dict[str, Any]) -> dict[str, Any]:
     fn = OPS.get(op)
     if fn is None:
         raise OpError(f"unknown operation {op!r}")
-    service = shared_service()
-    k0, s0 = kernel_counters(), service.stats()
-    d0, r0 = dynamic_counters(), reactive_counters()
+    before = _work_counters()
     result = fn(payload)
-    k1, s1 = kernel_counters(), service.stats()
-    d1, r1 = dynamic_counters(), reactive_counters()
+    after = _work_counters()
     return {
         "result": result,
-        "counters": {
-            "sched_runs": s1.misses - s0.misses,
-            "service_hits": s1.hits - s0.hits,
-            "kernel_builds": int(k1["kernel_builds"] - k0["kernel_builds"]),
-            "kernel_build_ms": k1["kernel_build_ms"] - k0["kernel_build_ms"],
-            "route_cache_hits": int(k1["route_cache_hits"] - k0["route_cache_hits"]),
-            "route_cache_misses": int(
-                k1["route_cache_misses"] - k0["route_cache_misses"]
-            ),
-            "compiled_hits": int(k1["compiled_hits"] - k0["compiled_hits"]),
-            "compiled_misses": int(k1["compiled_misses"] - k0["compiled_misses"]),
-            "reactive_remaps": int(r1["reactive_remaps"] - r0["reactive_remaps"]),
-            "stranded_tasks": int(d1["stranded_tasks"] - d0["stranded_tasks"]),
-        },
+        "counters": {name: after[name] - before[name] for name in after},
     }

@@ -51,10 +51,10 @@ slowdown-only scenario must still complete every task or the replay raises
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from repro.errors import SimError
+from repro.lru import Counters
 from repro.machine.machine import TargetMachine
 from repro.machine.scenario import (
     LINK_FAIL,
@@ -70,25 +70,11 @@ from repro.sim.trace import MessageHop, TaskRun, Trace
 # --------------------------------------------------------------------- #
 # observability (folded into the daemon's /metrics work counters)
 # --------------------------------------------------------------------- #
-_ZERO_COUNTERS = {"dynamic_sims": 0, "stranded_tasks": 0}
-_COUNTERS = dict(_ZERO_COUNTERS)
-_COUNTER_LOCK = threading.Lock()
-
-
-def dynamic_counters() -> dict[str, int]:
-    """Process-wide dynamic-simulation counters (thread-safe snapshot)."""
-    with _COUNTER_LOCK:
-        return dict(_COUNTERS)
-
-
-def reset_dynamic_counters() -> None:
-    with _COUNTER_LOCK:
-        _COUNTERS.update(_ZERO_COUNTERS)
-
-
-def _bump(name: str, delta: int = 1) -> None:
-    with _COUNTER_LOCK:
-        _COUNTERS[name] += delta
+_COUNTERS = Counters(dynamic_sims=0, stranded_tasks=0)
+_bump = _COUNTERS.bump
+#: Process-wide dynamic-simulation counters (thread-safe snapshot) and their reset.
+dynamic_counters = _COUNTERS.snapshot
+reset_dynamic_counters = _COUNTERS.reset
 
 
 # --------------------------------------------------------------------- #

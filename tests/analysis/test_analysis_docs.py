@@ -45,10 +45,16 @@ def test_documented_cli_flags_exist():
 
 
 def test_documented_payload_fields_exist():
-    from repro.server.ops import _OPTION_FIELDS
+    from repro.env.project import BangerProject
+    from repro.server.ops import coalesce_key
 
-    for field in ("concurrency", "scheduler", "suppress", "fail_on"):
-        assert field in _OPTION_FIELDS["lint"]
+    project = BangerProject.load(ROOT / "examples" / "lu_decomposition.json").to_dict()
+    plain = coalesce_key("lint", {"project": project})
+    values = {"concurrency": True, "scheduler": "etf", "suppress": ["PITS101"],
+              "fail_on": "warning"}
+    for field, value in values.items():
+        # every documented option is part of the request's identity
+        assert coalesce_key("lint", {"project": project, field: value}) != plain
         assert f"`{field}`" in TEXT
 
 

@@ -82,6 +82,11 @@ class TestCoalesceKey:
         )
         assert plain != running
 
+    def test_an_unknown_extra_field_splits_the_key(self, project_doc):
+        plain = coalesce_key("codegen", {"project": project_doc})
+        extra = coalesce_key("codegen", {"project": project_doc, "future_option": 1})
+        assert plain != extra
+
     def test_scheduler_splits_the_key(self, project_doc):
         mh = coalesce_key("codegen", {"project": project_doc, "scheduler": "mh"})
         rr = coalesce_key(

@@ -81,3 +81,7 @@ class TestBaseScheduleOption:
         assert coalesce_key("schedule", dict(with_base)) == coalesce_key(
             "schedule", with_base
         )
+        # Any other field splits it too, without a per-op table naming it.
+        assert coalesce_key(
+            "schedule", {**with_base, "future_option": 1}
+        ) != coalesce_key("schedule", with_base)

@@ -1,4 +1,5 @@
-"""The daemon's response LRU is bounded by entries *and* by body bytes.
+"""The daemon's response LRU (``daemon._cache``, a :class:`repro.lru.LRU`) is
+bounded by entries *and* by body bytes.
 
 Before the byte bound, 512 replies to a 600-task edit (~490 kB each) pinned
 ~250 MB for the life of the daemon.
@@ -15,7 +16,7 @@ def make_daemon(**kwargs) -> BangerDaemon:
 
 
 def cached_bytes(daemon: BangerDaemon) -> int:
-    return sum(len(body) for body in daemon._cache.values())
+    return sum(len(daemon._cache.peek(key)) for key in daemon._cache.keys())
 
 
 def test_the_bound_is_the_fixed_64_mib():
@@ -26,22 +27,22 @@ def test_large_bodies_are_evicted_oldest_first_by_bytes():
     daemon = make_daemon()
     body = bytes(490_000)  # one shared object: the test itself stays small
     for i in range(300):
-        daemon._cache_put(f"k{i}", body)
-        assert daemon._cache_bytes == cached_bytes(daemon) <= RESPONSE_CACHE_MAX_BYTES
+        daemon._cache.put(f"k{i}", body)
+        assert daemon._cache.bytes == cached_bytes(daemon) <= RESPONSE_CACHE_MAX_BYTES
     kept = RESPONSE_CACHE_MAX_BYTES // len(body)
-    assert list(daemon._cache) == [f"k{i}" for i in range(300 - kept, 300)]
-    assert daemon._cache_get("k0") is None
-    assert daemon._cache_get("k299") is body
+    assert daemon._cache.keys() == [f"k{i}" for i in range(300 - kept, 300)]
+    assert daemon._cache.get("k0") is None
+    assert daemon._cache.get("k299") is body
 
 
 def test_a_hit_protects_an_entry_from_byte_eviction():
     daemon = make_daemon()
     body = bytes(16 * MIB)
     for key in "abcd":
-        daemon._cache_put(key, body)
-    assert daemon._cache_get("a") is body  # now the most recent
-    daemon._cache_put("e", body)
-    assert list(daemon._cache) == ["c", "d", "a", "e"]
+        daemon._cache.put(key, body)
+    assert daemon._cache.get("a") is body  # now the most recent
+    daemon._cache.put("e", body)
+    assert daemon._cache.keys() == ["c", "d", "a", "e"]
 
 
 def test_small_bodies_only_ever_hit_the_entry_bound():
@@ -49,31 +50,31 @@ def test_small_bodies_only_ever_hit_the_entry_bound():
     daemon = make_daemon()
     body = bytes(28_000)
     for i in range(2000):
-        daemon._cache_put(f"k{i}", body)
+        daemon._cache.put(f"k{i}", body)
     assert len(daemon._cache) == daemon.cache_entries == 512
-    assert list(daemon._cache)[0] == "k1488"
-    assert daemon._cache_bytes == 512 * 28_000 < RESPONSE_CACHE_MAX_BYTES
+    assert daemon._cache.keys()[0] == "k1488"
+    assert daemon._cache.bytes == 512 * 28_000 < RESPONSE_CACHE_MAX_BYTES
 
 
 def test_overwriting_a_key_does_not_leak_bytes():
     daemon = make_daemon()
-    daemon._cache_put("k", bytes(1000))
-    daemon._cache_put("k", bytes(10))
-    assert daemon._cache_bytes == cached_bytes(daemon) == 10
+    daemon._cache.put("k", bytes(1000))
+    daemon._cache.put("k", bytes(10))
+    assert daemon._cache.bytes == cached_bytes(daemon) == 10
     assert len(daemon._cache) == 1
 
 
 def test_a_body_over_the_bound_is_not_retained():
     daemon = make_daemon()
-    daemon._cache_put("small", b"x")
-    daemon._cache_put("huge", bytes(RESPONSE_CACHE_MAX_BYTES + 1))
-    assert len(daemon._cache) == 0 and daemon._cache_bytes == 0
+    daemon._cache.put("small", b"x")
+    daemon._cache.put("huge", bytes(RESPONSE_CACHE_MAX_BYTES + 1))
+    assert len(daemon._cache) == 0 and daemon._cache.bytes == 0
 
 
 def test_metrics_report_entries_as_before_plus_bytes():
     daemon = make_daemon(cache_entries=4)
     for i in range(6):
-        daemon._cache_put(f"k{i}", b"abc")
+        daemon._cache.put(f"k{i}", b"abc")
     doc = daemon._metrics_doc()["response_cache"]
     assert doc["entries"] == 4 and doc["max_entries"] == 4
     assert doc["bytes"] == 12 and doc["max_bytes"] == RESPONSE_CACHE_MAX_BYTES

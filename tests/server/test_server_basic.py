@@ -68,6 +68,45 @@ class TestEndpoints:
         assert server["cache_hits"] >= 1
         assert server["by_disposition"]["cache"] >= 1
 
+    def test_a_renamed_project_is_not_answered_from_the_cache(
+        self, harness, project_doc
+    ):
+        # Replies quote the project name, so the name is part of the key:
+        # same graph, same machine, new name must not get the old bytes.
+        first = harness.client.schedule(project_doc, scheduler="mh")
+        renamed = harness.client.schedule(
+            {**project_doc, "name": "renamed"}, scheduler="mh"
+        )
+        assert first["project"] == "figure1"
+        assert renamed["project"] == "renamed"
+        assert renamed["schedule"] == first["schedule"]
+        assert harness.client.metrics()["server"]["cache_hits"] == 0
+
+    @pytest.mark.parametrize(
+        "path, options",
+        [
+            ("/speedup", {"jobs": "x"}),
+            ("/speedup", {"jobs": None}),
+            ("/speedup", {"family": 7}),
+            ("/sweep", {"jobs": "x"}),
+            ("/sweep", {"jobs": None}),
+            ("/sweep", {"family": 7}),
+            ("/conform", {"budget": "soon", "runs": 1}),
+        ],
+    )
+    def test_hostile_option_types_are_400_not_500(
+        self, harness, project_doc, path, options
+    ):
+        payload = dict(options)
+        if path != "/conform":
+            payload["project"] = project_doc
+        with pytest.raises(ServerError) as err:
+            harness.client.post(path, payload)
+        assert err.value.status == 400
+        assert err.value.doc["kind"] == "bad-request"
+        (bad,) = [v for k, v in options.items() if k != "runs"]
+        assert repr(bad) in err.value.doc["message"]
+
     def test_unknown_endpoint_is_404(self, harness):
         with pytest.raises(ServerError) as err:
             harness.client.post("/frobnicate", {})

@@ -109,5 +109,7 @@ class TestScenarioOption:
                                       "reactive": True}),
             coalesce_key("simulate", {"project": project, "scenario": scen,
                                       "reactive": True, "threshold": 3.0}),
+            # no per-op field table: a field no op reads yet still splits
+            coalesce_key("simulate", {"project": project, "future_option": 1}),
         }
-        assert len(keys) == 4
+        assert len(keys) == 5
