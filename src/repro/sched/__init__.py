@@ -7,14 +7,7 @@ The registry maps heuristic names to zero-argument factories::
 """
 
 from repro.errors import ScheduleError
-from repro.sched.base import (
-    Scheduler,
-    best_processor,
-    data_ready_time,
-    earliest_start,
-    place,
-    ready_tasks,
-)
+from repro.sched.base import Scheduler
 from repro.sched.baselines import RandomScheduler, RoundRobinScheduler, SerialScheduler
 from repro.sched.core import (
     KernelState,
@@ -203,11 +196,8 @@ __all__ = [
     "SpeedupReport",
     "assignment_to_schedule",
     "average_utilization",
-    "best_processor",
     "check_schedule",
     "comm_time_total",
-    "data_ready_time",
-    "earliest_start",
     "efficiency",
     "expand_packed_schedule",
     "get_scheduler",
@@ -217,9 +207,7 @@ __all__ = [
     "message_stats",
     "pack_by_ratio",
     "pack_linear_chains",
-    "place",
     "predict_speedup",
-    "ready_tasks",
     "report",
     "schedule_length_ratio",
     "schedule_problems",

@@ -1,21 +1,17 @@
-"""Scheduler interface and the machinery shared by the list heuristics.
+"""The scheduler interface.
 
-All PPSE-style heuristics reduce to the same inner loop: keep a ready list,
-pick the next task by some priority, compute its earliest start time (EST)
-on candidate processors under the machine's communication model, and place
-it.  :func:`data_ready_time` and :func:`earliest_start` implement the EST
-computation (with optional insertion into idle gaps, the ISH refinement) on
-top of a partially built :class:`~repro.sched.schedule.Schedule`.
+Only the :class:`Scheduler` ABC lives here.  The machinery the list
+heuristics share — ready tracking, earliest-start computation, placement,
+the list pass itself — is :mod:`repro.sched.core`.
 """
 
 from __future__ import annotations
 
 import abc
 
-from repro.errors import ScheduleError
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.machine import TargetMachine
-from repro.sched.schedule import Message, Schedule
+from repro.sched.schedule import Schedule
 
 
 class Scheduler(abc.ABC):
@@ -30,105 +26,3 @@ class Scheduler(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
-
-
-def data_ready_time(schedule: Schedule, task: str, proc: int) -> float:
-    """Earliest time all of ``task``'s inputs can be on ``proc``.
-
-    For each in-edge the cheapest already-scheduled copy of the predecessor
-    is used (this is what makes duplication pay off).  Raises if a
-    predecessor is unscheduled — list order must be topological.
-    """
-    graph, machine = schedule.graph, schedule.machine
-    ready = 0.0
-    for edge in graph.in_edges(task):
-        if edge.src not in schedule:
-            raise ScheduleError(
-                f"cannot compute EST of {task!r}: predecessor {edge.src!r} unscheduled"
-            )
-        arrival = min(
-            src.finish + machine.comm_cost(src.proc, proc, edge.size)
-            for src in schedule.placements(edge.src)
-        )
-        ready = max(ready, arrival)
-    return ready
-
-
-def earliest_start(
-    schedule: Schedule,
-    task: str,
-    proc: int,
-    insertion: bool = False,
-) -> float:
-    """Earliest feasible start of ``task`` on ``proc``.
-
-    Without insertion the task goes after the processor's last placement;
-    with insertion (ISH and later heuristics) the first idle gap large
-    enough after the data-ready time is used.
-    """
-    ready = data_ready_time(schedule, task, proc)
-    timeline = schedule.timeline(proc)
-    if not timeline:
-        return ready
-    if not insertion:
-        return max(ready, timeline[-1].finish)
-    duration = schedule.machine.exec_time(schedule.graph.work(task))
-    return schedule.insertion_slot(proc, ready, duration)
-
-
-def place(schedule: Schedule, task: str, proc: int, start: float) -> None:
-    """Place ``task`` on ``proc`` at ``start`` and record its messages."""
-    graph, machine = schedule.graph, schedule.machine
-    finish = start + machine.exec_time(graph.work(task))
-    schedule.add(task, proc, start, finish)
-    for edge in graph.in_edges(task):
-        src = min(
-            schedule.placements(edge.src),
-            key=lambda s: s.finish + machine.comm_cost(s.proc, proc, edge.size),
-        )
-        if src.proc == proc:
-            continue
-        cost = machine.comm_cost(src.proc, proc, edge.size)
-        schedule.add_message(
-            Message(
-                src_task=edge.src,
-                dst_task=task,
-                var=edge.var,
-                size=edge.size,
-                src_proc=src.proc,
-                dst_proc=proc,
-                start=src.finish,
-                finish=src.finish + cost,
-                route=tuple(machine.route(src.proc, proc)),
-            )
-        )
-
-
-def best_processor(
-    schedule: Schedule,
-    task: str,
-    insertion: bool = False,
-) -> tuple[int, float]:
-    """The processor giving the earliest finish time for ``task``.
-
-    Ties are broken by lower processor number, so results are deterministic.
-    Returns ``(proc, start)``.
-    """
-    best: tuple[float, int, float] | None = None
-    duration = schedule.machine.exec_time(schedule.graph.work(task))
-    for proc in schedule.machine.procs():
-        start = earliest_start(schedule, task, proc, insertion=insertion)
-        key = (start + duration, proc, start)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best[1], best[2]
-
-
-def ready_tasks(graph: TaskGraph, done: set[str]) -> list[str]:
-    """Tasks whose predecessors are all in ``done`` and that are not."""
-    return [
-        t
-        for t in graph.task_names
-        if t not in done and all(p in done for p in graph.predecessors(t))
-    ]

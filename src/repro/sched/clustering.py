@@ -14,10 +14,11 @@ list schedule, shared with the baselines via :func:`assignment_to_schedule`
 
 from __future__ import annotations
 
+from repro.errors import ScheduleError
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.machine import TargetMachine
 from repro.sched.base import Scheduler
-from repro.sched.core import KernelState, ReadyHeap, SchedKernel
+from repro.sched.core import KernelState, SchedKernel, run_priority_list
 from repro.sched.schedule import Schedule
 
 
@@ -36,20 +37,18 @@ def assignment_to_schedule(
     """
     missing = [t for t in graph.task_names if t not in assignment]
     if missing:
-        from repro.errors import ScheduleError
-
         raise ScheduleError(f"assignment misses tasks: {missing[:5]}")
     kernel = SchedKernel(graph, machine)
     state = KernelState(kernel, scheduler_name=scheduler_name)
     prio = kernel.priority_array(kernel.b_levels_comm())
-    heap = ReadyHeap(kernel, key=lambda i: (-prio[i], i))
-    for _ in range(kernel.n):
-        ti = heap.pop()
+
+    def pick(ti: int) -> tuple[int, float]:
         proc = assignment[kernel.tasks[ti]]
-        start = state.earliest_start(ti, proc, insertion=insertion)
-        state.place(ti, proc, start)
-        heap.complete(ti)
-    return state.sched
+        return proc, state.earliest_start(ti, proc, insertion=insertion)
+
+    return run_priority_list(
+        kernel, state, key=lambda i: (-prio[i], i), pick_processor=pick
+    )
 
 
 def linear_clusters(graph: TaskGraph, machine: TargetMachine) -> list[list[str]]:

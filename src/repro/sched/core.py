@@ -2,11 +2,11 @@
 
 Every list-family heuristic in :mod:`repro.sched` runs the same inner loop:
 pick the next ready task by a static priority, evaluate candidate processors
-under the machine's cost model, place the task, repeat.  Before this module
-existed each scheduler paid for that loop retail — a full
-``ready_tasks(graph, done)`` rescan per step, a fresh
+under the machine's cost model, place the task, repeat.  This module is the
+only home of that loop and of the placement primitives under it; what the
+seed schedulers paid for retail — a full ready-task rescan per step, a fresh
 ``machine.exec_time(graph.work(task))`` call per query, a BFS-table walk per
-route, and a copied timeline per earliest-start probe.  The kernel buys those
+route, a copied timeline per earliest-start probe — the kernel buys
 wholesale, once per ``(graph, machine)`` pair:
 
 * :class:`SchedKernel` — interned task indices, a per-task execution-time
@@ -15,19 +15,20 @@ wholesale, once per ``(graph, machine)`` pair:
   message size;
 * :class:`ReadyHeap` / :class:`ReadySet` — incremental ready tracking driven
   by per-task pending-predecessor counters (each completion decrements its
-  successors; a task enters the structure exactly when its count hits zero),
-  replacing the O(V·(V+E)) rescans;
+  successors; a task enters the structure exactly when its count hits zero).
+  The heap can start from a set of already-placed indices and leave a set
+  of indices unreleased, which is what a pinned-prefix pass needs;
 * :class:`KernelState` — a :class:`~repro.sched.schedule.Schedule` under
-  construction plus O(1) processor tails and per-task placement mirrors, with
-  drop-in ``data_ready_time``/``earliest_start``/``best_processor``/``place``
-  that reproduce :mod:`repro.sched.base` **byte for byte** (same floats, same
-  tie-breaks, same message records).
+  construction plus O(1) processor tails, with the placement primitives
+  ``data_ready_time``/``earliest_start``/``best_processor``/``place``;
+* :func:`run_priority_list` / :func:`replay_prefix` — the list pass itself
+  and the verbatim replay of a pinned prefix of an earlier schedule that
+  incremental re-timing and reactive re-mapping run in front of it.
 
-The kernel is an optimisation layer, not a new algorithm: the golden
-equivalence suite (``tests/sched/test_core_equivalence.py``) pins every
-registered scheduler to the frozen pre-kernel reference in
-:mod:`repro.sched._reference`, and ``benchmarks/bench_ext_sched_core.py``
-guards the speedup.
+The golden equivalence suite (``tests/sched/test_core_equivalence.py``) pins
+every registered scheduler to the frozen pre-kernel reference in
+:mod:`repro.sched._reference` (same floats, same tie-breaks, same message
+records), and ``benchmarks/bench_ext_sched_core.py`` guards the speedup.
 
 Module-level counters (:func:`kernel_counters`) feed
 :class:`~repro.sched.service.ServiceStats` so ``banger sweep --stats``
@@ -38,8 +39,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from bisect import insort
-from typing import Callable, Sequence
+from typing import Callable, Collection, Iterable
 
 from repro.errors import ScheduleError
 from repro.graph.analysis import b_levels, static_levels, t_levels
@@ -220,8 +220,8 @@ class _ReadyBase:
     A task's counter starts at its in-edge count (duplicate edges count per
     edge on both sides, so the arithmetic is self-consistent) and each
     completed predecessor decrements it once per connecting edge; the task
-    becomes ready exactly when the counter reaches zero — precisely the
-    ``all(p in done ...)`` condition of the seed's ``ready_tasks`` rescan.
+    becomes ready exactly when the counter reaches zero — precisely "every
+    predecessor is done".
     """
 
     def __init__(self, kernel: SchedKernel):
@@ -249,10 +249,24 @@ class ReadyHeap(_ReadyBase):
     scheduler's selection — e.g. ``(-prio[i], i)`` reproduces
     ``max(ready, key=lambda t: (prio[t], -order[t]))`` exactly, because the
     insertion index ``i`` IS the seed's ``order[t]``.
+
+    ``placed`` are indices already in the schedule (a replayed prefix): they
+    count as completed.  ``held`` are indices the caller places itself,
+    later.  Neither is ever offered; both default to none — the whole graph.
     """
 
-    def __init__(self, kernel: SchedKernel, key: Callable[[int], tuple]):
+    def __init__(
+        self,
+        kernel: SchedKernel,
+        key: Callable[[int], tuple],
+        placed: Collection[int] = (),
+        held: Collection[int] = (),
+    ):
         super().__init__(kernel)
+        for i in placed:
+            self._release(i)
+        for i in (*placed, *held):
+            self._pending[i] += 1  # one predecessor that never completes
         self._key = key
         self._heap = [(key(i), i) for i in self._initial_ready()]
         heapq.heapify(self._heap)
@@ -296,15 +310,16 @@ class ReadySet(_ReadyBase):
 # schedule-under-construction with O(1) hot-path queries
 # --------------------------------------------------------------------- #
 class KernelState:
-    """A schedule being built, mirrored for fast queries.
+    """A schedule being built, plus what the hot path asks of it.
 
-    Wraps the real :class:`~repro.sched.schedule.Schedule` (still the output
-    object and overlap validator) and maintains:
+    Holds the real :class:`~repro.sched.schedule.Schedule` (the output
+    object and overlap validator) and:
 
     * ``tails`` — per-processor finish of the last-by-start placement, so
-      non-insertion earliest-start is O(1) instead of an ``on_proc`` copy;
-    * per-task placement lists pre-sorted by ``(finish, proc)``, so
-      ``placements``/``primary`` skip the per-call sort of the seed.
+      non-insertion earliest-start is O(1) instead of a timeline copy;
+    * a live view of the schedule's own per-task index, whose lists the
+      schedule keeps ordered by ``(finish, proc)`` — there is no second
+      copy of the placements here.
 
     All query methods take task *indices* (see :attr:`SchedKernel.index`);
     predecessor lookups inside take the task *names* carried by edges.
@@ -314,39 +329,40 @@ class KernelState:
         self.kernel = kernel
         self.sched = Schedule(kernel.graph, kernel.machine, scheduler=scheduler_name)
         self.tails: list[float] = [0.0] * kernel.machine.n_procs
-        self._placed: dict[str, list[Placement]] = {}
+        self._by_task = self.sched._by_task  # shared, not mirrored
 
     # ------------------------------------------------------------------ #
     def __contains__(self, task: str) -> bool:
-        return task in self._placed
-
-    def placements(self, task: str) -> list[Placement]:
-        """All copies of ``task``, sorted by ``(finish, proc)`` — live list."""
-        return self._placed[task]
+        return task in self._by_task
 
     def placements_or_none(self, task: str) -> list[Placement] | None:
-        return self._placed.get(task)
+        """All copies of ``task`` by ``(finish, proc)`` — the live list."""
+        return self._by_task.get(task)
 
     def primary(self, task: str) -> Placement:
-        """The earliest-finishing copy (same tie-break as ``Schedule.primary``)."""
-        return self._placed[task][0]
+        """The earliest-finishing copy (``Schedule.primary`` without the check)."""
+        return self._by_task[task][0]
 
     # ------------------------------------------------------------------ #
     def add(self, task: str, proc: int, start: float, finish: float) -> Placement:
-        """Place a (copy of) ``task`` and update the mirrors."""
+        """Place a (copy of) ``task`` and update the processor tail."""
         entry = self.sched.add(task, proc, start, finish)
         self.tails[proc] = self.sched.proc_tail(proc)
-        lst = self._placed.setdefault(task, [])
-        insort(lst, entry, key=lambda e: (e.finish, e.proc))
         return entry
 
     # ------------------------------------------------------------------ #
-    # the base.py primitives, kernel-accelerated and byte-identical
+    # the placement primitives
     # ------------------------------------------------------------------ #
     def data_ready_time(self, ti: int, proc: int) -> float:
+        """Earliest time all of task ``ti``'s inputs can be on ``proc``.
+
+        Per in-edge the cheapest placed copy of the predecessor is used
+        (what makes duplication pay off).  Raises if a predecessor is
+        unscheduled — list order must be topological.
+        """
         kernel = self.kernel
         comm = kernel.comm_cost
-        placed = self._placed
+        placed = self._by_task
         ready = 0.0
         for edge in kernel.in_edges[ti]:
             plist = placed.get(edge.src)
@@ -367,6 +383,9 @@ class KernelState:
         return ready
 
     def earliest_start(self, ti: int, proc: int, insertion: bool = False) -> float:
+        """Earliest feasible start of task ``ti`` on ``proc``: after the
+        processor's last placement, or — with ``insertion`` (ISH and later)
+        — in the first idle gap after the data-ready time that fits."""
         if not 0 <= proc < len(self.tails):
             raise ScheduleError(
                 f"processor {proc} out of range for machine "
@@ -379,6 +398,8 @@ class KernelState:
         return self.sched.insertion_slot(proc, ready, self.kernel.exec_time[ti])
 
     def best_processor(self, ti: int, insertion: bool = False) -> tuple[int, float]:
+        """``(proc, start)`` giving task ``ti`` its earliest finish; ties go
+        to the lower processor number."""
         duration = self.kernel.exec_time[ti]
         best: tuple[float, int, float] | None = None
         for proc in range(len(self.tails)):
@@ -390,13 +411,14 @@ class KernelState:
         return best[1], best[2]
 
     def place(self, ti: int, proc: int, start: float) -> None:
-        """Place task ``ti`` and record its messages — mirrors ``base.place``."""
+        """Place task ``ti`` on ``proc`` at ``start`` and record a message
+        per in-edge whose cheapest source copy sits on another processor."""
         kernel = self.kernel
         comm = kernel.comm_cost
         task = kernel.tasks[ti]
         self.add(task, proc, start, start + kernel.exec_time[ti])
         for edge in kernel.in_edges[ti]:
-            plist = self._placed[edge.src]
+            plist = self._by_task[edge.src]
             if len(plist) == 1:
                 src = plist[0]
             else:
@@ -422,24 +444,59 @@ class KernelState:
 
 
 # --------------------------------------------------------------------- #
-# convenience driver for the common static-priority loop
+# the list pass, and the pinned prefix that may precede it
 # --------------------------------------------------------------------- #
 def run_priority_list(
     kernel: SchedKernel,
     state: KernelState,
     key: Callable[[int], tuple],
     pick_processor: Callable[[int], tuple[int, float]],
+    placed: Collection[int] = (),
+    held: Collection[int] = (),
 ) -> Schedule:
     """The canonical list-scheduling loop: heap-pop, place, release.
 
     ``pick_processor(ti) -> (proc, start)`` is the only scheduler-specific
     part; everything else (ready tracking, placement, message recording) is
-    shared.
+    shared.  ``placed`` (indices already in ``state``, see
+    :func:`replay_prefix`) and ``held`` (indices the caller places itself
+    afterwards; must be successor-closed) are disjoint index sets; every
+    other task is placed, or the pass raises.
     """
-    heap = ReadyHeap(kernel, key)
-    for _ in range(kernel.n):
+    heap = ReadyHeap(kernel, key, placed, held)
+    for _ in range(kernel.n - len(placed) - len(held)):
         ti = heap.pop()
         proc, start = pick_processor(ti)
         state.place(ti, proc, start)
         heap.complete(ti)
     return state.sched
+
+
+def replay_prefix(
+    state: KernelState,
+    prev: Schedule,
+    tasks: Iterable[str],
+    start_of: Callable[[int, int, float], float] | None = None,
+) -> set[int]:
+    """Re-place ``tasks`` where ``prev`` had their primary copies.
+
+    ``tasks`` must be ancestor-closed and a start-order prefix of every
+    processor timeline of ``prev``.  They are replayed by previous start so
+    each timeline grows tail-first (ties topological, so predecessors land
+    before zero-width successors), each at its previous start — or at
+    ``start_of(ti, proc, prev_start)``, evaluated against the state so far.
+    Returns the replayed indices, ready to be ``run_priority_list``'s
+    ``placed``.
+    """
+    kernel = state.kernel
+    topo_pos = {t: i for i, t in enumerate(kernel.graph.topological_order())}
+    entries = {t: prev.primary(t) for t in tasks}
+    placed: set[int] = set()
+    for t in sorted(entries, key=lambda t: (entries[t].start, topo_pos[t])):
+        entry, ti = entries[t], kernel.index[t]
+        start = entry.start
+        if start_of is not None:
+            start = start_of(ti, entry.proc, start)
+        state.place(ti, entry.proc, start)
+        placed.add(ti)
+    return placed

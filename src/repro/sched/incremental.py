@@ -6,8 +6,10 @@ from-scratch reschedule.  This module diffs the edited graph against the
 previous ``(TaskGraph, Schedule)`` pair by content, finds the **dirty** task
 set (edited nodes, their downstream cone, and everything scheduled after
 them on the same processors), keeps the clean prefix of the schedule
-verbatim, and re-times only the dirty suffix with the existing
-fixed-assignment pass on the :mod:`repro.sched.core` kernel.
+verbatim (:func:`repro.sched.core.replay_prefix`), and re-times only the
+dirty suffix with the kernel's one list pass
+(:func:`repro.sched.core.run_priority_list`, started from the replayed
+prefix) — this module owns the diff and the dirty closure, not a loop.
 
 Correctness story
 -----------------
@@ -45,13 +47,12 @@ feasible input schedule.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from repro.approx import approx_ge
 from repro.errors import ScheduleError
 from repro.graph.taskgraph import TaskGraph
-from repro.sched.core import KernelState, SchedKernel
+from repro.sched.core import KernelState, SchedKernel, replay_prefix, run_priority_list
 from repro.sched.schedule import Schedule
 
 #: Scheduler-name suffix marking incrementally re-timed schedules.
@@ -142,11 +143,6 @@ class IncrementalResult:
         return self.n_reused / self.n_tasks if self.n_tasks else 1.0
 
 
-def _incremental_name(prev_schedule: Schedule) -> str:
-    base = prev_schedule.scheduler or "fixed"
-    return base if base.endswith(NAME_SUFFIX) else base + NAME_SUFFIX
-
-
 def _analyse(
     prev_schedule: Schedule, new_graph: TaskGraph
 ) -> tuple[set[str], str | None]:
@@ -181,76 +177,38 @@ def _retime(
     schedules — that equality is the module's contract, fuzzed by the
     ``incremental`` conformance oracle.
     """
-    machine = prev_schedule.machine
-    kernel = SchedKernel(new_graph, machine)
-    state = KernelState(kernel, scheduler_name=_incremental_name(prev_schedule))
-    index = kernel.index
+    kernel = SchedKernel(new_graph, prev_schedule.machine)
+    state = KernelState(kernel, prev_schedule.derived_name(NAME_SUFFIX))
 
-    prev_assign: dict[str, int] = {}
-    prev_start: dict[str, float] = {}
-    for t in prev_schedule.scheduled_tasks():
-        if t in index:
-            entry = prev_schedule.primary(t)
-            prev_assign[t] = entry.proc
-            prev_start[t] = entry.start
+    def keep_if_feasible(ti: int, proc: int, prev_start: float) -> float:
+        # Keep the previous start while it remains feasible — the same
+        # approx criterion SCH201/SCH205 apply.  Different heuristics
+        # group the arrival arithmetic differently, so the recomputed
+        # floor may sit a few ULPs above a perfectly feasible start.
+        floor = state.earliest_start(ti, proc)
+        return prev_start if approx_ge(prev_start, floor) else floor
 
-    # Phase 1 — replay the clean prefix.  Ordered by previous start so each
-    # processor timeline grows tail-first (ties broken topologically so
-    # predecessors land before zero-width successors).
-    topo_pos = {t: i for i, t in enumerate(new_graph.topological_order())}
-    clean = sorted(
+    # Phase 1 — replay the clean prefix.
+    clean = replay_prefix(
+        state,
+        prev_schedule,
         (t for t in new_graph.task_names if t not in dirty),
-        key=lambda t: (prev_start[t], topo_pos[t]),
+        start_of=None if reuse_prefix else keep_if_feasible,
     )
-    for t in clean:
-        ti = index[t]
-        proc = prev_assign[t]
-        if reuse_prefix:
-            start = prev_start[t]
-        else:
-            # Keep the previous start while it remains feasible — the same
-            # approx criterion SCH201/SCH205 apply.  Different heuristics
-            # group the arrival arithmetic differently, so the recomputed
-            # floor may sit a few ULPs above a perfectly feasible start.
-            floor = state.earliest_start(ti, proc)
-            prev = prev_start[t]
-            start = prev if approx_ge(prev, floor) else floor
-        state.place(ti, proc, start)
+
+    def pick(ti: int) -> tuple[int, float]:
+        task = kernel.tasks[ti]
+        if task not in prev_schedule:  # brand-new: earliest-finish processor
+            return state.best_processor(ti)
+        proc = prev_schedule.primary(task).proc
+        return proc, state.earliest_start(ti, proc)
 
     # Phase 2 — re-time the dirty suffix, highest b-level first (the same
     # release order as clustering.assignment_to_schedule).
     prio = kernel.priority_array(kernel.b_levels_comm())
-    pending = [len(edges) for edges in kernel.in_edges]
-    for t in clean:
-        for j in kernel.succ_idx[index[t]]:
-            pending[j] -= 1
-    heap = [
-        ((-prio[i], i), i)
-        for i in range(kernel.n)
-        if pending[i] == 0 and kernel.tasks[i] in dirty
-    ]
-    heapq.heapify(heap)
-    placed = 0
-    while heap:
-        _, ti = heapq.heappop(heap)
-        t = kernel.tasks[ti]
-        proc = prev_assign.get(t)
-        if proc is None:
-            proc, start = state.best_processor(ti)
-        else:
-            start = state.earliest_start(ti, proc)
-        state.place(ti, proc, start)
-        placed += 1
-        for j in kernel.succ_idx[ti]:
-            pending[j] -= 1
-            if pending[j] == 0:
-                heapq.heappush(heap, ((-prio[j], j), j))
-    if placed != len(dirty):
-        raise ScheduleError(
-            f"dirty suffix incomplete: placed {placed} of {len(dirty)} "
-            "(cyclic graph?)"
-        )
-    return state.sched
+    return run_priority_list(
+        kernel, state, key=lambda i: (-prio[i], i), pick_processor=pick, placed=clean
+    )
 
 
 def incremental_reschedule(

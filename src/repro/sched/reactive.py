@@ -3,7 +3,9 @@
 The static schedulers plan against the nominal cost model; the dynamic
 regime (:mod:`repro.sim.dynamic`) then breaks the plan one-sidedly —
 stragglers, failures, noise.  This module closes the loop with an *online*
-policy built on the PR-8 incremental kernel:
+policy on the same two kernel calls incremental rescheduling uses —
+:func:`repro.sched.core.replay_prefix` for what is pinned,
+:func:`repro.sched.core.run_priority_list` for what is re-mapped:
 
 1. **Observe** — simulate the current plan under the scenario and scan the
    trace for triggers: a processor failure (from the scenario, observable
@@ -41,13 +43,12 @@ audit trail (``ReactiveResult.plans`` / ``traces`` / ``rounds``).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.lru import Counters
 from repro.machine.scenario import LINK_FAIL, PROC_FAIL, FaultScenario
-from repro.sched.core import KernelState, SchedKernel
+from repro.sched.core import KernelState, SchedKernel, replay_prefix, run_priority_list
 from repro.sched.schedule import Schedule
 
 if TYPE_CHECKING:  # runtime import is deferred to break the sched<->sim cycle
@@ -136,11 +137,6 @@ def _dirty_start(state: KernelState, ti: int, proc: int) -> float:
     return state.earliest_start(ti, proc)
 
 
-def _reactive_name(plan: Schedule) -> str:
-    base = plan.scheduler or "fixed"
-    return base if base.endswith(NAME_SUFFIX) else base + NAME_SUFFIX
-
-
 def _replan(
     plan: Schedule,
     trace: DynamicTrace,
@@ -154,9 +150,8 @@ def _replan(
     """
     graph, machine = plan.graph, plan.machine
     kernel = SchedKernel(graph, machine)
-    state = KernelState(kernel, scheduler_name=_reactive_name(plan))
+    state = KernelState(kernel, plan.derived_name(NAME_SUFFIX))
     index = kernel.index
-    prev = {t: plan.primary(t) for t in graph.task_names}
 
     started: set[str] = {r.task for r in trace.runs if r.start < at}
     killed = {r.task for r in trace.killed_runs if r.start < at}
@@ -175,11 +170,8 @@ def _replan(
             doomed |= reach[k]
         doomed -= pinned
 
-    # Phase 1 — replay the pinned prefix verbatim (prev-start order, ties
-    # topological), exactly like incremental rescheduling's clean phase.
-    topo_pos = {t: i for i, t in enumerate(graph.topological_order())}
-    for t in sorted(pinned, key=lambda t: (prev[t].start, topo_pos[t])):
-        state.place(index[t], prev[t].proc, prev[t].start)
+    # Phase 1 — replay the pinned prefix verbatim.
+    placed = replay_prefix(state, plan, pinned)
 
     # What the controller has observed by ``at``: dead hardware and the
     # worst slowdown ratio per processor (floored by the static factors).
@@ -191,7 +183,7 @@ def _replan(
     inflation = [1.0 / machine.speed_factor(p) for p in machine.procs()]
     for run in trace.runs:
         if run.finish <= at:
-            nominal = prev[run.task].duration
+            nominal = plan.primary(run.task).duration
             if nominal > 1e-12:
                 ratio = (run.finish - run.start) / nominal
                 if ratio > inflation[run.proc]:
@@ -233,32 +225,22 @@ def _replan(
         return best[1], best[2]
 
     # Phase 2 — re-place the viable dirty suffix, highest b-level first.
-    # Doomed tasks are skipped here; the doom set is successor-closed, so
-    # no viable task ever waits on a doomed placement.
+    # Doomed tasks are held back; the doom set is successor-closed, so no
+    # viable task ever waits on a doomed placement.
     prio = kernel.priority_array(kernel.b_levels_comm())
-    pending = [len(edges) for edges in kernel.in_edges]
-    for t in pinned:
-        for j in kernel.succ_idx[index[t]]:
-            pending[j] -= 1
-    skip = pinned | doomed
-    heap = [
-        ((-prio[i], i), i)
-        for i in range(kernel.n)
-        if pending[i] == 0 and kernel.tasks[i] not in skip
-    ]
-    heapq.heapify(heap)
-    moved = 0
-    while heap:
-        _, ti = heapq.heappop(heap)
-        t = kernel.tasks[ti]
-        proc, start = pick(ti)
-        state.place(ti, proc, start)
-        if proc != prev[t].proc:
-            moved += 1
-        for j in kernel.succ_idx[ti]:
-            pending[j] -= 1
-            if pending[j] == 0 and kernel.tasks[j] not in skip:
-                heapq.heappush(heap, ((-prio[j], j), j))
+    run_priority_list(
+        kernel,
+        state,
+        key=lambda i: (-prio[i], i),
+        pick_processor=pick,
+        placed=placed,
+        held={index[t] for t in doomed},
+    )
+    moved = sum(
+        state.primary(t).proc != plan.primary(t).proc
+        for t in graph.task_names
+        if t not in pinned and t not in doomed
+    )
 
     # Phase 3 — park the doomed tasks on a dead processor, in topological
     # order (their killed ancestors are pinned, so every predecessor of a
@@ -268,8 +250,8 @@ def _replan(
         for t in graph.topological_order():
             if t not in doomed:
                 continue
-            ti = index[t]
-            park = prev[t].proc if prev[t].proc in dead else park_default
+            ti, was = index[t], plan.primary(t).proc
+            park = was if was in dead else park_default
             state.place(ti, park, state.earliest_start(ti, park))
     return state.sched, pinned, moved
 

@@ -77,6 +77,8 @@ class Schedule:
         self.machine = machine
         self.scheduler = scheduler
         self._by_proc: dict[int, list[Placement]] = {p: [] for p in machine.procs()}
+        # The one per-task index: each task's copies ordered by (finish, proc)
+        # at insert, so lookups never sort.  KernelState reads it live.
         self._by_task: dict[str, list[Placement]] = {}
         # Parallel per-processor arrays kept in lockstep with _by_proc:
         # placement start times (for O(log n) insertion-point search) and
@@ -125,7 +127,10 @@ class Schedule:
                 if timeline[j].finish > running:
                     running = timeline[j].finish
                 pmax[j] = running
-        self._by_task.setdefault(task, []).append(entry)
+        # Right-biased, so an (unlikely) tie keeps insertion order — the
+        # order a stable sort of the appended copies would give.
+        copies = self._by_task.setdefault(task, [])
+        bisect.insort(copies, entry, key=lambda e: (e.finish, e.proc))
         return entry
 
     def add_message(self, message: Message) -> None:
@@ -144,15 +149,20 @@ class Schedule:
     def __len__(self) -> int:
         return sum(len(v) for v in self._by_task.values())
 
-    def placements(self, task: str) -> list[Placement]:
-        """Every copy of ``task`` (more than one only under duplication)."""
-        if task not in self._by_task:
+    def _copies(self, task: str) -> list[Placement]:
+        copies = self._by_task.get(task)
+        if copies is None:
             raise ScheduleError(f"task {task!r} has not been scheduled")
-        return sorted(self._by_task[task], key=lambda e: (e.finish, e.proc))
+        return copies
+
+    def placements(self, task: str) -> list[Placement]:
+        """Every copy of ``task`` (more than one only under duplication),
+        earliest finish first, ties by processor."""
+        return list(self._copies(task))
 
     def primary(self, task: str) -> Placement:
         """The earliest-finishing copy of ``task``."""
-        return self.placements(task)[0]
+        return self._copies(task)[0]
 
     def proc_of(self, task: str) -> int:
         return self.primary(task).proc
@@ -255,6 +265,12 @@ class Schedule:
     def is_complete(self) -> bool:
         """Every graph task has at least one placement."""
         return all(t in self._by_task for t in self.graph.task_names)
+
+    def derived_name(self, suffix: str) -> str:
+        """Scheduler name for a re-timing of this schedule; ``suffix`` is
+        appended once however many times the result is re-timed again."""
+        base = self.scheduler or "fixed"
+        return base if base.endswith(suffix) else base + suffix
 
     def __repr__(self) -> str:
         return (

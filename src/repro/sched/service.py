@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -64,7 +63,7 @@ from repro.sched.registry import resolve_scheduler, scheduler_cache_key
 from repro.sched.schedule import Schedule
 from repro.sched.serialize import schedule_from_dict, schedule_to_dict
 from repro.sched.sweeps import SpeedupPoint, SpeedupReport
-from repro.store.evict import dir_files, enforce_size_cap
+from repro.store.evict import atomic_write_text, dir_files, enforce_size_cap
 
 #: Bump when the on-disk entry format changes; old directories are ignored.
 CACHE_VERSION = 1
@@ -512,7 +511,9 @@ class ScheduleService:
         keys: dict[int, tuple[str, str, str]] = {}
         results: list[Schedule | None] = [None] * len(items)
         for i, (graph, machine, sched) in enumerate(items if use_cache else ()):
-            fp = graph_fps.setdefault(id(graph), graph.content_hash())
+            fp = graph_fps.get(id(graph))
+            if fp is None:  # serialize + SHA-256 once per distinct graph
+                fp = graph_fps[id(graph)] = graph.content_hash()
             keys[i] = self._key(graph, machine, sched, graph_fp=fp)
             results[i] = self._get(keys[i])
         missing = [i for i, cached in enumerate(results) if cached is None]
@@ -627,23 +628,9 @@ class ScheduleService:
         """Write ``{field: encode()}`` atomically; ``True`` when it landed."""
         if self._disk_dir is None:
             return False
-        wrote = False
-        try:
-            path = self._disk_dir / entry
-            path.parent.mkdir(parents=True, exist_ok=True)
-            doc = {"cache_version": CACHE_VERSION, "key": key, field: encode()}
-            # The temp name is unique per process and thread: two writers of
-            # one key (daemon workers sharing BANGER_CACHE_DIR) must never
-            # rename each other's half-written file into place.
-            tmp = path.with_name(
-                f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-            )
-            tmp.write_text(json.dumps(doc), encoding="utf-8")
-            tmp.replace(path)
-            wrote = True
-        except OSError:
-            # A read-only or full cache directory must never break scheduling.
-            pass
+        doc = {"cache_version": CACHE_VERSION, "key": key, field: encode()}
+        # A read-only or full cache directory must never break scheduling.
+        wrote = atomic_write_text(self._disk_dir / entry, json.dumps(doc))
         self.gc_disk()  # back under the configured byte cap, if there is one
         return wrote
 

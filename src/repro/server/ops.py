@@ -84,10 +84,16 @@ def _proc_counts(payload: dict[str, Any]) -> tuple[int, ...] | None:
     raw = payload.get("proc_counts")
     if raw is None:
         return None
-    try:
-        counts = tuple(int(n) for n in raw)
-    except (TypeError, ValueError):
-        raise OpError(f"proc_counts must be a list of integers, got {raw!r}") from None
+    # A string iterates digit by digit and a dict by its keys, so "anything
+    # int() accepts per element" is not a check: take a JSON list of whole
+    # numbers only (bool is an int to Python, not to the caller).
+    if not isinstance(raw, (list, tuple)) or not all(
+        (isinstance(n, int) and not isinstance(n, bool))
+        or (isinstance(n, float) and n.is_integer())
+        for n in raw
+    ):
+        raise OpError(f"proc_counts must be a list of integers, got {raw!r}")
+    counts = tuple(int(n) for n in raw)
     if not counts or any(n < 1 for n in counts):
         raise OpError(f"proc_counts must be positive integers, got {raw!r}")
     return counts

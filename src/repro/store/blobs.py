@@ -23,7 +23,12 @@ from typing import Any, Iterator
 
 from repro.errors import StoreError
 from repro.graph.serialize import canonical_json, fingerprint
-from repro.store.evict import dir_files, enforce_size_cap, oldest_first
+from repro.store.evict import (
+    atomic_write_text,
+    dir_files,
+    enforce_size_cap,
+    oldest_first,
+)
 
 
 class BlobStats:
@@ -99,20 +104,10 @@ class BlobStore:
             self._mem[digest] = text
             self.stats.stored_bytes += len(text)
         if self._root is not None:
-            self._write(digest, text)
-        return digest
-
-    def _write(self, digest: str, text: str) -> None:
-        path = self._path(digest)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(text, encoding="utf-8")
-            tmp.replace(path)
-        except OSError:
             # A full or read-only disk must never break a put: the blob
             # still lives in memory for this process's lifetime.
-            pass
+            atomic_write_text(self._path(digest), text)
+        return digest
 
     def get(self, digest: str) -> Any:
         """The stored document, or :class:`StoreError` if absent/corrupt."""

@@ -10,13 +10,35 @@ Deletion is advisory and corruption-tolerant in the same spirit as the
 caches themselves: a file that vanishes mid-scan or cannot be unlinked is
 skipped, never a traceback — the caller's next enforcement pass picks it
 up again.
+
+The same tiers also share their one way of getting a file *onto* disk,
+:func:`atomic_write_text`.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from pathlib import Path
 from typing import Iterable
+
+
+def atomic_write_text(path: Path, text: str) -> bool:
+    """Write ``text`` to ``path`` via a temp file and a rename; ``True``
+    when it landed.  A full or read-only disk is ``False``, never a raise.
+
+    The temp name is unique per process and thread: two writers of one path
+    (daemons or CLIs sharing a store or cache directory) must never rename
+    each other's half-written file into place.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text, encoding="utf-8")
+        tmp.replace(path)
+    except OSError:
+        return False
+    return True
 
 
 def dir_files(root: Path | str, pattern: str = "**/*.json") -> list[Path]:

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import StoreError
+from repro.store.evict import atomic_write_text
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
@@ -81,15 +82,8 @@ class RefStore:
             "format": 1,
             "versions": self._refs[tenant][name],
         }
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(
-                json.dumps(doc, sort_keys=True, indent=1), encoding="utf-8"
-            )
-            tmp.replace(path)
-        except OSError:
-            pass  # memory copy stays authoritative for this process
+        # On a failed write the memory copy stays authoritative for this process.
+        atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=1))
 
     # ------------------------------------------------------------------ #
     # queries

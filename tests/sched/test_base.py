@@ -1,18 +1,12 @@
-"""Tests for the shared list-scheduling machinery (EST, insertion, placement)."""
+"""Tests for the shared list-scheduling primitives (EST, insertion, placement,
+ready tracking) on their one home, :mod:`repro.sched.core`."""
 
 import pytest
 
 from repro.errors import ScheduleError
 from repro.graph import TaskGraph
 from repro.machine import MachineParams, make_machine
-from repro.sched import (
-    Schedule,
-    best_processor,
-    data_ready_time,
-    earliest_start,
-    place,
-    ready_tasks,
-)
+from repro.sched.core import KernelState, ReadyHeap, ReadySet, SchedKernel
 
 PARAMS = MachineParams(msg_startup=1.0, transmission_rate=1.0)
 
@@ -33,74 +27,77 @@ def machine():
     return make_machine("full", 3, PARAMS)
 
 
+@pytest.fixture
+def kernel(graph, machine):
+    return SchedKernel(graph, machine)
+
+
+@pytest.fixture
+def state(kernel):
+    return KernelState(kernel)
+
+
+A, B, C = 0, 1, 2  # task indices: graph insertion order
+
+
 class TestDataReady:
-    def test_entry_task_ready_at_zero(self, graph, machine):
-        s = Schedule(graph, machine)
-        assert data_ready_time(s, "a", 0) == 0.0
+    def test_entry_task_ready_at_zero(self, state):
+        assert state.data_ready_time(A, 0) == 0.0
 
-    def test_remote_and_local_arrivals(self, graph, machine):
-        s = Schedule(graph, machine)
-        s.add("a", 0, 0.0, 2.0)
-        s.add("b", 1, 0.0, 2.0)
+    def test_remote_and_local_arrivals(self, state):
+        state.add("a", 0, 0.0, 2.0)
+        state.add("b", 1, 0.0, 2.0)
         # on proc 0: a local (2.0), b remote (2 + 1 + 1 = 4)
-        assert data_ready_time(s, "c", 0) == 4.0
+        assert state.data_ready_time(C, 0) == 4.0
         # on proc 2: both remote; a: 2 + 1 + 3 = 6; b: 4
-        assert data_ready_time(s, "c", 2) == 6.0
+        assert state.data_ready_time(C, 2) == 6.0
 
-    def test_duplication_uses_cheapest_copy(self, graph, machine):
-        s = Schedule(graph, machine)
-        s.add("a", 0, 0.0, 2.0)
-        s.add("a", 2, 0.0, 2.0)
-        s.add("b", 2, 2.0, 4.0)
-        assert data_ready_time(s, "c", 2) == 4.0
+    def test_duplication_uses_cheapest_copy(self, state):
+        state.add("a", 0, 0.0, 2.0)
+        state.add("a", 2, 0.0, 2.0)
+        state.add("b", 2, 2.0, 4.0)
+        assert state.data_ready_time(C, 2) == 4.0
 
-    def test_unscheduled_pred_raises(self, graph, machine):
-        s = Schedule(graph, machine)
+    def test_unscheduled_pred_raises(self, state):
         with pytest.raises(ScheduleError, match="unscheduled"):
-            data_ready_time(s, "c", 0)
+            state.data_ready_time(C, 0)
 
 
 class TestEarliestStart:
-    def test_empty_proc(self, graph, machine):
-        s = Schedule(graph, machine)
-        assert earliest_start(s, "a", 0) == 0.0
+    def test_empty_proc(self, state):
+        assert state.earliest_start(A, 0) == 0.0
 
-    def test_appends_after_last(self, graph, machine):
-        s = Schedule(graph, machine)
-        s.add("a", 0, 0.0, 2.0)
-        assert earliest_start(s, "b", 0) == 2.0
+    def test_appends_after_last(self, state):
+        state.add("a", 0, 0.0, 2.0)
+        assert state.earliest_start(B, 0) == 2.0
 
-    def test_insertion_finds_gap(self, graph, machine):
-        s = Schedule(graph, machine)
-        s.add("a", 0, 0.0, 2.0)
-        s.add("c", 0, 10.0, 12.0)
+    def test_insertion_finds_gap(self, state):
+        state.add("a", 0, 0.0, 2.0)
+        state.add("c", 0, 10.0, 12.0)
         # b (duration 2) fits in the gap [2, 10)
-        assert earliest_start(s, "b", 0, insertion=True) == 2.0
-        assert earliest_start(s, "b", 0, insertion=False) == 12.0
+        assert state.earliest_start(B, 0, insertion=True) == 2.0
+        assert state.earliest_start(B, 0, insertion=False) == 12.0
 
-    def test_insertion_respects_ready_time(self, graph, machine):
-        s = Schedule(graph, machine)
-        s.add("a", 1, 0.0, 2.0)
-        s.add("b", 0, 0.0, 2.0)
-        s.add("b", 0, 20.0, 22.0)  # duplicate later copy creates a gap
+    def test_insertion_respects_ready_time(self, state):
+        state.add("a", 1, 0.0, 2.0)
+        state.add("b", 0, 0.0, 2.0)
+        state.add("b", 0, 20.0, 22.0)  # duplicate later copy creates a gap
         # c on proc 0: a remote ready at 2+1+3=6; gap [2, 20) fits at 6
-        assert earliest_start(s, "c", 0, insertion=True) == 6.0
+        assert state.earliest_start(C, 0, insertion=True) == 6.0
 
-    def test_gap_too_small_skipped(self, graph, machine):
-        s = Schedule(graph, machine)
-        s.add("a", 0, 0.0, 2.0)
-        s.add("b", 0, 3.0, 5.0)
+    def test_gap_too_small_skipped(self, state):
+        state.add("a", 0, 0.0, 2.0)
+        state.add("b", 0, 3.0, 5.0)
         # c needs 2 time units; gap [2,3) too small -> append at 5
-        s2_start = earliest_start(s, "c", 0, insertion=True)
-        assert s2_start == 5.0
+        assert state.earliest_start(C, 0, insertion=True) == 5.0
 
 
 class TestPlace:
-    def test_place_records_messages(self, graph, machine):
-        s = Schedule(graph, machine)
-        s.add("a", 0, 0.0, 2.0)
-        s.add("b", 1, 0.0, 2.0)
-        place(s, "c", 0, 4.0)
+    def test_place_records_messages(self, state):
+        state.add("a", 0, 0.0, 2.0)
+        state.add("b", 1, 0.0, 2.0)
+        state.place(C, 0, 4.0)
+        s = state.sched
         assert s.primary("c").finish == 6.0
         # only b's edge crosses processors
         assert len(s.messages) == 1
@@ -108,36 +105,51 @@ class TestPlace:
         assert (msg.src_task, msg.dst_task) == ("b", "c")
         assert msg.route == (1, 0)
 
-    def test_place_local_no_messages(self, graph, machine):
-        s = Schedule(graph, machine)
-        s.add("a", 0, 0.0, 2.0)
-        s.add("b", 0, 2.0, 4.0)
-        place(s, "c", 0, 4.0)
-        assert s.messages == []
+    def test_place_local_no_messages(self, state):
+        state.add("a", 0, 0.0, 2.0)
+        state.add("b", 0, 2.0, 4.0)
+        state.place(C, 0, 4.0)
+        assert state.sched.messages == []
 
 
 class TestBestProcessor:
-    def test_prefers_data_locality(self, graph, machine):
-        s = Schedule(graph, machine)
-        s.add("a", 1, 0.0, 2.0)
-        s.add("b", 1, 2.0, 4.0)
-        proc, start = best_processor(s, "c")
+    def test_prefers_data_locality(self, state):
+        state.add("a", 1, 0.0, 2.0)
+        state.add("b", 1, 2.0, 4.0)
+        proc, start = state.best_processor(C)
         assert proc == 1
         assert start == 4.0
 
-    def test_deterministic_tie_break(self, graph, machine):
-        s = Schedule(graph, machine)
-        proc, start = best_processor(s, "a")
+    def test_deterministic_tie_break(self, state):
+        proc, start = state.best_processor(A)
         assert (proc, start) == (0, 0.0)
 
 
 class TestReadyTasks:
-    def test_initial_ready(self, graph):
-        assert ready_tasks(graph, set()) == ["a", "b"]
+    """The ready structures offer exactly the tasks whose predecessors are done."""
 
-    def test_after_preds_done(self, graph):
-        assert ready_tasks(graph, {"a"}) == ["b"]
-        assert ready_tasks(graph, {"a", "b"}) == ["c"]
+    def test_initial_ready(self, kernel):
+        assert sorted(ReadySet(kernel)) == [A, B]
+        heap = ReadyHeap(kernel, key=lambda i: (i,))
+        assert [heap.pop(), heap.pop()] == [A, B]
 
-    def test_all_done(self, graph):
-        assert ready_tasks(graph, {"a", "b", "c"}) == []
+    def test_after_preds_done(self, kernel):
+        ready = ReadySet(kernel)
+        ready.complete(A)
+        assert sorted(ready) == [B]
+        ready.complete(B)
+        assert sorted(ready) == [C]
+        # the same two states, entered from an already-placed prefix
+        heap = ReadyHeap(kernel, key=lambda i: (i,), placed={A})
+        assert (len(heap), heap.pop()) == (1, B)
+        heap = ReadyHeap(kernel, key=lambda i: (i,), placed={A, B})
+        assert (len(heap), heap.pop()) == (1, C)
+
+    def test_all_done(self, kernel):
+        ready = ReadySet(kernel)
+        for i in (A, B, C):
+            ready.complete(i)
+        assert len(ready) == 0
+        heap = ReadyHeap(kernel, key=lambda i: (i,), placed={A, B, C})
+        with pytest.raises(ScheduleError, match="no ready task"):
+            heap.pop()

@@ -267,6 +267,29 @@ class TestSweeps:
         for schedule in out.values():
             check_schedule(schedule)
 
+    def test_batch_hashes_each_distinct_graph_once(self, graph, machine, monkeypatch):
+        from repro.graph.taskgraph import TaskGraph
+
+        calls = []
+        real = TaskGraph.content_hash
+        monkeypatch.setattr(
+            TaskGraph, "content_hash", lambda self: calls.append(1) or real(self)
+        )
+        svc = ScheduleService()
+        sweep = svc.schedules_for_sizes(graph, (2, 4, 8, 16), params=PARAMS)
+        assert len(calls) == 1
+        compared = svc.compare_schedulers(graph, machine, ["mh", "hlfet", "serial"])
+        assert len(calls) == 2
+        # same keys (mh on the 4-processor machine is shared by both calls),
+        # same answers as asking one at a time
+        assert len(svc) == 6 and {key[0] for key in svc._lru.keys()} == {real(graph)}
+        for n, schedule in sweep.items():
+            alone = ScheduleService().schedule(graph, schedule.machine, "mh")
+            assert (n, schedule_to_json(schedule)) == (n, schedule_to_json(alone))
+        assert schedule_to_json(compared["hlfet"]) == schedule_to_json(
+            get_scheduler("hlfet").schedule(graph, machine)
+        )
+
     def test_sweep_stats_recorded(self, graph):
         svc = ScheduleService()
         svc.schedules_for_sizes(graph, (2, 4), params=PARAMS)

@@ -92,6 +92,12 @@ class TestEndpoints:
             ("/sweep", {"jobs": None}),
             ("/sweep", {"family": 7}),
             ("/conform", {"budget": "soon", "runs": 1}),
+            ("/speedup", {"proc_counts": "128"}),
+            ("/speedup", {"proc_counts": {"2": 1, "4": 1}}),
+            ("/speedup", {"proc_counts": [2.7, True]}),
+            ("/sweep", {"proc_counts": "128"}),
+            ("/sweep", {"proc_counts": [2, True]}),
+            ("/sweep", {"proc_counts": [0]}),
         ],
     )
     def test_hostile_option_types_are_400_not_500(
