@@ -1,7 +1,11 @@
 """One digest over every schedule, re-timing, hand edit and reactive plan.
 
-Run it under two checkouts' ``src/`` and compare the line it prints: equal
-digests mean a scheduling-layer refactor changed no schedule, plan or trace.
+Run it under two checkouts' ``src/`` and compare the first line it prints:
+equal digests mean a scheduling-layer refactor changed no schedule, plan or
+trace.  The second line is the same sweep with every machine reloaded from its
+own document (``TargetMachine.from_dict(m.to_dict())``, compiled tables
+cleared first): it must equal the first — a saved project routes, schedules
+and replans exactly like the in-memory one.
 
     PYTHONPATH=src python benchmarks/digest_schedules.py
 
@@ -21,7 +25,8 @@ import random
 from repro.errors import ScheduleError
 from repro.graph.generators import random_layered
 from repro.machine import MachineParams
-from repro.machine.machine import make_machine
+from repro.machine.compiled import clear_compiled
+from repro.machine.machine import TargetMachine, make_machine
 from repro.machine.scenario import PROFILES, seeded_scenario
 from repro.sched.edit import move_task, swap_tasks
 from repro.sched.incremental import full_reschedule, incremental_reschedule
@@ -34,7 +39,8 @@ PARAMS = MachineParams(msg_startup=0.4, transmission_rate=6.0, hop_latency=0.1)
 MACHINES = (("hypercube", 8), ("mesh", 9), ("star", 5), ("bus", 4))
 
 
-def main() -> None:
+def sweep(build=make_machine) -> str:
+    """The digest line of the whole sweep on machines made by ``build``."""
     digest = hashlib.sha256()
     counts = {"schedules": 0, "edits": 0, "hand_edits": 0, "reactive": 0, "doomed": 0}
 
@@ -42,7 +48,7 @@ def main() -> None:
         digest.update(json.dumps(docs, sort_keys=True, default=repr).encode())
 
     for family, n in MACHINES:
-        machine = make_machine(family, n, PARAMS)
+        machine = build(family, n, PARAMS)
         for design in corpus_names():
             graph = corpus_taskgraph(design)
             for name in sorted(SCHEDULERS):
@@ -52,7 +58,7 @@ def main() -> None:
                     feed(name, str(exc))
                 counts["schedules"] += 1
 
-    machine = make_machine("hypercube", 8, PARAMS)
+    machine = build("hypercube", 8, PARAMS)
     for seed in range(50):
         rng = random.Random(seed)
         graph = random_layered(40 + seed, 5, seed=seed)
@@ -98,7 +104,17 @@ def main() -> None:
             counts["reactive"] += 1
             counts["doomed"] += any(t.killed_runs for t in result.traces)
 
-    print(digest.hexdigest()[:16], json.dumps(counts, sort_keys=True))
+    return f"{digest.hexdigest()[:16]} {json.dumps(counts, sort_keys=True)}"
+
+
+def reloaded_machine(family: str, n: int, params: MachineParams) -> TargetMachine:
+    return TargetMachine.from_dict(make_machine(family, n, params).to_dict())
+
+
+def main() -> None:
+    print(sweep())
+    clear_compiled()
+    print(sweep(reloaded_machine))
 
 
 if __name__ == "__main__":

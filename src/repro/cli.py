@@ -40,6 +40,7 @@ flavour of instant feedback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import pathlib
@@ -47,7 +48,7 @@ import sys
 
 from repro import __version__
 from repro.env.project import BangerProject
-from repro.errors import ReproError, ValidationError
+from repro.errors import ReproError
 from repro.machine.topologies import build_topology
 from repro.sched import SCHEDULERS, report
 from repro.sched.metrics import ScheduleReport
@@ -93,8 +94,6 @@ def _parse_ref(text: str) -> tuple[str, str, int | None]:
 
 def _resolve_store_uri(path: str) -> dict | None:
     """A project document for ``corpus://`` / ``store://`` URIs, else None."""
-    from repro.errors import StoreError
-
     if path.startswith("corpus://"):
         from repro.store.corpus import CORPUS_TENANT, default_corpus
 
@@ -102,29 +101,32 @@ def _resolve_store_uri(path: str) -> dict | None:
         name, version = ref, None
         if "@" in ref:
             _, name, version = _parse_ref(f"{CORPUS_TENANT}/{ref}")
-        try:
-            return default_corpus().get(CORPUS_TENANT, name, version)
-        except StoreError as exc:
-            raise UsageError(str(exc)) from None
+        return default_corpus().get(CORPUS_TENANT, name, version)
     if path.startswith("store://"):
         from repro.store import ProjectRepository
 
         tenant, name, version = _parse_ref(path[len("store://"):])
-        try:
-            return ProjectRepository(_store_root()).get(tenant, name, version)
-        except StoreError as exc:
-            raise UsageError(str(exc)) from None
+        return ProjectRepository(_store_root()).get(tenant, name, version)
     return None
 
 
-def _load(path: str) -> BangerProject:
+@contextlib.contextmanager
+def _loading(what: str):
+    """Any library error raised while reading an input — an unknown store
+    ref, a file that is not what the flag needs — is a usage error (exit 2),
+    not a finding about the design."""
     try:
+        yield
+    except ReproError as exc:
+        raise UsageError(f"cannot load {what}: {exc}") from None
+
+
+def _load(path: str) -> BangerProject:
+    with _loading("Banger project"):
         doc = _resolve_store_uri(path)
         if doc is not None:
             return BangerProject.from_dict(doc)
         return BangerProject.load(path)
-    except ValidationError as exc:
-        raise UsageError(f"not a Banger project file: {exc}") from None
 
 
 def _parse_procs(text: str) -> tuple[int, ...]:
@@ -158,7 +160,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if getattr(args, "baseline", None):
         from repro.lint import apply_baseline, load_baseline
 
-        report = apply_baseline(report, load_baseline(args.baseline))
+        with _loading("SARIF baseline"):
+            baseline = load_baseline(args.baseline)
+        report = apply_baseline(report, baseline)
     if args.format == "json":
         print(render_json(report))
     elif args.format == "sarif":
@@ -347,7 +351,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.scenario:
         from repro.machine.scenario import FaultScenario
 
-        with open(args.scenario, encoding="utf-8") as fh:
+        with open(args.scenario, encoding="utf-8") as fh, _loading("fault scenario"):
             scenario = FaultScenario.from_dict(json.load(fh))
     if scenario is None:
         trace = simulate(schedule, contention=args.contention)

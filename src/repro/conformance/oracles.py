@@ -20,7 +20,10 @@ name             kind    invariant
 ``contention``   graph   one-message-at-a-time links can only slow the
                          replay down, never speed it up
 ``roundtrip``    graph   graph / machine / schedule serialize -> deserialize
-                         preserves content hashes, placements, and makespan
+                         preserves content hashes, placements, and makespan;
+                         the reloaded topology routes like its compiled
+                         tables, and a registered family's shape exactly like
+                         ``make_machine(family, n_procs)`` in memory
 ``flatten``      graph   lifting a task graph to a PITL drawing and
                          flattening it back is semantically identity: same
                          tasks, works, edges — and the same predicted
@@ -76,11 +79,12 @@ import numpy as np
 
 from repro.approx import approx_eq, approx_ge, approx_le, values_close
 from repro.conformance.cases import GRAPH, PITS, Case
-from repro.errors import CalcError, ReproError
+from repro.errors import CalcError, MachineError, ReproError
 from repro.graph.generators import as_dataflow
 from repro.graph.hierarchy import flatten
 from repro.graph.serialize import taskgraph_from_dict, taskgraph_to_dict
-from repro.machine.machine import TargetMachine
+from repro.machine.compiled import clear_compiled, compiled_for
+from repro.machine.machine import TargetMachine, make_machine
 from repro.machine.scenario import PROFILES, FaultScenario, seeded_scenario
 from repro.sched import get_scheduler
 from repro.sched.serialize import schedule_from_dict, schedule_to_dict
@@ -261,6 +265,36 @@ def _roundtrip(ctx: CaseContext) -> list[str]:
             f"reloaded makespan {reloaded.makespan():g} != "
             f"original {ctx.schedule.makespan():g}"
         )
+    # The case's machine came from a document.  Its own topology object must
+    # route like the compiled tables every consumer reads ...
+    n, own = ctx.machine.n_procs, ctx.machine.topology
+    pairs = [(s, d) for s in range(n) for d in range(n)]
+    tables = compiled_for(ctx.machine)
+    if tables.routes != [tuple(own.route(s, d)) for s, d in pairs]:
+        problems.append("reloaded topology routes unlike its compiled tables")
+    # ... and when the document is a registered family's shape, like the
+    # object a user gets from set_machine / make_machine: that family's own
+    # router is the reference, so a reload or a compile that forgets it
+    # cannot hide behind tables both machines share.
+    try:
+        twin = make_machine(own.family, n, ctx.machine.params)
+    except MachineError:
+        return problems  # no such family, or not at this size
+    router = twin.topology
+    if router.links != own.links:
+        return problems  # hand-edited links: a custom machine, BFS by design
+    # (equal routes are equal distances: both sides count a route's links)
+    if tables.routes != [tuple(router.route(s, d)) for s, d in pairs]:
+        problems.append("compiled routes differ from the in-memory family's")
+    if getattr(own, "shared_medium", False) != getattr(router, "shared_medium", False):
+        problems.append("reloaded machine lost or gained a shared medium")
+    clear_compiled()  # the twin compiles its own tables, not the case's
+    again = schedule_to_dict(get_scheduler(ctx.case.scheduler).schedule(tg, twin))
+    clear_compiled()
+    # (the twin's document may differ in names and heterogeneity factors,
+    # which no static scheduler reads: compare what was scheduled)
+    if any(again[part] != doc[part] for part in ("placements", "messages")):
+        problems.append("in-memory family machine schedules differently")
     return problems
 
 

@@ -130,7 +130,7 @@ def _graph_candidates(case: Case) -> Iterator[Case]:
                     if (e.get("proc") is None or e["proc"] < smaller)
                     and (
                         e.get("link") is None
-                        or topology.has_link(e["link"][0], e["link"][1])
+                        or tuple(sorted(e["link"])) in topology.links
                     )
                 ]
             yield Case(GRAPH, p)

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 from repro.calc.cost import measure_work
 from repro.calc.interp import RunResult, run_program
 from repro.calc.panel import CalculatorPanel
-from repro.errors import ReproError, ValidationError
+from repro.errors import ReproError, ValidationError, malformed_as
 from repro.graph.dataflow import DataflowGraph
 from repro.graph.hierarchy import flatten
 from repro.graph.node import NodeKind, TaskNode
@@ -452,6 +452,7 @@ class BangerProject:
         return doc
 
     @classmethod
+    @malformed_as(ValidationError, "project")
     def from_dict(
         cls, doc: dict[str, Any], service: ScheduleService | None = None
     ) -> "BangerProject":

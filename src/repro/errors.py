@@ -8,9 +8,24 @@ location) because "instant feedback" is one of the paper's three goals.
 
 from __future__ import annotations
 
+import contextlib
+from typing import Iterator
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` library."""
+
+
+@contextlib.contextmanager
+def malformed_as(error: type[ReproError], what: str) -> Iterator[None]:
+    """Decorate (or wrap) a document loader: the shape errors of reading an
+    untrusted ``what`` document — a missing key, a wrong type, an unparsable
+    number — are raised as ``error``, so every driver (CLI, daemon, library)
+    sees one typed failure instead of catching ``KeyError`` and friends."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise error(f"malformed {what} document: {exc!r}") from None
 
 
 class GraphError(ReproError):

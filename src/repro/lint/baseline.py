@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import pathlib
 
+from repro.errors import ValidationError, malformed_as
 from repro.lint.diagnostics import Diagnostic, Report
 
 #: One recorded finding: (rule_id, logical node name, message text).
@@ -34,15 +35,16 @@ def _result_key(result: dict) -> BaselineKey:
     )
 
 
+@malformed_as(ValidationError, "SARIF baseline")
 def load_baseline(path: str | pathlib.Path) -> frozenset[BaselineKey]:
     """The finding keys recorded in a SARIF report on disk.
 
-    Raises ``ValueError`` on files that are not SARIF-shaped, so a typo'd
-    path to a project JSON fails loudly instead of suppressing nothing.
+    Raises :class:`ValidationError` on files that are not SARIF-shaped, so a
+    typo'd path to a project JSON fails loudly instead of suppressing nothing.
     """
     doc = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or "runs" not in doc:
-        raise ValueError(f"{path}: not a SARIF report (no 'runs' array)")
+        raise ValidationError(f"{path}: not a SARIF report (no 'runs' array)")
     keys: set[BaselineKey] = set()
     for run in doc["runs"]:
         for result in run.get("results", ()):

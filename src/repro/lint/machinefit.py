@@ -93,7 +93,7 @@ def machine_diagnostics(
     if flat is not None and machine.n_procs > 1 and n_tasks > 0:
         sizes = [a.size for a in flat.arcs if a.size > 0]
         if sizes:
-            diameter = machine.topology.diameter()
+            diameter = machine.diameter()
             mean_size = sum(sizes) / len(sizes)
             mean_exec = sum(machine.exec_time(n.work) for n in nodes) / n_tasks
             if mean_exec > 0 and diameter >= 3:

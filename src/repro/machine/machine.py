@@ -3,16 +3,20 @@
 A :class:`TargetMachine` is the single cost model shared by the static
 schedulers (:mod:`repro.sched`) and the discrete-event simulator
 (:mod:`repro.sim`), which is what makes the cross-validation between
-predicted and simulated schedules exact in the contention-free case.
+predicted and simulated schedules exact in the contention-free case.  Its
+distances and routes are read from the compiled tables of
+:mod:`repro.machine.compiled` — a function of the machine document, so two
+machines with one :meth:`~TargetMachine.content_hash` cost and route alike.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.errors import MachineError
+from repro.errors import MachineError, malformed_as
+from repro.machine.compiled import CompiledTopology, cached_compiled, compiled_for
 from repro.machine.params import IDEAL, MachineParams
-from repro.machine.topologies import build_topology
+from repro.machine.topologies import build_topology, routing_topology
 from repro.machine.topology import CustomTopology, Topology
 
 
@@ -118,12 +122,21 @@ class TargetMachine:
         """Wall time for a task of ``work`` operations (any processor)."""
         return self.params.exec_time(work)
 
+    def _tables(self, *procs: int) -> CompiledTopology:
+        """The compiled route tables, after range-checking ``procs`` (a flat
+        ``src * n + dst`` index would alias an out-of-range processor).  An
+        uncounted peek: only a read that has to compile is a counted
+        ``compiled_for`` lookup, so ``compiled_misses`` counts compilations."""
+        for proc in procs:
+            self.topology._check_proc(proc)
+        return cached_compiled(self.content_hash()) or compiled_for(self)
+
     def comm_cost(self, src_proc: int, dst_proc: int, size: float) -> float:
         """Wall time to move ``size`` units between two processors.
 
         Zero when ``src_proc == dst_proc`` — co-located tasks share memory.
         """
-        hops = self.topology.hops(src_proc, dst_proc)
+        hops = self._tables(src_proc, dst_proc).hops(src_proc, dst_proc)
         return self.params.comm_time(size, hops)
 
     def mean_comm_cost(self, size: float) -> float:
@@ -132,7 +145,7 @@ class TargetMachine:
         computing scheduling priorities before placement is known."""
         if self.n_procs == 1:
             return 0.0
-        avg_hops = self.topology.average_distance()
+        avg_hops = self._tables().average_distance()
         if avg_hops == 0:
             return 0.0
         # average_distance is fractional, so apply the affine cost model
@@ -144,7 +157,12 @@ class TargetMachine:
         )
 
     def route(self, src_proc: int, dst_proc: int) -> list[int]:
-        return self.topology.route(src_proc, dst_proc)
+        """Processor sequence ``[src_proc, ..., dst_proc]`` a message follows."""
+        return list(self._tables(src_proc, dst_proc).route(src_proc, dst_proc))
+
+    def diameter(self) -> int:
+        """Longest route, in links."""
+        return self._tables().diameter()
 
     # ------------------------------------------------------------------ #
     # heterogeneity (consumed by the dynamic regime only)
@@ -220,30 +238,38 @@ class TargetMachine:
         per-kernel-build compiled-table lookup O(1) instead of re-serializing
         the whole machine document.
         """
-        from repro.graph.serialize import fingerprint
-
         revision = self.topology._revision
         cached = self._hash_cache
         if cached is not None and cached[0] == revision:
             return cached[1]
+        from repro.graph.serialize import fingerprint
+
         digest = fingerprint(self.to_dict())
         self._hash_cache = (revision, digest)
         return digest
 
     @classmethod
+    @malformed_as(MachineError, "machine")
     def from_dict(cls, data: dict[str, Any]) -> "TargetMachine":
+        """Rebuild a machine from its document.
+
+        The document decides the router (:func:`routing_topology`): its
+        family's analytic one when the links are that family's at that size,
+        BFS otherwise.  Either way the document's ``family`` and ``name`` are
+        kept, so a reloaded mesh still drives mesh sweeps and
+        ``from_dict(d).to_dict() == d``.
+        """
         if data.get("type") != "machine":
             raise MachineError(f"not a machine document (type={data.get('type')!r})")
         params = MachineParams(**data.get("params", {}))
         topo_doc = data.get("topology", {})
-        topo = CustomTopology(
-            topo_doc["n_procs"],
-            [tuple(l) for l in topo_doc.get("links", [])],
-            name=topo_doc.get("name", ""),
+        n_procs = topo_doc["n_procs"]
+        family = topo_doc.get("family", CustomTopology.family)
+        topo = routing_topology(
+            family, n_procs, [tuple(l) for l in topo_doc.get("links", [])]
         )
-        # Preserve the original family so loaded machines keep driving
-        # family-default sweeps (a reloaded mesh project still sweeps meshes).
-        topo.family = topo_doc.get("family", topo.family)
+        topo.family = family
+        topo.name = topo_doc.get("name") or f"custom({n_procs})"
         speeds = data.get("proc_speed_factors")
         bandwidths = data.get("link_bandwidth_factors")
         return cls(

@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import MachineError
+from repro.errors import MachineError, malformed_as
 from repro.machine.machine import TargetMachine
 
 PROC_FAIL = "proc_fail"
@@ -193,6 +193,7 @@ class FaultScenario:
         }
 
     @classmethod
+    @malformed_as(MachineError, "fault-scenario")
     def from_dict(cls, data: dict[str, Any]) -> "FaultScenario":
         if data.get("type") != "fault-scenario":
             raise MachineError(

@@ -4,15 +4,17 @@ Banger supports "hypercubes, meshes, trees, stars, and fully-connected
 topologies"; we add rings, linear arrays, 2-D tori, and a shared bus.  Each
 regular family overrides :meth:`route` with its textbook routing algorithm
 (e-cube for hypercubes, XY for meshes/tori); tests check these produce
-shortest paths by comparing against the BFS tables of the base class.
+shortest paths by comparing against the BFS tables of the base class; a
+distance is ``len(route) - 1``, so no family keeps a second formula for it.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 from repro.errors import MachineError
-from repro.machine.topology import Topology
+from repro.machine.topology import CustomTopology, Topology
 
 
 class FullyConnected(Topology):
@@ -146,11 +148,6 @@ class Hypercube(Topology):
             raise MachineError(f"hypercube size must be a power of two, got {n_procs}")
         return cls(n_procs.bit_length() - 1)
 
-    def hops(self, src: int, dst: int) -> int:
-        self._check_proc(src)
-        self._check_proc(dst)
-        return (src ^ dst).bit_count()
-
     def route(self, src: int, dst: int) -> list[int]:
         """Dimension-ordered (e-cube) routing: fix differing bits low→high."""
         self._check_proc(src)
@@ -204,10 +201,6 @@ class Mesh2D(Topology):
             raise MachineError(f"coordinates ({row}, {col}) outside {self.name}")
         return row * self.cols + col
 
-    def hops(self, src: int, dst: int) -> int:
-        (r1, c1), (r2, c2) = self.coords(src), self.coords(dst)
-        return abs(r1 - r2) + abs(c1 - c2)
-
     def route(self, src: int, dst: int) -> list[int]:
         """XY routing: travel along the row to the target column, then down."""
         (r1, c1), (r2, c2) = self.coords(src), self.coords(dst)
@@ -247,16 +240,6 @@ class Torus2D(Mesh2D):
         if wrap and fwd <= back:
             return [1] * fwd
         return [1] * (b - a) if b > a else [-1] * (a - b)
-
-    def hops(self, src: int, dst: int) -> int:
-        (r1, c1), (r2, c2) = self.coords(src), self.coords(dst)
-        dr = abs(r1 - r2)
-        dc = abs(c1 - c2)
-        if self.rows > 2:
-            dr = min(dr, self.rows - dr)
-        if self.cols > 2:
-            dc = min(dc, self.cols - dc)
-        return dr + dc
 
     def route(self, src: int, dst: int) -> list[int]:
         (r1, c1), (r2, c2) = self.coords(src), self.coords(dst)
@@ -304,10 +287,6 @@ class Mesh3D(Topology):
         if not (0 <= x < self.nx and 0 <= y < self.ny and 0 <= z < self.nz):
             raise MachineError(f"coordinates ({x},{y},{z}) outside {self.name}")
         return (x * self.ny + y) * self.nz + z
-
-    def hops(self, src: int, dst: int) -> int:
-        a, b = self.coords(src), self.coords(dst)
-        return sum(abs(i - j) for i, j in zip(a, b))
 
     def route(self, src: int, dst: int) -> list[int]:
         (x1, y1, z1), (x2, y2, z2) = self.coords(src), self.coords(dst)
@@ -443,6 +422,30 @@ def build_topology(family: str, n_procs: int) -> Topology:
             )
         return BalancedTree(depth, 2)
     raise MachineError(f"unknown topology family {family!r}")
+
+
+def routing_topology(
+    family: str, n_procs: int, links: Sequence[tuple[int, int]]
+) -> Topology:
+    """The topology — and with it the router — a machine *document* describes.
+
+    The one place a router is chosen: the registered family's topology
+    (analytic routes, a bus's shared medium) exactly when
+    ``build_topology(family, n_procs)`` reproduces ``links``; otherwise —
+    unknown family, a size the builder rejects, hand-edited links, a
+    Python-only shape such as ``Mesh2D(2, 8)`` — a BFS-routed
+    :class:`CustomTopology`.  Loading a document and compiling an in-memory
+    machine's tables both decide here, so equal documents route alike.
+    """
+    try:
+        built = build_topology(family, n_procs)
+    except MachineError:
+        built = None
+    if built is not None and built._links == {
+        (min(a, b), max(a, b)) for a, b in links
+    }:
+        return built
+    return CustomTopology(n_procs, links)
 
 
 #: The families the paper names, for sweep benchmarks.

@@ -7,9 +7,16 @@ another graph"; :class:`CustomTopology` accepts any edge list, while
 (hypercube, mesh, tree, star, fully-connected) plus ring/torus/bus
 extensions.
 
-Routing is table-driven: the base class computes BFS all-pairs shortest
-paths lazily; regular families override :meth:`route` with their analytic
-algorithms (e-cube, XY) which tests cross-check against BFS distances.
+A topology is a *router*: the base class walks lazily built BFS all-pairs
+tables (lowest-numbered neighbour first); regular families override
+:meth:`route` with their analytic algorithms (e-cube, XY, LCA), which tests
+cross-check against BFS distances.  It is not what the rest of the system
+reads: :mod:`repro.machine.compiled` walks the router of a machine's
+*reloaded document* once into flat tables, and every cost, route and distance
+a :class:`~repro.machine.machine.TargetMachine`, scheduler or simulator uses
+comes from those.  So the BFS tables are the only derived state kept here;
+:meth:`neighbors`, :meth:`route_links`, :meth:`diameter` and
+:meth:`average_distance` compute on each call.
 """
 
 from __future__ import annotations
@@ -41,47 +48,44 @@ class Topology:
             raise MachineError(f"topology needs >= 1 processor, got {n_procs}")
         self.n_procs = n_procs
         self.name = name or f"{self.family}({n_procs})"
-        # Daemon worker threads share machines: every derived-table build is
-        # double-checked under this lock (reentrant — diameter() builds the
-        # BFS tables while already holding it).
-        self._lock = threading.RLock()
+        # Daemon worker threads share machines: the BFS-table build is
+        # double-checked under this lock, which add_link also holds.
+        self._lock = threading.Lock()
         self._revision = 0
         self._adj: dict[int, set[int]] = {p: set() for p in range(n_procs)}
         self._links: set[tuple[int, int]] = set()
         for a, b in links:
-            self.add_link(a, b)
+            self._link(a, b)
         self._invalidate_caches()
 
     # ------------------------------------------------------------------ #
     # construction / structure
     # ------------------------------------------------------------------ #
-    def add_link(self, a: int, b: int) -> None:
+    def _link(self, a: int, b: int) -> None:
+        """Validate and insert one link; the caller invalidates."""
         self._check_proc(a)
         self._check_proc(b)
         if a == b:
             raise MachineError(f"self-link on processor {a} is not allowed")
+        self._links.add((min(a, b), max(a, b)))
+        self._adj[a].add(b)
+        self._adj[b].add(a)
+
+    def add_link(self, a: int, b: int) -> None:
         with self._lock:
-            key = (min(a, b), max(a, b))
-            self._links.add(key)
-            self._adj[a].add(b)
-            self._adj[b].add(a)
+            self._link(a, b)
             self._invalidate_caches()
 
     def _invalidate_caches(self) -> None:
-        """Drop every derived table; called whenever the link set changes.
+        """Drop the BFS tables; called (lock held) when the link set changes.
 
         Also bumps ``_revision``, the cheap change counter that keys
         revision-scoped caches elsewhere (``TargetMachine.content_hash``,
         the compiled-topology tables in :mod:`repro.machine.compiled`).
         """
-        with self._lock:
-            self._revision += 1
-            self._dist: list[list[int]] | None = None
-            self._next_hop: list[list[int]] | None = None
-            self._sorted_adj: list[list[int]] | None = None
-            self._diameter: int | None = None
-            self._avg_distance: float | None = None
-            self._route_links_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self._revision += 1
+        self._dist: list[list[int]] | None = None
+        self._next_hop: list[list[int]] | None = None
 
     def __getstate__(self) -> dict[str, Any]:
         """Locks do not pickle — drop it (topologies ship to sweep workers)."""
@@ -91,7 +95,7 @@ class Topology:
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.__dict__.update(state)
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     def _check_proc(self, p: int) -> None:
         if not (0 <= p < self.n_procs):
@@ -107,20 +111,9 @@ class Topology:
     def n_links(self) -> int:
         return len(self._links)
 
-    def _sorted_neighbors(self) -> list[list[int]]:
-        """Adjacency lists sorted once per link-set revision."""
-        adj = self._sorted_adj
-        if adj is None:
-            with self._lock:
-                adj = self._sorted_adj
-                if adj is None:
-                    adj = [sorted(self._adj[p]) for p in range(self.n_procs)]
-                    self._sorted_adj = adj
-        return adj
-
     def neighbors(self, p: int) -> list[int]:
         self._check_proc(p)
-        return list(self._sorted_neighbors()[p])
+        return sorted(self._adj[p])
 
     def degree(self, p: int) -> int:
         self._check_proc(p)
@@ -150,7 +143,7 @@ class Topology:
             INF = n + 1
             dist = [[INF] * n for _ in range(n)]
             nxt = [[-1] * n for _ in range(n)]
-            adj = self._sorted_neighbors()
+            adj = [sorted(self._adj[p]) for p in range(n)]
             for src in range(n):
                 dist[src][src] = 0
                 nxt[src][src] = src
@@ -168,16 +161,8 @@ class Topology:
             return dist, nxt
 
     def hops(self, src: int, dst: int) -> int:
-        """Shortest-path link count between two processors."""
-        self._check_proc(src)
-        self._check_proc(dst)
-        if src == dst:
-            return 0
-        dist, _ = self._ensure_tables()
-        d = dist[src][dst]
-        if d > self.n_procs:
-            raise RoutingError(f"{self.name}: no route from {src} to {dst}")
-        return d
+        """Link count along :meth:`route` — every router here is shortest-path."""
+        return len(self.route(src, dst)) - 1
 
     def route(self, src: int, dst: int) -> list[int]:
         """Processor sequence ``[src, ..., dst]`` along one shortest path."""
@@ -197,65 +182,26 @@ class Topology:
 
     def route_links(self, src: int, dst: int) -> list[tuple[int, int]]:
         """The undirected links crossed by :meth:`route` (empty if src==dst)."""
-        cached = self._route_links_cache.get((src, dst))
-        if cached is None:
-            path = self.route(src, dst)
-            cached = [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
-            with self._lock:
-                self._route_links_cache[(src, dst)] = cached
-        return list(cached)
+        path = self.route(src, dst)
+        return [(min(a, b), max(a, b)) for a, b in zip(path, path[1:])]
+
+    def _distances(self) -> list[list[int]]:
+        """The BFS distance rows; raises if some pair is unreachable."""
+        dist, _ = self._ensure_tables()
+        if max(map(max, dist)) > self.n_procs:
+            raise RoutingError(f"{self.name} is disconnected")
+        return dist
 
     def diameter(self) -> int:
-        """Longest shortest path; raises if disconnected.  Cached."""
-        best = self._diameter
-        if best is not None:
-            return best
-        with self._lock:
-            best = self._diameter
-            if best is not None:
-                return best
-            dist, _ = self._ensure_tables()
-            best = 0
-            for row in dist:
-                for d in row:
-                    if d > self.n_procs:
-                        raise RoutingError(f"{self.name} is disconnected")
-                    if d > best:
-                        best = d
-            self._diameter = best
-            return best
+        """Longest shortest path; raises if disconnected."""
+        return max(map(max, self._distances()))
 
     def average_distance(self) -> float:
-        """Mean hop count over ordered distinct pairs (0 for 1 processor).
-
-        Cached — the schedulers call this through
-        :meth:`~repro.machine.machine.TargetMachine.mean_comm_cost` once per
-        edge when computing priorities, which made the uncached O(n²) scan
-        the dominant cost of scheduling on large machines.
-        """
-        avg = self._avg_distance
-        if avg is not None:
-            return avg
-        if self.n_procs == 1:
-            self._avg_distance = 0.0
+        """Mean hop count over ordered distinct pairs (0 for 1 processor)."""
+        n = self.n_procs
+        if n == 1:
             return 0.0
-        with self._lock:
-            avg = self._avg_distance
-            if avg is not None:
-                return avg
-            dist, _ = self._ensure_tables()
-            total = 0
-            for src in range(self.n_procs):
-                row = dist[src]
-                for dst in range(self.n_procs):
-                    if src != dst:
-                        d = row[dst]
-                        if d > self.n_procs:
-                            raise RoutingError(f"{self.name} is disconnected")
-                        total += d
-            avg = total / (self.n_procs * (self.n_procs - 1))
-            self._avg_distance = avg
-            return avg
+        return sum(map(sum, self._distances())) / (n * (n - 1))
 
     def is_connected(self) -> bool:
         if self.n_procs == 1:

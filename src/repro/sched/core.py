@@ -119,11 +119,10 @@ class SchedKernel:
             [idx[e.dst] for e in graph.out_edges(t)] for t in self.tasks
         ]
         self._params = machine.params
-        self._topology = machine.topology
         # Compile-ahead tables: content-addressed by machine hash, so a warm
-        # topology costs one O(1) cache probe instead of lazy BFS per pair.
+        # topology costs one O(1) cache probe instead of a router walk per
+        # pair — and the same tables machine.comm_cost/route answer from.
         self._compiled = compiled_for(machine)
-        self._hops: dict[tuple[int, int], int] = {}
         self._comm: dict[tuple[int, float], float] = {}
         self._routes: dict[tuple[int, int], tuple[int, ...]] = {}
         self._mean_comm: dict[float, float] = {}
@@ -135,14 +134,11 @@ class SchedKernel:
     # memoized cost model (identical values to TargetMachine's methods)
     # ------------------------------------------------------------------ #
     def comm_cost(self, src_proc: int, dst_proc: int, size: float) -> float:
-        """Memoized ``machine.comm_cost`` (two levels: hops, then cost)."""
+        """Memoized ``machine.comm_cost`` (hops off the table, then cost)."""
         if src_proc == dst_proc:
             return 0.0
-        pair = (src_proc, dst_proc)
-        hops = self._hops.get(pair)
-        if hops is None:
-            hops = self._compiled.hops(src_proc, dst_proc)
-            self._hops[pair] = hops
+        compiled = self._compiled
+        hops = compiled.dist[src_proc * compiled.n_procs + dst_proc]
         key = (hops, size)
         cost = self._comm.get(key)
         if cost is None:
@@ -154,7 +150,7 @@ class SchedKernel:
         """Memoized ``machine.mean_comm_cost`` (one entry per message size)."""
         cost = self._mean_comm.get(size)
         if cost is None:
-            cost = self._compiled.mean_comm_cost(self._params, size)
+            cost = self.machine.mean_comm_cost(size)
             self._mean_comm[size] = cost
         return cost
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.errors import ScheduleError
+from repro.errors import ScheduleError, malformed_as
 from repro.graph.serialize import taskgraph_from_dict, taskgraph_to_dict
 from repro.machine.machine import TargetMachine
 from repro.sched.schedule import Message, Schedule
@@ -47,6 +47,7 @@ def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
     }
 
 
+@malformed_as(ScheduleError, "schedule")
 def schedule_from_dict(data: dict[str, Any]) -> Schedule:
     if data.get("type") != "schedule":
         raise ScheduleError(f"not a schedule document (type={data.get('type')!r})")

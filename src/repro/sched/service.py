@@ -15,7 +15,9 @@ the shell) and the heuristics in :mod:`repro.sched`:
   cache can never serve stale results.  An in-memory LRU is always on; an
   on-disk cache (``BANGER_CACHE_DIR`` or ``~/.cache/banger``, versioned)
   is optional and corruption-tolerant: a bad entry is evicted and
-  recomputed, never a traceback.
+  recomputed, never a traceback.  Schedules are the only thing it holds —
+  routing tables (:mod:`repro.machine.compiled`) live in one process-wide
+  LRU and are recompiled, not reloaded, by a new process.
 
 * **Parallel sweeps.**  Figure-3 style sweeps (many machine sizes, many
   schedulers) fan out across a :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -41,20 +43,14 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ScheduleError
 from repro.graph.analysis import average_parallelism
 from repro.graph.serialize import fingerprint
 from repro.graph.taskgraph import TaskGraph
 from repro.lru import LRU, Counters
-from repro.machine.compiled import (
-    CompiledTopology,
-    cached_compiled,
-    compiled_for,
-    evict_compiled,
-    seed_compiled,
-)
+from repro.machine.compiled import CompiledTopology, compiled_for, evict_compiled
 from repro.machine.machine import TargetMachine, make_machine, single_processor
 from repro.machine.params import IDEAL, MachineParams
 from repro.sched.base import Scheduler
@@ -65,8 +61,10 @@ from repro.sched.serialize import schedule_from_dict, schedule_to_dict
 from repro.sched.sweeps import SpeedupPoint, SpeedupReport
 from repro.store.evict import atomic_write_text, dir_files, enforce_size_cap
 
-#: Bump when the on-disk entry format changes; old directories are ignored.
-CACHE_VERSION = 1
+#: Bump when the on-disk entry format — or what a cached schedule means —
+#: changes; old directories are ignored.  2: a reloaded machine routes by its
+#: family's algorithm, so version-1 schedules of reloaded projects are stale.
+CACHE_VERSION = 2
 
 #: Sweeps with at least this many tasks per scheduling problem are worth a
 #: process pool; below it, fork/pickle overhead dominates and auto mode
@@ -347,37 +345,15 @@ class ScheduleService:
         cached = self._get(key)
         if cached is not None:
             return cached
-        # Warm the compiled-topology tables (disk tier included) before the
-        # kernel asks for them, so a cold process on a known machine still
-        # skips route compilation.
-        self.compiled(machine)
         result = sched.schedule(graph, machine)
         self._put(key, result)
         return result
 
     def compiled(self, machine: TargetMachine) -> CompiledTopology:
-        """The compiled routing tables for ``machine``, memoized by hash.
-
-        Two tiers, then compilation: the process-wide cache every
-        :class:`~repro.sched.core.SchedKernel` consults (an uncounted peek),
-        the versioned disk cache (under ``compiled/<machine-hash>.json``),
-        then :func:`repro.machine.compiled.compiled_for`, whose result is
-        written through to disk.  Whatever answers, the process-wide cache
-        holds the tables afterwards, so subsequent kernel builds hit in O(1).
-        """
-        key = machine.content_hash()
-        tables = cached_compiled(key)
-        if tables is None:
-            entry, disk_key = f"compiled/{key}.json", ["compiled", key]
-            tables = self._disk_read(
-                entry, disk_key, "compiled", CompiledTopology.from_dict
-            )
-            if tables is not None and tables.machine_hash == key:
-                seed_compiled(tables)
-            else:  # absent, corrupt, or tables for another machine: rewrite
-                tables = compiled_for(machine)
-                self._disk_write(entry, disk_key, "compiled", tables.to_dict)
-        return tables
+        """The compiled routing tables for ``machine`` — the process-wide,
+        hash-keyed entry every :class:`~repro.sched.core.SchedKernel` and
+        ``machine.route`` reads (a counted lookup; compiles on a miss)."""
+        return compiled_for(machine)
 
     def lower(
         self,
@@ -575,10 +551,7 @@ class ScheduleService:
     def _get(self, key: tuple[str, str, str]) -> Schedule | None:
         cached = self._lru.get(key)
         if cached is None:
-            cached = self._disk_read(
-                fingerprint(list(key)) + ".json", list(key), "schedule",
-                schedule_from_dict,
-            )
+            cached = self._disk_read(key)
             if cached is not None:
                 self._lru.put(key, cached)
                 self._counts.bump("disk_hits")
@@ -586,33 +559,27 @@ class ScheduleService:
 
     def _put(self, key: tuple[str, str, str], schedule: Schedule) -> None:
         self._lru.put(key, schedule)
-        if self._disk_write(
-            fingerprint(list(key)) + ".json", list(key), "schedule",
-            lambda: schedule_to_dict(schedule),
-        ):
+        if self._disk_write(key, schedule):
             self._counts.bump("disk_writes")
 
     # ------------------------------------------------------------------ #
-    # disk cache (optional, corruption-tolerant): one entry format, two
-    # namespaces — schedules at the top of the versioned directory, compiled
-    # tables under compiled/ so the one-JSON-per-key layout is undisturbed
+    # disk cache (optional, corruption-tolerant): one JSON file per
+    # schedule key at the top of the versioned directory
     # ------------------------------------------------------------------ #
-    def _disk_read(
-        self, entry: str, key: list[str], field: str, decode: Callable[[Any], Any]
-    ) -> Any | None:
-        """Decode ``doc[field]`` of the entry file, or ``None`` on a miss."""
+    def _disk_read(self, key: tuple[str, str, str]) -> Schedule | None:
+        """The schedule in ``key``'s entry file, or ``None`` on a miss."""
         if self._disk_dir is None:
             return None
-        path = self._disk_dir / entry
+        path = self._disk_dir / (fingerprint(list(key)) + ".json")
         try:
             text = path.read_text(encoding="utf-8")
         except OSError:
             return None
         try:
             doc = json.loads(text)
-            if doc.get("cache_version") != CACHE_VERSION or doc.get("key") != key:
+            if doc.get("cache_version") != CACHE_VERSION or doc.get("key") != list(key):
                 raise ValueError("cache entry does not match its key")
-            return decode(doc[field])
+            return schedule_from_dict(doc["schedule"])
         except Exception:
             # Corrupt or mismatched entry: evict it, never raise.
             self._counts.bump("disk_evictions")
@@ -622,15 +589,19 @@ class ScheduleService:
                 pass
             return None
 
-    def _disk_write(
-        self, entry: str, key: list[str], field: str, encode: Callable[[], Any]
-    ) -> bool:
-        """Write ``{field: encode()}`` atomically; ``True`` when it landed."""
+    def _disk_write(self, key: tuple[str, str, str], schedule: Schedule) -> bool:
+        """Write ``key``'s entry file atomically; ``True`` when it landed."""
         if self._disk_dir is None:
             return False
-        doc = {"cache_version": CACHE_VERSION, "key": key, field: encode()}
+        doc = {
+            "cache_version": CACHE_VERSION,
+            "key": list(key),
+            "schedule": schedule_to_dict(schedule),
+        }
         # A read-only or full cache directory must never break scheduling.
-        wrote = atomic_write_text(self._disk_dir / entry, json.dumps(doc))
+        wrote = atomic_write_text(
+            self._disk_dir / (fingerprint(list(key)) + ".json"), json.dumps(doc)
+        )
         self.gc_disk()  # back under the configured byte cap, if there is one
         return wrote
 
@@ -658,9 +629,8 @@ class ScheduleService:
         entries that can no longer be asked for.  Returns the count evicted.
 
         A machine-hash-targeted eviction also drops that machine's
-        compiled-topology tables — from the process-wide cache the kernels
-        consult and from the disk tier — so an in-place topology mutation
-        can never be served routes compiled for the old link set.
+        compiled-topology tables from the process-wide cache the kernels
+        consult.
         """
 
         def stale(key: tuple[str, str, str]) -> bool:
@@ -676,11 +646,6 @@ class ScheduleService:
         self._counts.bump("evictions", evicted)
         if machine_hash is not None:
             evict_compiled(machine_hash)
-            if self._disk_dir is not None:
-                try:
-                    (self._disk_dir / f"compiled/{machine_hash}.json").unlink()
-                except OSError:
-                    pass
         return evicted
 
     def clear(self) -> None:

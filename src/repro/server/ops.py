@@ -22,7 +22,7 @@ from dataclasses import asdict
 from typing import Any, Callable
 
 from repro.env.project import BangerProject
-from repro.errors import ReproError, ValidationError
+from repro.errors import ReproError
 from repro.graph.serialize import fingerprint
 from repro.lint import lint_project, to_json
 from repro.sched.core import kernel_counters
@@ -72,12 +72,7 @@ def _project_from_payload(payload: dict[str, Any]) -> BangerProject:
     if not isinstance(doc, dict):
         raise OpError("payload must carry a 'project' object (a saved project "
                       "document, as produced by BangerProject.save)")
-    try:
-        return BangerProject.from_dict(doc, service=shared_service())
-    except ValidationError as exc:
-        raise OpError(str(exc)) from None
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise OpError(f"malformed project document: {exc!r}") from None
+    return BangerProject.from_dict(doc, service=shared_service())
 
 
 def _proc_counts(payload: dict[str, Any]) -> tuple[int, ...] | None:
@@ -173,8 +168,6 @@ def _base_schedule(payload: dict[str, Any]):
         return schedule_from_dict(doc)
     except ReproError as exc:
         raise OpError(f"malformed base_schedule: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise OpError(f"malformed base_schedule document: {exc!r}") from None
 
 
 def op_schedule(payload: dict[str, Any]) -> dict[str, Any]:
@@ -265,8 +258,6 @@ def _scenario(payload: dict[str, Any]):
         return FaultScenario.from_dict(doc)
     except ReproError as exc:
         raise OpError(f"malformed scenario: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise OpError(f"malformed scenario document: {exc!r}") from None
 
 
 def op_simulate(payload: dict[str, Any]) -> dict[str, Any]:

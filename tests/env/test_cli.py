@@ -52,6 +52,47 @@ class TestFeedbackAndOutline:
         assert "error" in capsys.readouterr().err
 
 
+def _four_procs(doc):
+    doc["machine"]["topology"]["n_procs"] = "four"
+    return doc
+
+
+class TestMalformedDocuments:
+    """Every input file that is not what its flag needs exits 2 with one
+    ``error:`` line — the loaders raise typed errors, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, bad_file, make_bad, expected",
+        [
+            (["schedule", "{bad}"], "list.json", lambda doc: [1, 2],
+             "cannot load Banger project"),
+            (["schedule", "{bad}"], "four.json", _four_procs,
+             "malformed machine document"),
+            (["simulate", "{project}", "--scenario", "{bad}"], "notime.json",
+             lambda doc: {"type": "fault-scenario",
+                          "events": [{"kind": "proc_fail", "proc": 0}]},
+             "cannot load fault scenario"),
+            (["simulate", "{project}", "--scenario", "{bad}"], "list.json",
+             lambda doc: [1, 2], "cannot load fault scenario"),
+            (["lint", "{project}", "--baseline", "{bad}"], "list.json",
+             lambda doc: [1, 2], "cannot load SARIF baseline"),
+        ],
+    )
+    def test_exit_2_with_one_error_line(
+        self, project_path, tmp_path, capsys, argv, bad_file, make_bad, expected
+    ):
+        with open(project_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        bad = tmp_path / bad_file
+        bad.write_text(json.dumps(make_bad(doc)), encoding="utf-8")
+        argv = [a.format(project=project_path, bad=bad) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and expected in line
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestSchedule:
     def test_summary_row(self, project_path, capsys):
         assert main(["schedule", project_path]) == 0

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import ValidationError
 from repro.lint import (
     apply_baseline,
     lint_design,
@@ -56,7 +57,7 @@ def test_key_ignores_line_numbers():
 def test_non_sarif_file_fails_loudly(tmp_path):
     path = tmp_path / "project.json"
     path.write_text(json.dumps({"name": "not sarif"}), encoding="utf-8")
-    with pytest.raises(ValueError, match="not a SARIF report"):
+    with pytest.raises(ValidationError, match="not a SARIF report"):
         load_baseline(path)
 
 

@@ -138,14 +138,9 @@ class TestServiceStats:
 class TestDiskWriters:
     def test_racing_writers_of_one_key_never_publish_a_torn_entry(self, tmp_path):
         """Two services on one directory (daemon workers sharing
-        ``BANGER_CACHE_DIR``) rewrite one schedule key and one compiled key
-        from 8 threads: each writer's temp file is its own, so what gets
-        renamed into place is always a complete entry."""
-        from repro.machine.compiled import (
-            clear_compiled,
-            compiled_counters,
-            compiled_for,
-        )
+        ``BANGER_CACHE_DIR``) rewrite one schedule key from 8 threads: each
+        writer's temp file is its own, so what gets renamed into place is
+        always a complete entry."""
         from repro.sched.registry import resolve_scheduler
         from repro.sched.serialize import schedule_to_json
 
@@ -154,18 +149,12 @@ class TestDiskWriters:
         services = [ScheduleService(disk_cache=tmp_path) for _ in range(2)]
         schedule = services[0].schedule(graph, machine, "mh")
         key = services[0]._key(graph, machine, resolve_scheduler("mh"))
-        tables = compiled_for(machine)
-        compiled_key = ["compiled", tables.machine_hash]
         turn = itertools.count()
 
         def hammer() -> None:
             svc = services[next(turn) % 2]
             for _ in range(25):
                 svc._put(key, schedule)
-                svc._disk_write(
-                    f"compiled/{tables.machine_hash}.json",
-                    compiled_key, "compiled", tables.to_dict,
-                )
                 svc.clear()  # read back through the disk tier mid-race
                 again = svc.schedule(graph, machine, "mh")
                 assert schedule_to_json(again) == schedule_to_json(schedule)
@@ -173,12 +162,8 @@ class TestDiskWriters:
         _run_threads(8, hammer)
         assert [svc.stats().disk_evictions for svc in services] == [0, 0]
 
-        clear_compiled()  # a "new process"
-        fresh = ScheduleService(disk_cache=tmp_path)
-        misses = compiled_counters()["compiled_misses"]
+        fresh = ScheduleService(disk_cache=tmp_path)  # a "new process"
         fresh.schedule(graph, machine, "mh")
-        assert fresh.compiled(machine).to_dict() == tables.to_dict()
         stats = fresh.stats()
         assert (stats.disk_hits, stats.disk_evictions) == (1, 0)
-        assert compiled_counters()["compiled_misses"] == misses  # from disk
         assert not list(tmp_path.rglob("*.tmp*"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -83,35 +84,56 @@ class TestEndpoints:
         assert harness.client.metrics()["server"]["cache_hits"] == 0
 
     @pytest.mark.parametrize(
-        "path, options",
+        "path, options, quoted",
         [
-            ("/speedup", {"jobs": "x"}),
-            ("/speedup", {"jobs": None}),
-            ("/speedup", {"family": 7}),
-            ("/sweep", {"jobs": "x"}),
-            ("/sweep", {"jobs": None}),
-            ("/sweep", {"family": 7}),
-            ("/conform", {"budget": "soon", "runs": 1}),
-            ("/speedup", {"proc_counts": "128"}),
-            ("/speedup", {"proc_counts": {"2": 1, "4": 1}}),
-            ("/speedup", {"proc_counts": [2.7, True]}),
-            ("/sweep", {"proc_counts": "128"}),
-            ("/sweep", {"proc_counts": [2, True]}),
-            ("/sweep", {"proc_counts": [0]}),
+            ("/speedup", {"jobs": "x"}, None),
+            ("/speedup", {"jobs": None}, None),
+            ("/speedup", {"family": 7}, None),
+            ("/sweep", {"jobs": "x"}, None),
+            ("/sweep", {"jobs": None}, None),
+            ("/sweep", {"family": 7}, None),
+            ("/conform", {"budget": "soon", "runs": 1}, None),
+            ("/speedup", {"proc_counts": "128"}, None),
+            ("/speedup", {"proc_counts": {"2": 1, "4": 1}}, None),
+            ("/speedup", {"proc_counts": [2.7, True]}, None),
+            ("/sweep", {"proc_counts": "128"}, None),
+            ("/sweep", {"proc_counts": [2, True]}, None),
+            ("/sweep", {"proc_counts": [0]}, None),
+            # Malformed documents: the loaders' own typed errors, the same
+            # ones the CLI turns into exit 2 (tests/env/test_cli.py).
+            ("/schedule", {"project": [1, 2]}, "'project' object"),
+            ("/schedule", {"project": {"type": "banger-project"}},
+             "malformed project document: KeyError('design')"),
+            ("/schedule", {"machine.n_procs": "four"},
+             "malformed machine document: TypeError"),
+            ("/simulate", {"scenario": [1, 2]}, None),
+            ("/simulate",
+             {"scenario": {"type": "fault-scenario",
+                           "events": [{"kind": "proc_fail", "proc": 0}]}},
+             "malformed fault-scenario document: KeyError('time')"),
+            ("/schedule", {"base_schedule": [1, 2]}, None),
+            ("/schedule", {"base_schedule": {"type": "schedule"}},
+             "malformed schedule document: KeyError('graph')"),
         ],
     )
     def test_hostile_option_types_are_400_not_500(
-        self, harness, project_doc, path, options
+        self, harness, project_doc, path, options, quoted
     ):
         payload = dict(options)
         if path != "/conform":
-            payload["project"] = project_doc
+            payload.setdefault("project", copy.deepcopy(project_doc))
+        if "machine.n_procs" in payload:
+            payload["project"]["machine"]["topology"]["n_procs"] = payload.pop(
+                "machine.n_procs"
+            )
         with pytest.raises(ServerError) as err:
             harness.client.post(path, payload)
         assert err.value.status == 400
         assert err.value.doc["kind"] == "bad-request"
-        (bad,) = [v for k, v in options.items() if k != "runs"]
-        assert repr(bad) in err.value.doc["message"]
+        if quoted is None:  # the message quotes the offending value
+            (bad,) = [v for k, v in options.items() if k != "runs"]
+            quoted = repr(bad)
+        assert quoted in err.value.doc["message"]
 
     def test_unknown_endpoint_is_404(self, harness):
         with pytest.raises(ServerError) as err:
