@@ -49,6 +49,7 @@ class CompiledTopology:
         "n_procs",
         "dist",
         "routes",
+        "_diameter",
         "_avg_distance",
     )
 
@@ -68,6 +69,7 @@ class CompiledTopology:
         self.n_procs = n_procs
         self.dist = dist
         self.routes = routes
+        self._diameter = max(dist, default=0)
         self._avg_distance: float | None = None
 
     # ------------------------------------------------------------------ #
@@ -93,7 +95,7 @@ class CompiledTopology:
         return self.routes[src * self.n_procs + dst]
 
     def diameter(self) -> int:
-        return max(self.dist, default=0)
+        return self._diameter
 
     def average_distance(self) -> float:
         """Mean hops over ordered distinct pairs (0 for one processor) — the

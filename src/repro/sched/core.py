@@ -1,18 +1,20 @@
 """The shared scheduling kernel: precomputed arrays, memoized costs, ready sets.
 
 Every list-family heuristic in :mod:`repro.sched` runs the same inner loop:
-pick the next ready task by a static priority, evaluate candidate processors
-under the machine's cost model, place the task, repeat.  This module is the
-only home of that loop and of the placement primitives under it; what the
+pick the next ready task — by a static priority, or by the earliest start
+any processor offers — evaluate candidate processors under the machine's
+cost model, place the task, repeat.  This module is the only home of that
+loop, in both forms, and of the placement primitives under it; what the
 seed schedulers paid for retail — a full ready-task rescan per step, a fresh
 ``machine.exec_time(graph.work(task))`` call per query, a BFS-table walk per
-route, a copied timeline per earliest-start probe — the kernel buys
-wholesale, once per ``(graph, machine)`` pair:
+route, a copied timeline per earliest-start probe, every ready task ×
+processor pair re-derived on every step — the kernel buys wholesale, once
+per ``(graph, machine)`` pair:
 
 * :class:`SchedKernel` — interned task indices, a per-task execution-time
   array, per-task in-edge/successor lists, and memo tables for
   ``comm_cost``/``mean_comm_cost``/``route`` keyed by processor pair and
-  message size;
+  message size (``hop_costs``: one cost-by-hops list per size);
 * :class:`ReadyHeap` / :class:`ReadySet` — incremental ready tracking driven
   by per-task pending-predecessor counters (each completion decrements its
   successors; a task enters the structure exactly when its count hits zero).
@@ -20,10 +22,16 @@ wholesale, once per ``(graph, machine)`` pair:
   of indices unreleased, which is what a pinned-prefix pass needs;
 * :class:`KernelState` — a :class:`~repro.sched.schedule.Schedule` under
   construction plus O(1) processor tails, with the placement primitives
-  ``data_ready_time``/``earliest_start``/``best_processor``/``place``;
-* :func:`run_priority_list` / :func:`replay_prefix` — the list pass itself
-  and the verbatim replay of a pinned prefix of an earlier schedule that
-  incremental re-timing and reactive re-mapping run in front of it.
+  ``data_ready_time``/``earliest_start``/``best_processor``/``place``, and
+  ``data_ready_row``/``slot`` for callers that look at every processor;
+* :class:`StartTable` / :func:`run_start_table` — every ready task's
+  earliest start on every processor, each data-ready row computed once and
+  one column refreshed per placement, and the pass ETF and DLS run on it,
+  differing only in their selection key;
+* :func:`run_priority_list` / :func:`replay_prefix` — the static-priority
+  list pass and the verbatim replay of a pinned prefix of an earlier
+  schedule that incremental re-timing and reactive re-mapping run in front
+  of it.
 
 The golden equivalence suite (``tests/sched/test_core_equivalence.py``) pins
 every registered scheduler to the frozen pre-kernel reference in
@@ -123,7 +131,7 @@ class SchedKernel:
         # topology costs one O(1) cache probe instead of a router walk per
         # pair — and the same tables machine.comm_cost/route answer from.
         self._compiled = compiled_for(machine)
-        self._comm: dict[tuple[int, float], float] = {}
+        self._comm: dict[float, list[float]] = {}
         self._routes: dict[tuple[int, int], tuple[int, ...]] = {}
         self._mean_comm: dict[float, float] = {}
         self._levels: dict[str, dict[str, float]] = {}
@@ -133,18 +141,25 @@ class SchedKernel:
     # ------------------------------------------------------------------ #
     # memoized cost model (identical values to TargetMachine's methods)
     # ------------------------------------------------------------------ #
+    def hop_costs(self, size: float) -> list[float]:
+        """Memoized ``params.comm_time(size, hops)`` for ``hops`` = 0 (free)
+        up to the machine's diameter, indexed by hop count."""
+        costs = self._comm.get(size)
+        if costs is None:
+            comm_time = self._params.comm_time
+            costs = [
+                comm_time(size, hops) for hops in range(self._compiled.diameter() + 1)
+            ]
+            self._comm[size] = costs
+        return costs
+
     def comm_cost(self, src_proc: int, dst_proc: int, size: float) -> float:
         """Memoized ``machine.comm_cost`` (hops off the table, then cost)."""
         if src_proc == dst_proc:
             return 0.0
         compiled = self._compiled
         hops = compiled.dist[src_proc * compiled.n_procs + dst_proc]
-        key = (hops, size)
-        cost = self._comm.get(key)
-        if cost is None:
-            cost = self._params.comm_time(size, hops)
-            self._comm[key] = cost
-        return cost
+        return self.hop_costs(size)[hops]
 
     def mean_comm_cost(self, size: float) -> float:
         """Memoized ``machine.mean_comm_cost`` (one entry per message size)."""
@@ -284,7 +299,7 @@ class ReadyHeap(_ReadyBase):
 
 class ReadySet(_ReadyBase):
     """Iterable ready set for schedulers whose selection key is dynamic
-    (ETF, DLS evaluate every ready task × processor pair per step)."""
+    (ETF and DLS, through the :class:`StartTable` it feeds)."""
 
     def __init__(self, kernel: SchedKernel):
         super().__init__(kernel)
@@ -296,10 +311,13 @@ class ReadySet(_ReadyBase):
     def __iter__(self):
         return iter(self._ready)
 
-    def complete(self, i: int) -> None:
-        """Remove ``i`` from the set and release its successors."""
+    def complete(self, i: int) -> list[int]:
+        """Remove ``i`` from the set and release its successors; returns the
+        newly ready indices."""
         self._ready.discard(i)
-        self._ready.update(self._release(i))
+        fresh = self._release(i)
+        self._ready.update(fresh)
+        return fresh
 
 
 # --------------------------------------------------------------------- #
@@ -363,10 +381,7 @@ class KernelState:
         for edge in kernel.in_edges[ti]:
             plist = placed.get(edge.src)
             if plist is None:
-                raise ScheduleError(
-                    f"cannot compute EST of {kernel.tasks[ti]!r}: "
-                    f"predecessor {edge.src!r} unscheduled"
-                )
+                raise self._unscheduled(ti, edge)
             if len(plist) == 1:
                 src = plist[0]
                 arrival = src.finish + comm(src.proc, proc, edge.size)
@@ -378,28 +393,65 @@ class KernelState:
                 ready = arrival
         return ready
 
+    def data_ready_row(self, ti: int) -> list[float]:
+        """:meth:`data_ready_time` of task ``ti`` on every processor, in one
+        pass over its in-edges: per edge and source copy, the copy's finish
+        plus the message's cost by hops along the copy's row of the compiled
+        distance table — the same additions, ``min`` and ``max``, so the same
+        floats."""
+        kernel = self.kernel
+        n_procs = len(self.tails)
+        dist = kernel._compiled.dist
+        placed = self._by_task
+        ready = [0.0] * n_procs
+        for edge in kernel.in_edges[ti]:
+            plist = placed.get(edge.src)
+            if plist is None:
+                raise self._unscheduled(ti, edge)
+            costs = kernel.hop_costs(edge.size)
+            arrival: list[float] | None = None
+            for src in plist:
+                finish, base = src.finish, src.proc * n_procs
+                via = [finish + costs[hops] for hops in dist[base : base + n_procs]]
+                if arrival is None:
+                    arrival = via
+                else:
+                    arrival = [a if a <= v else v for a, v in zip(arrival, via)]
+            ready = [a if a > r else r for a, r in zip(arrival, ready)]
+        return ready
+
+    def _unscheduled(self, ti: int, edge: TaskEdge) -> ScheduleError:
+        return ScheduleError(
+            f"cannot compute EST of {self.kernel.tasks[ti]!r}: "
+            f"predecessor {edge.src!r} unscheduled"
+        )
+
+    def slot(self, ti: int, proc: int, ready: float, insertion: bool) -> float:
+        """Earliest feasible start on ``proc`` of task ``ti`` whose inputs are
+        there at ``ready``: after the processor's last placement, or — with
+        ``insertion`` (ISH and later) — in the first idle gap that fits."""
+        if not insertion:
+            tail = self.tails[proc]
+            return ready if ready > tail else tail
+        return self.sched.insertion_slot(proc, ready, self.kernel.exec_time[ti])
+
     def earliest_start(self, ti: int, proc: int, insertion: bool = False) -> float:
-        """Earliest feasible start of task ``ti`` on ``proc``: after the
-        processor's last placement, or — with ``insertion`` (ISH and later)
-        — in the first idle gap after the data-ready time that fits."""
+        """Earliest feasible start of task ``ti`` on ``proc``: its
+        :meth:`slot` at its :meth:`data_ready_time`."""
         if not 0 <= proc < len(self.tails):
             raise ScheduleError(
                 f"processor {proc} out of range for machine "
                 f"{self.kernel.machine.name!r}"
             )
-        ready = self.data_ready_time(ti, proc)
-        if not insertion:
-            tail = self.tails[proc]
-            return ready if ready > tail else tail
-        return self.sched.insertion_slot(proc, ready, self.kernel.exec_time[ti])
+        return self.slot(ti, proc, self.data_ready_time(ti, proc), insertion)
 
     def best_processor(self, ti: int, insertion: bool = False) -> tuple[int, float]:
         """``(proc, start)`` giving task ``ti`` its earliest finish; ties go
         to the lower processor number."""
         duration = self.kernel.exec_time[ti]
         best: tuple[float, int, float] | None = None
-        for proc in range(len(self.tails)):
-            start = self.earliest_start(ti, proc, insertion=insertion)
+        for proc, ready in enumerate(self.data_ready_row(ti)):
+            start = self.slot(ti, proc, ready, insertion)
             key = (start + duration, proc, start)
             if best is None or key < best:
                 best = key
@@ -437,6 +489,102 @@ class KernelState:
                     route=kernel.route(src.proc, proc),
                 )
             )
+
+
+# --------------------------------------------------------------------- #
+# the earliest-start table, and the dynamic-key pass that runs on it
+# --------------------------------------------------------------------- #
+class StartTable:
+    """Every ready task's earliest start on every processor, kept current.
+
+    A task becomes ready when its last predecessor is placed, and the
+    schedulers that run on the table never place a second copy of anything,
+    so the row :meth:`KernelState.data_ready_row` gives at that moment is
+    final.  What can still move a start is a processor's timeline, and one
+    placement changes one timeline: :meth:`place` re-evaluates that column
+    of the remaining rows and nothing else.
+
+    ``rows[ti]`` is ``(arrivals, starts)`` — the data-ready row and its
+    :meth:`KernelState.slot` per processor — and ``best[ti]`` the row's least
+    ``(start, proc)``; the rows' keys are exactly the ready set.
+    """
+
+    def __init__(self, state: KernelState, insertion: bool):
+        self._state = state
+        self._insertion = insertion
+        self._ready = ReadySet(state.kernel)
+        self.rows: dict[int, tuple[list[float], list[float]]] = {}
+        self.best: dict[int, tuple[float, int]] = {}
+        for ti in self._ready:
+            self._admit(ti)
+
+    def _admit(self, ti: int) -> None:
+        slot, insertion = self._state.slot, self._insertion
+        arrivals = self._state.data_ready_row(ti)
+        starts = [slot(ti, proc, ready, insertion) for proc, ready in enumerate(arrivals)]
+        self.rows[ti] = (arrivals, starts)
+        self.best[ti] = _least(starts)
+
+    def pick(self, key: Callable[[int, float, int], tuple]) -> tuple[int, int, float]:
+        """``(task index, proc, start)`` minimising ``key(ti, start, proc)``
+        over every ready task × processor pair.
+
+        Only each task's cached best is looked at, so for a fixed task
+        ``key`` must order processors by ``(start, proc)`` — then the least
+        of the per-task minima is the least of all pairs.
+        """
+        least: tuple | None = None
+        chosen: tuple[int, int, float] | None = None
+        for ti, (start, proc) in self.best.items():
+            candidate = key(ti, start, proc)
+            if least is None or candidate < least:
+                least = candidate
+                chosen = (ti, proc, start)
+        if chosen is None:
+            raise ScheduleError("no ready task (cyclic graph?)")
+        return chosen
+
+    def place(self, ti: int, proc: int, start: float) -> None:
+        """Place ready task ``ti``, refresh column ``proc`` of the other
+        rows, and admit the tasks the placement released."""
+        self._state.place(ti, proc, start)
+        del self.rows[ti], self.best[ti]
+        self._refresh(proc)
+        for tj in self._ready.complete(ti):
+            self._admit(tj)
+
+    def _refresh(self, proc: int) -> None:
+        """Re-evaluate column ``proc`` after its timeline changed.  A cell may
+        move either way; a row's best is searched again only when the cell
+        that held it got worse."""
+        slot, insertion, best = self._state.slot, self._insertion, self.best
+        for ti, (arrivals, starts) in self.rows.items():
+            moved = slot(ti, proc, arrivals[proc], insertion)
+            if moved == starts[proc]:
+                continue
+            starts[proc] = moved
+            if (moved, proc) < best[ti]:
+                best[ti] = (moved, proc)
+            elif best[ti][1] == proc:
+                best[ti] = _least(starts)
+
+
+def _least(starts: list[float]) -> tuple[float, int]:
+    """The least ``(start, proc)`` of a row: ties go to the lower processor."""
+    start = min(starts)
+    return start, starts.index(start)
+
+
+def run_start_table(
+    state: KernelState, key: Callable[[int, float, int], tuple], insertion: bool
+) -> Schedule:
+    """The dynamic-key list pass (ETF, DLS): every step places the ready
+    task × processor pair with the least ``key(ti, start, proc)`` — see
+    :meth:`StartTable.pick` for what ``key`` must respect."""
+    table = StartTable(state, insertion)
+    for _ in range(state.kernel.n):
+        table.place(*table.pick(key))
+    return state.sched
 
 
 # --------------------------------------------------------------------- #

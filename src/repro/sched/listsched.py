@@ -14,9 +14,13 @@ builds on:
 * **DLS** (Dynamic Level Scheduling, Sih & Lee): maximise the *dynamic
   level* ``SL(t) - EST(t, p)`` over (task, processor) pairs.
 
-All four run on the shared :mod:`repro.sched.core` kernel (incremental
-ready tracking, precomputed execution times, memoized communication costs);
-their output is byte-identical to the pre-kernel implementations.
+All of them run on the shared :mod:`repro.sched.core` kernel (incremental
+ready tracking, precomputed execution times, memoized communication costs)
+and none carries a loop of its own: HLFET, ISH and MCP are a priority and a
+processor choice handed to ``run_priority_list``; ETF and DLS are a
+selection key handed to ``run_start_table``, which keeps every ready task's
+start on every processor current instead of re-deriving all pairs per step.
+Their output is byte-identical to the pre-kernel implementations.
 """
 
 from __future__ import annotations
@@ -24,7 +28,12 @@ from __future__ import annotations
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.machine import TargetMachine
 from repro.sched.base import Scheduler
-from repro.sched.core import KernelState, ReadySet, SchedKernel, run_priority_list
+from repro.sched.core import (
+    KernelState,
+    SchedKernel,
+    run_priority_list,
+    run_start_table,
+)
 from repro.sched.schedule import Schedule
 
 
@@ -84,25 +93,12 @@ class ETFScheduler(Scheduler):
         kernel = SchedKernel(graph, machine)
         state = KernelState(kernel, scheduler_name=self.name)
         sl = kernel.priority_array(kernel.static_levels())
-        ready = ReadySet(kernel)
-        n_procs = machine.n_procs
-        for _ in range(kernel.n):
-            best: tuple[float, float, int, str, int] | None = None
-            best_ti = -1
-            for ti in ready:
-                task = kernel.tasks[ti]
-                neg_sl = -sl[ti]
-                for proc in range(n_procs):
-                    start = state.earliest_start(ti, proc, insertion=self.insertion)
-                    key = (start, neg_sl, proc, task, proc)
-                    if best is None or key < best:
-                        best = key
-                        best_ti = ti
-            assert best is not None
-            start, _, _, _, proc = best
-            state.place(best_ti, proc, start)
-            ready.complete(best_ti)
-        return state.sched
+        tasks = kernel.tasks
+        return run_start_table(
+            state,
+            key=lambda ti, start, proc: (start, -sl[ti], proc, tasks[ti]),
+            insertion=self.insertion,
+        )
 
 
 class DLSScheduler(Scheduler):
@@ -117,25 +113,12 @@ class DLSScheduler(Scheduler):
         kernel = SchedKernel(graph, machine)
         state = KernelState(kernel, scheduler_name=self.name)
         sl = kernel.priority_array(kernel.static_levels())
-        ready = ReadySet(kernel)
-        n_procs = machine.n_procs
-        for _ in range(kernel.n):
-            best: tuple[float, float, int, str] | None = None
-            chosen: tuple[int, int, float] | None = None
-            for ti in ready:
-                task = kernel.tasks[ti]
-                level_base = sl[ti]
-                for proc in range(n_procs):
-                    start = state.earliest_start(ti, proc, insertion=self.insertion)
-                    key = (-(level_base - start), start, proc, task)
-                    if best is None or key < best:
-                        best = key
-                        chosen = (ti, proc, start)
-            assert chosen is not None
-            ti, proc, start = chosen
-            state.place(ti, proc, start)
-            ready.complete(ti)
-        return state.sched
+        tasks = kernel.tasks
+        return run_start_table(
+            state,
+            key=lambda ti, start, proc: (-(sl[ti] - start), start, proc, tasks[ti]),
+            insertion=self.insertion,
+        )
 
 
 class MCPScheduler(Scheduler):

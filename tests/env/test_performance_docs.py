@@ -27,9 +27,16 @@ def test_documented_kernel_names_exist():
     from repro.sched.mh import LinkTimeline  # noqa: F401 — named in the doc
     from repro.sched.schedule import Schedule
 
-    for name in ("SchedKernel", "ReadyHeap", "ReadySet", "KernelState"):
+    for name in (
+        "SchedKernel", "ReadyHeap", "ReadySet", "KernelState",
+        "StartTable", "run_start_table", "run_priority_list",
+    ):
         assert f"`{name}`" in TEXT
         assert hasattr(core, name)
+    for name in ("data_ready_row", "slot", "best_processor", "place"):
+        assert f"`{name}`" in TEXT and hasattr(core.KernelState, name)
+    assert "`StartTable.place`" in TEXT and hasattr(core.StartTable, "place")
+    assert "hop_costs" in TEXT and hasattr(core.SchedKernel, "hop_costs")
     assert "`LinkTimeline`" in TEXT or "LinkTimeline" in TEXT
     assert "insertion_slot" in TEXT and hasattr(Schedule, "insertion_slot")
 

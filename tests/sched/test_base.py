@@ -51,16 +51,21 @@ class TestDataReady:
         assert state.data_ready_time(C, 0) == 4.0
         # on proc 2: both remote; a: 2 + 1 + 3 = 6; b: 4
         assert state.data_ready_time(C, 2) == 6.0
+        # the row primitive: every processor at once (proc 1: a remote, b local)
+        assert state.data_ready_row(C) == [4.0, 6.0, 6.0]
 
     def test_duplication_uses_cheapest_copy(self, state):
         state.add("a", 0, 0.0, 2.0)
         state.add("a", 2, 0.0, 2.0)
         state.add("b", 2, 2.0, 4.0)
         assert state.data_ready_time(C, 2) == 4.0
+        assert state.data_ready_row(C) == [6.0, 6.0, 4.0]
 
     def test_unscheduled_pred_raises(self, state):
         with pytest.raises(ScheduleError, match="unscheduled"):
             state.data_ready_time(C, 0)
+        with pytest.raises(ScheduleError, match="unscheduled"):
+            state.data_ready_row(C)
 
 
 class TestEarliestStart:
@@ -135,9 +140,9 @@ class TestReadyTasks:
 
     def test_after_preds_done(self, kernel):
         ready = ReadySet(kernel)
-        ready.complete(A)
+        assert ready.complete(A) == []
         assert sorted(ready) == [B]
-        ready.complete(B)
+        assert ready.complete(B) == [C]  # the indices this completion released
         assert sorted(ready) == [C]
         # the same two states, entered from an already-placed prefix
         heap = ReadyHeap(kernel, key=lambda i: (i,), placed={A})

@@ -19,7 +19,12 @@ from repro.graph.generators import (
 from repro.machine import topologies as topo
 from repro.machine.machine import TargetMachine, make_machine
 from repro.machine.params import IDEAL, MachineParams
-from repro.sched._reference import REFERENCE_SCHEDULERS
+from repro.sched._reference import (
+    REFERENCE_SCHEDULERS,
+    ReferenceDLSScheduler,
+    ReferenceETFScheduler,
+)
+from repro.sched.listsched import DLSScheduler, ETFScheduler
 from repro.sched.registry import SCHEDULERS
 from repro.sched.serialize import schedule_to_json
 
@@ -41,9 +46,31 @@ TINY_MACHINE = TargetMachine(topo.FullyConnected(2), IDEAL, name="full2")
 FAST = ["mh", "mh-nocontention", "ish", "etf", "dls", "mcp", "cpop", "dsh", "dsc"]
 
 
+#: the non-default ``insertion`` of the two start-table schedulers, each
+#: against the frozen reference taking the same argument: (live, reference)
+VARIANTS = {
+    "etf-insertion": (
+        lambda: ETFScheduler(insertion=True),
+        lambda: ReferenceETFScheduler(insertion=True),
+    ),
+    "dls-append": (
+        lambda: DLSScheduler(insertion=False),
+        lambda: ReferenceDLSScheduler(insertion=False),
+    ),
+}
+
+#: everything that reads the kernel's data-ready row: the start table's two
+#: schedulers in both modes, and the ``best_processor`` callers
+ROW_USERS = ["etf", "dls", *sorted(VARIANTS), "hlfet", "ish", "mcp", "cpop"]
+
+
 def assert_equivalent(name, graph, machine):
-    live = SCHEDULERS[name]().schedule(graph, machine)
-    ref = REFERENCE_SCHEDULERS[name]().schedule(graph, machine)
+    make_live, make_ref = VARIANTS.get(name) or (
+        SCHEDULERS[name],
+        REFERENCE_SCHEDULERS[name],
+    )
+    live = make_live().schedule(graph, machine)
+    ref = make_ref().schedule(graph, machine)
     assert schedule_to_json(live) == schedule_to_json(ref), (
         f"{name} diverged from the pre-kernel reference on "
         f"{graph.name} x {machine.name}"
@@ -74,7 +101,25 @@ def test_matches_reference_on_layered_lan(name):
     assert_equivalent(name, graph, TargetMachine(topo.Mesh2D(3, 3), LAN, name="mesh9"))
 
 
-@pytest.mark.parametrize("name", FAST)
+@pytest.mark.parametrize("name", ROW_USERS)
+def test_matches_reference_at_mid_size(name):
+    """Ready sets tens of tasks wide on 16 processors: rows sit in the start
+    table across many placements, every one refreshing a column of them."""
+    graph = random_layered(200, 10, edge_prob=0.1, seed=3)
+    assert_equivalent(name, graph, make_machine("hypercube", 16, LAN))
+
+
+@pytest.mark.parametrize("name", ROW_USERS)
+def test_matches_reference_when_everything_ties(name):
+    """Equal works and free messages: every start ties across processors
+    and tasks, so only the ``(start, proc)`` and name tie-breaks decide."""
+    graph = random_layered(
+        60, 6, edge_prob=0.3, seed=5, work_range=(2.0, 2.0), comm_range=(1.0, 1.0)
+    )
+    assert_equivalent(name, graph, make_machine("hypercube", 8, IDEAL))
+
+
+@pytest.mark.parametrize("name", FAST + sorted(VARIANTS))
 @pytest.mark.parametrize(
     "topology",
     [
@@ -116,7 +161,7 @@ machine_st = st.tuples(
 )
 
 
-@given(graph_st, machine_st, st.sampled_from(FAST))
-@settings(max_examples=30, deadline=None)
+@given(graph_st, machine_st, st.sampled_from(FAST + sorted(VARIANTS)))
+@settings(max_examples=40, deadline=None)
 def test_matches_reference_on_random_graphs(graph, machine, name):
     assert_equivalent(name, graph, machine)
