@@ -9,7 +9,7 @@ Projects are the JSON documents written by
     python -m repro.cli schedule  project.json --scheduler mh --gantt
     python -m repro.cli edit      project.json --move t3 2 --swap a b
     python -m repro.cli speedup   project.json --procs 1,2,4,8
-    python -m repro.cli sweep     project.json --scheduler mh,hlfet --jobs 4 --stats
+    python -m repro.cli sweep     project.json --scheduler mh,hlfet --stats
     python -m repro.cli simulate  project.json --contention
     python -m repro.cli run       project.json [--parallel]
     python -m repro.cli codegen   project.json --target threads -o prog.py
@@ -294,15 +294,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     schedulers = [s.strip() for s in args.scheduler.split(",") if s.strip()]
     if not schedulers:
         raise UsageError("no scheduler given; expected e.g. --scheduler mh,hlfet")
-    if args.jobs is not None and args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     reports = {}
     for name in schedulers:
         request = ScheduleRequest(
             scheduler=name,
             proc_counts=procs,
             family=args.family,
-            jobs=args.jobs,
             use_cache=not args.no_cache,
         )
         reports[name] = project.speedup(request)
@@ -780,11 +777,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        help="cached, parallel scheduling sweeps across machine sizes",
+        help="cached scheduling sweeps across machine sizes",
         epilog="Results are memoized by content (graph x machine x scheduler); "
-               "rerunning an unchanged sweep is served from cache.  Misses fan "
-               "out over worker processes when --jobs (or the graph size) "
-               "warrants it.",
+               "rerunning an unchanged sweep is served from cache.  Misses run "
+               "in order, in this process.",
     )
     add_project(p)
     p.add_argument("--procs", default="1,2,4,8")
@@ -792,8 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated heuristic names (see `banger schedule`)")
     p.add_argument("--family", default=None,
                    help="topology family (default: the project machine's family)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for cache misses (default: auto)")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the schedule cache entirely")
     p.add_argument("--stats", action="store_true",

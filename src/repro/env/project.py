@@ -271,7 +271,6 @@ class BangerProject:
             proc_counts=req.proc_counts or default_procs,
             family=req.family or default_family(machine),
             params=req.params or machine.params,
-            jobs=req.jobs,
             use_cache=req.use_cache,
         )
 
@@ -338,19 +337,17 @@ class BangerProject:
         *,
         proc_counts: Sequence[int] | None = None,
         params: MachineParams | None = None,
-        jobs: int | None = None,
         width: int = 72,
     ) -> str:
         """Figure 3's stack of Gantt charts across machine sizes."""
         req = self._sweep_request(
             request, (2, 4, 8), scheduler=scheduler, family=family,
             proc_counts=tuple(proc_counts) if proc_counts is not None else None,
-            params=params, jobs=jobs,
+            params=params,
         )
         schedules = self.service.schedules_for_sizes(
             self.flat(), req.proc_counts, scheduler=req.scheduler,
-            family=req.family, params=req.params, jobs=req.jobs,
-            use_cache=req.use_cache,
+            family=req.family, params=req.params, use_cache=req.use_cache,
         )
         return render_gantt_series(schedules, width=width)
 
@@ -362,18 +359,16 @@ class BangerProject:
         *,
         proc_counts: Sequence[int] | None = None,
         params: MachineParams | None = None,
-        jobs: int | None = None,
     ) -> SpeedupReport:
         """Predicted speedup across machine sizes (Figure 3's chart data)."""
         req = self._sweep_request(
             request, (1, 2, 4, 8), scheduler=scheduler, family=family,
             proc_counts=tuple(proc_counts) if proc_counts is not None else None,
-            params=params, jobs=jobs,
+            params=params,
         )
         return self.service.predict_speedup(
             self.flat(), req.proc_counts, scheduler=req.scheduler,
-            family=req.family, params=req.params, jobs=req.jobs,
-            use_cache=req.use_cache,
+            family=req.family, params=req.params, use_cache=req.use_cache,
         )
 
     def speedup_chart(

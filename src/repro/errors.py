@@ -113,6 +113,14 @@ class StoreError(ReproError):
     """Project-store failure (unknown ref, missing blob, corrupt manifest)."""
 
 
+class StoreNotFound(StoreError):
+    """No such tenant, project, version, blob or ``/projects`` route (404)."""
+
+
+class StoreCorruption(StoreError):
+    """Stored content no longer reassembles to the hash that names it (500)."""
+
+
 class QuotaExceeded(StoreError):
     """A tenant write was refused because it would exceed a quota.
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import MachineError, RoutingError
 
@@ -86,16 +86,6 @@ class Topology:
         self._revision += 1
         self._dist: list[list[int]] | None = None
         self._next_hop: list[list[int]] | None = None
-
-    def __getstate__(self) -> dict[str, Any]:
-        """Locks do not pickle — drop it (topologies ship to sweep workers)."""
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def _check_proc(self, p: int) -> None:
         if not (0 <= p < self.n_procs):

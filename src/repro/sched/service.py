@@ -1,4 +1,4 @@
-"""The scheduling service: content-addressed caching + parallel sweeps.
+"""The scheduling service: content-addressed caching + batched sweeps.
 
 The paper's promise is *instant feedback* — every edit should refresh the
 Gantt charts and the speedup-prediction chart immediately.  Recomputing a
@@ -19,14 +19,14 @@ the shell) and the heuristics in :mod:`repro.sched`:
   routing tables (:mod:`repro.machine.compiled`) live in one process-wide
   LRU and are recompiled, not reloaded, by a new process.
 
-* **Parallel sweeps.**  Figure-3 style sweeps (many machine sizes, many
-  schedulers) fan out across a :class:`~concurrent.futures.ProcessPoolExecutor`
-  with deterministic result ordering and a graceful serial fallback when the
-  scheduler cannot be pickled (or no extra CPUs exist).
+* **Sweeps.**  Figure-3 style sweeps (many machine sizes, many schedulers)
+  are one batch in this process: the cache answers what it can, then the
+  misses run in order.  A schedule is cheaper to compute than to pickle to
+  and from a worker (``docs/performance.md``, "Why sweeps are serial"), so
+  parallelism lives one tier up, in the daemon's worker pool.
 
 * **Observability.**  :meth:`ScheduleService.stats` reports hits, misses,
-  evictions, worker counts, and per-sweep wall time — surfaced by
-  ``banger sweep --stats``.
+  evictions, and per-sweep wall time — surfaced by ``banger sweep --stats``.
 
 Schedules returned by the service are shared objects; treat them as
 immutable (every editing helper in :mod:`repro.sched.edit` already returns
@@ -37,10 +37,7 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
@@ -66,11 +63,6 @@ from repro.store.evict import atomic_write_text, dir_files, enforce_size_cap
 #: family's algorithm, so version-1 schedules of reloaded projects are stale.
 CACHE_VERSION = 2
 
-#: Sweeps with at least this many tasks per scheduling problem are worth a
-#: process pool; below it, fork/pickle overhead dominates and auto mode
-#: stays serial.
-AUTO_PARALLEL_MIN_TASKS = 64
-
 
 # --------------------------------------------------------------------- #
 # the one options object every scheduling entry point consumes
@@ -90,9 +82,6 @@ class ScheduleRequest:
         configured machine).
     params:
         Machine parameters for sweeps (``None`` = the configured machine's).
-    jobs:
-        Sweep parallelism: ``None`` = auto, ``1`` = serial, ``n`` = up to
-        ``n`` worker processes.
     use_cache:
         Set ``False`` to bypass (neither read nor write) the cache.
     """
@@ -101,7 +90,6 @@ class ScheduleRequest:
     proc_counts: tuple[int, ...] | None = None
     family: str | None = None
     params: MachineParams | None = None
-    jobs: int | None = None
     use_cache: bool = True
 
     def resolved_scheduler(self) -> Scheduler:
@@ -160,11 +148,7 @@ class ServiceStats:
     disk_evictions: int = 0
     disk_gc_deletions: int = 0
     sweeps: int = 0
-    parallel_sweeps: int = 0
-    serial_fallbacks: int = 0
     last_sweep_seconds: float = 0.0
-    last_sweep_jobs: int = 1
-    max_workers: int = 1
     entries: int = 0
     kernel_builds: int = 0
     kernel_build_ms: float = 0.0
@@ -191,38 +175,14 @@ class ServiceStats:
             f"disk:  {self.disk_hits} hit(s), {self.disk_writes} write(s), "
             f"{self.disk_evictions} corrupt entr(ies) evicted, "
             f"{self.disk_gc_deletions} trimmed by the size cap\n"
-            f"sweep: {self.sweeps} run(s), {self.parallel_sweeps} parallel, "
-            f"{self.serial_fallbacks} serial fallback(s), last "
-            f"{self.last_sweep_seconds * 1000:.1f} ms on "
-            f"{self.last_sweep_jobs} job(s) (max workers {self.max_workers})\n"
+            f"sweep: {self.sweeps} run(s), last "
+            f"{self.last_sweep_seconds * 1000:.1f} ms\n"
             f"kernel: {self.kernel_builds} build(s) in "
             f"{self.kernel_build_ms:.1f} ms, routes {self.route_cache_hits} "
             f"hit(s) / {self.route_cache_misses} miss(es), compiled "
             f"topologies {self.compiled_hits} hit(s) / "
             f"{self.compiled_misses} miss(es)"
         )
-
-
-# --------------------------------------------------------------------- #
-# process-pool worker (module level so it pickles)
-# --------------------------------------------------------------------- #
-def _schedule_worker(
-    scheduler: Scheduler, graph: TaskGraph, machine: TargetMachine
-) -> Schedule:
-    return scheduler.schedule(graph, machine)
-
-
-#: Exceptions that mean "this work could not be shipped to a worker process"
-#: (unpicklable scheduler/graph, dead pool, fork failure) — everything else
-#: is a genuine scheduling error and propagates.
-_POOL_ERRORS = (
-    pickle.PicklingError,
-    BrokenProcessPool,
-    AttributeError,
-    TypeError,
-    ImportError,
-    OSError,
-)
 
 
 class ScheduleService:
@@ -237,8 +197,6 @@ class ScheduleService:
         ``BANGER_CACHE_DIR`` environment variable is set.  ``True``: use
         ``$BANGER_CACHE_DIR``, else ``$XDG_CACHE_HOME/banger``, else
         ``~/.cache/banger``.  ``False``: memory only.  A path: use it.
-    max_workers:
-        Upper bound on sweep worker processes (default: CPU count).
     disk_cache_max_bytes:
         Byte cap on the versioned disk cache.  ``None`` (default) reads
         ``BANGER_CACHE_MAX_BYTES`` from the environment; unset/0 means
@@ -251,7 +209,6 @@ class ScheduleService:
         self,
         max_entries: int = 512,
         disk_cache: bool | str | Path | None = None,
-        max_workers: int | None = None,
         disk_cache_max_bytes: int | None = None,
     ):
         if max_entries < 1:
@@ -265,7 +222,6 @@ class ScheduleService:
             except ValueError:
                 disk_cache_max_bytes = 0
         self.disk_cache_max_bytes = disk_cache_max_bytes or None
-        self.max_workers = max_workers or (os.cpu_count() or 1)
         self._lru = LRU(max_entries)  # (graph, machine, scheduler) -> Schedule
         # Lowered-program cache (memory only): same content key as the
         # schedule LRU — the IR is a pure function of (graph, machine,
@@ -278,9 +234,9 @@ class ScheduleService:
         # lock themselves, so concurrent traffic cannot drop counts.
         self._counts = Counters(
             disk_hits=0, disk_writes=0, disk_evictions=0, disk_gc_deletions=0,
-            evictions=0, sweeps=0, parallel_sweeps=0, serial_fallbacks=0,
+            evictions=0, sweeps=0,
         )
-        self._last_sweep = (0.0, 1)  # (seconds, jobs), replaced whole
+        self._last_sweep_seconds = 0.0
         # Kernel counters are process-wide; remember where they stood at
         # construction so stats() reports only this service's share.
         self._kernel_base = kernel_counters()
@@ -338,16 +294,8 @@ class ScheduleService:
         use_cache: bool = True,
     ) -> Schedule:
         """Schedule ``graph`` on ``machine``, memoized by content."""
-        sched = resolve_scheduler(scheduler)
-        if not use_cache:
-            return sched.schedule(graph, machine)
-        key = self._key(graph, machine, sched)
-        cached = self._get(key)
-        if cached is not None:
-            return cached
-        result = sched.schedule(graph, machine)
-        self._put(key, result)
-        return result
+        item = (graph, machine, resolve_scheduler(scheduler))
+        return self._batch([item], use_cache)[0]
 
     def compiled(self, machine: TargetMachine) -> CompiledTopology:
         """The compiled routing tables for ``machine`` — the process-wide,
@@ -391,13 +339,12 @@ class ScheduleService:
         scheduler: str | Scheduler = "mh",
         family: str = "hypercube",
         params: MachineParams = IDEAL,
-        jobs: int | None = None,
         use_cache: bool = True,
     ) -> dict[int, Schedule]:
-        """One schedule per machine size, cache-aware and fanned out.
+        """One schedule per machine size, cache-aware.
 
         The result dict iterates in ``proc_counts`` order regardless of
-        which entries were cached or which worker finished first.
+        which entries were cached.
         """
         sched = resolve_scheduler(scheduler)
         t0 = time.perf_counter()
@@ -406,10 +353,8 @@ class ScheduleService:
             n: single_processor(params) if n == 1 else make_machine(family, n, params)
             for n in sizes
         }
-        out, jobs_used = self._batch(
-            [(graph, machines[n], sched) for n in sizes], jobs, use_cache
-        )
-        self._note_sweep(t0, jobs_used)
+        out = self._batch([(graph, machines[n], sched) for n in sizes], use_cache)
+        self._note_sweep(t0)
         return {n: s for n, s in zip(sizes, out)}
 
     def predict_speedup(
@@ -419,14 +364,13 @@ class ScheduleService:
         scheduler: str | Scheduler = "mh",
         family: str = "hypercube",
         params: MachineParams = IDEAL,
-        jobs: int | None = None,
         use_cache: bool = True,
     ) -> SpeedupReport:
         """The Figure-3 speedup sweep, built on the cached schedule batch."""
         sched = resolve_scheduler(scheduler)
         schedules = self.schedules_for_sizes(
             graph, proc_counts, scheduler=sched, family=family, params=params,
-            jobs=jobs, use_cache=use_cache,
+            use_cache=use_cache,
         )
         serial = sum(params.exec_time(t.work) for t in graph.tasks)
         points = []
@@ -457,16 +401,13 @@ class ScheduleService:
         graph: TaskGraph,
         machine: TargetMachine,
         schedulers: Sequence[str | Scheduler],
-        jobs: int | None = None,
         use_cache: bool = True,
     ) -> dict[str, Schedule]:
         """One schedule per heuristic on a fixed machine (ablation sweeps)."""
         t0 = time.perf_counter()
         resolved = [resolve_scheduler(s) for s in schedulers]
-        out, jobs_used = self._batch(
-            [(graph, machine, s) for s in resolved], jobs, use_cache
-        )
-        self._note_sweep(t0, jobs_used)
+        out = self._batch([(graph, machine, s) for s in resolved], use_cache)
+        self._note_sweep(t0)
         return {s.name: schedule for s, schedule in zip(resolved, out)}
 
     # ------------------------------------------------------------------ #
@@ -475,75 +416,31 @@ class ScheduleService:
     def _batch(
         self,
         items: list[tuple[TaskGraph, TargetMachine, Scheduler]],
-        jobs: int | None,
         use_cache: bool,
-    ) -> tuple[list[Schedule], int]:
-        """Resolve a batch of scheduling problems, cache first, pool second.
+    ) -> list[Schedule]:
+        """Resolve a batch of scheduling problems in order, cache first.
 
-        Returns the schedules aligned with ``items`` plus the worker count
-        actually used for the misses.
+        Returns the schedules aligned with ``items``.
         """
+        if not use_cache:
+            return [s.schedule(g, m) for g, m, s in items]
         graph_fps: dict[int, str] = {}
-        keys: dict[int, tuple[str, str, str]] = {}
-        results: list[Schedule | None] = [None] * len(items)
-        for i, (graph, machine, sched) in enumerate(items if use_cache else ()):
+        results: list[Schedule] = []
+        for graph, machine, sched in items:
             fp = graph_fps.get(id(graph))
             if fp is None:  # serialize + SHA-256 once per distinct graph
                 fp = graph_fps[id(graph)] = graph.content_hash()
-            keys[i] = self._key(graph, machine, sched, graph_fp=fp)
-            results[i] = self._get(keys[i])
-        missing = [i for i, cached in enumerate(results) if cached is None]
-        jobs_used = self._effective_jobs(jobs, missing, items)
-        fresh = self._run_missing([items[i] for i in missing], jobs_used)
-        for i, schedule in zip(missing, fresh):
-            if use_cache:
-                self._put(keys[i], schedule)
-            results[i] = schedule
-        return results, jobs_used  # type: ignore[return-value]
+            key = self._key(graph, machine, sched, graph_fp=fp)
+            schedule = self._get(key)
+            if schedule is None:
+                schedule = sched.schedule(graph, machine)
+                self._put(key, schedule)
+            results.append(schedule)
+        return results
 
-    def _effective_jobs(
-        self,
-        jobs: int | None,
-        missing: list[int],
-        items: list[tuple[TaskGraph, TargetMachine, Scheduler]],
-    ) -> int:
-        if len(missing) < 2:
-            return 1
-        if jobs is not None:
-            return max(1, min(jobs, len(missing)))
-        # auto: a pool only pays off for graphs big enough to out-cost fork
-        biggest = max(len(items[i][0]) for i in missing)
-        if biggest < AUTO_PARALLEL_MIN_TASKS or self.max_workers < 2:
-            return 1
-        return min(self.max_workers, len(missing))
-
-    def _run_missing(
-        self,
-        work: list[tuple[TaskGraph, TargetMachine, Scheduler]],
-        jobs: int,
-    ) -> list[Schedule]:
-        if not work:
-            return []
-        if jobs <= 1:
-            return [s.schedule(g, m) for g, m, s in work]
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [
-                    pool.submit(_schedule_worker, s, g, m) for g, m, s in work
-                ]
-                results = [f.result() for f in futures]
-            self._counts.bump("parallel_sweeps")
-            return results
-        except _POOL_ERRORS:
-            # Unpicklable scheduler/graph or a broken pool: do the same work
-            # serially — identical results, just slower.  Real scheduling
-            # errors re-raise from the serial run.
-            self._counts.bump("serial_fallbacks")
-            return [s.schedule(g, m) for g, m, s in work]
-
-    def _note_sweep(self, t0: float, jobs_used: int) -> None:
+    def _note_sweep(self, t0: float) -> None:
         self._counts.bump("sweeps")
-        self._last_sweep = (time.perf_counter() - t0, jobs_used)
+        self._last_sweep_seconds = time.perf_counter() - t0
 
     # ------------------------------------------------------------------ #
     # cache internals
@@ -663,8 +560,9 @@ class ScheduleService:
         answered is a memory miss, so it moves from ``misses`` to ``hits``;
         ``evictions`` adds capacity evictions to invalidated/cleared entries.
         """
-        snap = ServiceStats(**self._counts.snapshot(), max_workers=self.max_workers)
-        snap.last_sweep_seconds, snap.last_sweep_jobs = self._last_sweep
+        snap = ServiceStats(
+            **self._counts.snapshot(), last_sweep_seconds=self._last_sweep_seconds
+        )
         lru, ir = self._lru, self._ir_lru
         snap.hits = lru.hits + snap.disk_hits
         snap.misses = lru.misses - snap.disk_hits
@@ -679,7 +577,7 @@ class ScheduleService:
         disk = str(self._disk_dir) if self._disk_dir else "off"
         return (
             f"ScheduleService(entries={len(self._lru)}/{self.max_entries}, "
-            f"disk={disk}, max_workers={self.max_workers})"
+            f"disk={disk})"
         )
 
 

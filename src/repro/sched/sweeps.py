@@ -7,8 +7,8 @@ sweep, returning one :class:`SpeedupPoint` per machine size.
 
 Both sweep functions are thin wrappers over the process-wide
 :class:`~repro.sched.service.ScheduleService`, so repeated sweeps over
-unchanged graphs are served from the content-addressed cache and large
-sweeps can fan out across worker processes (``jobs=``).
+unchanged graphs are served from the content-addressed cache; the misses
+of a sweep run in order, in this process.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ def predict_speedup(
     scheduler: Scheduler | str | None = None,
     family: str = "hypercube",
     params: MachineParams = IDEAL,
-    jobs: int | None = None,
     service: "ScheduleService | None" = None,
 ) -> SpeedupReport:
     """Schedule ``graph`` on each machine size and report speedups.
@@ -85,8 +84,7 @@ def predict_speedup(
 
     svc = service if service is not None else default_service()
     return svc.predict_speedup(
-        graph, proc_counts, scheduler=scheduler, family=family, params=params,
-        jobs=jobs,
+        graph, proc_counts, scheduler=scheduler, family=family, params=params
     )
 
 
@@ -96,7 +94,6 @@ def schedules_for_sizes(
     scheduler: Scheduler | str | None = None,
     family: str = "hypercube",
     params: MachineParams = IDEAL,
-    jobs: int | None = None,
     service: "ScheduleService | None" = None,
 ) -> dict[int, Schedule]:
     """The Gantt-chart side of Figure 3: one schedule per machine size."""
@@ -104,6 +101,5 @@ def schedules_for_sizes(
 
     svc = service if service is not None else default_service()
     return svc.schedules_for_sizes(
-        graph, proc_counts, scheduler=scheduler, family=family, params=params,
-        jobs=jobs,
+        graph, proc_counts, scheduler=scheduler, family=family, params=params
     )

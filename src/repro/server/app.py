@@ -33,7 +33,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Awaitable, Callable
 
 from repro import __version__
 from repro.errors import ReproError
@@ -51,7 +51,7 @@ from repro.server.protocol import (
     read_request,
 )
 from repro.server.store_api import store_request
-from repro.server.workers import WorkerCrash, WorkerPool, WorkerTimeout
+from repro.server.workers import WorkerCrash, WorkerPool, WorkerTimeout, classify
 from repro.store import ProjectRepository, TenantQuota
 
 #: URL path -> op name.  Debug routes exist only under ``--debug``.
@@ -358,20 +358,22 @@ class BangerDaemon:
             return 200, json_body(self._healthz_doc()), "internal"
         if path == "/metrics":
             return 200, json_body(self._metrics_doc()), "internal"
-        if path == "/projects" or path.startswith("/projects/"):
-            return await self._store_dispatch(request)
 
-        op = ROUTES.get(path)
+        # Store requests are admitted like compute work: the same checks,
+        # the same queue-limit gate, one ``_active_ops`` slot while running.
+        store = path == "/projects" or path.startswith("/projects/")
+        op = None if store else ROUTES.get(path)
         if op is None and self.debug:
             op = DEBUG_ROUTES.get(path)
-        if op is None:
+        if op is None and not store:
             return 404, error_body(
                 "not-found", f"no such endpoint: {path}",
                 endpoints=sorted(ROUTES) + ["/healthz", "/metrics", "/projects"],
             ), "error"
-        if request.method != "POST":
+        if request.method != "POST" and not (store and request.method == "GET"):
             return 405, error_body(
-                "method-not-allowed", f"{path} requires POST"
+                "method-not-allowed",
+                f"{path} accepts GET and POST" if store else f"{path} requires POST",
             ), "error"
         if op == "crash" and self.pool is None:
             return 400, error_body(
@@ -379,27 +381,31 @@ class BangerDaemon:
                 "/debug/crash needs process workers (start with --workers >= 1)",
             ), "error"
 
-        try:
-            payload = request.json()
-        except ProtocolError as exc:
-            return 400, error_body("bad-request", str(exc)), "error"
-        if not isinstance(payload, dict):
-            return 400, error_body(
-                "bad-request", "request body must be a JSON object"
-            ), "error"
+        payload: Any = {}
+        if request.method == "POST":
+            try:
+                payload = request.json()
+            except ProtocolError as exc:
+                return 400, error_body("bad-request", str(exc)), "error"
+            if not isinstance(payload, dict):
+                return 400, error_body(
+                    "bad-request", "request body must be a JSON object"
+                ), "error"
 
+        # Backpressure: admission control before any CPU is spent.
+        full = self._overloaded()
+        if full is not None:
+            return full
+
+        if store:
+            run = self._run_store(request.method, path, payload)
+            return await self._lead_and_wait(conn, run, key=None)
         if op in DEBUG_OPS:
             # Fault injection must hit the pool every time: no key, no
             # coalescing, no cache.
-            return await self._lead_and_wait(conn, op, payload, key=None)
-
-        # Backpressure: admission control before any CPU is spent.
-        if self._active_ops >= self.queue_limit:
-            return 503, error_body(
-                "overloaded",
-                f"daemon is at its queue limit ({self.queue_limit} in flight); "
-                "retry shortly",
-            ), "rejected"
+            return await self._lead_and_wait(
+                conn, self._run_op(op, payload), key=None
+            )
 
         try:
             key = await self._coalesce_key(op, request.body, payload)
@@ -414,76 +420,30 @@ class BangerDaemon:
         if entry is not None:
             outcome = await self._wait_for_outcome(conn, entry)
             return outcome.status, outcome.body, "coalesced"
-        return await self._lead_and_wait(conn, op, payload, key=key)
-
-    async def _store_dispatch(
-        self, request: Request
-    ) -> tuple[int, bytes, str]:
-        """Serve one ``/projects`` request off the event loop.
-
-        Store operations are admitted through the same queue-limit gate as
-        compute work (they hold an ``_active_ops`` slot while running), so
-        an overloaded daemon answers 503 before touching the repository —
-        and a quota violation inside it comes back 403 with the same
-        ``Retry-After`` header 503 carries.
-        """
-        if self.store is None:
-            return 404, error_body(
-                "not-found", "the project store is not running yet"
-            ), "error"
-        if request.method == "POST":
-            try:
-                payload = request.json()
-            except ProtocolError as exc:
-                return 400, error_body("bad-request", str(exc)), "error"
-            if not isinstance(payload, dict):
-                return 400, error_body(
-                    "bad-request", "request body must be a JSON object"
-                ), "error"
-        elif request.method == "GET":
-            payload = {}
-        else:
-            return 405, error_body(
-                "method-not-allowed",
-                f"{request.path} accepts GET and POST",
-            ), "error"
-        if self._active_ops >= self.queue_limit:
-            return 503, error_body(
-                "overloaded",
-                f"daemon is at its queue limit ({self.queue_limit} in flight); "
-                "retry shortly",
-            ), "rejected"
-        loop = asyncio.get_running_loop()
-        self._active_ops += 1
-        self.metrics.enter(self._active_ops)
-        try:
-            status, doc = await loop.run_in_executor(
-                self._keys, store_request,
-                self.store, request.method, request.path, payload,
-            )
-        finally:
-            self._active_ops -= 1
-            self.metrics.exit(self._active_ops)
-        disposition = "computed" if status == 200 else (
-            "rejected" if status == 403 else "error"
+        # Hashing a new body suspended this request; a burst of distinct
+        # cold requests must not all slip past the gate while it was open.
+        return self._overloaded() or await self._lead_and_wait(
+            conn, self._run_op(op, payload), key=key
         )
-        return status, json_body(doc), disposition
+
+    def _overloaded(self) -> tuple[int, bytes, str] | None:
+        """The 503 reply when the queue is at its limit, else ``None``."""
+        if self._active_ops < self.queue_limit:
+            return None
+        return 503, error_body(
+            "overloaded",
+            f"daemon is at its queue limit ({self.queue_limit} in flight); "
+            "retry shortly",
+        ), "rejected"
 
     async def _lead_and_wait(
-        self, conn: BufferedConn, op: str, payload: dict[str, Any],
-        key: str | None,
+        self, conn: BufferedConn, run: Awaitable[_Outcome], key: str | None
     ) -> tuple[int, bytes, str]:
-        if self._active_ops >= self.queue_limit:
-            return 503, error_body(
-                "overloaded",
-                f"daemon is at its queue limit ({self.queue_limit} in flight); "
-                "retry shortly",
-            ), "rejected"
         loop = asyncio.get_running_loop()
         entry = _Inflight(future=loop.create_future())
         if key is not None:
             self._inflight[key] = entry
-        entry.task = asyncio.ensure_future(self._compute(op, payload, key, entry))
+        entry.task = asyncio.ensure_future(self._compute(run, key, entry))
         self._compute_tasks.add(entry.task)
         entry.task.add_done_callback(self._compute_tasks.discard)
         outcome = await self._wait_for_outcome(conn, entry)
@@ -524,13 +484,13 @@ class BangerDaemon:
     # computation
     # ------------------------------------------------------------------ #
     async def _compute(
-        self, op: str, payload: dict[str, Any], key: str | None, entry: _Inflight
+        self, run: Awaitable[_Outcome], key: str | None, entry: _Inflight
     ) -> None:
         self._active_ops += 1
         self.metrics.enter(self._active_ops)
         outcome: _Outcome
         try:
-            outcome = await self._run_op(op, payload)
+            outcome = await run
         except asyncio.CancelledError:
             if not entry.future.done():
                 entry.future.cancel()
@@ -564,12 +524,13 @@ class BangerDaemon:
                 )
         else:
             loop = asyncio.get_running_loop()
-            future = loop.run_in_executor(self._inline, execute, op, payload)
+            future = loop.run_in_executor(
+                self._inline, classify, execute, op, payload
+            )
             try:
-                result = await asyncio.wait_for(
+                reply = await asyncio.wait_for(
                     asyncio.shield(future), self.request_timeout
                 )
-                reply = ("ok", result)
             except asyncio.TimeoutError:
                 future.add_done_callback(lambda f: f.cancelled() or f.exception())
                 return _Outcome(
@@ -580,10 +541,6 @@ class BangerDaemon:
                     ),
                     "timeout",
                 )
-            except ReproError as exc:
-                reply = ("user_error", type(exc).__name__, str(exc))
-            except Exception as exc:  # noqa: BLE001
-                reply = ("error", type(exc).__name__, str(exc))
 
         if reply[0] == "ok":
             doc = reply[1]
@@ -591,18 +548,28 @@ class BangerDaemon:
                 200, json_body(doc["result"]), "computed",
                 counters=doc.get("counters", {}),
             )
+        _, kind, message = reply
         if reply[0] == "user_error":
-            _, kind, message = reply
             return _Outcome(
                 400, error_body("bad-request", message, detail=kind), "error"
             )
-        _, kind, message = reply
+        lines = message.splitlines()
         return _Outcome(
             500,
-            error_body("internal", message.splitlines()[0] if message else kind,
-                       detail=kind),
+            error_body("internal", (lines and lines[0]) or kind, detail=kind),
             "error",
         )
+
+    async def _run_store(
+        self, method: str, path: str, payload: dict[str, Any]
+    ) -> _Outcome:
+        """One ``/projects`` request, off the event loop.  A quota violation
+        is booked like backpressure: 403 carries the ``Retry-After`` 503 does."""
+        status, doc = await asyncio.get_running_loop().run_in_executor(
+            self._keys, store_request, self.store, method, path, payload
+        )
+        kind = {200: "computed", 403: "rejected"}.get(status, "error")
+        return _Outcome(status, json_body(doc), kind)
 
     # ------------------------------------------------------------------ #
     # coalesce keys + response cache

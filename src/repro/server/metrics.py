@@ -75,12 +75,6 @@ class ServerMetrics:
         self.by_endpoint: dict[str, int] = {}
         self.by_status: dict[str, int] = {}
         self.by_disposition: dict[str, int] = {d: 0 for d in DISPOSITIONS}
-        self.coalesce_hits = 0
-        self.cache_hits = 0
-        self.computed = 0
-        self.rejected = 0
-        self.timeouts = 0
-        self.worker_crashes = 0
         self.bad_requests = 0
         self.disconnects = 0
         self.in_flight = 0
@@ -100,18 +94,6 @@ class ServerMetrics:
             self.by_status[str(status)] = self.by_status.get(str(status), 0) + 1
             if disposition in self.by_disposition:
                 self.by_disposition[disposition] += 1
-            if disposition == "coalesced":
-                self.coalesce_hits += 1
-            elif disposition == "cache":
-                self.cache_hits += 1
-            elif disposition == "computed":
-                self.computed += 1
-            elif disposition == "rejected":
-                self.rejected += 1
-            elif disposition == "timeout":
-                self.timeouts += 1
-            elif disposition == "crashed":
-                self.worker_crashes += 1
             if status == 400:
                 self.bad_requests += 1
             window = self._latency.get(endpoint)
@@ -149,17 +131,18 @@ class ServerMetrics:
 
     def as_dict(self) -> dict[str, Any]:
         with self._lock:
+            by = self.by_disposition
             return {
                 "requests_total": self.requests_total,
                 "by_endpoint": dict(self.by_endpoint),
                 "by_status": dict(self.by_status),
-                "by_disposition": dict(self.by_disposition),
-                "coalesce_hits": self.coalesce_hits,
-                "cache_hits": self.cache_hits,
-                "computed": self.computed,
-                "rejected": self.rejected,
-                "timeouts": self.timeouts,
-                "worker_crashes": self.worker_crashes,
+                "by_disposition": dict(by),
+                "coalesce_hits": by["coalesced"],
+                "cache_hits": by["cache"],
+                "computed": by["computed"],
+                "rejected": by["rejected"],
+                "timeouts": by["timeout"],
+                "worker_crashes": by["crashed"],
                 "bad_requests": self.bad_requests,
                 "disconnects": self.disconnects,
                 "in_flight": self.in_flight,

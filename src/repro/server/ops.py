@@ -119,10 +119,6 @@ def _request(payload: dict[str, Any]) -> ScheduleRequest:
         scheduler=_scheduler_name(payload),
         proc_counts=_proc_counts(payload),
         family=family,
-        # Server-side sweeps default to serial workers: the daemon already
-        # fans requests out across its own pool, and nesting process pools
-        # inside worker processes multiplies memory for little gain.
-        jobs=_number(payload, "jobs", int, 1),
         use_cache=bool(payload.get("use_cache", True)),
     )
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import QuotaExceeded, StoreError
+from repro.errors import QuotaExceeded, StoreCorruption, StoreError, StoreNotFound
 from repro.store.repository import ProjectRepository
 
 
@@ -80,7 +80,7 @@ def _get(repo: ProjectRepository, rest: list[str]) -> dict[str, Any]:
     tenant = rest[0]
     if len(rest) == 1:
         if tenant not in repo.refs.tenants():
-            raise StoreError(f"no tenant {tenant!r} in the store")
+            raise StoreNotFound(f"no tenant {tenant!r} in the store")
         projects = []
         for name in repo.refs.projects(tenant):
             head = repo.refs.head(tenant, name)
@@ -110,7 +110,7 @@ def _get(repo: ProjectRepository, rest: list[str]) -> dict[str, Any]:
             tenant, name, _version_arg(tail[1]), _version_arg(tail[2])
         )
         return {"type": "banger-project-diff", **delta}
-    raise StoreError(f"no such projects route: /{'/'.join(['projects'] + rest)}")
+    raise StoreNotFound(f"no such projects route: /{'/'.join(['projects'] + rest)}")
 
 
 def _post(
@@ -160,7 +160,7 @@ def _post(
             to_name=payload.get("to_name"),
         )
         return {"type": "banger-project-diff", **delta}
-    raise StoreError(f"no such projects route: /{'/'.join(['projects'] + rest)}")
+    raise StoreNotFound(f"no such projects route: /{'/'.join(['projects'] + rest)}")
 
 
 def store_request(
@@ -184,10 +184,9 @@ def store_request(
             "quota-exceeded", str(exc),
             tenant=exc.tenant, quota=exc.quota, usage=exc.usage,
         )
+    except StoreNotFound as exc:
+        return 404, _error("not-found", str(exc))
+    except StoreCorruption as exc:
+        return 500, _error("internal", str(exc))
     except StoreError as exc:
-        message = str(exc)
-        if message.startswith("store corruption"):
-            return 500, _error("internal", message)
-        if message.startswith("no ") or " has no version " in message:
-            return 404, _error("not-found", message)
-        return 400, _error("bad-request", message)
+        return 400, _error("bad-request", str(exc))

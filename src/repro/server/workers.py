@@ -1,8 +1,8 @@
 """A bounded pool of restartable worker processes for CPU-bound ops.
 
-Why not one :class:`~concurrent.futures.ProcessPoolExecutor`?  Because a
-dead worker breaks the *whole* pool there — every in-flight future gets
-``BrokenProcessPool``.  The daemon's contract is stricter: a crash fails
+Why not one :mod:`concurrent.futures` process pool?  Because a dead
+worker breaks the *whole* pool there — every in-flight future fails with
+its broken-pool error.  The daemon's contract is stricter: a crash fails
 only the request that was running on the dead worker, and the worker is
 replaced before the next request needs it.  So each slot here is its own
 ``multiprocessing.Process`` with a private duplex pipe:
@@ -30,7 +30,7 @@ import multiprocessing as mp
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import ReproError
 from repro.server.ops import execute
@@ -48,6 +48,19 @@ class WorkerTimeout(WorkerError):
     """The request outlived its budget; its worker was killed and replaced."""
 
 
+def classify(run: Callable[[str, dict[str, Any]], Any], op: str,
+             payload: dict[str, Any]) -> tuple:
+    """Run one op and classify what happened: the outcome tuple a worker
+    sends up its pipe and the daemon's inline mode builds in a thread."""
+    try:
+        return ("ok", run(op, payload))
+    except ReproError as exc:
+        return ("user_error", type(exc).__name__, str(exc))
+    except Exception as exc:  # noqa: BLE001 - reported, never raised
+        return ("error", type(exc).__name__,
+                f"{exc}\n{traceback.format_exc(limit=8)}")
+
+
 def _worker_main(conn) -> None:
     """The child's loop: recv a job, run the op, send the outcome."""
     while True:
@@ -57,16 +70,8 @@ def _worker_main(conn) -> None:
             return
         if job is None:  # polite shutdown sentinel
             return
-        op, payload = job
         try:
-            outcome = ("ok", execute(op, payload))
-        except ReproError as exc:
-            outcome = ("user_error", type(exc).__name__, str(exc))
-        except Exception as exc:  # noqa: BLE001 - shipped to the parent
-            outcome = ("error", type(exc).__name__,
-                       f"{exc}\n{traceback.format_exc(limit=8)}")
-        try:
-            conn.send(outcome)
+            conn.send(classify(execute, *job))
         except (BrokenPipeError, OSError):
             return
 

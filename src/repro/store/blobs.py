@@ -16,13 +16,14 @@ connections over one store.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.errors import StoreError
-from repro.graph.serialize import canonical_json, fingerprint
+from repro.errors import StoreNotFound
+from repro.graph.serialize import canonical_json
 from repro.store.evict import (
     atomic_write_text,
     dir_files,
@@ -91,7 +92,9 @@ class BlobStore:
     def put(self, doc: Any) -> str:
         """Store ``doc``; returns its content hash.  Idempotent by content."""
         text = canonical_json(doc)
-        digest = fingerprint(doc)
+        # The stored text *is* the canonical rendering: hashing it is
+        # ``fingerprint(doc)`` without rendering the document twice.
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         with self._lock:
             self.stats.puts += 1
             self.stats.logical_bytes += len(text)
@@ -122,18 +125,18 @@ class BlobStore:
         if text is None:
             with self._lock:
                 self.stats.misses += 1
-            raise StoreError(f"no blob {digest[:12]}… in the store")
+            raise StoreNotFound(f"no blob {digest[:12]}… in the store")
         return json.loads(text)
 
     def _disk_read(self, digest: str) -> str | None:
         path = self._path(digest)
         try:
-            text = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
         except OSError:
             return None
         # Verify the content address: bytes that do not hash to their own
         # name are corrupt and get evicted rather than served.
-        if self._text_fingerprint(text) != digest:
+        if hashlib.sha256(data).hexdigest() != digest:
             try:
                 path.unlink()
             except OSError:
@@ -141,17 +144,10 @@ class BlobStore:
             with self._lock:
                 self.stats.evictions += 1
                 self.stats.stored_bytes = max(
-                    0, self.stats.stored_bytes - len(text)
+                    0, self.stats.stored_bytes - len(data)
                 )
             return None
-        return text
-
-    @staticmethod
-    def _text_fingerprint(text: str) -> str:
-        try:
-            return fingerprint(json.loads(text))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return ""
+        return data.decode("utf-8")
 
     def has(self, digest: str) -> bool:
         with self._lock:

@@ -24,7 +24,7 @@ import threading
 from pathlib import Path
 from typing import Any
 
-from repro.errors import StoreError
+from repro.errors import StoreError, StoreNotFound
 from repro.store.evict import atomic_write_text
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
@@ -102,7 +102,7 @@ class RefStore:
             try:
                 entries = self._refs[tenant][name]
             except KeyError:
-                raise StoreError(
+                raise StoreNotFound(
                     f"no project {tenant}/{name} in the store"
                 ) from None
             return [dict(e) for e in entries]
@@ -119,7 +119,7 @@ class RefStore:
         for entry in history:
             if entry["v"] == version:
                 return entry
-        raise StoreError(
+        raise StoreNotFound(
             f"{tenant}/{name} has no version {version} "
             f"(history has {len(history)})"
         )
@@ -171,7 +171,7 @@ class RefStore:
             try:
                 del self._refs[tenant][name]
             except KeyError:
-                raise StoreError(
+                raise StoreNotFound(
                     f"no project {tenant}/{name} in the store"
                 ) from None
             if not self._refs[tenant]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.errors import QuotaExceeded, StoreError
+from repro.errors import QuotaExceeded, StoreCorruption, StoreError
 from repro.graph.serialize import canonical_json, fingerprint
 from repro.store.blobs import BlobStore
 from repro.store.refs import RefStore
@@ -239,7 +239,7 @@ class ProjectRepository:
         if manifest.get("machine"):
             doc["machine"] = self.blobs.get(manifest["machine"])
         if fingerprint(doc) != manifest["project"]:
-            raise StoreError(
+            raise StoreCorruption(
                 f"store corruption: {tenant}/{name} reassembled to "
                 f"{fingerprint(doc)[:12]}…, manifest pins "
                 f"{manifest['project'][:12]}…"

@@ -152,7 +152,7 @@ class TestSweepSimRun:
 
 class TestSweep:
     def test_single_scheduler_table(self, project_path, capsys):
-        assert main(["sweep", project_path, "--procs", "1,2,4", "--jobs", "1"]) == 0
+        assert main(["sweep", project_path, "--procs", "1,2,4"]) == 0
         out = capsys.readouterr().out
         assert "speedup prediction" in out
         assert "speedup" in out and "eff" in out
@@ -160,7 +160,7 @@ class TestSweep:
     def test_multiple_schedulers(self, project_path, capsys):
         assert main([
             "sweep", project_path, "--procs", "1,2",
-            "--scheduler", "mh,hlfet", "--jobs", "1",
+            "--scheduler", "mh,hlfet",
         ]) == 0
         out = capsys.readouterr().out
         assert out.count("speedup prediction") == 2
@@ -168,16 +168,16 @@ class TestSweep:
 
     def test_stats_flag(self, project_path, capsys):
         assert main([
-            "sweep", project_path, "--procs", "1,2", "--jobs", "1", "--stats",
+            "sweep", project_path, "--procs", "1,2", "--stats",
         ]) == 0
         out = capsys.readouterr().out
-        assert "hit(s)" in out and "miss(es)" in out and "workers" in out
+        assert "hit(s)" in out and "miss(es)" in out and "sweep:" in out
 
     def test_json_artifact(self, project_path, tmp_path, capsys):
         out_file = tmp_path / "sweep.json"
         assert main([
             "sweep", project_path, "--procs", "1,2,4",
-            "--scheduler", "mh,serial", "--jobs", "1",
+            "--scheduler", "mh,serial",
             "--json", str(out_file),
         ]) == 0
         doc = json.loads(out_file.read_text(encoding="utf-8"))
@@ -191,18 +191,15 @@ class TestSweep:
     def test_no_cache(self, project_path, capsys):
         assert main([
             "sweep", project_path, "--procs", "1,2",
-            "--jobs", "1", "--no-cache", "--stats",
+            "--no-cache", "--stats",
         ]) == 0
         assert "0 entries" in capsys.readouterr().out
 
     def test_gantt_flag(self, project_path, capsys):
         assert main([
-            "sweep", project_path, "--procs", "2", "--jobs", "1", "--gantt",
+            "sweep", project_path, "--procs", "2", "--gantt",
         ]) == 0
         assert "Gantt chart" in capsys.readouterr().out
-
-    def test_bad_jobs(self, project_path, capsys):
-        assert main(["sweep", project_path, "--jobs", "0"]) == 2
 
     def test_empty_scheduler_list(self, project_path, capsys):
         assert main(["sweep", project_path, "--scheduler", ","]) == 2

@@ -61,7 +61,7 @@ SUCCESS_COMMANDS = [
     ["advise", "{good}"],
     ["schedule", "{good}"],
     ["speedup", "{good}", "--procs", "1,2"],
-    ["sweep", "{good}", "--procs", "1,2", "--jobs", "1"],
+    ["sweep", "{good}", "--procs", "1,2"],
     ["simulate", "{good}"],
     ["run", "{good}"],
     ["codegen", "{good}"],
@@ -76,7 +76,6 @@ USAGE_COMMANDS = [
     ["schedule", "{not_a_project}"],
     ["speedup", "{good}", "--procs", "a,b"],
     ["sweep", "{good}", "--scheduler", " , "],
-    ["sweep", "{good}", "--jobs", "0"],
     ["conform", "--replay", "/nonexistent/corpus"],
 ]
 

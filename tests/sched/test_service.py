@@ -1,6 +1,9 @@
-"""ScheduleService: memoization, eviction, disk cache, parallel sweeps."""
+"""ScheduleService: memoization, eviction, disk cache, sweeps."""
 
+import ast
 import json
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +15,6 @@ from repro.sched import (
     MHScheduler,
     ScheduleRequest,
     ScheduleService,
-    Scheduler,
     as_request,
     default_family,
     get_scheduler,
@@ -92,8 +94,8 @@ class TestAsRequest:
         assert widened.scheduler == "dsh" and widened.proc_counts == (2, 4)
 
     def test_none_overrides_ignored(self):
-        req = as_request("mh", family=None, jobs=None)
-        assert req.family is None and req.jobs is None
+        req = as_request("mh", family=None, proc_counts=None)
+        assert req.family is None and req.proc_counts is None
 
     def test_rejects_garbage(self):
         with pytest.raises(ScheduleError, match="ScheduleRequest"):
@@ -296,58 +298,54 @@ class TestSweeps:
         stats = svc.stats()
         assert stats.sweeps == 1
         assert stats.last_sweep_seconds > 0
-        assert stats.last_sweep_jobs >= 1
 
     def test_stats_render_mentions_everything(self, graph):
         svc = ScheduleService()
         svc.schedules_for_sizes(graph, (2, 4), params=PARAMS)
         text = svc.stats().render()
-        for word in ("hit", "miss", "eviction", "sweep", "workers"):
+        for word in ("hit", "miss", "eviction", "sweep", "kernel"):
             assert word in text
         doc = svc.stats().as_dict()
-        assert {"hits", "misses", "evictions", "max_workers", "last_sweep_seconds"} <= set(doc)
-
-
-class _UnpicklableScheduler(Scheduler):
-    """Defined at class scope inside a test module: pickling it fails."""
-
-    name = "local"
-
-    def schedule(self, graph, machine):
-        return get_scheduler("serial").schedule(graph, machine)
+        assert {"hits", "misses", "evictions", "sweeps", "last_sweep_seconds"} <= set(doc)
 
 
 class TestParallelExecution:
-    def test_serial_fallback_on_unpicklable_scheduler(self, graph):
-        class Local(_UnpicklableScheduler):
-            pass
-
-        svc = ScheduleService()
-        out = svc.schedules_for_sizes(
-            graph, (2, 4), scheduler=Local(), params=PARAMS, jobs=2
-        )
-        assert sorted(out) == [2, 4]
-        assert svc.stats().serial_fallbacks == 1
-        for schedule in out.values():
-            check_schedule(schedule)
+    """Sweeps run where they are called; the parallelism left at this tier
+    is the callers' — many threads may share one service."""
 
     @pytest.mark.parametrize("name", sorted(SCHEDULERS))
     def test_parallel_equals_serial_for_every_scheduler(self, name):
-        """Byte-identical sweep results, serial loop vs process pool."""
+        """Every registry scheduler through the batch path, swept by four
+        threads sharing one service: byte-identical to asking a fresh
+        service for each size alone, and no sweep goes uncounted."""
         graph = random_layered(6, 2, seed=3) if name == "exhaustive" else fork_join(6, work=3, comm=0.5)
-        serial = ScheduleService().schedules_for_sizes(
-            graph, (2, 4), scheduler=name, params=PARAMS, jobs=1
-        )
         svc = ScheduleService()
-        parallel = svc.schedules_for_sizes(
-            graph, (2, 4), scheduler=name, params=PARAMS, jobs=2
-        )
-        stats = svc.stats()
-        assert stats.parallel_sweeps + stats.serial_fallbacks == 1
-        for n in (2, 4):
-            assert schedule_to_json(serial[n]) == schedule_to_json(parallel[n]), name
+        with ThreadPoolExecutor(max_workers=4) as threads:
+            sweeps = list(threads.map(
+                lambda _: svc.schedules_for_sizes(
+                    graph, (2, 4), scheduler=name, params=PARAMS
+                ),
+                range(4),
+            ))
+        for n, schedule in sweeps[0].items():
+            alone = schedule_to_json(ScheduleService().schedule(graph, schedule.machine, name))
+            for sweep in sweeps:
+                assert (n, schedule_to_json(sweep[n])) == (n, alone)
+        assert svc.stats().sweeps == 4 and len(svc) == 2
 
-    def test_auto_mode_stays_serial_for_small_graphs(self, graph):
-        svc = ScheduleService()
-        svc.schedules_for_sizes(graph, (2, 4), params=PARAMS)
-        assert svc.stats().parallel_sweeps == 0
+
+def test_sweeps_stay_in_one_process():
+    """No module under ``sched/`` or ``env/`` can fork or ship work: sweep
+    parallelism lives in the daemon's worker pool, one tier up."""
+    src = Path(__file__).resolve().parents[2] / "src" / "repro"
+    banned = {"concurrent", "multiprocessing", "pickle"}
+    for path in sorted([*(src / "sched").rglob("*.py"), *(src / "env").rglob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in banned, f"{path}:{node.lineno}"

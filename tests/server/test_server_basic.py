@@ -86,11 +86,7 @@ class TestEndpoints:
     @pytest.mark.parametrize(
         "path, options, quoted",
         [
-            ("/speedup", {"jobs": "x"}, None),
-            ("/speedup", {"jobs": None}, None),
             ("/speedup", {"family": 7}, None),
-            ("/sweep", {"jobs": "x"}, None),
-            ("/sweep", {"jobs": None}, None),
             ("/sweep", {"family": 7}, None),
             ("/conform", {"budget": "soon", "runs": 1}, None),
             ("/speedup", {"proc_counts": "128"}, None),

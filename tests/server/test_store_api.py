@@ -9,8 +9,10 @@ with a ``Retry-After`` header, exactly like 503 backpressure.
 import pytest
 
 from repro.client import ServerError
+from repro.errors import StoreCorruption, StoreError, StoreNotFound
 from repro.graph.serialize import fingerprint
-from repro.store import TenantQuota
+from repro.server import store_api
+from repro.store import ProjectRepository, TenantQuota
 from repro.store.corpus import corpus_names
 
 
@@ -72,6 +74,41 @@ def test_version_pinned_get_and_404s(store_daemon, project_doc):
         client.project_get("nobody", "nothing")
     assert err.value.status == 404
     assert err.value.doc["kind"] == "not-found"
+
+
+@pytest.mark.parametrize(
+    "path, status, kind, raised, message",
+    [
+        ("/projects/ghost", 404, "not-found", StoreNotFound,
+         "no tenant 'ghost' in the store"),
+        ("/projects/alice/ghost", 404, "not-found", StoreNotFound,
+         "no project alice/ghost in the store"),
+        ("/projects/alice/p/v/9", 404, "not-found", StoreNotFound,
+         "alice/p has no version 9 (history has 1)"),
+        ("/projects/alice/p/frob", 404, "not-found", StoreNotFound,
+         "no such projects route: /projects/alice/p/frob"),
+        ("/projects/alice/tampered", 500, "internal", StoreCorruption,
+         "store corruption: alice/tampered reassembled to "),
+        ("/projects/alice/p/v/x", 400, "bad-request", StoreError,
+         "bad version 'x': expected an integer"),
+    ],
+)
+def test_store_errors_are_classified_by_type(
+    project_doc, path, status, kind, raised, message
+):
+    """The status follows the exception's class; the wording is free."""
+    repo = ProjectRepository()
+    repo.put("alice", "p", project_doc)
+    # a manifest that pins a project hash its parts do not reassemble to
+    manifest = dict(repo.manifest("alice", "p"), project="0" * 64)
+    repo.refs.append("alice", "tampered", repo.blobs.put(manifest))
+
+    got, doc = store_api.store_request(repo, "GET", path, {})
+    assert (got, doc["kind"]) == (status, kind)
+    assert doc["message"].startswith(message)
+    with pytest.raises(StoreError) as err:
+        store_api._get(repo, path.split("/")[2:])
+    assert type(err.value) is raised and str(err.value) == doc["message"]
 
 
 def test_quota_rejection_is_403_with_retry_after(store_daemon, project_doc):

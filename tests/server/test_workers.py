@@ -145,6 +145,46 @@ class TestDaemonFailures:
             "banger-sleep"
         )
 
+    def test_burst_of_distinct_cold_requests_cannot_overshoot_the_queue(
+        self, daemon_factory, project_doc, monkeypatch
+    ):
+        """Every request passes the gate while nothing is running yet; the
+        gate is asked again once a request's key is hashed."""
+        from repro.server import app as app_mod
+
+        def slowly(fn, delay):
+            def run(*args):
+                time.sleep(delay)
+                return fn(*args)
+
+            return run
+
+        harness = daemon_factory(workers=0, queue_limit=1)
+        monkeypatch.setattr(app_mod, "coalesce_key", slowly(app_mod.coalesce_key, 0.1))
+        monkeypatch.setattr(app_mod, "execute", slowly(app_mod.execute, 0.8))
+        statuses = []
+
+        def one_request(scheduler):
+            try:
+                BangerClient(port=harness.daemon.port).schedule(
+                    project_doc, scheduler=scheduler
+                )
+                statuses.append(200)
+            except ServerError as err:
+                statuses.append(err.status)
+
+        threads = [
+            threading.Thread(target=one_request, args=(name,))
+            for name in ("mh", "etf", "dls", "hlfet", "mcp", "ish")
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        # the two key-hashing threads can release two requests in one loop
+        # turn; everything behind them finds the queue full
+        assert statuses.count(200) <= 2 and statuses.count(503) >= 4, statuses
+
     def test_disconnect_cancels_computation(self, daemon_factory):
         harness = daemon_factory(workers=1, debug=True, request_timeout=60)
         body = json.dumps({"seconds": 30}).encode()
