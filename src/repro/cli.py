@@ -300,7 +300,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             scheduler=name,
             proc_counts=procs,
             family=args.family,
-            use_cache=not args.no_cache,
         )
         reports[name] = project.speedup(request)
         print(reports[name].table())
@@ -342,6 +341,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.reactive and not args.scenario:
+        raise UsageError("--reactive re-maps around a fault scenario; "
+                         "pass one with --scenario")
     project = _load(args.project)
     schedule = project.schedule(args.scheduler)
     scenario = None
@@ -350,6 +352,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
         with open(args.scenario, encoding="utf-8") as fh, _loading("fault scenario"):
             scenario = FaultScenario.from_dict(json.load(fh))
+            scenario.validate_for(schedule.machine)
     if scenario is None:
         trace = simulate(schedule, contention=args.contention)
         print(render_trace_gantt(trace))
@@ -788,8 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated heuristic names (see `banger schedule`)")
     p.add_argument("--family", default=None,
                    help="topology family (default: the project machine's family)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the schedule cache entirely")
     p.add_argument("--stats", action="store_true",
                    help="print cache hit/miss/eviction and sweep counters")
     p.add_argument("--gantt", action="store_true",

@@ -18,9 +18,7 @@ from repro.sched.schedule import Schedule
 __all__ = ["as_lowered", "generate", "list_backends", "run"]
 
 
-def as_lowered(
-    obj: Any, scheduler: Any = "mh", use_cache: bool = True
-) -> LoweredProgram:
+def as_lowered(obj: Any, scheduler: Any = "mh") -> LoweredProgram:
     """Coerce a project, schedule, or already-lowered program to the IR.
 
     * :class:`LoweredProgram` — returned as-is (``scheduler`` is ignored);
@@ -37,7 +35,7 @@ def as_lowered(
     from repro.env.project import BangerProject  # env imports codegen; stay lazy
 
     if isinstance(obj, BangerProject):
-        return obj.lower(scheduler, use_cache=use_cache)
+        return obj.lower(scheduler)
     raise CodegenError(
         "expected a BangerProject, Schedule, or LoweredProgram, "
         f"got {type(obj).__name__}"
@@ -49,18 +47,17 @@ def generate(
     target: str = "threads",
     *,
     scheduler: Any = "mh",
-    use_cache: bool = True,
     **opts: Any,
 ) -> str:
     """Source text for ``project_or_schedule`` on the named ``target``.
 
-    ``scheduler``/``use_cache`` only apply when a project is passed (a
-    schedule or lowered program already pins both).  Remaining keyword
+    ``scheduler`` only applies when a project is passed (a schedule or
+    lowered program already pins it).  Remaining keyword
     options go to the backend (e.g. ``module_doc=`` for ``threads``).
     Raises :class:`CodegenError` for unknown targets and for targets that
     do not emit source (``inproc`` — use :func:`run`).
     """
-    program = as_lowered(project_or_schedule, scheduler, use_cache=use_cache)
+    program = as_lowered(project_or_schedule, scheduler)
     return get_backend(target).emit(program, **opts)
 
 
@@ -70,7 +67,6 @@ def run(
     inputs: dict[str, Any] | None = None,
     *,
     scheduler: Any = "mh",
-    use_cache: bool = True,
 ) -> dict[str, Any]:
     """Execute ``project_or_schedule`` on a runnable target; returns outputs.
 
@@ -78,5 +74,5 @@ def run(
     and executes it in a fresh namespace.  ``mpi`` and ``c`` raise
     :class:`CodegenError` (their output runs on external runtimes).
     """
-    program = as_lowered(project_or_schedule, scheduler, use_cache=use_cache)
+    program = as_lowered(project_or_schedule, scheduler)
     return get_backend(target).run(program, inputs)

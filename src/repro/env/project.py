@@ -271,7 +271,6 @@ class BangerProject:
             proc_counts=req.proc_counts or default_procs,
             family=req.family or default_family(machine),
             params=req.params or machine.params,
-            use_cache=req.use_cache,
         )
 
     def schedule(
@@ -280,9 +279,7 @@ class BangerProject:
         """Map the flattened design onto the machine (cached by content)."""
         req = as_request(scheduler)
         machine = self._require_machine()
-        result = self.service.schedule(
-            self.flat(), machine, req.scheduler, use_cache=req.use_cache
-        )
+        result = self.service.schedule(self.flat(), machine, req.scheduler)
         self._prior[scheduler_cache_key(req.resolved_scheduler())] = result
         return result
 
@@ -312,9 +309,7 @@ class BangerProject:
             prior is None
             or prior.machine.content_hash() != machine.content_hash()
         ):
-            full = self.service.schedule(
-                flat, machine, req.scheduler, use_cache=req.use_cache
-            )
+            full = self.service.schedule(flat, machine, req.scheduler)
             result = IncrementalResult(
                 full, len(flat), len(flat), 0, fallback="cold"
             )
@@ -347,7 +342,7 @@ class BangerProject:
         )
         schedules = self.service.schedules_for_sizes(
             self.flat(), req.proc_counts, scheduler=req.scheduler,
-            family=req.family, params=req.params, use_cache=req.use_cache,
+            family=req.family, params=req.params,
         )
         return render_gantt_series(schedules, width=width)
 
@@ -368,7 +363,7 @@ class BangerProject:
         )
         return self.service.predict_speedup(
             self.flat(), req.proc_counts, scheduler=req.scheduler,
-            family=req.family, params=req.params, use_cache=req.use_cache,
+            family=req.family, params=req.params,
         )
 
     def speedup_chart(
@@ -401,11 +396,7 @@ class BangerProject:
     #: historical ``generate(language=...)`` names -> backend targets
     _LEGACY_TARGETS = {"python": "threads"}
 
-    def lower(
-        self,
-        scheduler: str | Scheduler | ScheduleRequest = "mh",
-        use_cache: bool | None = None,
-    ):
+    def lower(self, scheduler: str | Scheduler | ScheduleRequest = "mh"):
         """The design's lowered program (cached by content, like schedules).
 
         Returns the :class:`~repro.codegen.ir.LoweredProgram` every codegen
@@ -413,11 +404,9 @@ class BangerProject:
         :class:`ScheduleService` under the same content-addressed key as
         the schedule itself.
         """
-        req = as_request(scheduler, use_cache=use_cache)
+        req = as_request(scheduler)
         machine = self._require_machine()
-        return self.service.lower(
-            self.flat(), machine, req.scheduler, use_cache=req.use_cache
-        )
+        return self.service.lower(self.flat(), machine, req.scheduler)
 
     def generate(
         self, language: str = "threads", scheduler: str | Scheduler = "mh"

@@ -121,6 +121,10 @@ class StoreCorruption(StoreError):
     """Stored content no longer reassembles to the hash that names it (500)."""
 
 
+class StoreWriteError(StoreError):
+    """The store directory refused a blob, so nothing points at it (500)."""
+
+
 class QuotaExceeded(StoreError):
     """A tenant write was refused because it would exceed a quota.
 

@@ -82,15 +82,12 @@ class ScheduleRequest:
         configured machine).
     params:
         Machine parameters for sweeps (``None`` = the configured machine's).
-    use_cache:
-        Set ``False`` to bypass (neither read nor write) the cache.
     """
 
     scheduler: str | Scheduler = "mh"
     proc_counts: tuple[int, ...] | None = None
     family: str | None = None
     params: MachineParams | None = None
-    use_cache: bool = True
 
     def resolved_scheduler(self) -> Scheduler:
         return resolve_scheduler(self.scheduler)
@@ -291,11 +288,10 @@ class ScheduleService:
         graph: TaskGraph,
         machine: TargetMachine,
         scheduler: str | Scheduler = "mh",
-        use_cache: bool = True,
     ) -> Schedule:
         """Schedule ``graph`` on ``machine``, memoized by content."""
         item = (graph, machine, resolve_scheduler(scheduler))
-        return self._batch([item], use_cache)[0]
+        return self._batch([item])[0]
 
     def compiled(self, machine: TargetMachine) -> CompiledTopology:
         """The compiled routing tables for ``machine`` — the process-wide,
@@ -308,7 +304,6 @@ class ScheduleService:
         graph: TaskGraph,
         machine: TargetMachine,
         scheduler: str | Scheduler = "mh",
-        use_cache: bool = True,
     ):
         """The lowered program for ``graph`` on ``machine``, memoized.
 
@@ -322,8 +317,6 @@ class ScheduleService:
         from repro.codegen.ir import lower as _lower
 
         sched = resolve_scheduler(scheduler)
-        if not use_cache:
-            return _lower(sched.schedule(graph, machine))
         return self._ir_lru.get_or_compute(
             self._key(graph, machine, sched),
             lambda: _lower(self.schedule(graph, machine, sched)),
@@ -339,7 +332,6 @@ class ScheduleService:
         scheduler: str | Scheduler = "mh",
         family: str = "hypercube",
         params: MachineParams = IDEAL,
-        use_cache: bool = True,
     ) -> dict[int, Schedule]:
         """One schedule per machine size, cache-aware.
 
@@ -353,7 +345,7 @@ class ScheduleService:
             n: single_processor(params) if n == 1 else make_machine(family, n, params)
             for n in sizes
         }
-        out = self._batch([(graph, machines[n], sched) for n in sizes], use_cache)
+        out = self._batch([(graph, machines[n], sched) for n in sizes])
         self._note_sweep(t0)
         return {n: s for n, s in zip(sizes, out)}
 
@@ -364,13 +356,11 @@ class ScheduleService:
         scheduler: str | Scheduler = "mh",
         family: str = "hypercube",
         params: MachineParams = IDEAL,
-        use_cache: bool = True,
     ) -> SpeedupReport:
         """The Figure-3 speedup sweep, built on the cached schedule batch."""
         sched = resolve_scheduler(scheduler)
         schedules = self.schedules_for_sizes(
             graph, proc_counts, scheduler=sched, family=family, params=params,
-            use_cache=use_cache,
         )
         serial = sum(params.exec_time(t.work) for t in graph.tasks)
         points = []
@@ -401,12 +391,11 @@ class ScheduleService:
         graph: TaskGraph,
         machine: TargetMachine,
         schedulers: Sequence[str | Scheduler],
-        use_cache: bool = True,
     ) -> dict[str, Schedule]:
         """One schedule per heuristic on a fixed machine (ablation sweeps)."""
         t0 = time.perf_counter()
         resolved = [resolve_scheduler(s) for s in schedulers]
-        out = self._batch([(graph, machine, s) for s in resolved], use_cache)
+        out = self._batch([(graph, machine, s) for s in resolved])
         self._note_sweep(t0)
         return {s.name: schedule for s, schedule in zip(resolved, out)}
 
@@ -416,14 +405,11 @@ class ScheduleService:
     def _batch(
         self,
         items: list[tuple[TaskGraph, TargetMachine, Scheduler]],
-        use_cache: bool,
     ) -> list[Schedule]:
         """Resolve a batch of scheduling problems in order, cache first.
 
         Returns the schedules aligned with ``items``.
         """
-        if not use_cache:
-            return [s.schedule(g, m) for g, m, s in items]
         graph_fps: dict[int, str] = {}
         results: list[Schedule] = []
         for graph, machine, sched in items:

@@ -119,7 +119,6 @@ def _request(payload: dict[str, Any]) -> ScheduleRequest:
         scheduler=_scheduler_name(payload),
         proc_counts=_proc_counts(payload),
         family=family,
-        use_cache=bool(payload.get("use_cache", True)),
     )
 
 
@@ -191,9 +190,7 @@ def op_schedule(payload: dict[str, Any]) -> dict[str, Any]:
             "fallback": result.fallback,
         }
     else:
-        schedule = project.schedule(
-            ScheduleRequest(scheduler=req.scheduler, use_cache=req.use_cache)
-        )
+        schedule = project.schedule(req.scheduler)
     doc: dict[str, Any] = {
         "type": "banger-schedule",
         "project": project.name,
@@ -261,9 +258,10 @@ def op_simulate(payload: dict[str, Any]) -> dict[str, Any]:
     req = _request(payload)
     contention = bool(payload.get("contention", False))
     scenario = _scenario(payload)
-    schedule = project.schedule(
-        ScheduleRequest(scheduler=req.scheduler, use_cache=req.use_cache)
-    )
+    if scenario is None and payload.get("reactive"):
+        raise OpError("reactive re-maps around a fault scenario; "
+                      "the payload carries no 'scenario'")
+    schedule = project.schedule(req.scheduler)
     doc: dict[str, Any] = {
         "type": "banger-simulate",
         "project": project.name,
@@ -318,9 +316,7 @@ def op_codegen(payload: dict[str, Any]) -> dict[str, Any]:
     req = _request(payload)
     try:
         backend = get_backend(target)
-        program = project.lower(
-            ScheduleRequest(scheduler=req.scheduler, use_cache=req.use_cache)
-        )
+        program = project.lower(req.scheduler)
     except CodegenError as exc:
         raise OpError(str(exc)) from None
     doc: dict[str, Any] = {

@@ -22,14 +22,21 @@ subpath)::
 
 Failure mapping: a quota violation is **403** (with ``Retry-After`` added
 by the daemon, mirroring 503 backpressure); an unknown tenant/project/
-version/blob is **404**; anything malformed is **400**.
+version/blob is **404**; anything malformed is **400**; a store that is
+corrupt or cannot be written is **500** — not the caller's fault.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.errors import QuotaExceeded, StoreCorruption, StoreError, StoreNotFound
+from repro.errors import (
+    QuotaExceeded,
+    StoreCorruption,
+    StoreError,
+    StoreNotFound,
+    StoreWriteError,
+)
 from repro.store.repository import ProjectRepository
 
 
@@ -186,7 +193,7 @@ def store_request(
         )
     except StoreNotFound as exc:
         return 404, _error("not-found", str(exc))
-    except StoreCorruption as exc:
+    except (StoreCorruption, StoreWriteError) as exc:
         return 500, _error("internal", str(exc))
     except StoreError as exc:
         return 400, _error("bad-request", str(exc))

@@ -7,10 +7,12 @@ design stored here and a design posted to ``/schedule`` share one identity.
 Writing the same content twice stores it once; that is the whole
 deduplication story, and :meth:`BlobStore.stats` measures how much it saved.
 
-The store is memory-first with an optional disk tier (``objects/ab/abcd….json``,
-git-style fan-out).  Disk reads are corruption-tolerant: an entry whose
-bytes no longer hash to its name is evicted and reported missing, never a
-traceback.  All methods are thread-safe — the daemon serves many
+The store is memory *or* disk, never both: without a root a dict holds the
+blobs; with one the directory does (``objects/ab/abcd….json``, git-style
+fan-out) and no blob text outlives a call, so every process sharing the
+directory sees the same store.  Disk reads are corruption-tolerant: an entry
+whose bytes no longer hash to its name is evicted and reported missing, never
+a traceback.  All methods are thread-safe — the daemon serves many
 connections over one store.
 """
 
@@ -20,77 +22,88 @@ import hashlib
 import json
 import threading
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
-from repro.errors import StoreNotFound
+from repro.errors import StoreNotFound, StoreWriteError
 from repro.graph.serialize import canonical_json
 from repro.store.evict import (
     atomic_write_text,
     dir_files,
     enforce_size_cap,
     oldest_first,
+    total_bytes,
 )
 
 
 class BlobStats:
-    """Write/read accounting for one blob store."""
+    """Write/read accounting for one blob store.
 
-    def __init__(self) -> None:
+    ``stored_bytes`` is asked of the store when read, not kept as a running
+    total: what the dict or the directory holds is the only record of it, so
+    every process on one directory reports the same number, restarts included
+    (a ``BlobStats()`` belonging to no store holds ``int()`` = 0 bytes).
+    """
+
+    def __init__(self, measure: Callable[[], int] = int) -> None:
         self.puts = 0
         self.dedup_hits = 0
         self.gets = 0
         self.misses = 0
         self.evictions = 0
         self.logical_bytes = 0   # bytes callers asked to store (pre-dedup)
-        self.stored_bytes = 0    # bytes actually held (post-dedup)
+        self._measure = measure  # bytes actually held (post-dedup), right now
+
+    @property
+    def stored_bytes(self) -> int:
+        return self._measure()
 
     @property
     def dedup_ratio(self) -> float:
         """logical / stored — > 1.0 whenever deduplication saved anything."""
-        return self.logical_bytes / self.stored_bytes if self.stored_bytes else 1.0
+        return self._ratio(self.stored_bytes)
+
+    def _ratio(self, stored: int) -> float:
+        return self.logical_bytes / stored if stored else 1.0
 
     def as_dict(self) -> dict[str, Any]:
-        doc = dict(vars(self))
-        doc["dedup_ratio"] = round(self.dedup_ratio, 4)
+        doc = {k: v for k, v in vars(self).items() if not k.startswith("_")}
+        stored = doc["stored_bytes"] = self.stored_bytes  # measured once
+        doc["dedup_ratio"] = round(self._ratio(stored), 4)
         return doc
 
 
 class BlobStore:
-    """Content-addressed blob storage with optional disk persistence.
+    """Content-addressed blob storage, in memory or in a directory.
 
     Parameters
     ----------
     root:
-        Directory for the disk tier (created lazily); ``None`` keeps every
-        blob in memory only.
+        Directory that *is* the store (created lazily); ``None`` keeps every
+        blob in a dict for the life of the object instead.
     """
 
     def __init__(self, root: str | Path | None = None):
-        self._root = Path(root) if root is not None else None
-        self._mem: dict[str, str] = {}
+        self._objects = Path(root) / "objects" if root is not None else None
+        self._mem: dict[str, str] | None = {} if root is None else None
         self._lock = threading.RLock()
-        self.stats = BlobStats()
-        if self._root is not None:
-            # Adopt whatever a previous process left behind so stored_bytes
-            # and dedup accounting stay truthful across restarts.
-            for path in dir_files(self._objects_dir()):
-                self.stats.stored_bytes += path.stat().st_size
+        self.stats = BlobStats(self.total_bytes)
 
     # ------------------------------------------------------------------ #
     # paths
     # ------------------------------------------------------------------ #
-    def _objects_dir(self) -> Path:
-        assert self._root is not None
-        return self._root / "objects"
-
     def _path(self, digest: str) -> Path:
-        return self._objects_dir() / digest[:2] / f"{digest}.json"
+        assert self._objects is not None
+        return self._objects / digest[:2] / f"{digest}.json"
 
     # ------------------------------------------------------------------ #
     # core operations
     # ------------------------------------------------------------------ #
     def put(self, doc: Any) -> str:
-        """Store ``doc``; returns its content hash.  Idempotent by content."""
+        """Store ``doc``; returns its content hash.  Idempotent by content.
+
+        Raises :class:`StoreWriteError` when the directory cannot take the
+        blob: a hash is only ever returned for bytes :meth:`get` can find.
+        """
         text = canonical_json(doc)
         # The stored text *is* the canonical rendering: hashing it is
         # ``fingerprint(doc)`` without rendering the document twice.
@@ -98,33 +111,31 @@ class BlobStore:
         with self._lock:
             self.stats.puts += 1
             self.stats.logical_bytes += len(text)
-            if digest in self._mem or (
-                self._root is not None and self._path(digest).exists()
-            ):
+            if self.has(digest):
                 self.stats.dedup_hits += 1
-                self._mem.setdefault(digest, text)
                 return digest
-            self._mem[digest] = text
-            self.stats.stored_bytes += len(text)
-        if self._root is not None:
-            # A full or read-only disk must never break a put: the blob
-            # still lives in memory for this process's lifetime.
-            atomic_write_text(self._path(digest), text)
+            if self._mem is not None:
+                self._mem[digest] = text
+                return digest
+        if not atomic_write_text(self._path(digest), text):
+            raise StoreWriteError(
+                f"cannot write blob {digest[:12]}… under {self._objects} "
+                "(full, read-only or not a directory); nothing was stored"
+            )
         return digest
 
     def get(self, digest: str) -> Any:
         """The stored document, or :class:`StoreError` if absent/corrupt."""
+        if self._mem is None:
+            text = self._disk_read(digest)
+        else:
+            with self._lock:
+                text = self._mem.get(digest)
         with self._lock:
             self.stats.gets += 1
-            text = self._mem.get(digest)
-        if text is None and self._root is not None:
-            text = self._disk_read(digest)
-            if text is not None:
-                with self._lock:
-                    self._mem.setdefault(digest, text)
-        if text is None:
-            with self._lock:
+            if text is None:
                 self.stats.misses += 1
+        if text is None:
             raise StoreNotFound(f"no blob {digest[:12]}… in the store")
         return json.loads(text)
 
@@ -143,54 +154,35 @@ class BlobStore:
                 pass
             with self._lock:
                 self.stats.evictions += 1
-                self.stats.stored_bytes = max(
-                    0, self.stats.stored_bytes - len(data)
-                )
             return None
         return data.decode("utf-8")
 
     def has(self, digest: str) -> bool:
+        if self._mem is None:
+            return self._path(digest).exists()
         with self._lock:
-            if digest in self._mem:
-                return True
-        return self._root is not None and self._path(digest).exists()
+            return digest in self._mem
 
     def delete(self, digest: str) -> bool:
         """Remove one blob; returns whether anything was deleted."""
-        removed = False
-        with self._lock:
-            text = self._mem.pop(digest, None)
-            if text is not None:
-                removed = True
-                self.stats.stored_bytes = max(
-                    0, self.stats.stored_bytes - len(text)
-                )
-        if self._root is not None:
-            path = self._path(digest)
-            try:
-                size = path.stat().st_size
-                path.unlink()
-                if not removed:
-                    with self._lock:
-                        self.stats.stored_bytes = max(
-                            0, self.stats.stored_bytes - size
-                        )
-                removed = True
-            except OSError:
-                pass
-        return removed
+        if self._mem is not None:
+            with self._lock:
+                return self._mem.pop(digest, None) is not None
+        try:
+            self._path(digest).unlink()
+        except OSError:
+            return False
+        return True
 
     # ------------------------------------------------------------------ #
     # enumeration + GC support
     # ------------------------------------------------------------------ #
     def digests(self) -> list[str]:
-        """Every stored content hash (memory ∪ disk), sorted."""
+        """Every stored content hash, sorted."""
+        if self._mem is None:
+            return sorted(p.stem for p in dir_files(self._objects))
         with self._lock:
-            known = set(self._mem)
-        if self._root is not None:
-            for path in dir_files(self._objects_dir()):
-                known.add(path.stem)
-        return sorted(known)
+            return sorted(self._mem)
 
     def __len__(self) -> int:
         return len(self.digests())
@@ -199,8 +191,11 @@ class BlobStore:
         return iter(self.digests())
 
     def total_bytes(self) -> int:
+        """Bytes held right now (post-dedup), measured where they live."""
+        if self._mem is None:
+            return total_bytes(dir_files(self._objects))
         with self._lock:
-            return self.stats.stored_bytes
+            return sum(len(text) for text in self._mem.values())
 
     def sweep(self, live: set[str]) -> list[str]:
         """Delete every blob not in ``live`` (oldest-first on disk).
@@ -208,19 +203,13 @@ class BlobStore:
         Returns the deleted digests; the shared eviction policy
         (:mod:`repro.store.evict`) orders the disk candidates.
         """
-        deleted: list[str] = []
-        if self._root is not None:
-            dead = [
-                p for p in oldest_first(dir_files(self._objects_dir()))
-                if p.stem not in live
+        if self._mem is None:
+            candidates = [
+                p.stem for p in oldest_first(dir_files(self._objects))
             ]
-            for path in dead:
-                if self.delete(path.stem):
-                    deleted.append(path.stem)
-        for digest in list(self.digests()):
-            if digest not in live and digest not in deleted:
-                if self.delete(digest):
-                    deleted.append(digest)
+        else:
+            candidates = self.digests()
+        deleted = [d for d in candidates if d not in live and self.delete(d)]
         with self._lock:
             self.stats.evictions += len(deleted)
         return deleted
@@ -230,34 +219,26 @@ class BlobStore:
     ) -> list[str]:
         """Trim oldest blobs until under ``max_bytes``, sparing ``keep``.
 
-        In-memory-only blobs count toward the cap too and are trimmed in
-        digest order after the disk tier; returns the deleted digests.
+        In memory there is no age, so blobs are trimmed in digest order;
+        returns the deleted digests.
         """
-        deleted: list[str] = []
-        if self._root is not None:
-            files = dir_files(self._objects_dir())
-            sizes = {}
-            for path in files:
-                try:
-                    sizes[path] = path.stat().st_size
-                except OSError:
-                    sizes[path] = 0
-            keep_paths = {self._path(d) for d in keep}
-            for path in enforce_size_cap(files, max_bytes, keep=keep_paths):
-                digest = path.stem
-                with self._lock:
-                    self._mem.pop(digest, None)
-                    self.stats.stored_bytes = max(
-                        0, self.stats.stored_bytes - sizes.get(path, 0)
-                    )
-                deleted.append(digest)
-        while self.total_bytes() > max_bytes:
+        if self._mem is None:
+            deleted = [
+                path.stem
+                for path in enforce_size_cap(
+                    dir_files(self._objects), max_bytes,
+                    keep={self._path(d) for d in keep},
+                )
+            ]
+        else:
+            deleted = []
             with self._lock:
-                trimmable = sorted(set(self._mem) - set(keep) - set(deleted))
-                if not trimmable:
-                    break
-            if self.delete(trimmable[0]):
-                deleted.append(trimmable[0])
+                over = self.total_bytes() - max_bytes
+                for digest in sorted(set(self._mem) - set(keep)):
+                    if over <= 0:
+                        break
+                    over -= len(self._mem.pop(digest))
+                    deleted.append(digest)
         with self._lock:
             self.stats.evictions += len(deleted)
         return deleted

@@ -46,9 +46,10 @@ class RefStore:
         self._root = Path(root) if root is not None else None
         # tenant -> name -> list of version entries (dicts)
         self._refs: dict[str, dict[str, list[dict[str, Any]]]] = {}
+        # refs whose last write failed: memory is their only full copy
+        self._unsaved: set[tuple[str, str]] = set()
         self._lock = threading.RLock()
-        if self._root is not None:
-            self._load_disk()
+        self.reload()
 
     # ------------------------------------------------------------------ #
     # persistence
@@ -60,18 +61,25 @@ class RefStore:
     def _path(self, tenant: str, name: str) -> Path:
         return self._refs_dir() / tenant / f"{name}.json"
 
-    def _load_disk(self) -> None:
-        base = self._refs_dir()
-        if not base.is_dir():
+    def reload(self) -> None:
+        """Read ``refs/`` again: another process may have written since.
+
+        A ref file on disk replaces the history held in memory, unless this
+        process's last write of that ref failed: then memory holds versions
+        the file lacks, and it stays.  A ref with no file at all stays too.
+        """
+        if self._root is None or not self._refs_dir().is_dir():
             return
-        for path in sorted(base.glob("*/*.json")):
-            try:
-                doc = json.loads(path.read_text(encoding="utf-8"))
-                versions = doc["versions"]
-            except (OSError, json.JSONDecodeError, KeyError):
-                continue  # corrupt ref: skip, never crash startup
-            tenant, name = path.parent.name, path.stem
-            self._refs.setdefault(tenant, {})[name] = list(versions)
+        with self._lock:
+            for path in sorted(self._refs_dir().glob("*/*.json")):
+                try:
+                    doc = json.loads(path.read_text(encoding="utf-8"))
+                    versions = doc["versions"]
+                except (OSError, json.JSONDecodeError, KeyError):
+                    continue  # corrupt ref: skip, never crash startup
+                tenant, name = path.parent.name, path.stem
+                if (tenant, name) not in self._unsaved:
+                    self._refs.setdefault(tenant, {})[name] = list(versions)
 
     def _persist(self, tenant: str, name: str) -> None:
         if self._root is None:
@@ -82,8 +90,12 @@ class RefStore:
             "format": 1,
             "versions": self._refs[tenant][name],
         }
-        # On a failed write the memory copy stays authoritative for this process.
-        atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=1))
+        # On a failed write the memory copy stays authoritative for this
+        # process, reload() included, until a later write of the ref lands.
+        if atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=1)):
+            self._unsaved.discard((tenant, name))
+        else:
+            self._unsaved.add((tenant, name))
 
     # ------------------------------------------------------------------ #
     # queries
@@ -176,6 +188,7 @@ class RefStore:
                 ) from None
             if not self._refs[tenant]:
                 del self._refs[tenant]
+            self._unsaved.discard((tenant, name))
         if self._root is not None:
             try:
                 self._path(tenant, name).unlink()

@@ -428,8 +428,12 @@ class ProjectRepository:
         versions* are trimmed oldest-first too (their version entries then
         read as missing blobs) — every project's newest version always
         stays loadable, whatever the cap.
+
+        Liveness is decided from ``refs/`` as it is on disk now, not as this
+        process loaded it: a project another process stored since is live.
         """
         with self._lock:
+            self.refs.reload()
             live = self._reachable()
             deleted = self.blobs.sweep(live)
             if (

@@ -188,12 +188,11 @@ class TestSweep:
         assert [p["n_procs"] for p in points] == [1, 2, 4]
         assert doc["stats"]["misses"] > 0
 
-    def test_no_cache(self, project_path, capsys):
-        assert main([
-            "sweep", project_path, "--procs", "1,2",
-            "--no-cache", "--stats",
-        ]) == 0
-        assert "0 entries" in capsys.readouterr().out
+    def test_the_cache_bypass_flag_is_gone(self, project_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", project_path, "--no-cache"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-cache" in capsys.readouterr().err
 
     def test_gantt_flag(self, project_path, capsys):
         assert main([

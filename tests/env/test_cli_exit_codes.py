@@ -8,6 +8,8 @@ new command cannot silently invent its own convention.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,27 @@ def test_usage_exits_two(argv, good_project, broken_project, not_json,
                          not_a_project, capsys):
     argv = _fill(argv, good_project, broken_project, not_json, not_a_project)
     assert main(argv) == EXIT_USAGE
+
+
+def test_simulate_without_a_scenario_does_not_swallow_reactive(good_project, capsys):
+    assert main(["simulate", good_project, "--reactive"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--scenario" in captured.err and not captured.out
+
+
+def test_scenario_that_does_not_fit_the_machine_exits_two(
+    good_project, tmp_path, capsys
+):
+    """The daemon answers this 400, so the CLI exits 2 (docs/server.md)."""
+    from repro.machine.scenario import PROC_FAIL, FaultEvent, FaultScenario
+
+    misfit = FaultScenario(events=(FaultEvent(time=1.0, kind=PROC_FAIL, proc=99),))
+    path = tmp_path / "misfit.json"
+    path.write_text(json.dumps(misfit.to_dict()), encoding="utf-8")
+    for extra in ([], ["--reactive"]):
+        argv = ["simulate", good_project, "--scenario", str(path), *extra]
+        assert main(argv) == EXIT_USAGE
+        assert "cannot load fault scenario" in capsys.readouterr().err
 
 
 def test_version_flag_exits_zero(capsys):

@@ -141,13 +141,6 @@ class TestMemoization:
         second = svc.schedule(graph, machine, "mh")
         assert first is not second
 
-    def test_use_cache_false_bypasses(self, graph, machine):
-        svc = ScheduleService()
-        a = svc.schedule(graph, machine, "mh", use_cache=False)
-        b = svc.schedule(graph, machine, "mh", use_cache=False)
-        assert a is not b
-        assert len(svc) == 0
-
     def test_lru_eviction(self, graph):
         svc = ScheduleService(max_entries=2)
         for n in (2, 4, 8):

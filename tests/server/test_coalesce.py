@@ -18,6 +18,7 @@ from repro.client import BangerClient
 from repro.sched.core import kernel_counters
 from repro.server import app as app_mod
 from repro.server.ops import execute, shared_service
+from repro.server.protocol import json_body
 
 N_CLIENTS = 24
 
@@ -110,6 +111,18 @@ class TestCoalescing:
         metrics = client.metrics()["server"]
         assert metrics["by_disposition"]["computed"] == 2
         assert metrics["coalesce_hits"] == 0
+
+    def test_use_cache_is_one_more_unread_option(self, daemon_factory, project_doc):
+        """The cache bypass is gone: the field changes the key (every payload
+        field does) and nothing else — same bytes, no second scheduler run."""
+        harness = daemon_factory(workers=0)
+        client = harness.client
+        plain = client.schedule(project_doc, scheduler="mh")
+        bypass = client.schedule(project_doc, scheduler="mh", use_cache=False)
+        assert json_body(bypass) == json_body(plain)
+        metrics = client.metrics()["server"]
+        assert metrics["by_disposition"]["computed"] == 2
+        assert metrics["work"]["sched_runs"] == 1
 
     def test_reordered_json_maps_to_same_key(self, daemon_factory, project_doc):
         """Key is content-addressed, not byte-addressed: field order of the

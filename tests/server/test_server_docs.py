@@ -96,3 +96,25 @@ def test_access_log_fields_are_documented():
     for field in ("ts", "client", "method", "path", "status", "ms",
                   "disposition", "bytes_in"):
         assert f"`{field}`" in TEXT, f"access-log field {field} missing"
+
+
+def test_store_failures_answered_500_are_documented():
+    from repro.errors import StoreCorruption, StoreWriteError
+    from repro.server.store_api import store_request
+
+    row = next(line for line in TEXT.splitlines() if line.startswith("| `500`"))
+    for cls in (StoreCorruption, StoreWriteError):
+        assert f"`{cls.__name__}`" in row
+
+        class Refusing:
+            def put(self, *args, **kwargs):
+                raise cls("refused")
+
+        status, body = store_request(
+            Refusing(), "POST", "/projects/t/p", {"project": {}}
+        )
+        assert (status, body["kind"]) == (500, "internal")
+
+
+def test_reactive_documents_that_it_needs_a_scenario():
+    assert "requires `scenario`" in TEXT

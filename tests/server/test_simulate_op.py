@@ -99,6 +99,10 @@ class TestScenarioOption:
         with pytest.raises(OpError):
             op_simulate({"project": _project(), "scenario": scen})
 
+    def test_reactive_without_a_scenario_is_a_400(self):
+        with pytest.raises(OpError, match="'scenario'"):
+            op_simulate({"project": _project(), "reactive": True})
+
     def test_scenario_options_are_part_of_the_coalesce_key(self):
         project = _project()
         scen = _scenario(PROC_SLOWDOWN, proc=0, time=0.0, factor=4.0)

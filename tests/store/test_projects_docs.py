@@ -100,3 +100,19 @@ def test_http_routes_and_status_codes_are_documented():
     for token in ("GET /projects", "POST /projects", "Retry-After",
                   "quota-exceeded", "not-found", "bad-request", "403"):
         assert token in TEXT, f"{token} missing from docs/projects.md"
+
+
+def test_every_store_error_class_is_documented():
+    import repro.errors as errors
+
+    for name, cls in vars(errors).items():
+        if isinstance(cls, type) and issubclass(cls, errors.StoreError):
+            assert f"`{name}`" in TEXT, f"{name} missing from docs/projects.md"
+
+
+def test_the_shared_directory_contract_is_documented():
+    from repro.store import RefStore
+
+    assert "memory or disk, never both" in TEXT  # tests/store/test_shared_directory.py
+    assert "`RefStore.reload`" in TEXT and callable(RefStore.reload)
+    assert "put-versus-gc race" in TEXT  # open, and said so
