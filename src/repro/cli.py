@@ -4,16 +4,10 @@ Projects are the JSON documents written by
 :meth:`repro.env.project.BangerProject.save`.  Usage::
 
     python -m repro.cli feedback  project.json
-    python -m repro.cli lint      project.json --format sarif
     python -m repro.cli outline   project.json
-    python -m repro.cli schedule  project.json --scheduler mh --gantt
     python -m repro.cli edit      project.json --move t3 2 --swap a b
-    python -m repro.cli speedup   project.json --procs 1,2,4,8
-    python -m repro.cli sweep     project.json --scheduler mh,hlfet --stats
-    python -m repro.cli simulate  project.json --contention
     python -m repro.cli run       project.json [--parallel]
     python -m repro.cli codegen   project.json --target threads -o prog.py
-    python -m repro.cli codegen   project.json --target inproc --run
     python -m repro.cli topology  --family hypercube --procs 8
     python -m repro.cli projects  put alice/mydesign project.json
     python -m repro.cli projects  log alice/mydesign
@@ -25,13 +19,37 @@ Wherever a command takes a project file, a store reference works too:
 (``--store``/``BANGER_STORE_DIR``, default ``.banger-store``) — so
 ``banger sweep corpus://family_butterfly`` needs no JSON file at all.
 
+Seven commands are also daemon endpoints and share its driver,
+:mod:`repro.server.ops`: ``ops.<cmd>_options`` reads the parsed flags under
+their payload-field names and is the only place an option is typed,
+defaulted and range-checked, so what ``POST /<cmd>`` refuses with a 400
+this refuses in the same words with exit 2 (``docs/server.md`` says when).
+``--flag`` = payload field (default)::
+
+    lint      --suppress A,B = suppress ([]), --fail-on = fail_on (error),
+              --concurrency = concurrency (false), --scheduler = scheduler (mh)
+    schedule  --scheduler = scheduler (mh), --gantt = gantt (false);
+              base_schedule has no flag
+    speedup   --scheduler = scheduler (mh), --procs 1,2 = proc_counts
+              ([1, 2, 4, 8]), --family = family (the project machine's)
+    sweep     --scheduler A,B = schedulers (["mh"]), --procs and --family
+              as for speedup
+    simulate  --scheduler = scheduler (mh), --contention = contention (false),
+              --scenario FILE = scenario (none; the loaded document),
+              --reactive = reactive (false), --threshold = threshold (2.0)
+    codegen   --scheduler = scheduler (mh), --target = target (threads),
+              --run = run (false)
+    conform   --seed = seed (0), --runs = runs (100), --oracle A,B = oracles
+              (all), --budget = budget (none)
+
 Exit codes are uniform across every subcommand:
 
 * ``0`` — success;
 * ``1`` — the command ran but found problems (lint errors, failed
   feedback, conformance failures, a scheduling error);
-* ``2`` — usage or missing input (bad flag values, nonexistent or
-  non-project files, malformed JSON).
+* ``2`` — an unusable request, :class:`repro.server.ops.OpError` (bad flag
+  values, non-project files, malformed JSON — each named by what was being
+  loaded), or a nonexistent file.
 
 Every failure prints a single actionable message — the command-line
 flavour of instant feedback.
@@ -40,19 +58,19 @@ flavour of instant feedback.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
-import pathlib
 import sys
+from typing import Any, Callable
 
 from repro import __version__
 from repro.env.project import BangerProject
-from repro.errors import ReproError
+from repro.errors import ReproError, StoreNotFound
 from repro.machine.topologies import build_topology
-from repro.sched import SCHEDULERS, report
+from repro.sched import render_explanations, report
 from repro.sched.metrics import ScheduleReport
-from repro.sim import simulate
+from repro.server import ops
+from repro.server.ops import OpError
 from repro.viz import render_gantt, render_trace_gantt, render_topology
 from repro.viz.export import schedule_to_chrome_trace, schedule_to_csv
 
@@ -61,10 +79,6 @@ from repro.viz.export import schedule_to_chrome_trace, schedule_to_csv
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-
-class UsageError(ReproError):
-    """Bad flag values or unusable input files — exits with status 2."""
 
 
 def _store_root(explicit: str | None = None) -> str:
@@ -81,19 +95,24 @@ def _parse_ref(text: str) -> tuple[str, str, int | None]:
         try:
             version = int(vtext)
         except ValueError:
-            raise UsageError(
+            raise OpError(
                 f"bad version {vtext!r} in project ref; expected an integer"
             ) from None
     if "/" not in text:
-        raise UsageError(
+        raise OpError(
             f"bad project ref {text!r}; expected tenant/name[@version]"
         )
     tenant, name = text.split("/", 1)
     return tenant, name, version
 
 
-def _resolve_store_uri(path: str) -> dict | None:
-    """A project document for ``corpus://`` / ``store://`` URIs, else None."""
+def _json_file(path: str) -> Any:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _project(path: str) -> BangerProject:
+    """The project in a file, or behind a ``corpus://`` / ``store://`` ref."""
     if path.startswith("corpus://"):
         from repro.store.corpus import CORPUS_TENANT, default_corpus
 
@@ -101,39 +120,35 @@ def _resolve_store_uri(path: str) -> dict | None:
         name, version = ref, None
         if "@" in ref:
             _, name, version = _parse_ref(f"{CORPUS_TENANT}/{ref}")
-        return default_corpus().get(CORPUS_TENANT, name, version)
-    if path.startswith("store://"):
+        doc = default_corpus().get(CORPUS_TENANT, name, version)
+    elif path.startswith("store://"):
         from repro.store import ProjectRepository
 
         tenant, name, version = _parse_ref(path[len("store://"):])
-        return ProjectRepository(_store_root()).get(tenant, name, version)
-    return None
+        doc = ProjectRepository(_store_root()).get(tenant, name, version)
+    else:
+        doc = _json_file(path)
+    return BangerProject.from_dict(doc)
 
 
-@contextlib.contextmanager
-def _loading(what: str):
-    """Any library error raised while reading an input — an unknown store
-    ref, a file that is not what the flag needs — is a usage error (exit 2),
-    not a finding about the design."""
+def _load(
+    path: str, what: str = "Banger project", load: Callable[[str], Any] = _project
+) -> Any:
+    """Every input is read through here, so a bad one is blamed by name: a
+    file that is not JSON, an unknown store ref or a document that is not what
+    the flag needs is an unusable request (exit 2), not a finding."""
     try:
-        yield
+        return load(path)
+    except json.JSONDecodeError as exc:
+        raise OpError(f"cannot load {what} {path}: invalid JSON ({exc})") from None
     except ReproError as exc:
-        raise UsageError(f"cannot load {what}: {exc}") from None
+        raise OpError(f"cannot load {what}: {exc}") from None
 
 
-def _load(path: str) -> BangerProject:
-    with _loading("Banger project"):
-        doc = _resolve_store_uri(path)
-        if doc is not None:
-            return BangerProject.from_dict(doc)
-        return BangerProject.load(path)
-
-
-def _parse_procs(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise UsageError(f"bad processor list {text!r}; expected e.g. 1,2,4,8") from None
+def _csv(text: str) -> list[Any]:
+    """A comma list as a list, whole numbers as ints; the validator judges them."""
+    items = [item.strip() for item in text.split(",")]
+    return [int(i) if i.lstrip("-").isdigit() else i for i in items if i]
 
 
 # --------------------------------------------------------------------- #
@@ -147,21 +162,15 @@ def cmd_feedback(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import lint_project, render_json, render_sarif, render_text
+    from repro.lint import render_json, render_sarif, render_text
 
     project = _load(args.project)
-    suppress = [r.strip() for r in (args.suppress or "").split(",") if r.strip()]
-    report = lint_project(
-        project,
-        suppress=suppress,
-        concurrency=getattr(args, "concurrency", False),
-        scheduler=getattr(args, "scheduler", "mh"),
-    )
-    if getattr(args, "baseline", None):
+    opts = ops.lint_options(vars(args))
+    report = ops.run_lint(project, opts)
+    if args.baseline:
         from repro.lint import apply_baseline, load_baseline
 
-        with _loading("SARIF baseline"):
-            baseline = load_baseline(args.baseline)
+        baseline = _load(args.baseline, "SARIF baseline", load_baseline)
         report = apply_baseline(report, baseline)
     if args.format == "json":
         print(render_json(report))
@@ -169,10 +178,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(render_sarif(report, artifact=args.project))
     else:
         print(render_text(report))
-    failed = report.error_count > 0 or (
-        args.fail_on == "warning" and report.warning_count > 0
-    )
-    return 1 if failed else 0
+    return 1 if ops.lint_failed(report, opts) else 0
 
 
 def cmd_outline(args: argparse.Namespace) -> int:
@@ -190,7 +196,7 @@ def cmd_advise(args: argparse.Namespace) -> int:
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     project = _load(args.project)
-    schedule = project.schedule(args.scheduler)
+    schedule, _ = ops.run_schedule(project, ops.schedule_options(vars(args)))
     print(ScheduleReport.header())
     print(report(schedule).as_row())
     if args.gantt:
@@ -198,8 +204,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         print(render_gantt(schedule, show_messages=args.messages,
                            highlight_critical=True))
     if args.why:
-        from repro.sched import render_explanations
-
         print()
         print(render_explanations(schedule))
     if args.csv:
@@ -220,8 +224,9 @@ def cmd_edit(args: argparse.Namespace) -> int:
     moves = args.move or []
     swaps = args.swap or []
     if not moves and not swaps:
-        raise UsageError("nothing to edit; pass --move TASK PROC and/or --swap A B")
-    schedule = project.schedule(args.scheduler)
+        raise OpError("nothing to edit; pass --move TASK PROC and/or --swap A B")
+    scheduler = ops.scheduler_option(vars(args))
+    schedule = project.schedule(scheduler)
     makespan_before = schedule.makespan()
     edits: list[dict] = []
     lines: list[str] = []
@@ -229,7 +234,7 @@ def cmd_edit(args: argparse.Namespace) -> int:
         try:
             proc = int(proc_text)
         except ValueError:
-            raise UsageError(
+            raise OpError(
                 f"--move needs an integer processor, got {proc_text!r}"
             ) from None
         result = move_task(schedule, task, proc)
@@ -256,7 +261,7 @@ def cmd_edit(args: argparse.Namespace) -> int:
         print(json.dumps({
             "type": "banger-edit",
             "project": project.name,
-            "scheduler": args.scheduler,
+            "scheduler": scheduler,
             "makespan_before": makespan_before,
             "makespan_after": makespan_after,
             "delta": makespan_after - makespan_before,
@@ -277,32 +282,19 @@ def cmd_edit(args: argparse.Namespace) -> int:
 
 
 def cmd_speedup(args: argparse.Namespace) -> int:
-    project = _load(args.project)
-    report_ = project.speedup(_parse_procs(args.procs), scheduler=args.scheduler,
-                              family=args.family)
     from repro.viz import render_speedup_chart
 
-    print(render_speedup_chart(report_))
+    project = _load(args.project)
+    print(render_speedup_chart(project.speedup(ops.speedup_options(vars(args)))))
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.sched import ScheduleRequest
-
     project = _load(args.project)
-    procs = _parse_procs(args.procs)
-    schedulers = [s.strip() for s in args.scheduler.split(",") if s.strip()]
-    if not schedulers:
-        raise UsageError("no scheduler given; expected e.g. --scheduler mh,hlfet")
-    reports = {}
-    for name in schedulers:
-        request = ScheduleRequest(
-            scheduler=name,
-            proc_counts=procs,
-            family=args.family,
-        )
-        reports[name] = project.speedup(request)
-        print(reports[name].table())
+    requests = ops.sweep_options(vars(args))
+    reports = ops.run_sweep(project, requests)
+    for request in requests:
+        print(reports[request.scheduler].table())
         if args.gantt:
             print()
             print(project.gantt_series(request))
@@ -311,29 +303,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.stats:
         print(stats.render())
     if args.json:
-        doc = {
-            "type": "banger-sweep",
-            "project": project.name,
-            "proc_counts": list(procs),
-            "schedulers": {
-                name: {
-                    "family": rep.family,
-                    "serial_time": rep.serial_time,
-                    "max_parallelism": rep.max_parallelism,
-                    "points": [
-                        {
-                            "n_procs": p.n_procs,
-                            "makespan": p.makespan,
-                            "speedup": p.speedup,
-                            "efficiency": p.efficiency,
-                        }
-                        for p in rep.points
-                    ],
-                }
-                for name, rep in reports.items()
-            },
-            "stats": stats.as_dict(),
-        }
+        doc = ops.sweep_document(project, reports)
+        doc["proc_counts"] = list(requests[0].proc_counts)
+        doc["stats"] = stats.as_dict()
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
         print(f"wrote {args.json}")
@@ -341,52 +313,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.reactive and not args.scenario:
-        raise UsageError("--reactive re-maps around a fault scenario; "
-                         "pass one with --scenario")
     project = _load(args.project)
-    schedule = project.schedule(args.scheduler)
-    scenario = None
+    raw = vars(args)
     if args.scenario:
-        from repro.machine.scenario import FaultScenario
-
-        with open(args.scenario, encoding="utf-8") as fh, _loading("fault scenario"):
-            scenario = FaultScenario.from_dict(json.load(fh))
-            scenario.validate_for(schedule.machine)
+        raw = {**raw, "scenario": _load(args.scenario, "fault scenario", _json_file)}
+    opts = ops.simulate_options(raw, project.machine)
+    schedule, trace, result = ops.run_simulate(project, opts)
+    scenario = opts["scenario"]
+    print(render_trace_gantt(trace))
+    print()
+    print(f"static makespan    {schedule.makespan():.3f}")
     if scenario is None:
-        trace = simulate(schedule, contention=args.contention)
-        print(render_trace_gantt(trace))
-        print()
-        print(f"static makespan    {schedule.makespan():.3f}")
         print(f"simulated makespan {trace.makespan():.3f}"
               + (" (with link contention)" if args.contention else ""))
         return 0
-
     label = scenario.name or "scenario"
-    if args.reactive:
-        from repro.sched.reactive import reactive_execute
-
-        result = reactive_execute(
-            schedule, scenario,
-            threshold=args.threshold, contention=args.contention,
-        )
-        trace = result.trace
+    if result is not None:
         passive = result.traces[0]
-        print(render_trace_gantt(trace))
-        print()
-        print(f"static makespan    {schedule.makespan():.3f}")
         print(f"passive makespan   {passive.makespan():.3f} under {label!r} "
               f"({len(passive.stranded)} stranded)")
         print(f"reactive makespan  {trace.makespan():.3f} "
               f"({result.n_rounds} round(s), {result.total_remaps} task(s) "
               f"re-mapped, {len(trace.stranded)} stranded)")
     else:
-        from repro.sim.dynamic import simulate_dynamic
-
-        trace = simulate_dynamic(schedule, scenario, contention=args.contention)
-        print(render_trace_gantt(trace))
-        print()
-        print(f"static makespan    {schedule.makespan():.3f}")
         print(f"dynamic makespan   {trace.makespan():.3f} under {label!r}")
     if trace.killed:
         print(f"killed tasks       {', '.join(sorted(trace.killed))}")
@@ -400,7 +349,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     project = _load(args.project)
     if args.parallel:
-        result = project.run_parallel(scheduler=args.scheduler)
+        scheduler = ops.scheduler_option(vars(args))
+        result = project.run_parallel(scheduler=scheduler)
         print(f"ran on processors {result.procs_used} "
               f"with {result.messages_sent} message(s)")
         outputs = result.outputs
@@ -415,8 +365,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_codegen(args: argparse.Namespace) -> int:
-    from repro.codegen.api import generate as generate_source, run as run_target
-
     if args.list:
         from repro.codegen import list_backends
 
@@ -429,15 +377,17 @@ def cmd_codegen(args: argparse.Namespace) -> int:
             print(f"{entry['name']:<8} [{','.join(abilities)}] {entry['description']}")
         return 0
     if not args.project:
-        raise UsageError("codegen needs a project file (or --list)")
+        raise OpError("codegen needs a project file (or --list)")
     project = _load(args.project)
-    if args.run:
-        outputs = run_target(project, target=args.target, scheduler=args.scheduler)
+    opts = ops.codegen_options(vars(args))
+    _, source, outputs = ops.run_codegen(project, opts)
+    if outputs is not None:
         for name in sorted(outputs):
             print(f"{name} = {outputs[name]}")
-        return 0
-    source = generate_source(project, target=args.target, scheduler=args.scheduler)
-    if args.output:
+    elif source is None:
+        raise OpError(f"target {opts['backend'].name!r} emits no source; "
+                      f"pass --run to execute it")
+    elif args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(source)
         print(f"wrote {args.output} ({len(source.splitlines())} lines)")
@@ -449,12 +399,9 @@ def cmd_codegen(args: argparse.Namespace) -> int:
 def cmd_conform(args: argparse.Namespace) -> int:
     from repro.conformance import corpus_paths, load_entry, replay_entry, run
 
-    oracles = [o.strip() for o in (args.oracle or "").split(",") if o.strip()]
-
     if args.replay:
-        if not pathlib.Path(args.replay).is_dir():
-            print(f"error: no such corpus directory: {args.replay}", file=sys.stderr)
-            return 2
+        if not os.path.isdir(args.replay):
+            raise OpError(f"no such corpus directory: {args.replay}")
         failures: list[str] = []
         paths = corpus_paths(args.replay)
         for path in paths:
@@ -475,13 +422,7 @@ def cmd_conform(args: argparse.Namespace) -> int:
             print("ok" if not failures else f"FAILED ({len(failures)} problem(s))")
         return 1 if failures else 0
 
-    report = run(
-        seed=args.seed,
-        runs=args.runs,
-        oracles=oracles or None,
-        corpus_dir=args.corpus,
-        time_budget=args.budget,
-    )
+    report = run(**ops.conform_options(vars(args)), corpus_dir=args.corpus)
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2))
     else:
@@ -495,11 +436,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.server import BangerDaemon, run_daemon
 
     if args.workers is not None and args.workers < 0:
-        raise UsageError(f"--workers must be >= 0, got {args.workers}")
+        raise OpError(f"--workers must be >= 0, got {args.workers}")
     if args.queue_limit < 1:
-        raise UsageError(f"--queue-limit must be >= 1, got {args.queue_limit}")
+        raise OpError(f"--queue-limit must be >= 1, got {args.queue_limit}")
     if args.timeout <= 0:
-        raise UsageError(f"--timeout must be > 0, got {args.timeout}")
+        raise OpError(f"--timeout must be > 0, got {args.timeout}")
 
     access_log = None
     if not args.no_access_log:
@@ -550,29 +491,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_projects(args: argparse.Namespace) -> int:
-    from repro.errors import QuotaExceeded, StoreError
     from repro.store import ProjectRepository
 
     repo = ProjectRepository(_store_root(args.store))
-    try:
-        return _run_projects_action(repo, args)
-    except QuotaExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-
-
-def _run_projects_action(repo, args: argparse.Namespace) -> int:
     action = args.action
     if action == "list":
         if args.tenant:
             names = repo.refs.projects(args.tenant)
             if not names and args.tenant not in repo.refs.tenants():
-                print(f"error: no tenant {args.tenant!r} in the store",
-                      file=sys.stderr)
-                return EXIT_FAILURE
+                raise StoreNotFound(f"no tenant {args.tenant!r} in the store")
             for name in names:
                 head = repo.refs.head(args.tenant, name)
                 print(f"{args.tenant}/{name}@{head['v']}  "
@@ -590,12 +517,10 @@ def _run_projects_action(repo, args: argparse.Namespace) -> int:
         return EXIT_OK
     if action == "put":
         tenant, name, _ = _parse_ref(args.ref)
-        with open(args.project, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _load(args.project, load=_json_file)
         scenario = None
         if args.scenario:
-            with open(args.scenario, encoding="utf-8") as fh:
-                scenario = json.load(fh)
+            scenario = _load(args.scenario, "fault scenario", _json_file)
         info = repo.put(tenant, name, doc, message=args.message,
                         scenario=scenario)
         print(f"{tenant}/{name}@{info['version']}  {info['manifest'][:12]}  "
@@ -652,7 +577,7 @@ def _run_projects_action(repo, args: argparse.Namespace) -> int:
         print(f"deleted {result['deleted']} blob(s); {result['live']} live, "
               f"{result['stored_bytes']} byte(s) on disk")
         return EXIT_OK
-    raise UsageError(f"unknown projects action {action!r}")
+    raise OpError(f"unknown projects action {action!r}")
 
 
 def cmd_topology(args: argparse.Namespace) -> int:
@@ -703,7 +628,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "store://tenant/name[@v] / corpus://<name> ref")
 
     def add_scheduler(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scheduler", default="mh", choices=sorted(SCHEDULERS))
+        p.add_argument("--scheduler",
+                       help="heuristic name (default: mh; see docs/SCHEDULERS.md)")
+
+    def add_sizes(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--procs", dest="proc_counts", type=_csv, metavar="PROCS",
+                       help="comma-separated machine sizes (default: 1,2,4,8)")
+        p.add_argument("--family", help="topology family (default: the "
+                                        "project machine's family)")
 
     p = sub.add_parser("feedback", help="validate everything; exit 1 on errors")
     add_project(p)
@@ -717,9 +649,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_project(p)
     p.add_argument("--format", default="text", choices=("text", "json", "sarif"),
                    help="output format (sarif is GitHub-annotatable)")
-    p.add_argument("--fail-on", default="error", choices=("error", "warning"),
-                   help="lowest severity that makes the exit status nonzero")
-    p.add_argument("--suppress", default="",
+    p.add_argument("--fail-on", metavar="{error,warning}",
+                   help="lowest severity that makes the exit status nonzero "
+                        "(default: error)")
+    p.add_argument("--suppress", type=_csv,
                    help="comma-separated rule IDs to hide, e.g. XL303,MF401")
     p.add_argument("--baseline", default=None, metavar="REPORT.SARIF",
                    help="suppress findings recorded in a previous SARIF "
@@ -727,8 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--concurrency", action="store_true",
                    help="also schedule the project and verify the generated "
                         "communication plan (CG5xx rules)")
-    p.add_argument("--scheduler", default="mh",
-                   help="scheduler used for --concurrency (default: mh)")
+    add_scheduler(p)
     p.set_defaults(fn=cmd_lint)
 
     p = sub.add_parser("outline", help="print the design outline")
@@ -773,9 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("speedup", help="speedup prediction sweep")
     add_project(p)
     add_scheduler(p)
-    p.add_argument("--procs", default="1,2,4,8")
-    p.add_argument("--family", default=None,
-                   help="topology family (default: the project machine's family)")
+    add_sizes(p)
     p.set_defaults(fn=cmd_speedup)
 
     p = sub.add_parser(
@@ -786,11 +716,10 @@ def build_parser() -> argparse.ArgumentParser:
                "in order, in this process.",
     )
     add_project(p)
-    p.add_argument("--procs", default="1,2,4,8")
-    p.add_argument("--scheduler", default="mh",
-                   help="comma-separated heuristic names (see `banger schedule`)")
-    p.add_argument("--family", default=None,
-                   help="topology family (default: the project machine's family)")
+    add_sizes(p)
+    p.add_argument("--scheduler", dest="schedulers", type=_csv,
+                   metavar="SCHEDULER",
+                   help="comma-separated heuristic names (default: mh)")
     p.add_argument("--stats", action="store_true",
                    help="print cache hit/miss/eviction and sweep counters")
     p.add_argument("--gantt", action="store_true",
@@ -810,12 +739,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_scheduler(p)
     p.add_argument("--contention", action="store_true",
                    help="model one-message-at-a-time links")
-    p.add_argument("--scenario", default=None,
+    p.add_argument("--scenario",
                    help="fault-scenario JSON file to inject during the replay")
     p.add_argument("--reactive", action="store_true",
                    help="reschedule unstarted tasks online as faults appear "
                         "(requires --scenario)")
-    p.add_argument("--threshold", type=float, default=2.0,
+    p.add_argument("--threshold", type=float,
                    help="observed/expected slowdown ratio that flags a "
                         "straggler processor (default: 2.0)")
     p.set_defaults(fn=cmd_simulate)
@@ -837,8 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_scheduler(p)
     p.add_argument(
-        "--target", choices=("threads", "inproc", "mpi", "c"), default="threads",
-        help="codegen backend (default: threads)",
+        "--target", help="codegen backend, see --list (default: threads)",
     )
     p.add_argument(
         "--run", action="store_true",
@@ -859,10 +787,10 @@ def build_parser() -> argparse.ArgumentParser:
                "to minimal witnesses and, with --corpus, written as replayable "
                "JSON cases.  Oracle catalogue: docs/conformance.md",
     )
-    p.add_argument("--seed", type=int, default=0, help="fuzzer seed (default 0)")
-    p.add_argument("--runs", type=int, default=100,
+    p.add_argument("--seed", type=int, help="fuzzer seed (default 0)")
+    p.add_argument("--runs", type=int,
                    help="number of generated cases (default 100)")
-    p.add_argument("--oracle", default="",
+    p.add_argument("--oracle", dest="oracles", type=_csv, metavar="ORACLE",
                    help="comma-separated oracle names (default: all registered)")
     p.add_argument("--corpus", default=None,
                    help="directory to write shrunk failing cases into")
@@ -989,14 +917,7 @@ def main(argv: list[str] | None = None) -> int:
         except Exception:
             pass
         return 0
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"error: not a Banger project file (invalid JSON: {exc})",
-              file=sys.stderr)
-        return EXIT_USAGE
-    except UsageError as exc:
+    except (FileNotFoundError, OpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ReproError as exc:

@@ -1,9 +1,9 @@
-"""The one public codegen entry point: ``generate`` / ``run`` over targets.
+"""The library's codegen entry point: ``generate`` / ``run`` over targets.
 
-Every codegen surface — :class:`~repro.env.project.BangerProject`, the CLI,
-the daemon — funnels through :func:`generate` (source) or :func:`run`
-(execution): coerce the argument to a :class:`~repro.codegen.ir.LoweredProgram`
-once (:func:`as_lowered`), then hand it to the registered backend.
+Both coerce their argument to a :class:`~repro.codegen.ir.LoweredProgram`
+once (:func:`as_lowered`), then hand it to the registered backend.  The CLI
+and the daemon share :func:`repro.server.ops.run_codegen`, which keeps the
+program it lowered (replies quote its hash) and makes the same two calls.
 """
 
 from __future__ import annotations

@@ -1,7 +1,16 @@
-"""The daemon's operations: one pure function per compute endpoint.
+"""The pipeline driver: one validator and one runner per operation.
 
-Each op maps a JSON payload to a JSON-able result document.  The same
-functions run in three places — the daemon's worker processes, its inline
+``banger <cmd>`` and the daemon's ``POST /<op>`` are two doors onto the
+same functions.  Per op, ``<op>_options`` types, defaults and range-checks
+the options from a plain mapping — the daemon's payload, or the CLI's
+parsed flags — and ``run_<op>`` takes a project plus those options and
+returns the rich result (speedup's runner is :meth:`BangerProject.speedup`,
+conform's :func:`repro.conformance.run`); ``op_<op>`` renders it as a
+JSON-able document, the CLI as text.  What a validator can decide without
+running the pipeline it refuses as :class:`OpError`; what only the run can
+discover stays an ordinary :class:`ReproError`.
+
+The ops run in three places — the daemon's worker processes, its inline
 thread executor (``--workers 0``), and unit tests calling them directly —
 so they hold no server state: every op gets its project from the payload
 and its caching from the process-local :func:`shared_service`.
@@ -21,10 +30,12 @@ import time
 from dataclasses import asdict
 from typing import Any, Callable
 
+from repro.codegen.backends import get_backend
 from repro.env.project import BangerProject
-from repro.errors import ReproError
-from repro.graph.serialize import fingerprint
+from repro.errors import CodegenError, ReproError, ScheduleError
+from repro.graph.serialize import _encode_value, fingerprint
 from repro.lint import lint_project, to_json
+from repro.machine.scenario import FaultScenario
 from repro.sched.core import kernel_counters
 from repro.sched.reactive import reactive_counters
 from repro.sched.incremental import incremental_reschedule
@@ -36,7 +47,8 @@ from repro.viz.gantt import render_gantt
 
 
 class OpError(ReproError):
-    """A request payload the ops cannot serve — answered 400, never 500."""
+    """An unusable request, options or input documents: the daemon answers
+    400 (never 500) and the CLI exits 2."""
 
 
 # --------------------------------------------------------------------- #
@@ -65,7 +77,7 @@ def reset_shared_service() -> None:
 
 
 # --------------------------------------------------------------------- #
-# payload helpers
+# option validators: the one place an option is typed, defaulted, refused
 # --------------------------------------------------------------------- #
 def _project_from_payload(payload: dict[str, Any]) -> BangerProject:
     doc = payload.get("project")
@@ -75,122 +87,232 @@ def _project_from_payload(payload: dict[str, Any]) -> BangerProject:
     return BangerProject.from_dict(doc, service=shared_service())
 
 
-def _proc_counts(payload: dict[str, Any]) -> tuple[int, ...] | None:
-    raw = payload.get("proc_counts")
-    if raw is None:
-        return None
-    # A string iterates digit by digit and a dict by its keys, so "anything
-    # int() accepts per element" is not a check: take a JSON list of whole
-    # numbers only (bool is an int to Python, not to the caller).
-    if not isinstance(raw, (list, tuple)) or not all(
-        (isinstance(n, int) and not isinstance(n, bool))
-        or (isinstance(n, float) and n.is_integer())
-        for n in raw
-    ):
-        raise OpError(f"proc_counts must be a list of integers, got {raw!r}")
-    counts = tuple(int(n) for n in raw)
-    if not counts or any(n < 1 for n in counts):
-        raise OpError(f"proc_counts must be positive integers, got {raw!r}")
-    return counts
+def _option(
+    raw: dict[str, Any], field: str, kind: Any, what: str, default: Any = None
+) -> Any:
+    """``raw[field]`` as a ``kind``: an instance of it, or for ``int`` and
+    ``float`` anything that converts to one.  Left out — or null, which is
+    how a flag the CLI was not given arrives — it is ``default``."""
+    value = raw.get(field)
+    if value is None:
+        return default
+    if kind in (int, float):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    elif isinstance(value, kind):
+        return value
+    raise OpError(f"{field} must be {what}, got {value!r}")
 
 
-def _scheduler_name(payload: dict[str, Any], key: str = "scheduler") -> str:
-    name = payload.get(key, "mh")
-    if not isinstance(name, str):
-        raise OpError(f"{key} must be a scheduler name string, got {name!r}")
+def scheduler_option(raw: dict[str, Any]) -> str:
+    name = _option(raw, "scheduler", str, "a scheduler name string", "mh")
+    try:
+        resolve_scheduler(name)
+    except ScheduleError as exc:
+        raise OpError(str(exc)) from None
     return name
 
 
-def _number(payload: dict[str, Any], field: str, cast: type, default: Any) -> Any:
-    """``cast(payload[field])``; options are user input, so a bad one is a 400."""
-    raw = payload.get(field, default)
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        kind = "an integer" if cast is int else "a number"
-        raise OpError(f"{field} must be {kind}, got {raw!r}") from None
-
-
-def _request(payload: dict[str, Any]) -> ScheduleRequest:
-    family = payload.get("family")
-    if family is not None and not isinstance(family, str):
-        raise OpError(f"family must be a topology family name, got {family!r}")
+def _sweep_request(raw: dict[str, Any], scheduler: str) -> ScheduleRequest:
+    family = _option(raw, "family", str, "a topology family name")
+    counts = _option(
+        raw, "proc_counts", (list, tuple), "a list of integers", [1, 2, 4, 8]
+    )
+    # A string iterates digit by digit and a dict by its keys, so "anything
+    # int() accepts per element" is not a check: take a JSON list of whole
+    # numbers only (bool is an int to Python, not to the caller).
+    if not all(
+        (isinstance(n, int) and not isinstance(n, bool))
+        or (isinstance(n, float) and n.is_integer())
+        for n in counts
+    ):
+        raise OpError(f"proc_counts must be a list of integers, got {counts!r}")
+    if not counts or any(n < 1 for n in counts):
+        raise OpError(f"proc_counts must be positive integers, got {counts!r}")
     return ScheduleRequest(
-        scheduler=_scheduler_name(payload),
-        proc_counts=_proc_counts(payload),
-        family=family,
+        scheduler=scheduler, proc_counts=tuple(int(n) for n in counts), family=family
     )
 
 
+def lint_options(raw: dict[str, Any]) -> dict[str, Any]:
+    fail_on = raw.get("fail_on")
+    if fail_on not in (None, "error", "warning"):
+        raise OpError(f"fail_on must be 'error' or 'warning', got {fail_on!r}")
+    suppress = _option(raw, "suppress", list, "a list of rule IDs", [])
+    return {
+        "suppress": [str(r) for r in suppress],
+        "fail_on": fail_on or "error",
+        "concurrency": bool(raw.get("concurrency")),
+        "scheduler": scheduler_option(raw),
+    }
+
+
+def schedule_options(raw: dict[str, Any]) -> dict[str, Any]:
+    """``base_schedule`` comes back parsed: the schedule to re-time against."""
+    base = _option(raw, "base_schedule", dict, "a saved schedule document")
+    if base is not None:
+        try:
+            base = schedule_from_dict(base)
+        except ReproError as exc:
+            raise OpError(f"malformed base_schedule: {exc}") from None
+    return {
+        "scheduler": scheduler_option(raw),
+        "gantt": bool(raw.get("gantt")),
+        "base_schedule": base,
+    }
+
+
+def speedup_options(raw: dict[str, Any]) -> ScheduleRequest:
+    return _sweep_request(raw, scheduler_option(raw))
+
+
+def sweep_options(raw: dict[str, Any]) -> list[ScheduleRequest]:
+    """One request per scheduler, in the order asked for."""
+    names = _option(raw, "schedulers", list, "a non-empty list of names", ["mh"])
+    if not names:
+        raise OpError(f"schedulers must be a non-empty list of names, got {names!r}")
+    return [
+        _sweep_request(raw, scheduler_option({"scheduler": name})) for name in names
+    ]
+
+
+def simulate_options(raw: dict[str, Any], machine: Any) -> dict[str, Any]:
+    """``scenario`` comes back parsed and checked against the project's
+    ``machine`` (a project without one is the run's to refuse)."""
+    scenario = _option(raw, "scenario", dict, "a fault-scenario document")
+    reactive = bool(raw.get("reactive"))
+    if scenario is None and reactive:
+        raise OpError("reactive re-maps around a fault scenario; "
+                      "the payload carries no 'scenario'")
+    if scenario is not None:
+        try:
+            scenario = FaultScenario.from_dict(scenario)
+        except ReproError as exc:
+            raise OpError(f"malformed scenario: {exc}") from None
+        if machine is not None:
+            try:
+                scenario.validate_for(machine)
+            except ReproError as exc:
+                raise OpError(
+                    f"scenario does not fit the project machine: {exc}"
+                ) from None
+    return {
+        "scheduler": scheduler_option(raw),
+        "contention": bool(raw.get("contention")),
+        "scenario": scenario,
+        "reactive": reactive,
+        "threshold": _option(raw, "threshold", float, "a number", 2.0),
+    }
+
+
+def codegen_options(raw: dict[str, Any]) -> dict[str, Any]:
+    target = _option(raw, "target", str, "a backend name string", "threads")
+    try:
+        backend = get_backend(target)
+    except CodegenError as exc:
+        raise OpError(str(exc)) from None
+    run = bool(raw.get("run"))
+    if run and not backend.runnable:
+        raise OpError(f"target {target!r} cannot run in-process; "
+                      f"request its source instead")
+    return {"scheduler": scheduler_option(raw), "backend": backend, "run": run}
+
+
+def conform_options(raw: dict[str, Any]) -> dict[str, Any]:
+    """Keyword arguments for :func:`repro.conformance.run`; a field left out
+    keeps that function's own default."""
+    oracles = _option(raw, "oracles", list, "a list of oracle names")
+    kwargs = {
+        "seed": _option(raw, "seed", int, "an integer"),
+        "runs": _option(raw, "runs", int, "an integer"),
+        "oracles": [str(o) for o in oracles] if oracles else None,
+        "time_budget": _option(raw, "budget", float, "a number"),
+    }
+    return {name: value for name, value in kwargs.items() if value is not None}
+
+
 # --------------------------------------------------------------------- #
-# the ops
+# runners: a project + validated options -> the result both doors render
+# --------------------------------------------------------------------- #
+def run_lint(project: BangerProject, opts: dict[str, Any]):
+    passed_on = {k: opts[k] for k in ("suppress", "concurrency", "scheduler")}
+    return lint_project(project, **passed_on)
+
+
+def lint_failed(report, opts: dict[str, Any]) -> bool:
+    return report.error_count > 0 or (
+        opts["fail_on"] == "warning" and report.warning_count > 0
+    )
+
+
+def run_schedule(project: BangerProject, opts: dict[str, Any]):
+    """``(schedule, incremental result or None)``."""
+    base = opts["base_schedule"]
+    if base is None:
+        return project.schedule(opts["scheduler"]), None
+    # Edit-loop path: re-time against the client's previous schedule
+    # instead of scheduling from scratch.  The base document is part of
+    # the coalesce key, so identical edits still share one computation.
+    try:
+        result = incremental_reschedule(base, project.flat())
+    except ReproError as exc:
+        raise OpError(f"incremental reschedule failed: {exc}") from None
+    return result.schedule, result
+
+
+def run_sweep(project: BangerProject, requests: list[ScheduleRequest]):
+    """Scheduler name -> its :class:`SpeedupReport`, in request order."""
+    return {req.scheduler: project.speedup(req) for req in requests}
+
+
+def run_simulate(project: BangerProject, opts: dict[str, Any]):
+    """``(schedule, replay trace, reactive result or None)``."""
+    schedule = project.schedule(opts["scheduler"])
+    scenario, contention = opts["scenario"], opts["contention"]
+    if scenario is None:
+        return schedule, simulate(schedule, contention=contention), None
+    if opts["reactive"]:
+        from repro.sched.reactive import reactive_execute
+
+        result = reactive_execute(
+            schedule, scenario, threshold=opts["threshold"], contention=contention
+        )
+        return schedule, result.trace, result
+    from repro.sim.dynamic import simulate_dynamic
+
+    return schedule, simulate_dynamic(schedule, scenario, contention=contention), None
+
+
+def run_codegen(project: BangerProject, opts: dict[str, Any]):
+    """``(lowered program, source or None, outputs or None)``."""
+    backend = opts["backend"]
+    program = project.lower(opts["scheduler"])
+    source = backend.emit(program) if backend.emits_source else None
+    outputs = backend.run(program) if opts["run"] else None
+    return program, source, outputs
+
+
+# --------------------------------------------------------------------- #
+# the ops: validate -> run -> document
 # --------------------------------------------------------------------- #
 def op_lint(payload: dict[str, Any]) -> dict[str, Any]:
     project = _project_from_payload(payload)
-    suppress = payload.get("suppress") or []
-    if not isinstance(suppress, list):
-        raise OpError(f"suppress must be a list of rule IDs, got {suppress!r}")
-    fail_on = payload.get("fail_on", "error")
-    if fail_on not in ("error", "warning"):
-        raise OpError(f"fail_on must be 'error' or 'warning', got {fail_on!r}")
-    concurrency = bool(payload.get("concurrency", False))
-    scheduler = str(payload.get("scheduler", "mh"))
-    report = lint_project(
-        project,
-        suppress=[str(r) for r in suppress],
-        concurrency=concurrency,
-        scheduler=scheduler,
-    )
-    failed = report.error_count > 0 or (
-        fail_on == "warning" and report.warning_count > 0
-    )
+    opts = lint_options(payload)
+    report = run_lint(project, opts)
     doc = to_json(report)
     doc["type"] = "banger-lint"
-    doc["ok"] = not failed
+    doc["ok"] = not lint_failed(report, opts)
     return doc
-
-
-def _base_schedule(payload: dict[str, Any]):
-    """The previous schedule for an incremental request, if any."""
-    doc = payload.get("base_schedule")
-    if doc is None:
-        return None
-    if not isinstance(doc, dict):
-        raise OpError(
-            f"base_schedule must be a saved schedule document, got {doc!r}"
-        )
-    try:
-        return schedule_from_dict(doc)
-    except ReproError as exc:
-        raise OpError(f"malformed base_schedule: {exc}") from None
 
 
 def op_schedule(payload: dict[str, Any]) -> dict[str, Any]:
     from repro.sched.metrics import report as schedule_report
 
     project = _project_from_payload(payload)
-    req = _request(payload)
-    base = _base_schedule(payload)
-    incremental = None
-    if base is not None:
-        # Edit-loop path: re-time against the client's previous schedule
-        # instead of scheduling from scratch.  The base document is part of
-        # the coalesce key, so identical edits still share one computation.
-        try:
-            result = incremental_reschedule(base, project.flat())
-        except ReproError as exc:
-            raise OpError(f"incremental reschedule failed: {exc}") from None
-        schedule = result.schedule
-        incremental = {
-            "n_tasks": result.n_tasks,
-            "n_dirty": result.n_dirty,
-            "n_reused": result.n_reused,
-            "reused_fraction": result.reused_fraction,
-            "unchanged": result.unchanged,
-            "fallback": result.fallback,
-        }
-    else:
-        schedule = project.schedule(req.scheduler)
+    opts = schedule_options(payload)
+    schedule, result = run_schedule(project, opts)
     doc: dict[str, Any] = {
         "type": "banger-schedule",
         "project": project.name,
@@ -200,104 +322,73 @@ def op_schedule(payload: dict[str, Any]) -> dict[str, Any]:
         "report": asdict(schedule_report(schedule)),
         "schedule": schedule_to_dict(schedule),
     }
-    if incremental is not None:
-        doc["incremental"] = incremental
-    if payload.get("gantt"):
+    if result is not None:
+        doc["incremental"] = {
+            "n_tasks": result.n_tasks,
+            "n_dirty": result.n_dirty,
+            "n_reused": result.n_reused,
+            "reused_fraction": result.reused_fraction,
+            "unchanged": result.unchanged,
+            "fallback": result.fallback,
+        }
+    if opts["gantt"]:
         doc["gantt"] = render_gantt(schedule)
     return doc
 
 
 def op_speedup(payload: dict[str, Any]) -> dict[str, Any]:
     project = _project_from_payload(payload)
-    report = project.speedup(_request(payload))
+    report = project.speedup(speedup_options(payload))
     doc = asdict(report)
     doc["type"] = "banger-speedup"
     doc["points"] = [asdict(p) for p in report.points]
     return doc
 
 
-def op_sweep(payload: dict[str, Any]) -> dict[str, Any]:
-    project = _project_from_payload(payload)
-    raw = payload.get("schedulers", ["mh"])
-    if not isinstance(raw, list) or not raw:
-        raise OpError(f"schedulers must be a non-empty list of names, got {raw!r}")
-    reports = {}
-    for name in raw:
-        req = _request({**payload, "scheduler": name})
-        rep = project.speedup(req)
-        reports[str(name)] = {
-            "family": rep.family,
-            "serial_time": rep.serial_time,
-            "max_parallelism": rep.max_parallelism,
-            "points": [asdict(p) for p in rep.points],
-        }
+def sweep_document(project: BangerProject, reports: dict[str, Any]) -> dict[str, Any]:
+    """The ``banger-sweep`` document (``banger sweep --json`` adds to it)."""
     return {
         "type": "banger-sweep",
         "project": project.name,
-        "schedulers": reports,
+        "schedulers": {
+            name: {
+                "family": rep.family,
+                "serial_time": rep.serial_time,
+                "max_parallelism": rep.max_parallelism,
+                "points": [asdict(p) for p in rep.points],
+            }
+            for name, rep in reports.items()
+        },
     }
 
 
-def _scenario(payload: dict[str, Any]):
-    """The fault scenario for a dynamic simulate request, if any."""
-    doc = payload.get("scenario")
-    if doc is None:
-        return None
-    if not isinstance(doc, dict):
-        raise OpError(f"scenario must be a fault-scenario document, got {doc!r}")
-    from repro.machine.scenario import FaultScenario
-
-    try:
-        return FaultScenario.from_dict(doc)
-    except ReproError as exc:
-        raise OpError(f"malformed scenario: {exc}") from None
+def op_sweep(payload: dict[str, Any]) -> dict[str, Any]:
+    project = _project_from_payload(payload)
+    return sweep_document(project, run_sweep(project, sweep_options(payload)))
 
 
 def op_simulate(payload: dict[str, Any]) -> dict[str, Any]:
     project = _project_from_payload(payload)
-    req = _request(payload)
-    contention = bool(payload.get("contention", False))
-    scenario = _scenario(payload)
-    if scenario is None and payload.get("reactive"):
-        raise OpError("reactive re-maps around a fault scenario; "
-                      "the payload carries no 'scenario'")
-    schedule = project.schedule(req.scheduler)
+    opts = simulate_options(payload, project.machine)
+    schedule, trace, result = run_simulate(project, opts)
     doc: dict[str, Any] = {
         "type": "banger-simulate",
         "project": project.name,
         "scheduler": schedule.scheduler,
-        "contention": contention,
+        "contention": opts["contention"],
         "static_makespan": schedule.makespan(),
+        "simulated_makespan": trace.makespan(),
     }
-    if scenario is None:
-        trace = simulate(schedule, contention=contention)
-        doc["simulated_makespan"] = trace.makespan()
+    if opts["scenario"] is None:
         return doc
-
-    try:
-        scenario.validate_for(schedule.machine)
-    except ReproError as exc:
-        raise OpError(f"scenario does not fit the project machine: {exc}") from None
-    doc["scenario"] = scenario.name or "scenario"
-    if payload.get("reactive"):
-        from repro.sched.reactive import reactive_execute
-
-        threshold = _number(payload, "threshold", float, 2.0)
-        result = reactive_execute(
-            schedule, scenario, threshold=threshold, contention=contention
-        )
-        trace = result.trace
+    doc["scenario"] = opts["scenario"].name or "scenario"
+    if result is not None:
         doc["reactive"] = {
-            "threshold": threshold,
+            "threshold": opts["threshold"],
             "rounds": result.n_rounds,
             "remapped_tasks": result.total_remaps,
             "passive_makespan": result.traces[0].makespan(),
         }
-    else:
-        from repro.sim.dynamic import simulate_dynamic
-
-        trace = simulate_dynamic(schedule, scenario, contention=contention)
-    doc["simulated_makespan"] = trace.makespan()
     doc["stranded"] = sorted(trace.stranded)
     doc["killed"] = sorted(trace.killed)
     doc["lost_messages"] = len(trace.lost)
@@ -305,39 +396,24 @@ def op_simulate(payload: dict[str, Any]) -> dict[str, Any]:
 
 
 def op_codegen(payload: dict[str, Any]) -> dict[str, Any]:
-    from repro.codegen.backends import get_backend
-    from repro.errors import CodegenError
-    from repro.graph.serialize import _encode_value
-
     project = _project_from_payload(payload)
-    target = payload.get("target", "threads")
-    if not isinstance(target, str):
-        raise OpError(f"target must be a backend name string, got {target!r}")
-    req = _request(payload)
+    opts = codegen_options(payload)
     try:
-        backend = get_backend(target)
-        program = project.lower(req.scheduler)
+        program, source, outputs = run_codegen(project, opts)
     except CodegenError as exc:
         raise OpError(str(exc)) from None
     doc: dict[str, Any] = {
         "type": "banger-codegen",
         "project": project.name,
-        "target": target,
+        "target": opts["backend"].name,
         "scheduler": program.scheduler,
         "n_procs": program.n_procs,
         "makespan": program.makespan,
         "ir_hash": program.content_hash(),
     }
-    if backend.emits_source:
-        doc["source"] = backend.emit(program)
-    if payload.get("run"):
-        if not backend.runnable:
-            raise OpError(f"target {target!r} cannot run in-process; "
-                          f"request its source instead")
-        try:
-            outputs = backend.run(program)
-        except CodegenError as exc:
-            raise OpError(str(exc)) from None
+    if source is not None:
+        doc["source"] = source
+    if outputs is not None:
         doc["outputs"] = {k: _encode_value(v) for k, v in outputs.items()}
     return doc
 
@@ -345,17 +421,7 @@ def op_codegen(payload: dict[str, Any]) -> dict[str, Any]:
 def op_conform(payload: dict[str, Any]) -> dict[str, Any]:
     from repro.conformance import run
 
-    oracles = payload.get("oracles") or None
-    if oracles is not None and not isinstance(oracles, list):
-        raise OpError(f"oracles must be a list of oracle names, got {oracles!r}")
-    budget = payload.get("budget")
-    report = run(
-        seed=_number(payload, "seed", int, 0),
-        runs=_number(payload, "runs", int, 50),
-        oracles=[str(o) for o in oracles] if oracles else None,
-        time_budget=None if budget is None else _number(payload, "budget", float, 0),
-    )
-    doc = report.as_dict()
+    doc = run(**conform_options(payload)).as_dict()
     doc["type"] = "banger-conform"
     return doc
 
@@ -418,7 +484,7 @@ def coalesce_key(op: str, payload: dict[str, Any]) -> str:
         fps = project.fingerprints()
         if op in ("schedule", "speedup", "simulate", "codegen"):
             sched_key = scheduler_cache_key(
-                resolve_scheduler(_scheduler_name(payload))
+                resolve_scheduler(scheduler_option(payload))
             )
         else:
             sched_key = ""

@@ -65,9 +65,12 @@ class BlobStats:
     def _ratio(self, stored: int) -> float:
         return self.logical_bytes / stored if stored else 1.0
 
-    def as_dict(self) -> dict[str, Any]:
+    def as_dict(self, stored: int | None = None) -> dict[str, Any]:
+        """``stored``: the store's byte count, if the caller just measured it."""
         doc = {k: v for k, v in vars(self).items() if not k.startswith("_")}
-        stored = doc["stored_bytes"] = self.stored_bytes  # measured once
+        if stored is None:
+            stored = self.stored_bytes  # measured once
+        doc["stored_bytes"] = stored
         doc["dedup_ratio"] = round(self._ratio(stored), 4)
         return doc
 
@@ -190,12 +193,16 @@ class BlobStore:
     def __iter__(self) -> Iterator[str]:
         return iter(self.digests())
 
-    def total_bytes(self) -> int:
-        """Bytes held right now (post-dedup), measured where they live."""
+    def census(self) -> tuple[int, int]:
+        """``(blobs, bytes)`` held right now (post-dedup), from one listing."""
         if self._mem is None:
-            return total_bytes(dir_files(self._objects))
+            files = dir_files(self._objects)
+            return len(files), total_bytes(files)
         with self._lock:
-            return sum(len(text) for text in self._mem.values())
+            return len(self._mem), sum(len(text) for text in self._mem.values())
+
+    def total_bytes(self) -> int:
+        return self.census()[1]
 
     def sweep(self, live: set[str]) -> list[str]:
         """Delete every blob not in ``live`` (oldest-first on disk).

@@ -25,6 +25,7 @@ length, and logical bytes written; violations raise
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -194,7 +195,8 @@ class ProjectRepository:
         text = canonical_json(doc)
         with self._lock:
             self._check_quota(tenant, name, len(text))
-            project_hash = fingerprint(doc)
+            # fingerprint(doc), without rendering the project a second time
+            project_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
             shell = {
                 k: v for k, v in doc.items() if k not in ("design", "machine")
             }
@@ -452,11 +454,12 @@ class ProjectRepository:
     def stats(self) -> dict[str, Any]:
         """Repository-wide counters, including the blob tier's dedup ratio."""
         tenants = self.refs.tenants()
+        blobs, stored = self.blobs.census()
         return {
             "tenants": len(tenants),
             "projects": sum(len(self.refs.projects(t)) for t in tenants),
             "versions": sum(self.refs.version_count(t) for t in tenants),
-            "blobs": len(self.blobs),
-            "blob": self.blobs.stats.as_dict(),
+            "blobs": blobs,
+            "blob": self.blobs.stats.as_dict(stored),
             "quota": self.quota.as_dict() if self.quota else None,
         }

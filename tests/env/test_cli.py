@@ -71,9 +71,9 @@ class TestMalformedDocuments:
             (["simulate", "{project}", "--scenario", "{bad}"], "notime.json",
              lambda doc: {"type": "fault-scenario",
                           "events": [{"kind": "proc_fail", "proc": 0}]},
-             "cannot load fault scenario"),
+             "malformed scenario: malformed fault-scenario document"),
             (["simulate", "{project}", "--scenario", "{bad}"], "list.json",
-             lambda doc: [1, 2], "cannot load fault scenario"),
+             lambda doc: [1, 2], "scenario must be a fault-scenario document"),
             (["lint", "{project}", "--baseline", "{bad}"], "list.json",
              lambda doc: [1, 2], "cannot load SARIF baseline"),
         ],

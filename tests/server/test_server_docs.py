@@ -118,3 +118,46 @@ def test_store_failures_answered_500_are_documented():
 
 def test_reactive_documents_that_it_needs_a_scenario():
     assert "requires `scenario`" in TEXT
+
+
+def _options_read_by(op: str) -> set[str]:
+    """Every field ``<op>_options`` reads, found by handing it a mapping that
+    holds nothing and remembers what it was asked for."""
+    from repro.server import ops
+
+    class Recording(dict):
+        def get(self, key, default=None):
+            self[key] = None
+            return default
+
+    raw = Recording()
+    # simulate's validator also takes the project machine (none here)
+    getattr(ops, f"{op}_options")(*((raw, None) if op == "simulate" else (raw,)))
+    return set(raw)
+
+
+def test_every_option_is_documented_under_both_spellings(capsys):
+    """docs/server.md has one table per op; its rows are exactly the fields
+    the validator reads, each flag is one ``banger <op> --help`` lists, and
+    the flag stores under the field's name — which is how the CLI hands the
+    validator its namespace unrenamed.  repro.cli's docstring names both."""
+    import pytest
+
+    import repro.cli
+    from repro.server.ops import DEBUG_OPS, OPS
+
+    for op in sorted(set(OPS) - DEBUG_OPS):
+        section = TEXT.split(f"#### `{op}`\n", 1)[1].split("\n#### ", 1)[0]
+        rows = re.findall(r"^\| (?:`(--[a-z-]+)[^`]*`|—) \| `(\w+)` \|", section, re.M)
+        assert {field for _, field in rows} == _options_read_by(op), op
+        with pytest.raises(SystemExit):
+            repro.cli.build_parser().parse_args([op, "--help"])
+        help_text = capsys.readouterr().out
+        argv = [op] if op == "conform" else [op, "project.json"]
+        namespace = vars(repro.cli.build_parser().parse_args(argv))
+        for flag, field in rows:
+            assert field in repro.cli.__doc__, f"{op}: {field} not in cli docstring"
+            if flag:
+                assert flag in help_text, f"banger {op} has no {flag}"
+                assert field in namespace, f"{op}: {flag} does not store {field}"
+                assert f"{flag} " in repro.cli.__doc__

@@ -221,6 +221,29 @@ def test_stats_shape():
     }
 
 
+def test_stats_and_put_do_their_work_once(tmp_path, monkeypatch):
+    """``stats()`` lists ``objects/`` once for both the blob count and the
+    stored bytes; ``put`` renders the project once for quota size and hash."""
+    from repro.graph.serialize import fingerprint
+    from repro.store import blobs, repository
+
+    repo = ProjectRepository(tmp_path)
+    doc = lu_doc()
+    # put hashes the text it rendered for the quota: it must not need this
+    monkeypatch.setattr(repository, "fingerprint", None)
+    assert repo.put("t", "p", doc)["project"] == fingerprint(doc)
+
+    scans = []
+    listing = blobs.dir_files
+    monkeypatch.setattr(
+        blobs, "dir_files", lambda *a, **k: scans.append(a) or listing(*a, **k)
+    )
+    stats = repo.stats()
+    assert len(scans) == 1
+    assert stats["blobs"] == len(repo.blobs)
+    assert stats["blob"]["stored_bytes"] == repo.blobs.total_bytes()
+
+
 def test_persistent_repository_reopens(tmp_path):
     doc = lu_doc()
     info = ProjectRepository(tmp_path).put("t", "p", doc)
