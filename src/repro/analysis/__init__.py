@@ -17,14 +17,14 @@ layers on top:
   communication plans behind the generated code (``CG5xx``): wait-for
   deadlock detection on the blocking ``Queue(maxsize=1)`` protocol,
   send/receive cardinality matching, unconsumed channels;
-* :mod:`repro.analysis.cache` — the incremental analysis cache keyed by
-  content fingerprints, so warm re-analysis is near-free.
+* :mod:`repro.analysis.cache` — plan diagnostics in the shared fact table
+  (:mod:`repro.facts`, where each program text is also parsed, analyzed and
+  interpreted once), so warm re-analysis is near-free.
 """
 
 from repro.analysis.absint import ProgramAnalysis, interpret
 from repro.analysis.cache import (
     AnalysisCache,
-    cached_program_diagnostics,
     cached_plan_diagnostics,
     shared_cache,
 )
@@ -46,7 +46,6 @@ __all__ = [
     "TOP",
     "analyze_plan",
     "cached_plan_diagnostics",
-    "cached_program_diagnostics",
     "execute_plan_protocol",
     "interpret",
     "plan_signature",

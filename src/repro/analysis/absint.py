@@ -42,6 +42,7 @@ from repro.calc.analyze import Diagnostic
 from repro.calc.builtins import CONSTANTS, lookup
 from repro.calc.parser import parse
 from repro.errors import CalcSyntaxError
+from repro.facts import program_fact
 from repro.severity import Severity
 
 from repro.analysis.domains import (
@@ -83,12 +84,13 @@ class ProgramAnalysis:
 
 
 def interpret(program: ast.Program | str) -> ProgramAnalysis:
-    """Abstractly execute a PITS program; total on any parseable input."""
+    """Abstractly execute a PITS program; total on any parseable input.
+
+    Source text is interpreted once per distinct text (:mod:`repro.facts`);
+    a parsed program is interpreted directly.
+    """
     if isinstance(program, str):
-        try:
-            program = parse(program)
-        except CalcSyntaxError:
-            return ProgramAnalysis((), (), ())
+        return program_fact("interpret", program, _interpret_source)
     interp = _Interp(program)
     interp.run()
     return ProgramAnalysis(
@@ -96,6 +98,13 @@ def interpret(program: ast.Program | str) -> ProgramAnalysis:
         tuple(interp.effects),
         tuple(sorted(interp.env.items())),
     )
+
+
+def _interpret_source(source: str) -> ProgramAnalysis:
+    try:
+        return interpret(parse(source))
+    except CalcSyntaxError:
+        return ProgramAnalysis((), (), ())
 
 
 def _join_env(a: _Env, b: _Env) -> _Env:

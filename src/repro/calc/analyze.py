@@ -26,6 +26,7 @@ from repro.calc import ast
 from repro.calc.builtins import CONSTANTS, lookup
 from repro.calc.parser import parse
 from repro.errors import CalcSyntaxError
+from repro.facts import program_fact
 
 # Compatibility alias: the canonical definition moved to repro.severity so
 # the lint layer no longer reaches into the calculator for a shared enum.
@@ -63,15 +64,27 @@ def analyze(program: ast.Program | str) -> list[Diagnostic]:
     the named rule(s) on that line (or, on a comment-only line, on the
     following line), and ``# lint: disable-file=PITS007`` silences them for
     the whole program.
-    """
-    source: str | None = None
-    if isinstance(program, str):
-        source = program
-        try:
-            program = parse(program)
-        except CalcSyntaxError as exc:
-            return [Diagnostic(Severity.ERROR, str(exc), exc.line, rule="PITS001")]
 
+    Source text is analyzed once per distinct text (:mod:`repro.facts`);
+    the list returned is the caller's own.  A parsed program is analyzed
+    directly.
+    """
+    if isinstance(program, str):
+        return list(program_fact("analyze", program, _analyze_source))
+    return _analyze(program)
+
+
+def _analyze_source(source: str) -> tuple[Diagnostic, ...]:
+    try:
+        program = parse(source)
+    except CalcSyntaxError as exc:
+        return (Diagnostic(Severity.ERROR, str(exc), exc.line, rule="PITS001"),)
+    return tuple(_apply_suppressions(source, _analyze(program, source)))
+
+
+def _analyze(program: ast.Program, source: str | None = None) -> list[Diagnostic]:
+    """Every diagnostic for a parsed program; ``source``, when the program
+    came from text, lets the value-flow pass share that text's entry."""
     diags: list[Diagnostic] = []
     declared = program.declared
     assigned: set[str] = set(program.inputs)
@@ -228,10 +241,8 @@ def analyze(program: ast.Program | str) -> list[Diagnostic]:
     if not any(d.severity is Severity.ERROR for d in diags):
         from repro.analysis.absint import interpret
 
-        diags.extend(interpret(program).diagnostics)
+        diags.extend(interpret(source if source is not None else program).diagnostics)
 
-    if source is not None:
-        diags = _apply_suppressions(source, diags)
     return diags
 
 

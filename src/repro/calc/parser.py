@@ -24,6 +24,7 @@ from repro.calc import ast
 from repro.calc.lexer import tokenize
 from repro.calc.tokens import Token, TokenType
 from repro.errors import CalcSyntaxError
+from repro.facts import program_fact
 
 _COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
 _BLOCK_ENDERS = ("end", "else", "elif", "until")
@@ -389,14 +390,31 @@ class Parser:
 def parse(source: str) -> ast.Program:
     """Parse PITS source text into a :class:`~repro.calc.ast.Program`.
 
+    Each distinct text is parsed once (:mod:`repro.facts`); the frozen
+    ``Program`` is shared by every caller.  A half-typed program is the
+    normal state of an editor, so a syntax error is remembered too — as
+    ``(message, line, column)``, never as the exception object, whose
+    traceback would grow on every re-raise: each call raises a fresh
+    :class:`CalcSyntaxError`.
+
     Pathologically deep nesting is reported as a syntax error rather than
     blowing the Python stack — calculator users deserve a message, not a
-    traceback.
+    traceback.  (How deep is too deep depends on the caller's own stack;
+    the first parse's verdict stands while the text stays in the table.)
     """
+    found = program_fact("parse", source, _parse)
+    if isinstance(found, ast.Program):
+        return found
+    raise CalcSyntaxError(*found)
+
+
+def _parse(source: str) -> ast.Program | tuple[str, int, int]:
     try:
         return Parser(tokenize(source)).parse_program()
+    except CalcSyntaxError as exc:
+        return exc.message, exc.line, exc.column
     except RecursionError:
-        raise CalcSyntaxError("expression is nested too deeply") from None
+        return "expression is nested too deeply", 0, 0
 
 
 def parse_expression(source: str) -> ast.Expr:

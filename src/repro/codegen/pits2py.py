@@ -165,7 +165,7 @@ def function_name(task: str) -> str:
     return f"task_{safe}"
 
 
-def _elidable_statements(program: ast.Program) -> set[int]:
+def _elidable_statements(program: ast.Program | str) -> set[int]:
     """Indices of top-level statements safe to drop from generated code.
 
     A trailing statement (after the last one that writes an output or
@@ -177,6 +177,8 @@ def _elidable_statements(program: ast.Program) -> set[int]:
     from repro.analysis.absint import interpret
 
     effects = interpret(program).effects
+    if isinstance(program, str):
+        program = parse(program)
     outputs = frozenset(program.outputs)
     last_live = -1
     for i, eff in enumerate(effects):
@@ -209,7 +211,7 @@ def gen_task_function(task: str, source: str) -> str:
             + "; ".join(str(p) for p in problems[:5])
         )
     program = parse(source)
-    elide = _elidable_statements(program)
+    elide = _elidable_statements(source)
     body = tuple(s for i, s in enumerate(program.body) if i not in elide)
     translator = _Translator(_declared_names(program))
     lines = [f"def {function_name(task)}(env, _display):"]

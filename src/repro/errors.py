@@ -75,12 +75,15 @@ class CalcSyntaxError(CalcError):
 
     Attributes
     ----------
+    message:
+        The complaint without its position prefix.
     line, column:
         1-based source position of the offending token.
     """
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
         super().__init__(f"line {line}, column {column}: {message}" if line else message)
+        self.message = message
         self.line = line
         self.column = column
 

@@ -50,22 +50,13 @@ def lint_design(
         if isinstance(n, TaskNode) and not n.is_composite
     ]
 
-    # per-program analysis is content-addressed: unchanged programs are
-    # answered from the incremental cache (repro.analysis.cache)
-    from repro.analysis.cache import cached_program_diagnostics
-
     for node in nodes:
         if node.program is None:
             diags.append(
                 make_diagnostic("DF109", "no PITS program yet", node=node.name)
             )
             continue
-        program_diags = (
-            cached_program_diagnostics(node.program)
-            if isinstance(node.program, str)
-            else analyze(node.program)
-        )
-        for d in program_diags:
+        for d in analyze(node.program):
             diags.append(
                 Diagnostic(d.rule or "PITS001", d.severity, d.message,
                            node=node.name, line=d.line)

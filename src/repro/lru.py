@@ -1,7 +1,7 @@
 """The one bounded LRU and the one counter set every cache is built on.
 
 Schedules and lowered programs (:mod:`repro.sched.service`), compiled tables
-(:mod:`repro.machine.compiled`), analyses (:mod:`repro.analysis.cache`) and the
+(:mod:`repro.machine.compiled`), program facts (:mod:`repro.facts`) and the
 daemon's response bodies and body-hash memo are each a recency-ordered mapping
 with a bound, evicted oldest-first, beside a few named counters.  Both classes
 are thread-safe: a service may be shared by many threads (the daemon's inline

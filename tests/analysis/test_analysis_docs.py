@@ -74,8 +74,8 @@ def test_documented_speedup_floor_matches_benchmark():
     assert "speedup >= 5.0" in bench
 
 
-def test_analysis_version_is_real():
-    from repro.analysis.cache import ANALYSIS_VERSION
+def test_documented_table_bound_is_real():
+    from repro.facts import SHARED_ENTRIES, shared_cache
 
-    assert "`ANALYSIS_VERSION`" in TEXT
-    assert isinstance(ANALYSIS_VERSION, int)
+    assert "`SHARED_ENTRIES`" in TEXT and f"**{SHARED_ENTRIES}**" in TEXT
+    assert shared_cache().max_entries == SHARED_ENTRIES
