@@ -24,7 +24,11 @@ outputs are **byte-identical**, and writes the wall-clock numbers to
 
 The artifact also records the kernel's route-cache counters so a cache
 regression (hit rate collapsing to zero) is visible in the numbers even
-when the timing assertion still passes.
+when the timing assertion still passes — and, beside them, two work counts
+that are asserted: ``transit_walks`` (the tentative link walks MH's
+candidate search makes, against the every-processor count of the
+reference) and ``content_hashes`` (one per four-scheduler sweep through a
+:class:`~repro.sched.service.ScheduleService`).
 """
 
 from __future__ import annotations
@@ -42,9 +46,12 @@ from repro.graph.generators import random_layered
 from repro.machine import MachineParams
 from repro.machine.machine import make_machine
 from repro.sched._reference import ReferenceMHScheduler
+from repro.graph.taskgraph import TaskGraph
+from repro.sched import mh as mh_module
 from repro.sched.core import kernel_counters
 from repro.sched.mh import MHScheduler
 from repro.sched.serialize import schedule_to_json
+from repro.sched.service import ScheduleRequest, ScheduleService
 
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 PARAMS = MachineParams(
@@ -81,6 +88,7 @@ def test_sched_core_mh_vs_reference(artifact_dir):
     live = MHScheduler().schedule(graph, machine)
     t_live = time.perf_counter() - t0
     counters = {k: v - base[k] for k, v in kernel_counters().items()}
+    counters["transit_walks"] = _count_transit_walks(graph, machine)
 
     t0 = time.perf_counter()
     ref = ReferenceMHScheduler().schedule(graph, machine)
@@ -106,6 +114,26 @@ def test_sched_core_mh_vs_reference(artifact_dir):
         f"kernel MH only {ratio:.1f}x faster than the reference "
         f"(required {required}x on {tasks} tasks / {procs} procs)"
     )
+
+
+def _count_transit_walks(graph, machine) -> dict[str, int]:
+    """Link walks of one (untimed) MH run: tentative ones by the candidate
+    search, committing ones per in-edge, and what trying every processor —
+    the reference's search — would have walked."""
+    walks = {"tentative": 0, "committing": 0}
+    transit = mh_module._Network.transit
+
+    def counting(self, src, dst, size, available, commit):
+        walks["committing" if commit else "tentative"] += 1
+        return transit(self, src, dst, size, available, commit)
+
+    mh_module._Network.transit = counting
+    try:
+        MHScheduler().schedule(graph, machine)
+    finally:
+        mh_module._Network.transit = transit
+    walks["every_processor"] = len(graph.edges) * machine.n_procs
+    return walks
 
 
 _REF_SNIPPET = """
@@ -193,6 +221,37 @@ def test_sched_core_route_cache_effective(artifact_dir):
         f"{counters['route_cache_hits']} hits vs "
         f"{counters['route_cache_misses']} misses"
     )
+
+
+def test_sched_core_work_counts(artifact_dir):
+    """The counts beside the timings: MH's candidate search walks links for
+    a fraction of the processors, and a four-scheduler sweep hashes its
+    graph once."""
+    walks = RESULTS["mh_vs_reference"]["kernel_counters"]["transit_walks"]
+    tasks, layers, seed, _, _ = CONFIG
+    graph = random_layered(tasks, layers, seed=seed)
+    assert walks["committing"] == len(graph.edges)
+    assert walks["tentative"] <= walks["every_processor"] // 2, walks
+
+    hashes = 0
+    content_hash = TaskGraph.content_hash
+
+    def counting(self):
+        nonlocal hashes
+        hashes += 1
+        return content_hash(self)
+
+    TaskGraph.content_hash = counting
+    try:
+        ScheduleService(disk_cache=False).predict_speedups(graph, [
+            ScheduleRequest(name, (2, 4, 8, 16), "hypercube", PARAMS)
+            for name in ("mh", "etf", "dls", "hlfet")
+        ])
+    finally:
+        TaskGraph.content_hash = content_hash
+    RESULTS["mh_vs_reference"]["kernel_counters"]["content_hashes"] = hashes
+    _flush()
+    assert hashes == 1
 
 
 def test_sched_core_artifact(artifact_dir):

@@ -286,7 +286,11 @@ def _roundtrip(ctx: CaseContext) -> list[str]:
     # (equal routes are equal distances: both sides count a route's links)
     if tables.routes != [tuple(router.route(s, d)) for s, d in pairs]:
         problems.append("compiled routes differ from the in-memory family's")
-    if getattr(own, "shared_medium", False) != getattr(router, "shared_medium", False):
+    # (the tables are what mh and the replay read; the reloaded object's own
+    # flag is public, so a reload that drops it is still convicted)
+    if tables.shared_medium != router.shared_medium:
+        problems.append("compiled tables lost or gained a shared medium")
+    if own.shared_medium != router.shared_medium:
         problems.append("reloaded machine lost or gained a shared medium")
     clear_compiled()  # the twin compiles its own tables, not the case's
     again = schedule_to_dict(get_scheduler(ctx.case.scheduler).schedule(tg, twin))

@@ -212,11 +212,17 @@ class BangerProject:
         return render_dataflow(self.design)
 
     def flat(self) -> TaskGraph:
-        """The flattened scheduling IR (cached until the design changes)."""
+        """The flattened scheduling IR (cached until the design changes, and
+        hashed once: read it, do not edit it)."""
         if self._flat is None:
             self._flat = flatten(self.design)
             self._flat_hash = self._flat.content_hash()
         return self._flat
+
+    def hashed_flat(self) -> tuple[TaskGraph, str]:
+        """:meth:`flat` and the content hash it was stored with."""
+        flat = self.flat()
+        return flat, self._flat_hash
 
     def calibrate(self, inputs: dict[str, Any] | None = None) -> "BangerProject":
         """Trial-run the whole design and reweight tasks by measured ops."""
@@ -279,7 +285,8 @@ class BangerProject:
         """Map the flattened design onto the machine (cached by content)."""
         req = as_request(scheduler)
         machine = self._require_machine()
-        result = self.service.schedule(self.flat(), machine, req.scheduler)
+        flat, flat_hash = self.hashed_flat()
+        result = self.service.schedule(flat, machine, req.scheduler, flat_hash)
         self._prior[scheduler_cache_key(req.resolved_scheduler())] = result
         return result
 
@@ -302,19 +309,19 @@ class BangerProject:
         """
         req = as_request(scheduler)
         machine = self._require_machine()
-        flat = self.flat()
+        flat, flat_hash = self.hashed_flat()
         key = scheduler_cache_key(req.resolved_scheduler())
         prior = self._prior.get(key)
         if (
             prior is None
             or prior.machine.content_hash() != machine.content_hash()
         ):
-            full = self.service.schedule(flat, machine, req.scheduler)
+            full = self.service.schedule(flat, machine, req.scheduler, flat_hash)
             result = IncrementalResult(
                 full, len(flat), len(flat), 0, fallback="cold"
             )
         else:
-            result = incremental_reschedule(prior, flat)
+            result = incremental_reschedule(prior, flat, flat_hash)
         self._prior[key] = result.schedule
         return result
 
@@ -340,9 +347,10 @@ class BangerProject:
             proc_counts=tuple(proc_counts) if proc_counts is not None else None,
             params=params,
         )
+        flat, flat_hash = self.hashed_flat()
         schedules = self.service.schedules_for_sizes(
-            self.flat(), req.proc_counts, scheduler=req.scheduler,
-            family=req.family, params=req.params,
+            flat, req.proc_counts, scheduler=req.scheduler,
+            family=req.family, params=req.params, graph_fp=flat_hash,
         )
         return render_gantt_series(schedules, width=width)
 
@@ -361,10 +369,14 @@ class BangerProject:
             proc_counts=tuple(proc_counts) if proc_counts is not None else None,
             params=params,
         )
-        return self.service.predict_speedup(
-            self.flat(), req.proc_counts, scheduler=req.scheduler,
-            family=req.family, params=req.params,
-        )
+        return self.speedups([req])[0]
+
+    def speedups(self, requests: Sequence[ScheduleRequest]) -> list[SpeedupReport]:
+        """One :meth:`speedup` report per request, all of them resolved as
+        one batch of the service (``banger sweep``: one per scheduler)."""
+        resolved = [self._sweep_request(req, (1, 2, 4, 8)) for req in requests]
+        flat, flat_hash = self.hashed_flat()
+        return self.service.predict_speedups(flat, resolved, flat_hash)
 
     def speedup_chart(
         self,
@@ -406,7 +418,8 @@ class BangerProject:
         """
         req = as_request(scheduler)
         machine = self._require_machine()
-        return self.service.lower(self.flat(), machine, req.scheduler)
+        flat, flat_hash = self.hashed_flat()
+        return self.service.lower(flat, machine, req.scheduler, flat_hash)
 
     def generate(
         self, language: str = "threads", scheduler: str | Scheduler = "mh"
@@ -464,7 +477,7 @@ class BangerProject:
         keys request coalescing and response caching on exactly these.
         """
         return {
-            "graph": self.flat().content_hash(),
+            "graph": self.hashed_flat()[1],
             "machine": self.machine.content_hash() if self.machine else None,
         }
 

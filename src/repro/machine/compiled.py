@@ -41,7 +41,8 @@ class CompiledTopology:
     processor sequence ``(src, ..., dst)`` the document's router returns.
     ``diameter`` and ``average_distance`` are derived from ``dist`` with the
     integer total :class:`~repro.machine.topology.Topology` uses, so the
-    floats match a live topology's byte for byte.
+    floats match a live topology's byte for byte.  ``shared_medium`` is the
+    document's router's flag (a bus): every hop contends for one resource.
     """
 
     __slots__ = (
@@ -49,8 +50,10 @@ class CompiledTopology:
         "n_procs",
         "dist",
         "routes",
+        "shared_medium",
         "_diameter",
         "_avg_distance",
+        "_link_ids",
     )
 
     def __init__(
@@ -59,6 +62,7 @@ class CompiledTopology:
         n_procs: int,
         dist: list[int],
         routes: list[tuple[int, ...]],
+        shared_medium: bool = False,
     ):
         if len(dist) != n_procs * n_procs or len(routes) != n_procs * n_procs:
             raise MachineError(
@@ -69,8 +73,10 @@ class CompiledTopology:
         self.n_procs = n_procs
         self.dist = dist
         self.routes = routes
+        self.shared_medium = shared_medium
         self._diameter = max(dist, default=0)
         self._avg_distance: float | None = None
+        self._link_ids: tuple[int, list[tuple[int, ...]]] | None = None
 
     # ------------------------------------------------------------------ #
     # compilation
@@ -79,11 +85,11 @@ class CompiledTopology:
     def compile(cls, machine: "TargetMachine") -> "CompiledTopology":
         """Walk every ordered pair through the machine document's router."""
         live = machine.topology
-        route = routing_topology(live.family, live.n_procs, live.links).route
-        n = live.n_procs
+        router = routing_topology(live.family, live.n_procs, live.links)
+        route, n = router.route, live.n_procs
         routes = [tuple(route(src, dst)) for src in range(n) for dst in range(n)]
         dist = [len(path) - 1 for path in routes]
-        return cls(machine.content_hash(), n, dist, routes)
+        return cls(machine.content_hash(), n, dist, routes, router.shared_medium)
 
     # ------------------------------------------------------------------ #
     # the query surface the kernel needs
@@ -105,6 +111,28 @@ class CompiledTopology:
             n = self.n_procs
             self._avg_distance = sum(self.dist) / (n * (n - 1)) if n > 1 else 0.0
         return self._avg_distance
+
+    def link_ids(self) -> tuple[int, list[tuple[int, ...]]]:
+        """``(count, crossed)``: the machine's contended resources numbered
+        from 0, and per ordered pair (``src * n + dst``) the ones its route
+        crosses, in order.  A resource is an undirected link — or, on a
+        shared medium, the one medium every hop crosses.  Derived from
+        ``routes`` on first use (only contention modelling asks)."""
+        if self._link_ids is None:
+            if self.shared_medium:
+                count, crossed = 1, [(0,) * (len(path) - 1) for path in self.routes]
+            else:
+                numbered: dict[tuple[int, int], int] = {}
+                crossed = [
+                    tuple(
+                        numbered.setdefault((a, b) if a < b else (b, a), len(numbered))
+                        for a, b in zip(path, path[1:])
+                    )
+                    for path in self.routes
+                ]
+                count = len(numbered)
+            self._link_ids = (count, crossed)
+        return self._link_ids
 
     def __repr__(self) -> str:
         return (

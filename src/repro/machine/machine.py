@@ -145,16 +145,7 @@ class TargetMachine:
         computing scheduling priorities before placement is known."""
         if self.n_procs == 1:
             return 0.0
-        avg_hops = self._tables().average_distance()
-        if avg_hops == 0:
-            return 0.0
-        # average_distance is fractional, so apply the affine cost model
-        # directly instead of calling comm_time (which wants integer hops)
-        return (
-            self.params.msg_startup
-            + avg_hops * self.params.hop_latency
-            + avg_hops * size / self.params.transmission_rate
-        )
+        return self.params.mean_comm_time(size, self._tables().average_distance())
 
     def route(self, src_proc: int, dst_proc: int) -> list[int]:
         """Processor sequence ``[src_proc, ..., dst_proc]`` a message follows."""
@@ -163,6 +154,11 @@ class TargetMachine:
     def diameter(self) -> int:
         """Longest route, in links."""
         return self._tables().diameter()
+
+    @property
+    def shared_medium(self) -> bool:
+        """True when every message contends for one medium (a bus)."""
+        return self._tables().shared_medium
 
     # ------------------------------------------------------------------ #
     # heterogeneity (consumed by the dynamic regime only)

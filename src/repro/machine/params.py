@@ -83,6 +83,17 @@ class MachineParams:
             + hops * size / self.transmission_rate
         )
 
+    def mean_comm_time(self, size: float, avg_hops: float) -> float:
+        """:meth:`comm_time`'s affine model at a fractional hop count — a
+        mean over processor pairs, where ``comm_time`` wants whole hops."""
+        if avg_hops == 0:
+            return 0.0
+        return (
+            self.msg_startup
+            + avg_hops * self.hop_latency
+            + avg_hops * size / self.transmission_rate
+        )
+
     def scaled(self, factor: float) -> "MachineParams":
         """A machine with ``factor``× faster processors (comm unchanged)."""
         if factor <= 0:

@@ -42,6 +42,8 @@ class Topology:
     """
 
     family = "custom"
+    #: True when all links are one contended resource (a bus).
+    shared_medium = False
 
     def __init__(self, n_procs: int, links: Iterable[tuple[int, int]], name: str = ""):
         if n_procs < 1:

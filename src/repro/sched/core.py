@@ -46,8 +46,10 @@ shows kernel builds and route-cache behaviour.
 from __future__ import annotations
 
 import heapq
+import threading
 import time
-from typing import Callable, Collection, Iterable
+from contextlib import contextmanager
+from typing import Callable, Collection, Iterable, Iterator
 
 from repro.errors import ScheduleError
 from repro.graph.analysis import b_levels, static_levels, t_levels
@@ -59,6 +61,7 @@ from repro.machine.compiled import (
     reset_compiled_counters,
 )
 from repro.machine.machine import TargetMachine
+from repro.machine.params import MachineParams
 from repro.sched.schedule import Message, Placement, Schedule
 
 # --------------------------------------------------------------------- #
@@ -95,6 +98,73 @@ def reset_kernel_counters() -> None:
 # --------------------------------------------------------------------- #
 # the kernel proper
 # --------------------------------------------------------------------- #
+class GraphTables:
+    """The graph half of a kernel: what the task graph alone decides.
+
+    Interned task indices and per-task edge lists, plus — per distinct
+    :class:`~repro.machine.params.MachineParams`, which is all an execution
+    time depends on — the execution-time array and the static levels.  One
+    instance serves every kernel built for the graph while it cannot
+    change: see :func:`sharing_graph_tables`.
+    """
+
+    def __init__(self, graph: TaskGraph):
+        self.graph = graph
+        self.tasks: list[str] = list(graph.task_names)
+        self.index: dict[str, int] = {t: i for i, t in enumerate(self.tasks)}
+        self.in_edges: list[list[TaskEdge]] = [graph.in_edges(t) for t in self.tasks]
+        idx = self.index
+        self.succ_idx: list[list[int]] = [
+            [idx[e.dst] for e in graph.out_edges(t)] for t in self.tasks
+        ]
+        self._exec_time: dict[MachineParams, list[float]] = {}
+        self._static_levels: dict[MachineParams, dict[str, float]] = {}
+
+    def exec_time(self, params: MachineParams) -> list[float]:
+        """``params.exec_time(graph.work(t))`` per task, computed once."""
+        times = self._exec_time.get(params)
+        if times is None:
+            work = self.graph.work
+            times = [params.exec_time(work(t)) for t in self.tasks]
+            self._exec_time[params] = times
+        return times
+
+    def static_levels(self, params: MachineParams) -> dict[str, float]:
+        levels = self._static_levels.get(params)
+        if levels is None:
+            times, index = self.exec_time(params), self.index
+            levels = static_levels(self.graph, exec_time=lambda t: times[index[t]])
+            self._static_levels[params] = levels
+        return levels
+
+
+_SHARING = threading.local()
+
+
+@contextmanager
+def sharing_graph_tables(graph: TaskGraph) -> Iterator[None]:
+    """While the block runs, every :class:`SchedKernel` this thread builds
+    for ``graph`` — this very object — reads one :class:`GraphTables`, built
+    by the first of them.  For a caller that schedules one graph many times
+    and knows nothing mutates it meanwhile (a service batch); the tables are
+    dropped on exit, so no later edit can meet stale ones."""
+    outer = getattr(_SHARING, "slot", None)
+    _SHARING.slot = [graph, None]
+    try:
+        yield
+    finally:
+        _SHARING.slot = outer
+
+
+def _graph_tables(graph: TaskGraph) -> GraphTables:
+    slot = getattr(_SHARING, "slot", None)
+    if slot is None or slot[0] is not graph:
+        return GraphTables(graph)
+    if slot[1] is None:
+        slot[1] = GraphTables(graph)
+    return slot[1]
+
+
 class SchedKernel:
     """Precomputed, memoized scheduling context for one graph × machine.
 
@@ -109,28 +179,30 @@ class SchedKernel:
     in_edges / succ_idx:
         Per-task in-edge lists (graph order, duplicates preserved) and
         per-out-edge successor indices (for ready-set propagation).
+    compiled:
+        The machine's compiled routing tables.
+
+    The first four are the graph half (:class:`GraphTables`, possibly
+    shared with other kernels — read, never written); the rest is per
+    machine.
     """
 
     def __init__(self, graph: TaskGraph, machine: TargetMachine):
         t0 = time.perf_counter()
         self.graph = graph
         self.machine = machine
-        self.tasks: list[str] = list(graph.task_names)
-        self.n = len(self.tasks)
-        self.index: dict[str, int] = {t: i for i, t in enumerate(self.tasks)}
-        self.exec_time: list[float] = [
-            machine.exec_time(graph.work(t)) for t in self.tasks
-        ]
-        self.in_edges: list[list[TaskEdge]] = [graph.in_edges(t) for t in self.tasks]
-        idx = self.index
-        self.succ_idx: list[list[int]] = [
-            [idx[e.dst] for e in graph.out_edges(t)] for t in self.tasks
-        ]
         self._params = machine.params
-        # Compile-ahead tables: content-addressed by machine hash, so a warm
-        # topology costs one O(1) cache probe instead of a router walk per
-        # pair — and the same tables machine.comm_cost/route answer from.
-        self._compiled = compiled_for(machine)
+        # The graph half ...
+        tables = self._tables = _graph_tables(graph)
+        self.tasks, self.index = tables.tasks, tables.index
+        self.n = len(self.tasks)
+        self.in_edges, self.succ_idx = tables.in_edges, tables.succ_idx
+        self.exec_time: list[float] = tables.exec_time(self._params)
+        # ... and the machine half.  Compile-ahead tables: content-addressed
+        # by machine hash, so a warm topology costs one O(1) cache probe
+        # instead of a router walk per pair — and the same tables
+        # machine.comm_cost/route answer from.
+        self.compiled = compiled_for(machine)
         self._comm: dict[float, list[float]] = {}
         self._routes: dict[tuple[int, int], tuple[int, ...]] = {}
         self._mean_comm: dict[float, float] = {}
@@ -148,7 +220,7 @@ class SchedKernel:
         if costs is None:
             comm_time = self._params.comm_time
             costs = [
-                comm_time(size, hops) for hops in range(self._compiled.diameter() + 1)
+                comm_time(size, hops) for hops in range(self.compiled.diameter() + 1)
             ]
             self._comm[size] = costs
         return costs
@@ -157,7 +229,7 @@ class SchedKernel:
         """Memoized ``machine.comm_cost`` (hops off the table, then cost)."""
         if src_proc == dst_proc:
             return 0.0
-        compiled = self._compiled
+        compiled = self.compiled
         hops = compiled.dist[src_proc * compiled.n_procs + dst_proc]
         return self.hop_costs(size)[hops]
 
@@ -165,7 +237,9 @@ class SchedKernel:
         """Memoized ``machine.mean_comm_cost`` (one entry per message size)."""
         cost = self._mean_comm.get(size)
         if cost is None:
-            cost = self.machine.mean_comm_cost(size)
+            cost = self._params.mean_comm_time(
+                size, self.compiled.average_distance()
+            )
             self._mean_comm[size] = cost
         return cost
 
@@ -175,7 +249,7 @@ class SchedKernel:
         path = self._routes.get(pair)
         if path is None:
             _bump("route_cache_misses")
-            path = self._compiled.route(src_proc, dst_proc)
+            path = self.compiled.route(src_proc, dst_proc)
             self._routes[pair] = path
         else:
             _bump("route_cache_hits")
@@ -211,11 +285,7 @@ class SchedKernel:
         return levels
 
     def static_levels(self) -> dict[str, float]:
-        levels = self._levels.get("sl")
-        if levels is None:
-            levels = static_levels(self.graph, exec_time=self._exec_of)
-            self._levels["sl"] = levels
-        return levels
+        return self._tables.static_levels(self._params)
 
     def priority_array(self, levels: dict[str, float]) -> list[float]:
         """A level dict reindexed by task index (for heap keys)."""
@@ -393,17 +463,15 @@ class KernelState:
                 ready = arrival
         return ready
 
-    def data_ready_row(self, ti: int) -> list[float]:
-        """:meth:`data_ready_time` of task ``ti`` on every processor, in one
-        pass over its in-edges: per edge and source copy, the copy's finish
-        plus the message's cost by hops along the copy's row of the compiled
-        distance table — the same additions, ``min`` and ``max``, so the same
-        floats."""
+    def arrival_rows(self, ti: int) -> Iterator[list[float]]:
+        """Per in-edge of task ``ti``, in edge order: the edge's earliest
+        arrival on every processor — per source copy, the copy's finish plus
+        the message's cost by hops along the copy's row of the compiled
+        distance table, cheapest copy per processor."""
         kernel = self.kernel
         n_procs = len(self.tails)
-        dist = kernel._compiled.dist
+        dist = kernel.compiled.dist
         placed = self._by_task
-        ready = [0.0] * n_procs
         for edge in kernel.in_edges[ti]:
             plist = placed.get(edge.src)
             if plist is None:
@@ -417,8 +485,19 @@ class KernelState:
                     arrival = via
                 else:
                     arrival = [a if a <= v else v for a, v in zip(arrival, via)]
-            ready = [a if a > r else r for a, r in zip(arrival, ready)]
-        return ready
+            yield arrival
+
+    def data_ready_row(self, ti: int) -> list[float]:
+        """:meth:`data_ready_time` of task ``ti`` on every processor, in one
+        pass over its in-edges (:meth:`arrival_rows`) — the same additions,
+        ``min`` and ``max``, so the same floats."""
+        ready: list[float] | None = None
+        for arrival in self.arrival_rows(ti):
+            if ready is None:
+                ready = arrival  # no arrival is negative: max(0.0, a) is a
+            else:
+                ready = [a if a > r else r for a, r in zip(arrival, ready)]
+        return ready if ready is not None else [0.0] * len(self.tails)
 
     def _unscheduled(self, ti: int, edge: TaskEdge) -> ScheduleError:
         return ScheduleError(

@@ -14,19 +14,49 @@ winner, so the result is always feasible (the independent validator checks
 duplicated schedules too).
 
 Runs on the shared :mod:`repro.sched.core` kernel (incremental ready heap,
-precomputed execution times, memoized communication costs); byte-identical
-to the pre-kernel implementation.
+precomputed execution times, arrival rows): per placed task every in-edge's
+arrival on every processor is computed once, a candidate without a planned
+copy finds its slot by :meth:`Schedule.insertion_slot`, and one that plans
+copies keeps a single start-ordered occupancy list, built off the timeline
+once and updated by insertion.  Byte-identical to the pre-kernel
+implementation.
 """
 
 from __future__ import annotations
 
-from repro.graph.taskgraph import TaskGraph
+import bisect
+
+from repro.graph.taskgraph import TaskEdge, TaskGraph
 from repro.machine.machine import TargetMachine
 from repro.sched.base import Scheduler
 from repro.sched.core import KernelState, ReadyHeap, SchedKernel
 from repro.sched.schedule import Schedule
 
 _EPS = 1e-12
+
+Copy = tuple[str, float, float]  # (task name, start, finish) on the candidate
+
+
+def _occupancy(state: KernelState, proc: int) -> list[tuple[float, float]]:
+    """Busy ``(start, finish)`` intervals of ``proc`` by start — the
+    timeline's own order, so nothing is sorted."""
+    return [(e.start, e.finish) for e in state.sched.timeline(proc)]
+
+
+def _earliest_slot(
+    occupancy: list[tuple[float, float]], ready: float, duration: float
+) -> float:
+    """First idle gap of ``occupancy`` (by start) that fits ``duration`` at
+    or after ``ready`` — :meth:`Schedule.insertion_slot`'s scan, over a
+    timeline with planned copies in it."""
+    prev = 0.0
+    for start, finish in occupancy:
+        at = ready if ready > prev else prev
+        if at + duration <= start + _EPS:
+            return at
+        if finish > prev:
+            prev = finish
+    return ready if ready > prev else prev
 
 
 class DSHScheduler(Scheduler):
@@ -49,14 +79,24 @@ class DSHScheduler(Scheduler):
         state = KernelState(kernel, scheduler_name=self.name)
         sl = kernel.priority_array(kernel.static_levels())
         heap = ReadyHeap(kernel, key=lambda i: (-sl[i], i))
+        n_procs = machine.n_procs
         for _ in range(kernel.n):
             ti = heap.pop()
-            best: tuple[float, int, float, list[tuple[str, float, float]]] | None = None
             duration = kernel.exec_time[ti]
-            for proc in range(machine.n_procs):
-                est, dups = self._plan(state, ti, proc)
-                key = (est + duration, proc)
-                if best is None or key < (best[0], best[1]):
+            edges = kernel.in_edges[ti]
+            # every in-edge's arrival on every processor, once per task
+            rows = list(state.arrival_rows(ti))
+            columns = list(zip(*rows)) if rows else [()] * n_procs
+            holders = [
+                {copy.proc for copy in state.placements_or_none(e.src)} for e in edges
+            ]
+            pred_ready: dict[int, list[float]] = {}
+            best: tuple[float, int, float, list[Copy]] | None = None
+            for proc in range(n_procs):
+                est, dups = self._plan(
+                    state, proc, duration, edges, list(columns[proc]), holders, pred_ready
+                )
+                if best is None or (est + duration, proc) < (best[0], best[1]):
                     best = (est + duration, proc, est, dups)
             assert best is not None
             _, proc, est, dups = best
@@ -68,84 +108,87 @@ class DSHScheduler(Scheduler):
 
     # ------------------------------------------------------------------ #
     def _plan(
-        self, state: KernelState, ti: int, proc: int
-    ) -> tuple[float, list[tuple[str, float, float]]]:
-        """Earliest start of task ``ti`` on ``proc`` with planned duplications.
+        self,
+        state: KernelState,
+        proc: int,
+        duration: float,
+        edges: list[TaskEdge],
+        arrivals: list[float],
+        holders: list[set[int]],
+        pred_ready: dict[int, list[float]],
+    ) -> tuple[float, list[Copy]]:
+        """Earliest start on ``proc`` of a task with planned duplications.
 
-        Returns ``(est, copies)`` where ``copies`` is a list of
-        ``(task_name, start, finish)`` duplications on ``proc`` that must be
-        committed for ``est`` to hold.
+        The task runs ``duration``; ``arrivals`` are its in-``edges``'
+        arrivals on ``proc``, ``holders`` the processors holding a copy of
+        each edge's source, and ``pred_ready`` memoizes predecessors'
+        data-ready rows for the task being placed.  Returns ``(est,
+        copies)`` where ``copies`` are the duplications on ``proc`` that
+        must be committed for ``est`` to hold.
         """
-        kernel = state.kernel
-        comm = kernel.comm_cost
-        task = kernel.tasks[ti]
-        duration = kernel.exec_time[ti]
-        in_edges = kernel.in_edges[ti]
-        added: list[tuple[str, float, float]] = []
-
-        def finishes_of(u: str) -> list[tuple[float, int]]:
-            """(finish, proc) of every available copy of u, planned included."""
-            placed = state.placements_or_none(u)
-            out = [(e.finish, e.proc) for e in placed] if placed else []
-            out += [(f, proc) for (n, s, f) in added if n == u]
-            return out
-
-        def arrival(edge) -> float:
-            return min(
-                f + comm(p, proc, edge.size) for f, p in finishes_of(edge.src)
-            )
-
-        def occupancy() -> list[tuple[float, float]]:
-            slots = [(e.start, e.finish) for e in state.sched.timeline(proc)]
-            slots += [(s, f) for (_, s, f) in added]
-            return sorted(slots)
-
-        def earliest_slot(ready: float, dur: float) -> float:
-            prev = 0.0
-            for s, f in occupancy():
-                start = max(ready, prev)
-                if start + dur <= s + _EPS:
-                    return start
-                prev = max(prev, f)
-            return max(ready, prev)
-
-        def est_now() -> float:
-            ready = max((arrival(e) for e in in_edges), default=0.0)
-            return earliest_slot(ready, duration)
-
-        est = est_now()
+        kernel, sched = state.kernel, state.sched
+        est = sched.insertion_slot(proc, max(arrivals, default=0.0), duration)
+        if not edges:
+            return est, []
+        copies: list[Copy] = []
+        local: dict[str, float] = {}  # finish of each planned copy, by task
+        occupancy: list[tuple[float, float]] | None = None
         for _ in range(self.max_dups_per_task):
-            if not in_edges:
+            worst = max(arrivals)
+            if worst <= _EPS:
                 break
-            crit = max(in_edges, key=arrival)
-            if arrival(crit) <= _EPS:
-                break
-            u = crit.src
-            if any(p == proc for _, p in finishes_of(u)):
+            crit = arrivals.index(worst)  # the first latest-arriving edge
+            u = edges[crit].src
+            if proc in holders[crit] or u in local:
                 break  # the critical input is already local
-            # data-ready time of a copy of u on this processor
-            u_ready = 0.0
-            feasible = True
-            for e in kernel.in_edges[kernel.index[u]]:
-                if e.src not in state:
-                    feasible = False
-                    break
-                u_ready = max(
-                    u_ready,
-                    min(
-                        f + comm(p, proc, e.size)
-                        for f, p in finishes_of(e.src)
-                    ),
-                )
-            if not feasible:
-                break
-            u_dur = kernel.exec_time[kernel.index[u]]
-            u_start = earliest_slot(u_ready, u_dur)
-            added.append((u, u_start, u_start + u_dur))
-            new_est = est_now()
-            if new_est < est - _EPS:
-                est = new_est
+            ui = kernel.index[u]
+            u_ready = self._copy_ready(state, ui, proc, local, pred_ready)
+            u_dur = kernel.exec_time[ui]
+            if occupancy is None:
+                u_start = sched.insertion_slot(proc, u_ready, u_dur)
+                occupancy = _occupancy(state, proc)
             else:
-                added.pop()
+                u_start = _earliest_slot(occupancy, u_ready, u_dur)
+            u_finish = u_start + u_dur
+            bisect.insort(occupancy, (u_start, u_finish))
+            # only u's own edges can arrive earlier for the copy
+            trial = [
+                u_finish if e.src == u and u_finish < a else a
+                for a, e in zip(arrivals, edges)
+            ]
+            new_est = _earliest_slot(occupancy, max(trial), duration)
+            if not new_est < est - _EPS:
                 break
-        return est, added
+            est, arrivals = new_est, trial
+            copies.append((u, u_start, u_finish))
+            local[u] = u_finish
+        return est, copies
+
+    @staticmethod
+    def _copy_ready(
+        state: KernelState,
+        ui: int,
+        proc: int,
+        local: dict[str, float],
+        pred_ready: dict[int, list[float]],
+    ) -> float:
+        """Data-ready time on ``proc`` of a copy of task ``ui``: off its
+        memoized row while nothing is planned, else per edge with the
+        planned copies (already on ``proc``: no message) counted in."""
+        if not local:
+            row = pred_ready.get(ui)
+            if row is None:
+                row = pred_ready[ui] = state.data_ready_row(ui)
+            return row[proc]
+        comm = state.kernel.comm_cost
+        ready = 0.0
+        for e in state.kernel.in_edges[ui]:
+            arrival = min(
+                s.finish + comm(s.proc, proc, e.size)
+                for s in state.placements_or_none(e.src)
+            )
+            if local.get(e.src, arrival) < arrival:
+                arrival = local[e.src]
+            if arrival > ready:
+                ready = arrival
+        return ready

@@ -212,7 +212,7 @@ def _retime(
 
 
 def incremental_reschedule(
-    prev_schedule: Schedule, new_graph: TaskGraph
+    prev_schedule: Schedule, new_graph: TaskGraph, new_hash: str | None = None
 ) -> IncrementalResult:
     """Reschedule ``new_graph`` by editing ``prev_schedule`` in place(ment).
 
@@ -220,10 +220,12 @@ def incremental_reschedule(
     is a new scheduling problem, not an incremental one.  Returns the new
     schedule plus reuse accounting; byte-identical to
     :func:`full_reschedule` always, and to the previous schedule itself
-    when the graph content is unchanged.
+    when the graph content is unchanged.  ``new_hash`` is
+    ``new_graph.content_hash()`` from a caller that already holds it.
     """
     n_tasks = len(new_graph)
-    if new_graph.content_hash() == prev_schedule.graph.content_hash():
+    new_hash = new_hash or new_graph.content_hash()
+    if new_hash == prev_schedule.graph.content_hash():
         return IncrementalResult(
             prev_schedule, n_tasks, 0, n_tasks, unchanged=True
         )

@@ -10,8 +10,9 @@ machine-oblivious list scheduling.
 Algorithm per step:
 
 1. among ready tasks pick the one with the highest machine-aware b-level;
-2. for every processor, tentatively route all incoming messages over the
-   link timelines and compute the task's earliest start;
+2. for the processors in ascending order of their uncontended finish lower
+   bound, tentatively route all incoming messages over the link timelines
+   and compute the task's earliest start, until the next bound cannot win;
 3. commit the task to the best processor and reserve its messages' links.
 
 With ``contention=False`` links are infinitely wide and MH reduces to a
@@ -19,10 +20,13 @@ routed-cost list scheduler (useful as an ablation).
 
 This implementation runs on the shared :mod:`repro.sched.core` kernel:
 ready tasks come from an incremental :class:`~repro.sched.core.ReadyHeap`,
-execution times and routes are precomputed/memoized, and the per-processor
-tentative pass prunes candidates whose *uncontended* finish lower bound
-already loses to the current best (contention only ever delays arrivals, so
-the bound is safe).  Results are byte-identical to the pre-kernel scheduler.
+execution times are precomputed, the lower bounds of step 2 come off one
+:meth:`~repro.sched.core.KernelState.data_ready_row` per task, and which
+link timelines a message crosses is read off the machine's compiled tables.
+Contention only ever delays arrivals, so a candidate's true finish is at
+least its bound and the search may stop at the first bound that already
+loses — whatever the order, the least ``(finish, processor)`` is the same
+one.  Results are byte-identical to the pre-kernel scheduler.
 """
 
 from __future__ import annotations
@@ -34,9 +38,6 @@ from repro.machine.machine import TargetMachine
 from repro.sched.base import Scheduler
 from repro.sched.core import KernelState, ReadyHeap, SchedKernel
 from repro.sched.schedule import Message, Schedule
-
-Link = tuple[int, int]
-
 
 class LinkTimeline:
     """Busy intervals of one link, with earliest-fit reservation.
@@ -106,33 +107,20 @@ class LinkTimeline:
 class _Network:
     """Per-link timelines for an entire machine.
 
-    The link timelines a ``(src, dst)`` message crosses are resolved once
-    per processor pair (via the kernel's route memo) and cached, so the
-    per-transit cost is the hop walk itself, not routing.
+    Which timelines a ``(src, dst)`` message crosses is read off the
+    machine's compiled tables (:meth:`CompiledTopology.link_ids` — on a
+    shared medium every hop is the one timeline), so the per-transit cost
+    is the hop walk itself, not routing.
     """
 
-    def __init__(self, machine: TargetMachine, kernel: SchedKernel, shared: bool):
-        self.machine = machine
-        self.kernel = kernel
-        self.shared = shared  # bus: all links alias one timeline
-        self._links: dict[Link, LinkTimeline] = {}
-        self._bus = LinkTimeline()
-        self._pair: dict[tuple[int, int], list[LinkTimeline]] = {}
-
-    def _timelines(self, src: int, dst: int) -> list[LinkTimeline]:
-        pair = (src, dst)
-        timelines = self._pair.get(pair)
-        if timelines is None:
-            path = self.kernel.route(src, dst)
-            timelines = []
-            for a, b in zip(path, path[1:]):
-                if self.shared:
-                    timelines.append(self._bus)
-                else:
-                    link = (a, b) if a < b else (b, a)
-                    timelines.append(self._links.setdefault(link, LinkTimeline()))
-            self._pair[pair] = timelines
-        return timelines
+    def __init__(self, kernel: SchedKernel):
+        params = kernel.machine.params
+        self._startup = params.msg_startup
+        self._latency = params.hop_latency
+        self._rate = params.transmission_rate
+        self._n_procs = kernel.compiled.n_procs
+        n_links, self._crossed = kernel.compiled.link_ids()
+        self._timelines = [LinkTimeline() for _ in range(n_links)]
 
     def transit(
         self,
@@ -148,23 +136,24 @@ class _Network:
         message startup once at injection.  When ``commit`` is False the
         link timelines are left untouched (tentative evaluation).
         """
-        params = self.machine.params
         if src == dst:
             return available
-        t = available + params.msg_startup
-        hop_time = params.hop_latency + size / params.transmission_rate
-        timelines = self._timelines(src, dst)
+        t = available + self._startup
+        hop_time = self._latency + size / self._rate
+        timelines = self._timelines
+        crossed = self._crossed[src * self._n_procs + dst]
+        starts: list[float] = []
+        for link in crossed:
+            # (earliest_fit's own first exit, without the call: nothing on
+            # the link at or after ``t``)
+            intervals = timelines[link]._intervals
+            if intervals and t < intervals[-1][1]:
+                t = timelines[link].earliest_fit(t, hop_time)
+            starts.append(t)
+            t += hop_time
         if commit:
-            reservations: list[tuple[LinkTimeline, float]] = []
-            for timeline in timelines:
-                start = timeline.earliest_fit(t, hop_time)
-                reservations.append((timeline, start))
-                t = start + hop_time
-            for timeline, start in reservations:
-                timeline.reserve(start, hop_time)
-        else:
-            for timeline in timelines:
-                t = timeline.earliest_fit(t, hop_time) + hop_time
+            for link, start in zip(crossed, starts):
+                timelines[link].reserve(start, hop_time)
         return t
 
 
@@ -188,8 +177,7 @@ class MHScheduler(Scheduler):
     def schedule(self, graph: TaskGraph, machine: TargetMachine) -> Schedule:
         kernel = SchedKernel(graph, machine)
         state = KernelState(kernel, scheduler_name=self.name)
-        shared = bool(getattr(machine.topology, "shared_medium", False))
-        network = _Network(machine, kernel, shared=shared) if self.contention else None
+        network = _Network(kernel) if self.contention else None
 
         prio = kernel.priority_array(kernel.b_levels_comm())
         heap = ReadyHeap(kernel, key=lambda i: (-prio[i], i))
@@ -201,38 +189,41 @@ class MHScheduler(Scheduler):
         return state.sched
 
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _finish_bounds(state: KernelState, ti: int) -> list[float]:
+        """Per processor, the finish of task ``ti`` if no message queued for
+        a link: off one data-ready row instead of a cost call per (edge,
+        processor).  Without contention it is the finish itself."""
+        duration = state.kernel.exec_time[ti]
+        return [
+            (ready if ready > tail else tail) + duration
+            for ready, tail in zip(state.data_ready_row(ti), state.tails)
+        ]
+
     def _best_proc(self, state: KernelState, network: _Network | None, ti: int) -> int:
-        kernel = state.kernel
+        bounds = self._finish_bounds(state, ti)
+        if network is None:
+            return bounds.index(min(bounds))
+        kernel, tails = state.kernel, state.tails
         duration = kernel.exec_time[ti]
-        edges = kernel.in_edges[ti]
-        sources = [state.primary(e.src) for e in edges]
-        comm = kernel.comm_cost
-        tails = state.tails
+        inputs = [(e.size, state.primary(e.src)) for e in kernel.in_edges[ti]]
+        transit = network.transit
         best: tuple[float, int] | None = None
-        for proc in range(len(tails)):
-            # Uncontended lower bound on the finish time: contention can only
-            # delay arrivals, so if even this loses to the current best the
-            # tentative transit walk is skipped entirely.
-            ready_lb = 0.0
-            for edge, src in zip(edges, sources):
-                arrival = src.finish + comm(src.proc, proc, edge.size)
-                if arrival > ready_lb:
-                    ready_lb = arrival
+        # Contention can only delay arrivals, so a candidate's true finish is
+        # at least its bound.  Walked in ascending bound order (ties by
+        # processor: the sort is stable), the first candidate that cannot win
+        # even without any queueing delay ends the search — and the
+        # (finish, proc) minimum found is the one any order would find.
+        for proc in sorted(range(len(bounds)), key=bounds.__getitem__):
+            if best is not None and bounds[proc] > best[0] + 1e-9 * (1.0 + abs(best[0])):
+                break
+            ready = 0.0
+            for size, src in inputs:
+                arrival = transit(src.proc, proc, size, src.finish, False)
+                if arrival > ready:
+                    ready = arrival
             tail = tails[proc]
-            finish_lb = (ready_lb if ready_lb > tail else tail) + duration
-            if network is None:
-                finish = finish_lb
-            else:
-                if best is not None and finish_lb > best[0] + 1e-9 * (1.0 + abs(best[0])):
-                    continue  # cannot win even without any queueing delay
-                ready = 0.0
-                for edge, src in zip(edges, sources):
-                    arrival = network.transit(
-                        src.proc, proc, edge.size, src.finish, commit=False
-                    )
-                    if arrival > ready:
-                        ready = arrival
-                finish = (ready if ready > tail else tail) + duration
+            finish = (ready if ready > tail else tail) + duration
             if best is None or (finish, proc) < best:
                 best = (finish, proc)
         assert best is not None

@@ -51,7 +51,7 @@ from repro.machine.compiled import CompiledTopology, compiled_for, evict_compile
 from repro.machine.machine import TargetMachine, make_machine, single_processor
 from repro.machine.params import IDEAL, MachineParams
 from repro.sched.base import Scheduler
-from repro.sched.core import kernel_counters
+from repro.sched.core import kernel_counters, sharing_graph_tables
 from repro.sched.registry import resolve_scheduler, scheduler_cache_key
 from repro.sched.schedule import Schedule
 from repro.sched.serialize import schedule_from_dict, schedule_to_dict
@@ -288,10 +288,15 @@ class ScheduleService:
         graph: TaskGraph,
         machine: TargetMachine,
         scheduler: str | Scheduler = "mh",
+        graph_fp: str | None = None,
     ) -> Schedule:
-        """Schedule ``graph`` on ``machine``, memoized by content."""
-        item = (graph, machine, resolve_scheduler(scheduler))
-        return self._batch([item])[0]
+        """Schedule ``graph`` on ``machine``, memoized by content.
+
+        ``graph_fp``, here and below, is ``graph.content_hash()`` from a
+        caller that already holds it; left out, the graph is hashed here.
+        """
+        pairs = [(machine, resolve_scheduler(scheduler))]
+        return self._batch(graph, pairs, graph_fp)[0]
 
     def compiled(self, machine: TargetMachine) -> CompiledTopology:
         """The compiled routing tables for ``machine`` — the process-wide,
@@ -304,6 +309,7 @@ class ScheduleService:
         graph: TaskGraph,
         machine: TargetMachine,
         scheduler: str | Scheduler = "mh",
+        graph_fp: str | None = None,
     ):
         """The lowered program for ``graph`` on ``machine``, memoized.
 
@@ -317,9 +323,9 @@ class ScheduleService:
         from repro.codegen.ir import lower as _lower
 
         sched = resolve_scheduler(scheduler)
+        key = self._key(graph, machine, sched, graph_fp)
         return self._ir_lru.get_or_compute(
-            self._key(graph, machine, sched),
-            lambda: _lower(self.schedule(graph, machine, sched)),
+            key, lambda: _lower(self.schedule(graph, machine, sched, key[0]))
         )
 
     # ------------------------------------------------------------------ #
@@ -332,22 +338,15 @@ class ScheduleService:
         scheduler: str | Scheduler = "mh",
         family: str = "hypercube",
         params: MachineParams = IDEAL,
+        graph_fp: str | None = None,
     ) -> dict[int, Schedule]:
         """One schedule per machine size, cache-aware.
 
         The result dict iterates in ``proc_counts`` order regardless of
         which entries were cached.
         """
-        sched = resolve_scheduler(scheduler)
-        t0 = time.perf_counter()
-        sizes = list(dict.fromkeys(int(n) for n in proc_counts))
-        machines = {
-            n: single_processor(params) if n == 1 else make_machine(family, n, params)
-            for n in sizes
-        }
-        out = self._batch([(graph, machines[n], sched) for n in sizes])
-        self._note_sweep(t0)
-        return {n: s for n, s in zip(sizes, out)}
+        request = ScheduleRequest(scheduler, tuple(proc_counts), family, params)
+        return self._sweep(graph, [request], graph_fp)[0][1]
 
     def predict_speedup(
         self,
@@ -358,33 +357,83 @@ class ScheduleService:
         params: MachineParams = IDEAL,
     ) -> SpeedupReport:
         """The Figure-3 speedup sweep, built on the cached schedule batch."""
-        sched = resolve_scheduler(scheduler)
-        schedules = self.schedules_for_sizes(
-            graph, proc_counts, scheduler=sched, family=family, params=params,
-        )
-        serial = sum(params.exec_time(t.work) for t in graph.tasks)
-        points = []
-        for n in dict.fromkeys(int(c) for c in proc_counts):
-            ms = schedules[n].makespan()
-            sp = serial / ms if ms > 0 else 0.0
-            points.append(
-                SpeedupPoint(
-                    n_procs=n,
-                    makespan=ms,
-                    speedup=sp,
-                    efficiency=sp / n if n else 0.0,
+        request = ScheduleRequest(scheduler, tuple(proc_counts), family, params)
+        return self.predict_speedups(graph, [request])[0]
+
+    def predict_speedups(
+        self,
+        graph: TaskGraph,
+        requests: Sequence[ScheduleRequest],
+        graph_fp: str | None = None,
+    ) -> list[SpeedupReport]:
+        """One Figure-3 sweep per request — each with its scheduler, sizes,
+        family and params set — all resolved as one batch."""
+        # what the graph alone decides, once per distinct parameter set
+        serial_and_bound: dict[MachineParams, tuple[float, float]] = {}
+        reports = []
+        for request, (sched, schedules) in zip(
+            requests, self._sweep(graph, requests, graph_fp)
+        ):
+            params = request.params
+            if params not in serial_and_bound:
+                serial_and_bound[params] = (
+                    sum(params.exec_time(t.work) for t in graph.tasks),
+                    average_parallelism(
+                        graph, exec_time=lambda t: params.exec_time(graph.work(t))
+                    ),
+                )
+            serial, bound = serial_and_bound[params]
+            points = []
+            for n, schedule in schedules.items():
+                ms = schedule.makespan()
+                sp = serial / ms if ms > 0 else 0.0
+                points.append(
+                    SpeedupPoint(
+                        n_procs=n,
+                        makespan=ms,
+                        speedup=sp,
+                        efficiency=sp / n if n else 0.0,
+                    )
+                )
+            reports.append(
+                SpeedupReport(
+                    graph=graph.name,
+                    scheduler=sched.name,
+                    family=request.family,
+                    serial_time=serial,
+                    points=tuple(points),
+                    max_parallelism=bound,
                 )
             )
-        return SpeedupReport(
-            graph=graph.name,
-            scheduler=sched.name,
-            family=family,
-            serial_time=serial,
-            points=tuple(points),
-            max_parallelism=average_parallelism(
-                graph, exec_time=lambda t: params.exec_time(graph.work(t))
-            ),
-        )
+        return reports
+
+    def _sweep(
+        self,
+        graph: TaskGraph,
+        requests: Sequence[ScheduleRequest],
+        graph_fp: str | None,
+    ) -> list[tuple[Scheduler, dict[int, Schedule]]]:
+        """Per request, its scheduler and size -> schedule in the order asked
+        for (a repeated size once); all of them go through one batch."""
+        t0 = time.perf_counter()
+        machines: dict[tuple[str, int, MachineParams], TargetMachine] = {}
+        plan: list[tuple[Scheduler, list[int]]] = []
+        pairs: list[tuple[TargetMachine, Scheduler]] = []
+        for request in requests:
+            sched = request.resolved_scheduler()
+            sizes = list(dict.fromkeys(int(n) for n in request.proc_counts))
+            plan.append((sched, sizes))
+            for n in sizes:
+                spec = (request.family, n, request.params)
+                if spec not in machines:
+                    machines[spec] = (
+                        single_processor(request.params) if n == 1
+                        else make_machine(request.family, n, request.params)
+                    )
+                pairs.append((machines[spec], sched))
+        results = iter(self._batch(graph, pairs, graph_fp))
+        self._note_sweep(t0, runs=len(plan))
+        return [(sched, {n: next(results) for n in sizes}) for sched, sizes in plan]
 
     def compare_schedulers(
         self,
@@ -395,7 +444,7 @@ class ScheduleService:
         """One schedule per heuristic on a fixed machine (ablation sweeps)."""
         t0 = time.perf_counter()
         resolved = [resolve_scheduler(s) for s in schedulers]
-        out = self._batch([(graph, machine, s) for s in resolved])
+        out = self._batch(graph, [(machine, s) for s in resolved])
         self._note_sweep(t0)
         return {s.name: schedule for s, schedule in zip(resolved, out)}
 
@@ -404,28 +453,31 @@ class ScheduleService:
     # ------------------------------------------------------------------ #
     def _batch(
         self,
-        items: list[tuple[TaskGraph, TargetMachine, Scheduler]],
+        graph: TaskGraph,
+        pairs: list[tuple[TargetMachine, Scheduler]],
+        graph_fp: str | None = None,
     ) -> list[Schedule]:
-        """Resolve a batch of scheduling problems in order, cache first.
+        """Resolve one graph's scheduling problems in order, cache first.
 
-        Returns the schedules aligned with ``items``.
+        Returns the schedules aligned with ``pairs``.  The graph is hashed
+        once (serialize + SHA-256) unless the caller brought its hash, and
+        nothing here mutates it, so the misses' kernels share one set of
+        graph tables.
         """
-        graph_fps: dict[int, str] = {}
+        fp = graph_fp or graph.content_hash()
         results: list[Schedule] = []
-        for graph, machine, sched in items:
-            fp = graph_fps.get(id(graph))
-            if fp is None:  # serialize + SHA-256 once per distinct graph
-                fp = graph_fps[id(graph)] = graph.content_hash()
-            key = self._key(graph, machine, sched, graph_fp=fp)
-            schedule = self._get(key)
-            if schedule is None:
-                schedule = sched.schedule(graph, machine)
-                self._put(key, schedule)
-            results.append(schedule)
+        with sharing_graph_tables(graph):
+            for machine, sched in pairs:
+                key = self._key(graph, machine, sched, fp)
+                schedule = self._get(key)
+                if schedule is None:
+                    schedule = sched.schedule(graph, machine)
+                    self._put(key, schedule)
+                results.append(schedule)
         return results
 
-    def _note_sweep(self, t0: float) -> None:
-        self._counts.bump("sweeps")
+    def _note_sweep(self, t0: float, runs: int = 1) -> None:
+        self._counts.bump("sweeps", runs)
         self._last_sweep_seconds = time.perf_counter() - t0
 
     # ------------------------------------------------------------------ #

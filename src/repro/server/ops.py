@@ -256,7 +256,7 @@ def run_schedule(project: BangerProject, opts: dict[str, Any]):
     # instead of scheduling from scratch.  The base document is part of
     # the coalesce key, so identical edits still share one computation.
     try:
-        result = incremental_reschedule(base, project.flat())
+        result = incremental_reschedule(base, *project.hashed_flat())
     except ReproError as exc:
         raise OpError(f"incremental reschedule failed: {exc}") from None
     return result.schedule, result
@@ -264,7 +264,7 @@ def run_schedule(project: BangerProject, opts: dict[str, Any]):
 
 def run_sweep(project: BangerProject, requests: list[ScheduleRequest]):
     """Scheduler name -> its :class:`SpeedupReport`, in request order."""
-    return {req.scheduler: project.speedup(req) for req in requests}
+    return dict(zip((req.scheduler for req in requests), project.speedups(requests)))
 
 
 def run_simulate(project: BangerProject, opts: dict[str, Any]):

@@ -73,15 +73,24 @@ class BufferedConn:
 
     def __init__(self, reader: asyncio.StreamReader):
         self._reader = reader
-        self._buf = b""
+        # A bytearray: each 4 KiB read is appended in place, so a body of
+        # n bytes is copied O(n), not once per read.
+        self._buf = bytearray()
 
     def push_back(self, data: bytes) -> None:
-        self._buf = data + self._buf
+        self._buf[:0] = data
+
+    def _take(self, n: int) -> bytes:
+        """Remove and return the first ``n`` buffered bytes."""
+        with memoryview(self._buf) as view:
+            data = bytes(view[:n])
+        del self._buf[:n]
+        return data
 
     async def peek(self) -> bytes:
         """Read whatever arrives next; ``b''`` means the peer closed."""
         if self._buf:
-            return self._buf
+            return bytes(self._buf)
         data = await self._reader.read(4096)
         self.push_back(data)
         return data
@@ -95,15 +104,14 @@ class BufferedConn:
 
     async def read_line(self, limit: int = MAX_HEADER_BYTES) -> bytes | None:
         """One CRLF-terminated line, or ``None`` on clean EOF at a boundary."""
-        while b"\n" not in self._buf:
+        while (end := self._buf.find(b"\n")) < 0:
             if len(self._buf) > limit:
                 raise ProtocolError("header line too long")
             if not await self._fill():
                 if self._buf:
                     raise ProtocolError("connection closed mid-line")
                 return None
-        line, self._buf = self._buf.split(b"\n", 1)
-        return line.rstrip(b"\r")
+        return self._take(end + 1)[:-1].rstrip(b"\r")
 
     async def read_exactly(self, n: int) -> bytes:
         while len(self._buf) < n:
@@ -111,8 +119,7 @@ class BufferedConn:
                 raise ProtocolError(
                     f"connection closed mid-body ({len(self._buf)}/{n} bytes)"
                 )
-        data, self._buf = self._buf[:n], self._buf[n:]
-        return data
+        return self._take(n)
 
 
 async def read_request(conn: BufferedConn) -> Request | None:

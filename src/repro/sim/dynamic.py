@@ -268,7 +268,7 @@ def _replay(
 
     next_idx = {p: 0 for p in machine.procs()}
     proc_free = {p: 0.0 for p in machine.procs()}
-    shared_bus = bool(getattr(machine.topology, "shared_medium", False))
+    shared_bus = machine.shared_medium
     link_free: dict[tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------ #

@@ -123,3 +123,65 @@ class TestServiceTiers:
         assert cached_compiled(machine.content_hash()) is not None
         stats = svc.stats()
         assert stats.compiled_misses >= 1
+
+
+class TestSharedMedium:
+    """A bus's shared medium is a fact of the machine document, compiled
+    with its routes: ``mh`` and the replay read it there, not off whatever
+    topology object a machine happens to carry."""
+
+    @pytest.mark.parametrize(
+        "machine", every_family_machine(), ids=lambda m: m.topology.name
+    )
+    def test_flag_and_link_ids_match_the_family(self, machine):
+        compiled = CompiledTopology.compile(machine)
+        assert compiled.shared_medium is machine.topology.shared_medium
+        assert compiled.shared_medium is (machine.topology.family == "bus")
+        assert machine.shared_medium is compiled.shared_medium
+        count, crossed = compiled.link_ids()
+        assert len(crossed) == machine.n_procs ** 2
+        link_of = {}
+        for path, ids in zip(compiled.routes, crossed):
+            assert len(ids) == len(path) - 1
+            for a, b, link in zip(path, path[1:], ids):
+                assert link_of.setdefault(link, {a, b}) == {a, b} or compiled.shared_medium
+        if compiled.shared_medium:
+            assert count == 1 and {i for ids in crossed for i in ids} <= {0}
+        else:  # one id per undirected link some route crosses, numbered from 0
+            assert sorted(link_of) == list(range(count))
+            assert len({frozenset(ends) for ends in link_of.values()}) == count
+            assert count <= len(machine.topology.links)
+
+    def test_a_reloaded_bus_schedules_and_replays_like_the_in_memory_one(self):
+        from repro.graph.generators import random_layered
+        from repro.machine import CustomTopology
+        from repro.sched import get_scheduler
+        from repro.sched.serialize import schedule_to_dict
+        from repro.sim import simulate
+
+        graph = random_layered(40, 5, edge_prob=0.3, seed=4)
+        bus = make_machine("bus", 4, PARAMS)
+        reloaded = TargetMachine.from_dict(bus.to_dict())
+        # the same document on an object that forgot it is a bus: nothing
+        # reads the object's flag any more, so it cannot matter either
+        forgetful = CustomTopology(4, bus.topology.links, name=bus.topology.name)
+        forgetful.family = "bus"
+        amnesiac = TargetMachine(forgetful, PARAMS, name=bus.name)
+        assert amnesiac.content_hash() == bus.content_hash()
+        assert not forgetful.shared_medium
+
+        def plan_and_replay(machine):
+            clear_compiled()
+            schedule = get_scheduler("mh").schedule(graph, machine)
+            trace = simulate(schedule, contention=True)
+            return schedule_to_dict(schedule)["placements"], \
+                schedule_to_dict(schedule)["messages"], trace.makespan()
+
+        expected = plan_and_replay(bus)
+        assert plan_and_replay(reloaded) == expected
+        assert plan_and_replay(amnesiac) == expected
+        # and the medium is really shared: a fully connected machine of the
+        # same size and links plans its messages differently
+        full = make_machine("full", 4, PARAMS)
+        assert plan_and_replay(full)[1] != expected[1]
+        clear_compiled()

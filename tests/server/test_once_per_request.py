@@ -1,0 +1,133 @@
+"""A request derives its graph's facts once: counted, not timed.
+
+One ``/sweep`` used to hash its flat graph 7 times (2 for the key, 1 in
+``flat()``, 1 per scheduler's batch), index it 16 times and level it 12;
+``/schedule`` hashed it twice and thrice with a ``base_schedule``.  The
+counts below are taken by wrapping the functions themselves.
+"""
+
+from __future__ import annotations
+
+import pathlib
+
+import pytest
+
+from repro.env.project import BangerProject
+from repro.graph import analysis
+from repro.graph.generators import as_dataflow, random_layered
+from repro.graph.taskgraph import TaskGraph
+from repro.machine import MachineParams
+from repro.sched import core
+from repro.sched import service as service_module
+from repro.sched.serialize import schedule_to_dict
+from repro.server import ops
+
+PARAMS = MachineParams(msg_startup=0.2, transmission_rate=20.0)
+SCHEDULERS = ["mh", "etf", "dls", "hlfet"]
+SIZES = [2, 4, 8, 16]
+EXAMPLES = pathlib.Path(__file__).parent.parent.parent / "examples"
+
+
+def _project(work_of_r3: float | None = None) -> BangerProject:
+    graph = random_layered(60, 6, edge_prob=0.12, seed=5)
+    if work_of_r3 is not None:
+        graph.set_work("r3", work_of_r3)
+    project = BangerProject("counted").set_design(as_dataflow(graph))
+    return project.set_machine("hypercube", 8, PARAMS)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Calls of ``TaskGraph.content_hash``, ``GraphTables.__init__``, the
+    kernel's ``static_levels`` and the service's ``average_parallelism``."""
+    seen = {"hashes": 0, "tables": 0, "level_passes": 0, "parallelism": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        TaskGraph, "content_hash", counting("hashes", TaskGraph.content_hash))
+    monkeypatch.setattr(
+        core.GraphTables, "__init__", counting("tables", core.GraphTables.__init__))
+    monkeypatch.setattr(
+        core, "static_levels", counting("level_passes", analysis.static_levels))
+    monkeypatch.setattr(
+        service_module, "average_parallelism",
+        counting("parallelism", analysis.average_parallelism))
+    ops.reset_shared_service()
+    yield seen
+    ops.reset_shared_service()
+
+
+def test_the_key_hashes_the_graph_once(counts):
+    payload = {"project": _project().to_dict(), "schedulers": SCHEDULERS}
+    ops.coalesce_key("sweep", payload)
+    assert counts["hashes"] == 1
+
+
+def test_a_schedule_hashes_the_graph_once(counts):
+    ops.execute("schedule", {"project": _project().to_dict()})
+    assert (counts["hashes"], counts["tables"]) == (1, 1)
+
+
+def test_a_schedule_against_a_base_hashes_each_graph_once(counts):
+    base = schedule_to_dict(_project().schedule("mh"))
+    for name in counts:
+        counts[name] = 0
+    reply = ops.execute("schedule", {
+        "project": _project(work_of_r3=99.0).to_dict(), "base_schedule": base,
+    })
+    assert reply["result"]["incremental"]["unchanged"] is False
+    assert counts["hashes"] == 2  # the edited graph's, the base's
+
+
+def test_a_sweep_hashes_indexes_and_levels_its_graph_once(counts):
+    reply = ops.execute("sweep", {
+        "project": _project().to_dict(), "schedulers": SCHEDULERS,
+        "proc_counts": SIZES,
+    })
+    assert reply["counters"]["sched_runs"] == len(SCHEDULERS) * len(SIZES)
+    assert reply["counters"]["kernel_builds"] >= len(SCHEDULERS) * len(SIZES)
+    assert counts == {"hashes": 1, "tables": 1, "level_passes": 1, "parallelism": 1}
+
+
+def test_a_sweep_answers_what_one_scheduler_at_a_time_answers(counts):
+    """The batch is the same questions asked together: same reports."""
+    project = _project()
+    requests = ops.sweep_options({"schedulers": SCHEDULERS, "proc_counts": SIZES})
+    together = ops.run_sweep(project, requests)
+    alone = _project()
+    assert list(together) == SCHEDULERS
+    for request in requests:
+        assert together[request.scheduler] == alone.speedup(request)
+
+
+def test_codegen_hashes_the_graph_once(counts):
+    project = BangerProject.load(str(EXAMPLES / "lu_decomposition.json"))
+    ops.execute("codegen", {"project": project.to_dict()})
+    assert counts["hashes"] == 1
+
+
+def test_sharing_ends_with_the_batch(counts):
+    """Outside a service batch every kernel builds its own tables, so an
+    edit between two direct ``Scheduler.schedule`` calls is always seen."""
+    from repro.sched import get_scheduler
+
+    graph = random_layered(60, 6, edge_prob=0.12, seed=5)
+    machine = _project().machine
+    first = get_scheduler("hlfet").schedule(graph, machine)
+    graph.set_work("r3", 500.0)
+    second = get_scheduler("hlfet").schedule(graph, machine)
+    assert counts["tables"] == 2
+    assert second.makespan() > first.makespan()
+    with core.sharing_graph_tables(graph):
+        get_scheduler("hlfet").schedule(graph, machine)
+        get_scheduler("etf").schedule(graph, machine)
+        other = random_layered(10, 2, seed=1)  # another graph: not shared
+        get_scheduler("etf").schedule(other, machine)
+    assert counts["tables"] == 4
+    get_scheduler("etf").schedule(graph, machine)
+    assert counts["tables"] == 5
