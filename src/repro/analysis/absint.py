@@ -61,9 +61,6 @@ _WIDEN_AFTER = 2
 #: long before this — each variable bound can only jump to infinity once).
 _MAX_ITERATIONS = 64
 
-#: Builtins returning arrays.
-_ARRAY_RESULT = frozenset({"zeros", "ones", "eye", "matmul", "matvec", "transpose"})
-
 _Env = dict[str, AbsValue]
 
 
@@ -634,10 +631,10 @@ def _transfer(func: str, args: list[AbsValue], scalar_args: bool) -> tuple[AbsVa
         return AbsValue.scalar(Interval(0.0, math.inf)), True
     if func in ("dot", "sum"):
         return AbsValue.scalar(TOP), True
-    if func in _ARRAY_RESULT:
-        return AbsValue.array(TOP), True
     if func == "copy":
         return arg, False
+    if lookup(func).returns_array:
+        return AbsValue.array(TOP), True
     return UNKNOWN, True  # pragma: no cover - catalogue is closed
 
 

@@ -47,8 +47,10 @@ class Diagnostic:
         return f"{self.severity.value}: {where}{self.message}"
 
 
-#: Builtins whose result is an array (evidence for kind inference).
-_ARRAY_FUNCS = frozenset({"zeros", "ones", "eye", "matmul", "matvec"})
+def _array_call(e: ast.Expr) -> bool:
+    """A call whose result is an array (evidence for kind inference)."""
+    builtin = lookup(e.func) if isinstance(e, ast.Call) else None
+    return builtin is not None and builtin.returns_array
 
 
 def _is_constant(name: str) -> bool:
@@ -397,17 +399,14 @@ def _check_kinds(program: ast.Program, loop_vars: set[str]) -> list[Diagnostic]:
                 value = s.value
                 if isinstance(value, (ast.Num, ast.BoolLit, ast.Str)):
                     scalar_assigned.setdefault(s.target.ident, s.line)
-                elif isinstance(value, ast.ArrayLit) or (
-                    isinstance(value, ast.Call) and value.func in _ARRAY_FUNCS
-                ):
+                elif isinstance(value, ast.ArrayLit) or _array_call(value):
                     array_assigned.add(s.target.ident)
                 elif isinstance(value, ast.Binary):
                     # e.g. ``C := matmul(A, B) + matmul(C, D)`` is array-like
                     parts = (value.left, value.right)
                     if any(
-                        isinstance(p, ast.Call) and p.func in _ARRAY_FUNCS
-                        for p in parts
-                    ) or any(isinstance(p, ast.ArrayLit) for p in parts):
+                        _array_call(p) or isinstance(p, ast.ArrayLit) for p in parts
+                    ):
                         array_assigned.add(s.target.ident)
 
     for var, line in sorted(indexed.items(), key=lambda kv: kv[1]):

@@ -46,6 +46,8 @@ class Builtin:
     max_args: int
     cost: Callable[..., float]
     doc: str = ""
+    #: The result is an array (for ``abs`` and ``copy``: when the argument is).
+    returns_array: bool = False
 
     def check_arity(self, n: int) -> bool:
         return self.min_args <= n <= self.max_args
@@ -151,6 +153,7 @@ def _register(
     max_args: int | None = None,
     cost: Callable[..., float] | None = None,
     doc: str = "",
+    returns_array: bool = False,
 ) -> None:
     _B.append(
         Builtin(
@@ -160,6 +163,7 @@ def _register(
             max_args=max_args if max_args is not None else min_args,
             cost=cost or (lambda *a: 1.0),
             doc=doc,
+            returns_array=returns_array,
         )
     )
 
@@ -167,7 +171,7 @@ def _register(
 _TRANSCENDENTAL_COST = lambda *a: 4.0
 
 _register("abs", lambda x: abs(_scalar(x, "abs")) if not isinstance(x, np.ndarray) else np.abs(x),
-          1, cost=_size_cost, doc="absolute value (elementwise on arrays)")
+          1, cost=_size_cost, doc="absolute value (elementwise on arrays)", returns_array=True)
 _register("sqrt", _guard_domain(lambda x: math.sqrt(_scalar(x, "sqrt")), "sqrt"), 1,
           cost=lambda x: 2.0, doc="square root")
 _register("sin", lambda x: math.sin(_scalar(x, "sin")), 1, cost=_TRANSCENDENTAL_COST, doc="sine (radians)")
@@ -203,20 +207,21 @@ _register("max", _minmax(max, "max"), 1, 8, cost=lambda *a: sum(map(_size_cost, 
 _register("len", _len, 1, doc="first dimension of an array")
 _register("rows", _rows, 1, doc="row count of an array")
 _register("cols", _cols, 1, doc="column count of a matrix (1 for vectors)")
-_register("zeros", _make_zeros, 1, 2, cost=lambda *a: 1.0, doc="zero vector or matrix")
-_register("ones", _make_ones, 1, 2, cost=lambda *a: 1.0, doc="all-ones vector or matrix")
-_register("eye", lambda n: np.eye(int(_scalar(n, "eye"))), 1, doc="identity matrix")
+_register("zeros", _make_zeros, 1, 2, cost=lambda *a: 1.0, doc="zero vector or matrix", returns_array=True)
+_register("ones", _make_ones, 1, 2, cost=lambda *a: 1.0, doc="all-ones vector or matrix", returns_array=True)
+_register("eye", lambda n: np.eye(int(_scalar(n, "eye"))), 1, doc="identity matrix", returns_array=True)
 _register("dot", _dot, 2, cost=lambda u, v: 2.0 * _size_cost(u), doc="vector dot product")
-_register("matvec", _matvec, 2, cost=lambda A, x: 2.0 * _size_cost(A), doc="matrix-vector product")
+_register("matvec", _matvec, 2, cost=lambda A, x: 2.0 * _size_cost(A), doc="matrix-vector product",
+          returns_array=True)
 _register("matmul", _matmul, 2,
           cost=lambda A, B: 2.0 * _size_cost(A) * (B.shape[1] if isinstance(B, np.ndarray) and B.ndim == 2 else 1),
-          doc="matrix-matrix product")
-_register("transpose", lambda A: _array(A, "transpose").T.copy(), 1, cost=_size_cost)
+          doc="matrix-matrix product", returns_array=True)
+_register("transpose", lambda A: _array(A, "transpose").T.copy(), 1, cost=_size_cost, returns_array=True)
 _register("sum", lambda x: float(np.sum(_array(x, "sum"))), 1, cost=_size_cost)
 _register("mean", _mean, 1, cost=_size_cost)
 _register("norm", lambda x: float(np.linalg.norm(_array(x, "norm"))), 1, cost=lambda x: 2.0 * _size_cost(x))
 _register("copy", lambda x: x.copy() if isinstance(x, np.ndarray) else x, 1, cost=_size_cost,
-          doc="defensive copy of an array")
+          doc="defensive copy of an array", returns_array=True)
 
 #: name -> Builtin
 BUILTINS: dict[str, Builtin] = {b.name: b for b in _B}

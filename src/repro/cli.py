@@ -42,6 +42,10 @@ this refuses in the same words with exit 2 (``docs/server.md`` says when).
     conform   --seed = seed (0), --runs = runs (100), --oracle A,B = oracles
               (all), --budget = budget (none)
 
+``projects`` drives the action functions behind ``/projects`` the same way
+(:mod:`repro.server.store_api`, whose ``FAILURES`` table sets the exit code of
+a store error; ``docs/projects.md`` has the options).
+
 Exit codes are uniform across every subcommand:
 
 * ``0`` — success;
@@ -65,12 +69,13 @@ from typing import Any, Callable
 
 from repro import __version__
 from repro.env.project import BangerProject
-from repro.errors import ReproError, StoreNotFound
+from repro.errors import ReproError, StoreError
 from repro.machine.topologies import build_topology
 from repro.sched import render_explanations, report
 from repro.sched.metrics import ScheduleReport
-from repro.server import ops
+from repro.server import ops, store_api
 from repro.server.ops import OpError
+from repro.store.refs import parse_version
 from repro.viz import render_gantt, render_trace_gantt, render_topology
 from repro.viz.export import schedule_to_chrome_trace, schedule_to_csv
 
@@ -92,12 +97,7 @@ def _parse_ref(text: str) -> tuple[str, str, int | None]:
     version: int | None = None
     if "@" in text:
         text, _, vtext = text.rpartition("@")
-        try:
-            version = int(vtext)
-        except ValueError:
-            raise OpError(
-                f"bad version {vtext!r} in project ref; expected an integer"
-            ) from None
+        version = parse_version(vtext)
     if "/" not in text:
         raise OpError(
             f"bad project ref {text!r}; expected tenant/name[@version]"
@@ -116,16 +116,14 @@ def _project(path: str) -> BangerProject:
     if path.startswith("corpus://"):
         from repro.store.corpus import CORPUS_TENANT, default_corpus
 
-        ref = path[len("corpus://"):]
-        name, version = ref, None
-        if "@" in ref:
-            _, name, version = _parse_ref(f"{CORPUS_TENANT}/{ref}")
+        _, name, version = _parse_ref(f"{CORPUS_TENANT}/{path[len('corpus://'):]}")
         doc = default_corpus().get(CORPUS_TENANT, name, version)
     elif path.startswith("store://"):
         from repro.store import ProjectRepository
 
         tenant, name, version = _parse_ref(path[len("store://"):])
-        doc = ProjectRepository(_store_root()).get(tenant, name, version)
+        repo = ProjectRepository(_store_root())
+        doc = store_api.record(repo, tenant, name, {"version": version})["document"]
     else:
         doc = _json_file(path)
     return BangerProject.from_dict(doc)
@@ -145,10 +143,14 @@ def _load(
         raise OpError(f"cannot load {what}: {exc}") from None
 
 
+def _whole(text: str) -> Any:
+    """A whole number as an int, anything else as typed; the validator judges it."""
+    return int(text) if text.lstrip("-").isdigit() else text
+
+
 def _csv(text: str) -> list[Any]:
-    """A comma list as a list, whole numbers as ints; the validator judges them."""
-    items = [item.strip() for item in text.split(",")]
-    return [int(i) if i.lstrip("-").isdigit() else i for i in items if i]
+    """A comma list as a list, each item read by :func:`_whole`."""
+    return [_whole(item.strip()) for item in text.split(",") if item.strip()]
 
 
 # --------------------------------------------------------------------- #
@@ -491,64 +493,55 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_projects(args: argparse.Namespace) -> int:
+    """Ref parsing, the daemon's own action functions (so what ``/projects``
+    refuses this refuses alike), and a text rendering of the reply document."""
     from repro.store import ProjectRepository
 
     repo = ProjectRepository(_store_root(args.store))
     action = args.action
-    if action == "list":
-        if args.tenant:
-            names = repo.refs.projects(args.tenant)
-            if not names and args.tenant not in repo.refs.tenants():
-                raise StoreNotFound(f"no tenant {args.tenant!r} in the store")
-            for name in names:
-                head = repo.refs.head(args.tenant, name)
-                print(f"{args.tenant}/{name}@{head['v']}  "
-                      f"{head['manifest'][:12]}  {head.get('message', '')}")
-        else:
-            for tenant in repo.refs.tenants():
-                print(f"{tenant}  ({len(repo.refs.projects(tenant))} project(s))")
-        return EXIT_OK
-    if action == "seed":
+    # list, seed and gc take no ref
+    tenant, name, version = _parse_ref(args.ref) if "ref" in args else (None,) * 3
+    if action == "list" and args.tenant:
+        for p in store_api.list_projects(repo, args.tenant)["projects"]:
+            print(f"{args.tenant}/{p['name']}@{p['version']}  "
+                  f"{p['manifest'][:12]}  {p['message']}")
+    elif action == "list":
+        for owner in store_api.list_tenants(repo)["tenants"]:
+            n = len(store_api.list_projects(repo, owner)["projects"])
+            print(f"{owner}  ({n} project(s))")
+    elif action == "seed":
         from repro.store.corpus import seed_corpus
 
         info = seed_corpus(repo)
-        print(f"seeded {len(info)} corpus project(s) into {repo.blobs.total_bytes()} "
-              f"stored byte(s)")
-        return EXIT_OK
-    if action == "put":
-        tenant, name, _ = _parse_ref(args.ref)
-        doc = _load(args.project, load=_json_file)
-        scenario = None
+        print(f"seeded {len(info)} corpus project(s) into "
+              f"{repo.stats()['blob']['stored_bytes']} stored byte(s)")
+    elif action == "put":
+        raw = {**vars(args), "project": _load(args.project, load=_json_file)}
         if args.scenario:
-            scenario = _load(args.scenario, "fault scenario", _json_file)
-        info = repo.put(tenant, name, doc, message=args.message,
-                        scenario=scenario)
-        print(f"{tenant}/{name}@{info['version']}  {info['manifest'][:12]}  "
-              f"(project {info['project'][:12]})")
-        return EXIT_OK
-    if action == "get":
-        tenant, name, version = _parse_ref(args.ref)
-        doc = repo.get(tenant, name, version)
-        text = json.dumps(doc, indent=2)
+            raw["scenario"] = _load(args.scenario, "fault scenario", _json_file)
+        doc = store_api.put(repo, tenant, name, raw)
+        print(f"{tenant}/{name}@{doc['version']}  {doc['manifest'][:12]}  "
+              f"(project {doc['project'][:12]})")
+    elif action == "get":
+        doc = store_api.record(repo, tenant, name, {"version": version})
+        text = json.dumps(doc["document"], indent=2)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
             print(f"wrote {args.output}")
         else:
             print(text)
-        return EXIT_OK
-    if action == "log":
-        tenant, name, _ = _parse_ref(args.ref)
-        for entry in repo.log(tenant, name):
+    elif action == "log":
+        for entry in store_api.log(repo, tenant, name)["versions"]:
             project = (entry.get("project") or "?")[:12]
             print(f"v{entry['v']}  manifest {entry['manifest'][:12]}  "
                   f"project {project}  {entry.get('message', '')}")
-        return EXIT_OK
-    if action == "diff":
-        tenant, name, version_a = _parse_ref(args.ref)
+    elif action == "diff":
         to_tenant, to_name, version_b = _parse_ref(args.against)
-        delta = repo.diff(tenant, name, version_a, version_b,
-                          to_tenant=to_tenant, to_name=to_name)
+        delta = store_api.diff(repo, tenant, name, {
+            "version_a": version, "version_b": version_b,
+            "to_tenant": to_tenant, "to_name": to_name,
+        })
         if args.json:
             print(json.dumps(delta, indent=2, sort_keys=True))
         elif delta["identical"]:
@@ -564,20 +557,19 @@ def cmd_projects(args: argparse.Namespace) -> int:
                 for arc in delta["arcs"][verb]:
                     print(f"arc  {verb:<8} {arc}")
         return EXIT_OK if delta["identical"] or not args.fail_on_diff else EXIT_FAILURE
-    if action == "fork":
-        tenant, name, version = _parse_ref(args.ref)
+    elif action == "fork":
         to_tenant, to_name, _ = _parse_ref(args.to)
-        info = repo.fork(tenant, name, to_tenant, to_name, version=version,
-                         message=args.message)
-        print(f"{to_tenant}/{to_name}@{info['version']}  "
-              f"{info['manifest'][:12]}  (zero-copy)")
-        return EXIT_OK
-    if action == "gc":
-        result = repo.gc(max_bytes=args.max_bytes)
-        print(f"deleted {result['deleted']} blob(s); {result['live']} live, "
-              f"{result['stored_bytes']} byte(s) on disk")
-        return EXIT_OK
-    raise OpError(f"unknown projects action {action!r}")
+        doc = store_api.fork(repo, tenant, name, {
+            "to_tenant": to_tenant, "to_name": to_name,
+            "version": version, "message": args.message,
+        })
+        print(f"{doc['tenant']}/{doc['name']}@{doc['version']}  "
+              f"{doc['manifest'][:12]}  (zero-copy)")
+    elif action == "gc":
+        doc = store_api.gc(repo, vars(args))
+        print(f"deleted {doc['deleted']} blob(s); {doc['live']} live, "
+              f"{doc['stored_bytes']} byte(s) on disk")
+    return EXIT_OK
 
 
 def cmd_topology(args: argparse.Namespace) -> int:
@@ -885,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("-m", "--message", default="", help="version message")
 
     a = actions.add_parser("gc", help="drop unreferenced blobs")
-    a.add_argument("--max-bytes", type=int, default=None,
+    a.add_argument("--max-bytes", type=_whole, default=None,
                    help="if still over this size, also trim non-head "
                         "version history oldest-first (heads always survive)")
 
@@ -922,6 +914,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, StoreError):
+            return store_api.failure(exc)[2]
         return EXIT_FAILURE
 
 

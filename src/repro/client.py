@@ -176,7 +176,8 @@ class BangerClient:
         return self.post("/conform", dict(options))
 
     # ------------------------------------------------------------------ #
-    # project store
+    # project store: each parameter is the payload field of its name, sent as
+    # given (null = left out); the daemon alone types, defaults and refuses
     # ------------------------------------------------------------------ #
     def projects(self, tenant: str | None = None) -> dict[str, Any]:
         """Tenants in the store, or one tenant's projects."""
@@ -190,10 +191,9 @@ class BangerClient:
         message: str = "",
         scenario: dict[str, Any] | None = None,
     ) -> dict[str, Any]:
-        payload: dict[str, Any] = {"project": project, "message": message}
-        if scenario is not None:
-            payload["scenario"] = scenario
-        return self.post(f"/projects/{tenant}/{name}", payload)
+        return self.post(f"/projects/{tenant}/{name}", {
+            "project": project, "message": message, "scenario": scenario,
+        })
 
     def project_get(
         self, tenant: str, name: str, version: int | None = None
@@ -215,22 +215,10 @@ class BangerClient:
         to_tenant: str | None = None,
         to_name: str | None = None,
     ) -> dict[str, Any]:
-        if to_tenant is None and to_name is None and (
-            version_a is not None and version_b is not None
-        ):
-            return self.get(
-                f"/projects/{tenant}/{name}/diff/{version_a}/{version_b}"
-            )
-        payload: dict[str, Any] = {}
-        if version_a is not None:
-            payload["version_a"] = version_a
-        if version_b is not None:
-            payload["version_b"] = version_b
-        if to_tenant is not None:
-            payload["to_tenant"] = to_tenant
-        if to_name is not None:
-            payload["to_name"] = to_name
-        return self.post(f"/projects/{tenant}/{name}/diff", payload)
+        return self.post(f"/projects/{tenant}/{name}/diff", {
+            "version_a": version_a, "version_b": version_b,
+            "to_tenant": to_tenant, "to_name": to_name,
+        })
 
     def project_fork(
         self,
@@ -241,16 +229,13 @@ class BangerClient:
         version: int | None = None,
         message: str = "",
     ) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            "to_tenant": to_tenant, "to_name": to_name, "message": message,
-        }
-        if version is not None:
-            payload["version"] = version
-        return self.post(f"/projects/{tenant}/{name}/fork", payload)
+        return self.post(f"/projects/{tenant}/{name}/fork", {
+            "to_tenant": to_tenant, "to_name": to_name,
+            "version": version, "message": message,
+        })
 
     def store_gc(self, max_bytes: int | None = None) -> dict[str, Any]:
-        payload = {} if max_bytes is None else {"max_bytes": max_bytes}
-        return self.post("/projects/gc", payload)
+        return self.post("/projects/gc", {"max_bytes": max_bytes})
 
 
 def wait_until_ready(

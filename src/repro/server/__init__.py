@@ -27,23 +27,22 @@ See ``docs/server.md`` for the endpoint catalogue and failure semantics,
 and :mod:`repro.client` for the thin blocking client.
 """
 
-from repro.server.app import BangerDaemon, run_daemon
-from repro.server.metrics import ServerMetrics
-from repro.server.ops import OPS, coalesce_key, execute
-from repro.server.workers import (
-    WorkerCrash,
-    WorkerPool,
-    WorkerTimeout,
-)
+import importlib
 
-__all__ = [
-    "BangerDaemon",
-    "OPS",
-    "ServerMetrics",
-    "WorkerCrash",
-    "WorkerPool",
-    "WorkerTimeout",
-    "coalesce_key",
-    "execute",
-    "run_daemon",
-]
+#: Public name -> the submodule that defines it, imported on first use
+#: (PEP 562): ``banger lint`` imports ``repro.server.ops`` through this
+#: package and must not pay for the asyncio daemon, its metrics and its pool.
+_HOME = {
+    "BangerDaemon": "app", "run_daemon": "app",
+    "ServerMetrics": "metrics",
+    "OPS": "ops", "coalesce_key": "ops", "execute": "ops",
+    "WorkerCrash": "workers", "WorkerPool": "workers", "WorkerTimeout": "workers",
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

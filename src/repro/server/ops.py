@@ -87,16 +87,28 @@ def _project_from_payload(payload: dict[str, Any]) -> BangerProject:
     return BangerProject.from_dict(doc, service=shared_service())
 
 
+def whole(value: Any) -> bool:
+    """``3`` or ``3.0``, not what ``int()`` would make a whole number of:
+    ``"3"``, ``2.7``, ``true`` (bool is an int to Python, not to the caller)."""
+    return (isinstance(value, int) and not isinstance(value, bool)) or (
+        isinstance(value, float) and value.is_integer()
+    )
+
+
 def _option(
     raw: dict[str, Any], field: str, kind: Any, what: str, default: Any = None
 ) -> Any:
-    """``raw[field]`` as a ``kind``: an instance of it, or for ``int`` and
-    ``float`` anything that converts to one.  Left out — or null, which is
-    how a flag the CLI was not given arrives — it is ``default``."""
+    """``raw[field]`` as a ``kind``: an instance of it, for ``int`` and
+    ``float`` anything that converts to one, for :func:`whole` a whole number
+    as an ``int``.  Left out — or null, which is how a flag the CLI was not
+    given arrives — it is ``default``."""
     value = raw.get(field)
     if value is None:
         return default
-    if kind in (int, float):
+    if kind is whole:
+        if whole(value):
+            return int(value)
+    elif kind in (int, float):
         try:
             return kind(value)
         except (TypeError, ValueError):
@@ -122,12 +134,8 @@ def _sweep_request(raw: dict[str, Any], scheduler: str) -> ScheduleRequest:
     )
     # A string iterates digit by digit and a dict by its keys, so "anything
     # int() accepts per element" is not a check: take a JSON list of whole
-    # numbers only (bool is an int to Python, not to the caller).
-    if not all(
-        (isinstance(n, int) and not isinstance(n, bool))
-        or (isinstance(n, float) and n.is_integer())
-        for n in counts
-    ):
+    # numbers only.
+    if not all(whole(n) for n in counts):
         raise OpError(f"proc_counts must be a list of integers, got {counts!r}")
     if not counts or any(n < 1 for n in counts):
         raise OpError(f"proc_counts must be positive integers, got {counts!r}")

@@ -1,10 +1,13 @@
-"""The project-store HTTP surface: ``/projects/...`` → repository calls.
+"""The project-store driver: ``/projects/...`` and ``banger projects`` →
+repository calls.
 
-Pure request mapping, no I/O of its own: :func:`store_request` takes the
-already-parsed method/path/payload, drives one
-:class:`~repro.store.repository.ProjectRepository` operation, and returns
-``(status, document)``.  The daemon runs it off the event loop; tests can
-drive it directly.
+One function per action takes the repository, the split ref and a plain
+mapping of options — the daemon's payload, or the CLI's parsed flags — types
+them through :func:`repro.server.ops._option`, drives one
+:class:`~repro.store.repository.ProjectRepository` operation and returns the
+reply document; the CLI renders it as text.  :func:`store_request` routes an
+already-parsed method/path/payload onto them and returns ``(status,
+document)``; the daemon runs it off the event loop, tests drive it directly.
 
 Routes (the reader framing strips query strings, so everything is a
 subpath)::
@@ -20,10 +23,10 @@ subpath)::
     POST /projects/<t>/<n>/diff          {version_a?, version_b?, to_tenant?, to_name?}
     POST /projects/gc                    {max_bytes?}
 
-Failure mapping: a quota violation is **403** (with ``Retry-After`` added
-by the daemon, mirroring 503 backpressure); an unknown tenant/project/
-version/blob is **404**; anything malformed is **400**; a store that is
-corrupt or cannot be written is **500** — not the caller's fault.
+Failure mapping (:data:`FAILURES`): a quota violation is **403** (with
+``Retry-After`` added by the daemon, mirroring 503 backpressure); an unknown
+tenant/project/version/blob is **404**; anything malformed is **400**; a store
+that is corrupt or cannot be written is **500** — not the caller's fault.
 """
 
 from __future__ import annotations
@@ -32,141 +35,155 @@ from typing import Any
 
 from repro.errors import (
     QuotaExceeded,
+    ReproError,
     StoreCorruption,
     StoreError,
     StoreNotFound,
     StoreWriteError,
 )
+from repro.server.ops import OpError, _option, whole
+from repro.store.refs import parse_version
 from repro.store.repository import ProjectRepository
 
+Doc = dict[str, Any]
 
-def _error(kind: str, message: str, **extra: Any) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "type": "banger-error", "kind": kind, "message": message,
-    }
-    doc.update(extra)
-    return doc
+#: Failure class -> (HTTP status, error kind, ``banger projects`` exit code);
+#: the first row an exception is an instance of classifies it on both doors.
+FAILURES: tuple[tuple[Any, int, str, int], ...] = (
+    (QuotaExceeded, 403, "quota-exceeded", 1),
+    (StoreNotFound, 404, "not-found", 1),
+    ((StoreCorruption, StoreWriteError), 500, "internal", 1),
+    ((StoreError, OpError), 400, "bad-request", 2),  # an unusable request
+)
 
 
-def _record(
-    repo: ProjectRepository, tenant: str, name: str, version: int | None
-) -> dict[str, Any]:
-    entry = repo.refs.resolve(tenant, name, version)
-    manifest = repo.blobs.get(entry["manifest"])
+def failure(exc: ReproError) -> tuple[int, str, int]:
+    """``(status, kind, exit code)`` of a store or option error."""
+    return next(row[1:] for row in FAILURES if isinstance(exc, row[0]))
+
+
+def _error(kind: str, message: str) -> Doc:
+    return {"type": "banger-error", "kind": kind, "message": message}
+
+
+# --------------------------------------------------------------------- #
+# the actions: repository + split ref + raw options -> the reply document
+# --------------------------------------------------------------------- #
+def _version(raw: Doc, field: str = "version") -> int | None:
+    return _option(raw, field, whole, "a whole number")
+
+
+def list_tenants(repo: ProjectRepository) -> Doc:
     return {
-        "type": "banger-project-record",
+        "type": "banger-projects",
+        "tenants": repo.refs.tenants(),
+        "stats": repo.stats(),
+    }
+
+
+def list_projects(repo: ProjectRepository, tenant: str) -> Doc:
+    if tenant not in repo.refs.tenants():
+        raise StoreNotFound(f"no tenant {tenant!r} in the store")
+    projects = []
+    for name in repo.refs.projects(tenant):
+        head = repo.refs.head(tenant, name)
+        projects.append(
+            {"name": name, "version": head["v"], "manifest": head["manifest"],
+             "message": head.get("message", "")}
+        )
+    return {
+        "type": "banger-projects",
+        "tenant": tenant,
+        "projects": projects,
+    }
+
+
+def record(repo: ProjectRepository, tenant: str, name: str, raw: Doc) -> Doc:
+    return {"type": "banger-project-record", **repo.record(tenant, name, _version(raw))}
+
+
+def log(repo: ProjectRepository, tenant: str, name: str) -> Doc:
+    return {
+        "type": "banger-project-log",
         "tenant": tenant,
         "name": name,
-        "version": entry["v"],
-        "message": entry.get("message", ""),
-        "manifest": entry["manifest"],
-        "project": manifest["project"],
-        "document": repo.get(tenant, name, entry["v"]),
-        "scenario": (
-            repo.blobs.get(manifest["scenario"])
-            if manifest.get("scenario")
-            else None
-        ),
+        "versions": repo.log(tenant, name),
     }
 
 
-def _version_arg(raw: Any, what: str = "version") -> int:
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise StoreError(f"bad {what} {raw!r}: expected an integer") from None
+def diff(repo: ProjectRepository, tenant: str, name: str, raw: Doc) -> Doc:
+    delta = repo.diff(
+        tenant, name, _version(raw, "version_a"), _version(raw, "version_b"),
+        to_tenant=_option(raw, "to_tenant", str, "a tenant name string"),
+        to_name=_option(raw, "to_name", str, "a project name string"),
+    )
+    return {"type": "banger-project-diff", **delta}
 
 
-def _get(repo: ProjectRepository, rest: list[str]) -> dict[str, Any]:
+def put(repo: ProjectRepository, tenant: str, name: str, raw: Doc) -> Doc:
+    project = _option(raw, "project", dict, "a saved project document")
+    if project is None:
+        raise OpError("put needs a 'project' document")
+    info = repo.put(
+        tenant, name, project,
+        message=_option(raw, "message", str, "a string", ""),
+        scenario=_option(raw, "scenario", dict, "a JSON object"),
+    )
+    return {"type": "banger-project-put", **info}
+
+
+def fork(repo: ProjectRepository, tenant: str, name: str, raw: Doc) -> Doc:
+    to_name = _option(raw, "to_name", str, "a project name string")
+    if not to_name:
+        raise OpError("fork needs a 'to_name'")
+    info = repo.fork(
+        tenant, name,
+        _option(raw, "to_tenant", str, "a tenant name string", tenant), to_name,
+        version=_version(raw),
+        message=_option(raw, "message", str, "a string", ""),
+    )
+    return {"type": "banger-project-fork", **info}
+
+
+def gc(repo: ProjectRepository, raw: Doc) -> Doc:
+    what = "a non-negative whole number"
+    max_bytes = _option(raw, "max_bytes", whole, what)
+    if max_bytes is not None and max_bytes < 0:
+        raise OpError(f"max_bytes must be {what}, got {max_bytes}")
+    return {"type": "banger-store-gc", **repo.gc(max_bytes)}
+
+
+# --------------------------------------------------------------------- #
+# the HTTP door: path -> action
+# --------------------------------------------------------------------- #
+def _get(repo: ProjectRepository, rest: list[str]) -> Doc:
     if not rest:
-        return {
-            "type": "banger-projects",
-            "tenants": repo.refs.tenants(),
-            "stats": repo.stats(),
-        }
-    tenant = rest[0]
+        return list_tenants(repo)
     if len(rest) == 1:
-        if tenant not in repo.refs.tenants():
-            raise StoreNotFound(f"no tenant {tenant!r} in the store")
-        projects = []
-        for name in repo.refs.projects(tenant):
-            head = repo.refs.head(tenant, name)
-            projects.append(
-                {"name": name, "version": head["v"], "manifest": head["manifest"]}
-            )
-        return {
-            "type": "banger-projects",
-            "tenant": tenant,
-            "projects": projects,
-        }
-    name = rest[1]
-    tail = rest[2:]
+        return list_projects(repo, rest[0])
+    tenant, name, tail = rest[0], rest[1], rest[2:]
     if not tail:
-        return _record(repo, tenant, name, None)
+        return record(repo, tenant, name, {})
     if tail[0] == "v" and len(tail) == 2:
-        return _record(repo, tenant, name, _version_arg(tail[1]))
+        return record(repo, tenant, name, {"version": parse_version(tail[1])})
     if tail == ["log"]:
-        return {
-            "type": "banger-project-log",
-            "tenant": tenant,
-            "name": name,
-            "versions": repo.log(tenant, name),
-        }
+        return log(repo, tenant, name)
     if tail[0] == "diff" and len(tail) == 3:
-        delta = repo.diff(
-            tenant, name, _version_arg(tail[1]), _version_arg(tail[2])
-        )
-        return {"type": "banger-project-diff", **delta}
+        versions = {
+            "version_a": parse_version(tail[1]), "version_b": parse_version(tail[2]),
+        }
+        return diff(repo, tenant, name, versions)
     raise StoreNotFound(f"no such projects route: /{'/'.join(['projects'] + rest)}")
 
 
-def _post(
-    repo: ProjectRepository, rest: list[str], payload: dict[str, Any]
-) -> dict[str, Any]:
+def _post(repo: ProjectRepository, rest: list[str], payload: Doc) -> Doc:
     if rest == ["gc"]:
-        max_bytes = payload.get("max_bytes")
-        result = repo.gc(
-            _version_arg(max_bytes, "max_bytes") if max_bytes is not None else None
-        )
-        return {"type": "banger-store-gc", **result}
+        return gc(repo, payload)
     if len(rest) < 2:
         raise StoreError("POST needs /projects/<tenant>/<name>")
-    tenant, name, tail = rest[0], rest[1], rest[2:]
-    if not tail:
-        project = payload.get("project")
-        if not isinstance(project, dict):
-            raise StoreError("payload must carry a 'project' document")
-        scenario = payload.get("scenario")
-        if scenario is not None and not isinstance(scenario, dict):
-            raise StoreError("'scenario' must be a JSON object when given")
-        info = repo.put(
-            tenant, name, project,
-            message=str(payload.get("message", "")),
-            scenario=scenario,
-        )
-        return {"type": "banger-project-put", **info}
-    if tail == ["fork"]:
-        to_tenant = payload.get("to_tenant", tenant)
-        to_name = payload.get("to_name")
-        if not isinstance(to_name, str) or not to_name:
-            raise StoreError("fork payload must carry a 'to_name'")
-        version = payload.get("version")
-        info = repo.fork(
-            tenant, name, str(to_tenant), to_name,
-            version=_version_arg(version) if version is not None else None,
-            message=str(payload.get("message", "")),
-        )
-        return {"type": "banger-project-fork", **info}
-    if tail == ["diff"]:
-        va, vb = payload.get("version_a"), payload.get("version_b")
-        delta = repo.diff(
-            tenant, name,
-            _version_arg(va) if va is not None else None,
-            _version_arg(vb) if vb is not None else None,
-            to_tenant=payload.get("to_tenant"),
-            to_name=payload.get("to_name"),
-        )
-        return {"type": "banger-project-diff", **delta}
+    action = {(): put, ("fork",): fork, ("diff",): diff}.get(tuple(rest[2:]))
+    if action is not None:
+        return action(repo, rest[0], rest[1], payload)
     raise StoreNotFound(f"no such projects route: /{'/'.join(['projects'] + rest)}")
 
 
@@ -175,7 +192,7 @@ def store_request(
     method: str,
     path: str,
     payload: dict[str, Any],
-) -> tuple[int, dict[str, Any]]:
+) -> tuple[int, Doc]:
     """Serve one ``/projects`` request; returns ``(status, document)``."""
     rest = [part for part in path.split("/") if part][1:]  # drop "projects"
     try:
@@ -186,14 +203,9 @@ def store_request(
         return 405, _error(
             "method-not-allowed", "/projects routes accept GET and POST"
         )
-    except QuotaExceeded as exc:
-        return 403, _error(
-            "quota-exceeded", str(exc),
-            tenant=exc.tenant, quota=exc.quota, usage=exc.usage,
-        )
-    except StoreNotFound as exc:
-        return 404, _error("not-found", str(exc))
-    except (StoreCorruption, StoreWriteError) as exc:
-        return 500, _error("internal", str(exc))
-    except StoreError as exc:
-        return 400, _error("bad-request", str(exc))
+    except (StoreError, OpError) as exc:
+        status, kind, _ = failure(exc)
+        doc = _error(kind, str(exc))
+        if isinstance(exc, QuotaExceeded):
+            doc.update(tenant=exc.tenant, quota=exc.quota, usage=exc.usage)
+        return status, doc

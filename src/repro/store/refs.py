@@ -39,6 +39,14 @@ def check_name(kind: str, value: str) -> str:
     return value
 
 
+def parse_version(text: str) -> int:
+    """The ``N`` of a ``tenant/name@N`` ref or a ``/v/N`` path segment."""
+    try:
+        return int(text)
+    except ValueError:
+        raise StoreError(f"bad version {text!r}: expected an integer") from None
+
+
 class RefStore:
     """Named, versioned pointers into the blob tier."""
 

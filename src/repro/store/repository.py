@@ -235,7 +235,31 @@ class ProjectRepository:
         self, tenant: str, name: str, version: int | None = None
     ) -> dict[str, Any]:
         """The fully reinflated project document, fingerprint-verified."""
-        manifest = self.manifest(tenant, name, version)
+        return self._assemble(tenant, name, self.manifest(tenant, name, version))
+
+    def record(
+        self, tenant: str, name: str, version: int | None = None
+    ) -> dict[str, Any]:
+        """What :meth:`put` returned for one version, plus its ``message``,
+        verified ``document`` and ``scenario`` (or ``None``) — the ref
+        resolved and the manifest read once."""
+        entry = self.refs.resolve(tenant, name, version)
+        manifest = self.blobs.get(entry["manifest"])
+        scenario = manifest.get("scenario")
+        return {
+            "tenant": tenant,
+            "name": name,
+            "version": entry["v"],
+            "message": entry.get("message", ""),
+            "manifest": entry["manifest"],
+            "project": manifest["project"],
+            "document": self._assemble(tenant, name, manifest),
+            "scenario": self.blobs.get(scenario) if scenario else None,
+        }
+
+    def _assemble(
+        self, tenant: str, name: str, manifest: dict[str, Any]
+    ) -> dict[str, Any]:
         doc = dict(manifest["shell"])
         doc["design"] = self._inflate_design(self.blobs.get(manifest["design"]))
         if manifest.get("machine"):

@@ -104,6 +104,23 @@ def test_pits_rule(rule_id, src, severity, line, message):
     assert d.message == message
 
 
+@pytest.mark.parametrize("func", ["transpose", "copy", "abs"])
+def test_pits016_takes_an_array_returning_builtin_as_array_evidence(func):
+    """``T := 0`` then ``T := transpose(A)`` is an array by the time it is
+    subscripted: the program runs, so PITS016 must not refuse it.  Which
+    builtins return arrays is ``Builtin.returns_array``'s to say."""
+    import numpy as np
+
+    from repro.calc import run_program
+
+    src = f"input A\noutput y\nlocal T\nT := 0\nT := {func}(A)\ny := T[1, 2]"
+    found = analyze(src)
+    assert not [d for d in found if d.severity is Severity.ERROR], found
+    assert "PITS016" not in {d.rule for d in found}
+    A = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert run_program(src, A=A).outputs["y"] == {"transpose": 3.0}.get(func, 2.0)
+
+
 def test_pits_rules_also_fire_through_lint_design():
     """Program diagnostics surface in the unified report with the node name."""
     g = DataflowGraph("d")
