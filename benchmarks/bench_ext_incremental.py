@@ -38,7 +38,8 @@ from repro.graph.generators import fork_join, random_layered
 from repro.machine import MachineParams
 from repro.machine.compiled import clear_compiled, compiled_for
 from repro.machine.machine import make_machine
-from repro.sched.core import SchedKernel, kernel_counters, reset_kernel_counters
+from repro.lru import LEDGER
+from repro.sched.core import SchedKernel
 from repro.sched.incremental import full_reschedule, incremental_reschedule
 from repro.sched.mh import MHScheduler
 from repro.sched.serialize import schedule_to_json
@@ -150,21 +151,21 @@ def test_compiled_route_build_speedup(artifact_dir):
         machine = make_machine("hypercube", procs, PARAMS)
         SchedKernel(graph, machine)
 
-    reset_kernel_counters()
+    base = LEDGER.snapshot()
     t0 = time.perf_counter()
     for _ in range(builds):
         clear_compiled()
         build_once()
     t_cold = time.perf_counter() - t0
-    cold_counters = kernel_counters()
+    cold_counters = LEDGER.since(base)
 
     compiled_for(make_machine("hypercube", procs, PARAMS))  # warm the cache
-    reset_kernel_counters()
+    base = LEDGER.snapshot()
     t0 = time.perf_counter()
     for _ in range(builds):
         build_once()
     t_warm = time.perf_counter() - t0
-    warm_counters = kernel_counters()
+    warm_counters = LEDGER.since(base)
 
     ratio = t_cold / t_warm
     RESULTS["compiled_route_builds"] = {

@@ -143,16 +143,6 @@ def _load(
         raise OpError(f"cannot load {what}: {exc}") from None
 
 
-def _whole(text: str) -> Any:
-    """A whole number as an int, anything else as typed; the validator judges it."""
-    return int(text) if text.lstrip("-").isdigit() else text
-
-
-def _csv(text: str) -> list[Any]:
-    """A comma list as a list, each item read by :func:`_whole`."""
-    return [_whole(item.strip()) for item in text.split(",") if item.strip()]
-
-
 # --------------------------------------------------------------------- #
 # subcommands
 # --------------------------------------------------------------------- #
@@ -624,7 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="heuristic name (default: mh; see docs/SCHEDULERS.md)")
 
     def add_sizes(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--procs", dest="proc_counts", type=_csv, metavar="PROCS",
+        p.add_argument("--procs", dest="proc_counts", type=ops.comma_list,
+                       metavar="PROCS",
                        help="comma-separated machine sizes (default: 1,2,4,8)")
         p.add_argument("--family", help="topology family (default: the "
                                         "project machine's family)")
@@ -644,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fail-on", metavar="{error,warning}",
                    help="lowest severity that makes the exit status nonzero "
                         "(default: error)")
-    p.add_argument("--suppress", type=_csv,
+    p.add_argument("--suppress", type=ops.comma_list,
                    help="comma-separated rule IDs to hide, e.g. XL303,MF401")
     p.add_argument("--baseline", default=None, metavar="REPORT.SARIF",
                    help="suppress findings recorded in a previous SARIF "
@@ -709,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_project(p)
     add_sizes(p)
-    p.add_argument("--scheduler", dest="schedulers", type=_csv,
+    p.add_argument("--scheduler", dest="schedulers", type=ops.comma_list,
                    metavar="SCHEDULER",
                    help="comma-separated heuristic names (default: mh)")
     p.add_argument("--stats", action="store_true",
@@ -782,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="fuzzer seed (default 0)")
     p.add_argument("--runs", type=int,
                    help="number of generated cases (default 100)")
-    p.add_argument("--oracle", dest="oracles", type=_csv, metavar="ORACLE",
+    p.add_argument("--oracle", dest="oracles", type=ops.comma_list, metavar="ORACLE",
                    help="comma-separated oracle names (default: all registered)")
     p.add_argument("--corpus", default=None,
                    help="directory to write shrunk failing cases into")
@@ -877,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("-m", "--message", default="", help="version message")
 
     a = actions.add_parser("gc", help="drop unreferenced blobs")
-    a.add_argument("--max-bytes", type=_whole, default=None,
+    a.add_argument("--max-bytes", type=ops.typed_word, default=None,
                    help="if still over this size, also trim non-head "
                         "version history oldest-first (heads always survive)")
 

@@ -24,6 +24,7 @@ from typing import IO
 from repro.env.project import BangerProject
 from repro.errors import ReproError
 from repro.machine.params import PRESETS
+from repro.server import ops
 
 
 class BangerShell(cmd.Cmd):
@@ -57,6 +58,12 @@ class BangerShell(cmd.Cmd):
 
     def _args(self, line: str) -> list[str]:
         return shlex.split(line)
+
+    @staticmethod
+    def _scheduler(line: str) -> str:
+        """The scheduler a line names (``mh`` if none), checked as the CLI's
+        ``--scheduler`` and the daemon's ``scheduler`` are."""
+        return ops.scheduler_option({"scheduler": line.strip() or None})
 
     def _feedback_line(self) -> None:
         fb = self.project.feedback()
@@ -174,20 +181,19 @@ class BangerShell(cmd.Cmd):
     # ------------------------------------------------------------------ #
     def do_gantt(self, line: str) -> None:
         """gantt [scheduler] — schedule and draw the chart."""
-        scheduler = line.strip() or "mh"
-        self.emit(self.project.gantt(scheduler))
+        self.emit(self.project.gantt(self._scheduler(line)))
 
     def do_why(self, line: str) -> None:
         """why [scheduler] — explain every placement's binding constraint."""
         from repro.sched import render_explanations
 
-        scheduler = line.strip() or "mh"
-        self.emit(render_explanations(self.project.schedule(scheduler)))
+        self.emit(render_explanations(self.project.schedule(self._scheduler(line))))
 
     def do_speedup(self, line: str) -> None:
-        """speedup [p1,p2,...] — speedup prediction chart."""
-        procs = tuple(int(p) for p in (line.strip() or "1,2,4").split(","))
-        self.emit(self.project.speedup_chart(procs))
+        """speedup [p1,p2,...] — speedup prediction chart (default 1,2,4,8)."""
+        procs = ops.comma_list(line) if line.strip() else None
+        request = ops.speedup_options({"proc_counts": procs})
+        self.emit(self.project.speedup_chart(request))
 
     def do_run(self, line: str) -> None:
         """run [parallel] — execute the whole design."""

@@ -1,11 +1,11 @@
-"""The one bounded LRU and the one counter set every cache is built on.
+"""The one bounded LRU, the one counter set, and the process's work ledger.
 
 Schedules and lowered programs (:mod:`repro.sched.service`), compiled tables
 (:mod:`repro.machine.compiled`), program facts (:mod:`repro.facts`) and the
 daemon's response bodies and body-hash memo are each a recency-ordered mapping
 with a bound, evicted oldest-first, beside a few named counters.  Both classes
-are thread-safe: a service may be shared by many threads (the daemon's inline
-mode), and increments are read-modify-write, so unlocked traffic drops counts.
+are thread-safe: a service may be shared by many threads, and increments are
+read-modify-write, so unlocked traffic drops counts.
 """
 
 from __future__ import annotations
@@ -107,12 +107,22 @@ class LRU:
 
 class Counters:
     """Named counters — ``Counters(builds=0, build_ms=0.0)``, each zero fixing
-    its counter's type — with a locked bump, snapshot and reset."""
+    its counter's type — with a locked bump and snapshot.  They only grow:
+    a reader keeps a snapshot and later asks :meth:`since` it."""
 
     def __init__(self, **zero: int | float) -> None:
-        self._zero = zero
-        self._values = dict(zero)
+        self._values: dict[str, int | float] = {}
         self._lock = threading.Lock()
+        self.declare(**zero)
+
+    def declare(self, **zero: int | float) -> None:
+        """Add counters; a name already here is refused, so two modules can
+        never both count under one name."""
+        with self._lock:
+            taken = sorted(set(zero) & set(self._values))
+            if taken:
+                raise ValueError(f"counters already declared: {', '.join(taken)}")
+            self._values.update(zero)
 
     def bump(self, name: str, delta: int | float = 1) -> None:
         with self._lock:
@@ -122,6 +132,16 @@ class Counters:
         with self._lock:
             return dict(self._values)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._values.update(self._zero)
+    def since(self, before: dict[str, Any]) -> dict[str, Any]:
+        """Every counter's growth since the snapshot ``before`` (a counter
+        declared after it grew from zero)."""
+        return {
+            name: value - before.get(name, 0)
+            for name, value in self.snapshot().items()
+        }
+
+
+#: The process-wide work ledger: each module declares the counters it bumps
+#: where it bumps them; ``ScheduleService.stats()`` and the daemon's per-op
+#: ``counters`` report differences of it, never a reset.
+LEDGER = Counters()

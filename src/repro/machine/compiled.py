@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import MachineError
-from repro.lru import LRU, Counters
+from repro.lru import LEDGER, LRU
 from repro.machine.topologies import routing_topology
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard (machine -> compiled)
@@ -148,7 +148,7 @@ class CompiledTopology:
 _CACHE_CAP = 128
 
 _CACHE = LRU(_CACHE_CAP)
-_COUNTERS = Counters(compiled_hits=0, compiled_misses=0)
+LEDGER.declare(compiled_hits=0, compiled_misses=0)
 
 
 def compiled_for(machine: "TargetMachine") -> CompiledTopology:
@@ -160,9 +160,9 @@ def compiled_for(machine: "TargetMachine") -> CompiledTopology:
     """
     hit = _CACHE.get(machine.content_hash())
     if hit is not None:
-        _COUNTERS.bump("compiled_hits")
+        LEDGER.bump("compiled_hits")
         return hit
-    _COUNTERS.bump("compiled_misses")
+    LEDGER.bump("compiled_misses")
     compiled = CompiledTopology.compile(machine)
     _CACHE.put(compiled.machine_hash, compiled)
     return compiled
@@ -174,6 +174,3 @@ cached_compiled = _CACHE.peek
 evict_compiled = _CACHE.pop
 #: Drop every cached table (tests, benchmarks); the counters are left alone.
 clear_compiled = _CACHE.clear
-#: Snapshot of the process-wide compiled-table hit/miss counters; its reset.
-compiled_counters = _COUNTERS.snapshot
-reset_compiled_counters = _COUNTERS.reset

@@ -15,7 +15,6 @@ from repro.sched.core import (
     ReadySet,
     SchedKernel,
     kernel_counters,
-    reset_kernel_counters,
 )
 from repro.sched.cpop import CPOPScheduler
 from repro.sched.clustering import (
@@ -67,9 +66,7 @@ from repro.sched.reactive import (
     ReactiveRound,
     Trigger,
     detect_triggers,
-    reactive_counters,
     reactive_execute,
-    reset_reactive_counters,
 )
 from repro.sched.grain import (
     GrainPackedScheduler,
@@ -131,9 +128,7 @@ __all__ = [
     "ReactiveRound",
     "Trigger",
     "detect_triggers",
-    "reactive_counters",
     "reactive_execute",
-    "reset_reactive_counters",
     "schedule_from_dict",
     "schedule_from_json",
     "schedule_to_dict",
@@ -170,7 +165,6 @@ __all__ = [
     "ReadySet",
     "SchedKernel",
     "kernel_counters",
-    "reset_kernel_counters",
     "LinearClusteringScheduler",
     "MCPScheduler",
     "MHScheduler",

@@ -54,12 +54,8 @@ from typing import Callable, Collection, Iterable, Iterator
 from repro.errors import ScheduleError
 from repro.graph.analysis import b_levels, static_levels, t_levels
 from repro.graph.taskgraph import TaskEdge, TaskGraph
-from repro.lru import Counters
-from repro.machine.compiled import (
-    compiled_counters,
-    compiled_for,
-    reset_compiled_counters,
-)
+from repro.lru import LEDGER
+from repro.machine.compiled import compiled_for
 from repro.machine.machine import TargetMachine
 from repro.machine.params import MachineParams
 from repro.sched.schedule import Message, Placement, Schedule
@@ -67,32 +63,19 @@ from repro.sched.schedule import Message, Placement, Schedule
 # --------------------------------------------------------------------- #
 # observability
 # --------------------------------------------------------------------- #
-#: Bumps are locked read-modify-writes: concurrent server traffic (threaded
-#: inline mode, the stats stress test) must not drop counts.
-_COUNTERS = Counters(
+#: ``kernel_builds``/``kernel_build_ms`` count :class:`SchedKernel`
+#: constructions and their cumulative wall time; ``route_cache_hits``/
+#: ``route_cache_misses`` count memoized-route lookups across all kernels.
+#: Bumps are locked read-modify-writes: concurrent traffic (threaded
+#: callers, the stats stress test) must not drop counts.
+LEDGER.declare(
     kernel_builds=0, kernel_build_ms=0.0, route_cache_hits=0, route_cache_misses=0
 )
-_bump = _COUNTERS.bump
+_bump = LEDGER.bump
 
-
-def kernel_counters() -> dict[str, int | float]:
-    """A snapshot of the process-wide kernel counters (thread-safe).
-
-    ``kernel_builds``/``kernel_build_ms`` count :class:`SchedKernel`
-    constructions and their cumulative wall time; ``route_cache_hits``/
-    ``route_cache_misses`` count memoized-route lookups across all kernels;
-    ``compiled_hits``/``compiled_misses`` count compiled-topology table
-    lookups (see :mod:`repro.machine.compiled`).
-    """
-    snapshot = _COUNTERS.snapshot()
-    snapshot.update(compiled_counters())
-    return snapshot
-
-
-def reset_kernel_counters() -> None:
-    """Zero the kernel counters (benchmarks and tests)."""
-    _COUNTERS.reset()
-    reset_compiled_counters()
+#: A snapshot of the whole work ledger — the counters above, ``compiled_*``
+#: (:mod:`repro.machine.compiled`) and the rest; monotonic: read two, subtract.
+kernel_counters = LEDGER.snapshot
 
 
 # --------------------------------------------------------------------- #

@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.lru import Counters
+from repro.lru import LEDGER
 from repro.machine.scenario import LINK_FAIL, PROC_FAIL, FaultScenario
 from repro.sched.core import KernelState, SchedKernel, replay_prefix, run_priority_list
 from repro.sched.schedule import Schedule
@@ -61,11 +61,9 @@ NAME_SUFFIX = "+reactive"
 #: Default observed/nominal duration ratio that flags a straggler.
 DEFAULT_THRESHOLD = 2.0
 
-_COUNTERS = Counters(reactive_remaps=0, reactive_rounds=0)
-_bump = _COUNTERS.bump
-#: Process-wide reactive-rescheduling counters (thread-safe snapshot) and their reset.
-reactive_counters = _COUNTERS.snapshot
-reset_reactive_counters = _COUNTERS.reset
+#: Tasks re-mapped and re-planning rounds run, process-wide (work ledger).
+LEDGER.declare(reactive_remaps=0, reactive_rounds=0)
+_bump = LEDGER.bump
 
 
 # --------------------------------------------------------------------- #

@@ -46,12 +46,12 @@ from repro.errors import ScheduleError
 from repro.graph.analysis import average_parallelism
 from repro.graph.serialize import fingerprint
 from repro.graph.taskgraph import TaskGraph
-from repro.lru import LRU, Counters
+from repro.lru import LEDGER, LRU, Counters
 from repro.machine.compiled import CompiledTopology, compiled_for, evict_compiled
 from repro.machine.machine import TargetMachine, make_machine, single_processor
 from repro.machine.params import IDEAL, MachineParams
 from repro.sched.base import Scheduler
-from repro.sched.core import kernel_counters, sharing_graph_tables
+from repro.sched.core import sharing_graph_tables
 from repro.sched.registry import resolve_scheduler, scheduler_cache_key
 from repro.sched.schedule import Schedule
 from repro.sched.serialize import schedule_from_dict, schedule_to_dict
@@ -133,7 +133,9 @@ def default_family(machine: TargetMachine, fallback: str = "hypercube") -> str:
 # --------------------------------------------------------------------- #
 @dataclass
 class ServiceStats:
-    """Counters for cache behaviour and sweep execution."""
+    """Counters for cache behaviour and sweep execution: this service's own,
+    then (from ``kernel_builds`` on) exactly the process-wide work ledger's
+    names, as grown since the service was built."""
 
     hits: int = 0
     misses: int = 0
@@ -153,6 +155,10 @@ class ServiceStats:
     route_cache_misses: int = 0
     compiled_hits: int = 0
     compiled_misses: int = 0
+    reactive_remaps: int = 0
+    reactive_rounds: int = 0
+    dynamic_sims: int = 0
+    stranded_tasks: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -234,9 +240,9 @@ class ScheduleService:
             evictions=0, sweeps=0,
         )
         self._last_sweep_seconds = 0.0
-        # Kernel counters are process-wide; remember where they stood at
-        # construction so stats() reports only this service's share.
-        self._kernel_base = kernel_counters()
+        # The ledger is process-wide; remember where it stood at construction
+        # so stats() reports only what grew since.
+        self._ledger_base = LEDGER.snapshot()
 
     # ------------------------------------------------------------------ #
     # configuration
@@ -599,16 +605,15 @@ class ScheduleService:
         ``evictions`` adds capacity evictions to invalidated/cleared entries.
         """
         snap = ServiceStats(
-            **self._counts.snapshot(), last_sweep_seconds=self._last_sweep_seconds
+            **self._counts.snapshot(),
+            **LEDGER.since(self._ledger_base),
+            last_sweep_seconds=self._last_sweep_seconds,
         )
         lru, ir = self._lru, self._ir_lru
         snap.hits = lru.hits + snap.disk_hits
         snap.misses = lru.misses - snap.disk_hits
         snap.evictions += lru.evictions
         snap.ir_hits, snap.ir_misses, snap.entries = ir.hits, ir.misses, len(lru)
-        counters = kernel_counters()
-        for name, base in self._kernel_base.items():
-            setattr(snap, name, counters[name] - base)
         return snap
 
     def __repr__(self) -> str:

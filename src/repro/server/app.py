@@ -40,7 +40,7 @@ from repro.errors import ReproError
 from repro.lru import LRU
 from repro.server import ops as ops_mod
 from repro.server.metrics import ServerMetrics
-from repro.server.ops import DEBUG_OPS, coalesce_key, execute, shared_service
+from repro.server.ops import DEBUG_OPS, coalesce_key, execute
 from repro.server.protocol import (
     BufferedConn,
     ProtocolError,
@@ -71,6 +71,11 @@ DEBUG_ROUTES = {
 }
 
 DEFAULT_PORT = 8045
+
+#: Inline mode (``--workers 0``) is one worker slot that happens to be a
+#: thread: one op at a time, so the counter window around an op holds its
+#: work alone (and more threads run CPU-bound ops no faster under the GIL).
+INLINE_SLOTS = 1
 
 #: Total body bytes the response LRU may hold, on top of its entry bound:
 #: 512 replies to a large design (~0.5 MB each) would otherwise pin ~250 MB.
@@ -112,9 +117,9 @@ class BangerDaemon:
         :attr:`port` after :meth:`start`).
     workers:
         ``>= 1``: that many restartable worker *processes*.  ``0``: run
-        ops inline on a thread pool (no crash isolation, no hard
-        cancellation — meant for tests and tiny deployments).  ``None``:
-        ``min(4, cpu_count)``.
+        ops inline, one at a time on one thread (no crash isolation, no
+        hard cancellation — meant for tests and tiny deployments).
+        ``None``: ``min(4, cpu_count)``.
     queue_limit:
         Max admitted-but-unfinished compute requests; beyond it new work
         is answered 503 immediately (coalesced waiters ride along free).
@@ -202,7 +207,7 @@ class BangerDaemon:
             self.pool = WorkerPool(self.workers)
         else:
             self._inline = ThreadPoolExecutor(
-                max_workers=4, thread_name_prefix="banger-inline"
+                max_workers=INLINE_SLOTS, thread_name_prefix="banger-inline"
             )
         self._keys = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="banger-keys"
@@ -608,8 +613,8 @@ class BangerDaemon:
             doc = self.pool.stats()
             doc["mode"] = "process"
             return doc
-        return {"mode": "inline", "size": 0, "alive": 0, "restarts": 0,
-                "crashes": 0, "timeouts": 0}
+        return {"mode": "inline", "size": INLINE_SLOTS, "alive": INLINE_SLOTS,
+                "restarts": 0, "crashes": 0, "timeouts": 0}
 
     def _healthz_doc(self) -> dict[str, Any]:
         return {
@@ -634,7 +639,6 @@ class BangerDaemon:
                 "bytes": self._cache.bytes,
                 "max_bytes": RESPONSE_CACHE_MAX_BYTES,
             },
-            "service": shared_service().stats().as_dict(),
             "store": self.store.stats() if self.store is not None else None,
         }
 

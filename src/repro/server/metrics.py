@@ -8,13 +8,12 @@ feed ``/metrics``:
 * **latency windows** — a bounded ring of recent per-endpoint latencies,
   reported as ``count``/``p50``/``p95`` (sliding-window percentiles, the
   way a scientist actually reads "is it still instant?");
-* **work counters** — kernel/service deltas reported back by whichever
-  process ran each op, summed here so scheduler runs are visible even
-  when they happened three worker processes away.
+* **work counters** — each op's work-ledger and service deltas reported
+  back by whichever process ran it, summed here so scheduler runs are
+  visible even when they happened three worker processes away.
 
 All mutators take the lock: the daemon itself is single-threaded asyncio,
-but inline mode folds counters in from executor threads and tests read
-snapshots from other threads.
+but tests read snapshots from other threads.
 """
 
 from __future__ import annotations

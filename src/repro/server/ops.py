@@ -15,9 +15,9 @@ thread executor (``--workers 0``), and unit tests calling them directly —
 so they hold no server state: every op gets its project from the payload
 and its caching from the process-local :func:`shared_service`.
 
-:func:`execute` wraps an op with counter accounting (kernel +
-:class:`~repro.sched.service.ServiceStats` deltas) so the daemon can
-aggregate *work* observability across processes, and
+:func:`execute` wraps an op with counter accounting (the
+:class:`~repro.sched.service.ServiceStats` difference across it) so the
+daemon can aggregate *work* observability across processes, and
 :func:`coalesce_key` derives the content-addressed identity the daemon
 coalesces and caches on: ``(op, project name, graph content_hash, machine
 content_hash, scheduler cache key, every other payload field)``.
@@ -36,13 +36,11 @@ from repro.errors import CodegenError, ReproError, ScheduleError
 from repro.graph.serialize import _encode_value, fingerprint
 from repro.lint import lint_project, to_json
 from repro.machine.scenario import FaultScenario
-from repro.sched.core import kernel_counters
-from repro.sched.reactive import reactive_counters
 from repro.sched.incremental import incremental_reschedule
 from repro.sched.registry import resolve_scheduler, scheduler_cache_key
 from repro.sched.serialize import schedule_from_dict, schedule_to_dict
 from repro.sched.service import ScheduleRequest, ScheduleService
-from repro.sim import dynamic_counters, simulate
+from repro.sim import simulate
 from repro.viz.gantt import render_gantt
 
 
@@ -62,18 +60,12 @@ def shared_service() -> ScheduleService:
 
     Worker processes each hold one, so repeated misses that land on the
     same worker still reuse its kernel/schedule caches; the daemon's inline
-    mode shares one across its whole thread pool (it is thread-safe).
+    thread uses the daemon process's own.
     """
     global _SERVICE
     if _SERVICE is None:
         _SERVICE = ScheduleService()
     return _SERVICE
-
-
-def reset_shared_service() -> None:
-    """Drop the process-local service (tests)."""
-    global _SERVICE
-    _SERVICE = None
 
 
 # --------------------------------------------------------------------- #
@@ -116,6 +108,17 @@ def _option(
     elif isinstance(value, kind):
         return value
     raise OpError(f"{field} must be {what}, got {value!r}")
+
+
+def typed_word(text: str) -> Any:
+    """A whole number typed as text (a CLI flag, a shell word) as an int,
+    anything else as typed; the validator judges it."""
+    return int(text) if text.lstrip("-").isdigit() else text
+
+
+def comma_list(text: str) -> list[Any]:
+    """A typed comma list as a list, each item read by :func:`typed_word`."""
+    return [typed_word(item.strip()) for item in text.split(",") if item.strip()]
 
 
 def scheduler_option(raw: dict[str, Any]) -> str:
@@ -503,16 +506,10 @@ def coalesce_key(op: str, payload: dict[str, Any]) -> str:
     return fingerprint([op, payload])
 
 
-def _work_counters() -> dict[str, int | float]:
-    """The ten process-wide work counters :func:`execute` reports deltas of."""
-    stats = shared_service().stats()
-    return {
-        "sched_runs": stats.misses,
-        "service_hits": stats.hits,
-        **kernel_counters(),
-        "reactive_remaps": reactive_counters()["reactive_remaps"],
-        "stranded_tasks": dynamic_counters()["stranded_tasks"],
-    }
+#: :class:`ServiceStats` fields that are levels, not work: no difference.
+_GAUGES = ("entries", "last_sweep_seconds")
+#: The service's hits and misses as the daemon's ``work`` names them.
+_WORK_NAMES = {"hits": "service_hits", "misses": "sched_runs"}
 
 
 def execute(op: str, payload: dict[str, Any]) -> dict[str, Any]:
@@ -521,15 +518,21 @@ def execute(op: str, payload: dict[str, Any]) -> dict[str, Any]:
     Returns ``{"result": <response doc>, "counters": <work deltas>}`` —
     the daemon sends ``result`` to the client and folds ``counters`` into
     ``/metrics`` so scheduler runs are observable no matter which process
-    performed them.
+    performed them.  ``counters`` is every field of the shared service's
+    :class:`ServiceStats` but the gauges, differenced across the op.
     """
     fn = OPS.get(op)
     if fn is None:
         raise OpError(f"unknown operation {op!r}")
-    before = _work_counters()
+    service = shared_service()
+    before = vars(service.stats())
     result = fn(payload)
-    after = _work_counters()
+    after = vars(service.stats())
     return {
         "result": result,
-        "counters": {name: after[name] - before[name] for name in after},
+        "counters": {
+            _WORK_NAMES.get(name, name): value - before[name]
+            for name, value in after.items()
+            if name not in _GAUGES
+        },
     }

@@ -7,9 +7,10 @@ only the request that was running on the dead worker, and the worker is
 replaced before the next request needs it.  So each slot here is its own
 ``multiprocessing.Process`` with a private duplex pipe:
 
-* **submit** — the slot is checked out of an :class:`asyncio.Queue` (one
-  job per slot at a time), the job pickled down the pipe, and the reply
-  awaited in a thread so the event loop never blocks;
+* **submit** — the slot is checked out of an :class:`asyncio.LifoQueue`
+  (one job per slot at a time; the slot freed last, whose caches are the
+  warmest, takes the next job), the job pickled down the pipe, and the
+  reply awaited in a thread so the event loop never blocks;
 * **crash** — the child dying mid-job surfaces as ``EOFError`` on the
   pipe; the slot restarts its process and only that request fails with
   :class:`WorkerCrash`;
@@ -158,7 +159,7 @@ class WorkerPool:
         self.size = size
         ctx = _pick_context()
         self._slots = [WorkerSlot(ctx, i) for i in range(size)]
-        self._free: asyncio.Queue[WorkerSlot] = asyncio.Queue()
+        self._free: asyncio.LifoQueue[WorkerSlot] = asyncio.LifoQueue()
         for slot in self._slots:
             self._free.put_nowait(slot)
         # One thread per slot: each does nothing but block on its slot's

@@ -23,8 +23,6 @@ from repro.sim.dataflow_exec import (
 )
 from repro.sim.dynamic import (
     DynamicTrace,
-    dynamic_counters,
-    reset_dynamic_counters,
     simulate,
     simulate_dynamic,
 )
@@ -48,9 +46,7 @@ __all__ = [
     "calibrate_works",
     "collect_task_env",
     "compare_with_static",
-    "dynamic_counters",
     "required_outputs",
-    "reset_dynamic_counters",
     "run_dataflow",
     "run_parallel",
     "run_task",

@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SimError
-from repro.lru import Counters
+from repro.lru import LEDGER
 from repro.machine.machine import TargetMachine
 from repro.machine.scenario import (
     LINK_FAIL,
@@ -70,11 +70,9 @@ from repro.sim.trace import MessageHop, TaskRun, Trace
 # --------------------------------------------------------------------- #
 # observability (folded into the daemon's /metrics work counters)
 # --------------------------------------------------------------------- #
-_COUNTERS = Counters(dynamic_sims=0, stranded_tasks=0)
-_bump = _COUNTERS.bump
-#: Process-wide dynamic-simulation counters (thread-safe snapshot) and their reset.
-dynamic_counters = _COUNTERS.snapshot
-reset_dynamic_counters = _COUNTERS.reset
+#: Dynamic replays run and tasks they stranded, process-wide (work ledger).
+LEDGER.declare(dynamic_sims=0, stranded_tasks=0)
+_bump = LEDGER.bump
 
 
 # --------------------------------------------------------------------- #

@@ -5,8 +5,6 @@ import re
 
 from repro.machine.scenario import EVENT_KINDS, PROFILES
 from repro.server.ops import execute
-from repro.sim.dynamic import dynamic_counters
-from repro.sched.reactive import reactive_counters
 
 ROOT = pathlib.Path(__file__).parent.parent.parent
 DOCS = ROOT / "docs" / "dynamic.md"
@@ -39,14 +37,23 @@ def test_documented_api_names_exist():
 
 
 def test_documented_counters_are_the_emitted_ones():
-    # the doc names the two work counters the daemon folds into /metrics,
-    # and execute() really reports them
+    # the doc names the four ledger counters the two modules declare, and
+    # execute() really reports each to the daemon's /metrics
+    import repro.sched.reactive
+    import repro.sim.dynamic
+    from repro.lru import LEDGER
+
     work = execute("sleep", {"seconds": 0})["counters"]
-    for name in ("reactive_remaps", "stranded_tasks"):
+    names = ("reactive_remaps", "reactive_rounds", "dynamic_sims", "stranded_tasks")
+    for name in names:
         assert f"`{name}`" in TEXT, f"counter {name} missing from docs/dynamic.md"
-        assert name in work
-    assert set(dynamic_counters()) == {"dynamic_sims", "stranded_tasks"}
-    assert set(reactive_counters()) == {"reactive_remaps", "reactive_rounds"}
+        assert name in work and name in LEDGER.snapshot()
+    declared = set()
+    for module in (repro.sched.reactive, repro.sim.dynamic):
+        source = pathlib.Path(module.__file__).read_text(encoding="utf-8")
+        call = re.search(r"LEDGER\.declare\(([^)]*)\)", source).group(1)
+        declared |= set(re.findall(r"(\w+)=", call))
+    assert declared == set(names)
 
 
 def test_cli_flags_in_doc_exist():

@@ -1,5 +1,6 @@
 """docs/performance.md stays in sync with the kernel it describes."""
 
+import ast
 import dataclasses
 import pathlib
 import re
@@ -12,6 +13,24 @@ DOCS = ROOT / "docs" / "performance.md"
 TEXT = DOCS.read_text(encoding="utf-8")
 
 
+def ledger_declarations() -> dict[str, str]:
+    """Every ``LEDGER.declare(name=...)`` under ``src/repro``: name -> module.
+    Read from the source, so no module has to be imported to be counted."""
+    declared: dict[str, str] = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "declare"
+                and getattr(node.func.value, "id", None) == "LEDGER"
+            ):
+                for kw in node.keywords:
+                    assert kw.arg not in declared, f"{kw.arg} declared twice"
+                    declared[kw.arg] = path.name
+    return declared
+
+
 def test_every_kernel_counter_is_documented():
     counters = kernel_counters()
     for name in counters:
@@ -19,6 +38,20 @@ def test_every_kernel_counter_is_documented():
     # and the service really forwards each one in its stats snapshot
     stats_fields = {f.name for f in dataclasses.fields(ServiceStats)}
     assert set(counters) <= stats_fields
+    # the names the frozen bench/runner.py reads off the one snapshot
+    assert {"route_cache_hits", "compiled_hits", "compiled_misses"} <= set(counters)
+
+
+def test_service_stats_process_wide_fields_are_the_ledger():
+    """ServiceStats's fields from ``kernel_builds`` on are exactly the names
+    the modules declare in the process-wide ledger, no more, no fewer."""
+    import repro.sched
+    import repro.sim  # noqa: F401 — every declaring module, imported
+    from repro.lru import LEDGER
+
+    names = [f.name for f in dataclasses.fields(ServiceStats)]
+    process_wide = set(names[names.index("kernel_builds"):])
+    assert process_wide == set(ledger_declarations()) == set(LEDGER.snapshot())
 
 
 def test_documented_kernel_names_exist():

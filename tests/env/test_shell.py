@@ -1,6 +1,7 @@
 """Tests for the interactive shell (driven via onecmd / scripted stdin)."""
 
 import io
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +139,42 @@ class TestSplitInShell:
         shell.onecmd("split f 4")
         assert "split 'f' 4 ways" in out.getvalue()
         assert "f#p3" in shell.project.flat()
+
+
+class TestOneValidator:
+    """The shell is a third door onto ``repro.server.ops``' validators: a bad
+    size list or scheduler name prints the sentence ``banger`` exits 2 with."""
+
+    EXAMPLE = str(Path(__file__).parents[2] / "examples" / "lu_decomposition.json")
+
+    @pytest.mark.parametrize(
+        "line, flags",
+        [
+            ("speedup a,b", ["speedup", "--procs", "a,b"]),
+            ("speedup 0,2", ["speedup", "--procs", "0,2"]),
+            ("speedup 1,x", ["speedup", "--procs", "1,x"]),
+            ("speedup -4", ["speedup", "--procs", "-4"]),
+            ("gantt nope", ["speedup", "--scheduler", "nope"]),
+            ("why nope", ["schedule", "--scheduler", "nope"]),
+        ],
+    )
+    def test_shell_and_cli_refuse_alike(self, line, flags, capsys):
+        from repro.cli import main
+
+        shell, out = make_shell()
+        shell.onecmd(f"load {self.EXAMPLE}")
+        shell.onecmd(line)
+        said = out.getvalue().splitlines()[-1]
+        assert main([flags[0], self.EXAMPLE, *flags[1:]]) == 2
+        assert said == capsys.readouterr().err.strip()
+        assert said.startswith("error: ")
+
+    def test_default_sizes_are_the_cli_and_daemon_default(self, capsys):
+        from repro.cli import main
+
+        shell, out = make_shell()
+        shell.onecmd(f"load {self.EXAMPLE}")
+        loaded = out.getvalue()
+        shell.onecmd("speedup")
+        assert main(["speedup", self.EXAMPLE]) == 0
+        assert out.getvalue()[len(loaded):] == capsys.readouterr().out

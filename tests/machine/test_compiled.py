@@ -10,11 +10,10 @@ from repro.machine.compiled import (
     CompiledTopology,
     cached_compiled,
     clear_compiled,
-    compiled_counters,
     compiled_for,
     evict_compiled,
-    reset_compiled_counters,
 )
+from repro.lru import LEDGER
 from repro.machine.topology import Topology
 from repro.sched.service import ScheduleService
 
@@ -68,7 +67,7 @@ class TestSerialization:
 class TestProcessCache:
     def test_hit_and_miss_counters(self):
         clear_compiled()
-        reset_compiled_counters()
+        base = LEDGER.snapshot()
         machine = make_machine("mesh", 9, PARAMS)
         first = compiled_for(machine)
         again = compiled_for(machine)
@@ -76,7 +75,7 @@ class TestProcessCache:
         # A content-equal machine object shares the entry.
         clone = make_machine("mesh", 9, PARAMS)
         assert compiled_for(clone) is first
-        counters = compiled_counters()
+        counters = LEDGER.since(base)
         assert counters["compiled_misses"] == 1
         assert counters["compiled_hits"] == 2
 

@@ -13,6 +13,7 @@ import itertools
 import threading
 
 from repro.graph.generators import fork_join, random_layered
+from repro.lru import LEDGER
 from repro.machine.machine import make_machine
 from repro.machine.params import MachineParams
 from repro.sched.core import SchedKernel, kernel_counters
@@ -76,6 +77,33 @@ class TestKernelCounters:
         after = kernel_counters()
         assert after["kernel_builds"] - base["kernel_builds"] == n_threads * builds
         assert after["kernel_build_ms"] > base["kernel_build_ms"]
+
+
+class TestLedger:
+    def test_eight_threads_bumping_one_name_sum_exactly(self):
+        base = LEDGER.snapshot()
+        n_threads, rounds = 8, 2000
+
+        def hammer() -> None:
+            for _ in range(rounds):
+                LEDGER.bump("reactive_rounds")
+
+        _run_threads(n_threads, hammer)
+        assert LEDGER.since(base)["reactive_rounds"] == n_threads * rounds
+
+    def test_a_service_reports_the_ledger_grown_since_it_was_built(self):
+        """No reset exists to make a live service's work negative: a service
+        built after earlier work reports exactly what grew since."""
+        graph = fork_join(4)
+        SchedKernel(graph, make_machine("ring", 4, PARAMS))  # earlier work
+        service = ScheduleService(disk_cache=False)
+        base = LEDGER.snapshot()
+        service.schedule(graph, make_machine("ring", 5, PARAMS), "hlfet")
+        stats = service.stats()
+        grown = LEDGER.since(base)
+        for name, value in grown.items():
+            assert getattr(stats, name) == value >= 0, name
+        assert stats.kernel_builds == 1
 
 
 class TestServiceStats:

@@ -3,9 +3,9 @@
 Runs a real :class:`BangerDaemon` on an ephemeral port inside a
 background thread that owns its own event loop; tests talk to it over
 actual sockets with the blocking :class:`BangerClient`.  Inline mode
-(``workers=0``) keeps all computation in this process so tests can make
-exact assertions against :func:`kernel_counters` and the shared
-:class:`ScheduleService` stats.
+(``workers=0``) keeps all computation in this process, one op at a time,
+so tests can compare :func:`kernel_counters` and the shared
+:class:`ScheduleService` stats before and after a request.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from repro.apps import lu3_design
 from repro.client import BangerClient, wait_until_ready
 from repro.env.project import BangerProject
 from repro.machine import MachineParams
-from repro.sched.core import reset_kernel_counters
 from repro.server import BangerDaemon, run_daemon
-from repro.server.ops import reset_shared_service
+from repro.server.ops import shared_service
 
 
 class DaemonHarness:
@@ -86,10 +85,9 @@ def daemon_factory():
     harnesses: list[DaemonHarness] = []
 
     def make(**kwargs) -> DaemonHarness:
-        # Inline daemons share this process's service/kernel caches; start
-        # every test from a cold state so counter assertions are exact.
-        reset_shared_service()
-        reset_kernel_counters()
+        # Inline daemons share this process's schedule cache; start every
+        # test from a cold one so each request's work is a real run.
+        shared_service().clear()
         harness = DaemonHarness(**kwargs).start()
         harnesses.append(harness)
         return harness

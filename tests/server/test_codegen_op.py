@@ -122,6 +122,6 @@ class TestOverTheWire:
         mpi = harness.client.codegen(project_doc, target="mpi")
         assert threads["ir_hash"] == mpi["ir_hash"]
         metrics = harness.client.metrics()
-        stats = metrics["service"]
+        stats = metrics["server"]["work"]
         assert stats["ir_misses"] == 1, stats
         assert stats["ir_hits"] >= 1, stats

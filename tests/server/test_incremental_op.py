@@ -9,7 +9,7 @@ from repro.graph.generators import as_dataflow, random_layered
 from repro.machine import MachineParams
 from repro.sched.incremental import NAME_SUFFIX
 from repro.sched.serialize import schedule_from_dict
-from repro.server.ops import OpError, coalesce_key, op_schedule, reset_shared_service
+from repro.server.ops import OpError, coalesce_key, op_schedule, shared_service
 
 PARAMS = MachineParams(msg_startup=0.3, transmission_rate=10.0)
 
@@ -24,9 +24,9 @@ def _project(graph) -> BangerProject:
 
 @pytest.fixture(autouse=True)
 def fresh_service():
-    reset_shared_service()
+    shared_service().clear()
     yield
-    reset_shared_service()
+    shared_service().clear()
 
 
 class TestBaseScheduleOption:

@@ -57,9 +57,9 @@ def counts(monkeypatch):
     monkeypatch.setattr(
         service_module, "average_parallelism",
         counting("parallelism", analysis.average_parallelism))
-    ops.reset_shared_service()
+    ops.shared_service().clear()
     yield seen
-    ops.reset_shared_service()
+    ops.shared_service().clear()
 
 
 def test_the_key_hashes_the_graph_once(counts):

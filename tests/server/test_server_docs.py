@@ -37,6 +37,29 @@ def test_every_metrics_counter_is_documented():
         assert f"`{key}`" in TEXT, f"work counter {key} missing from docs"
 
 
+def test_every_ledger_counter_is_in_the_work_list():
+    """docs/server.md's ``server.work`` entry lists every name a reply's
+    ``counters`` carries — each ledger counter among them, each a
+    ``ServiceStats`` field — and the ``/metrics`` document has no second
+    copy under ``service``."""
+    import dataclasses
+
+    import repro.sched
+    import repro.sim  # noqa: F401 — every module that declares counters
+    from repro.lru import LEDGER
+    from repro.sched.service import ServiceStats
+    from repro.server.ops import execute
+
+    entry = TEXT.split("* **`server`.`work`**", 1)[1].split("\n* **", 1)[0]
+    fields = {f.name for f in dataclasses.fields(ServiceStats)}
+    for name in LEDGER.snapshot():
+        assert f"`{name}`" in entry, f"ledger counter {name} missing from work list"
+        assert name in fields, f"ledger counter {name} is no ServiceStats field"
+    for name in execute("sleep", {"seconds": 0})["counters"]:
+        assert f"`{name}`" in entry, f"work counter {name} missing from work list"
+    assert "* **`service`**" not in TEXT
+
+
 def test_documented_status_codes_are_the_emitted_ones():
     from repro.server.protocol import REASONS
 

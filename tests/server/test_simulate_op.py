@@ -13,7 +13,7 @@ from repro.server.ops import (
     coalesce_key,
     execute,
     op_simulate,
-    reset_shared_service,
+    shared_service,
 )
 
 PARAMS = MachineParams(msg_startup=0.3, transmission_rate=10.0)
@@ -38,9 +38,9 @@ def _scenario(kind: str, proc: int, time: float, factor: float = 1.0) -> dict:
 
 @pytest.fixture(autouse=True)
 def fresh_service():
-    reset_shared_service()
+    shared_service().clear()
     yield
-    reset_shared_service()
+    shared_service().clear()
 
 
 class TestScenarioOption:

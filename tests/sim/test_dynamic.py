@@ -16,12 +16,8 @@ from repro.machine.scenario import (
 from repro.sched import Schedule
 from repro.sched.mh import MHScheduler
 from repro.sim import Trace, simulate
-from repro.sim.dynamic import (
-    dynamic_counters,
-    expected_stranded,
-    reset_dynamic_counters,
-    simulate_dynamic,
-)
+from repro.lru import LEDGER
+from repro.sim.dynamic import expected_stranded, simulate_dynamic
 
 PARAMS = MachineParams(msg_startup=0.3, transmission_rate=10.0, hop_latency=0.1)
 
@@ -168,14 +164,12 @@ class TestFailures:
 
 class TestCounters:
     def test_counters_accumulate(self, schedule):
-        reset_dynamic_counters()
+        base = LEDGER.snapshot()
         simulate_dynamic(schedule, FaultScenario.empty())
         scenario = FaultScenario(
             events=(FaultEvent(time=0.0, kind=PROC_FAIL, proc=0),)
         )
         trace = simulate_dynamic(schedule, scenario)
-        counters = dynamic_counters()
+        counters = LEDGER.since(base)
         assert counters["dynamic_sims"] == 2
         assert counters["stranded_tasks"] == len(trace.stranded) > 0
-        reset_dynamic_counters()
-        assert dynamic_counters() == {"dynamic_sims": 0, "stranded_tasks": 0}

@@ -1,9 +1,10 @@
-"""The one LRU and the one counter set (:mod:`repro.lru`).
+"""The one LRU, the one counter set and the work ledger (:mod:`repro.lru`).
 
 A Hypothesis state machine drives :class:`LRU` against a brute-force list
 model that also predicts ``hits`` / ``misses`` / ``evictions``; a thread
 stress pins exact totals; an AST sweep pins that nothing else under
-``src/repro`` hand-rolls either idiom again.
+``src/repro`` hand-rolls either idiom again, and that every process-wide
+counter is a ledger declaration.
 """
 
 import ast
@@ -14,7 +15,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.lru import LRU, Counters
+import pytest
+
+from repro.lru import LEDGER, LRU, Counters
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -155,8 +158,27 @@ def test_eight_threads_exact_totals():
     assert len(lru) == 8 and lru.evictions <= lru.misses - 8
     assert all(lru.peek(key) == key for key in lru.keys())
     assert counters.snapshot() == {"ops": total, "weight": total / 2}
-    counters.reset()
-    assert counters.snapshot() == {"ops": 0, "weight": 0.0}
+
+
+def test_counters_are_read_by_difference():
+    counters = Counters(ops=0)
+    before = counters.snapshot()
+    counters.bump("ops", 3)
+    counters.declare(late=0.0)
+    counters.bump("late", 0.5)
+    assert counters.since(before) == {"ops": 3, "late": 0.5}
+    assert not hasattr(counters, "reset")
+
+
+def test_a_name_declared_twice_is_refused():
+    counters = Counters(ops=0)
+    with pytest.raises(ValueError, match="ops"):
+        counters.declare(ops=0)
+    import repro.sched.core  # noqa: F401 — declares the kernel counters
+
+    with pytest.raises(ValueError, match="kernel_builds"):
+        LEDGER.declare(kernel_builds=0)
+    assert LEDGER.snapshot()["kernel_builds"] >= 0
 
 
 def test_no_other_module_hand_rolls_an_lru_or_a_counter_global():
@@ -170,3 +192,9 @@ def test_no_other_module_hand_rolls_an_lru_or_a_counter_global():
                 fn = node.func
                 name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
                 assert name != "OrderedDict", f"{path}:{node.lineno}"
+                # process-wide counters are LEDGER declarations; the one
+                # other set is ScheduleService's per-instance counts
+                if name == "Counters":
+                    assert path.relative_to(SRC).as_posix() == "sched/service.py", (
+                        f"{path}:{node.lineno}"
+                    )
