@@ -1,58 +1,31 @@
-"""EXT-E — code-generation fidelity and cost.
+"""EXT-E — code-generation fidelity.
 
 The paper promised code generators as future work; ours must (a) produce
 programs whose outputs match the interpreter bit for bit and (b) be fast
 enough for the "generate" button to feel instant.
 
-Shape claims checked, with the numbers written to
-``benchmarks/out/BENCH_codegen.json``:
+Shape claims checked:
 
 * generated-Python outputs equal the sequential reference for every app;
-* generation of all three source languages completes in milliseconds;
-* **IR cold vs warm** — lowering a schedule to the IR through the
-  :class:`ScheduleService` cache must be >= 5x faster warm than cold,
-  with an identical content hash;
-* **inproc vs generated** — executing the IR directly (``inproc``) and
-  executing the emitted threads program (``run_generated``) produce
-  identical outputs; both wall times are recorded.
-
-``BENCH_SMOKE=1`` shrinks the workloads for CI smoke runs.
+* generation of all three source languages completes in milliseconds.
 """
 
 from __future__ import annotations
-
-import json
-import os
-import sys
-import time
 
 import numpy as np
 import pytest
 
 from conftest import write_artifact
 from repro.apps import lu3_taskgraph, matmul_taskgraph, montecarlo_taskgraph
-from repro.apps.lun import lun_taskgraph
-from repro.codegen import generate, get_backend, run_generated
+from repro.codegen import generate, run_generated
 from repro.machine import MachineParams, make_machine
-from repro.sched import MHScheduler, ScheduleService
+from repro.sched import MHScheduler
 from repro.sim import run_dataflow
 
-SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 PARAMS = MachineParams(msg_startup=0.2, transmission_rate=10.0)
 
 A = np.array([[4.0, 3.0, 2.0], [2.0, 4.0, 1.0], [1.0, 2.0, 3.0]])
 B = np.array([1.0, 2.0, 3.0])
-
-#: accumulated across tests; rewritten after each section completes.
-RESULTS: dict = {
-    "type": "BENCH_codegen",
-    "smoke": SMOKE,
-    "python": sys.version.split()[0],
-}
-
-
-def _flush() -> None:
-    write_artifact("BENCH_codegen.json", json.dumps(RESULTS, indent=2) + "\n")
 
 
 def _schedule(tg, n=4):
@@ -105,71 +78,3 @@ def test_ext_generation_latency(benchmark):
     schedule = _schedule(montecarlo_taskgraph(8, 100), n=8)
     source = benchmark(generate, schedule, target="threads")
     assert len(source.splitlines()) > 100
-
-
-def test_ext_ir_lowering_cold_vs_warm(artifact_dir):
-    """Service-cached IR lowering: warm must be >= 5x faster than cold."""
-    graph = lun_taskgraph(6 if SMOKE else 10)
-    machine = make_machine("hypercube", 8, PARAMS)
-    service = ScheduleService()
-
-    t0 = time.perf_counter()
-    cold = service.lower(graph, machine, scheduler="mh")
-    t_cold = time.perf_counter() - t0
-
-    warm_times = []
-    for _ in range(5):
-        t0 = time.perf_counter()
-        warm = service.lower(graph, machine, scheduler="mh")
-        warm_times.append(time.perf_counter() - t0)
-    t_warm = min(warm_times)
-
-    assert warm.content_hash() == cold.content_hash()
-    # a second cold service reproduces the identical lowered document
-    assert ScheduleService().lower(graph, machine, scheduler="mh").to_dict() == cold.to_dict()
-
-    stats = service.stats()
-    RESULTS["ir_cold_vs_warm"] = {
-        "graph": graph.name,
-        "tasks": len(graph),
-        "cold_seconds": t_cold,
-        "warm_seconds": t_warm,
-        "ratio": t_cold / t_warm,
-        "ir_cache": {"hits": stats.ir_hits, "misses": stats.ir_misses},
-    }
-    _flush()
-    assert t_cold >= 5 * t_warm, (
-        f"warm IR lowering only {t_cold / t_warm:.1f}x faster than cold"
-    )
-
-
-def test_ext_inproc_vs_generated_walltime(artifact_dir):
-    """Direct IR execution vs the emitted threads program: one answer."""
-    tg = montecarlo_taskgraph(4 if SMOKE else 8, 100 if SMOKE else 300)
-    schedule = _schedule(tg, n=4 if SMOKE else 8)
-    from repro.codegen.ir import lower
-
-    program = lower(schedule)
-    inproc = get_backend("inproc")
-    source = get_backend("threads").emit(program)
-
-    t0 = time.perf_counter()
-    direct = inproc.run(program)
-    t_inproc = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    emitted = run_generated(source)
-    t_generated = time.perf_counter() - t0
-
-    assert set(direct) == set(emitted)
-    for key in direct:
-        np.testing.assert_array_equal(direct[key], emitted[key])
-
-    RESULTS["inproc_vs_generated"] = {
-        "graph": tg.name,
-        "tasks": len(tg),
-        "inproc_seconds": t_inproc,
-        "generated_seconds": t_generated,
-        "ratio": t_generated / t_inproc if t_inproc else None,
-    }
-    _flush()

@@ -496,9 +496,13 @@ def cmd_projects(args: argparse.Namespace) -> int:
             print(f"{args.tenant}/{p['name']}@{p['version']}  "
                   f"{p['manifest'][:12]}  {p['message']}")
     elif action == "list":
-        for owner in store_api.list_tenants(repo)["tenants"]:
+        doc = store_api.list_tenants(repo)
+        for owner in doc["tenants"]:
             n = len(store_api.list_projects(repo, owner)["projects"])
             print(f"{owner}  ({n} project(s))")
+        s = doc["stats"]
+        print(f"{s['projects']} project(s), {s['versions']} version(s), "
+              f"{s['blobs']} blob(s), {s['blob']['stored_bytes']} byte(s) on disk")
     elif action == "seed":
         from repro.store.corpus import seed_corpus
 

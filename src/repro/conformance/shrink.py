@@ -200,12 +200,14 @@ def _pits_candidates(case: Case) -> Iterator[Case]:
         p = _clone(payload)
         p["source"] = source
         yield Case(PITS, p)
-    # 2. simplify scalar inputs toward 0 / 1 / nearest integer
+    # 2. simplify scalar inputs down the ladder 0 < 1 < integers < the rest
+    #    (only strictly simpler values, or 0 and 1 would trade places forever)
     for name, value in payload["inputs"].items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             continue
         for simpler in (0.0, 1.0, float(int(value))):
-            if simpler != value:
-                p = _clone(payload)
-                p["inputs"][name] = simpler
-                yield Case(PITS, p)
+            if simpler == value:
+                break
+            p = _clone(payload)
+            p["inputs"][name] = simpler
+            yield Case(PITS, p)

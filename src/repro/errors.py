@@ -9,11 +9,17 @@ location) because "instant feedback" is one of the paper's three goals.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator
+from typing import Any, Iterator
 
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` library."""
+
+
+def error_document(kind: str, message: str, **extra: Any) -> dict[str, Any]:
+    """The daemon's error reply, on every route: ``kind`` names the failure
+    class, ``message`` is the sentence the CLI prints, ``extra`` adds fields."""
+    return {"type": "banger-error", "kind": kind, "message": message, **extra}
 
 
 @contextlib.contextmanager

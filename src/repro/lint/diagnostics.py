@@ -95,15 +95,6 @@ class Report:
         return self.error_count == 0
 
     # -------------------------------------------------------------- #
-    def by_rule(self, rule_id: str) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.rule_id == rule_id]
-
-    def by_category(self, category: str) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.category == category]
-
-    def for_node(self, node: str) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.node == node]
-
     def suppress(self, rule_ids: Iterable[str]) -> "Report":
         """A copy with the given rule IDs filtered out (recorded in
         ``suppressed`` so renderers can say what was hidden)."""

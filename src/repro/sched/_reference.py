@@ -11,13 +11,12 @@ It exists for two reasons and must not be "improved":
 * the golden-equivalence suite (``tests/sched/test_core_equivalence.py``)
   asserts that every registered scheduler produces **byte-identical**
   serialized schedules through the kernel and through this reference;
-* the regression benchmark (``benchmarks/bench_ext_sched_core.py``)
-  measures the kernel's cold-path speedup against it.
+* the benchmark's ``sweep_cold`` workload checks its ``mh`` makespans
+  against it.
 
 Only the scheduling *algorithms* are frozen here; both paths share the
 live :class:`~repro.sched.schedule.Schedule`, graph, and machine layers,
-so substrate improvements (e.g. cached topology tables) benefit both and
-the benchmark isolates the kernel's own contribution.
+so substrate improvements (e.g. cached topology tables) benefit both.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ per ``(graph, machine)`` pair:
 The golden equivalence suite (``tests/sched/test_core_equivalence.py``) pins
 every registered scheduler to the frozen pre-kernel reference in
 :mod:`repro.sched._reference` (same floats, same tie-breaks, same message
-records), and ``benchmarks/bench_ext_sched_core.py`` guards the speedup.
+records); the benchmark's ``sched.loop_ms.*`` metrics watch the speed.
 
 Module-level counters (:func:`kernel_counters`) feed
 :class:`~repro.sched.service.ServiceStats` so ``banger sweep --stats``

@@ -98,11 +98,6 @@ class LinkTimeline:
             hi += 1
         intervals[lo:hi] = [(start, end)]
 
-    def copy(self) -> "LinkTimeline":
-        dup = LinkTimeline()
-        dup._intervals = list(self._intervals)
-        return dup
-
 
 class _Network:
     """Per-link timelines for an entire machine.

@@ -258,10 +258,6 @@ class BangerDaemon:
             self._keys.shutdown(wait=False, cancel_futures=True)
         self._stopped.set()
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     # ------------------------------------------------------------------ #
     # connection handling
     # ------------------------------------------------------------------ #

@@ -124,10 +124,6 @@ class ServerMetrics:
     # ------------------------------------------------------------------ #
     # reporting
     # ------------------------------------------------------------------ #
-    def latency(self, endpoint: str) -> LatencyWindow | None:
-        with self._lock:
-            return self._latency.get(endpoint)
-
     def as_dict(self) -> dict[str, Any]:
         with self._lock:
             by = self.by_disposition

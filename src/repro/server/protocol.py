@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import ReproError
+from repro.errors import ReproError, error_document
 
 #: Reject bodies larger than this (a design JSON is kilobytes; anything
 #: bigger is a mistake or an attack).
@@ -192,6 +192,4 @@ def json_body(doc: Any) -> bytes:
 
 
 def error_body(kind: str, message: str, **extra: Any) -> bytes:
-    doc: dict[str, Any] = {"type": "banger-error", "kind": kind, "message": message}
-    doc.update(extra)
-    return json_body(doc)
+    return json_body(error_document(kind, message, **extra))

@@ -40,6 +40,7 @@ from repro.errors import (
     StoreError,
     StoreNotFound,
     StoreWriteError,
+    error_document,
 )
 from repro.server.ops import OpError, _option, whole
 from repro.store.refs import parse_version
@@ -60,10 +61,6 @@ FAILURES: tuple[tuple[Any, int, str, int], ...] = (
 def failure(exc: ReproError) -> tuple[int, str, int]:
     """``(status, kind, exit code)`` of a store or option error."""
     return next(row[1:] for row in FAILURES if isinstance(exc, row[0]))
-
-
-def _error(kind: str, message: str) -> Doc:
-    return {"type": "banger-error", "kind": kind, "message": message}
 
 
 # --------------------------------------------------------------------- #
@@ -200,12 +197,12 @@ def store_request(
             return 200, _get(repo, rest)
         if method == "POST":
             return 200, _post(repo, rest, payload)
-        return 405, _error(
+        return 405, error_document(
             "method-not-allowed", "/projects routes accept GET and POST"
         )
     except (StoreError, OpError) as exc:
         status, kind, _ = failure(exc)
-        doc = _error(kind, str(exc))
+        doc = error_document(kind, str(exc))
         if isinstance(exc, QuotaExceeded):
             doc.update(tenant=exc.tenant, quota=exc.quota, usage=exc.usage)
         return status, doc

@@ -68,10 +68,6 @@ class Trace:
             out[r.task] = min(out.get(r.task, float("inf")), r.finish)
         return out
 
-    def message_count(self) -> int:
-        """Distinct messages (a multi-hop message counts once)."""
-        return len({(h.src_task, h.dst_task, h.var) for h in self.hops})
-
     def link_busy_time(self) -> dict[tuple[int, int], float]:
         busy: dict[tuple[int, int], float] = {}
         for h in self.hops:

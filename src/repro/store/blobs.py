@@ -22,7 +22,7 @@ import hashlib
 import json
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.errors import StoreNotFound, StoreWriteError
 from repro.graph.serialize import canonical_json
@@ -189,9 +189,6 @@ class BlobStore:
 
     def __len__(self) -> int:
         return len(self.digests())
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.digests())
 
     def census(self) -> tuple[int, int]:
         """``(blobs, bytes)`` held right now (post-dedup), from one listing."""

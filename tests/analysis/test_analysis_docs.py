@@ -66,14 +66,6 @@ def test_documented_suppression_syntax_works():
     assert "PITS101" not in [d.rule for d in analyze(src)]
 
 
-def test_documented_speedup_floor_matches_benchmark():
-    bench = (ROOT / "benchmarks" / "bench_ext_analysis.py").read_text(
-        encoding="utf-8"
-    )
-    assert "**5x**" in TEXT
-    assert "speedup >= 5.0" in bench
-
-
 def test_documented_table_bound_is_real():
     from repro.facts import SHARED_ENTRIES, shared_cache
 

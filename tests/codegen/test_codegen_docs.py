@@ -46,6 +46,4 @@ def test_public_entry_points_are_documented():
 
 def test_referenced_files_exist():
     for path in re.findall(r"`((?:src|tests|benchmarks|docs)/[\w./]+)`", TEXT):
-        if path.startswith("benchmarks/out/"):
-            continue  # gitignored benchmark output; no test run writes it
         assert (ROOT / path).exists(), path

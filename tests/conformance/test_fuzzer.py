@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from repro.conformance import Case, CaseGenerator, run
+from repro.calc.analyze import errors as static_errors
+from repro.conformance import Case, CaseGenerator, pits_case, run, shrink
 from repro.conformance.generators import FUZZ_SCHEDULERS, MACHINE_FAMILIES
 from repro.machine import MachineParams, build_topology
 from repro.sched import SCHEDULERS
@@ -80,6 +81,29 @@ def test_case_roundtrip_and_ids():
     again = Case.from_dict(json.loads(json.dumps(case.to_dict())))
     assert again.case_id == case.case_id
     assert again.canonical() == case.canonical()
+
+
+def test_pits_shrink_deletes_statements_and_simplifies_inputs():
+    """A PITS witness loses every body statement the failure does not need
+    — never a declaration, never into a program that no longer analyzes
+    clean — and its scalar inputs move toward 0 and 1."""
+    source = (
+        "input a, b\noutput y\nlocal t, u\n"
+        "t := a + 1\nu := t * 2\ny := a * b\ndisplay(u)\n"
+    )
+    proposed = []
+
+    def fails(case):
+        proposed.append(case.source)
+        return "y := a * b" in case.source and case.inputs()["b"] != 0
+
+    small, spent = shrink(pits_case(source, {"a": 2.5, "b": 7.25}), fails)
+    assert small.source == "input a, b\noutput y\nlocal t, u\ny := a * b\n"
+    assert small.inputs() == {"a": 0.0, "b": 1.0}
+    assert spent == len(proposed)
+    for text in proposed:
+        assert text.startswith("input a, b\noutput y\nlocal t, u\n")
+        assert not static_errors(text), text
 
 
 def test_stats_render_and_dict():

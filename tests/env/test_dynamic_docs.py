@@ -74,8 +74,6 @@ def test_referenced_files_exist():
     for rel in re.findall(
         r"`((?:src|benchmarks|tests|docs)/[A-Za-z0-9_./]+\.(?:py|md|json))`", TEXT
     ):
-        if rel.endswith(".json"):
-            continue  # artifacts are produced by benchmark runs, not committed
         assert (ROOT / rel).exists(), f"docs/dynamic.md references missing {rel}"
     for rel in re.findall(r"\]\(([a-z_]+\.md)\)", TEXT):
         assert (ROOT / "docs" / rel).exists()

@@ -76,18 +76,8 @@ def test_documented_kernel_names_exist():
 
 def test_referenced_files_exist():
     for rel in re.findall(r"`((?:benchmarks|tests|docs)/[a-z_./]+\.(?:py|md|json))`", TEXT):
-        if rel.endswith(".json"):
-            continue  # artifacts are produced by benchmark runs, not committed
         assert (ROOT / rel).exists(), f"docs/performance.md references missing {rel}"
     assert (ROOT / "src" / "repro" / "sched" / "_reference.py").exists()
-
-
-def test_documented_thresholds_match_benchmark():
-    """The >=5x / >=1.5x bars in the doc match bench_ext_sched_core.CONFIG."""
-    bench = (ROOT / "benchmarks" / "bench_ext_sched_core.py").read_text(encoding="utf-8")
-    assert ">= 5x" in TEXT and "5.0" in bench
-    assert ">= 1.5x" in TEXT and "1.5" in bench
-    assert "BENCH_sched_core.json" in TEXT and "BENCH_sched_core.json" in bench
 
 
 def test_equivalence_suite_is_where_the_doc_says():

@@ -9,7 +9,9 @@ interpreter — and *any* semantic mutation yields a different hash.
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -72,6 +74,15 @@ class TestStability:
     def test_canonical_json_is_key_order_independent(self):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
         assert fingerprint({"b": 1, "a": 2}) == fingerprint({"a": 2, "b": 1})
+
+    def test_canonical_json_encodes_numpy_and_reprs_anything_else(self):
+        """What plain JSON cannot encode: numpy values as their stored form,
+        any other object as its ``repr``."""
+        doc = {"n": np.int64(3), "v": np.array([1.0, 2.5]), "f": Fraction(1, 3)}
+        assert canonical_json(doc) == (
+            '{"f":"Fraction(1, 3)","n":3,'
+            '"v":{"__ndarray__":[1.0,2.5],"dtype":"float64"}}'
+        )
 
 
 class TestSensitivity:

@@ -79,6 +79,25 @@ class TestProcessCache:
         assert counters["compiled_misses"] == 1
         assert counters["compiled_hits"] == 2
 
+    def test_kernel_builds_compile_cold_and_look_up_warm(self):
+        """A fresh machine object per kernel build, as a daemon decodes one
+        per request: only the content-addressed cache carries tables over."""
+        from repro.graph.generators import fork_join
+        from repro.sched.core import SchedKernel
+
+        graph, builds = fork_join(8), 6
+        base = LEDGER.snapshot()
+        for _ in range(builds):
+            clear_compiled()
+            SchedKernel(graph, make_machine("hypercube", 16, PARAMS))
+        cold = LEDGER.since(base)
+        base = LEDGER.snapshot()
+        for _ in range(builds):
+            SchedKernel(graph, make_machine("hypercube", 16, PARAMS))
+        warm = LEDGER.since(base)
+        assert (cold["compiled_misses"], cold["compiled_hits"]) == (builds, 0)
+        assert (warm["compiled_misses"], warm["compiled_hits"]) == (0, builds)
+
     def test_evict_forces_recompile(self):
         clear_compiled()
         machine = make_machine("star", 4, PARAMS)

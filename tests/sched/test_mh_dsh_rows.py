@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from repro.errors import ScheduleError
 from repro.graph.generators import random_layered
 from repro.graph.taskgraph import TaskGraph
+from repro.lru import LEDGER
 from repro.machine import MachineParams, make_machine
 from repro.sched import dsh as dsh_module
 from repro.sched import mh as mh_module
@@ -160,18 +161,18 @@ class CheckedMH(MHScheduler):
         return chosen
 
 
-COUNTS = {"tentative": 0, "occupancy": 0}
+COUNTS = {"tentative": 0, "committing": 0, "occupancy": 0}
 
 
 @contextlib.contextmanager
 def counting():
-    """Count tentative ``transit`` walks and ``dsh`` occupancy builds (a
-    plain context manager: Hypothesis re-runs a test body many times, which
-    a function-scoped ``monkeypatch`` is not made for)."""
+    """Count tentative and committing ``transit`` walks and ``dsh`` occupancy
+    builds (a plain context manager: Hypothesis re-runs a test body many
+    times, which a function-scoped ``monkeypatch`` is not made for)."""
     transit, occupancy = mh_module._Network.transit, dsh_module._occupancy
 
     def counting_transit(self, src, dst, size, available, commit):
-        COUNTS["tentative"] += not commit
+        COUNTS["committing" if commit else "tentative"] += 1
         return transit(self, src, dst, size, available, commit)
 
     def counting_occupancy(state, proc):
@@ -180,7 +181,7 @@ def counting():
 
     mh_module._Network.transit = counting_transit
     dsh_module._occupancy = counting_occupancy
-    COUNTS.update(tentative=0, occupancy=0)
+    COUNTS.update(tentative=0, committing=0, occupancy=0)
     try:
         yield COUNTS
     finally:
@@ -209,6 +210,23 @@ def test_mh_walks_fewer_candidates_on_a_sweep_sized_design():
     assert checked.choices == 150
     assert checked.walks_now < 0.8 * checked.walks_then, (
         checked.walks_now, checked.walks_then)
+
+
+def test_mh_work_counts_on_a_layered_design():
+    """One committing link walk per edge; tentative walks at most half of
+    what trying every processor would walk; one kernel, whose route memo
+    hits more often than it misses (misses are bounded by processor pairs,
+    hits grow with messages)."""
+    graph = random_layered(120, 8, seed=1)
+    machine = make_machine("hypercube", 16, PARAMS[0])
+    base = LEDGER.snapshot()
+    with counting() as walks:
+        MHScheduler().schedule(graph, machine)
+    work = LEDGER.since(base)
+    assert walks["committing"] == len(graph.edges)
+    assert walks["tentative"] <= len(graph.edges) * machine.n_procs // 2, walks
+    assert work["kernel_builds"] == 1
+    assert work["route_cache_hits"] > work["route_cache_misses"], work
 
 
 def test_dsh_builds_at_most_one_occupancy_per_candidate(monkeypatch):

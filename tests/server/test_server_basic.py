@@ -62,6 +62,13 @@ class TestEndpoints:
         sim = harness.client.simulate(project_doc)
         assert sim["simulated_makespan"] >= sim["static_makespan"] - 1e-9
 
+    def test_conform_is_the_library_sweep(self, harness):
+        from repro.conformance import run
+
+        doc = harness.client.conform(seed=3, runs=6, oracles=["makespan"])
+        assert (doc["type"], doc["ok"], doc["runs"]) == ("banger-conform", True, 6)
+        assert doc["digest"] == run(seed=3, runs=6, oracles=["makespan"]).digest()
+
     def test_repeat_is_served_from_cache(self, harness, project_doc):
         first = harness.client.schedule(project_doc, scheduler="mh")
         second = harness.client.schedule(project_doc, scheduler="mh")

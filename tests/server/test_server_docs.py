@@ -109,8 +109,6 @@ def test_referenced_files_exist():
         r"\.(?:py|md|yml|json))`",
         TEXT,
     ):
-        if rel.startswith("benchmarks/out/"):
-            continue  # gitignored benchmark output; no test run writes it
         assert (ROOT / rel).exists(), f"docs/server.md references missing {rel}"
 
 

@@ -165,7 +165,11 @@ def test_cli_text_is_a_rendering_of_the_reply_document(doors, capsys):
     assert doc["version"] == 3
 
     out, doc = both(["list"], "GET", "/projects")
-    assert out == "".join(f"{t}  (1 project(s))\n" for t in doc["tenants"])
+    s = doc["stats"]
+    assert out == "".join(f"{t}  (1 project(s))\n" for t in doc["tenants"]) + (
+        f"{s['projects']} project(s), {s['versions']} version(s), "
+        f"{s['blobs']} blob(s), {s['blob']['stored_bytes']} byte(s) on disk\n"
+    )
     out, doc = both(["list", "alice"], "GET", "/projects/alice")
     assert out == "".join(
         f"alice/{p['name']}@{p['version']}  {p['manifest'][:12]}  {p['message']}\n"

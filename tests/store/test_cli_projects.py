@@ -40,11 +40,17 @@ def test_put_get_log_round_trip(store, project_file, tmp_path, capsys):
 
 def test_list_tenants_and_projects(store, project_file, capsys):
     main(["projects", "put", "alice/lu", project_file])
+    main(["projects", "put", "alice/lu", project_file, "-m", "again"])
     capsys.readouterr()
     assert main(["projects", "list"]) == 0
-    assert "alice" in capsys.readouterr().out
+    # the reply's store census is printed, not computed and dropped
+    blobs, stored = ProjectRepository(str(store)).blobs.census()
+    assert capsys.readouterr().out == (
+        "alice  (1 project(s))\n"
+        f"1 project(s), 2 version(s), {blobs} blob(s), {stored} byte(s) on disk\n"
+    )
     assert main(["projects", "list", "alice"]) == 0
-    assert "alice/lu@1" in capsys.readouterr().out
+    assert "alice/lu@2" in capsys.readouterr().out
     assert main(["projects", "list", "nobody"]) == 1
 
 

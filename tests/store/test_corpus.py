@@ -56,6 +56,16 @@ def test_corpus_dedup_ratio_exceeds_one():
     assert repo.blobs.stats.dedup_ratio > 1.0
 
 
+def test_republishing_the_corpus_under_a_second_tenant_stores_no_new_bytes():
+    repo = ProjectRepository()
+    seed_corpus(repo)
+    seeded = repo.blobs.total_bytes()
+    for name in corpus_names():
+        repo.put("mirror", name, repo.get(CORPUS_TENANT, name), message="republish")
+    assert repo.blobs.total_bytes() == seeded
+    assert len(repo.refs.projects("mirror")) == len(corpus_names())
+
+
 def test_family_projects_round_trip_byte_identically():
     from repro.graph.serialize import fingerprint
 

@@ -133,10 +133,14 @@ def test_project_count_quota():
     repo.put("t", "a", lu_doc())
     repo.put("t", "b", lu_doc())
     repo.put("t", "a", lu_doc())  # new version of an existing name is fine
-    with pytest.raises(QuotaExceeded) as err:
-        repo.put("t", "c", lu_doc())
-    assert err.value.tenant == "t"
-    assert err.value.quota == 2
+    for name in ("c", "d", "e"):
+        with pytest.raises(QuotaExceeded) as err:
+            repo.put("t", name, lu_doc())
+        assert err.value.tenant == "t"
+        assert err.value.quota == 2
+    # a rejected put leaves no partial state behind
+    assert sorted(repo.refs.projects("t")) == ["a", "b"]
+    assert [e["v"] for e in repo.log("t", "a")] == [1, 2]
 
 
 def test_version_depth_quota():
