@@ -3,9 +3,9 @@
 One asyncio event loop owns every connection; CPU-bound work never runs
 on it.  A request travels::
 
-    socket -> parse -> [backpressure?] -> body-hash -> coalesce key
-           -> response cache?  -> in-flight duplicate?  -> worker pool
-           -> response bytes  -> cache + every coalesced waiter
+    socket -> parse -> [backpressure?] -> body-hash -> [idle? prepare early]
+           -> coalesce key -> response cache?  -> in-flight duplicate?
+           -> worker pool  -> response bytes   -> cache + every coalesced waiter
 
 The coalesce key is content-addressed — ``(project name, graph content_hash,
 machine content_hash, scheduler cache key, options)`` via
@@ -13,6 +13,14 @@ machine content_hash, scheduler cache key, options)`` via
 requests cost one scheduler run and share byte-identical responses, and
 a warm repeat is a hash lookup.  Identical *bytes* short-circuit even the
 key computation through a body-hash memo.
+
+Keying a new body inflates its project, and so does the worker that runs
+it.  When no computation is in flight and a worker is free, the daemon
+checks that worker out *before* keying and ships it the payload to prepare
+(:meth:`WorkerPool.prepare`), so the two inflates run side by side; the key
+then either runs the op on that worker or hands it back unused (cache hit,
+coalesced, 400, 503) before the request waits on anything.  The gate keeps
+the overlap to capacity nobody else is using.
 
 Failure semantics (documented in ``docs/server.md``, asserted by
 ``tests/server/``): payload problems are 400; backpressure is 503 with
@@ -40,7 +48,7 @@ from repro.errors import ReproError
 from repro.lru import LRU
 from repro.server import ops as ops_mod
 from repro.server.metrics import ServerMetrics
-from repro.server.ops import DEBUG_OPS, coalesce_key, execute
+from repro.server.ops import DEBUG_OPS, PROJECT_OPS, coalesce_key, execute
 from repro.server.protocol import (
     BufferedConn,
     ProtocolError,
@@ -408,24 +416,52 @@ class BangerDaemon:
                 conn, self._run_op(op, payload), key=None
             )
 
+        body_sha = hashlib.sha256(op.encode() + b"\0" + request.body).hexdigest()
+        key = self._key_cache.get(body_sha)
+        early = key is None and self._prepare_early(op, body_sha, payload)
         try:
-            key = await self._coalesce_key(op, request.body, payload)
-        except ReproError as exc:
-            return 400, error_body("bad-request", str(exc)), "error"
+            if key is None:
+                try:
+                    key = await self._coalesce_key(op, body_sha, payload)
+                except ReproError as exc:
+                    return 400, error_body("bad-request", str(exc)), "error"
 
-        cached = self._cache.get(key)
-        if cached is not None:
-            return 200, cached, "cache"
+            cached = self._cache.get(key)
+            if cached is not None:
+                return 200, cached, "cache"
 
-        entry = self._inflight.get(key)
-        if entry is not None:
-            outcome = await self._wait_for_outcome(conn, entry)
-            return outcome.status, outcome.body, "coalesced"
-        # Hashing a new body suspended this request; a burst of distinct
-        # cold requests must not all slip past the gate while it was open.
-        return self._overloaded() or await self._lead_and_wait(
-            conn, self._run_op(op, payload), key=key
-        )
+            entry = self._inflight.get(key)
+            if entry is not None:
+                if early:  # the leader may be waiting for this very slot
+                    self._drop_early(payload)
+                outcome = await self._wait_for_outcome(conn, entry)
+                return outcome.status, outcome.body, "coalesced"
+            # Hashing a new body suspended this request; a burst of distinct
+            # cold requests must not all slip past the gate while it was open.
+            return self._overloaded() or await self._lead_and_wait(
+                conn, self._run_op(op, payload), key=key
+            )
+        finally:
+            if early:  # a no-op once the leader's run took the slot
+                self._drop_early(payload)
+
+    def _prepare_early(self, op: str, body_sha: str, payload: dict[str, Any]) -> bool:
+        """On an idle daemon, start a free worker on the project of a body
+        nobody is keying yet; ``True`` when a slot is now pinned to it."""
+        if (
+            self.pool is None
+            or op not in PROJECT_OPS
+            or self._active_ops
+            or body_sha in self._key_futures
+            or not self.pool.prepare(op, payload)
+        ):
+            return False
+        self.metrics.note_prepared_early()
+        return True
+
+    def _drop_early(self, payload: dict[str, Any]) -> None:
+        if self.pool.drop(payload):
+            self.metrics.note_prepare_dropped()
 
     def _overloaded(self) -> tuple[int, bytes, str] | None:
         """The 503 reply when the queue is at its limit, else ``None``."""
@@ -576,17 +612,13 @@ class BangerDaemon:
     # coalesce keys + response cache
     # ------------------------------------------------------------------ #
     async def _coalesce_key(
-        self, op: str, body: bytes, payload: dict[str, Any]
+        self, op: str, body_sha: str, payload: dict[str, Any]
     ) -> str:
-        """The request's content key, memoized by body bytes.
+        """The content key of a body the memo missed, memoized by its hash.
 
-        Identical bodies skip even the project parse; the parse for a new
-        body runs off-loop and concurrent identical bodies share it.
+        The project parse runs off-loop and concurrent identical bodies
+        share it.
         """
-        body_sha = hashlib.sha256(op.encode() + b"\0" + body).hexdigest()
-        key = self._key_cache.get(body_sha)
-        if key is not None:
-            return key
         pending = self._key_futures.get(body_sha)
         if pending is None:
             loop = asyncio.get_running_loop()

@@ -4,7 +4,8 @@ Everything the daemon can answer about itself lives here.  Three layers
 feed ``/metrics``:
 
 * **server counters** — requests by endpoint and status, coalesce/cache
-  dispositions, rejections, timeouts, worker crashes, live queue depth;
+  dispositions, rejections, timeouts, worker crashes, live queue depth,
+  workers prepared early and prepares handed back unused;
 * **latency windows** — a bounded ring of recent per-endpoint latencies,
   reported as ``count``/``p50``/``p95`` (sliding-window percentiles, the
   way a scientist actually reads "is it still instant?");
@@ -76,6 +77,8 @@ class ServerMetrics:
         self.by_disposition: dict[str, int] = {d: 0 for d in DISPOSITIONS}
         self.bad_requests = 0
         self.disconnects = 0
+        self.prepared_early = 0
+        self.prepares_dropped = 0
         self.in_flight = 0
         self.queue_depth = 0
         self._latency: dict[str, LatencyWindow] = {}
@@ -111,6 +114,14 @@ class ServerMetrics:
         with self._lock:
             self.disconnects += 1
 
+    def note_prepared_early(self) -> None:
+        with self._lock:
+            self.prepared_early += 1
+
+    def note_prepare_dropped(self) -> None:
+        with self._lock:
+            self.prepares_dropped += 1
+
     def enter(self, queued: int) -> None:
         with self._lock:
             self.in_flight += 1
@@ -140,6 +151,8 @@ class ServerMetrics:
                 "worker_crashes": by["crashed"],
                 "bad_requests": self.bad_requests,
                 "disconnects": self.disconnects,
+                "prepared_early": self.prepared_early,
+                "prepares_dropped": self.prepares_dropped,
                 "in_flight": self.in_flight,
                 "queue_depth": self.queue_depth,
                 "latency_ms": {

@@ -21,6 +21,9 @@ daemon can aggregate *work* observability across processes, and
 :func:`coalesce_key` derives the content-addressed identity the daemon
 coalesces and caches on: ``(op, project name, graph content_hash, machine
 content_hash, scheduler cache key, every other payload field)``.
+:func:`prepare` is the derivation a project op starts with (inflate, and
+flatten plus hash where the op schedules), split off so a worker can do it
+while the daemon is still computing the key; ``execute`` takes its result.
 """
 
 from __future__ import annotations
@@ -71,7 +74,13 @@ def shared_service() -> ScheduleService:
 # --------------------------------------------------------------------- #
 # option validators: the one place an option is typed, defaulted, refused
 # --------------------------------------------------------------------- #
-def _project_from_payload(payload: dict[str, Any]) -> BangerProject:
+def _project_from_payload(
+    payload: dict[str, Any], prepared: BangerProject | None = None
+) -> BangerProject:
+    """The payload's project: ``prepared`` when :func:`prepare` already
+    derived it, else inflated here."""
+    if prepared is not None:
+        return prepared
     doc = payload.get("project")
     if not isinstance(doc, dict):
         raise OpError("payload must carry a 'project' object (a saved project "
@@ -308,8 +317,10 @@ def run_codegen(project: BangerProject, opts: dict[str, Any]):
 # --------------------------------------------------------------------- #
 # the ops: validate -> run -> document
 # --------------------------------------------------------------------- #
-def op_lint(payload: dict[str, Any]) -> dict[str, Any]:
-    project = _project_from_payload(payload)
+def op_lint(
+    payload: dict[str, Any], project: BangerProject | None = None
+) -> dict[str, Any]:
+    project = _project_from_payload(payload, project)
     opts = lint_options(payload)
     report = run_lint(project, opts)
     doc = to_json(report)
@@ -318,10 +329,12 @@ def op_lint(payload: dict[str, Any]) -> dict[str, Any]:
     return doc
 
 
-def op_schedule(payload: dict[str, Any]) -> dict[str, Any]:
+def op_schedule(
+    payload: dict[str, Any], project: BangerProject | None = None
+) -> dict[str, Any]:
     from repro.sched.metrics import report as schedule_report
 
-    project = _project_from_payload(payload)
+    project = _project_from_payload(payload, project)
     opts = schedule_options(payload)
     schedule, result = run_schedule(project, opts)
     doc: dict[str, Any] = {
@@ -347,8 +360,10 @@ def op_schedule(payload: dict[str, Any]) -> dict[str, Any]:
     return doc
 
 
-def op_speedup(payload: dict[str, Any]) -> dict[str, Any]:
-    project = _project_from_payload(payload)
+def op_speedup(
+    payload: dict[str, Any], project: BangerProject | None = None
+) -> dict[str, Any]:
+    project = _project_from_payload(payload, project)
     report = project.speedup(speedup_options(payload))
     doc = asdict(report)
     doc["type"] = "banger-speedup"
@@ -373,13 +388,17 @@ def sweep_document(project: BangerProject, reports: dict[str, Any]) -> dict[str,
     }
 
 
-def op_sweep(payload: dict[str, Any]) -> dict[str, Any]:
-    project = _project_from_payload(payload)
+def op_sweep(
+    payload: dict[str, Any], project: BangerProject | None = None
+) -> dict[str, Any]:
+    project = _project_from_payload(payload, project)
     return sweep_document(project, run_sweep(project, sweep_options(payload)))
 
 
-def op_simulate(payload: dict[str, Any]) -> dict[str, Any]:
-    project = _project_from_payload(payload)
+def op_simulate(
+    payload: dict[str, Any], project: BangerProject | None = None
+) -> dict[str, Any]:
+    project = _project_from_payload(payload, project)
     opts = simulate_options(payload, project.machine)
     schedule, trace, result = run_simulate(project, opts)
     doc: dict[str, Any] = {
@@ -406,8 +425,10 @@ def op_simulate(payload: dict[str, Any]) -> dict[str, Any]:
     return doc
 
 
-def op_codegen(payload: dict[str, Any]) -> dict[str, Any]:
-    project = _project_from_payload(payload)
+def op_codegen(
+    payload: dict[str, Any], project: BangerProject | None = None
+) -> dict[str, Any]:
+    project = _project_from_payload(payload, project)
     opts = codegen_options(payload)
     try:
         program, source, outputs = run_codegen(project, opts)
@@ -429,7 +450,7 @@ def op_codegen(payload: dict[str, Any]) -> dict[str, Any]:
     return doc
 
 
-def op_conform(payload: dict[str, Any]) -> dict[str, Any]:
+def op_conform(payload: dict[str, Any], project: None = None) -> dict[str, Any]:
     from repro.conformance import run
 
     doc = run(**conform_options(payload)).as_dict()
@@ -440,24 +461,24 @@ def op_conform(payload: dict[str, Any]) -> dict[str, Any]:
 # --------------------------------------------------------------------- #
 # debug ops (refused unless the daemon runs with --debug)
 # --------------------------------------------------------------------- #
-def op_crash(payload: dict[str, Any]) -> dict[str, Any]:
+def op_crash(payload: dict[str, Any], project: None = None) -> dict[str, Any]:
     """Kill the hosting process mid-request (crash-isolation testing)."""
     os._exit(13)
 
 
-def op_sleep(payload: dict[str, Any]) -> dict[str, Any]:
+def op_sleep(payload: dict[str, Any], project: None = None) -> dict[str, Any]:
     """Hold a worker busy (timeout / drain / backpressure testing)."""
     seconds = float(payload.get("seconds", 1.0))
     time.sleep(min(seconds, 60.0))
     return {"type": "banger-sleep", "slept": seconds}
 
 
-def op_boom(payload: dict[str, Any]) -> dict[str, Any]:
+def op_boom(payload: dict[str, Any], project: None = None) -> dict[str, Any]:
     """Raise an unexpected exception (500-path testing)."""
     raise RuntimeError("boom requested")
 
 
-OPS: dict[str, Callable[[dict[str, Any]], dict[str, Any]]] = {
+OPS: dict[str, Callable[..., dict[str, Any]]] = {
     "lint": op_lint,
     "schedule": op_schedule,
     "speedup": op_speedup,
@@ -512,8 +533,33 @@ _GAUGES = ("entries", "last_sweep_seconds")
 _WORK_NAMES = {"hits": "service_hits", "misses": "sched_runs"}
 
 
-def execute(op: str, payload: dict[str, Any]) -> dict[str, Any]:
-    """Run one op with counter accounting.
+#: Ops that schedule, so read the flattened graph and its hash (``lint``
+#: does only with ``concurrency``, and only on a design that lints clean).
+FLAT_OPS = PROJECT_OPS - {"lint"}
+
+
+def prepare(op: str, payload: dict[str, Any]) -> BangerProject | None:
+    """The derivation a project op starts with, done ahead of the op.
+
+    Inflates the payload's project and, for ops that read it, flattens and
+    hashes the graph; ``None`` for ops without a project.  Pure: it bumps no
+    work counter, so :func:`execute` on the result reports what it would
+    have reported deriving the project itself.  A worker runs this while
+    the daemon computes the request's :func:`coalesce_key`.
+    """
+    if op not in PROJECT_OPS:
+        return None
+    project = _project_from_payload(payload)
+    if op in FLAT_OPS:
+        project.hashed_flat()
+    return project
+
+
+def execute(
+    op: str, payload: dict[str, Any], project: BangerProject | None = None
+) -> dict[str, Any]:
+    """Run one op with counter accounting, on ``project`` when :func:`prepare`
+    already derived it from ``payload``.
 
     Returns ``{"result": <response doc>, "counters": <work deltas>}`` —
     the daemon sends ``result`` to the client and folds ``counters`` into
@@ -526,7 +572,7 @@ def execute(op: str, payload: dict[str, Any]) -> dict[str, Any]:
         raise OpError(f"unknown operation {op!r}")
     service = shared_service()
     before = vars(service.stats())
-    result = fn(payload)
+    result = fn(payload, project)
     after = vars(service.stats())
     return {
         "result": result,

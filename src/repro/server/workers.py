@@ -10,7 +10,13 @@ replaced before the next request needs it.  So each slot here is its own
 * **submit** — the slot is checked out of an :class:`asyncio.LifoQueue`
   (one job per slot at a time; the slot freed last, whose caches are the
   warmest, takes the next job), the job pickled down the pipe, and the
-  reply awaited in a thread so the event loop never blocks;
+  reply awaited on the slot's own thread so the event loop never blocks;
+* **prepare** — :meth:`WorkerPool.prepare` checks a free slot out early,
+  pinned to one payload object, and ships that payload for the worker to
+  derive its project (:func:`repro.server.ops.prepare`) while the daemon is
+  still deciding whether it needs the answer; the :meth:`WorkerPool.run`
+  given the same payload takes the pinned slot and sends only the verb,
+  and :meth:`WorkerPool.drop` hands the slot back unused;
 * **crash** — the child dying mid-job surfaces as ``EOFError`` on the
   pipe; the slot restarts its process and only that request fails with
   :class:`WorkerCrash`;
@@ -21,7 +27,9 @@ replaced before the next request needs it.  So each slot here is its own
   sentinel per slot, a bounded join, then force-kill.
 
 Workers run :func:`repro.server.ops.execute`, so every reply carries the
-work counters the daemon aggregates into ``/metrics``.
+work counters the daemon aggregates into ``/metrics``.  Every pipe exchange
+with a worker runs on its slot's one thread, in the order it was asked for,
+so a job sent after a prepare cannot overtake it.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
 from repro.errors import ReproError
-from repro.server.ops import execute
+from repro.server.ops import execute, prepare
 
 
 class WorkerError(ReproError):
@@ -49,12 +57,11 @@ class WorkerTimeout(WorkerError):
     """The request outlived its budget; its worker was killed and replaced."""
 
 
-def classify(run: Callable[[str, dict[str, Any]], Any], op: str,
-             payload: dict[str, Any]) -> tuple:
+def classify(run: Callable[..., Any], *args: Any) -> tuple:
     """Run one op and classify what happened: the outcome tuple a worker
     sends up its pipe and the daemon's inline mode builds in a thread."""
     try:
-        return ("ok", run(op, payload))
+        return ("ok", run(*args))
     except ReproError as exc:
         return ("user_error", type(exc).__name__, str(exc))
     except Exception as exc:  # noqa: BLE001 - reported, never raised
@@ -63,7 +70,14 @@ def classify(run: Callable[[str, dict[str, Any]], Any], op: str,
 
 
 def _worker_main(conn) -> None:
-    """The child's loop: recv a job, run the op, send the outcome."""
+    """The child's loop: recv a job ``(verb, op, payload)``, do it, reply.
+
+    ``prepare`` derives the op's project and holds it, replying nothing; a
+    ``run`` whose payload is ``None`` runs on what was held, any other
+    ``run`` from scratch; ``drop`` forgets what was held and acknowledges,
+    which it can only do once the prepare before it has finished.
+    """
+    held: tuple[dict[str, Any], Any] | None = None
     while True:
         try:
             job = conn.recv()
@@ -72,9 +86,28 @@ def _worker_main(conn) -> None:
         if job is None:  # polite shutdown sentinel
             return
         try:
-            conn.send(classify(execute, *job))
+            held = _handle(conn, job, held)
         except (BrokenPipeError, OSError):
             return
+
+
+def _handle(conn, job: tuple, held: tuple[dict[str, Any], Any] | None):
+    """One job; returns what a ``run`` after it may run on.
+
+    Its own function so that a run's project and reply die when it returns
+    instead of staying alive, as loop variables, through the next prepare.
+    """
+    verb, op, payload = job
+    if verb == "prepare":
+        try:
+            return payload, prepare(op, payload)
+        except Exception:  # noqa: BLE001 - the run re-derives and reports it
+            return payload, None
+    project = None
+    if verb == "run" and payload is None:
+        payload, project = held
+    conn.send(classify(execute, op, payload, project) if verb == "run" else ("dropped",))
+    return None
 
 
 def _pick_context() -> mp.context.BaseContext:
@@ -92,6 +125,12 @@ class WorkerSlot:
         self.restarts = 0
         self._proc: mp.process.BaseProcess | None = None
         self._conn = None
+        # The loop restarts a slot whose job failed, the slot's thread one
+        # whose dropped prepare killed it: never both at once.
+        self._restarting = threading.Lock()
+        self.thread = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix=f"banger-pool-{index}"
+        )
         self._start()
 
     def _start(self) -> None:
@@ -110,9 +149,10 @@ class WorkerSlot:
 
     def restart(self) -> None:
         """Kill whatever the slot is doing and bring up a fresh process."""
-        self.kill()
-        self.restarts += 1
-        self._start()
+        with self._restarting:
+            self.kill()
+            self.restarts += 1
+            self._start()
 
     def kill(self) -> None:
         if self._conn is not None:
@@ -138,16 +178,23 @@ class WorkerSlot:
             except (BrokenPipeError, OSError):
                 pass
 
-    def run_blocking(self, op: str, payload: dict[str, Any]) -> tuple:
-        """Ship one job and block for its reply (called from a thread).
+    def send(self, job: tuple) -> Any:
+        """Ship one job (on :attr:`thread`); returns the pipe it went down.
 
-        Raises ``EOFError``/``OSError`` when the child dies mid-job.
+        Raises ``EOFError``/``OSError`` when the child is dead.
         """
         conn = self._conn
         if conn is None or not self.alive:
             raise EOFError("worker process is not running")
-        conn.send((op, payload))
-        return conn.recv()
+        conn.send(job)
+        return conn
+
+    def run_blocking(self, job: tuple) -> tuple:
+        """Ship one job and block for its reply (on :attr:`thread`).
+
+        Raises ``EOFError``/``OSError`` when the child dies mid-job.
+        """
+        return self.send(job).recv()
 
 
 class WorkerPool:
@@ -162,11 +209,8 @@ class WorkerPool:
         self._free: asyncio.LifoQueue[WorkerSlot] = asyncio.LifoQueue()
         for slot in self._slots:
             self._free.put_nowait(slot)
-        # One thread per slot: each does nothing but block on its slot's
-        # pipe while a job runs, so the event loop stays free.
-        self._threads = ThreadPoolExecutor(
-            max_workers=size, thread_name_prefix="banger-pool"
-        )
+        # id(payload) -> (payload, the slot prepare() pinned to it)
+        self._pinned: dict[int, tuple[dict[str, Any], WorkerSlot]] = {}
         self._closed = False
         self._lock = threading.Lock()
         self.crashes = 0
@@ -176,10 +220,56 @@ class WorkerPool:
     def restarts(self) -> int:
         return sum(slot.restarts for slot in self._slots)
 
+    def prepare(self, op: str, payload: dict[str, Any]) -> bool:
+        """Check out the next free slot, if one is free now, and have its
+        worker start deriving ``op``'s project from ``payload``.
+
+        The slot stays pinned to this ``payload`` object until :meth:`run`
+        or :meth:`drop` is given it.  ``False`` (nothing pinned) when every
+        slot is busy.
+        """
+        if self._closed or self._free.empty():
+            return False
+        slot = self._free.get_nowait()
+        self._pinned[id(payload)] = (payload, slot)
+        # Nothing reads this send's outcome: if it fails the worker is dead,
+        # and the run or drop queued behind it on the same thread finds that.
+        slot.thread.submit(slot.send, ("prepare", op, payload))
+        return True
+
+    def drop(self, payload: dict[str, Any]) -> bool:
+        """Hand back, unused, the slot :meth:`prepare` pinned to ``payload``.
+
+        The slot is free again at once; its thread tells the worker to forget
+        the project before any later job, and restarts a worker the prepare
+        killed.  ``False`` when no slot is pinned to ``payload`` (none was, or
+        :meth:`run` took it).
+        """
+        pin = self._pinned.pop(id(payload), None)
+        if pin is None:
+            return False
+        slot = pin[1]
+        slot.thread.submit(self._forget, slot)
+        self._release(slot)
+        return True
+
+    def _forget(self, slot: WorkerSlot) -> None:
+        try:
+            slot.run_blocking(("drop", None, None))
+        except (EOFError, OSError):
+            with self._lock:
+                self.crashes += 1
+            slot.restart()
+
+    def _release(self, slot: WorkerSlot) -> None:
+        if not self._closed:
+            self._free.put_nowait(slot)
+
     async def run(
         self, op: str, payload: dict[str, Any], timeout: float | None = None
     ) -> tuple:
-        """Run one op on the next free worker.
+        """Run one op on the slot :meth:`prepare` pinned to ``payload``, or
+        else on the next free worker.
 
         Returns the worker's outcome tuple (``("ok", ...)`` /
         ``("user_error", ...)`` / ``("error", ...)``).  Raises
@@ -188,12 +278,14 @@ class WorkerPool:
         """
         if self._closed:
             raise WorkerError("pool is closed")
-        slot = await self._free.get()
+        pin = self._pinned.pop(id(payload), None)
+        if pin is not None:
+            slot, job = pin[1], ("run", op, None)
+        else:
+            slot, job = await self._free.get(), ("run", op, payload)
         loop = asyncio.get_running_loop()
         try:
-            future = loop.run_in_executor(
-                self._threads, slot.run_blocking, op, payload
-            )
+            future = loop.run_in_executor(slot.thread, slot.run_blocking, job)
             try:
                 outcome = await asyncio.wait_for(future, timeout)
             except asyncio.TimeoutError:
@@ -221,8 +313,7 @@ class WorkerPool:
                 raise
             return outcome
         finally:
-            if not self._closed:
-                self._free.put_nowait(slot)
+            self._release(slot)
 
     @staticmethod
     def _swallow(future: asyncio.Future) -> None:
@@ -254,11 +345,11 @@ class WorkerPool:
         await asyncio.get_running_loop().run_in_executor(
             None, self._join_all
         )
-        self._threads.shutdown(wait=False, cancel_futures=True)
 
     def _join_all(self) -> None:
         for slot in self._slots:
             slot.kill()
+            slot.thread.shutdown(wait=False, cancel_futures=True)
 
     def stats(self) -> dict[str, Any]:
         return {

@@ -37,6 +37,16 @@ def test_every_metrics_counter_is_documented():
         assert f"`{key}`" in TEXT, f"work counter {key} missing from docs"
 
 
+def test_early_prepare_counters_are_in_the_server_list():
+    """``/metrics`` ``server`` counts early prepares and the ones handed back
+    unused, and the doc's ``server`` entry lists both."""
+    metrics = ServerMetrics().as_dict()
+    entry = TEXT.split("* **`server`** —", 1)[1].split("\n* **", 1)[0]
+    for name in ("prepared_early", "prepares_dropped"):
+        assert metrics[name] == 0
+        assert f"`{name}`" in entry, f"{name} missing from the server list"
+
+
 def test_every_ledger_counter_is_in_the_work_list():
     """docs/server.md's ``server.work`` entry lists every name a reply's
     ``counters`` carries — each ledger counter among them, each a
