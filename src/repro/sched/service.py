@@ -631,7 +631,8 @@ _default: ScheduleService | None = None
 
 
 def default_service() -> ScheduleService:
-    """The process-wide service behind :func:`repro.sched.sweeps.predict_speedup`."""
+    """The process-wide service behind :func:`repro.sched.sweeps.predict_speedup`
+    and every daemon op (imported there as ``repro.server.ops.shared_service``)."""
     global _default
     if _default is None:
         _default = ScheduleService()

@@ -3,7 +3,7 @@
 One asyncio event loop owns every connection; CPU-bound work never runs
 on it.  A request travels::
 
-    socket -> parse -> [backpressure?] -> body-hash -> [idle? prepare early]
+    socket -> parse -> [backpressure?] -> body-hash -> [idle? run early]
            -> coalesce key -> response cache?  -> in-flight duplicate?
            -> worker pool  -> response bytes   -> cache + every coalesced waiter
 
@@ -15,12 +15,12 @@ a warm repeat is a hash lookup.  Identical *bytes* short-circuit even the
 key computation through a body-hash memo.
 
 Keying a new body inflates its project, and so does the worker that runs
-it.  When no computation is in flight and a worker is free, the daemon
-checks that worker out *before* keying and ships it the payload to prepare
-(:meth:`WorkerPool.prepare`), so the two inflates run side by side; the key
-then either runs the op on that worker or hands it back unused (cache hit,
-coalesced, 400, 503) before the request waits on anything.  The gate keeps
-the overlap to capacity nobody else is using.
+it.  When no computation is in flight, the daemon starts the request's
+computation *before* keying it, so the two inflates run side by side; the
+key then only decides who waits for that run.  A new key makes it the key's
+in-flight computation; a cache hit, a coalesced wait or a 400 answers at
+once, and the run finishes with nobody waiting, its work still counted.
+The gate keeps the overlap to capacity nobody else is using.
 
 Failure semantics (documented in ``docs/server.md``, asserted by
 ``tests/server/``): payload problems are 400; backpressure is 503 with
@@ -99,6 +99,7 @@ class _Inflight:
     """One in-progress computation every identical request shares."""
 
     future: asyncio.Future
+    key: str | None = None  # None until an early run's key is known
     task: asyncio.Task | None = None
     waiters: int = 0
 
@@ -251,13 +252,17 @@ class BangerDaemon:
             self._server.close()
             await self._server.wait_closed()
         deadline = asyncio.get_running_loop().time() + drain_timeout
-        while self._conn_tasks:
+        # Computations nobody waits for (unneeded early runs) drain too: a
+        # closed pool takes no slot back, so it would wait out its budget.
+        while self._conn_tasks or self._compute_tasks:
             remaining = deadline - asyncio.get_running_loop().time()
             if remaining <= 0:
                 for task in self._conn_tasks:
                     task.cancel()
                 break
-            await asyncio.wait(set(self._conn_tasks), timeout=remaining)
+            await asyncio.wait(
+                self._conn_tasks | self._compute_tasks, timeout=remaining
+            )
         if self.pool is not None:
             await self.pool.close()
         if self._inline is not None:
@@ -418,7 +423,7 @@ class BangerDaemon:
 
         body_sha = hashlib.sha256(op.encode() + b"\0" + request.body).hexdigest()
         key = self._key_cache.get(body_sha)
-        early = key is None and self._prepare_early(op, body_sha, payload)
+        early = None if key is not None else self._run_early(op, body_sha, payload)
         try:
             if key is None:
                 try:
@@ -432,36 +437,45 @@ class BangerDaemon:
 
             entry = self._inflight.get(key)
             if entry is not None:
-                if early:  # the leader may be waiting for this very slot
-                    self._drop_early(payload)
                 outcome = await self._wait_for_outcome(conn, entry)
                 return outcome.status, outcome.body, "coalesced"
+            if early is not None:  # a new key, computed since admission
+                entry, early = self._adopt(early, key), None
+                outcome = await self._wait_for_outcome(conn, entry)
+                return outcome.status, outcome.body, outcome.kind
             # Hashing a new body suspended this request; a burst of distinct
             # cold requests must not all slip past the gate while it was open.
             return self._overloaded() or await self._lead_and_wait(
                 conn, self._run_op(op, payload), key=key
             )
         finally:
-            if early:  # a no-op once the leader's run took the slot
-                self._drop_early(payload)
+            if early is not None:  # the key answered without it
+                self.metrics.note_ran_early_unneeded()
 
-    def _prepare_early(self, op: str, body_sha: str, payload: dict[str, Any]) -> bool:
-        """On an idle daemon, start a free worker on the project of a body
-        nobody is keying yet; ``True`` when a slot is now pinned to it."""
+    def _run_early(
+        self, op: str, body_sha: str, payload: dict[str, Any]
+    ) -> _Inflight | None:
+        """On an idle daemon, start computing a body nobody is keying yet
+        before its key is known."""
         if (
             self.pool is None
             or op not in PROJECT_OPS
             or self._active_ops
             or body_sha in self._key_futures
-            or not self.pool.prepare(op, payload)
         ):
-            return False
-        self.metrics.note_prepared_early()
-        return True
+            return None
+        self.metrics.note_ran_early()
+        return self._lead(self._run_op(op, payload), key=None)
 
-    def _drop_early(self, payload: dict[str, Any]) -> None:
-        if self.pool.drop(payload):
-            self.metrics.note_prepare_dropped()
+    def _adopt(self, entry: _Inflight, key: str) -> _Inflight:
+        """Make an early run the computation of its new ``key``: later bodies
+        with that key coalesce on it, and its 200 is cached under it."""
+        entry.key = key
+        if not entry.future.done():
+            self._inflight[key] = entry
+        elif entry.future.result().status == 200:  # it finished before its key
+            self._cache.put(key, entry.future.result().body)
+        return entry
 
     def _overloaded(self) -> tuple[int, bytes, str] | None:
         """The 503 reply when the queue is at its limit, else ``None``."""
@@ -476,15 +490,22 @@ class BangerDaemon:
     async def _lead_and_wait(
         self, conn: BufferedConn, run: Awaitable[_Outcome], key: str | None
     ) -> tuple[int, bytes, str]:
-        loop = asyncio.get_running_loop()
-        entry = _Inflight(future=loop.create_future())
+        outcome = await self._wait_for_outcome(conn, self._lead(run, key))
+        return outcome.status, outcome.body, outcome.kind
+
+    def _lead(self, run: Awaitable[_Outcome], key: str | None) -> _Inflight:
+        """Admit ``run`` as a computation, in flight under ``key`` if known."""
+        entry = _Inflight(future=asyncio.get_running_loop().create_future(), key=key)
         if key is not None:
             self._inflight[key] = entry
-        entry.task = asyncio.ensure_future(self._compute(run, key, entry))
+        # Counted from admission, not from the task's first step, so a gate
+        # another request checks before that step already sees it.
+        self._active_ops += 1
+        self.metrics.enter(self._active_ops)
+        entry.task = asyncio.ensure_future(self._compute(run, entry))
         self._compute_tasks.add(entry.task)
         entry.task.add_done_callback(self._compute_tasks.discard)
-        outcome = await self._wait_for_outcome(conn, entry)
-        return outcome.status, outcome.body, outcome.kind
+        return entry
 
     async def _wait_for_outcome(
         self, conn: BufferedConn, entry: _Inflight
@@ -520,11 +541,7 @@ class BangerDaemon:
     # ------------------------------------------------------------------ #
     # computation
     # ------------------------------------------------------------------ #
-    async def _compute(
-        self, run: Awaitable[_Outcome], key: str | None, entry: _Inflight
-    ) -> None:
-        self._active_ops += 1
-        self.metrics.enter(self._active_ops)
+    async def _compute(self, run: Awaitable[_Outcome], entry: _Inflight) -> None:
         outcome: _Outcome
         try:
             outcome = await run
@@ -540,12 +557,12 @@ class BangerDaemon:
         finally:
             self._active_ops -= 1
             self.metrics.exit(self._active_ops)
-            if key is not None:
-                self._inflight.pop(key, None)
+            if entry.key is not None:
+                self._inflight.pop(entry.key, None)
         if outcome.counters:
             self.metrics.fold_work(outcome.counters)
-        if key is not None and outcome.status == 200:
-            self._cache.put(key, outcome.body)
+        if entry.key is not None and outcome.status == 200:
+            self._cache.put(entry.key, outcome.body)
         if not entry.future.done():
             entry.future.set_result(outcome)
 

@@ -5,7 +5,7 @@ feed ``/metrics``:
 
 * **server counters** — requests by endpoint and status, coalesce/cache
   dispositions, rejections, timeouts, worker crashes, live queue depth,
-  workers prepared early and prepares handed back unused;
+  computations started before their key and those of them no one needed;
 * **latency windows** — a bounded ring of recent per-endpoint latencies,
   reported as ``count``/``p50``/``p95`` (sliding-window percentiles, the
   way a scientist actually reads "is it still instant?");
@@ -77,8 +77,8 @@ class ServerMetrics:
         self.by_disposition: dict[str, int] = {d: 0 for d in DISPOSITIONS}
         self.bad_requests = 0
         self.disconnects = 0
-        self.prepared_early = 0
-        self.prepares_dropped = 0
+        self.ran_early = 0
+        self.ran_early_unneeded = 0
         self.in_flight = 0
         self.queue_depth = 0
         self._latency: dict[str, LatencyWindow] = {}
@@ -114,13 +114,13 @@ class ServerMetrics:
         with self._lock:
             self.disconnects += 1
 
-    def note_prepared_early(self) -> None:
+    def note_ran_early(self) -> None:
         with self._lock:
-            self.prepared_early += 1
+            self.ran_early += 1
 
-    def note_prepare_dropped(self) -> None:
+    def note_ran_early_unneeded(self) -> None:
         with self._lock:
-            self.prepares_dropped += 1
+            self.ran_early_unneeded += 1
 
     def enter(self, queued: int) -> None:
         with self._lock:
@@ -151,8 +151,8 @@ class ServerMetrics:
                 "worker_crashes": by["crashed"],
                 "bad_requests": self.bad_requests,
                 "disconnects": self.disconnects,
-                "prepared_early": self.prepared_early,
-                "prepares_dropped": self.prepares_dropped,
+                "ran_early": self.ran_early,
+                "ran_early_unneeded": self.ran_early_unneeded,
                 "in_flight": self.in_flight,
                 "queue_depth": self.queue_depth,
                 "latency_ms": {

@@ -37,12 +37,12 @@ def test_every_metrics_counter_is_documented():
         assert f"`{key}`" in TEXT, f"work counter {key} missing from docs"
 
 
-def test_early_prepare_counters_are_in_the_server_list():
-    """``/metrics`` ``server`` counts early prepares and the ones handed back
-    unused, and the doc's ``server`` entry lists both."""
+def test_early_run_counters_are_in_the_server_list():
+    """``/metrics`` ``server`` counts early runs and the ones no request
+    needed, and the doc's ``server`` entry lists both."""
     metrics = ServerMetrics().as_dict()
     entry = TEXT.split("* **`server`** —", 1)[1].split("\n* **", 1)[0]
-    for name in ("prepared_early", "prepares_dropped"):
+    for name in ("ran_early", "ran_early_unneeded"):
         assert metrics[name] == 0
         assert f"`{name}`" in entry, f"{name} missing from the server list"
 
