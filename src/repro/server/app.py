@@ -1,26 +1,31 @@
 """The banger daemon: coalescing, caching, backpressure, draining.
 
 One asyncio event loop owns every connection; CPU-bound work never runs
-on it.  A request travels::
+on it, and neither does parsing or encoding a compute request's JSON.  A
+request travels::
 
-    socket -> parse -> [backpressure?] -> body-hash -> [idle? run early]
-           -> coalesce key -> response cache?  -> in-flight duplicate?
-           -> worker pool  -> response bytes   -> cache + every coalesced waiter
+    socket -> [backpressure?] -> body-hash -> [idle? body to a worker]
+           -> key job: parse + coalesce key -> response cache?
+           -> in-flight duplicate? -> worker: parse, run, encode
+           -> response bytes -> cache + every coalesced waiter
 
 The coalesce key is content-addressed — ``(project name, graph content_hash,
 machine content_hash, scheduler cache key, options)`` via
 :func:`repro.server.ops.coalesce_key` — so N concurrent identical
 requests cost one scheduler run and share byte-identical responses, and
 a warm repeat is a hash lookup.  Identical *bytes* short-circuit even the
-key computation through a body-hash memo.
+parse through a body-hash memo.  The daemon hands a worker the raw body
+and gets back the reply bytes the worker encoded, so it parses a body only
+in its key job, off the loop.
 
 Keying a new body inflates its project, and so does the worker that runs
-it.  When no computation is in flight, the daemon starts the request's
-computation *before* keying it, so the two inflates run side by side; the
-key then only decides who waits for that run.  A new key makes it the key's
-in-flight computation; a cache hit, a coalesced wait or a 400 answers at
-once, and the run finishes with nobody waiting, its work still counted.
-The gate keeps the overlap to capacity nobody else is using.
+it.  When no computation is in flight, the daemon writes the request's job
+to a worker *before* its key job starts, so the two run side by side; the
+key job waits for that handoff, never for the run, and then only decides
+who waits for the run.  A new key makes it the key's in-flight
+computation; a cache hit, a coalesced wait or a 400 answers at once, and
+the run finishes with nobody waiting, its work still counted.  The gate
+keeps the overlap to capacity nobody else is using.
 
 Failure semantics (documented in ``docs/server.md``, asserted by
 ``tests/server/``): payload problems are 400; backpressure is 503 with
@@ -56,10 +61,11 @@ from repro.server.protocol import (
     encode_response,
     error_body,
     json_body,
+    parse_body,
     read_request,
 )
 from repro.server.store_api import store_request
-from repro.server.workers import WorkerCrash, WorkerPool, WorkerTimeout, classify
+from repro.server.workers import WorkerCrash, WorkerPool, WorkerTimeout, serve
 from repro.store import ProjectRepository, TenantQuota
 
 #: URL path -> op name.  Debug routes exist only under ``--debug``.
@@ -102,6 +108,8 @@ class _Inflight:
     key: str | None = None  # None until an early run's key is known
     task: asyncio.Task | None = None
     waiters: int = 0
+    # Early runs only: set once the job is on a worker's pipe or the run ended
+    handoff: asyncio.Event | None = None
 
 
 @dataclass
@@ -114,6 +122,12 @@ class _Outcome:
 
 def _default_access_log(record: dict[str, Any]) -> None:
     print(json.dumps(record, sort_keys=True), file=sys.stderr, flush=True)
+
+
+def _parse_and_key(op: str, body: bytes) -> str:
+    """The key job, on a key thread: the daemon's one parse of a compute
+    request's body."""
+    return coalesce_key(op, parse_body(body))
 
 
 class BangerDaemon:
@@ -395,16 +409,15 @@ class BangerDaemon:
                 "/debug/crash needs process workers (start with --workers >= 1)",
             ), "error"
 
-        payload: Any = {}
-        if request.method == "POST":
+        # Store and debug bodies are small and parsed here, so they are
+        # refused 400 before the queue check.  A compute body is parsed only
+        # by its key job and its worker, after the queue check.
+        payload: dict[str, Any] = {}
+        if request.method == "POST" and (store or op in DEBUG_OPS):
             try:
-                payload = request.json()
+                payload = parse_body(request.body)
             except ProtocolError as exc:
                 return 400, error_body("bad-request", str(exc)), "error"
-            if not isinstance(payload, dict):
-                return 400, error_body(
-                    "bad-request", "request body must be a JSON object"
-                ), "error"
 
         # Backpressure: admission control before any CPU is spent.
         full = self._overloaded()
@@ -418,16 +431,19 @@ class BangerDaemon:
             # Fault injection must hit the pool every time: no key, no
             # coalescing, no cache.
             return await self._lead_and_wait(
-                conn, self._run_op(op, payload), key=None
+                conn, self._run_op(op, request.body), key=None
             )
 
         body_sha = hashlib.sha256(op.encode() + b"\0" + request.body).hexdigest()
         key = self._key_cache.get(body_sha)
-        early = None if key is not None else self._run_early(op, body_sha, payload)
+        early = None if key is not None else self._run_early(op, body_sha, request.body)
         try:
             if key is None:
                 try:
-                    key = await self._coalesce_key(op, body_sha, payload)
+                    key = await self._coalesce_key(
+                        op, body_sha, request.body,
+                        None if early is None else early.handoff,
+                    )
                 except ReproError as exc:
                     return 400, error_body("bad-request", str(exc)), "error"
 
@@ -446,15 +462,13 @@ class BangerDaemon:
             # Hashing a new body suspended this request; a burst of distinct
             # cold requests must not all slip past the gate while it was open.
             return self._overloaded() or await self._lead_and_wait(
-                conn, self._run_op(op, payload), key=key
+                conn, self._run_op(op, request.body), key=key
             )
         finally:
             if early is not None:  # the key answered without it
                 self.metrics.note_ran_early_unneeded()
 
-    def _run_early(
-        self, op: str, body_sha: str, payload: dict[str, Any]
-    ) -> _Inflight | None:
+    def _run_early(self, op: str, body_sha: str, body: bytes) -> _Inflight | None:
         """On an idle daemon, start computing a body nobody is keying yet
         before its key is known."""
         if (
@@ -465,7 +479,12 @@ class BangerDaemon:
         ):
             return None
         self.metrics.note_ran_early()
-        return self._lead(self._run_op(op, payload), key=None)
+        handoff = asyncio.Event()
+        entry = self._lead(self._run_op(op, body, handoff), key=None)
+        entry.handoff = handoff
+        # A run that ends before its job reaches a pipe releases the key too.
+        entry.task.add_done_callback(lambda _: handoff.set())
+        return entry
 
     def _adopt(self, entry: _Inflight, key: str) -> _Inflight:
         """Make an early run the computation of its new ``key``: later bodies
@@ -566,10 +585,16 @@ class BangerDaemon:
         if not entry.future.done():
             entry.future.set_result(outcome)
 
-    async def _run_op(self, op: str, payload: dict[str, Any]) -> _Outcome:
+    async def _run_op(
+        self, op: str, body: bytes, handoff: asyncio.Event | None = None
+    ) -> _Outcome:
+        """Serve one job ``(op, body)`` on a worker, or inline; ``handoff``
+        is set once a worker has the job."""
         if self.pool is not None:
             try:
-                reply = await self.pool.run(op, payload, self.request_timeout)
+                reply = await self.pool.run(
+                    op, body, self.request_timeout, sent=handoff
+                )
             except WorkerTimeout as exc:
                 return _Outcome(504, error_body("timeout", str(exc)), "timeout")
             except WorkerCrash as exc:
@@ -579,7 +604,7 @@ class BangerDaemon:
         else:
             loop = asyncio.get_running_loop()
             future = loop.run_in_executor(
-                self._inline, classify, execute, op, payload
+                self._inline, serve, execute, op, body
             )
             try:
                 reply = await asyncio.wait_for(
@@ -598,10 +623,7 @@ class BangerDaemon:
 
         if reply[0] == "ok":
             doc = reply[1]
-            return _Outcome(
-                200, json_body(doc["result"]), "computed",
-                counters=doc.get("counters", {}),
-            )
+            return _Outcome(200, doc["body"], "computed", counters=doc["counters"])
         _, kind, message = reply
         if reply[0] == "user_error":
             return _Outcome(
@@ -629,17 +651,19 @@ class BangerDaemon:
     # coalesce keys + response cache
     # ------------------------------------------------------------------ #
     async def _coalesce_key(
-        self, op: str, body_sha: str, payload: dict[str, Any]
+        self, op: str, body_sha: str, body: bytes,
+        handoff: asyncio.Event | None = None,
     ) -> str:
         """The content key of a body the memo missed, memoized by its hash.
 
-        The project parse runs off-loop and concurrent identical bodies
-        share it.
+        The body is parsed and keyed in one job off the loop, and concurrent
+        identical bodies share it.  With an early run, the job starts only
+        after ``handoff``: a key thread parsing beside the pipe write would
+        hold the interpreter lock the write needs.
         """
         pending = self._key_futures.get(body_sha)
         if pending is None:
-            loop = asyncio.get_running_loop()
-            pending = loop.run_in_executor(self._keys, coalesce_key, op, payload)
+            pending = asyncio.ensure_future(self._key_job(op, body, handoff))
             self._key_futures[body_sha] = pending
             try:
                 key = await asyncio.shield(pending)
@@ -649,6 +673,15 @@ class BangerDaemon:
             key = await asyncio.shield(pending)
         self._key_cache.put(body_sha, key)
         return key
+
+    async def _key_job(
+        self, op: str, body: bytes, handoff: asyncio.Event | None
+    ) -> str:
+        if handoff is not None:
+            await handoff.wait()
+        return await asyncio.get_running_loop().run_in_executor(
+            self._keys, _parse_and_key, op, body
+        )
 
     # ------------------------------------------------------------------ #
     # introspection documents

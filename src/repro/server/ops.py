@@ -501,10 +501,12 @@ _WORK_NAMES = {"hits": "service_hits", "misses": "sched_runs"}
 def execute(op: str, payload: dict[str, Any]) -> dict[str, Any]:
     """Run one op with counter accounting.
 
-    Returns ``{"result": <response doc>, "counters": <work deltas>}`` —
-    the daemon sends ``result`` to the client and folds ``counters`` into
-    ``/metrics`` so scheduler runs are observable no matter which process
-    performed them.  ``counters`` is every field of the shared service's
+    Returns ``{"result": <response doc>, "counters": <work deltas>}``.
+    The daemon's job function (:func:`repro.server.workers.serve`) encodes
+    ``result`` into the response bytes in the same process, a worker or the
+    inline thread, and the daemon folds ``counters`` into ``/metrics`` so
+    scheduler runs are observable no matter which process performed them.
+    ``counters`` is every field of the shared service's
     :class:`ServiceStats` but the gauges, differenced across the op.
     """
     fn = OPS.get(op)

@@ -54,13 +54,29 @@ class Request:
     def keep_alive(self) -> bool:
         return self.headers.get("connection", "keep-alive").lower() != "close"
 
-    def json(self) -> Any:
-        if not self.body:
-            return {}
-        try:
-            return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(f"request body is not valid JSON: {exc}") from None
+
+def parse_body(body: bytes) -> dict[str, Any]:
+    """A request body as the JSON object it must be; empty is ``{}``.
+
+    The one body parser: the daemon's key job, its ``/projects`` and debug
+    routes, and the worker that runs an op all call it.  Anything else —
+    bytes that are not UTF-8 JSON, nesting deeper than the decoder recurses,
+    an array or a scalar — is a :class:`ProtocolError`: the daemon answers
+    it 400, and a worker reports it as a user error.
+    """
+    if not body:
+        return {}
+    try:
+        doc = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"request body is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ProtocolError(
+            "request body is not valid JSON: nested too deeply to parse"
+        ) from None
+    if not isinstance(doc, dict):
+        raise ProtocolError("request body must be a JSON object")
+    return doc
 
 
 class BufferedConn:

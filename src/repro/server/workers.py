@@ -9,8 +9,9 @@ replaced before the next request needs it.  So each slot here is its own
 
 * **submit** — the slot is checked out of an :class:`asyncio.LifoQueue`
   (one job per slot at a time; the slot freed last, whose caches are the
-  warmest, takes the next job), the job pickled down the pipe, and the
-  reply awaited in a thread so the event loop never blocks;
+  warmest, takes the next job), the job ``(op, body)`` — the raw request
+  body, not a parsed payload — written down the pipe, and the reply
+  awaited in a thread so the event loop never blocks;
 * **crash** — the child dying mid-job surfaces as ``EOFError`` on the
   pipe; the slot restarts its process and only that request fails with
   :class:`WorkerCrash`;
@@ -20,13 +21,17 @@ replaced before the next request needs it.  So each slot here is its own
 * **drain** — :meth:`WorkerPool.close` finishes politely: a ``None``
   sentinel per slot, a bounded join, then force-kill.
 
-Workers run :func:`repro.server.ops.execute`, so every reply carries the
-work counters the daemon aggregates into ``/metrics``.
+A worker serves a job start to finish (:func:`serve`): it parses the body
+with the daemon's own parser, runs :func:`repro.server.ops.execute`, and
+sends back the reply already encoded as response bytes, beside the work
+counters the daemon aggregates into ``/metrics``.  The daemon routes bytes;
+the process that does the work also decodes and encodes it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import multiprocessing as mp
 import threading
 import traceback
@@ -35,6 +40,7 @@ from typing import Any, Callable
 
 from repro.errors import ReproError
 from repro.server.ops import execute
+from repro.server.protocol import json_body, parse_body
 
 
 class WorkerError(ReproError):
@@ -49,12 +55,22 @@ class WorkerTimeout(WorkerError):
     """The request outlived its budget; its worker was killed and replaced."""
 
 
-def classify(run: Callable[[str, dict[str, Any]], Any], op: str,
-             payload: dict[str, Any]) -> tuple:
-    """Run one op and classify what happened: the outcome tuple a worker
-    sends up its pipe and the daemon's inline mode builds in a thread."""
+def serve(run: Callable[[str, dict[str, Any]], Any], op: str,
+          body: bytes | dict[str, Any]) -> tuple:
+    """One job: parse ``body``, ``run`` the op on it, encode the reply.
+
+    Returns the outcome tuple a worker sends up its pipe and the daemon's
+    inline mode builds in a thread: ``("ok", {"body": <response bytes>,
+    "counters": {...}})``, ``("user_error", kind, message)`` for a
+    :class:`ReproError` (a body the parser refuses included), or
+    ``("error", kind, message + traceback)``.  A dict ``body`` is taken as
+    already parsed.
+    """
     try:
-        return ("ok", run(op, payload))
+        payload = body if isinstance(body, dict) else parse_body(body)
+        reply = run(op, payload)
+        return ("ok", {"body": json_body(reply["result"]),
+                       "counters": reply["counters"]})
     except ReproError as exc:
         return ("user_error", type(exc).__name__, str(exc))
     except Exception as exc:  # noqa: BLE001 - reported, never raised
@@ -63,7 +79,7 @@ def classify(run: Callable[[str, dict[str, Any]], Any], op: str,
 
 
 def _worker_main(conn) -> None:
-    """The child's loop: recv a job ``(op, payload)``, run the op, send the
+    """The child's loop: recv a job ``(op, body)``, serve it, send the
     outcome."""
     while True:
         try:
@@ -73,10 +89,10 @@ def _worker_main(conn) -> None:
         if job is None:  # polite shutdown sentinel
             return
         try:
-            conn.send(classify(execute, *job))
+            conn.send(serve(execute, *job))
         except (BrokenPipeError, OSError):
             return
-        # Kept as a loop variable, the finished payload would stay alive
+        # Kept as a loop variable, the finished job would stay alive
         # through the next recv, and the next job's design would be built
         # beside it: edit_loop read bimodal RSS and latency that way.
         del job
@@ -143,15 +159,19 @@ class WorkerSlot:
             except (BrokenPipeError, OSError):
                 pass
 
-    def run_blocking(self, op: str, payload: dict[str, Any]) -> tuple:
-        """Ship one job and block for its reply (called from a thread).
+    def run_blocking(self, op: str, body: bytes | dict[str, Any],
+                     sent: Callable[[], None] | None = None) -> tuple:
+        """Ship one job, call ``sent`` once it is on the pipe, and block
+        for its reply (called from a thread).
 
         Raises ``EOFError``/``OSError`` when the child dies mid-job.
         """
         conn = self._conn
         if conn is None or not self.alive:
             raise EOFError("worker process is not running")
-        conn.send((op, payload))
+        conn.send((op, body))
+        if sent is not None:
+            sent()
         return conn.recv()
 
 
@@ -182,22 +202,30 @@ class WorkerPool:
         return sum(slot.restarts for slot in self._slots)
 
     async def run(
-        self, op: str, payload: dict[str, Any], timeout: float | None = None
+        self,
+        op: str,
+        body: bytes | dict[str, Any],
+        timeout: float | None = None,
+        sent: asyncio.Event | None = None,
     ) -> tuple:
         """Run one op on the next free worker.
 
-        Returns the worker's outcome tuple (``("ok", ...)`` /
-        ``("user_error", ...)`` / ``("error", ...)``).  Raises
-        :class:`WorkerCrash`, :class:`WorkerTimeout`, or propagates
+        ``body`` is the raw request body (a dict is taken as already
+        parsed); ``sent``, if given, is set once the job is on the worker's
+        pipe.  Returns the worker's outcome tuple (see :func:`serve`).
+        Raises :class:`WorkerCrash`, :class:`WorkerTimeout`, or propagates
         :class:`asyncio.CancelledError` after killing the worker.
         """
         if self._closed:
             raise WorkerError("pool is closed")
         slot = await self._free.get()
         loop = asyncio.get_running_loop()
+        notify = None if sent is None else functools.partial(
+            loop.call_soon_threadsafe, sent.set
+        )
         try:
             future = loop.run_in_executor(
-                self._threads, slot.run_blocking, op, payload
+                self._threads, slot.run_blocking, op, body, notify
             )
             try:
                 outcome = await asyncio.wait_for(future, timeout)

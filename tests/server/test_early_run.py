@@ -114,8 +114,8 @@ def _recorded_replies(harness, monkeypatch) -> list[dict]:
     replies: list[dict] = []
     run = pool.run
 
-    async def recording(op, payload, timeout=None):
-        reply = await run(op, payload, timeout)
+    async def recording(*args, **kwargs):
+        reply = await run(*args, **kwargs)
         if reply[0] == "ok":
             replies.append(reply[1]["counters"])
         return reply
@@ -242,21 +242,25 @@ class TestEveryWorkerComesBack:
     def test_after_a_disconnect_before_the_run_reaches_a_worker(
         self, daemon_factory, project_doc, monkeypatch
     ):
+        """The run stalls short of the pipe.  It lets the key go as a handoff
+        would, so the key is new, the request waits on the run, and its
+        client's leaving cancels the run before any worker has the job."""
         harness = daemon_factory(workers=1)
         daemon = harness.daemon
-        real = daemon._run_op
+        real = daemon.pool.run
 
-        async def stalled(op, payload):
+        async def stalled(op, body, timeout=None, sent=None):
+            sent.set()
             await asyncio.sleep(60)
-            return await real(op, payload)
+            return await real(op, body, timeout, sent)
 
-        monkeypatch.setattr(daemon, "_run_op", stalled)
+        monkeypatch.setattr(daemon.pool, "run", stalled)
         raw = _abandoned_post(daemon.port, "/schedule", {"project": project_doc})
         _until(lambda: _server(harness)["ran_early"] == 1, "the early run")
         raw.close()
         _until(lambda: _server(harness)["disconnects"] == 1, "the disconnect")
         _until(lambda: _server(harness)["in_flight"] == 0, "the cancelled run")
-        monkeypatch.delattr(daemon, "_run_op")
+        monkeypatch.delattr(daemon.pool, "run")
         assert harness.client.healthz()["workers"]["restarts"] == 0, "a run was sent"
         _assert_recovered(harness, project_doc, "after-cancel")
 

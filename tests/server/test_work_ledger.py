@@ -114,8 +114,8 @@ def test_a_crash_loses_no_counted_work(daemon_factory, project_doc, monkeypatch)
     replies: list[dict] = []
     run = pool.run
 
-    async def recording(op, payload, timeout=None):
-        reply = await run(op, payload, timeout)
+    async def recording(*args, **kwargs):
+        reply = await run(*args, **kwargs)
         if reply[0] == "ok":
             replies.append(reply[1]["counters"])
         return reply
