@@ -102,7 +102,6 @@ class BangerProject:
         """Replace the scheduling view, evicting the old one's cache rows."""
         self._invalidate()
         self._flat = flat
-        self._flat_hash = flat.content_hash()
 
     # ------------------------------------------------------------------ #
     # step 2: the target machine
@@ -212,16 +211,18 @@ class BangerProject:
         return render_dataflow(self.design)
 
     def flat(self) -> TaskGraph:
-        """The flattened scheduling IR (cached until the design changes, and
-        hashed once: read it, do not edit it)."""
+        """The flattened scheduling IR (cached until the design changes:
+        read it, do not edit it)."""
         if self._flat is None:
             self._flat = flatten(self.design)
-            self._flat_hash = self._flat.content_hash()
         return self._flat
 
     def hashed_flat(self) -> tuple[TaskGraph, str]:
-        """:meth:`flat` and the content hash it was stored with."""
+        """:meth:`flat` and its content hash, computed on first demand and
+        kept with it."""
         flat = self.flat()
+        if self._flat_hash is None:
+            self._flat_hash = flat.content_hash()
         return flat, self._flat_hash
 
     def calibrate(self, inputs: dict[str, Any] | None = None) -> "BangerProject":

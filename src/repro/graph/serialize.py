@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graph.dataflow import DataflowGraph
 from repro.graph.node import StorageNode
-from repro.graph.taskgraph import TaskGraph
+from repro.graph.taskgraph import TaskGraph, TaskTable
 
 FORMAT_VERSION = 1
 
@@ -196,11 +196,27 @@ def taskgraph_to_dict(tg: TaskGraph) -> dict[str, Any]:
 
 
 def taskgraph_from_dict(data: dict[str, Any]) -> TaskGraph:
+    tg = _tasks_and_edges(TaskGraph, data)
+    (tg.graph_inputs, tg.graph_outputs, tg.input_values,
+     tg.input_sizes, tg.output_sizes) = _bindings(data)
+    return tg
+
+
+def tasktable_from_dict(data: dict[str, Any]) -> TaskTable:
+    """A taskgraph document's tasks and in-edges alone, refused wherever
+    :func:`taskgraph_from_dict` refuses the document: the same checks run,
+    and the graph-level bindings are read and dropped."""
+    table = _tasks_and_edges(TaskTable, data)
+    _bindings(data)
+    return table
+
+
+def _tasks_and_edges(kind: type[TaskTable], data: dict[str, Any]) -> Any:
     if data.get("type") != "taskgraph":
         raise GraphError(f"not a taskgraph document (type={data.get('type')!r})")
-    tg = TaskGraph(data.get("name", "taskgraph"))
+    table = kind(data.get("name", "taskgraph"))
     for entry in data.get("tasks", []):
-        tg.add_task(
+        table.add_task(
             entry["name"],
             work=entry.get("work", 1.0),
             label=entry.get("label", ""),
@@ -208,13 +224,20 @@ def taskgraph_from_dict(data: dict[str, Any]) -> TaskGraph:
             **(entry.get("meta") or {}),
         )
     for e in data.get("edges", []):
-        tg.add_edge(e["src"], e["dst"], e.get("var", ""), e.get("size", 1.0))
-    tg.graph_inputs = {k: list(v) for k, v in (data.get("graph_inputs") or {}).items()}
-    tg.graph_outputs = dict(data.get("graph_outputs") or {})
-    tg.input_values = {k: _decode_value(v) for k, v in (data.get("input_values") or {}).items()}
-    tg.input_sizes = dict(data.get("input_sizes") or {})
-    tg.output_sizes = dict(data.get("output_sizes") or {})
-    return tg
+        table.add_edge(e["src"], e["dst"], e.get("var", ""), e.get("size", 1.0))
+    return table
+
+
+def _bindings(data: dict[str, Any]) -> tuple:
+    """``(graph_inputs, graph_outputs, input_values, input_sizes,
+    output_sizes)`` of a taskgraph document."""
+    return (
+        {k: list(v) for k, v in (data.get("graph_inputs") or {}).items()},
+        dict(data.get("graph_outputs") or {}),
+        {k: _decode_value(v) for k, v in (data.get("input_values") or {}).items()},
+        dict(data.get("input_sizes") or {}),
+        dict(data.get("output_sizes") or {}),
+    )
 
 
 def taskgraph_to_json(tg: TaskGraph, indent: int | None = 2) -> str:

@@ -50,34 +50,22 @@ class TaskSpec:
     meta: dict[str, Any] = field(default_factory=dict)
 
 
-class TaskGraph:
-    """A weighted DAG of primitive tasks (the input to scheduling).
+class TaskTable:
+    """Tasks and the edges between them, checked as they are added.
 
-    Parameters
-    ----------
-    name:
-        Graph name, carried over from the design.
+    A :class:`TaskGraph` is a task table plus an edge list, graph-level
+    bindings and the algorithms.  On its own a table is what re-timing reads
+    of a saved schedule's embedded graph: each task's work and in-edges,
+    refused exactly where a graph would refuse them, without building the
+    rest.
     """
 
     def __init__(self, name: str = "taskgraph"):
         self.name = name
         self._tasks: dict[str, TaskSpec] = {}
-        self._edges: list[TaskEdge] = []
         self._succ: dict[str, list[TaskEdge]] = {}
         self._pred: dict[str, list[TaskEdge]] = {}
-        #: graph-level inputs: variable -> (consumer task names)
-        self.graph_inputs: dict[str, list[str]] = {}
-        #: graph-level outputs: variable -> producer task name
-        self.graph_outputs: dict[str, str] = {}
-        #: initial values for graph inputs (from storage nodes), if any
-        self.input_values: dict[str, Any] = {}
-        #: sizes (abstract units) of graph-level inputs and outputs
-        self.input_sizes: dict[str, float] = {}
-        self.output_sizes: dict[str, float] = {}
 
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
     def add_task(
         self,
         name: str,
@@ -102,17 +90,15 @@ class TaskGraph:
         for endpoint in (src, dst):
             if endpoint not in self._tasks:
                 raise GraphError(f"unknown task {endpoint!r} in task graph {self.name!r}")
-        edge = TaskEdge(src, dst, var=var, size=size)
-        if any(e.dst == dst and e.var == var for e in self._succ[src]):
-            raise GraphError(f"duplicate edge {src}->{dst} ({var!r})")
-        self._edges.append(edge)
-        self._succ[src].append(edge)
+        edge = TaskEdge(src, dst, var, size)
+        outgoing = self._succ[src]
+        for e in outgoing:
+            if e.dst == dst and e.var == var:
+                raise GraphError(f"duplicate edge {src}->{dst} ({var!r})")
+        outgoing.append(edge)
         self._pred[dst].append(edge)
         return edge
 
-    # ------------------------------------------------------------------ #
-    # inspection
-    # ------------------------------------------------------------------ #
     def __contains__(self, name: str) -> bool:
         return name in self._tasks
 
@@ -132,6 +118,47 @@ class TaskGraph:
     def task_names(self) -> list[str]:
         return list(self._tasks)
 
+    def work(self, name: str) -> float:
+        return self.task(name).work
+
+    def in_edges(self, name: str) -> list[TaskEdge]:
+        self.task(name)
+        return list(self._pred[name])
+
+
+class TaskGraph(TaskTable):
+    """A weighted DAG of primitive tasks (the input to scheduling).
+
+    Parameters
+    ----------
+    name:
+        Graph name, carried over from the design.
+    """
+
+    def __init__(self, name: str = "taskgraph"):
+        super().__init__(name)
+        self._edges: list[TaskEdge] = []
+        #: graph-level inputs: variable -> (consumer task names)
+        self.graph_inputs: dict[str, list[str]] = {}
+        #: graph-level outputs: variable -> producer task name
+        self.graph_outputs: dict[str, str] = {}
+        #: initial values for graph inputs (from storage nodes), if any
+        self.input_values: dict[str, Any] = {}
+        #: sizes (abstract units) of graph-level inputs and outputs
+        self.input_sizes: dict[str, float] = {}
+        self.output_sizes: dict[str, float] = {}
+
+    # ------------------------------------------------------------------ #
+    # construction
+    # ------------------------------------------------------------------ #
+    def add_edge(self, src: str, dst: str, var: str = "", size: float = 1.0) -> TaskEdge:
+        edge = super().add_edge(src, dst, var, size)
+        self._edges.append(edge)
+        return edge
+
+    # ------------------------------------------------------------------ #
+    # inspection
+    # ------------------------------------------------------------------ #
     @property
     def tasks(self) -> list[TaskSpec]:
         return list(self._tasks.values())
@@ -139,9 +166,6 @@ class TaskGraph:
     @property
     def edges(self) -> list[TaskEdge]:
         return list(self._edges)
-
-    def work(self, name: str) -> float:
-        return self.task(name).work
 
     def set_work(self, name: str, work: float) -> None:
         if work < 0:
@@ -159,10 +183,6 @@ class TaskGraph:
     def out_edges(self, name: str) -> list[TaskEdge]:
         self.task(name)
         return list(self._succ[name])
-
-    def in_edges(self, name: str) -> list[TaskEdge]:
-        self.task(name)
-        return list(self._pred[name])
 
     def edge(self, src: str, dst: str) -> TaskEdge:
         """The (first) edge ``src -> dst``; raises if absent."""

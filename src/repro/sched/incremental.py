@@ -3,13 +3,19 @@
 The paper's principle 4 demands instant feedback while a non-programmer
 edits a design — but every one-node edit used to pay for a full
 from-scratch reschedule.  This module diffs the edited graph against the
-previous ``(TaskGraph, Schedule)`` pair by content, finds the **dirty** task
-set (edited nodes, their downstream cone, and everything scheduled after
-them on the same processors), keeps the clean prefix of the schedule
-verbatim (:func:`repro.sched.core.replay_prefix`), and re-times only the
-dirty suffix with the kernel's one list pass
+previous schedule's graph task by task (:func:`same_signature`), finds the
+**dirty** task set (edited nodes, their downstream cone, and everything
+scheduled after them on the same processors), keeps the clean prefix of the
+schedule verbatim (:func:`repro.sched.core.replay_prefix`), and re-times
+only the dirty suffix with the kernel's one list pass
 (:func:`repro.sched.core.run_priority_list`, started from the replayed
 prefix) — this module owns the diff and the dirty closure, not a loop.
+
+The previous schedule is read as a :class:`BaseSchedule`: its placements,
+machine and scheduler name over its graph's tasks and in-edges.  A base
+read from a document (:func:`repro.sched.serialize.base_schedule_from_dict`)
+never builds its embedded graph or its messages; a :class:`Schedule` in
+hand reads as itself.
 
 Correctness story
 -----------------
@@ -33,7 +39,8 @@ Correctness story
   proof honest.
 * When nothing changed (equal graph content hashes) both entry points
   short-circuit to the previous schedule object — byte-identical by
-  construction.
+  construction.  A changed signature is changed content, so only an empty
+  diff pays for the two hashes.
 * Duplication (``dsh``) breaks the one-placement-per-task bookkeeping, so a
   duplicated previous schedule falls back to treating every task as dirty
   with its primary assignment — still deterministic, still feasible.
@@ -48,10 +55,11 @@ feasible input schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.approx import approx_ge
 from repro.errors import ScheduleError
-from repro.graph.taskgraph import TaskGraph
+from repro.graph.taskgraph import TaskGraph, TaskTable
 from repro.sched.core import KernelState, SchedKernel, replay_prefix, run_priority_list
 from repro.sched.schedule import Schedule
 
@@ -59,34 +67,37 @@ from repro.sched.schedule import Schedule
 NAME_SUFFIX = "+incremental"
 
 
-def task_signature(graph: TaskGraph, task: str) -> tuple:
-    """The scheduling-relevant content of one task: work + incoming edges.
+def same_signature(a: TaskTable, b: TaskTable, task: str) -> bool:
+    """Whether ``task`` has the same scheduling-relevant content in both:
+    its work and its incoming edges ``(src, var, size)`` as a multiset.
 
     Labels, program text, and metadata do not influence placement, so edits
-    to them dirty nothing; a work or in-edge change dirties the task.
+    to them dirty nothing; a work or in-edge change dirties the task.  The
+    in-edges are sorted only when they differ in order.
     """
-    return (
-        graph.work(task),
-        tuple(sorted((e.src, e.var, e.size) for e in graph.in_edges(task))),
-    )
+    if a.work(task) != b.work(task):
+        return False
+    ins_a = [(e.src, e.var, e.size) for e in a.in_edges(task)]
+    ins_b = [(e.src, e.var, e.size) for e in b.in_edges(task)]
+    return ins_a == ins_b or sorted(ins_a) == sorted(ins_b)
 
 
-def dirty_tasks(prev_graph: TaskGraph, new_graph: TaskGraph) -> set[str]:
+def dirty_tasks(prev_graph: TaskTable, new_graph: TaskGraph) -> set[str]:
     """Tasks of ``new_graph`` whose scheduling content differs from
     ``prev_graph`` (including tasks that did not exist before)."""
     prev_names = set(prev_graph.task_names)
     return {
         t
         for t in new_graph.task_names
-        if t not in prev_names
-        or task_signature(new_graph, t) != task_signature(prev_graph, t)
+        if t not in prev_names or not same_signature(prev_graph, new_graph, t)
     }
 
 
 def dirty_closure(
     prev_schedule: Schedule, new_graph: TaskGraph, seed: set[str]
 ) -> set[str]:
-    """Close ``seed`` under descendants and same-processor-later placement.
+    """Close ``seed`` (tasks of ``new_graph``) under descendants and
+    same-processor-later placement.
 
     Two rules, iterated to a fixed point:
 
@@ -96,19 +107,27 @@ def dirty_closure(
        previous schedule is dirty (re-timing its predecessor-in-timeline may
        move the processor tail underneath it).
 
-    The complement — the clean set — is then ancestor-closed and a
-    start-order prefix of every processor timeline, which is exactly what
-    verbatim prefix reuse needs.
+    Descendants are walked from each task as it turns dirty and the walk
+    stops at tasks already dirty, so the cone costs what it contains, not a
+    whole-graph closure.  The complement — the clean set — is then
+    ancestor-closed and a start-order prefix of every processor timeline,
+    which is exactly what verbatim prefix reuse needs.
     """
-    reach = new_graph.transitive_closure()
     dirty: set[str] = set()
+
+    def spread(task: str) -> None:
+        stack = [task]
+        while stack:
+            t = stack.pop()
+            if t not in dirty:
+                dirty.add(t)
+                stack.extend(new_graph.successors(t))
+
     for t in seed:
-        dirty.add(t)
-        dirty |= reach[t]
-    new_names = set(new_graph.task_names)
+        spread(t)
     timelines: list[list[str]] = []
     for proc in range(prev_schedule.n_procs):
-        names = [e.task for e in prev_schedule.timeline(proc) if e.task in new_names]
+        names = [e.task for e in prev_schedule.timeline(proc) if e.task in new_graph]
         if names:
             timelines.append(names)
     changed = True
@@ -120,11 +139,30 @@ def dirty_closure(
                 if t in dirty:
                     poisoned = True
                 elif poisoned:
-                    dirty.add(t)
-                    dirty |= reach[t]
+                    spread(t)
                     changed = True
-                    poisoned = True
-    return dirty & new_names
+    return dirty
+
+
+@dataclass(frozen=True)
+class BaseSchedule:
+    """The schedule an edit is re-timed against, as re-timing reads it.
+
+    ``placed`` carries the placements (per processor in start order), the
+    machine and the scheduler name over its graph's tasks and in-edges,
+    which is all a re-time reads, so its graph may be just a
+    :class:`~repro.graph.taskgraph.TaskTable`.  ``whole`` returns the
+    complete schedule, for the one answer that is the base itself: an
+    unchanged graph.
+    """
+
+    placed: Schedule
+    whole: Callable[[], Schedule]
+
+    @classmethod
+    def of(cls, schedule: Schedule) -> "BaseSchedule":
+        """A schedule in hand: its own placements, and itself whole."""
+        return cls(schedule, lambda: schedule)
 
 
 @dataclass(frozen=True)
@@ -144,20 +182,19 @@ class IncrementalResult:
 
 
 def _analyse(
-    prev_schedule: Schedule, new_graph: TaskGraph
+    prev_schedule: Schedule, new_graph: TaskGraph, seed: set[str]
 ) -> tuple[set[str], str | None]:
-    """The dirty set for an edit, plus the fallback reason if any."""
-    prev_graph = prev_schedule.graph
+    """The dirty set for an edit whose changed tasks are ``seed``, plus the
+    fallback reason if any."""
     if not prev_schedule.is_complete():
         raise ScheduleError(
             "incremental rescheduling needs a complete previous schedule "
-            f"(graph {prev_graph.name!r})"
+            f"(graph {prev_schedule.graph.name!r})"
         )
     if prev_schedule.has_duplication():
         # Duplicated copies break the one-slot-per-task timeline argument;
         # re-time everything against the primary assignment instead.
         return set(new_graph.task_names), "duplication"
-    seed = dirty_tasks(prev_graph, new_graph)
     return dirty_closure(prev_schedule, new_graph, seed), None
 
 
@@ -212,25 +249,28 @@ def _retime(
 
 
 def incremental_reschedule(
-    prev_schedule: Schedule, new_graph: TaskGraph, new_hash: str | None = None
+    prev: Schedule | BaseSchedule, new_graph: TaskGraph, new_hash: str | None = None
 ) -> IncrementalResult:
-    """Reschedule ``new_graph`` by editing ``prev_schedule`` in place(ment).
+    """Reschedule ``new_graph`` by editing the previous schedule in place(ment).
 
-    The machine is taken from the previous schedule — an edited *machine*
-    is a new scheduling problem, not an incremental one.  Returns the new
-    schedule plus reuse accounting; byte-identical to
-    :func:`full_reschedule` always, and to the previous schedule itself
-    when the graph content is unchanged.  ``new_hash`` is
-    ``new_graph.content_hash()`` from a caller that already holds it.
+    ``prev`` is the previous schedule, or a :class:`BaseSchedule` read of
+    one.  The machine is taken from it — an edited *machine* is a new
+    scheduling problem, not an incremental one.  Returns the new schedule
+    plus reuse accounting; byte-identical to :func:`full_reschedule`
+    always, and to the previous schedule itself when the graph content is
+    unchanged.  Only when no task's signature changed are the two content
+    hashes compared (``new_hash`` is ``new_graph.content_hash()`` from a
+    caller that already holds it) and the whole previous schedule read.
     """
+    base = prev if isinstance(prev, BaseSchedule) else BaseSchedule.of(prev)
     n_tasks = len(new_graph)
-    new_hash = new_hash or new_graph.content_hash()
-    if new_hash == prev_schedule.graph.content_hash():
-        return IncrementalResult(
-            prev_schedule, n_tasks, 0, n_tasks, unchanged=True
-        )
-    dirty, fallback = _analyse(prev_schedule, new_graph)
-    schedule = _retime(prev_schedule, new_graph, dirty, reuse_prefix=True)
+    seed = dirty_tasks(base.placed.graph, new_graph)
+    if not seed:
+        whole = base.whole()
+        if (new_hash or new_graph.content_hash()) == whole.graph.content_hash():
+            return IncrementalResult(whole, n_tasks, 0, n_tasks, unchanged=True)
+    dirty, fallback = _analyse(base.placed, new_graph, seed)
+    schedule = _retime(base.placed, new_graph, dirty, reuse_prefix=True)
     return IncrementalResult(
         schedule,
         n_tasks,
@@ -248,5 +288,6 @@ def full_reschedule(prev_schedule: Schedule, new_graph: TaskGraph) -> Schedule:
     """
     if new_graph.content_hash() == prev_schedule.graph.content_hash():
         return prev_schedule
-    dirty, _ = _analyse(prev_schedule, new_graph)
+    seed = dirty_tasks(prev_schedule.graph, new_graph)
+    dirty, _ = _analyse(prev_schedule, new_graph, seed)
     return _retime(prev_schedule, new_graph, dirty, reuse_prefix=False)

@@ -55,10 +55,14 @@ class Message:
     route: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.finish < self.start:
-            raise ScheduleError(
-                f"message {self.src_task}->{self.dst_task}: finish before start"
-            )
+        check_transfer(self.src_task, self.dst_task, self.start, self.finish)
+
+
+def check_transfer(src_task: str, dst_task: str, start: float, finish: float) -> None:
+    """:class:`Message`'s one check, for callers that read a message without
+    keeping it: a transfer may not finish before it starts."""
+    if finish < start:
+        raise ScheduleError(f"message {src_task}->{dst_task}: finish before start")
 
 
 class Schedule:

@@ -36,9 +36,15 @@ from repro.errors import CodegenError, ReproError, ScheduleError
 from repro.graph.serialize import _encode_value, fingerprint
 from repro.lint import lint_project, to_json
 from repro.machine.scenario import FaultScenario
-from repro.sched.incremental import incremental_reschedule
+from repro.sched.incremental import IncrementalResult, incremental_reschedule
 from repro.sched.registry import resolve_scheduler, scheduler_cache_key
-from repro.sched.serialize import schedule_from_dict, schedule_to_dict
+# ``schedule_from_dict`` is not called here any more, but stays importable
+# from this module: bench/trace.py wraps it here as a layer boundary.
+from repro.sched.serialize import (  # noqa: F401
+    base_schedule_from_dict,
+    schedule_from_dict,
+    schedule_to_dict,
+)
 from repro.sched.service import ScheduleRequest
 # The process-wide ScheduleService every op schedules through.  Worker
 # processes each hold one, so repeated misses that land on the same worker
@@ -147,11 +153,16 @@ def lint_options(raw: dict[str, Any]) -> dict[str, Any]:
 
 
 def schedule_options(raw: dict[str, Any]) -> dict[str, Any]:
-    """``base_schedule`` comes back parsed: the schedule to re-time against."""
+    """``base_schedule`` comes back read as the base to re-time against
+    (:func:`base_schedule_from_dict`): its placements, machine, scheduler
+    name and each embedded task's work and in-edges, never a second graph.
+    It is refused here, before any run, wherever
+    :func:`schedule_from_dict` would refuse the document, messages
+    included."""
     base = _option(raw, "base_schedule", dict, "a saved schedule document")
     if base is not None:
         try:
-            base = schedule_from_dict(base)
+            base = base_schedule_from_dict(base)
         except ReproError as exc:
             raise OpError(f"malformed base_schedule: {exc}") from None
     return {
@@ -245,15 +256,29 @@ def lint_failed(report, opts: dict[str, Any]) -> bool:
 
 
 def run_schedule(project: BangerProject, opts: dict[str, Any]):
-    """``(schedule, incremental result or None)``."""
+    """``(schedule, incremental result or None)``.
+
+    A base made on another machine than the project's is a new scheduling
+    problem, not an edit: it is scheduled from scratch and reported as the
+    ``"cold"`` fallback, as :meth:`BangerProject.reschedule` reports it.
+    """
     base = opts["base_schedule"]
     if base is None:
         return project.schedule(opts["scheduler"]), None
+    machine = project.machine
+    if machine is not None and (
+        machine.content_hash() != base.placed.machine.content_hash()
+    ):
+        schedule = project.schedule(opts["scheduler"])
+        n_tasks = len(schedule.graph)
+        return schedule, IncrementalResult(
+            schedule, n_tasks, n_tasks, 0, fallback="cold"
+        )
     # Edit-loop path: re-time against the client's previous schedule
     # instead of scheduling from scratch.  The base document is part of
     # the coalesce key, so identical edits still share one computation.
     try:
-        result = incremental_reschedule(base, *project.hashed_flat())
+        result = incremental_reschedule(base, project.flat())
     except ReproError as exc:
         raise OpError(f"incremental reschedule failed: {exc}") from None
     return result.schedule, result

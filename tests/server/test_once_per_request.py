@@ -2,8 +2,10 @@
 
 One ``/sweep`` used to hash its flat graph 7 times (2 for the key, 1 in
 ``flat()``, 1 per scheduler's batch), index it 16 times and level it 12;
-``/schedule`` hashed it twice and thrice with a ``base_schedule``.  The
-counts below are taken by wrapping the functions themselves.
+``/schedule`` hashed it twice and thrice with a ``base_schedule``.  An edit
+against a base then still built the base's graph a second time, hashed
+both graphs and took the new one's whole transitive closure.  The counts
+below are taken by wrapping the functions themselves.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.graph.generators import as_dataflow, random_layered
 from repro.graph.taskgraph import TaskGraph
 from repro.machine import MachineParams
 from repro.sched import core
+from repro.sched import serialize
 from repro.sched import service as service_module
 from repro.sched.serialize import schedule_to_dict
 from repro.server import ops
@@ -73,15 +76,52 @@ def test_a_schedule_hashes_the_graph_once(counts):
     assert (counts["hashes"], counts["tables"]) == (1, 1)
 
 
-def test_a_schedule_against_a_base_hashes_each_graph_once(counts):
+@pytest.fixture
+def builds(monkeypatch):
+    """Inside one op: ``TaskGraph`` instances built, ``transitive_closure``
+    calls, and whole-schedule reads (``schedule_from_dict``, wherever the
+    op looks it up)."""
+    seen = {"graphs": 0, "closures": 0, "schedule_from_dict": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        TaskGraph, "__init__", counting("graphs", TaskGraph.__init__))
+    monkeypatch.setattr(TaskGraph, "transitive_closure",
+                        counting("closures", TaskGraph.transitive_closure))
+    whole = counting("schedule_from_dict", serialize.schedule_from_dict)
+    monkeypatch.setattr(serialize, "schedule_from_dict", whole)
+    monkeypatch.setattr(ops, "schedule_from_dict", whole)
+    return seen
+
+
+def _against_a_base(counts, builds, work_of_r3):
     base = schedule_to_dict(_project().schedule("mh"))
-    for name in counts:
-        counts[name] = 0
-    reply = ops.execute("schedule", {
-        "project": _project(work_of_r3=99.0).to_dict(), "base_schedule": base,
-    })
-    assert reply["result"]["incremental"]["unchanged"] is False
-    assert counts["hashes"] == 2  # the edited graph's, the base's
+    payload = {"project": _project(work_of_r3).to_dict(), "base_schedule": base}
+    for seen in (counts, builds):
+        for name in seen:
+            seen[name] = 0
+    return ops.execute("schedule", payload)["result"]["incremental"]
+
+
+def test_a_schedule_against_a_base_hashes_each_graph_once(counts, builds):
+    """An unchanged design is the one case that compares content hashes:
+    the edit's graph and the base's, read whole."""
+    assert _against_a_base(counts, builds, None)["unchanged"] is True
+    assert counts["hashes"] == 2
+    assert builds == {"graphs": 2, "closures": 0, "schedule_from_dict": 1}
+
+
+def test_an_edit_against_a_base_builds_one_graph_and_hashes_none(counts, builds):
+    """A changed task cannot be an unchanged graph: the base is read against
+    the request's own flat graph, and nothing is hashed."""
+    assert _against_a_base(counts, builds, 99.0)["unchanged"] is False
+    assert counts["hashes"] == 0
+    assert builds == {"graphs": 1, "closures": 0, "schedule_from_dict": 0}
 
 
 def test_a_sweep_hashes_indexes_and_levels_its_graph_once(counts):
@@ -92,6 +132,18 @@ def test_a_sweep_hashes_indexes_and_levels_its_graph_once(counts):
     assert reply["counters"]["sched_runs"] == len(SCHEDULERS) * len(SIZES)
     assert reply["counters"]["kernel_builds"] >= len(SCHEDULERS) * len(SIZES)
     assert counts == {"hashes": 1, "tables": 1, "level_passes": 1, "parallelism": 1}
+
+
+def test_flat_hashes_on_first_demand_and_a_sweep_still_hashes_once(counts):
+    project = _project()
+    project.flat()
+    assert counts["hashes"] == 0
+    assert project.fingerprints()["graph"] == project.hashed_flat()[1]
+    assert counts["hashes"] == 1
+    payload = {"project": project.to_dict(), "schedulers": SCHEDULERS}
+    ops.coalesce_key("sweep", payload)
+    ops.execute("sweep", payload)
+    assert counts["hashes"] == 3  # one more for the key, one for the run
 
 
 def test_a_sweep_answers_what_one_scheduler_at_a_time_answers(counts):
