@@ -469,6 +469,36 @@ class BangerProject:
             project.machine = TargetMachine.from_dict(doc["machine"])
         return project
 
+    @classmethod
+    def from_parts(
+        cls,
+        name: str,
+        design: DataflowGraph,
+        machine: TargetMachine | None = None,
+        flat: TaskGraph | None = None,
+        flat_hash: str | None = None,
+        service: ScheduleService | None = None,
+    ) -> "BangerProject":
+        """A project over parts already built, as :meth:`parts` returns them.
+
+        ``flat`` is taken as :meth:`flat` of ``design`` and ``flat_hash`` as
+        its content hash, unchecked: a host that patches what it built for
+        an earlier request hands them in rather than flattening again.
+        """
+        project = cls(name, service=service)
+        project.design = design
+        project.machine = machine
+        project._flat = flat
+        project._flat_hash = flat_hash if flat is not None else None
+        return project
+
+    def parts(
+        self,
+    ) -> tuple[DataflowGraph, TargetMachine | None, TaskGraph | None, str | None]:
+        """``(design, machine, flat, flat_hash)``; the flat graph and its hash
+        are ``None`` until first demanded."""
+        return self.design, self.machine, self._flat, self._flat_hash
+
     def fingerprints(self) -> dict[str, str | None]:
         """Content hashes of the scheduling inputs this project implies.
 

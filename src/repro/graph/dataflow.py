@@ -345,6 +345,28 @@ class DataflowGraph:
             g._pred[arc.dst].append(arc)
         return g
 
+    def replaced(
+        self,
+        nodes: dict[str, TaskNode] | None = None,
+        subgraphs: dict[str, "DataflowGraph"] | None = None,
+    ) -> "DataflowGraph":
+        """A new graph equal to this one but for the named ``nodes`` and
+        composite ``subgraphs``, each put in place of the one of its name.
+
+        Only fields may change this way, never structure: the caller keeps
+        every name, kind and port, so the result needs no new validation.
+        Arcs are copied; every other node and subgraph is shared with this
+        graph, so neither graph may then be edited (:meth:`copy` is the
+        graph to edit).
+        """
+        g = DataflowGraph(self.name, inputs=self.inputs, outputs=self.outputs)
+        g._nodes = {**self._nodes, **(nodes or {})}
+        g._arcs = list(self._arcs)
+        g._succ = {name: list(arcs) for name, arcs in self._succ.items()}
+        g._pred = {name: list(arcs) for name, arcs in self._pred.items()}
+        g._subgraphs = {**self._subgraphs, **(subgraphs or {})}
+        return g
+
     def __repr__(self) -> str:
         return (
             f"DataflowGraph({self.name!r}, nodes={len(self._nodes)}, "

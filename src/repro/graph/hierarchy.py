@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.errors import GraphError
 from repro.graph.dataflow import DataflowGraph
 from repro.graph.node import NodeKind, TaskNode
-from repro.graph.taskgraph import TaskGraph
+from repro.graph.taskgraph import TaskGraph, TaskSpec
 
 #: Separator between a composite node's name and its children's names.
 SCOPE_SEP = "."
@@ -223,3 +223,19 @@ def flatten(graph: DataflowGraph, validate: bool = True) -> TaskGraph:
             add_edge(arc.src, arc.dst, arc.var, arc.size)
 
     return tg
+
+
+def patch_flat(flat: TaskGraph, tasks: dict[str, TaskNode]) -> TaskGraph:
+    """:func:`flatten` of a design that differs from the one ``flat`` was
+    flattened from only in the fields of some primitive tasks.
+
+    ``tasks`` maps each such task's flat name (``composite.child``) to its
+    new node.  Storage, arcs and ports are equal, so the edges and bindings
+    are too: the result is a new graph with those tasks replaced
+    (:meth:`TaskGraph.replaced`), and ``flat`` is left as it was.
+    """
+    return flat.replaced({
+        name: TaskSpec(name, work=node.work, label=node.label,
+                       program=node.program, meta=dict(node.meta))
+        for name, node in tasks.items()
+    })

@@ -15,6 +15,7 @@ kinds plus one arc type here:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -45,6 +46,19 @@ def _check_name(name: str) -> str:
     if name.split() != [name]:
         raise GraphError(f"node name may not contain whitespace: {name!r}")
     return name
+
+
+def check_finite(value: float, what: str) -> None:
+    """Refuse a NaN or infinite ``value``, or an int too large for a float:
+    a reply would echo it, or what it computes, as the ``NaN`` /
+    ``Infinity`` tokens JSON does not have.  Called after the range check,
+    so a value that is no number fails as it always has."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise GraphError(f"{what} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -82,6 +96,7 @@ class TaskNode:
             raise GraphError(f"TaskNode {self.name!r} cannot have kind STORAGE")
         if self.work < 0:
             raise GraphError(f"task {self.name!r}: work must be >= 0, got {self.work}")
+        check_finite(self.work, f"task {self.name!r}: work")
 
     @property
     def is_composite(self) -> bool:
@@ -125,6 +140,7 @@ class StorageNode:
             self.data = self.name
         if self.size <= 0:
             raise GraphError(f"storage {self.name!r}: size must be > 0, got {self.size}")
+        check_finite(self.size, f"storage {self.name!r}: size")
 
     def __hash__(self) -> int:
         return hash(self.name)
@@ -151,6 +167,7 @@ class Arc:
             raise GraphError(f"self-loop arc on {self.src!r} is not allowed")
         if self.size < 0:
             raise GraphError(f"arc {self.src}->{self.dst}: size must be >= 0")
+        check_finite(self.size, f"arc {self.src}->{self.dst}: size")
 
     def renamed(self, src: str | None = None, dst: str | None = None) -> "Arc":
         """Return a copy with endpoints replaced (used during flattening)."""

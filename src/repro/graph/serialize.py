@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.dataflow import DataflowGraph
-from repro.graph.node import StorageNode
+from repro.graph.node import StorageNode, TaskNode
 from repro.graph.taskgraph import TaskGraph, TaskTable
 
 FORMAT_VERSION = 1
@@ -139,13 +139,7 @@ def dataflow_from_dict(data: dict[str, Any]) -> DataflowGraph:
                 **(entry.get("meta") or {}),
             )
         elif kind == "task":
-            g.add_task(
-                entry["name"],
-                label=entry.get("label", ""),
-                work=entry.get("work", 1.0),
-                program=entry.get("program"),
-                **(entry.get("meta") or {}),
-            )
+            _add_task(g, entry)
         elif kind == "composite":
             sub = dataflow_from_dict(entry["subgraph"])
             g.add_composite(entry["name"], sub, label=entry.get("label", ""),
@@ -155,6 +149,22 @@ def dataflow_from_dict(data: dict[str, Any]) -> DataflowGraph:
     for arc in data.get("arcs", []):
         g.connect(arc["src"], arc["dst"], arc.get("var", ""), arc.get("size"))
     return g
+
+
+def _add_task(graph: DataflowGraph, entry: dict[str, Any]) -> TaskNode:
+    return graph.add_task(
+        entry["name"],
+        label=entry.get("label", ""),
+        work=entry.get("work", 1.0),
+        program=entry.get("program"),
+        **(entry.get("meta") or {}),
+    )
+
+
+def task_node_from_dict(entry: dict[str, Any]) -> TaskNode:
+    """One ``task`` entry of a design document as its node, built and
+    refused by the very call :func:`dataflow_from_dict` makes."""
+    return _add_task(DataflowGraph(), entry)
 
 
 def dataflow_to_json(graph: DataflowGraph, indent: int | None = 2) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.errors import CycleError, GraphError
-from repro.graph.node import DEFAULT_WORK
+from repro.graph.node import DEFAULT_WORK, check_finite
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ class TaskEdge:
             raise GraphError(f"self-loop edge on {self.src!r}")
         if self.size < 0:
             raise GraphError(f"edge {self.src}->{self.dst}: negative size")
+        check_finite(self.size, f"edge {self.src}->{self.dst}: size")
 
 
 @dataclass
@@ -78,6 +79,7 @@ class TaskTable:
             raise GraphError(f"duplicate task {name!r} in task graph {self.name!r}")
         if work < 0:
             raise GraphError(f"task {name!r}: work must be >= 0")
+        check_finite(work, f"task {name!r}: work")
         spec = TaskSpec(name, work=work, label=label, program=program, meta=meta)
         self._tasks[name] = spec
         self._succ[name] = []
@@ -170,6 +172,7 @@ class TaskGraph(TaskTable):
     def set_work(self, name: str, work: float) -> None:
         if work < 0:
             raise GraphError(f"task {name!r}: work must be >= 0")
+        check_finite(work, f"task {name!r}: work")
         self.task(name).work = work
 
     def successors(self, name: str) -> list[str]:
@@ -274,6 +277,28 @@ class TaskGraph(TaskTable):
             g.add_task(spec.name, spec.work, spec.label, spec.program, **_copy.deepcopy(spec.meta))
         for e in self._edges:
             g.add_edge(e.src, e.dst, e.var, e.size)
+        g.graph_inputs = {k: list(v) for k, v in self.graph_inputs.items()}
+        g.graph_outputs = dict(self.graph_outputs)
+        g.input_values = dict(self.input_values)
+        g.input_sizes = dict(self.input_sizes)
+        g.output_sizes = dict(self.output_sizes)
+        return g
+
+    def replaced(self, tasks: dict[str, TaskSpec]) -> "TaskGraph":
+        """A new graph equal to this one but for ``tasks``, each spec put in
+        place of the task of its name (names must exist here).
+
+        Edges and bindings are copied; the untouched specs are shared, so
+        neither graph may then be edited (:meth:`copy` is the graph to
+        edit).  Costs what copying the dicts costs, not a rebuild.
+        """
+        for name in tasks:
+            self.task(name)
+        g = TaskGraph(self.name)
+        g._tasks = {**self._tasks, **tasks}
+        g._succ = {name: list(edges) for name, edges in self._succ.items()}
+        g._pred = {name: list(edges) for name, edges in self._pred.items()}
+        g._edges = list(self._edges)
         g.graph_inputs = {k: list(v) for k, v in self.graph_inputs.items()}
         g.graph_outputs = dict(self.graph_outputs)
         g.input_values = dict(self.input_values)

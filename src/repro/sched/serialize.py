@@ -96,6 +96,13 @@ def base_schedule_from_dict(data: dict[str, Any]) -> BaseSchedule:
     whole schedule is read from the document only if asked for.
     """
     placed, _ = _read(data, tasktable_from_dict)
+    return base_schedule_over(placed, data)
+
+
+def base_schedule_over(placed: Schedule, data: dict[str, Any]) -> BaseSchedule:
+    """The :class:`BaseSchedule` of ``data`` whose placements are ``placed``,
+    read earlier from ``data`` or from a document equal to it; the whole
+    schedule is read from ``data`` only if asked for."""
     return BaseSchedule(placed, partial(schedule_from_dict, data))
 
 

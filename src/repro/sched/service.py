@@ -159,6 +159,8 @@ class ServiceStats:
     reactive_rounds: int = 0
     dynamic_sims: int = 0
     stranded_tasks: int = 0
+    graph_patched: int = 0
+    graph_cold: int = 0
 
     @property
     def hit_rate(self) -> float:

@@ -18,14 +18,15 @@ parse through a body-hash memo.  The daemon hands a worker the raw body
 and gets back the reply bytes the worker encoded, so it parses a body only
 in its key job, off the loop.
 
-Keying a new body inflates its project, and so does the worker that runs
-it.  When no computation is in flight, the daemon writes the request's job
-to a worker *before* its key job starts, so the two run side by side; the
-key job waits for that handoff, never for the run, and then only decides
-who waits for the run.  A new key makes it the key's in-flight
-computation; a cache hit, a coalesced wait or a 400 answers at once, and
-the run finishes with nobody waiting, its work still counted.  The gate
-keeps the overlap to capacity nobody else is using.
+Keying a new body builds its project, and so does the worker that runs
+it; each patches what it built for its last request when only task fields
+changed (:mod:`repro.server.memo`).  When no computation is in flight, the
+daemon writes the request's job to a worker *before* its key job starts,
+so the two run side by side; the key job waits for that handoff, never for
+the run, and then only decides who waits for the run.  A new key makes it
+the key's in-flight computation; a cache hit, a coalesced wait or a 400
+answers at once, and the run finishes with nobody waiting, its work still
+counted.  The gate keeps the overlap to capacity nobody else is using.
 
 Failure semantics (documented in ``docs/server.md``, asserted by
 ``tests/server/``): payload problems are 400; backpressure is 503 with
@@ -45,6 +46,7 @@ import signal
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable
 
@@ -52,6 +54,7 @@ from repro import __version__
 from repro.errors import ReproError
 from repro.lru import LRU
 from repro.server import ops as ops_mod
+from repro.server.memo import RequestMemo
 from repro.server.metrics import ServerMetrics
 from repro.server.ops import DEBUG_OPS, PROJECT_OPS, coalesce_key, execute
 from repro.server.protocol import (
@@ -124,10 +127,12 @@ def _default_access_log(record: dict[str, Any]) -> None:
     print(json.dumps(record, sort_keys=True), file=sys.stderr, flush=True)
 
 
-def _parse_and_key(op: str, body: bytes) -> str:
+def _parse_and_key(op: str, body: bytes, memo: RequestMemo | None = None) -> str:
     """The key job, on a key thread: the daemon's one parse of a compute
-    request's body."""
-    return coalesce_key(op, parse_body(body))
+    request's body, keyed with the key jobs' ``memo`` when it is free."""
+    payload = parse_body(body)
+    with nullcontext() if memo is None else memo.serving(payload):
+        return coalesce_key(op, payload)
 
 
 class BangerDaemon:
@@ -204,6 +209,11 @@ class BangerDaemon:
         self.pool: WorkerPool | None = None
         self._inline: ThreadPoolExecutor | None = None
         self._keys: ThreadPoolExecutor | None = None
+        # What the inline slot and the key jobs each built for their last
+        # request; a worker process keeps its own.  Key jobs count nothing:
+        # the inline op's counter window must hold its own work alone.
+        self._inline_memo = RequestMemo()
+        self._key_memo = RequestMemo(counted=False)
         self._server: asyncio.AbstractServer | None = None
         self._started = time.monotonic()
 
@@ -604,7 +614,7 @@ class BangerDaemon:
         else:
             loop = asyncio.get_running_loop()
             future = loop.run_in_executor(
-                self._inline, serve, execute, op, body
+                self._inline, serve, execute, op, body, self._inline_memo
             )
             try:
                 reply = await asyncio.wait_for(
@@ -680,7 +690,7 @@ class BangerDaemon:
         if handoff is not None:
             await handoff.wait()
         return await asyncio.get_running_loop().run_in_executor(
-            self._keys, _parse_and_key, op, body
+            self._keys, _parse_and_key, op, body, self._key_memo
         )
 
     # ------------------------------------------------------------------ #

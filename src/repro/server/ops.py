@@ -46,6 +46,7 @@ from repro.sched.serialize import (  # noqa: F401
     schedule_to_dict,
 )
 from repro.sched.service import ScheduleRequest
+from repro.server.memo import base_of, project_of
 # The process-wide ScheduleService every op schedules through.  Worker
 # processes each hold one, so repeated misses that land on the same worker
 # still reuse its kernel/schedule caches; the daemon's inline thread uses
@@ -63,12 +64,19 @@ class OpError(ReproError):
 # --------------------------------------------------------------------- #
 # option validators: the one place an option is typed, defaulted, refused
 # --------------------------------------------------------------------- #
+def _inflate(doc: dict[str, Any]) -> BangerProject:
+    return BangerProject.from_dict(doc, service=shared_service())
+
+
 def _project_from_payload(payload: dict[str, Any]) -> BangerProject:
+    """The payload's project, as built by the daemon's job function when it
+    serves this payload through its :class:`~repro.server.memo.RequestMemo`,
+    else inflated from the document."""
     doc = payload.get("project")
     if not isinstance(doc, dict):
         raise OpError("payload must carry a 'project' object (a saved project "
                       "document, as produced by BangerProject.save)")
-    return BangerProject.from_dict(doc, service=shared_service())
+    return project_of(doc, _inflate)
 
 
 def whole(value: Any) -> bool:
@@ -162,7 +170,7 @@ def schedule_options(raw: dict[str, Any]) -> dict[str, Any]:
     base = _option(raw, "base_schedule", dict, "a saved schedule document")
     if base is not None:
         try:
-            base = base_schedule_from_dict(base)
+            base = base_of(base, base_schedule_from_dict)
         except ReproError as exc:
             raise OpError(f"malformed base_schedule: {exc}") from None
     return {

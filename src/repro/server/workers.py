@@ -26,6 +26,13 @@ with the daemon's own parser, runs :func:`repro.server.ops.execute`, and
 sends back the reply already encoded as response bytes, beside the work
 counters the daemon aggregates into ``/metrics``.  The daemon routes bytes;
 the process that does the work also decodes and encodes it.
+
+Each worker keeps what it built for its last request in a
+:class:`~repro.server.memo.RequestMemo`: the design, machine, flat graph
+and base placements, with signatures of the documents they came from.  The
+slot freed last takes the next job, so an editing client's next edit lands
+on the worker that holds its last one, and costs the nodes it changed
+rather than the whole design.
 """
 
 from __future__ import annotations
@@ -36,9 +43,11 @@ import multiprocessing as mp
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from typing import Any, Callable
 
 from repro.errors import ReproError
+from repro.server.memo import RequestMemo
 from repro.server.ops import execute
 from repro.server.protocol import json_body, parse_body
 
@@ -56,21 +65,27 @@ class WorkerTimeout(WorkerError):
 
 
 def serve(run: Callable[[str, dict[str, Any]], Any], op: str,
-          body: bytes | dict[str, Any]) -> tuple:
+          body: bytes | dict[str, Any], memo: RequestMemo | None = None) -> tuple:
     """One job: parse ``body``, ``run`` the op on it, encode the reply.
 
     Returns the outcome tuple a worker sends up its pipe and the daemon's
     inline mode builds in a thread: ``("ok", {"body": <response bytes>,
     "counters": {...}})``, ``("user_error", kind, message)`` for a
     :class:`ReproError` (a body the parser refuses included), or
-    ``("error", kind, message + traceback)``.  A dict ``body`` is taken as
-    already parsed.
+    ``("error", kind, message + traceback)``.  With a ``memo`` the op
+    patches what the memo's last request built (:mod:`repro.server.memo`).
+    A dict ``body`` is taken as already parsed, and never memoized: only a
+    document parsed here is sure to stay as it was.
     """
     try:
-        payload = body if isinstance(body, dict) else parse_body(body)
-        reply = run(op, payload)
-        return ("ok", {"body": json_body(reply["result"]),
-                       "counters": reply["counters"]})
+        if isinstance(body, dict):
+            payload, memo = body, None
+        else:
+            payload = parse_body(body)
+        with nullcontext() if memo is None else memo.serving(payload):
+            reply = run(op, payload)
+            encoded = json_body(reply["result"])
+        return ("ok", {"body": encoded, "counters": reply["counters"]})
     except ReproError as exc:
         return ("user_error", type(exc).__name__, str(exc))
     except Exception as exc:  # noqa: BLE001 - reported, never raised
@@ -79,8 +94,9 @@ def serve(run: Callable[[str, dict[str, Any]], Any], op: str,
 
 
 def _worker_main(conn) -> None:
-    """The child's loop: recv a job ``(op, body)``, serve it, send the
-    outcome."""
+    """The child's loop: recv a job ``(op, body)``, serve it with the
+    worker's own memo (empty at every start), send the outcome."""
+    memo = RequestMemo()
     while True:
         try:
             job = conn.recv()
@@ -89,12 +105,12 @@ def _worker_main(conn) -> None:
         if job is None:  # polite shutdown sentinel
             return
         try:
-            conn.send(serve(execute, *job))
+            conn.send(serve(execute, *job, memo=memo))
         except (BrokenPipeError, OSError):
             return
-        # Kept as a loop variable, the finished job would stay alive
-        # through the next recv, and the next job's design would be built
-        # beside it: edit_loop read bimodal RSS and latency that way.
+        # The memo keeps what the request built, not what it sent: kept as
+        # a loop variable, the finished body would stay alive through the
+        # next recv and sit beside the next one in RSS.
         del job
 
 
