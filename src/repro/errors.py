@@ -9,6 +9,7 @@ location) because "instant feedback" is one of the paper's three goals.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Any, Iterator
 
 
@@ -32,6 +33,19 @@ def malformed_as(error: type[ReproError], what: str) -> Iterator[None]:
         yield
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise error(f"malformed {what} document: {exc!r}") from None
+
+
+def check_finite(value: float, what: str, error: type[ReproError]) -> None:
+    """Refuse a NaN or infinite ``value``, or an int too large for a float,
+    as ``error``: a reply would echo it, or what it computes, as the
+    ``NaN`` / ``Infinity`` tokens JSON does not have.  Called after the
+    range check, so a value that is no number fails as it always has."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise error(f"{what} must be a finite number, got {value!r}")
 
 
 class GraphError(ReproError):

@@ -23,8 +23,9 @@ Terminology follows the scheduling literature the paper builds on:
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Collection
 
+from repro.errors import GraphError
 from repro.graph.taskgraph import TaskEdge, TaskGraph
 
 ExecTime = Callable[[str], float]
@@ -64,17 +65,46 @@ def b_levels(
     tg: TaskGraph,
     exec_time: ExecTime | None = None,
     comm_cost: CommCost | None = None,
+    tasks: Collection[str] | None = None,
 ) -> dict[str, float]:
-    """Bottom level of every task (longest outgoing path, task included)."""
+    """Bottom level of every task (longest outgoing path, task included).
+
+    With ``tasks`` — which must be closed under successors — only their
+    levels are computed, each exactly as the whole-graph pass computes it:
+    a task's level reads only its successors' levels.
+    """
     exec_time = exec_time or _default_exec(tg)
     comm_cost = comm_cost if comm_cost is not None else _default_comm
+    order = reversed(tg.topological_order()) if tasks is None else _sinks_first(tg, tasks)
     bl: dict[str, float] = {}
-    for t in reversed(tg.topological_order()):
+    for t in order:
         bl[t] = exec_time(t) + max(
             (comm_cost(e) + bl[e.dst] for e in tg.out_edges(t)),
             default=0.0,
         )
     return bl
+
+
+def _sinks_first(tg: TaskGraph, tasks: Collection[str]) -> list[str]:
+    """``tasks``, closed under successors, each after all its successors:
+    a reverse Kahn sort that visits the set's own edges only."""
+    waiting = {t: len(tg.out_edges(t)) for t in tasks}
+    ready = [t for t, n in waiting.items() if n == 0]
+    order: list[str] = []
+    while ready:
+        t = ready.pop()
+        order.append(t)
+        for e in tg.in_edges(t):
+            if e.src in waiting:
+                waiting[e.src] -= 1
+                if waiting[e.src] == 0:
+                    ready.append(e.src)
+    if len(order) != len(waiting):
+        raise GraphError(
+            f"task graph {tg.name!r}: the tasks asked for are not closed under "
+            "successors, or contain a cycle"
+        )
+    return order
 
 
 def static_levels(tg: TaskGraph, exec_time: ExecTime | None = None) -> dict[str, float]:

@@ -15,11 +15,10 @@ kinds plus one arc type here:
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import GraphError
+from repro.errors import GraphError, check_finite
 
 #: Default size (abstract data units) attributed to a variable flowing along
 #: an arc when the designer does not give one.  One unit corresponds to one
@@ -46,19 +45,6 @@ def _check_name(name: str) -> str:
     if name.split() != [name]:
         raise GraphError(f"node name may not contain whitespace: {name!r}")
     return name
-
-
-def check_finite(value: float, what: str) -> None:
-    """Refuse a NaN or infinite ``value``, or an int too large for a float:
-    a reply would echo it, or what it computes, as the ``NaN`` /
-    ``Infinity`` tokens JSON does not have.  Called after the range check,
-    so a value that is no number fails as it always has."""
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise GraphError(f"{what} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -96,7 +82,7 @@ class TaskNode:
             raise GraphError(f"TaskNode {self.name!r} cannot have kind STORAGE")
         if self.work < 0:
             raise GraphError(f"task {self.name!r}: work must be >= 0, got {self.work}")
-        check_finite(self.work, f"task {self.name!r}: work")
+        check_finite(self.work, f"task {self.name!r}: work", GraphError)
 
     @property
     def is_composite(self) -> bool:
@@ -140,7 +126,7 @@ class StorageNode:
             self.data = self.name
         if self.size <= 0:
             raise GraphError(f"storage {self.name!r}: size must be > 0, got {self.size}")
-        check_finite(self.size, f"storage {self.name!r}: size")
+        check_finite(self.size, f"storage {self.name!r}: size", GraphError)
 
     def __hash__(self) -> int:
         return hash(self.name)
@@ -167,7 +153,7 @@ class Arc:
             raise GraphError(f"self-loop arc on {self.src!r} is not allowed")
         if self.size < 0:
             raise GraphError(f"arc {self.src}->{self.dst}: size must be >= 0")
-        check_finite(self.size, f"arc {self.src}->{self.dst}: size")
+        check_finite(self.size, f"arc {self.src}->{self.dst}: size", GraphError)
 
     def renamed(self, src: str | None = None, dst: str | None = None) -> "Arc":
         """Return a copy with endpoints replaced (used during flattening)."""

@@ -10,12 +10,13 @@ This is the structure every scheduler in :mod:`repro.sched` consumes.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.errors import CycleError, GraphError
-from repro.graph.node import DEFAULT_WORK, check_finite
+from repro.errors import CycleError, GraphError, check_finite
+from repro.graph.node import DEFAULT_WORK
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class TaskEdge:
             raise GraphError(f"self-loop edge on {self.src!r}")
         if self.size < 0:
             raise GraphError(f"edge {self.src}->{self.dst}: negative size")
-        check_finite(self.size, f"edge {self.src}->{self.dst}: size")
+        check_finite(self.size, f"edge {self.src}->{self.dst}: size", GraphError)
 
 
 @dataclass
@@ -56,9 +57,9 @@ class TaskTable:
 
     A :class:`TaskGraph` is a task table plus an edge list, graph-level
     bindings and the algorithms.  On its own a table is what re-timing reads
-    of a saved schedule's embedded graph: each task's work and in-edges,
-    refused exactly where a graph would refuse them, without building the
-    rest.
+    of a saved schedule's embedded graph: each task's work and edges, and
+    their topological order, refused exactly where a graph would refuse
+    them, without building the rest.
     """
 
     def __init__(self, name: str = "taskgraph"):
@@ -79,7 +80,7 @@ class TaskTable:
             raise GraphError(f"duplicate task {name!r} in task graph {self.name!r}")
         if work < 0:
             raise GraphError(f"task {name!r}: work must be >= 0")
-        check_finite(work, f"task {name!r}: work")
+        check_finite(work, f"task {name!r}: work", GraphError)
         spec = TaskSpec(name, work=work, label=label, program=program, meta=meta)
         self._tasks[name] = spec
         self._succ[name] = []
@@ -127,6 +128,41 @@ class TaskTable:
         self.task(name)
         return list(self._pred[name])
 
+    def out_edges(self, name: str) -> list[TaskEdge]:
+        self.task(name)
+        return list(self._succ[name])
+
+    def topological_order(self) -> list[str]:
+        """Deterministic Kahn sort; raises :class:`CycleError` on cycles."""
+        indeg = {t: len(self._pred[t]) for t in self._tasks}
+        ready = deque(t for t in self._tasks if indeg[t] == 0)
+        order: list[str] = []
+        while ready:
+            t = ready.popleft()
+            order.append(t)
+            for e in self._succ[t]:
+                indeg[e.dst] -= 1
+                if indeg[e.dst] == 0:
+                    ready.append(e.dst)
+        if len(order) != len(self._tasks):
+            raise CycleError(f"task graph {self.name!r} contains a cycle")
+        return order
+
+    def same_structure(self, other: "TaskTable") -> bool:
+        """Whether ``other`` has these tasks in this order and, per task,
+        these in-edges and out-edges in this order.  Edge sizes must match
+        type for type: ``1``, ``1.0`` and ``true`` make equal edges, but a
+        message quotes its edge's size as it is."""
+        if list(self._tasks) != list(other._tasks):
+            return False
+        for name, edges in self._pred.items():
+            theirs = other._pred[name]
+            if edges != theirs or any(
+                type(a.size) is not type(b.size) for a, b in zip(edges, theirs)
+            ):
+                return False
+        return all(edges == other._succ[name] for name, edges in self._succ.items())
+
 
 class TaskGraph(TaskTable):
     """A weighted DAG of primitive tasks (the input to scheduling).
@@ -172,7 +208,7 @@ class TaskGraph(TaskTable):
     def set_work(self, name: str, work: float) -> None:
         if work < 0:
             raise GraphError(f"task {name!r}: work must be >= 0")
-        check_finite(work, f"task {name!r}: work")
+        check_finite(work, f"task {name!r}: work", GraphError)
         self.task(name).work = work
 
     def successors(self, name: str) -> list[str]:
@@ -182,10 +218,6 @@ class TaskGraph(TaskTable):
     def predecessors(self, name: str) -> list[str]:
         self.task(name)
         return [e.src for e in self._pred[name]]
-
-    def out_edges(self, name: str) -> list[TaskEdge]:
-        self.task(name)
-        return list(self._succ[name])
 
     def edge(self, src: str, dst: str) -> TaskEdge:
         """The (first) edge ``src -> dst``; raises if absent."""
@@ -218,21 +250,18 @@ class TaskGraph(TaskTable):
     # ------------------------------------------------------------------ #
     # algorithms
     # ------------------------------------------------------------------ #
-    def topological_order(self) -> list[str]:
-        """Deterministic Kahn sort; raises :class:`CycleError` on cycles."""
-        indeg = {t: len(self._pred[t]) for t in self._tasks}
-        ready = deque(t for t in self._tasks if indeg[t] == 0)
-        order: list[str] = []
-        while ready:
-            t = ready.popleft()
-            order.append(t)
-            for e in self._succ[t]:
-                indeg[e.dst] -= 1
-                if indeg[e.dst] == 0:
-                    ready.append(e.dst)
-        if len(order) != len(self._tasks):
-            raise CycleError(f"task graph {self.name!r} contains a cycle")
-        return order
+    def shares_edges(self, other: "TaskGraph") -> bool:
+        """Whether ``other`` has these tasks in this order over these very
+        edge objects in this order, as a graph :meth:`replaced` from this one
+        has.  Then it has this graph's :meth:`same_structure`, settled
+        without comparing an edge: every task's edge lists are the edge
+        list's subsequences."""
+        edges, theirs = self._edges, other._edges
+        return (
+            len(edges) == len(theirs)
+            and all(map(operator.is_, edges, theirs))
+            and list(self._tasks) == list(other._tasks)
+        )
 
     def is_acyclic(self) -> bool:
         try:

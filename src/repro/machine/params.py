@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import MachineError
+from repro.errors import MachineError, check_finite
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,11 @@ class MachineParams:
             value = getattr(self, field_name)
             if value < 0:
                 raise MachineError(f"{field_name} must be >= 0, got {value}")
+        for field_name in (
+            "processor_speed", "process_startup", "msg_startup",
+            "transmission_rate", "hop_latency",
+        ):
+            check_finite(getattr(self, field_name), field_name, MachineError)
 
     # ------------------------------------------------------------------ #
     def exec_time(self, work: float) -> float:

@@ -244,16 +244,22 @@ class SchedKernel:
     def _exec_of(self, task: str) -> float:
         return self.exec_time[self.index[task]]
 
-    def b_levels_comm(self) -> dict[str, float]:
-        """b-levels with mean machine communication (MH/MCP/CPOP priority)."""
+    def b_levels_comm(self, tasks: Collection[str] | None = None) -> dict[str, float]:
+        """b-levels with mean machine communication (MH/MCP/CPOP priority).
+
+        With ``tasks`` (closed under successors) only theirs, the same
+        floats, computed afresh: a part is not kept.
+        """
         levels = self._levels.get("bl_comm")
         if levels is None:
             levels = b_levels(
                 self.graph,
                 exec_time=self._exec_of,
                 comm_cost=lambda e: self.mean_comm_cost(e.size),
+                tasks=tasks,
             )
-            self._levels["bl_comm"] = levels
+            if tasks is None:
+                self._levels["bl_comm"] = levels
         return levels
 
     def t_levels_comm(self) -> dict[str, float]:

@@ -12,10 +12,13 @@ only the dirty suffix with the kernel's one list pass
 prefix) — this module owns the diff and the dirty closure, not a loop.
 
 The previous schedule is read as a :class:`BaseSchedule`: its placements,
-machine and scheduler name over its graph's tasks and in-edges.  A base
-read from a document (:func:`repro.sched.serialize.base_schedule_from_dict`)
+machine and scheduler name over its graph's tasks and edges.  A base read
+from a document (:func:`repro.sched.serialize.base_schedule_from_dict`)
 never builds its embedded graph or its messages; a :class:`Schedule` in
-hand reads as itself.
+hand reads as itself.  A base that a client posts again and again (the
+daemon's request memo keeps it) also carries a :class:`Replay`: every base
+placement re-placed once, messages derived, from which each later edit
+forks its clean prefix instead of placing it task by task.
 
 Correctness story
 -----------------
@@ -37,6 +40,29 @@ Correctness story
   placement therefore provably equals the copied one, and the conformance
   oracle byte-compares the two schedules on every fuzz case to keep the
   proof honest.
+* A fork off the full replay equals :func:`replay_prefix` of the clean
+  set when the new graph has the base graph's structure
+  (:meth:`~repro.graph.taskgraph.TaskTable.same_structure`: the same
+  tasks in the same order, each task's in- and out-edges equal, in the
+  same order).  Then both topological orders are equal, so the replay
+  places the clean tasks in the very order the prefix replay does — by
+  previous start, ties topological — interleaved with dirty ones.  Each
+  clean task is placed at its previous start with its clean, equal work,
+  and its predecessors, all clean and already placed, have the same single
+  copies, so it gets the same placement and the same messages.
+  :meth:`Schedule.add` inserts by start, before equal starts, so a
+  timeline keeps its clean placements' relative order whatever dirty
+  ones land among them: filtering each replayed timeline, the task index
+  and the message list down to the clean tasks
+  (:meth:`Schedule.take_prefix`) gives the prefix replay's schedule.  A
+  placement the prefix replay would refuse for overlap is refused by the
+  full replay too (a clean neighbour's overlap cannot hide behind a dirty
+  placement between them, which would have overlapped it first); a base
+  the full replay refuses is not forked.  Edge sizes are compared type for
+  type, because a message quotes its edge's size as it is.
+* Only dirty tasks are ever released to the list pass, so only their
+  b-levels are computed; the dirty set is descendant-closed, so each is
+  exactly the whole-graph pass's level.
 * When nothing changed (equal graph content hashes) both entry points
   short-circuit to the previous schedule object — byte-identical by
   construction.  A changed signature is changed content, so only an empty
@@ -58,13 +84,18 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.approx import approx_ge
-from repro.errors import ScheduleError
+from repro.errors import ReproError, ScheduleError
 from repro.graph.taskgraph import TaskGraph, TaskTable
+from repro.lru import LEDGER
 from repro.sched.core import KernelState, SchedKernel, replay_prefix, run_priority_list
 from repro.sched.schedule import Schedule
 
 #: Scheduler-name suffix marking incrementally re-timed schedules.
 NAME_SUFFIX = "+incremental"
+
+#: Re-times whose clean prefix was forked off a kept full replay, and those
+#: that replayed it placement by placement.
+LEDGER.declare(retime_forked=0, retime_replayed=0)
 
 
 def same_signature(a: TaskTable, b: TaskTable, task: str) -> bool:
@@ -144,20 +175,71 @@ def dirty_closure(
     return dirty
 
 
+class Replay:
+    """The full replay of a base's placements, built on first demand.
+
+    Every placement of ``placed`` re-placed by :func:`replay_prefix` over
+    the base's own graph and machine, messages derived: what re-timing an
+    edit would replay if every task were clean.  ``None`` when the base
+    cannot be replayed whole — incomplete, duplicated, or refused by
+    :meth:`Schedule.add` — and then an edit replays its clean prefix as
+    if there were no replay.  The replay is never mutated: a re-time
+    copies its lists (:meth:`Schedule.take_prefix`).
+    """
+
+    def __init__(self, placed: Schedule):
+        self.placed = placed
+        self._schedule: Schedule | None = None
+        self._built = False
+        self._fitted: TaskGraph | None = None
+
+    def __call__(self) -> Schedule | None:
+        if not self._built:
+            self._built = True
+            self._schedule = _replay_all(self.placed)
+        return self._schedule
+
+    def fits(self, graph: TaskGraph) -> bool:
+        """Whether ``graph`` has the base graph's structure
+        (:meth:`TaskTable.same_structure`), the condition for forking.  The
+        last graph that fitted is kept, so a graph over its very edges — a
+        patched flat graph — fits without comparing an edge."""
+        fitted = self._fitted
+        if fitted is None or not graph.shares_edges(fitted):
+            if not self.placed.graph.same_structure(graph):
+                return False
+        self._fitted = graph
+        return True
+
+
+def _replay_all(placed: Schedule) -> Schedule | None:
+    if not placed.is_complete() or placed.has_duplication():
+        return None
+    state = KernelState(SchedKernel(placed.graph, placed.machine))
+    try:
+        replay_prefix(state, placed, placed.graph.task_names)
+    except ReproError:
+        return None
+    return state.sched
+
+
 @dataclass(frozen=True)
 class BaseSchedule:
     """The schedule an edit is re-timed against, as re-timing reads it.
 
     ``placed`` carries the placements (per processor in start order), the
-    machine and the scheduler name over its graph's tasks and in-edges,
-    which is all a re-time reads, so its graph may be just a
+    machine and the scheduler name over its graph's tasks and edges, which
+    is all a re-time reads, so its graph may be just a
     :class:`~repro.graph.taskgraph.TaskTable`.  ``whole`` returns the
     complete schedule, for the one answer that is the base itself: an
-    unchanged graph.
+    unchanged graph.  ``replay`` is the kept :class:`Replay` of ``placed``,
+    for a base that arrived before (see :mod:`repro.server.memo`); a base
+    read once has none and replays its clean prefix.
     """
 
     placed: Schedule
     whole: Callable[[], Schedule]
+    replay: Replay | None = None
 
     @classmethod
     def of(cls, schedule: Schedule) -> "BaseSchedule":
@@ -204,6 +286,7 @@ def _retime(
     dirty: set[str],
     *,
     reuse_prefix: bool,
+    replayed: Schedule | None = None,
 ) -> Schedule:
     """The shared engine behind both entry points.
 
@@ -212,7 +295,9 @@ def _retime(
     previous start only while it stays feasible under the shared tolerance
     (the checker's own criterion).  The two must produce byte-identical
     schedules — that equality is the module's contract, fuzzed by the
-    ``incremental`` conformance oracle.
+    ``incremental`` conformance oracle.  ``replayed``, the base's full
+    :class:`Replay` over a graph of ``new_graph``'s structure, lets the
+    verbatim copy take the clean prefix from it instead of placing it.
     """
     kernel = SchedKernel(new_graph, prev_schedule.machine)
     state = KernelState(kernel, prev_schedule.derived_name(NAME_SUFFIX))
@@ -225,13 +310,21 @@ def _retime(
         floor = state.earliest_start(ti, proc)
         return prev_start if approx_ge(prev_start, floor) else floor
 
-    # Phase 1 — replay the clean prefix.
-    clean = replay_prefix(
-        state,
-        prev_schedule,
-        (t for t in new_graph.task_names if t not in dirty),
-        start_of=None if reuse_prefix else keep_if_feasible,
-    )
+    # Phase 1 — replay the clean prefix, or fork it off the full replay.
+    clean_tasks = [t for t in new_graph.task_names if t not in dirty]
+    if replayed is not None:
+        LEDGER.bump("retime_forked")
+        state.sched.take_prefix(replayed, set(clean_tasks))
+        state.tails[:] = map(state.sched.proc_tail, range(len(state.tails)))
+        clean = {kernel.index[t] for t in clean_tasks}
+    else:
+        LEDGER.bump("retime_replayed")
+        clean = replay_prefix(
+            state,
+            prev_schedule,
+            clean_tasks,
+            start_of=None if reuse_prefix else keep_if_feasible,
+        )
 
     def pick(ti: int) -> tuple[int, float]:
         task = kernel.tasks[ti]
@@ -241,8 +334,11 @@ def _retime(
         return proc, state.earliest_start(ti, proc)
 
     # Phase 2 — re-time the dirty suffix, highest b-level first (the same
-    # release order as clustering.assignment_to_schedule).
-    prio = kernel.priority_array(kernel.b_levels_comm())
+    # release order as clustering.assignment_to_schedule).  Only dirty
+    # tasks are ever keyed, and their set is closed under successors, so
+    # their levels are computed alone.
+    index = kernel.index
+    prio = {index[t]: level for t, level in kernel.b_levels_comm(dirty).items()}
     return run_priority_list(
         kernel, state, key=lambda i: (-prio[i], i), pick_processor=pick, placed=clean
     )
@@ -270,7 +366,16 @@ def incremental_reschedule(
         if (new_hash or new_graph.content_hash()) == whole.graph.content_hash():
             return IncrementalResult(whole, n_tasks, 0, n_tasks, unchanged=True)
     dirty, fallback = _analyse(base.placed, new_graph, seed)
-    schedule = _retime(base.placed, new_graph, dirty, reuse_prefix=True)
+    replayed = None
+    if (
+        base.replay is not None
+        and fallback is None
+        and base.replay.fits(new_graph)
+    ):
+        replayed = base.replay()
+    schedule = _retime(
+        base.placed, new_graph, dirty, reuse_prefix=True, replayed=replayed
+    )
     return IncrementalResult(
         schedule,
         n_tasks,

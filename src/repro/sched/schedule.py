@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Container, Iterator
 
-from repro.errors import ScheduleError
+from repro.errors import ScheduleError, check_finite
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.machine import TargetMachine
 
@@ -34,6 +34,8 @@ class Placement:
             raise ScheduleError(
                 f"task {self.task!r}: finish {self.finish} before start {self.start}"
             )
+        check_finite(self.start, f"task {self.task!r}: start", ScheduleError)
+        check_finite(self.finish, f"task {self.task!r}: finish", ScheduleError)
 
     @property
     def duration(self) -> float:
@@ -59,10 +61,13 @@ class Message:
 
 
 def check_transfer(src_task: str, dst_task: str, start: float, finish: float) -> None:
-    """:class:`Message`'s one check, for callers that read a message without
-    keeping it: a transfer may not finish before it starts."""
+    """:class:`Message`'s checks, for callers that read a message without
+    keeping it: a transfer may not finish before it starts, nor at a time
+    that is no finite number."""
     if finish < start:
         raise ScheduleError(f"message {src_task}->{dst_task}: finish before start")
+    check_finite(start, f"message {src_task}->{dst_task}: start", ScheduleError)
+    check_finite(finish, f"message {src_task}->{dst_task}: finish", ScheduleError)
 
 
 class Schedule:
@@ -139,6 +144,32 @@ class Schedule:
 
     def add_message(self, message: Message) -> None:
         self.messages.append(message)
+
+    def take_prefix(self, source: "Schedule", tasks: Container[str]) -> None:
+        """Fill this empty schedule with ``source``'s placements of ``tasks``
+        and its messages into them, each list in ``source``'s order.
+
+        What :meth:`add` would build from those placements added in the
+        order ``source`` got them, when they neither overlap nor duplicate
+        a task: a timeline built by :meth:`add` keeps its placements'
+        relative order whatever else was inserted around them.  The frozen
+        placements and messages are shared; every list is new.
+        """
+        for proc, timeline in source._by_proc.items():
+            kept = [e for e in timeline if e.task in tasks]
+            self._by_proc[proc].extend(kept)
+            self._starts[proc].extend(e.start for e in kept)
+            pmax, running = self._pmax[proc], 0.0
+            for e in kept:
+                if e.finish > running:
+                    running = e.finish
+                pmax.append(running)
+        self._by_task.update(
+            (task, list(copies))
+            for task, copies in source._by_task.items()
+            if task in tasks
+        )
+        self.messages.extend(m for m in source.messages if m.dst_task in tasks)
 
     # ------------------------------------------------------------------ #
     # lookups

@@ -18,7 +18,7 @@ from repro.errors import ScheduleError, malformed_as
 from repro.graph.serialize import taskgraph_from_dict, taskgraph_to_dict, tasktable_from_dict
 from repro.graph.taskgraph import TaskTable
 from repro.machine.machine import TargetMachine
-from repro.sched.incremental import BaseSchedule
+from repro.sched.incremental import BaseSchedule, Replay
 from repro.sched.schedule import Message, Schedule, check_transfer
 
 FORMAT_VERSION = 1
@@ -99,11 +99,14 @@ def base_schedule_from_dict(data: dict[str, Any]) -> BaseSchedule:
     return base_schedule_over(placed, data)
 
 
-def base_schedule_over(placed: Schedule, data: dict[str, Any]) -> BaseSchedule:
+def base_schedule_over(
+    placed: Schedule, data: dict[str, Any], replay: Replay | None = None
+) -> BaseSchedule:
     """The :class:`BaseSchedule` of ``data`` whose placements are ``placed``,
-    read earlier from ``data`` or from a document equal to it; the whole
-    schedule is read from ``data`` only if asked for."""
-    return BaseSchedule(placed, partial(schedule_from_dict, data))
+    read earlier from ``data`` or from a document equal to it, with their
+    kept ``replay`` if any; the whole schedule is read from ``data`` only if
+    asked for."""
+    return BaseSchedule(placed, partial(schedule_from_dict, data), replay)
 
 
 def schedule_to_json(schedule: Schedule, indent: int | None = 2) -> str:

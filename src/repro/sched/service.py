@@ -161,6 +161,8 @@ class ServiceStats:
     stranded_tasks: int = 0
     graph_patched: int = 0
     graph_cold: int = 0
+    retime_forked: int = 0
+    retime_replayed: int = 0
 
     @property
     def hit_rate(self) -> float:

@@ -15,7 +15,13 @@ subtree:
   schedule cache keeps schedules over it.  Design validation (DF1xx) reads
   only names, kinds, arcs and ports, all equal, so it does not run again;
 * an equal machine is the kept :class:`TargetMachine`, and an equal
-  ``base_schedule`` reuses the kept placements;
+  ``base_schedule`` reuses the kept placements and their full
+  :class:`~repro.sched.incremental.Replay` — built by the first such
+  request whose edit keeps the base graph's structure, and forked by every
+  later one;
+* the key job's options (every payload field but the project) equal to
+  the kept request's reuse their kept fingerprint
+  (:func:`options_fingerprint`);
 * anything else (an arc, node, storage, port, name or machine change, a
   different design) is built cold, exactly as a direct caller builds it.
 
@@ -24,10 +30,11 @@ A signature is a subtree's :mod:`marshal` bytes: ``1``, ``1.0`` and
 bytes differ too.  A document is signed when a later request first
 compares with it, and then let go, so a design nobody edits costs no
 signing.  A request that succeeds becomes the kept entry; one that is
-refused leaves the memo as it was.  The ops reach the memo through :func:`project_of` and
-:func:`base_of`, and only for the very documents the job function parsed,
-so a caller that hands ``ops`` its own payload (the CLI, tests, the
-benchmark's replay) builds exactly as before.
+refused leaves the memo as it was.  The ops reach the memo through
+:func:`project_of`, :func:`base_of` and :func:`options_fingerprint`, and
+only for the very documents the job function parsed, so a caller that
+hands ``ops`` its own payload (the CLI, tests, the benchmark's replay)
+builds exactly as before.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from repro.graph.hierarchy import SCOPE_SEP, patch_flat
 from repro.graph.node import TaskNode
 from repro.graph.serialize import task_node_from_dict
 from repro.lru import LEDGER
+from repro.sched.incremental import Replay
 from repro.sched.serialize import base_schedule_over
 from repro.sched.service import default_service
 
@@ -144,11 +152,16 @@ class _Kept:
 
     def __init__(self, built: tuple, doc: dict[str, Any] | None,
                  head: bytes | None, level: _Level | None,
-                 placed: Any, base_doc: Any, base_sig: bytes | None):
+                 base: Any, base_doc: Any, base_sig: bytes | None,
+                 options: tuple[bytes, str] | None):
         self.design, self.machine, self.flat, self.flat_hash = built
         self._doc, self._head, self._level = doc, head, level
-        self.placed = placed  # ``None`` when the op read no base
+        # the base's placements and their full replay, ``None`` when the
+        # op read no base; the replay is built when an equal base re-times
+        self.placed = None if base is None else base.placed
+        self.replay = None if base is None else base.replay or Replay(base.placed)
         self._base_doc, self._base_sig = base_doc, base_sig
+        self.options = options  # (signature, fingerprint) of the key's options
 
     def head(self) -> bytes:
         if self._head is None:
@@ -180,6 +193,7 @@ class _Request:
         self.project: BangerProject | None = None
         self.base: Any = None
         self.base_sig: bytes | None = None
+        self.options: tuple[bytes, str] | None = None
         self.head: bytes | None = None
         self.level: _Level | None = None
         self._parts: tuple | None = None
@@ -231,22 +245,32 @@ class _Request:
         if kept is not None and kept.placed is not None:
             self.base_sig = _sig(doc)
             if self.base_sig == kept.base_sig():
-                self.base = base_schedule_over(kept.placed, doc)
+                self.base = base_schedule_over(kept.placed, doc, kept.replay)
                 return self.base
         self.base = read(doc)
         return self.base
+
+    def options_fingerprint(self, options: dict[str, Any],
+                            digest: Callable[[Any], str]) -> str:
+        sig = _sig(options)
+        kept = self.kept
+        if kept is not None and kept.options is not None and kept.options[0] == sig:
+            fp = kept.options[1]
+        else:
+            fp = digest(options)
+        self.options = sig, fp
+        return fp
 
     def kept_next(self) -> _Kept | None:
         """This request as the memo's entry, if the op built its project."""
         if self.project is None:
             return None
-        placed = None if self.base is None else self.base.placed
-        unsigned = placed is not None and self.base_sig is None
+        based = self.base is not None
         return _Kept(
             self.project.parts(),
             self.doc if self.level is None else None, self.head, self.level,
-            placed, self.base_doc if unsigned else None,
-            self.base_sig if placed is not None else None,
+            self.base, self.base_doc if based and self.base_sig is None else None,
+            self.base_sig if based else None, self.options,
         )
 
 
@@ -302,8 +326,19 @@ def project_of(doc: dict[str, Any],
 def base_of(doc: dict[str, Any], read: Callable[[dict[str, Any]], Any]) -> Any:
     """``read(doc)``, unless ``doc`` is the ``base_schedule`` the calling
     thread's memo is serving: then equal to the kept one, it reuses the
-    kept placements."""
+    kept placements and their replay."""
     request = getattr(_active, "request", None)
     if request is None or doc is not request.base_doc:
         return read(doc)
     return request.base_of(read)
+
+
+def options_fingerprint(doc: dict[str, Any], options: dict[str, Any],
+                        digest: Callable[[Any], str]) -> str:
+    """``digest(options)``, unless ``doc`` is the project document the
+    calling thread's memo is serving: then, for options equal type for type
+    to the kept request's, the kept digest."""
+    request = getattr(_active, "request", None)
+    if request is None or doc is not request.doc:
+        return digest(options)
+    return request.options_fingerprint(options, digest)

@@ -20,7 +20,8 @@ and its caching from the process-local :func:`shared_service`.
 daemon can aggregate *work* observability across processes, and
 :func:`coalesce_key` derives the content-addressed identity the daemon
 coalesces and caches on: ``(op, project name, graph content_hash, machine
-content_hash, scheduler cache key, every other payload field)``.
+content_hash, scheduler cache key, fingerprint of every other payload
+field)``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.sched.serialize import (  # noqa: F401
     schedule_to_dict,
 )
 from repro.sched.service import ScheduleRequest
-from repro.server.memo import base_of, project_of
+from repro.server.memo import base_of, options_fingerprint, project_of
 # The process-wide ScheduleService every op schedules through.  Worker
 # processes each hold one, so repeated misses that land on the same worker
 # still reuse its kernel/schedule caches; the daemon's inline thread uses
@@ -503,9 +504,11 @@ def coalesce_key(op: str, payload: dict[str, Any]) -> str:
     daemon runs one and shares the bytes.  Project ops are keyed by the
     project's name (replies quote it), the flattened graph's content hash,
     the machine's content hash, the resolved scheduler's cache key, and
-    every other payload field — whatever option an op reads is in the key
-    without a per-op table to keep in step — so a reordered-but-identical
-    JSON body maps to the same key.
+    the fingerprint of every other payload field — whatever option an op
+    reads is in the key without a per-op table to keep in step — so a
+    reordered-but-identical JSON body maps to the same key.  The options
+    are fingerprinted on their own, so the key job's memo can keep that
+    fingerprint for the next request (an editor re-posts one base).
     """
     if op not in OPS:
         raise OpError(f"unknown operation {op!r}")
@@ -519,9 +522,10 @@ def coalesce_key(op: str, payload: dict[str, Any]) -> str:
         else:
             sched_key = ""
         options = {f: v for f, v in payload.items() if f != "project"}
-        return fingerprint(
-            [op, project.name, fps["graph"], fps["machine"], sched_key, options]
-        )
+        return fingerprint([
+            op, project.name, fps["graph"], fps["machine"], sched_key,
+            options_fingerprint(payload["project"], options, fingerprint),
+        ])
     return fingerprint([op, payload])
 
 

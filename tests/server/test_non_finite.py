@@ -3,8 +3,10 @@
 JSON has no ``NaN`` or ``Infinity``, but Python's decoder reads them (and
 ``1e999`` as infinity), and a design or base carrying one used to be
 answered ``200`` with those tokens in the body.  Now the graph classes
-refuse them where they check ``work`` and ``size``, so every project route
-answers ``400`` ``bad-request``, in a body that is strict JSON.
+refuse them where they check ``work`` and ``size``, the machine parameters
+where they are range-checked, and a schedule's placements and messages
+where their times are, so every project route answers ``400``
+``bad-request``, in a body that is strict JSON.
 """
 
 from __future__ import annotations
@@ -63,16 +65,39 @@ DESIGN_EDITS = {
         size=float("inf")),
 }
 
+MACHINE_EDITS = {
+    "msg_startup NaN": lambda d: d["machine"]["params"].update(msg_startup=float("nan")),
+    "msg_startup Infinity": lambda d: d["machine"]["params"].update(
+        msg_startup=float("inf")),
+    "processor_speed 1e999": lambda d: d["machine"]["params"].update(
+        processor_speed=SPLICED),
+}
+
 BASE_EDITS = {
     "task work NaN": lambda b: b["graph"]["tasks"][0].update(work=float("nan")),
     "task work 1e999": lambda b: b["graph"]["tasks"][0].update(work=SPLICED),
     "edge size NaN": lambda b: b["graph"]["edges"][0].update(size=float("nan")),
+    "placement start NaN": lambda b: b["placements"][0].update(start=float("nan")),
+    "placement finish Infinity": lambda b: b["placements"][0].update(
+        finish=float("inf")),
+    "message finish 1e999": lambda b: b["messages"][0].update(finish=SPLICED),
 }
 
 
 def test_a_non_finite_design_is_refused_at_every_project_route(daemon_factory):
     harness = daemon_factory(workers=1)
     for name, edit in DESIGN_EDITS.items():
+        doc = _project()
+        edit(doc)
+        for route in ROUTES:
+            status, reply = _post(harness.daemon.port, route, _body({"project": doc}))
+            assert (status, reply["kind"]) == (400, "bad-request"), (name, route, reply)
+            assert "finite number" in reply["message"], (name, route, reply)
+
+
+def test_a_non_finite_machine_is_refused_at_every_project_route(daemon_factory):
+    harness = daemon_factory(workers=1)
+    for name, edit in MACHINE_EDITS.items():
         doc = _project()
         edit(doc)
         for route in ROUTES:
