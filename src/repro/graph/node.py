@@ -83,6 +83,8 @@ class TaskNode:
         if self.work < 0:
             raise GraphError(f"task {self.name!r}: work must be >= 0, got {self.work}")
         check_finite(self.work, f"task {self.name!r}: work", GraphError)
+        if self.meta:
+            _check_finite_meta(self.meta, f"task {self.name!r}: meta value")
 
     @property
     def is_composite(self) -> bool:
@@ -90,6 +92,20 @@ class TaskNode:
 
     def __hash__(self) -> int:  # nodes are identified by name within a graph
         return hash(self.name)
+
+
+def _check_finite_meta(meta: dict[str, Any], what: str) -> None:
+    """Refuse a NaN or infinite float anywhere inside ``meta``: replies that
+    carry a graph echo it.  Walked without recursion, however deep."""
+    todo: list[Any] = [meta]
+    while todo:
+        value = todo.pop()
+        if isinstance(value, dict):
+            todo.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            todo.extend(value)
+        elif isinstance(value, float):
+            check_finite(value, what, GraphError)
 
 
 @dataclass

@@ -4,10 +4,11 @@ One asyncio event loop owns every connection; CPU-bound work never runs
 on it, and neither does parsing or encoding a compute request's JSON.  A
 request travels::
 
-    socket -> [backpressure?] -> body-hash -> [idle? body to a worker]
-           -> key job: parse + coalesce key -> response cache?
-           -> in-flight duplicate? -> worker: parse, run, encode
-           -> response bytes -> cache + every coalesced waiter
+    socket -> [backpressure?] -> body-hash memo -> response cache?
+           -> same body or key in flight? -> worker: parse, build, key
+           -> daemon: cached? in flight? -> "stop" | "run"
+           -> worker: run, encode -> response bytes
+           -> cache + every coalesced waiter
 
 The coalesce key is content-addressed — ``(project name, graph content_hash,
 machine content_hash, scheduler cache key, options)`` via
@@ -15,18 +16,17 @@ machine content_hash, scheduler cache key, options)`` via
 requests cost one scheduler run and share byte-identical responses, and
 a warm repeat is a hash lookup.  Identical *bytes* short-circuit even the
 parse through a body-hash memo.  The daemon hands a worker the raw body
-and gets back the reply bytes the worker encoded, so it parses a body only
-in its key job, off the loop.
+and gets back the reply bytes the worker encoded, so it never parses a
+compute body at all.
 
-Keying a new body builds its project, and so does the worker that runs
-it; each patches what it built for its last request when only task fields
-changed (:mod:`repro.server.memo`).  When no computation is in flight, the
-daemon writes the request's job to a worker *before* its key job starts,
-so the two run side by side; the key job waits for that handoff, never for
-the run, and then only decides who waits for the run.  A new key makes it
-the key's in-flight computation; a cache hit, a coalesced wait or a 400
-answers at once, and the run finishes with nobody waiting, its work still
-counted.  The gate keeps the overlap to capacity nobody else is using.
+The worker that runs a body keys it: it builds the project once (patched
+from its last request when only task fields changed, :mod:`repro.server.memo`),
+keys it from the graph it built, and asks the daemon whether to run.  The
+answer is ``"stop"`` when the key's reply is cached (the request is a
+``cache`` hit) or already being computed (it coalesces on that
+computation), and ``"run"`` otherwise: the job becomes the key's in-flight
+computation.  Each key a worker names fills the body-hash memo, so the
+exact bytes never need a worker again.
 
 Failure semantics (documented in ``docs/server.md``, asserted by
 ``tests/server/``): payload problems are 400; backpressure is 503 with
@@ -46,17 +46,15 @@ import signal
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Awaitable, Callable
 
 from repro import __version__
 from repro.errors import ReproError
 from repro.lru import LRU
-from repro.server import ops as ops_mod
 from repro.server.memo import RequestMemo
 from repro.server.metrics import ServerMetrics
-from repro.server.ops import DEBUG_OPS, PROJECT_OPS, coalesce_key, execute
+from repro.server.ops import DEBUG_OPS, execute
 from repro.server.protocol import (
     BufferedConn,
     ProtocolError,
@@ -68,7 +66,7 @@ from repro.server.protocol import (
     read_request,
 )
 from repro.server.store_api import store_request
-from repro.server.workers import WorkerCrash, WorkerPool, WorkerTimeout, serve
+from repro.server.workers import WorkerCrash, WorkerPool, WorkerTimeout, on_loop, serve
 from repro.store import ProjectRepository, TenantQuota
 
 #: URL path -> op name.  Debug routes exist only under ``--debug``.
@@ -108,11 +106,10 @@ class _Inflight:
     """One in-progress computation every identical request shares."""
 
     future: asyncio.Future
-    key: str | None = None  # None until an early run's key is known
+    body: str | None = None  # the body hash it runs, for a compute job
+    key: str | None = None  # its coalesce key, once its worker runs it
     task: asyncio.Task | None = None
     waiters: int = 0
-    # Early runs only: set once the job is on a worker's pipe or the run ended
-    handoff: asyncio.Event | None = None
 
 
 @dataclass
@@ -123,16 +120,30 @@ class _Outcome:
     counters: dict[str, Any] = field(default_factory=dict)
 
 
+def _reply_outcome(reply: tuple) -> _Outcome:
+    """A job's outcome tuple (:func:`serve`) as the daemon's reply.  A body
+    refused before its key is answered without the ``detail`` an op's
+    refusal carries."""
+    if reply[0] == "ok":
+        doc = reply[1]
+        return _Outcome(200, doc["body"], "computed", counters=doc["counters"])
+    outcome, kind, message = reply
+    if outcome == "refused":
+        return _Outcome(400, error_body("bad-request", message), "error")
+    if outcome == "user_error":
+        return _Outcome(
+            400, error_body("bad-request", message, detail=kind), "error"
+        )
+    lines = message.splitlines()
+    return _Outcome(
+        500,
+        error_body("internal", (lines and lines[0]) or kind, detail=kind),
+        "error",
+    )
+
+
 def _default_access_log(record: dict[str, Any]) -> None:
     print(json.dumps(record, sort_keys=True), file=sys.stderr, flush=True)
-
-
-def _parse_and_key(op: str, body: bytes, memo: RequestMemo | None = None) -> str:
-    """The key job, on a key thread: the daemon's one parse of a compute
-    request's body, keyed with the key jobs' ``memo`` when it is free."""
-    payload = parse_body(body)
-    with nullcontext() if memo is None else memo.serving(payload):
-        return coalesce_key(op, payload)
 
 
 class BangerDaemon:
@@ -208,23 +219,21 @@ class BangerDaemon:
         self.metrics = ServerMetrics()
         self.pool: WorkerPool | None = None
         self._inline: ThreadPoolExecutor | None = None
-        self._keys: ThreadPoolExecutor | None = None
-        # What the inline slot and the key jobs each built for their last
-        # request; a worker process keeps its own.  Key jobs count nothing:
-        # the inline op's counter window must hold its own work alone.
+        self._store_threads: ThreadPoolExecutor | None = None
+        # What the inline slot built for its last request; a worker process
+        # keeps its own.
         self._inline_memo = RequestMemo()
-        self._key_memo = RequestMemo(counted=False)
         self._server: asyncio.AbstractServer | None = None
         self._started = time.monotonic()
 
         # coalesce key -> 200 response body; body hash -> coalesce key
         self._cache = LRU(cache_entries, max_bytes=RESPONSE_CACHE_MAX_BYTES)
         self._key_cache = LRU(4096)
-        self._key_futures: dict[str, asyncio.Future] = {}
+        # computations in flight, by coalesce key and by the body they run
         self._inflight: dict[str, _Inflight] = {}
+        self._bodies: dict[str, _Inflight] = {}
         self._active_ops = 0
         self._conn_tasks: set[asyncio.Task] = set()
-        self._compute_tasks: set[asyncio.Task] = set()
         self._draining = False
         self._drain_event: asyncio.Event | None = None
         self._stopped: asyncio.Event | None = None
@@ -242,8 +251,8 @@ class BangerDaemon:
             self._inline = ThreadPoolExecutor(
                 max_workers=INLINE_SLOTS, thread_name_prefix="banger-inline"
             )
-        self._keys = ThreadPoolExecutor(
-            max_workers=2, thread_name_prefix="banger-keys"
+        self._store_threads = ThreadPoolExecutor(
+            max_workers=2, thread_name_prefix="banger-store"
         )
         # The project store lives in the daemon process (refs are stateful;
         # worker processes only ever see immutable payloads).  Seeding runs
@@ -253,7 +262,7 @@ class BangerDaemon:
             from repro.store.corpus import seed_corpus as _seed
 
             await asyncio.get_running_loop().run_in_executor(
-                self._keys, _seed, self.store
+                self._store_threads, _seed, self.store
             )
         self._server = await asyncio.start_server(
             self._client_connected, self.host, self.port
@@ -276,23 +285,19 @@ class BangerDaemon:
             self._server.close()
             await self._server.wait_closed()
         deadline = asyncio.get_running_loop().time() + drain_timeout
-        # Computations nobody waits for (unneeded early runs) drain too: a
-        # closed pool takes no slot back, so it would wait out its budget.
-        while self._conn_tasks or self._compute_tasks:
+        while self._conn_tasks:
             remaining = deadline - asyncio.get_running_loop().time()
             if remaining <= 0:
                 for task in self._conn_tasks:
                     task.cancel()
                 break
-            await asyncio.wait(
-                self._conn_tasks | self._compute_tasks, timeout=remaining
-            )
+            await asyncio.wait(self._conn_tasks, timeout=remaining)
         if self.pool is not None:
             await self.pool.close()
         if self._inline is not None:
             self._inline.shutdown(wait=False, cancel_futures=True)
-        if self._keys is not None:
-            self._keys.shutdown(wait=False, cancel_futures=True)
+        if self._store_threads is not None:
+            self._store_threads.shutdown(wait=False, cancel_futures=True)
         self._stopped.set()
 
     # ------------------------------------------------------------------ #
@@ -421,7 +426,7 @@ class BangerDaemon:
 
         # Store and debug bodies are small and parsed here, so they are
         # refused 400 before the queue check.  A compute body is parsed only
-        # by its key job and its worker, after the queue check.
+        # by the worker that keys and runs it, after the queue check.
         payload: dict[str, Any] = {}
         if request.method == "POST" and (store or op in DEBUG_OPS):
             try:
@@ -429,82 +434,53 @@ class BangerDaemon:
             except ProtocolError as exc:
                 return 400, error_body("bad-request", str(exc)), "error"
 
-        # Backpressure: admission control before any CPU is spent.
+        # Backpressure: admission control before any CPU is spent.  Nothing
+        # below awaits before a request leads, so this is its admission.
         full = self._overloaded()
         if full is not None:
             return full
 
         if store:
-            run = self._run_store(request.method, path, payload)
-            return await self._lead_and_wait(conn, run, key=None)
+            return await self._lead_and_wait(
+                conn, lambda entry: self._run_store(request.method, path, payload)
+            )
         if op in DEBUG_OPS:
             # Fault injection must hit the pool every time: no key, no
             # coalescing, no cache.
             return await self._lead_and_wait(
-                conn, self._run_op(op, request.body), key=None
+                conn, lambda entry: self._run_op(op, request.body)
             )
 
         body_sha = hashlib.sha256(op.encode() + b"\0" + request.body).hexdigest()
         key = self._key_cache.get(body_sha)
-        early = None if key is not None else self._run_early(op, body_sha, request.body)
-        try:
-            if key is None:
-                try:
-                    key = await self._coalesce_key(
-                        op, body_sha, request.body,
-                        None if early is None else early.handoff,
-                    )
-                except ReproError as exc:
-                    return 400, error_body("bad-request", str(exc)), "error"
+        cached = None if key is None else self._cache.get(key)
+        if cached is not None:
+            return 200, cached, "cache"
+        entry = self._bodies.get(body_sha) or self._inflight.get(key)
+        if entry is not None:
+            outcome = await self._wait_for_outcome(conn, entry)
+            return outcome.status, outcome.body, "coalesced"
+        # A body whose key is known (its reply was evicted) runs unasked.
+        return await self._lead_and_wait(
+            conn, lambda entry: self._run_op(op, request.body, entry), body_sha, key
+        )
 
-            cached = self._cache.get(key)
-            if cached is not None:
-                return 200, cached, "cache"
-
-            entry = self._inflight.get(key)
-            if entry is not None:
-                outcome = await self._wait_for_outcome(conn, entry)
-                return outcome.status, outcome.body, "coalesced"
-            if early is not None:  # a new key, computed since admission
-                entry, early = self._adopt(early, key), None
-                outcome = await self._wait_for_outcome(conn, entry)
-                return outcome.status, outcome.body, outcome.kind
-            # Hashing a new body suspended this request; a burst of distinct
-            # cold requests must not all slip past the gate while it was open.
-            return self._overloaded() or await self._lead_and_wait(
-                conn, self._run_op(op, request.body), key=key
-            )
-        finally:
-            if early is not None:  # the key answered without it
-                self.metrics.note_ran_early_unneeded()
-
-    def _run_early(self, op: str, body_sha: str, body: bytes) -> _Inflight | None:
-        """On an idle daemon, start computing a body nobody is keying yet
-        before its key is known."""
-        if (
-            self.pool is None
-            or op not in PROJECT_OPS
-            or self._active_ops
-            or body_sha in self._key_futures
-        ):
-            return None
-        self.metrics.note_ran_early()
-        handoff = asyncio.Event()
-        entry = self._lead(self._run_op(op, body, handoff), key=None)
-        entry.handoff = handoff
-        # A run that ends before its job reaches a pipe releases the key too.
-        entry.task.add_done_callback(lambda _: handoff.set())
-        return entry
-
-    def _adopt(self, entry: _Inflight, key: str) -> _Inflight:
-        """Make an early run the computation of its new ``key``: later bodies
-        with that key coalesce on it, and its 200 is cached under it."""
+    def _answer(self, entry: _Inflight, key: str) -> _Outcome | _Inflight | None:
+        """Who answers ``entry``'s request, now that its worker found its
+        ``key``: the cached reply, another computation in flight (which
+        ``entry`` then waits on), or ``None`` — the worker, as the key's
+        computation."""
+        self._key_cache.put(entry.body, key)
+        cached = self._cache.get(key)
+        if cached is not None:
+            return _Outcome(200, cached, "cache")
+        leader = self._inflight.get(key)
+        if leader is not None:
+            leader.waiters += 1
+            return leader
         entry.key = key
-        if not entry.future.done():
-            self._inflight[key] = entry
-        elif entry.future.result().status == 200:  # it finished before its key
-            self._cache.put(key, entry.future.result().body)
-        return entry
+        self._inflight[key] = entry
+        return None
 
     def _overloaded(self) -> tuple[int, bytes, str] | None:
         """The 503 reply when the queue is at its limit, else ``None``."""
@@ -517,24 +493,25 @@ class BangerDaemon:
         ), "rejected"
 
     async def _lead_and_wait(
-        self, conn: BufferedConn, run: Awaitable[_Outcome], key: str | None
+        self, conn: BufferedConn,
+        run: Callable[[_Inflight], Awaitable[_Outcome]],
+        body: str | None = None, key: str | None = None,
     ) -> tuple[int, bytes, str]:
-        outcome = await self._wait_for_outcome(conn, self._lead(run, key))
-        return outcome.status, outcome.body, outcome.kind
-
-    def _lead(self, run: Awaitable[_Outcome], key: str | None) -> _Inflight:
-        """Admit ``run`` as a computation, in flight under ``key`` if known."""
-        entry = _Inflight(future=asyncio.get_running_loop().create_future(), key=key)
+        """Admit ``run(entry)`` as a computation, in flight under the
+        ``body`` hash and coalesce ``key`` given, and wait for its outcome."""
+        entry = _Inflight(future=asyncio.get_running_loop().create_future(),
+                          body=body, key=key)
+        if body is not None:
+            self._bodies[body] = entry
         if key is not None:
             self._inflight[key] = entry
         # Counted from admission, not from the task's first step, so a gate
         # another request checks before that step already sees it.
         self._active_ops += 1
         self.metrics.enter(self._active_ops)
-        entry.task = asyncio.ensure_future(self._compute(run, entry))
-        self._compute_tasks.add(entry.task)
-        entry.task.add_done_callback(self._compute_tasks.discard)
-        return entry
+        entry.task = asyncio.ensure_future(self._compute(run(entry), entry))
+        outcome = await self._wait_for_outcome(conn, entry)
+        return outcome.status, outcome.body, outcome.kind
 
     async def _wait_for_outcome(
         self, conn: BufferedConn, entry: _Inflight
@@ -557,15 +534,16 @@ class BangerDaemon:
                 # stop watching and just wait for the outcome.
                 return await asyncio.shield(entry.future)
         finally:
-            entry.waiters -= 1
             watcher.cancel()
-            if (
-                entry.waiters <= 0
-                and not entry.future.done()
-                and entry.task is not None
-            ):
-                # Nobody is listening any more: stop paying for the answer.
-                entry.task.cancel()
+            self._leave(entry)
+
+    @staticmethod
+    def _leave(entry: _Inflight) -> None:
+        """One waiter stops waiting for ``entry``."""
+        entry.waiters -= 1
+        if entry.waiters <= 0 and not entry.future.done() and entry.task is not None:
+            # Nobody is listening any more: stop paying for the answer.
+            entry.task.cancel()
 
     # ------------------------------------------------------------------ #
     # computation
@@ -586,8 +564,8 @@ class BangerDaemon:
         finally:
             self._active_ops -= 1
             self.metrics.exit(self._active_ops)
-            if entry.key is not None:
-                self._inflight.pop(entry.key, None)
+            self._bodies.pop(entry.body, None)
+            self._inflight.pop(entry.key, None)
         if outcome.counters:
             self.metrics.fold_work(outcome.counters)
         if entry.key is not None and outcome.status == 200:
@@ -596,55 +574,69 @@ class BangerDaemon:
             entry.future.set_result(outcome)
 
     async def _run_op(
-        self, op: str, body: bytes, handoff: asyncio.Event | None = None
+        self, op: str, body: bytes, entry: _Inflight | None = None
     ) -> _Outcome:
-        """Serve one job ``(op, body)`` on a worker, or inline; ``handoff``
-        is set once a worker has the job."""
+        """Serve one job ``(op, body)`` on a worker, or inline.  The job of
+        a compute ``entry`` whose key is not known asks, once keyed, whether
+        to run (:meth:`_answer`)."""
+        answer: _Outcome | _Inflight | None = None
+
+        def ask(key: str) -> str:
+            nonlocal answer
+            if entry.future.done():  # timed out, or nobody waits any more
+                return "stop"
+            answer = self._answer(entry, key)
+            return "run" if answer is None else "stop"
+
+        asks = entry is not None and entry.key is None
+        try:
+            reply = await self._serve(op, body, ask if asks else None)
+            if isinstance(reply, _Outcome):
+                return reply
+            if reply[0] != "stop":
+                return _reply_outcome(reply)
+            counters = reply[1]["counters"]
+            if isinstance(answer, _Outcome):
+                return replace(answer, counters=counters)
+            outcome = await asyncio.shield(answer.future)
+            return replace(outcome, kind="coalesced", counters=counters)
+        finally:
+            if isinstance(answer, _Inflight):
+                self._leave(answer)
+
+    async def _serve(
+        self, op: str, body: bytes, ask: Callable[[str], str] | None
+    ) -> tuple | _Outcome:
+        """The job's outcome tuple (:func:`serve`), or the daemon's own
+        outcome when the job timed out or its worker crashed."""
         if self.pool is not None:
             try:
-                reply = await self.pool.run(
-                    op, body, self.request_timeout, sent=handoff
-                )
+                return await self.pool.run(op, body, self.request_timeout, ask)
             except WorkerTimeout as exc:
                 return _Outcome(504, error_body("timeout", str(exc)), "timeout")
             except WorkerCrash as exc:
                 return _Outcome(
                     500, error_body("worker-crash", str(exc)), "crashed"
                 )
-        else:
-            loop = asyncio.get_running_loop()
-            future = loop.run_in_executor(
-                self._inline, serve, execute, op, body, self._inline_memo
-            )
-            try:
-                reply = await asyncio.wait_for(
-                    asyncio.shield(future), self.request_timeout
-                )
-            except asyncio.TimeoutError:
-                future.add_done_callback(lambda f: f.cancelled() or f.exception())
-                return _Outcome(
-                    504,
-                    error_body(
-                        "timeout",
-                        f"{op!r} exceeded its {self.request_timeout:g}s budget",
-                    ),
-                    "timeout",
-                )
-
-        if reply[0] == "ok":
-            doc = reply[1]
-            return _Outcome(200, doc["body"], "computed", counters=doc["counters"])
-        _, kind, message = reply
-        if reply[0] == "user_error":
-            return _Outcome(
-                400, error_body("bad-request", message, detail=kind), "error"
-            )
-        lines = message.splitlines()
-        return _Outcome(
-            500,
-            error_body("internal", (lines and lines[0]) or kind, detail=kind),
-            "error",
+        loop = asyncio.get_running_loop()
+        future = loop.run_in_executor(
+            self._inline, serve, execute, op, body, self._inline_memo,
+            None if ask is None else on_loop(loop, ask),
         )
+        try:
+            return await asyncio.wait_for(
+                asyncio.shield(future), self.request_timeout
+            )
+        except asyncio.TimeoutError:
+            future.add_done_callback(lambda f: f.cancelled() or f.exception())
+            return _Outcome(
+                504,
+                error_body(
+                    "timeout",
+                    f"{op!r} exceeded its {self.request_timeout:g}s budget",
+                ),
+                "timeout",
+            )
 
     async def _run_store(
         self, method: str, path: str, payload: dict[str, Any]
@@ -652,46 +644,10 @@ class BangerDaemon:
         """One ``/projects`` request, off the event loop.  A quota violation
         is booked like backpressure: 403 carries the ``Retry-After`` 503 does."""
         status, doc = await asyncio.get_running_loop().run_in_executor(
-            self._keys, store_request, self.store, method, path, payload
+            self._store_threads, store_request, self.store, method, path, payload
         )
         kind = {200: "computed", 403: "rejected"}.get(status, "error")
         return _Outcome(status, json_body(doc), kind)
-
-    # ------------------------------------------------------------------ #
-    # coalesce keys + response cache
-    # ------------------------------------------------------------------ #
-    async def _coalesce_key(
-        self, op: str, body_sha: str, body: bytes,
-        handoff: asyncio.Event | None = None,
-    ) -> str:
-        """The content key of a body the memo missed, memoized by its hash.
-
-        The body is parsed and keyed in one job off the loop, and concurrent
-        identical bodies share it.  With an early run, the job starts only
-        after ``handoff``: a key thread parsing beside the pipe write would
-        hold the interpreter lock the write needs.
-        """
-        pending = self._key_futures.get(body_sha)
-        if pending is None:
-            pending = asyncio.ensure_future(self._key_job(op, body, handoff))
-            self._key_futures[body_sha] = pending
-            try:
-                key = await asyncio.shield(pending)
-            finally:
-                self._key_futures.pop(body_sha, None)
-        else:
-            key = await asyncio.shield(pending)
-        self._key_cache.put(body_sha, key)
-        return key
-
-    async def _key_job(
-        self, op: str, body: bytes, handoff: asyncio.Event | None
-    ) -> str:
-        if handoff is not None:
-            await handoff.wait()
-        return await asyncio.get_running_loop().run_in_executor(
-            self._keys, _parse_and_key, op, body, self._key_memo
-        )
 
     # ------------------------------------------------------------------ #
     # introspection documents

@@ -1,12 +1,13 @@
 """An edit costs its size: each request process keeps its last request.
 
 An editing client posts the whole project after every change, and a change
-is usually a few nodes' fields.  A :class:`RequestMemo` keeps what the op
-built for the last request its job function parsed: the design, the
-machine, the flat graph with its hash once known, and the base schedule's
-placements, beside type-exact signatures of the documents they were built
-from.  The next body's documents are compared with those, subtree by
-subtree:
+is usually a few nodes' fields.  A :class:`RequestMemo` keeps what the
+request's key and op built for the last request its job function parsed:
+the design, the machine, the flat graph with its hash once known, and the
+base schedule's placements, beside type-exact signatures of the documents
+they were built from.  The key and the op read one project: the first to
+ask builds it, the other gets the same object.  The next body's documents
+are compared with the kept ones, subtree by subtree:
 
 * a design that differs only in task-node fields (``work``, ``label``,
   ``program``, ``meta``, at any depth) is patched: only those nodes are
@@ -19,9 +20,10 @@ subtree:
   :class:`~repro.sched.incremental.Replay` — built by the first such
   request whose edit keeps the base graph's structure, and forked by every
   later one;
-* the key job's options (every payload field but the project) equal to
-  the kept request's reuse their kept fingerprint
-  (:func:`options_fingerprint`);
+* the key's options (every payload field but the project) equal to the
+  kept request's reuse their kept fingerprint (:func:`options_fingerprint`);
+  the ``base_schedule`` among them is signed once per request, for the
+  options and for :func:`base_of` alike;
 * anything else (an arc, node, storage, port, name or machine change, a
   different design) is built cold, exactly as a direct caller builds it.
 
@@ -153,7 +155,7 @@ class _Kept:
     def __init__(self, built: tuple, doc: dict[str, Any] | None,
                  head: bytes | None, level: _Level | None,
                  base: Any, base_doc: Any, base_sig: bytes | None,
-                 options: tuple[bytes, str] | None):
+                 options: tuple[tuple, str] | None):
         self.design, self.machine, self.flat, self.flat_hash = built
         self._doc, self._head, self._level = doc, head, level
         # the base's placements and their full replay, ``None`` when the
@@ -161,7 +163,7 @@ class _Kept:
         self.placed = None if base is None else base.placed
         self.replay = None if base is None else base.replay or Replay(base.placed)
         self._base_doc, self._base_sig = base_doc, base_sig
-        self.options = options  # (signature, fingerprint) of the key's options
+        self.options = options  # (signatures, fingerprint) of the key's options
 
     def head(self) -> bytes:
         if self._head is None:
@@ -185,21 +187,22 @@ class _Kept:
 class _Request:
     """One request a memo serves: its documents, and what the op took."""
 
-    def __init__(self, kept: _Kept | None, payload: dict[str, Any], counted: bool):
+    def __init__(self, kept: _Kept | None, payload: dict[str, Any]):
         self.kept = kept
         self.doc = payload["project"]
         self.base_doc = payload.get("base_schedule")
-        self.counted = counted
         self.project: BangerProject | None = None
         self.base: Any = None
         self.base_sig: bytes | None = None
-        self.options: tuple[bytes, str] | None = None
+        self.options: tuple[tuple, str] | None = None
         self.head: bytes | None = None
         self.level: _Level | None = None
         self._parts: tuple | None = None
         self._tried = False
 
     def project_of(self, build: Callable[[dict[str, Any]], BangerProject]) -> BangerProject:
+        if self.project is not None:
+            return self.project
         if not self._tried:
             self._tried = True
             try:
@@ -215,8 +218,7 @@ class _Request:
                 self.doc.get("name", "untitled"), *self._parts,
                 service=default_service(),
             )
-        if self.counted:
-            LEDGER.bump("graph_cold" if self._parts is None else "graph_patched")
+        LEDGER.bump("graph_cold" if self._parts is None else "graph_patched")
         self.project = project
         return project
 
@@ -240,11 +242,15 @@ class _Request:
             flat_hash = None
         return _patched(kept.design, built), kept.machine, flat, flat_hash
 
+    def signed_base(self) -> bytes:
+        if self.base_sig is None:
+            self.base_sig = _sig(self.base_doc)
+        return self.base_sig
+
     def base_of(self, read: Callable[[dict[str, Any]], Any]) -> Any:
         kept, doc = self.kept, self.base_doc
         if kept is not None and kept.placed is not None:
-            self.base_sig = _sig(doc)
-            if self.base_sig == kept.base_sig():
+            if self.signed_base() == kept.base_sig():
                 self.base = base_schedule_over(kept.placed, doc, kept.replay)
                 return self.base
         self.base = read(doc)
@@ -252,7 +258,9 @@ class _Request:
 
     def options_fingerprint(self, options: dict[str, Any],
                             digest: Callable[[Any], str]) -> str:
-        sig = _sig(options)
+        based = "base_schedule" in options
+        sig = (_sig(_without(options, "base_schedule")),
+               self.signed_base() if based else None)
         kept = self.kept
         if kept is not None and kept.options is not None and kept.options[0] == sig:
             fp = kept.options[1]
@@ -277,40 +285,31 @@ class _Request:
 class RequestMemo:
     """One owner's last request and what was built from it.
 
-    An owner is one job function: a worker process's loop, the daemon's
-    inline slot, or its key job.  :meth:`serving` wraps one job; a job that
-    finds the memo busy (two key jobs at once) is served cold.  ``counted``
-    bumps ``graph_patched`` / ``graph_cold`` in the work ledger per project
-    built; the key job does not count, so an inline op's counter window
-    holds its own work alone.
+    An owner is one job function that serves one job at a time: a worker
+    process's loop, or the daemon's inline slot.  :meth:`serving` wraps one
+    job, and bumps ``graph_patched`` / ``graph_cold`` in the work ledger for
+    the one project the job builds.
     """
 
-    def __init__(self, counted: bool = True):
-        self.counted = counted
+    def __init__(self) -> None:
         self._kept: _Kept | None = None
-        self._lock = threading.Lock()
 
     @contextmanager
     def serving(self, payload: dict[str, Any]) -> Iterator[None]:
-        """Serve one parsed ``payload`` with the memo: the ops find what it
-        built through :func:`project_of` / :func:`base_of`.  On success the
-        request becomes the kept entry; on an exception the memo is left as
-        it was."""
-        if not isinstance(payload.get("project"), dict) or not self._lock.acquire(
-            blocking=False
-        ):
+        """Serve one parsed ``payload`` with the memo: its key and op find
+        what it built through :func:`project_of`, :func:`base_of` and
+        :func:`options_fingerprint`.  On success the request becomes the
+        kept entry; on an exception the memo is left as it was."""
+        if not isinstance(payload.get("project"), dict):
             yield
             return
+        request = _Request(self._kept, payload)
+        _active.request = request
         try:
-            request = _Request(self._kept, payload, self.counted)
-            _active.request = request
-            try:
-                yield
-            finally:
-                _active.request = None
-            self._kept = request.kept_next() or self._kept
+            yield
         finally:
-            self._lock.release()
+            _active.request = None
+        self._kept = request.kept_next() or self._kept
 
 
 def project_of(doc: dict[str, Any],

@@ -4,8 +4,7 @@ Everything the daemon can answer about itself lives here.  Three layers
 feed ``/metrics``:
 
 * **server counters** — requests by endpoint and status, coalesce/cache
-  dispositions, rejections, timeouts, worker crashes, live queue depth,
-  computations started before their key and those of them no one needed;
+  dispositions, rejections, timeouts, worker crashes, live queue depth;
 * **latency windows** — a bounded ring of recent per-endpoint latencies,
   reported as ``count``/``p50``/``p95`` (sliding-window percentiles, the
   way a scientist actually reads "is it still instant?");
@@ -77,8 +76,6 @@ class ServerMetrics:
         self.by_disposition: dict[str, int] = {d: 0 for d in DISPOSITIONS}
         self.bad_requests = 0
         self.disconnects = 0
-        self.ran_early = 0
-        self.ran_early_unneeded = 0
         self.in_flight = 0
         self.queue_depth = 0
         self._latency: dict[str, LatencyWindow] = {}
@@ -114,14 +111,6 @@ class ServerMetrics:
         with self._lock:
             self.disconnects += 1
 
-    def note_ran_early(self) -> None:
-        with self._lock:
-            self.ran_early += 1
-
-    def note_ran_early_unneeded(self) -> None:
-        with self._lock:
-            self.ran_early_unneeded += 1
-
     def enter(self, queued: int) -> None:
         with self._lock:
             self.in_flight += 1
@@ -151,8 +140,6 @@ class ServerMetrics:
                 "worker_crashes": by["crashed"],
                 "bad_requests": self.bad_requests,
                 "disconnects": self.disconnects,
-                "ran_early": self.ran_early,
-                "ran_early_unneeded": self.ran_early_unneeded,
                 "in_flight": self.in_flight,
                 "queue_depth": self.queue_depth,
                 "latency_ms": {

@@ -507,7 +507,7 @@ def coalesce_key(op: str, payload: dict[str, Any]) -> str:
     the fingerprint of every other payload field — whatever option an op
     reads is in the key without a per-op table to keep in step — so a
     reordered-but-identical JSON body maps to the same key.  The options
-    are fingerprinted on their own, so the key job's memo can keep that
+    are fingerprinted on their own, so a worker's memo can keep that
     fingerprint for the next request (an editor re-posts one base).
     """
     if op not in OPS:
@@ -535,29 +535,34 @@ _GAUGES = ("entries", "last_sweep_seconds")
 _WORK_NAMES = {"hits": "service_hits", "misses": "sched_runs"}
 
 
+def work_mark() -> dict[str, Any]:
+    """The shared service's counters now, for :func:`work_since`."""
+    return vars(shared_service().stats())
+
+
+def work_since(before: dict[str, Any]) -> dict[str, Any]:
+    """The work done since ``before`` (a :func:`work_mark`): every field of
+    the shared service's :class:`ServiceStats` but the gauges, differenced."""
+    return {
+        _WORK_NAMES.get(name, name): value - before[name]
+        for name, value in work_mark().items()
+        if name not in _GAUGES
+    }
+
+
 def execute(op: str, payload: dict[str, Any]) -> dict[str, Any]:
     """Run one op with counter accounting.
 
-    Returns ``{"result": <response doc>, "counters": <work deltas>}``.
-    The daemon's job function (:func:`repro.server.workers.serve`) encodes
-    ``result`` into the response bytes in the same process, a worker or the
-    inline thread, and the daemon folds ``counters`` into ``/metrics`` so
-    scheduler runs are observable no matter which process performed them.
-    ``counters`` is every field of the shared service's
-    :class:`ServiceStats` but the gauges, differenced across the op.
+    Returns ``{"result": <response doc>, "counters": <work deltas>}``, the
+    counters being :func:`work_since` the op started.  The daemon's job
+    function (:func:`repro.server.workers.serve`) encodes ``result`` into
+    the response bytes in the same process, a worker or the inline thread,
+    and counts the work of the whole job, key included, the same way; the
+    daemon folds those counters into ``/metrics`` so scheduler runs are
+    observable no matter which process performed them.
     """
     fn = OPS.get(op)
     if fn is None:
         raise OpError(f"unknown operation {op!r}")
-    service = shared_service()
-    before = vars(service.stats())
-    result = fn(payload)
-    after = vars(service.stats())
-    return {
-        "result": result,
-        "counters": {
-            _WORK_NAMES.get(name, name): value - before[name]
-            for name, value in after.items()
-            if name not in _GAUGES
-        },
-    }
+    before = work_mark()
+    return {"result": fn(payload), "counters": work_since(before)}

@@ -1,11 +1,9 @@
 """Bytes in, bytes out: a worker gets the raw request body and sends back
 the reply bytes it encoded.
 
-The daemon parses a compute request's body only in its key job, off the
-event loop, and not at all on a body-hash memo hit; the worker that runs
-the op parses the same bytes with the same parser.  On an idle daemon the
-early run's job is on the worker's pipe before the key job starts to parse.
-A body nested deeper than the decoder recurses is refused 400 like any other
+The daemon never parses a compute request's body: the worker that keys and
+runs it does, once, and a body-hash memo hit needs no parse at all.  A body
+nested deeper than the decoder recurses is refused 400 like any other
 malformed body, by every parser that meets it.
 """
 
@@ -20,9 +18,6 @@ import time
 
 import pytest
 
-from repro.env.project import BangerProject
-from repro.graph.generators import as_dataflow, random_layered
-from repro.machine import MachineParams
 from repro.server import app as app_mod
 from repro.server import workers as workers_mod
 from repro.server.protocol import ProtocolError, parse_body
@@ -103,23 +98,23 @@ def test_an_empty_body_is_an_empty_object():
 # --------------------------------------------------------------------- #
 # a deeply nested body is a 400 at every door, and costs no worker
 # --------------------------------------------------------------------- #
-def test_a_deeply_nested_compute_body_is_400_and_its_early_run_a_user_error(
+def test_a_deeply_nested_compute_body_is_400_refused_by_its_worker(
     daemon_factory, monkeypatch
 ):
-    """An idle daemon hands the body to a worker before its key job refuses
-    it: the request is 400, counted, and the worker's parse of the same
-    bytes is a user error, not a crash."""
+    """The worker that would key the body refuses its parse: the request is
+    400, counted, and the worker's outcome is a user error before its key,
+    not a crash."""
     harness = daemon_factory(workers=1)
     outcomes = _recorded_outcomes(harness, monkeypatch)
     status, body = _post(harness.daemon.port, "/schedule", DEEP)
     assert status == 400
     doc = json.loads(body)
     assert (doc["kind"], doc["message"]) == ("bad-request", TOO_DEEP)
+    assert "detail" not in doc
     _settled(harness)
     server = _server(harness)
     assert server["bad_requests"] == 1 and server["by_endpoint"]["/schedule"] == 1
-    assert (server["ran_early"], server["ran_early_unneeded"]) == (1, 1)
-    assert outcomes == [("user_error", "ProtocolError", TOO_DEEP)]
+    assert outcomes == [("refused", "ProtocolError", TOO_DEEP)]
 
 
 @pytest.mark.parametrize("workers", [0, 2])
@@ -158,47 +153,45 @@ def test_a_full_daemon_refuses_a_malformed_compute_body_503_first(daemon_factory
 
 
 # --------------------------------------------------------------------- #
-# one parse per process
+# one parse, in the worker
 # --------------------------------------------------------------------- #
 def _counted_parses(monkeypatch, log: pathlib.Path) -> None:
-    """Append ``site pid thread`` to ``log`` for every body parse: ``key``
-    for the daemon's key job, ``worker`` for a job a worker (or the inline
-    thread) serves.  Patch before the daemon starts: forked workers inherit
-    it."""
-    for module, site in ((app_mod, "key"), (workers_mod, "worker")):
-        def counted(body, real=module.parse_body, site=site):
-            with log.open("a") as out:
-                out.write(f"{site} {os.getpid()} {threading.current_thread().name}\n")
-            return real(body)
+    """Append ``pid thread`` to ``log`` for every body parse a worker (or
+    the inline thread) makes.  Patch before the daemon starts: forked
+    workers inherit it."""
+    def counted(body, real=workers_mod.parse_body):
+        with log.open("a") as out:
+            out.write(f"{os.getpid()} {threading.current_thread().name}\n")
+        return real(body)
 
-        monkeypatch.setattr(module, "parse_body", counted)
+    monkeypatch.setattr(workers_mod, "parse_body", counted)
 
 
 def _parses(log: pathlib.Path) -> list[list[str]]:
     text = log.read_text() if log.exists() else ""
-    return sorted(line.split(" ", 2) for line in text.splitlines())
+    return [line.split(" ", 1) for line in text.splitlines()]
 
 
 @pytest.mark.parametrize("workers", [1, 0])
 def test_each_process_parses_a_new_body_once_and_a_repeat_never(
     daemon_factory, project_doc, monkeypatch, tmp_path, workers
 ):
+    """A new body is parsed once, by the worker that keys and runs it; the
+    daemon parses nothing, and an exact repeat is answered unparsed."""
     log = tmp_path / "parses"
     _counted_parses(monkeypatch, log)
+    monkeypatch.setattr(app_mod, "parse_body", None)  # the daemon never parses it
     harness = daemon_factory(workers=workers)
     body = json.dumps({"project": project_doc, "scheduler": "etf"}).encode()
 
     first = _post(harness.daemon.port, "/schedule", body)
     assert first[0] == 200
     _settled(harness)
-    (key, key_pid, key_thread), (worker, worker_pid, worker_thread) = _parses(log)
-    assert (key, worker) == ("key", "worker")
-    assert int(key_pid) == os.getpid() and key_thread.startswith("banger-keys")
+    [(pid, thread)] = _parses(log)
     if workers:
-        assert int(worker_pid) != os.getpid()
+        assert int(pid) != os.getpid()
     else:
-        assert int(worker_pid) == os.getpid()
-        assert worker_thread.startswith("banger-inline")
+        assert int(pid) == os.getpid() and thread.startswith("banger-inline")
 
     log.unlink()
     assert _post(harness.daemon.port, "/schedule", body) == first
@@ -206,58 +199,19 @@ def test_each_process_parses_a_new_body_once_and_a_repeat_never(
     assert _server(harness)["cache_hits"] == 1
 
 
-# --------------------------------------------------------------------- #
-# the handoff comes before the key
-# --------------------------------------------------------------------- #
-def test_an_idle_daemon_writes_the_job_before_its_key_job_parses(
-    daemon_factory, monkeypatch
-):
-    """Ten sequential edits of a ~1 MB design, each run early: every job's
-    pipe write has returned before its key job starts to parse."""
-    params = MachineParams(msg_startup=0.2, transmission_rate=20.0)
-    design = (
-        BangerProject("edits")
-        .set_design(as_dataflow(random_layered(150, 10, seed=2)))
-        .set_machine("hypercube", 8, params)
-        .to_dict()
-    )
-    harness = daemon_factory(workers=1)
-    events: list[str] = []
-    for slot in harness.daemon.pool._slots:
-        def sending(job, send=slot._conn.send):
-            send(job)
-            events.append("sent")
-
-        slot._conn.send = sending
-
-    def parsing(body, real=app_mod.parse_body):
-        events.append("parse")
-        return real(body)
-
-    monkeypatch.setattr(app_mod, "parse_body", parsing)
-    for i in range(10):
-        body = json.dumps({"project": {**design, "name": f"edit-{i}"}}).encode()
-        assert len(body) > 500_000
-        assert _post(harness.daemon.port, "/schedule", body)[0] == 200
-    assert _server(harness)["ran_early"] == 10
-    assert events == ["sent", "parse"] * 10
-    _settled(harness)
-
-
 def test_a_run_that_never_reaches_a_worker_releases_its_key(
     daemon_factory, project_doc
 ):
-    """The only worker died while idle: the early run fails before its
-    write, and the key it would have held up is computed all the same."""
+    """The only worker died while idle: the job fails before its write, the
+    request is 500, and the same bytes are computed next time."""
     harness = daemon_factory(workers=1)
     slot = harness.daemon.pool._slots[0]
     slot._proc.kill()
     slot._proc.join(timeout=10)
-    status, body = _post(
-        harness.daemon.port, "/schedule", json.dumps({"project": project_doc}).encode()
-    )
-    assert status == 500 and json.loads(body)["kind"] == "worker-crash"
-    server = _server(harness)
-    assert (server["ran_early"], server["worker_crashes"]) == (1, 1)
+    body = json.dumps({"project": project_doc}).encode()
+    status, reply = _post(harness.daemon.port, "/schedule", body)
+    assert status == 500 and json.loads(reply)["kind"] == "worker-crash"
+    assert _server(harness)["worker_crashes"] == 1
     assert harness.client.healthz()["workers"]["alive"] == 1
-    assert harness.client.schedule(project_doc)["makespan"] > 0
+    status, reply = _post(harness.daemon.port, "/schedule", body)
+    assert status == 200 and json.loads(reply)["makespan"] > 0

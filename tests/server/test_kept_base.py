@@ -3,8 +3,9 @@
 A worker whose memo kept an edit's ``base_schedule`` also keeps that base's
 full replay (``repro.sched.incremental.Replay``), and every later edit of
 the same graph structure forks its clean prefix off it instead of placing
-each clean task; only the dirty tasks are ranked.  The key job keeps the
-fingerprint of the options.  The work is counted here by wrapping the
+each clean task; only the dirty tasks are ranked.  The worker's key keeps
+the fingerprint of the options, and signs the base once for the key and
+the op.  The work is counted here by wrapping the
 functions, and every reply and refusal is compared, byte for byte, with a
 serve that keeps nothing.
 """
@@ -20,13 +21,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.env.project import BangerProject
-from repro.errors import ReproError
 from repro.graph.generators import as_dataflow, random_layered
 from repro.lru import LEDGER
 from repro.machine import MachineParams
 from repro.sched import core, incremental
 from repro.sched.core import KernelState
-from repro.server import app, ops
+from repro.server import memo as memo_module
+from repro.server import ops
 from repro.server.memo import RequestMemo
 from repro.server.workers import serve
 
@@ -79,11 +80,13 @@ def _cold(body: bytes) -> tuple:
     return _comparable(serve(ops.execute, "schedule", body))
 
 
-def _key(body: bytes, memo: RequestMemo | None) -> str:
-    try:
-        return app._parse_and_key("schedule", body, memo)
-    except ReproError as exc:
-        return f"{type(exc).__name__}: {exc}"
+def _keyed(body: bytes, memo: RequestMemo | None = None) -> tuple[tuple, list[str]]:
+    """A job served with an ``ask`` that answers ``"run"``: its outcome, and
+    the keys its worker named."""
+    keys: list[str] = []
+    outcome = serve(ops.execute, "schedule", body, memo,
+                    lambda key: keys.append(key) or "run")
+    return outcome, keys
 
 
 def _retimes(outcome: tuple) -> tuple[int, int]:
@@ -174,15 +177,38 @@ def test_the_first_edit_builds_the_replay_once(counted):
     assert replays == [1, 0]
 
 
-def test_the_key_job_fingerprints_equal_options_once(counted):
+def test_a_worker_fingerprints_equal_options_once(counted):
     bodies = _edits(_layered(120), (7, 61))
-    memo = RequestMemo(counted=False)
-    app._parse_and_key("schedule", bodies[1], memo)
+    memo = RequestMemo()
+    _keyed(bodies[1], memo)
     _zero(counted)
-    key = app._parse_and_key("schedule", bodies[2], memo)
+    keys = _keyed(bodies[2], memo)[1]
     assert counted["options"] == 0
-    assert key == _key(bodies[2], None)
+    assert keys == _keyed(bodies[2])[1]
     assert counted["options"] == 1  # the memo-less key takes it
+
+
+def test_a_worker_signs_the_base_once_per_request(monkeypatch):
+    """The options' signature is the rest of the options' plus the base's,
+    which the kept base is then compared by: one signing of the base per
+    keyed request, whether or not a base was kept."""
+    bodies = _edits(_layered(60), (7, 30, 41))
+    signed: list[dict] = []
+    sig = memo_module._sig
+
+    def counting(value):
+        if isinstance(value, dict) and ("placements" in value or "base_schedule" in value):
+            signed.append(value)
+        return sig(value)
+
+    monkeypatch.setattr(memo_module, "_sig", counting)
+    memo = RequestMemo()
+    for body in bodies:
+        signed.clear()
+        outcome = _keyed(body, memo)[0]
+        assert outcome[0] == "ok"
+        assert len(signed) == 1 and "placements" in signed[0]
+    assert _retimes(outcome) == (1, 0)
 
 
 def test_a_base_seen_once_costs_what_it_cost(counted):
@@ -393,18 +419,19 @@ def test_any_sequence_against_a_kept_base_answers_what_a_cold_serve_answers(data
     """Work edits (work 0 among them), label edits, arcs added, removed,
     reordered or retyped, nodes added or removed and refused edits, each
     against one kept base (``mh``, ``etf``, ``dsh`` or incomplete): every
-    reply and refusal of a worker's memo and every key of the key job's
-    memo equals a memo-less serve's."""
+    reply, refusal and key of a worker's memo equals a memo-less serve's."""
     base = BASES[data.draw(st.sampled_from(sorted(BASES)), label="base")]
-    memo, key_memo = RequestMemo(), RequestMemo(counted=False)
+    memo = RequestMemo()
     doc = ORIGINAL
     for step in range(data.draw(st.integers(2, 10), label="steps")):
         if step:
             doc = _edit(data, doc, step)
         body = _body({"project": doc, "base_schedule": base})
-        got = _comparable(serve(ops.execute, "schedule", body, memo))
-        assert got == _cold(body), got
-        assert _key(body, key_memo) == _key(body, None)
+        outcome, keys = _keyed(body, memo)
+        cold, cold_keys = _keyed(body)
+        got = _comparable(outcome)
+        assert got == _comparable(cold), got
+        assert keys == cold_keys
 
 
 def test_the_sequences_fork():

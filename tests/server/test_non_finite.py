@@ -3,10 +3,11 @@
 JSON has no ``NaN`` or ``Infinity``, but Python's decoder reads them (and
 ``1e999`` as infinity), and a design or base carrying one used to be
 answered ``200`` with those tokens in the body.  Now the graph classes
-refuse them where they check ``work`` and ``size``, the machine parameters
-where they are range-checked, and a schedule's placements and messages
-where their times are, so every project route answers ``400``
-``bad-request``, in a body that is strict JSON.
+refuse them where they check ``work`` and ``size`` and anywhere inside a
+task's ``meta``, the machine parameters where they are range-checked, and
+a schedule's placements and messages where their times are, so every
+project route answers ``400`` ``bad-request``, in a body that is strict
+JSON.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ DESIGN_EDITS = {
     "arc size NaN": lambda d: d["design"]["arcs"][0].update(size=float("nan")),
     "storage size Infinity": lambda d: _first(d["design"], "storage").update(
         size=float("inf")),
+    "task meta NaN": lambda d: _first(d["design"], "task").update(
+        meta={"tags": [{"weight": float("nan")}]}),
 }
 
 MACHINE_EDITS = {

@@ -1,7 +1,7 @@
 """A request process keeps its last request: an edit costs its size.
 
-A worker, the inline slot and the daemon's key job each keep what they
-built for their last request (``repro.server.memo``).  The work a one-task
+A worker and the inline slot each keep what they built for their last
+request (``repro.server.memo``), and key it from the project they built.  The work a one-task
 edit does after another edit is counted here by wrapping the functions
 themselves, and every reply and refusal a memo serves is compared with a
 serve that keeps nothing, byte for byte and message for message.
@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import json
 import pathlib
-import threading
 import time
 
 import pytest
@@ -21,12 +20,11 @@ from hypothesis import strategies as st
 
 from repro.env import project as project_module
 from repro.env.project import BangerProject
-from repro.errors import ReproError
 from repro.graph.generators import as_dataflow, random_layered
 from repro.graph.node import StorageNode, TaskNode
 from repro.graph.taskgraph import TaskGraph
 from repro.machine import MachineParams, make_machine
-from repro.server import app, ops
+from repro.server import ops
 from repro.server.memo import RequestMemo
 from repro.server.protocol import json_body, parse_body
 from repro.server.workers import serve
@@ -81,11 +79,14 @@ def _cold(op: str, body: bytes) -> tuple:
     return _comparable(serve(ops.execute, op, body))
 
 
-def _key(op: str, body: bytes, memo: RequestMemo | None) -> str:
-    try:
-        return app._parse_and_key(op, body, memo)
-    except ReproError as exc:
-        return f"{type(exc).__name__}: {exc}"
+def _keyed(op: str, body: bytes, memo: RequestMemo | None = None,
+           answer: str = "run") -> tuple[tuple, list[str]]:
+    """A job served with an ``ask`` that answers ``answer``: its outcome,
+    and the keys its worker named."""
+    keys: list[str] = []
+    outcome = serve(ops.execute, op, body, memo,
+                    lambda key: keys.append(key) or answer)
+    return outcome, keys
 
 
 @pytest.fixture
@@ -152,39 +153,26 @@ def test_a_worker_builds_only_the_changed_nodes_and_reads_no_base(calls):
     assert _comparable(outcome) == _cold("schedule", second)
 
 
-def test_the_key_job_hashes_the_patched_graph_once_and_does_not_flatten(calls):
+@pytest.mark.parametrize("answer", ["run", "stop"])
+def test_a_worker_keys_the_project_it_built_with_one_hash(calls, answer):
+    """The key and the op read one patched project: two nodes built, no
+    inflate or flatten, the patched graph hashed once for the key.  Told to
+    stop, the worker runs nothing more and keeps what it built."""
     first, second = _two_edits()
-    memo = RequestMemo(counted=False)
-    app._parse_and_key("schedule", first, memo)
+    memo = RequestMemo()
+    _keyed("schedule", first, memo)
     _zero(calls)
-    key = app._parse_and_key("schedule", second, memo)
+    outcome, keys = _keyed("schedule", second, memo, answer)
     assert calls == {"nodes": 2, "inflates": 0, "flattens": 0,
                      "base_reads": 0, "hashes": 1}
-    assert key == ops.coalesce_key("schedule", parse_body(second))
-
-
-def test_a_key_job_that_finds_the_memo_busy_goes_cold(calls):
-    first, second = _two_edits()
-    memo = RequestMemo(counted=False)
-    app._parse_and_key("schedule", first, memo)
-    held, release = threading.Event(), threading.Event()
-
-    def another_key_job():
-        with memo.serving(parse_body(first)):
-            held.set()
-            release.wait(30)
-
-    holder = threading.Thread(target=another_key_job)
-    holder.start()
-    assert held.wait(30)
-    try:
-        _zero(calls)
-        key = app._parse_and_key("schedule", second, memo)
-    finally:
-        release.set()
-        holder.join()
-    assert calls["inflates"] == calls["flattens"] == 1
-    assert key == ops.coalesce_key("schedule", parse_body(second))
+    assert keys == [ops.coalesce_key("schedule", parse_body(second))]
+    counters = outcome[1]["counters"]
+    assert (counters["graph_patched"], counters["graph_cold"]) == (1, 0)
+    if answer == "stop":
+        assert outcome[0] == "stop" and counters["sched_runs"] == 0
+        assert memo._kept.flat_hash is not None
+    else:
+        assert _comparable(outcome) == _cold("schedule", second)
 
 
 def test_direct_callers_inflate_as_before(calls):
@@ -377,8 +365,8 @@ DESIGNS = {
 @given(st.data())
 def test_any_sequence_of_edits_answers_what_a_cold_serve_answers(data):
     """Field edits, arc and node edits, machine, base and name changes and
-    refused edits, in any order: every reply and refusal of a worker's
-    memo and every key of the key job's memo equals a memo-less serve."""
+    refused edits, in any order: every reply, refusal and key of a worker's
+    memo equals a memo-less serve's."""
     original = DESIGNS[data.draw(st.sampled_from(sorted(DESIGNS)), label="design")]
     doc = original
     bases = [None] + [
@@ -386,7 +374,7 @@ def test_any_sequence_of_edits_answers_what_a_cold_serve_answers(data):
             "result"]["schedule"]
         for name in ("mh", "etf")
     ]
-    memo, key_memo = RequestMemo(), RequestMemo(counted=False)
+    memo = RequestMemo()
     for step in range(data.draw(st.integers(2, 7), label="steps")):
         doc = _edit(data, doc, original, step)
         op = data.draw(st.sampled_from(["schedule", "schedule", "lint", "simulate"]))
@@ -395,9 +383,11 @@ def test_any_sequence_of_edits_answers_what_a_cold_serve_answers(data):
         if op == "schedule" and base is not None:
             payload["base_schedule"] = base
         body = _body(payload)
-        got = _comparable(serve(ops.execute, op, body, memo))
-        assert got == _cold(op, body), (op, got)
-        assert _key(op, body, key_memo) == _key(op, body, None)
+        outcome, keys = _keyed(op, body, memo)
+        cold, cold_keys = _keyed(op, body)
+        got = _comparable(outcome)
+        assert got == _comparable(cold), (op, got)
+        assert keys == cold_keys
         if got[0] == "ok" and op == "schedule":
             bases.append(json.loads(got[1])["schedule"])
 
