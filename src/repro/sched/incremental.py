@@ -50,9 +50,11 @@ Correctness story
   clean task is placed at its previous start with its clean, equal work,
   and its predecessors, all clean and already placed, have the same single
   copies, so it gets the same placement and the same messages.
-  :meth:`Schedule.add` inserts by start, before equal starts, so a
-  timeline keeps its clean placements' relative order whatever dirty
-  ones land among them: filtering each replayed timeline, the task index
+  :meth:`Schedule.add` inserts by start, after the zero-width placements
+  that share its start and before any other, so where one placement
+  lands against another depends on those two alone, and a timeline keeps
+  its clean placements' relative order whatever dirty ones land among
+  them: filtering each replayed timeline, the task index
   and the message list down to the clean tasks
   (:meth:`Schedule.take_prefix`) gives the prefix replay's schedule.  A
   placement the prefix replay would refuse for overlap is refused by the

@@ -111,6 +111,11 @@ class Schedule:
         timeline = self._by_proc[proc]
         starts = self._starts[proc]
         idx = bisect.bisect_left(starts, start)
+        # After the zero-width placements that share its start, so a wide
+        # placement there never reads one of them as its overlap.
+        while (idx < len(timeline) and starts[idx] == start
+               and timeline[idx].finish <= start + 1e-9):
+            idx += 1
         if idx > 0 and timeline[idx - 1].finish > start + 1e-9:
             raise ScheduleError(
                 f"task {task!r} at [{start}, {finish}) overlaps "

@@ -7,9 +7,9 @@ stdlib-only asyncio JSON-over-HTTP daemon (``banger serve``) exposing
 lint, scheduling, sweeps, simulation, speedup prediction, and the
 conformance fuzzer as endpoints, with:
 
-* **request coalescing** — N in-flight identical requests (same graph
-  content hash, machine content hash, scheduler key, options) trigger one
-  computation and share one byte-identical response;
+* **request coalescing** — N in-flight identical requests (the same op
+  and body bytes) trigger one computation and share one byte-identical
+  response;
 * **response caching** — completed answers are kept in a bounded LRU, so
   a warm ``/schedule`` is a hash lookup, not a scheduler run;
 * **a bounded worker pool** — CPU-bound work runs in restartable worker

@@ -2,31 +2,23 @@
 
 One asyncio event loop owns every connection; CPU-bound work never runs
 on it, and neither does parsing or encoding a compute request's JSON.  A
-request travels::
+compute request is known by its body hash, ``sha256(op + "\0" + body)``,
+and travels::
 
-    socket -> [backpressure?] -> body-hash memo -> response cache?
-           -> same body or key in flight? -> worker: parse, build, key
-           -> daemon: cached? in flight? -> "stop" | "run"
-           -> worker: run, encode -> response bytes
-           -> cache + every coalesced waiter
+    socket -> response cache?             -> the cached bytes  (cache)
+           -> same hash in flight?        -> its bytes         (coalesced)
+           -> [backpressure?] -> worker: parse, build, run, encode
+           -> response bytes -> cache + every coalesced waiter  (computed)
 
-The coalesce key is content-addressed — ``(project name, graph content_hash,
-machine content_hash, scheduler cache key, options)`` via
-:func:`repro.server.ops.coalesce_key` — so N concurrent identical
-requests cost one scheduler run and share byte-identical responses, and
-a warm repeat is a hash lookup.  Identical *bytes* short-circuit even the
-parse through a body-hash memo.  The daemon hands a worker the raw body
-and gets back the reply bytes the worker encoded, so it never parses a
-compute body at all.
-
-The worker that runs a body keys it: it builds the project once (patched
-from its last request when only task fields changed, :mod:`repro.server.memo`),
-keys it from the graph it built, and asks the daemon whether to run.  The
-answer is ``"stop"`` when the key's reply is cached (the request is a
-``cache`` hit) or already being computed (it coalesces on that
-computation), and ``"run"`` otherwise: the job becomes the key's in-flight
-computation.  Each key a worker names fills the body-hash memo, so the
-exact bytes never need a worker again.
+So N concurrent identical requests cost one run and share byte-identical
+responses, and a repeat is a hash lookup.  The daemon hands a worker the
+raw body and gets back the reply bytes the worker encoded, so it never
+parses a compute body at all.  Clients encode canonically
+(``json.dumps(sort_keys=True)``), so equal content arrives as equal bytes;
+a body whose bytes are new runs, and content addressing happens where the
+work is done: the worker's schedule cache answers a schedule it has made
+before, and its request memo (:mod:`repro.server.memo`) patches the
+project from its last request when only task fields changed.
 
 Failure semantics (documented in ``docs/server.md``, asserted by
 ``tests/server/``): payload problems are 400; backpressure is 503 with
@@ -46,7 +38,7 @@ import signal
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable
 
 from repro import __version__
@@ -66,7 +58,7 @@ from repro.server.protocol import (
     read_request,
 )
 from repro.server.store_api import store_request
-from repro.server.workers import WorkerCrash, WorkerPool, WorkerTimeout, on_loop, serve
+from repro.server.workers import WorkerCrash, WorkerPool, WorkerTimeout, serve
 from repro.store import ProjectRepository, TenantQuota
 
 #: URL path -> op name.  Debug routes exist only under ``--debug``.
@@ -107,7 +99,6 @@ class _Inflight:
 
     future: asyncio.Future
     body: str | None = None  # the body hash it runs, for a compute job
-    key: str | None = None  # its coalesce key, once its worker runs it
     task: asyncio.Task | None = None
     waiters: int = 0
 
@@ -121,15 +112,11 @@ class _Outcome:
 
 
 def _reply_outcome(reply: tuple) -> _Outcome:
-    """A job's outcome tuple (:func:`serve`) as the daemon's reply.  A body
-    refused before its key is answered without the ``detail`` an op's
-    refusal carries."""
+    """A job's outcome tuple (:func:`serve`) as the daemon's reply."""
     if reply[0] == "ok":
         doc = reply[1]
         return _Outcome(200, doc["body"], "computed", counters=doc["counters"])
     outcome, kind, message = reply
-    if outcome == "refused":
-        return _Outcome(400, error_body("bad-request", message), "error")
     if outcome == "user_error":
         return _Outcome(
             400, error_body("bad-request", message, detail=kind), "error"
@@ -226,12 +213,9 @@ class BangerDaemon:
         self._server: asyncio.AbstractServer | None = None
         self._started = time.monotonic()
 
-        # coalesce key -> 200 response body; body hash -> coalesce key
+        # body hash -> 200 response body, and the computations in flight
         self._cache = LRU(cache_entries, max_bytes=RESPONSE_CACHE_MAX_BYTES)
-        self._key_cache = LRU(4096)
-        # computations in flight, by coalesce key and by the body they run
         self._inflight: dict[str, _Inflight] = {}
-        self._bodies: dict[str, _Inflight] = {}
         self._active_ops = 0
         self._conn_tasks: set[asyncio.Task] = set()
         self._draining = False
@@ -310,7 +294,7 @@ class BangerDaemon:
         assert task is not None
         self._conn_tasks.add(task)
         try:
-            await self._connection_loop(reader, writer)
+            await self._serve_connection(reader, writer)
         except (_ClientGone, ConnectionResetError, BrokenPipeError):
             self.metrics.note_disconnect()
         except asyncio.CancelledError:
@@ -322,7 +306,7 @@ class BangerDaemon:
             except Exception:
                 pass
 
-    async def _connection_loop(
+    async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         conn = BufferedConn(reader)
@@ -424,63 +408,37 @@ class BangerDaemon:
                 "/debug/crash needs process workers (start with --workers >= 1)",
             ), "error"
 
-        # Store and debug bodies are small and parsed here, so they are
-        # refused 400 before the queue check.  A compute body is parsed only
-        # by the worker that keys and runs it, after the queue check.
-        payload: dict[str, Any] = {}
-        if request.method == "POST" and (store or op in DEBUG_OPS):
-            try:
-                payload = parse_body(request.body)
-            except ProtocolError as exc:
-                return 400, error_body("bad-request", str(exc)), "error"
-
-        # Backpressure: admission control before any CPU is spent.  Nothing
-        # below awaits before a request leads, so this is its admission.
-        full = self._overloaded()
-        if full is not None:
-            return full
-
-        if store:
+        # Store and debug bodies are small and parsed here, so a malformed
+        # one is answered 400 before the queue check.  A compute body is
+        # parsed only by the worker that runs it, after the queue check.
+        if store or op in DEBUG_OPS:
+            payload: dict[str, Any] = {}
+            if request.method == "POST":
+                try:
+                    payload = parse_body(request.body)
+                except ProtocolError as exc:
+                    return 400, error_body("bad-request", str(exc)), "error"
+            if store:
+                return await self._lead_and_wait(
+                    conn, lambda: self._run_store(request.method, path, payload)
+                )
+            # Fault injection must hit the pool every time: no coalescing,
+            # no cache.
             return await self._lead_and_wait(
-                conn, lambda entry: self._run_store(request.method, path, payload)
-            )
-        if op in DEBUG_OPS:
-            # Fault injection must hit the pool every time: no key, no
-            # coalescing, no cache.
-            return await self._lead_and_wait(
-                conn, lambda entry: self._run_op(op, request.body)
+                conn, lambda: self._run_op(op, request.body)
             )
 
         body_sha = hashlib.sha256(op.encode() + b"\0" + request.body).hexdigest()
-        key = self._key_cache.get(body_sha)
-        cached = None if key is None else self._cache.get(key)
+        cached = self._cache.get(body_sha)
         if cached is not None:
             return 200, cached, "cache"
-        entry = self._bodies.get(body_sha) or self._inflight.get(key)
+        entry = self._inflight.get(body_sha)
         if entry is not None:
             outcome = await self._wait_for_outcome(conn, entry)
             return outcome.status, outcome.body, "coalesced"
-        # A body whose key is known (its reply was evicted) runs unasked.
         return await self._lead_and_wait(
-            conn, lambda entry: self._run_op(op, request.body, entry), body_sha, key
+            conn, lambda: self._run_op(op, request.body), body_sha
         )
-
-    def _answer(self, entry: _Inflight, key: str) -> _Outcome | _Inflight | None:
-        """Who answers ``entry``'s request, now that its worker found its
-        ``key``: the cached reply, another computation in flight (which
-        ``entry`` then waits on), or ``None`` — the worker, as the key's
-        computation."""
-        self._key_cache.put(entry.body, key)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return _Outcome(200, cached, "cache")
-        leader = self._inflight.get(key)
-        if leader is not None:
-            leader.waiters += 1
-            return leader
-        entry.key = key
-        self._inflight[key] = entry
-        return None
 
     def _overloaded(self) -> tuple[int, bytes, str] | None:
         """The 503 reply when the queue is at its limit, else ``None``."""
@@ -493,23 +451,26 @@ class BangerDaemon:
         ), "rejected"
 
     async def _lead_and_wait(
-        self, conn: BufferedConn,
-        run: Callable[[_Inflight], Awaitable[_Outcome]],
-        body: str | None = None, key: str | None = None,
+        self, conn: BufferedConn, run: Callable[[], Awaitable[_Outcome]],
+        body: str | None = None,
     ) -> tuple[int, bytes, str]:
-        """Admit ``run(entry)`` as a computation, in flight under the
-        ``body`` hash and coalesce ``key`` given, and wait for its outcome."""
+        """Admit ``run()`` as a computation, in flight under the ``body``
+        hash given, and wait for its outcome.  Backpressure is admission
+        control before any CPU is spent: at the queue limit the request is
+        answered 503.  Nothing awaits between the check and the entry's
+        registration, so this is the request's admission."""
+        full = self._overloaded()
+        if full is not None:
+            return full
         entry = _Inflight(future=asyncio.get_running_loop().create_future(),
-                          body=body, key=key)
+                          body=body)
         if body is not None:
-            self._bodies[body] = entry
-        if key is not None:
-            self._inflight[key] = entry
+            self._inflight[body] = entry
         # Counted from admission, not from the task's first step, so a gate
         # another request checks before that step already sees it.
         self._active_ops += 1
         self.metrics.enter(self._active_ops)
-        entry.task = asyncio.ensure_future(self._compute(run(entry), entry))
+        entry.task = asyncio.ensure_future(self._compute(run(), entry))
         outcome = await self._wait_for_outcome(conn, entry)
         return outcome.status, outcome.body, outcome.kind
 
@@ -564,67 +525,31 @@ class BangerDaemon:
         finally:
             self._active_ops -= 1
             self.metrics.exit(self._active_ops)
-            self._bodies.pop(entry.body, None)
-            self._inflight.pop(entry.key, None)
+            self._inflight.pop(entry.body, None)
         if outcome.counters:
             self.metrics.fold_work(outcome.counters)
-        if entry.key is not None and outcome.status == 200:
-            self._cache.put(entry.key, outcome.body)
+        if entry.body is not None and outcome.status == 200:
+            self._cache.put(entry.body, outcome.body)
         if not entry.future.done():
             entry.future.set_result(outcome)
 
-    async def _run_op(
-        self, op: str, body: bytes, entry: _Inflight | None = None
-    ) -> _Outcome:
-        """Serve one job ``(op, body)`` on a worker, or inline.  The job of
-        a compute ``entry`` whose key is not known asks, once keyed, whether
-        to run (:meth:`_answer`)."""
-        answer: _Outcome | _Inflight | None = None
-
-        def ask(key: str) -> str:
-            nonlocal answer
-            if entry.future.done():  # timed out, or nobody waits any more
-                return "stop"
-            answer = self._answer(entry, key)
-            return "run" if answer is None else "stop"
-
-        asks = entry is not None and entry.key is None
-        try:
-            reply = await self._serve(op, body, ask if asks else None)
-            if isinstance(reply, _Outcome):
-                return reply
-            if reply[0] != "stop":
-                return _reply_outcome(reply)
-            counters = reply[1]["counters"]
-            if isinstance(answer, _Outcome):
-                return replace(answer, counters=counters)
-            outcome = await asyncio.shield(answer.future)
-            return replace(outcome, kind="coalesced", counters=counters)
-        finally:
-            if isinstance(answer, _Inflight):
-                self._leave(answer)
-
-    async def _serve(
-        self, op: str, body: bytes, ask: Callable[[str], str] | None
-    ) -> tuple | _Outcome:
-        """The job's outcome tuple (:func:`serve`), or the daemon's own
-        outcome when the job timed out or its worker crashed."""
+    async def _run_op(self, op: str, body: bytes) -> _Outcome:
+        """Serve one job ``(op, body)`` on a worker, or inline."""
         if self.pool is not None:
             try:
-                return await self.pool.run(op, body, self.request_timeout, ask)
+                reply = await self.pool.run(op, body, self.request_timeout)
             except WorkerTimeout as exc:
                 return _Outcome(504, error_body("timeout", str(exc)), "timeout")
             except WorkerCrash as exc:
                 return _Outcome(
                     500, error_body("worker-crash", str(exc)), "crashed"
                 )
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(
-            self._inline, serve, execute, op, body, self._inline_memo,
-            None if ask is None else on_loop(loop, ask),
+            return _reply_outcome(reply)
+        future = asyncio.get_running_loop().run_in_executor(
+            self._inline, serve, execute, op, body, self._inline_memo
         )
         try:
-            return await asyncio.wait_for(
+            reply = await asyncio.wait_for(
                 asyncio.shield(future), self.request_timeout
             )
         except asyncio.TimeoutError:
@@ -637,6 +562,7 @@ class BangerDaemon:
                 ),
                 "timeout",
             )
+        return _reply_outcome(reply)
 
     async def _run_store(
         self, method: str, path: str, payload: dict[str, Any]

@@ -1,13 +1,12 @@
 """An edit costs its size: each request process keeps its last request.
 
 An editing client posts the whole project after every change, and a change
-is usually a few nodes' fields.  A :class:`RequestMemo` keeps what the
-request's key and op built for the last request its job function parsed:
-the design, the machine, the flat graph with its hash once known, and the
-base schedule's placements, beside type-exact signatures of the documents
-they were built from.  The key and the op read one project: the first to
-ask builds it, the other gets the same object.  The next body's documents
-are compared with the kept ones, subtree by subtree:
+is usually a few nodes' fields.  A :class:`RequestMemo` keeps what the op
+built for the last request its job function parsed: the design, the
+machine, the flat graph with its hash once known, and the base schedule's
+placements, beside type-exact signatures of the documents they were built
+from.  The next body's documents are compared with the kept ones, subtree
+by subtree:
 
 * a design that differs only in task-node fields (``work``, ``label``,
   ``program``, ``meta``, at any depth) is patched: only those nodes are
@@ -19,11 +18,8 @@ are compared with the kept ones, subtree by subtree:
   ``base_schedule`` reuses the kept placements and their full
   :class:`~repro.sched.incremental.Replay` — built by the first such
   request whose edit keeps the base graph's structure, and forked by every
-  later one;
-* the key's options (every payload field but the project) equal to the
-  kept request's reuse their kept fingerprint (:func:`options_fingerprint`);
-  the ``base_schedule`` among them is signed once per request, for the
-  options and for :func:`base_of` alike;
+  later one.  Each request's base is signed once, and kept as its
+  signature;
 * anything else (an arc, node, storage, port, name or machine change, a
   different design) is built cold, exactly as a direct caller builds it.
 
@@ -31,12 +27,11 @@ A signature is a subtree's :mod:`marshal` bytes: ``1``, ``1.0`` and
 ``true`` are ``==`` in Python but encode differently in a reply, and their
 bytes differ too.  A document is signed when a later request first
 compares with it, and then let go, so a design nobody edits costs no
-signing.  A request that succeeds becomes the kept entry; one that is
-refused leaves the memo as it was.  The ops reach the memo through
-:func:`project_of`, :func:`base_of` and :func:`options_fingerprint`, and
-only for the very documents the job function parsed, so a caller that
-hands ``ops`` its own payload (the CLI, tests, the benchmark's replay)
-builds exactly as before.
+signing.  A request that succeeds becomes the kept entry; one that fails
+leaves the memo as it was.  The ops reach the memo through
+:func:`project_of` and :func:`base_of`, and only for the very documents the
+job function parsed, so a caller that hands ``ops`` its own payload (the
+CLI, tests, the benchmark's replay) builds exactly as before.
 """
 
 from __future__ import annotations
@@ -154,16 +149,15 @@ class _Kept:
 
     def __init__(self, built: tuple, doc: dict[str, Any] | None,
                  head: bytes | None, level: _Level | None,
-                 base: Any, base_doc: Any, base_sig: bytes | None,
-                 options: tuple[tuple, str] | None):
+                 base: Any, base_sig: bytes | None):
         self.design, self.machine, self.flat, self.flat_hash = built
         self._doc, self._head, self._level = doc, head, level
-        # the base's placements and their full replay, ``None`` when the
-        # op read no base; the replay is built when an equal base re-times
+        # the base's placements, their full replay and the base document's
+        # signature, ``None`` when the op read no base; the replay is built
+        # when an equal base re-times
         self.placed = None if base is None else base.placed
         self.replay = None if base is None else base.replay or Replay(base.placed)
-        self._base_doc, self._base_sig = base_doc, base_sig
-        self.options = options  # (signatures, fingerprint) of the key's options
+        self.base_sig = base_sig
 
     def head(self) -> bytes:
         if self._head is None:
@@ -177,12 +171,6 @@ class _Kept:
             self._doc = None
         return self._level
 
-    def base_sig(self) -> bytes:
-        if self._base_sig is None:
-            self._base_sig = _sig(self._base_doc)
-            self._base_doc = None
-        return self._base_sig
-
 
 class _Request:
     """One request a memo serves: its documents, and what the op took."""
@@ -194,7 +182,6 @@ class _Request:
         self.project: BangerProject | None = None
         self.base: Any = None
         self.base_sig: bytes | None = None
-        self.options: tuple[tuple, str] | None = None
         self.head: bytes | None = None
         self.level: _Level | None = None
         self._parts: tuple | None = None
@@ -242,43 +229,23 @@ class _Request:
             flat_hash = None
         return _patched(kept.design, built), kept.machine, flat, flat_hash
 
-    def signed_base(self) -> bytes:
-        if self.base_sig is None:
-            self.base_sig = _sig(self.base_doc)
-        return self.base_sig
-
     def base_of(self, read: Callable[[dict[str, Any]], Any]) -> Any:
         kept, doc = self.kept, self.base_doc
-        if kept is not None and kept.placed is not None:
-            if self.signed_base() == kept.base_sig():
-                self.base = base_schedule_over(kept.placed, doc, kept.replay)
-                return self.base
-        self.base = read(doc)
-        return self.base
-
-    def options_fingerprint(self, options: dict[str, Any],
-                            digest: Callable[[Any], str]) -> str:
-        based = "base_schedule" in options
-        sig = (_sig(_without(options, "base_schedule")),
-               self.signed_base() if based else None)
-        kept = self.kept
-        if kept is not None and kept.options is not None and kept.options[0] == sig:
-            fp = kept.options[1]
+        self.base_sig = _sig(doc)
+        if kept is None or kept.placed is None or self.base_sig != kept.base_sig:
+            self.base = read(doc)
         else:
-            fp = digest(options)
-        self.options = sig, fp
-        return fp
+            self.base = base_schedule_over(kept.placed, doc, kept.replay)
+        return self.base
 
     def kept_next(self) -> _Kept | None:
         """This request as the memo's entry, if the op built its project."""
         if self.project is None:
             return None
-        based = self.base is not None
         return _Kept(
             self.project.parts(),
             self.doc if self.level is None else None, self.head, self.level,
-            self.base, self.base_doc if based and self.base_sig is None else None,
-            self.base_sig if based else None, self.options,
+            self.base, self.base_sig,
         )
 
 
@@ -296,10 +263,10 @@ class RequestMemo:
 
     @contextmanager
     def serving(self, payload: dict[str, Any]) -> Iterator[None]:
-        """Serve one parsed ``payload`` with the memo: its key and op find
-        what it built through :func:`project_of`, :func:`base_of` and
-        :func:`options_fingerprint`.  On success the request becomes the
-        kept entry; on an exception the memo is left as it was."""
+        """Serve one parsed ``payload`` with the memo: its op finds what it
+        built through :func:`project_of` and :func:`base_of`.  On success
+        the request becomes the kept entry; on an exception the memo is
+        left as it was."""
         if not isinstance(payload.get("project"), dict):
             yield
             return
@@ -331,13 +298,3 @@ def base_of(doc: dict[str, Any], read: Callable[[dict[str, Any]], Any]) -> Any:
         return read(doc)
     return request.base_of(read)
 
-
-def options_fingerprint(doc: dict[str, Any], options: dict[str, Any],
-                        digest: Callable[[Any], str]) -> str:
-    """``digest(options)``, unless ``doc`` is the project document the
-    calling thread's memo is serving: then, for options equal type for type
-    to the kept request's, the kept digest."""
-    request = getattr(_active, "request", None)
-    if request is None or doc is not request.doc:
-        return digest(options)
-    return request.options_fingerprint(options, digest)

@@ -18,10 +18,11 @@ and its caching from the process-local :func:`shared_service`.
 :func:`execute` wraps an op with counter accounting (the
 :class:`~repro.sched.service.ServiceStats` difference across it) so the
 daemon can aggregate *work* observability across processes, and
-:func:`coalesce_key` derives the content-addressed identity the daemon
-coalesces and caches on: ``(op, project name, graph content_hash, machine
-content_hash, scheduler cache key, fingerprint of every other payload
-field)``.
+:func:`coalesce_key` derives a request's content-addressed identity:
+``(op, project name, graph content_hash, machine content_hash, scheduler
+cache key, fingerprint of every other payload field)``.  The daemon
+caches and coalesces on a request's bytes; content is addressed where the
+work is done, in each process's schedule service and request memo.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from repro.sched.serialize import (  # noqa: F401
     schedule_to_dict,
 )
 from repro.sched.service import ScheduleRequest
-from repro.server.memo import base_of, options_fingerprint, project_of
+from repro.server.memo import base_of, project_of
 # The process-wide ScheduleService every op schedules through.  Worker
 # processes each hold one, so repeated misses that land on the same worker
 # still reuse its kernel/schedule caches; the daemon's inline thread uses
@@ -63,7 +64,7 @@ class OpError(ReproError):
 
 
 # --------------------------------------------------------------------- #
-# option validators: the one place an option is typed, defaulted, refused
+# option validators: the one place an option is typed, defaulted, checked
 # --------------------------------------------------------------------- #
 def _inflate(doc: dict[str, Any]) -> BangerProject:
     return BangerProject.from_dict(doc, service=shared_service())
@@ -165,7 +166,7 @@ def schedule_options(raw: dict[str, Any]) -> dict[str, Any]:
     """``base_schedule`` comes back read as the base to re-time against
     (:func:`base_schedule_from_dict`): its placements, machine, scheduler
     name and each embedded task's work and in-edges, never a second graph.
-    It is refused here, before any run, wherever
+    It is turned away here, before any run, wherever
     :func:`schedule_from_dict` would refuse the document, messages
     included."""
     base = _option(raw, "base_schedule", dict, "a saved schedule document")
@@ -285,7 +286,7 @@ def run_schedule(project: BangerProject, opts: dict[str, Any]):
         )
     # Edit-loop path: re-time against the client's previous schedule
     # instead of scheduling from scratch.  The base document is part of
-    # the coalesce key, so identical edits still share one computation.
+    # the body, so identical edits still share one computation.
     try:
         result = incremental_reschedule(base, project.flat())
     except ReproError as exc:
@@ -458,7 +459,7 @@ def op_conform(payload: dict[str, Any]) -> dict[str, Any]:
 
 
 # --------------------------------------------------------------------- #
-# debug ops (refused unless the daemon runs with --debug)
+# debug ops (routed only when the daemon runs with --debug)
 # --------------------------------------------------------------------- #
 def op_crash(payload: dict[str, Any]) -> dict[str, Any]:
     """Kill the hosting process mid-request (crash-isolation testing)."""
@@ -500,15 +501,14 @@ PROJECT_OPS = frozenset({"lint", "schedule", "speedup", "sweep", "simulate", "co
 def coalesce_key(op: str, payload: dict[str, Any]) -> str:
     """The content-addressed identity of one request.
 
-    Two requests with equal keys are guaranteed the same answer, so the
-    daemon runs one and shares the bytes.  Project ops are keyed by the
-    project's name (replies quote it), the flattened graph's content hash,
-    the machine's content hash, the resolved scheduler's cache key, and
-    the fingerprint of every other payload field — whatever option an op
-    reads is in the key without a per-op table to keep in step — so a
-    reordered-but-identical JSON body maps to the same key.  The options
-    are fingerprinted on their own, so a worker's memo can keep that
-    fingerprint for the next request (an editor re-posts one base).
+    Two requests with equal keys are guaranteed the same answer.  Project
+    ops are keyed by the project's name (replies quote it), the flattened
+    graph's content hash, the machine's content hash, the resolved
+    scheduler's cache key, and the fingerprint of every other payload
+    field — whatever option an op reads is in the key without a per-op
+    table to keep in step — so a reordered-but-identical JSON body maps to
+    the same key.  The daemon caches on the body's bytes instead; the
+    benchmark's in-process replay keys its responses with this.
     """
     if op not in OPS:
         raise OpError(f"unknown operation {op!r}")
@@ -524,7 +524,7 @@ def coalesce_key(op: str, payload: dict[str, Any]) -> str:
         options = {f: v for f, v in payload.items() if f != "project"}
         return fingerprint([
             op, project.name, fps["graph"], fps["machine"], sched_key,
-            options_fingerprint(payload["project"], options, fingerprint),
+            fingerprint(options),
         ])
     return fingerprint([op, payload])
 
@@ -557,9 +557,9 @@ def execute(op: str, payload: dict[str, Any]) -> dict[str, Any]:
     counters being :func:`work_since` the op started.  The daemon's job
     function (:func:`repro.server.workers.serve`) encodes ``result`` into
     the response bytes in the same process, a worker or the inline thread,
-    and counts the work of the whole job, key included, the same way; the
-    daemon folds those counters into ``/metrics`` so scheduler runs are
-    observable no matter which process performed them.
+    and counts the work of the whole job, its parse included, the same
+    way; the daemon folds those counters into ``/metrics`` so scheduler
+    runs are observable no matter which process performed them.
     """
     fn = OPS.get(op)
     if fn is None:

@@ -59,10 +59,10 @@ def parse_body(body: bytes) -> dict[str, Any]:
     """A request body as the JSON object it must be; empty is ``{}``.
 
     The one body parser: the daemon's ``/projects`` and debug routes and
-    the worker that keys and runs an op all call it.  Anything else —
-    bytes that are not UTF-8 JSON, nesting deeper than the decoder recurses,
-    an array or a scalar — is a :class:`ProtocolError`: the daemon answers
-    it 400, and a worker reports it as refused before its key.
+    the worker that runs an op all call it.  Anything else — bytes that
+    are not UTF-8 JSON, nesting deeper than the decoder recurses, an array
+    or a scalar — is a :class:`ProtocolError`, answered 400 whichever
+    process parsed it.
     """
     if not body:
         return {}

@@ -9,13 +9,9 @@ replaced before the next request needs it.  So each slot here is its own
 
 * **submit** — the slot is checked out of an :class:`asyncio.LifoQueue`
   (one job per slot at a time; the slot freed last, whose caches are the
-  warmest, takes the next job), the job ``(op, body, asks)`` — the raw
-  request body, not a parsed payload — written down the pipe, and the
-  reply awaited in a thread so the event loop never blocks;
-* **key handshake** — a job that ``asks`` sends ``("key", k)`` up the pipe
-  once it has built its project and keyed it, and blocks until the daemon
-  answers ``"run"`` or ``"stop"``; the pool thread asks the event loop
-  (:func:`on_loop`) and writes the answer back down;
+  warmest, takes the next job), the job ``(op, body)`` — the raw request
+  body, not a parsed payload — written down the pipe, and the reply
+  awaited in a thread so the event loop never blocks;
 * **crash** — the child dying mid-job surfaces as ``EOFError`` on the
   pipe; the slot restarts its process and only that request fails with
   :class:`WorkerCrash`;
@@ -26,12 +22,13 @@ replaced before the next request needs it.  So each slot here is its own
   sentinel per slot, a bounded join, then force-kill.
 
 A worker serves a job start to finish (:func:`serve`): it parses the body
-with the daemon's own parser, builds the project once, keys it with
-:func:`repro.server.ops.coalesce_key` from the graph it built, runs
-:func:`repro.server.ops.execute` when told to, and sends back the reply
-already encoded as response bytes, beside the work counters the daemon
-aggregates into ``/metrics``.  The daemon routes bytes; the process that
-does the work also decodes, keys and encodes it.
+with the daemon's own parser, runs :func:`repro.server.ops.execute` on it,
+and sends back the reply already encoded as response bytes, beside the
+work counters the daemon aggregates into ``/metrics``.  The daemon routes
+bytes, and caches them by the body's hash; the process that does the work
+also decodes and encodes it, and holds the content-addressed caches: its
+:class:`~repro.sched.service.ScheduleService`, with its IR cache, and its
+request memo.
 
 Each worker keeps what it built for its last request in a
 :class:`~repro.server.memo.RequestMemo`: the design, machine, flat graph
@@ -53,7 +50,7 @@ from typing import Any, Callable
 
 from repro.errors import ReproError
 from repro.server.memo import RequestMemo
-from repro.server.ops import coalesce_key, execute, work_mark, work_since
+from repro.server.ops import execute, work_mark, work_since
 from repro.server.protocol import json_body, parse_body
 
 
@@ -70,57 +67,39 @@ class WorkerTimeout(WorkerError):
 
 
 def serve(run: Callable[[str, dict[str, Any]], Any], op: str,
-          body: bytes | dict[str, Any], memo: RequestMemo | None = None,
-          ask: Callable[[str], str] | None = None) -> tuple:
-    """One job: parse ``body``, key it and ``ask``, ``run`` the op on it,
-    encode the reply.
+          body: bytes | dict[str, Any], memo: RequestMemo | None = None) -> tuple:
+    """One job: parse ``body``, ``run`` the op on it, encode the reply.
 
     Returns the outcome tuple a worker sends up its pipe and the daemon's
     inline mode builds in a thread: ``("ok", {"body": <response bytes>,
     "counters": {...}})``, ``("user_error", kind, message)`` for a
-    :class:`ReproError` the op raised, or ``("error", kind, message +
-    traceback)``.  With ``ask``, the payload's coalesce key is passed to it
-    before the op runs: on any answer but ``"run"`` the job ends
-    ``("stop", {"counters": {...}})``, and a :class:`ReproError` before
-    that answer (the body's parse, the project's build, the key's options)
-    is ``("refused", kind, message)``.  The counters are the work of the
-    whole job, its key included.  With a ``memo`` the key and the op share
-    one project, patched from what the memo's last request built
-    (:mod:`repro.server.memo`).  A dict ``body`` is taken as already
-    parsed, and never memoized: only a document parsed here is sure to stay
-    as it was.
+    :class:`ReproError` (the body's parse included), or ``("error", kind,
+    message + traceback)``.  The counters are the work of the whole job.
+    With a ``memo`` the op's project is patched from what the memo's last
+    request built (:mod:`repro.server.memo`).  A dict ``body`` is taken as
+    already parsed, and never memoized: only a document parsed here is
+    sure to stay as it was.
     """
     before = work_mark()
-    stage = "user_error" if ask is None else "refused"
     try:
         if isinstance(body, dict):
             payload, memo = body, None
         else:
             payload = parse_body(body)
         with nullcontext() if memo is None else memo.serving(payload):
-            if ask is not None:
-                if ask(coalesce_key(op, payload)) != "run":
-                    return ("stop", {"counters": work_since(before)})
-                stage = "user_error"
             encoded = json_body(run(op, payload)["result"])
         return ("ok", {"body": encoded, "counters": work_since(before)})
     except ReproError as exc:
-        return (stage, type(exc).__name__, str(exc))
+        return ("user_error", type(exc).__name__, str(exc))
     except Exception as exc:  # noqa: BLE001 - reported, never raised
         return ("error", type(exc).__name__,
                 f"{exc}\n{traceback.format_exc(limit=8)}")
 
 
 def _worker_main(conn) -> None:
-    """The child's loop: recv a job ``(op, body, asks)``, serve it with the
-    worker's own memo (empty at every start), asking the daemon over the
-    pipe when the job says so, and send the outcome."""
+    """The child's loop: recv a job ``(op, body)``, serve it with the
+    worker's own memo (empty at every start), and send the outcome."""
     memo = RequestMemo()
-
-    def ask(key: str) -> str:
-        conn.send(("key", key))
-        return conn.recv()
-
     while True:
         try:
             job = conn.recv()
@@ -128,25 +107,15 @@ def _worker_main(conn) -> None:
             return
         if job is None:  # polite shutdown sentinel
             return
-        op, body, asks = job
+        op, body = job
         try:
-            conn.send(serve(execute, op, body, memo, ask if asks else None))
+            conn.send(serve(execute, op, body, memo))
         except (BrokenPipeError, OSError):
             return
         # The memo keeps what the request built, not what it sent: kept as
         # loop variables, the finished body would stay alive through the
         # next recv and sit beside the next one in RSS.
         del job, body
-
-
-def on_loop(loop: asyncio.AbstractEventLoop,
-            fn: Callable[[str], str]) -> Callable[[str], str]:
-    """``fn`` for a thread to call: it runs on ``loop``, which owns the
-    state it reads, and the calling thread blocks for its answer."""
-    async def call(key: str) -> str:
-        return fn(key)
-
-    return lambda key: asyncio.run_coroutine_threadsafe(call(key), loop).result()
 
 
 def _pick_context() -> mp.context.BaseContext:
@@ -210,22 +179,16 @@ class WorkerSlot:
             except (BrokenPipeError, OSError):
                 pass
 
-    def run_blocking(self, op: str, body: bytes | dict[str, Any],
-                     ask: Callable[[str], str] | None = None) -> tuple:
-        """Ship one job and block for its reply (called from a thread);
-        with ``ask`` the worker sends its key first, and ``ask`` answers it.
+    def run_blocking(self, op: str, body: bytes | dict[str, Any]) -> tuple:
+        """Ship one job and block for its reply (called from a thread).
 
         Raises ``EOFError``/``OSError`` when the child dies mid-job.
         """
         conn = self._conn
         if conn is None or not self.alive:
             raise EOFError("worker process is not running")
-        conn.send((op, body, ask is not None))
-        reply = conn.recv()
-        if reply[0] == "key":
-            conn.send(ask(reply[1]))
-            reply = conn.recv()
-        return reply
+        conn.send((op, body))
+        return conn.recv()
 
 
 class WorkerPool:
@@ -259,14 +222,11 @@ class WorkerPool:
         op: str,
         body: bytes | dict[str, Any],
         timeout: float | None = None,
-        ask: Callable[[str], str] | None = None,
     ) -> tuple:
         """Run one op on the next free worker.
 
         ``body`` is the raw request body (a dict is taken as already
-        parsed).  With ``ask``, the worker keys the job and ``ask`` is
-        called on the event loop with the key; it answers ``"run"`` or
-        ``"stop"``.  Returns the worker's outcome tuple (see :func:`serve`).
+        parsed).  Returns the worker's outcome tuple (see :func:`serve`).
         Raises :class:`WorkerCrash`, :class:`WorkerTimeout`, or propagates
         :class:`asyncio.CancelledError` after killing the worker.
         """
@@ -276,8 +236,7 @@ class WorkerPool:
         loop = asyncio.get_running_loop()
         try:
             future = loop.run_in_executor(
-                self._threads, slot.run_blocking, op, body,
-                None if ask is None else on_loop(loop, ask),
+                self._threads, slot.run_blocking, op, body
             )
             try:
                 outcome = await asyncio.wait_for(future, timeout)

@@ -1,8 +1,8 @@
 """Bytes in, bytes out: a worker gets the raw request body and sends back
 the reply bytes it encoded.
 
-The daemon never parses a compute request's body: the worker that keys and
-runs it does, once, and a body-hash memo hit needs no parse at all.  A body
+The daemon never parses a compute request's body: the worker that runs it
+does, once, and a response cache hit needs no parse at all.  A body
 nested deeper than the decoder recurses is refused 400 like any other
 malformed body, by every parser that meets it.
 """
@@ -101,20 +101,19 @@ def test_an_empty_body_is_an_empty_object():
 def test_a_deeply_nested_compute_body_is_400_refused_by_its_worker(
     daemon_factory, monkeypatch
 ):
-    """The worker that would key the body refuses its parse: the request is
-    400, counted, and the worker's outcome is a user error before its key,
-    not a crash."""
+    """The worker that would run the body refuses its parse: the request is
+    400, counted, and the worker's outcome is a user error, not a crash."""
     harness = daemon_factory(workers=1)
     outcomes = _recorded_outcomes(harness, monkeypatch)
     status, body = _post(harness.daemon.port, "/schedule", DEEP)
     assert status == 400
     doc = json.loads(body)
     assert (doc["kind"], doc["message"]) == ("bad-request", TOO_DEEP)
-    assert "detail" not in doc
+    assert doc["detail"] == "ProtocolError"
     _settled(harness)
     server = _server(harness)
     assert server["bad_requests"] == 1 and server["by_endpoint"]["/schedule"] == 1
-    assert outcomes == [("refused", "ProtocolError", TOO_DEEP)]
+    assert outcomes == [("user_error", "ProtocolError", TOO_DEEP)]
 
 
 @pytest.mark.parametrize("workers", [0, 2])
@@ -176,8 +175,8 @@ def _parses(log: pathlib.Path) -> list[list[str]]:
 def test_each_process_parses_a_new_body_once_and_a_repeat_never(
     daemon_factory, project_doc, monkeypatch, tmp_path, workers
 ):
-    """A new body is parsed once, by the worker that keys and runs it; the
-    daemon parses nothing, and an exact repeat is answered unparsed."""
+    """A new body is parsed once, by the worker that runs it; the daemon
+    parses nothing, and an exact repeat is answered unparsed."""
     log = tmp_path / "parses"
     _counted_parses(monkeypatch, log)
     monkeypatch.setattr(app_mod, "parse_body", None)  # the daemon never parses it

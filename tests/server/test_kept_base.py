@@ -3,16 +3,16 @@
 A worker whose memo kept an edit's ``base_schedule`` also keeps that base's
 full replay (``repro.sched.incremental.Replay``), and every later edit of
 the same graph structure forks its clean prefix off it instead of placing
-each clean task; only the dirty tasks are ranked.  The worker's key keeps
-the fingerprint of the options, and signs the base once for the key and
-the op.  The work is counted here by wrapping the
-functions, and every reply and refusal is compared, byte for byte, with a
-serve that keeps nothing.
+each clean task; only the dirty tasks are ranked.  The worker signs each
+request's base once.  The work is counted here by wrapping the functions,
+and every reply and refusal is compared, byte for byte, with a serve that
+keeps nothing.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import time
 
@@ -80,13 +80,11 @@ def _cold(body: bytes) -> tuple:
     return _comparable(serve(ops.execute, "schedule", body))
 
 
-def _keyed(body: bytes, memo: RequestMemo | None = None) -> tuple[tuple, list[str]]:
-    """A job served with an ``ask`` that answers ``"run"``: its outcome, and
-    the keys its worker named."""
-    keys: list[str] = []
-    outcome = serve(ops.execute, "schedule", body, memo,
-                    lambda key: keys.append(key) or "run")
-    return outcome, keys
+def _keyed(body: bytes, memo: RequestMemo | None = None) -> tuple[tuple, str]:
+    """A job served as a worker serves it, and the key the daemon caches
+    its reply under: the hash of its op and body."""
+    outcome = serve(ops.execute, "schedule", body, memo)
+    return outcome, hashlib.sha256(b"schedule\0" + body).hexdigest()
 
 
 def _retimes(outcome: tuple) -> tuple[int, int]:
@@ -96,11 +94,10 @@ def _retimes(outcome: tuple) -> tuple[int, int]:
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Tasks placed, prefix replays, the tasks b-levels were computed for,
-    and option fingerprints taken, counted by wrapping the functions."""
-    seen = {"placed": [], "replay_prefix": 0, "levels": [], "options": 0}
+    """Tasks placed, prefix replays and the tasks b-levels were computed
+    for, counted by wrapping the functions."""
+    seen = {"placed": [], "replay_prefix": 0, "levels": []}
     place, replay, levels = KernelState.place, incremental.replay_prefix, core.b_levels
-    fingerprint = ops.fingerprint
 
     def counting_place(self, ti, proc, start):
         seen["placed"].append(self.kernel.tasks[ti])
@@ -115,21 +112,16 @@ def counted(monkeypatch):
         seen["levels"].append(set(found))
         return found
 
-    def counting_fingerprint(doc):
-        seen["options"] += isinstance(doc, dict)
-        return fingerprint(doc)
-
     monkeypatch.setattr(KernelState, "place", counting_place)
     monkeypatch.setattr(incremental, "replay_prefix", counting_replay)
     monkeypatch.setattr(core, "b_levels", counting_levels)
-    monkeypatch.setattr(ops, "fingerprint", counting_fingerprint)
     ops.shared_service().clear()
     yield seen
     ops.shared_service().clear()
 
 
 def _zero(seen: dict) -> None:
-    seen.update(placed=[], replay_prefix=0, levels=[], options=0)
+    seen.update(placed=[], replay_prefix=0, levels=[])
 
 
 def _edits(doc: dict, victims: tuple[int, ...]) -> list[bytes]:
@@ -175,17 +167,6 @@ def test_the_first_edit_builds_the_replay_once(counted):
         assert _retimes(outcome) == (1, 0)
         assert _comparable(outcome) == _cold(body)
     assert replays == [1, 0]
-
-
-def test_a_worker_fingerprints_equal_options_once(counted):
-    bodies = _edits(_layered(120), (7, 61))
-    memo = RequestMemo()
-    _keyed(bodies[1], memo)
-    _zero(counted)
-    keys = _keyed(bodies[2], memo)[1]
-    assert counted["options"] == 0
-    assert keys == _keyed(bodies[2])[1]
-    assert counted["options"] == 1  # the memo-less key takes it
 
 
 def test_a_worker_signs_the_base_once_per_request(monkeypatch):
@@ -419,19 +400,20 @@ def test_any_sequence_against_a_kept_base_answers_what_a_cold_serve_answers(data
     """Work edits (work 0 among them), label edits, arcs added, removed,
     reordered or retyped, nodes added or removed and refused edits, each
     against one kept base (``mh``, ``etf``, ``dsh`` or incomplete): every
-    reply, refusal and key of a worker's memo equals a memo-less serve's."""
+    reply and refusal of a worker's memo equals a memo-less serve's, so
+    whatever the memo kept, equal bytes get the reply the daemon cached."""
     base = BASES[data.draw(st.sampled_from(sorted(BASES)), label="base")]
     memo = RequestMemo()
     doc = ORIGINAL
+    replies: dict[str, tuple] = {}
     for step in range(data.draw(st.integers(2, 10), label="steps")):
         if step:
             doc = _edit(data, doc, step)
         body = _body({"project": doc, "base_schedule": base})
-        outcome, keys = _keyed(body, memo)
-        cold, cold_keys = _keyed(body)
+        outcome, key = _keyed(body, memo)
         got = _comparable(outcome)
-        assert got == _comparable(cold), got
-        assert keys == cold_keys
+        assert got == _cold(body), got
+        assert replies.setdefault(key, got) == got
 
 
 def test_the_sequences_fork():

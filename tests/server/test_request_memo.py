@@ -1,15 +1,16 @@
 """A request process keeps its last request: an edit costs its size.
 
 A worker and the inline slot each keep what they built for their last
-request (``repro.server.memo``), and key it from the project they built.  The work a one-task
-edit does after another edit is counted here by wrapping the functions
-themselves, and every reply and refusal a memo serves is compared with a
-serve that keeps nothing, byte for byte and message for message.
+request (``repro.server.memo``).  The work a one-task edit does after
+another edit is counted here by wrapping the functions themselves, and
+every reply and refusal a memo serves is compared with a serve that keeps
+nothing, byte for byte and message for message.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import pathlib
 import time
@@ -79,14 +80,11 @@ def _cold(op: str, body: bytes) -> tuple:
     return _comparable(serve(ops.execute, op, body))
 
 
-def _keyed(op: str, body: bytes, memo: RequestMemo | None = None,
-           answer: str = "run") -> tuple[tuple, list[str]]:
-    """A job served with an ``ask`` that answers ``answer``: its outcome,
-    and the keys its worker named."""
-    keys: list[str] = []
-    outcome = serve(ops.execute, op, body, memo,
-                    lambda key: keys.append(key) or answer)
-    return outcome, keys
+def _keyed(op: str, body: bytes, memo: RequestMemo | None = None) -> tuple[tuple, str]:
+    """A job served as a worker serves it, and the key the daemon caches
+    its reply under: the hash of its op and body."""
+    outcome = serve(ops.execute, op, body, memo)
+    return outcome, hashlib.sha256(op.encode() + b"\0" + body).hexdigest()
 
 
 @pytest.fixture
@@ -153,28 +151,6 @@ def test_a_worker_builds_only_the_changed_nodes_and_reads_no_base(calls):
     assert _comparable(outcome) == _cold("schedule", second)
 
 
-@pytest.mark.parametrize("answer", ["run", "stop"])
-def test_a_worker_keys_the_project_it_built_with_one_hash(calls, answer):
-    """The key and the op read one patched project: two nodes built, no
-    inflate or flatten, the patched graph hashed once for the key.  Told to
-    stop, the worker runs nothing more and keeps what it built."""
-    first, second = _two_edits()
-    memo = RequestMemo()
-    _keyed("schedule", first, memo)
-    _zero(calls)
-    outcome, keys = _keyed("schedule", second, memo, answer)
-    assert calls == {"nodes": 2, "inflates": 0, "flattens": 0,
-                     "base_reads": 0, "hashes": 1}
-    assert keys == [ops.coalesce_key("schedule", parse_body(second))]
-    counters = outcome[1]["counters"]
-    assert (counters["graph_patched"], counters["graph_cold"]) == (1, 0)
-    if answer == "stop":
-        assert outcome[0] == "stop" and counters["sched_runs"] == 0
-        assert memo._kept.flat_hash is not None
-    else:
-        assert _comparable(outcome) == _cold("schedule", second)
-
-
 def test_direct_callers_inflate_as_before(calls):
     """``ops`` called with the caller's own payload keeps nothing."""
     first, second = _two_edits()
@@ -188,14 +164,14 @@ def test_direct_callers_inflate_as_before(calls):
 
 def test_a_patched_entry_keeps_signatures_not_documents():
     """What an edit sends is let go once signed: after two edits the entry
-    holds what was built, and no parsed document."""
+    holds what was built and the base's signature, and no parsed document."""
     first, second = _two_edits()
     memo = RequestMemo()
     for body in (first, second):
         serve(ops.execute, "schedule", body, memo)
     kept = memo._kept
     assert kept.placed is not None and kept.flat is not None
-    assert kept._doc is None and kept._base_doc is None
+    assert kept._doc is None and isinstance(kept.base_sig, bytes)
 
 
 def test_a_refused_request_leaves_the_memo_as_it_was(calls):
@@ -365,8 +341,9 @@ DESIGNS = {
 @given(st.data())
 def test_any_sequence_of_edits_answers_what_a_cold_serve_answers(data):
     """Field edits, arc and node edits, machine, base and name changes and
-    refused edits, in any order: every reply, refusal and key of a worker's
-    memo equals a memo-less serve's."""
+    refused edits, in any order: every reply and refusal of a worker's memo
+    equals a memo-less serve's, so whatever the memo kept, equal bytes get
+    the reply the daemon cached."""
     original = DESIGNS[data.draw(st.sampled_from(sorted(DESIGNS)), label="design")]
     doc = original
     bases = [None] + [
@@ -375,6 +352,7 @@ def test_any_sequence_of_edits_answers_what_a_cold_serve_answers(data):
         for name in ("mh", "etf")
     ]
     memo = RequestMemo()
+    replies: dict[str, tuple] = {}
     for step in range(data.draw(st.integers(2, 7), label="steps")):
         doc = _edit(data, doc, original, step)
         op = data.draw(st.sampled_from(["schedule", "schedule", "lint", "simulate"]))
@@ -383,11 +361,10 @@ def test_any_sequence_of_edits_answers_what_a_cold_serve_answers(data):
         if op == "schedule" and base is not None:
             payload["base_schedule"] = base
         body = _body(payload)
-        outcome, keys = _keyed(op, body, memo)
-        cold, cold_keys = _keyed(op, body)
+        outcome, key = _keyed(op, body, memo)
         got = _comparable(outcome)
-        assert got == _comparable(cold), (op, got)
-        assert keys == cold_keys
+        assert got == _cold(op, body), (op, got)
+        assert replies.setdefault(key, got) == got
         if got[0] == "ok" and op == "schedule":
             bases.append(json.loads(got[1])["schedule"])
 

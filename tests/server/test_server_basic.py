@@ -97,6 +97,7 @@ class TestEndpoints:
         [
             ("/speedup", {"family": 7}, None),
             ("/sweep", {"family": 7}, None),
+            ("/schedule", {"scheduler": "no-such-scheduler"}, None),
             ("/conform", {"budget": "soon", "runs": 1}, None),
             ("/speedup", {"proc_counts": "128"}, None),
             ("/speedup", {"proc_counts": {"2": 1, "4": 1}}, None),
