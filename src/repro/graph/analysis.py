@@ -66,17 +66,23 @@ def b_levels(
     exec_time: ExecTime | None = None,
     comm_cost: CommCost | None = None,
     tasks: Collection[str] | None = None,
+    known: dict[str, float] | None = None,
 ) -> dict[str, float]:
     """Bottom level of every task (longest outgoing path, task included).
 
-    With ``tasks`` — which must be closed under successors — only their
-    levels are computed, each exactly as the whole-graph pass computes it:
-    a task's level reads only its successors' levels.
+    With ``tasks`` only their levels are computed, each exactly as the
+    whole-graph pass computes it: a task's level reads only its successors'
+    levels.  So ``tasks`` must be closed under successors, but for those
+    whose level is in ``known``; the result then holds ``known`` too.
     """
     exec_time = exec_time or _default_exec(tg)
     comm_cost = comm_cost if comm_cost is not None else _default_comm
-    order = reversed(tg.topological_order()) if tasks is None else _sinks_first(tg, tasks)
-    bl: dict[str, float] = {}
+    known = known or {}
+    order = (
+        reversed(tg.topological_order()) if tasks is None
+        else _sinks_first(tg, tasks, known)
+    )
+    bl: dict[str, float] = dict(known)
     for t in order:
         bl[t] = exec_time(t) + max(
             (comm_cost(e) + bl[e.dst] for e in tg.out_edges(t)),
@@ -85,10 +91,18 @@ def b_levels(
     return bl
 
 
-def _sinks_first(tg: TaskGraph, tasks: Collection[str]) -> list[str]:
-    """``tasks``, closed under successors, each after all its successors:
-    a reverse Kahn sort that visits the set's own edges only."""
-    waiting = {t: len(tg.out_edges(t)) for t in tasks}
+def _sinks_first(
+    tg: TaskGraph, tasks: Collection[str], known: Collection[str]
+) -> list[str]:
+    """``tasks``, closed under successors but for ``known`` ones, each after
+    all its successors in the set: a reverse Kahn sort that visits the
+    set's own edges only."""
+    waiting = dict.fromkeys(tasks, 0)
+    for t in waiting:
+        # a successor neither in the set nor known is never sorted, so
+        # neither is ``t``: refused below
+        waiting[t] = sum(e.dst in waiting or e.dst not in known
+                         for e in tg.out_edges(t))
     ready = [t for t, n in waiting.items() if n == 0]
     order: list[str] = []
     while ready:

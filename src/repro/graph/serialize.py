@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graph.dataflow import DataflowGraph
 from repro.graph.node import StorageNode, TaskNode
-from repro.graph.taskgraph import TaskGraph, TaskTable
+from repro.graph.taskgraph import TaskGraph, TaskSpec, TaskTable
 
 FORMAT_VERSION = 1
 
@@ -178,21 +178,23 @@ def dataflow_from_json(text: str) -> DataflowGraph:
 # --------------------------------------------------------------------- #
 # TaskGraph
 # --------------------------------------------------------------------- #
+def task_to_dict(spec: TaskSpec) -> dict[str, Any]:
+    """One entry of a taskgraph document's ``tasks``."""
+    return {
+        "name": spec.name,
+        "work": spec.work,
+        "label": spec.label,
+        "program": spec.program,
+        "meta": spec.meta,
+    }
+
+
 def taskgraph_to_dict(tg: TaskGraph) -> dict[str, Any]:
     return {
         "format": FORMAT_VERSION,
         "type": "taskgraph",
         "name": tg.name,
-        "tasks": [
-            {
-                "name": t.name,
-                "work": t.work,
-                "label": t.label,
-                "program": t.program,
-                "meta": t.meta,
-            }
-            for t in tg.tasks
-        ],
+        "tasks": [task_to_dict(t) for t in tg.tasks],
         "edges": [
             {"src": e.src, "dst": e.dst, "var": e.var, "size": e.size}
             for e in tg.edges

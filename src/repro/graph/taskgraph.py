@@ -263,6 +263,18 @@ class TaskGraph(TaskTable):
             and list(self._tasks) == list(other._tasks)
         )
 
+    def respecified(self, other: "TaskGraph") -> list[str] | None:
+        """The tasks whose spec here is not ``other``'s very object, when
+        ``other`` :meth:`shares_edges` with this graph; ``None`` when it
+        does not.  Every other task is ``other``'s, edges and all."""
+        if not self.shares_edges(other):
+            return None
+        return [
+            name
+            for (name, spec), theirs in zip(self._tasks.items(), other._tasks.values())
+            if spec is not theirs
+        ]
+
     def is_acyclic(self) -> bool:
         try:
             self.topological_order()

@@ -68,7 +68,15 @@ Correctness story
 * When nothing changed (equal graph content hashes) both entry points
   short-circuit to the previous schedule object — byte-identical by
   construction.  A changed signature is changed content, so only an empty
-  diff pays for the two hashes.
+  diff pays for the two hashes.  A kept replay holds the base graph's,
+  read from the whole base once, so an empty diff against it pays for one
+  hash and reads the whole base again only when that is the answer.
+* A kept replay also holds the last graph that fitted and its dirty seed.
+  A graph over that graph's very edges (a patched flat graph) can differ
+  from the base only in that seed or in a task whose spec is another
+  object, so only those are diffed.  Those changed tasks are found once
+  per edit and handed on with the :class:`Fork`, so what a reply reads
+  off the fork's graph is read again only for them.
 * Duplication (``dsh``) breaks the one-placement-per-task bookkeeping, so a
   duplicated previous schedule falls back to treating every task as dirty
   with its primary assignment — still deterministic, still feasible.
@@ -83,7 +91,7 @@ feasible input schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.approx import approx_ge
 from repro.errors import ReproError, ScheduleError
@@ -91,6 +99,9 @@ from repro.graph.taskgraph import TaskGraph, TaskTable
 from repro.lru import LEDGER
 from repro.sched.core import KernelState, SchedKernel, replay_prefix, run_priority_list
 from repro.sched.schedule import Schedule
+
+if TYPE_CHECKING:
+    from repro.sched.serialize import ForkReply
 
 #: Scheduler-name suffix marking incrementally re-timed schedules.
 NAME_SUFFIX = "+incremental"
@@ -186,7 +197,10 @@ class Replay:
     cannot be replayed whole — incomplete, duplicated, or refused by
     :meth:`Schedule.add` — and then an edit replays its clean prefix as
     if there were no replay.  The replay is never mutated: a re-time
-    copies its lists (:meth:`Schedule.take_prefix`).
+    copies its lists (:meth:`Schedule.take_prefix`).  Beside it are kept
+    what every edit against the base reads again: the base graph's hash,
+    the last graph that fitted with its dirty seed, and what the forks'
+    replies reuse.
     """
 
     def __init__(self, placed: Schedule):
@@ -194,6 +208,12 @@ class Replay:
         self._schedule: Schedule | None = None
         self._built = False
         self._fitted: TaskGraph | None = None
+        self._seed: set[str] = set()
+        self._fits = 0
+        self._base_hash: str | None = None
+        #: What the replies of the forks reuse, made and kept by
+        #: :func:`repro.sched.serialize.fork_reply`.
+        self.reply: ForkReply | None = None
 
     def __call__(self) -> Schedule | None:
         if not self._built:
@@ -201,17 +221,52 @@ class Replay:
             self._schedule = _replay_all(self.placed)
         return self._schedule
 
-    def fits(self, graph: TaskGraph) -> bool:
-        """Whether ``graph`` has the base graph's structure
-        (:meth:`TaskTable.same_structure`), the condition for forking.  The
-        last graph that fitted is kept, so a graph over its very edges — a
-        patched flat graph — fits without comparing an edge."""
-        fitted = self._fitted
-        if fitted is None or not graph.shares_edges(fitted):
-            if not self.placed.graph.same_structure(graph):
-                return False
-        self._fitted = graph
-        return True
+    def diff(self, graph: TaskGraph) -> tuple[list[str], set[str]] | None:
+        """``(changed, seed)`` when ``graph`` is over the very edges of the
+        last graph that fitted: ``changed`` are the tasks whose spec is not
+        that graph's (:meth:`TaskGraph.respecified`), and ``seed`` is
+        :func:`dirty_tasks` against the base graph, as only a task in that
+        graph's seed or in ``changed`` can differ from the base.  ``None``
+        for any other graph."""
+        changed = None if self._fitted is None else graph.respecified(self._fitted)
+        if changed is None:
+            return None
+        base = self.placed.graph
+        return changed, {t for t in self._seed.union(changed)
+                         if not same_signature(base, graph, t)}
+
+    def fit(self, graph: TaskGraph, seed: set[str], changed: list[str] | None) -> Fork | None:
+        """The :class:`Fork` of ``graph`` — whose dirty seed is ``seed``,
+        and ``changed`` as :meth:`diff` found it — when it has the base
+        graph's structure (:meth:`TaskTable.same_structure`), the condition
+        for forking; ``None`` when it has not.  The graph that fits is kept
+        with its seed, so a graph over its very edges — a patched flat
+        graph — fits without comparing an edge."""
+        if changed is None and not self.placed.graph.same_structure(graph):
+            return None
+        self._fitted, self._seed = graph, seed
+        self._fits += 1
+        return Fork(self, self._fits, changed)
+
+    def base_hash(self, whole: Callable[[], Schedule]) -> str:
+        """The base graph's content hash, read from the ``whole`` base the
+        first time it is asked for: the base never changes."""
+        if self._base_hash is None:
+            self._base_hash = whole().graph.content_hash()
+        return self._base_hash
+
+
+@dataclass(frozen=True)
+class Fork:
+    """The ``n``-th graph that fitted a kept :class:`Replay`, whose clean
+    prefix is forked off it.  ``changed`` are the tasks whose spec is not
+    the ``n - 1``-th graph's, over whose very edges it is; ``None`` when it
+    is the first or over other edges.  What is read off one fork's graph
+    holds for the next but for ``changed``."""
+
+    replay: Replay
+    n: int
+    changed: list[str] | None
 
 
 def _replay_all(placed: Schedule) -> Schedule | None:
@@ -259,6 +314,8 @@ class IncrementalResult:
     n_reused: int
     unchanged: bool = False
     fallback: str | None = None
+    #: How the clean prefix was forked off a kept :class:`Replay`, if it was.
+    forked: Fork | None = None
 
     @property
     def reused_fraction(self) -> float:
@@ -358,23 +415,32 @@ def incremental_reschedule(
     always, and to the previous schedule itself when the graph content is
     unchanged.  Only when no task's signature changed are the two content
     hashes compared (``new_hash`` is ``new_graph.content_hash()`` from a
-    caller that already holds it) and the whole previous schedule read.
+    caller that already holds it) and the whole previous schedule read;
+    a kept :class:`Replay` keeps the previous graph's hash.
     """
     base = prev if isinstance(prev, BaseSchedule) else BaseSchedule.of(prev)
+    replay = base.replay
     n_tasks = len(new_graph)
-    seed = dirty_tasks(base.placed.graph, new_graph)
+    diff = None if replay is None else replay.diff(new_graph)
+    if diff is None:
+        changed, seed = None, dirty_tasks(base.placed.graph, new_graph)
+    else:
+        changed, seed = diff
     if not seed:
-        whole = base.whole()
-        if (new_hash or new_graph.content_hash()) == whole.graph.content_hash():
+        new_hash = new_hash or new_graph.content_hash()
+        if replay is None:
+            whole = base.whole()
+            unchanged = new_hash == whole.graph.content_hash()
+        else:
+            unchanged = new_hash == replay.base_hash(base.whole)
+            whole = base.whole() if unchanged else None
+        if unchanged:
             return IncrementalResult(whole, n_tasks, 0, n_tasks, unchanged=True)
     dirty, fallback = _analyse(base.placed, new_graph, seed)
-    replayed = None
-    if (
-        base.replay is not None
-        and fallback is None
-        and base.replay.fits(new_graph)
-    ):
-        replayed = base.replay()
+    fork = None
+    if replay is not None and fallback is None:
+        fork = replay.fit(new_graph, seed, changed)
+    replayed = None if fork is None else replay()
     schedule = _retime(
         base.placed, new_graph, dirty, reuse_prefix=True, replayed=replayed
     )
@@ -384,6 +450,7 @@ def incremental_reschedule(
         len(dirty),
         n_tasks - len(dirty),
         fallback=fallback,
+        forked=None if replayed is None else fork,
     )
 
 

@@ -7,8 +7,10 @@ every comparison table in the extension benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.graph.analysis import critical_path_length
+from repro.graph.analysis import b_levels, critical_path_length
+from repro.graph.taskgraph import TaskEdge, TaskGraph
 from repro.sched.schedule import Schedule
 
 
@@ -55,13 +57,24 @@ def load_imbalance(schedule: Schedule) -> float:
     return max(busy) / mean
 
 
-def schedule_length_ratio(schedule: Schedule) -> float:
-    """Makespan over the machine-aware zero-comm critical path (SLR >= 1)."""
-    cp = critical_path_length(
-        schedule.graph,
-        exec_time=lambda t: schedule.machine.exec_time(schedule.graph.work(t)),
-        comm_cost=lambda e: 0.0,
+def _exec_time(schedule: Schedule) -> Callable[[str], float]:
+    return lambda t: schedule.machine.exec_time(schedule.graph.work(t))
+
+
+def _no_comm(edge: TaskEdge) -> float:
+    return 0.0
+
+
+def _zero_comm_critical_path(schedule: Schedule) -> float:
+    return critical_path_length(
+        schedule.graph, exec_time=_exec_time(schedule), comm_cost=_no_comm
     )
+
+
+def schedule_length_ratio(schedule: Schedule, critical_path: float | None = None) -> float:
+    """Makespan over the machine-aware zero-comm critical path (SLR >= 1);
+    that path's length is ``critical_path`` when the caller holds it."""
+    cp = _zero_comm_critical_path(schedule) if critical_path is None else critical_path
     if cp == 0:
         return 0.0
     return schedule.makespan() / cp
@@ -133,9 +146,16 @@ class ScheduleReport:
         )
 
 
-def report(schedule: Schedule) -> ScheduleReport:
-    """Summarise a schedule as one comparison-table row."""
-    msgs, volume = message_stats(schedule)
+def report(
+    schedule: Schedule,
+    messages: tuple[int, float] | None = None,
+    critical_path: float | None = None,
+) -> ScheduleReport:
+    """Summarise a schedule as one comparison-table row.  ``messages`` (its
+    :func:`message_stats`) and ``critical_path`` (as
+    :func:`schedule_length_ratio` takes it) are for a caller that holds
+    them."""
+    msgs, volume = message_stats(schedule) if messages is None else messages
     return ScheduleReport(
         scheduler=schedule.scheduler,
         graph=schedule.graph.name,
@@ -144,8 +164,38 @@ def report(schedule: Schedule) -> ScheduleReport:
         makespan=schedule.makespan(),
         speedup=speedup(schedule),
         efficiency=efficiency(schedule),
-        slr=schedule_length_ratio(schedule),
+        slr=schedule_length_ratio(schedule, critical_path),
         messages=msgs,
         comm_volume=volume,
         duplicated=schedule.has_duplication(),
     )
+
+
+def zero_comm_levels(
+    schedule: Schedule,
+    changed: list[str] | None = None,
+    known: dict[str, float] | None = None,
+) -> dict[str, float]:
+    """The b-levels the zero-comm critical path of
+    :func:`schedule_length_ratio` is the highest entry level of.
+
+    With ``changed``, ``known`` are the levels of a graph that differs from
+    ``schedule.graph`` only in the specs of ``changed``: only those tasks
+    and their ancestors are levelled again, each float the whole-graph
+    pass's, as a level reads only its successors' levels in out-edge order.
+    """
+    graph = schedule.graph
+    tasks = None if changed is None else _ancestors(graph, changed)
+    return b_levels(graph, _exec_time(schedule), _no_comm, tasks=tasks, known=known)
+
+
+def _ancestors(graph: TaskGraph, tasks: list[str]) -> set[str]:
+    """``tasks`` and every task with a path to one of them."""
+    cone: set[str] = set()
+    stack = list(tasks)
+    while stack:
+        task = stack.pop()
+        if task not in cone:
+            cone.add(task)
+            stack.extend(graph.predecessors(task))
+    return cone

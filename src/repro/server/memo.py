@@ -18,8 +18,10 @@ by subtree:
   ``base_schedule`` reuses the kept placements and their full
   :class:`~repro.sched.incremental.Replay` — built by the first such
   request whose edit keeps the base graph's structure, and forked by every
-  later one.  Each request's base is signed once, and kept as its
-  signature;
+  later one.  A fork is diffed, reported and encoded at the cost of its
+  edit from what the replay keeps beside it: its reply's ``schedule`` is
+  spliced from encoded pieces.  Each request's base is signed once, and
+  kept as its signature;
 * anything else (an arc, node, storage, port, name or machine change, a
   different design) is built cold, exactly as a direct caller builds it.
 
@@ -31,7 +33,8 @@ signing.  A request that succeeds becomes the kept entry; one that fails
 leaves the memo as it was.  The ops reach the memo through
 :func:`project_of` and :func:`base_of`, and only for the very documents the
 job function parsed, so a caller that hands ``ops`` its own payload (the
-CLI, tests, the benchmark's replay) builds exactly as before.
+CLI, tests, the benchmark's replay) builds exactly as before — and, as
+only a kept base has a replay, gets a plain document, never encoded bytes.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ work is done, in each process's schedule service and request memo.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import asdict
@@ -44,6 +45,7 @@ from repro.sched.registry import resolve_scheduler, scheduler_cache_key
 # from this module: bench/trace.py wraps it here as a layer boundary.
 from repro.sched.serialize import (  # noqa: F401
     base_schedule_from_dict,
+    fork_reply,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -340,19 +342,28 @@ def op_lint(payload: dict[str, Any]) -> dict[str, Any]:
 
 
 def op_schedule(payload: dict[str, Any]) -> dict[str, Any]:
+    """The ``banger-schedule`` document.  A schedule forked off a base's
+    kept replay — which only a base the memo serves has — is reported at
+    the cost of its edit, and its ``schedule`` is the document already
+    encoded (:func:`fork_reply`), as the daemon's reply splices it."""
     from repro.sched.metrics import report as schedule_report
 
     project = _project_from_payload(payload)
     opts = schedule_options(payload)
     schedule, result = run_schedule(project, opts)
+    fork = None if result is None else result.forked
+    if fork is None:
+        report, section = schedule_report(schedule), schedule_to_dict(schedule)
+    else:
+        report, section = fork_reply(schedule, fork)
     doc: dict[str, Any] = {
         "type": "banger-schedule",
         "project": project.name,
         "scheduler": schedule.scheduler,
         "n_procs": schedule.machine.n_procs,
         "makespan": schedule.makespan(),
-        "report": asdict(schedule_report(schedule)),
-        "schedule": schedule_to_dict(schedule),
+        "report": asdict(report),
+        "schedule": section,
     }
     if result is not None:
         doc["incremental"] = {
@@ -468,7 +479,9 @@ def op_crash(payload: dict[str, Any]) -> dict[str, Any]:
 
 def op_sleep(payload: dict[str, Any]) -> dict[str, Any]:
     """Hold a worker busy (timeout / drain / backpressure testing)."""
-    seconds = float(payload.get("seconds", 1.0))
+    seconds = _option(payload, "seconds", float, "a number", 1.0)
+    if not 0 <= seconds < math.inf:
+        raise OpError(f"seconds must be a finite number >= 0, got {seconds!r}")
     time.sleep(min(seconds, 60.0))
     return {"type": "banger-sleep", "slept": seconds}
 

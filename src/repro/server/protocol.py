@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ReproError, error_document
+from repro.sched.serialize import encode_json
 
 #: Reject bodies larger than this (a design JSON is kilobytes; anything
 #: bigger is a mistake or an attack).
@@ -203,8 +204,12 @@ def encode_response(
 
 
 def json_body(doc: Any) -> bytes:
-    """The daemon's canonical response encoding (sorted keys, compact)."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """The daemon's canonical response encoding (sorted keys, compact).
+
+    A reply's top-level bytes value is a part already so encoded
+    (:func:`repro.sched.serialize.encode_json`), spliced in as it is.
+    """
+    return encode_json(doc)
 
 
 def error_body(kind: str, message: str, **extra: Any) -> bytes:

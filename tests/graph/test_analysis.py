@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import GraphError
 from repro.graph import (
     TaskGraph,
     asap_schedule_times,
@@ -66,6 +67,17 @@ class TestLevels:
     def test_custom_exec_time(self, dag):
         sl = static_levels(dag, exec_time=lambda t: 1.0)
         assert sl["a"] == 3.0
+
+    def test_some_levels_over_known_ones(self, dag):
+        """Levels of a set closed under successors, or of one whose other
+        successors' levels are known, are the whole pass's."""
+        whole = b_levels(dag)
+        assert b_levels(dag, tasks={"b", "c", "d"}) == {t: whole[t] for t in "bcd"}
+        known = {"b": 99.0, "d": whole["d"]}
+        assert b_levels(dag, tasks={"a", "c"}, known=known) == {
+            **known, "a": 2 + max(1 + 99, 3 + whole["c"]), "c": whole["c"]}
+        with pytest.raises(GraphError):
+            b_levels(dag, tasks={"a", "c"}, known={"b": 1.0})
 
     def test_chain_levels(self):
         tg = chain(4, work=2, comm=1)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import CycleError, GraphError
 from repro.graph import TaskGraph
+from repro.graph.taskgraph import TaskSpec
 
 
 @pytest.fixture
@@ -126,3 +127,13 @@ class TestAlgorithms:
         assert dup.graph_inputs == {"A": ["a"]}
         assert dup.graph_outputs == {"out": "c"}
         assert dup.input_values == {"A": 3.0}
+
+
+def test_respecified_names_the_tasks_put_in_place(vee):
+    """A graph :meth:`replaced` from another shares its edges, and names
+    the tasks whose spec it put in place; any other graph is not compared."""
+    edited = vee.replaced({"b": TaskSpec("b", work=3)})
+    assert edited.respecified(vee) == ["b"]
+    assert edited.respecified(edited) == []
+    assert edited.replaced({}).respecified(edited) == []
+    assert edited.respecified(vee.copy()) is None

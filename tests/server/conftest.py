@@ -11,6 +11,7 @@ so tests can compare :func:`kernel_counters` and the shared
 from __future__ import annotations
 
 import asyncio
+import http.client
 import threading
 
 import pytest
@@ -62,6 +63,17 @@ class DaemonHarness:
         assert self._ready.wait(timeout=15), "daemon did not come up"
         self.client = wait_until_ready(port=self.daemon.port, timeout=15)
         return self
+
+    def post_bytes(self, path: str, body: bytes) -> tuple[int, bytes]:
+        """POST ``body`` as it is; the status and the reply's very bytes."""
+        conn = http.client.HTTPConnection(self.daemon.host, self.daemon.port, timeout=60)
+        try:
+            conn.request("POST", path, body=body,
+                         headers={"Content-Type": "application/json"})
+            reply = conn.getresponse()
+            return reply.status, reply.read()
+        finally:
+            conn.close()
 
     def submit(self, coro):
         """Run a coroutine on the daemon's loop from the test thread."""

@@ -24,11 +24,14 @@ from repro.env.project import BangerProject
 from repro.graph.generators import as_dataflow, random_layered
 from repro.lru import LEDGER
 from repro.machine import MachineParams
-from repro.sched import core, incremental
+from repro.graph import analysis
+from repro.graph.taskgraph import TaskGraph, TaskSpec
+from repro.sched import core, incremental, metrics, serialize
 from repro.sched.core import KernelState
 from repro.server import memo as memo_module
 from repro.server import ops
 from repro.server.memo import RequestMemo
+from repro.server.protocol import json_body
 from repro.server.workers import serve
 
 #: No process startup: a task of work 0 takes no time, so such tasks tie
@@ -216,6 +219,163 @@ def test_direct_callers_replay_as_before(counted):
         assert counted["replay_prefix"] == 1
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """The diff, report and encoding work of a request, counted by wrapping
+    the functions: each call's first argument (or ``tasks``) is kept."""
+    seen: dict[str, list] = {}
+
+    def wrap(owner, name, arg=lambda args, kwargs: args[0] if args else None):
+        fn = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            seen.setdefault(name, []).append(arg(args, kwargs))
+            if name == "dirty_closure":
+                seen["dirty"] = result
+            return result
+
+        monkeypatch.setattr(owner, name, counting)
+
+    wrap(incremental, "same_signature", lambda args, kwargs: args[2])
+    wrap(incremental, "dirty_closure")
+    levels_tasks = lambda args, kwargs: kwargs.get("tasks")  # noqa: E731
+    for owner in (analysis, core, metrics):
+        wrap(owner, "b_levels", levels_tasks)
+    for owner in (metrics, serialize):
+        wrap(owner, "message_stats")
+    for owner in (ops, serialize):
+        wrap(owner, "schedule_to_dict")
+    wrap(serialize, "taskgraph_to_dict")
+    wrap(serialize, "schedule_from_dict")
+    wrap(serialize, "_placement_dict", lambda args, kwargs: args[0].task)
+    wrap(serialize, "_message_dict", lambda args, kwargs: args[0].dst_task)
+    wrap(TaskGraph, "content_hash")
+    yield seen
+    ops.shared_service().clear()
+
+
+def test_a_forked_edit_diffs_reports_and_encodes_only_its_edit(calls):
+    """After a fork, the next edit diffs only the last edit's task and its
+    own, re-levels no whole graph, sums no messages, and encodes only its
+    dirty placements and the messages into them: the rest of its reply is
+    spliced from what the kept replay holds, byte for byte the cold reply."""
+    doc = _layered(120)
+    bodies = _edits(doc, (7, 61, 90))
+    memo = RequestMemo()
+    for body in bodies[:3]:  # kept, replayed whole and forked, forked
+        assert serve(ops.execute, "schedule", body, memo)[0] == "ok"
+    calls.clear()
+    outcome = serve(ops.execute, "schedule", bodies[3], memo)
+    assert _retimes(outcome) == (1, 0)
+    names = [t["name"] for t in _tasks(doc)]
+    # the last edit's seed was task 61, and 61 (put back) and 90 changed
+    assert sorted(calls["same_signature"]) == sorted([names[61], names[90]])
+    assert calls["b_levels"] and None not in calls["b_levels"]
+    for whole in ("message_stats", "schedule_to_dict", "taskgraph_to_dict"):
+        assert whole not in calls, whole
+    dirty = calls["dirty"]
+    reply = json.loads(outcome[1]["body"])
+    assert len(dirty) == reply["incremental"]["n_dirty"] > 0
+    assert set(calls["_placement_dict"]) <= dirty
+    into_dirty = [m for m in reply["schedule"]["messages"] if m["dst_task"] in dirty]
+    assert len(calls["_placement_dict"]) == len(dirty)
+    assert len(calls.get("_message_dict", [])) <= len(into_dirty)
+    assert _comparable(outcome) == _cold(bodies[3])
+
+
+def test_a_label_edit_against_a_kept_base_reads_no_whole_base(calls):
+    """A label edit dirties nothing: the kept replay holds the base graph's
+    hash, so the edit hashes its own graph once and never reads the whole
+    base document."""
+    doc = _layered(60)
+    base = _base(doc)
+    memo = RequestMemo()
+    labels = ["first", "second", "third"]
+    bodies = [_body({"project": d, "base_schedule": base})
+              for d in [doc, _with_work(doc, 9)] + [_labelled(doc, 3, x) for x in labels]]
+    for body in bodies[:3]:  # kept, forked, and the base hashed once
+        assert serve(ops.execute, "schedule", body, memo)[0] == "ok"
+    for body in bodies[3:]:
+        calls.clear()
+        outcome = serve(ops.execute, "schedule", body, memo)
+        assert json.loads(outcome[1]["body"])["incremental"]["n_dirty"] == 0
+        assert "schedule_from_dict" not in calls
+        assert len(calls.get("content_hash", [])) <= 1
+        assert _comparable(outcome) == _cold(body)
+
+
+def _labelled(doc: dict, index: int, label: str) -> dict:
+    edited = copy.deepcopy(doc)
+    _tasks(edited)[index]["label"] = label
+    return edited
+
+
+def _swaps_changing_the_volume(doc: dict, base: dict):
+    """``doc`` with two neighbouring storage nodes swapped, among those
+    that touch no common task — so every task keeps its own edge order and
+    the design forks — whose whole float volume sums, in the other edge
+    order, to another last bit: what a memo-less serve reports."""
+    nodes, arcs = doc["design"]["nodes"], doc["design"]["arcs"]
+
+    def touched(name: str) -> set[str]:
+        return ({a["src"] for a in arcs if a["dst"] == name}
+                | {a["dst"] for a in arcs if a["src"] == name})
+
+    def volume(d: dict) -> float:
+        body = _body({"project": d, "base_schedule": base})
+        return json.loads(_cold(body)[1])["report"]["comm_volume"]
+
+    before = volume(doc)
+    storage = [i for i, n in enumerate(nodes) if n["kind"] == "storage"]
+    for i, j in zip(storage, storage[1:]):
+        if touched(nodes[i]["name"]) & touched(nodes[j]["name"]):
+            continue
+        swapped = copy.deepcopy(doc)
+        swapped_nodes = swapped["design"]["nodes"]
+        swapped_nodes[i], swapped_nodes[j] = swapped_nodes[j], swapped_nodes[i]
+        if volume(swapped) != before:
+            yield swapped
+
+
+def test_a_fork_over_other_edges_sums_its_messages_again():
+    """A fork's message volume is read again when its graph is not over
+    the previous fork's edges: a design whose storage nodes were swapped
+    is built cold, forks (each task keeps its edge order), and sums its
+    non-integral sizes in its own edge order, as a memo-less serve does."""
+    doc = _layered(60)
+    base = _base(doc)
+    swapped = next(_swaps_changing_the_volume(doc, base))
+    memo = RequestMemo()
+    for d in (doc, _with_work(doc, 9), swapped):  # kept, forked, forked cold
+        body = _body({"project": d, "base_schedule": base})
+        outcome = serve(ops.execute, "schedule", body, memo)
+        assert _comparable(outcome) == _cold(body)
+    assert _retimes(outcome) == (1, 0)
+    assert outcome[1]["counters"]["graph_cold"] == 1
+
+
+def test_a_reply_reads_whole_after_a_fork_it_was_not_made_for():
+    """Three forks over one edge list, the second never replied to (as when
+    its request fails after the re-time): the third's reply reads its graph
+    whole, since what changed is named against the second's graph."""
+    placed = serialize.schedule_from_dict(_base(_layered(60)))
+    kept = incremental.BaseSchedule(placed, lambda: placed, incremental.Replay(placed))
+    graph = placed.graph
+    for step, task in enumerate(graph.task_names[5:35:10]):
+        spec = graph.task(task)
+        graph = graph.replaced({task: TaskSpec(task, work=spec.work * 3.0 + 1.0)})
+        result = incremental.incremental_reschedule(kept, graph)
+        assert result.forked is not None and result.forked.n == step + 1
+        if step == 1:
+            continue
+        schedule = result.schedule
+        assert serialize.fork_reply(schedule, result.forked) == (
+            metrics.report(schedule),
+            serialize.encode_json(serialize.schedule_to_dict(schedule)),
+        )
+
+
 # --------------------------------------------------------------------- #
 # the structure condition
 # --------------------------------------------------------------------- #
@@ -315,8 +475,9 @@ def test_the_live_daemon_shows_the_forked_path(daemon_factory):
     base = harness.client.schedule(doc)["schedule"]
     for victim in (5, 40, 12):
         payload = {"project": _with_work(doc, victim), "base_schedule": base}
-        reply = harness.client.post("/schedule", payload)
-        assert reply == json.loads(_cold(_body(payload))[1])
+        # encoded as the client encoded the first request, so the memo patches
+        reply = harness.post_bytes("/schedule", json.dumps(payload, sort_keys=True).encode())
+        assert reply == (200, json_body(ops.execute("schedule", payload)["result"]))
     deadline = time.monotonic() + 15
     while harness.client.metrics()["server"]["in_flight"]:
         assert time.monotonic() < deadline
@@ -344,8 +505,8 @@ def _pick(data, items: list, what: str):
 def _edit(data, doc: dict, fresh: int) -> dict:
     """One random edit of ``doc``; same-structure edits come most often."""
     kind = data.draw(st.sampled_from([
-        "work", "work", "work", "work 0", "work 0", "label", "label",
-        "arc added", "arc removed", "arcs reordered", "arcs reordered",
+        "work", "work", "work", "work 0", "work 0", "work retyped", "work retyped",
+        "label", "label", "meta", "meta", "arc added", "arc removed", "arcs reordered", "arcs reordered",
         "size retyped", "size retyped", "node added", "node removed",
         "refused", "restore",
     ]), label="edit")
@@ -357,8 +518,19 @@ def _edit(data, doc: dict, fresh: int) -> dict:
             st.sampled_from([1, 1.0, 2.5, 7, True]))
     elif kind == "work 0" and tasks:
         _pick(data, tasks, "task")["work"] = data.draw(st.sampled_from([0, 0.0]))
+    elif kind == "work retyped" and tasks:  # equal in Python, not in a reply
+        task = _pick(data, tasks, "task")
+        work = task["work"]
+        if isinstance(work, float) and work.is_integer():
+            task["work"] = int(work)
+        elif type(work) is int:
+            task["work"] = float(work)
     elif kind == "label" and tasks:
-        _pick(data, tasks, "task")["label"] = data.draw(st.text("ab", max_size=3))
+        _pick(data, tasks, "task")["label"] = data.draw(st.text("aé✓", max_size=3))
+    elif kind == "meta" and tasks:
+        _pick(data, tasks, "task")["meta"] = data.draw(st.dictionaries(
+            st.text("kü", max_size=2), st.one_of(st.text("ß→", max_size=2),
+                                                  st.sampled_from([1, 1.0]))))
     elif kind == "arc added" and len(design["nodes"]) > 1:
         src = _pick(data, design["nodes"], "src")["name"]
         dst = _pick(data, design["nodes"], "dst")["name"]
@@ -397,11 +569,14 @@ def _edit(data, doc: dict, fresh: int) -> dict:
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(st.data())
 def test_any_sequence_against_a_kept_base_answers_what_a_cold_serve_answers(data):
-    """Work edits (work 0 among them), label edits, arcs added, removed,
-    reordered or retyped, nodes added or removed and refused edits, each
-    against one kept base (``mh``, ``etf``, ``dsh`` or incomplete): every
-    reply and refusal of a worker's memo equals a memo-less serve's, so
-    whatever the memo kept, equal bytes get the reply the daemon cached."""
+    """Work edits (work 0 among them, and works that change type only),
+    non-ASCII label and meta edits, arcs added, removed, reordered or
+    retyped, nodes added or removed, refused edits and the base design
+    restored, each against one kept base (``mh``, ``etf``, ``dsh`` or
+    incomplete): every reply and refusal of a worker's memo equals a
+    memo-less serve's byte for byte — a forked reply is spliced from kept
+    pieces, so a stale or wrongly keyed one would show — and whatever the
+    memo kept, equal bytes get the reply the daemon cached."""
     base = BASES[data.draw(st.sampled_from(sorted(BASES)), label="base")]
     memo = RequestMemo()
     doc = ORIGINAL

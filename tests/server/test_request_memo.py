@@ -376,13 +376,15 @@ def test_any_sequence_of_edits_answers_what_a_cold_serve_answers(data):
 def test_the_live_daemon_shows_the_patched_path(daemon_factory, workers):
     """A schedule, then two edits of different tasks against its answer:
     the first request is built cold, both edits are patched, and each
-    reply is what ``ops.execute`` answers in-process."""
+    reply is, byte for byte, what ``ops.execute`` answers in-process."""
     harness = daemon_factory(workers=workers)
     doc = _layered(60)
     base = harness.client.schedule(doc)["schedule"]
     payloads = [{"project": _with_work(doc, victim), "base_schedule": base}
                 for victim in (5, 40)]
-    replies = [harness.client.post("/schedule", payload) for payload in payloads]
+    # encoded as the client encoded the first request, so the memo patches
+    replies = [harness.post_bytes("/schedule", json.dumps(payload, sort_keys=True).encode())
+               for payload in payloads]
     deadline = time.monotonic() + 15
     while harness.client.metrics()["server"]["in_flight"]:
         assert time.monotonic() < deadline
@@ -390,5 +392,4 @@ def test_the_live_daemon_shows_the_patched_path(daemon_factory, workers):
     work = harness.client.metrics()["server"]["work"]
     assert (work["graph_cold"], work["graph_patched"]) == (1, 2), work
     for payload, reply in zip(payloads, replies):
-        expected = json_body(ops.execute("schedule", payload)["result"])
-        assert reply == json.loads(expected)
+        assert reply == (200, json_body(ops.execute("schedule", payload)["result"]))

@@ -16,9 +16,19 @@ import time
 import pytest
 
 from repro.client import BangerClient, ServerError, wait_until_ready
-from repro.server.workers import WorkerCrash, WorkerPool, WorkerTimeout
+from repro.server.ops import execute
+from repro.server.workers import WorkerCrash, WorkerPool, WorkerTimeout, serve
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+
+
+@pytest.mark.parametrize("seconds", ["abc", "nan", [1], "inf", -1])
+def test_a_bad_sleep_is_the_callers_error(seconds):
+    """The debug ``sleep`` op types its option like any other: a 400,
+    never a 500."""
+    outcome = serve(execute, "sleep", {"seconds": seconds})
+    assert outcome[:2] == ("user_error", "OpError"), outcome
+    assert outcome[2].startswith("seconds must be"), outcome
 
 
 class TestWorkerPool:
