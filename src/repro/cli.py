@@ -429,6 +429,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     if args.workers is not None and args.workers < 0:
         raise OpError(f"--workers must be >= 0, got {args.workers}")
+    if args.cache_entries < 0:
+        raise OpError(f"--cache-entries must be >= 0, got {args.cache_entries}")
     if args.queue_limit < 1:
         raise OpError(f"--queue-limit must be >= 1, got {args.queue_limit}")
     if args.timeout <= 0:
@@ -807,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=30.0,
                    help="per-request compute budget in seconds (default 30)")
     p.add_argument("--cache-entries", type=int, default=512,
-                   help="response LRU size (default 512)")
+                   help="response LRU size (default 512; 0 caches nothing)")
     p.add_argument("--debug", action="store_true",
                    help="expose /debug/* fault-injection endpoints")
     p.add_argument("--access-log", default=None, metavar="PATH",

@@ -27,10 +27,16 @@ class LRU:
     ``hits``/``misses`` count :meth:`get` and :meth:`get_or_compute` lookups
     (:meth:`peek` is uncounted); ``evictions`` counts entries a bound pushed
     out, never :meth:`pop` or :meth:`clear`.  The counters are lifetime
-    totals: :meth:`clear` drops entries, not history.
+    totals: :meth:`clear` drops entries, not history.  A bound of ``0``
+    keeps nothing; a negative bound is refused (``ValueError``).
     """
 
     def __init__(self, max_entries: int, max_bytes: int | None = None) -> None:
+        if max_entries < 0 or (max_bytes is not None and max_bytes < 0):
+            raise ValueError(
+                f"LRU bounds must be >= 0, got {max_entries} entries, "
+                f"{max_bytes} bytes"
+            )
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         # Without a byte bound values weigh nothing (and need not be sized).

@@ -35,7 +35,7 @@ import importlib
 _HOME = {
     "BangerDaemon": "app", "run_daemon": "app",
     "ServerMetrics": "metrics",
-    "OPS": "ops", "coalesce_key": "ops", "execute": "ops",
+    "OPS": "ops", "execute": "ops",
     "WorkerCrash": "workers", "WorkerPool": "workers", "WorkerTimeout": "workers",
 }
 

@@ -155,6 +155,7 @@ class BangerDaemon:
     cache_entries:
         Entry bound of the response LRU (successful responses only); the
         LRU is also capped at ``RESPONSE_CACHE_MAX_BYTES`` of bodies.
+        ``0`` caches nothing.
     debug:
         Expose ``/debug/*`` fault-injection routes.
     access_log:
@@ -193,6 +194,8 @@ class BangerDaemon:
         self.workers = min(4, os.cpu_count() or 1) if workers is None else workers
         if self.workers < 0:
             raise ReproError(f"workers must be >= 0, got {workers}")
+        if cache_entries < 0:
+            raise ReproError(f"cache_entries must be >= 0, got {cache_entries}")
         self.queue_limit = queue_limit
         self.request_timeout = request_timeout
         self.cache_entries = cache_entries

@@ -17,12 +17,13 @@ and its caching from the process-local :func:`shared_service`.
 
 :func:`execute` wraps an op with counter accounting (the
 :class:`~repro.sched.service.ServiceStats` difference across it) so the
-daemon can aggregate *work* observability across processes, and
-:func:`coalesce_key` derives a request's content-addressed identity:
-``(op, project name, graph content_hash, machine content_hash, scheduler
-cache key, fingerprint of every other payload field)``.  The daemon
+daemon can aggregate *work* observability across processes.  The daemon
 caches and coalesces on a request's bytes; content is addressed where the
 work is done, in each process's schedule service and request memo.
+
+No daemon path calls :func:`coalesce_key`.  It is kept only because the
+benchmark's in-process replay (``bench/replay.py``) keys its responses
+with it.
 """
 
 from __future__ import annotations

@@ -45,11 +45,17 @@ EXEMPT_TENANTS = frozenset({"corpus"})
 
 @dataclass(frozen=True)
 class TenantQuota:
-    """Per-tenant write limits; ``0`` disables the corresponding check."""
+    """Per-tenant write limits; ``0`` disables the corresponding check and a
+    negative limit is refused (:class:`StoreError`)."""
 
     max_projects: int = 0
     max_versions_per_project: int = 0
     max_bytes: int = 0
+
+    def __post_init__(self) -> None:
+        for name, limit in self.as_dict().items():
+            if limit < 0:
+                raise StoreError(f"{name} must be >= 0, got {limit}")
 
     def as_dict(self) -> dict[str, int]:
         return {

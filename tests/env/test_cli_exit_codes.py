@@ -152,6 +152,17 @@ def test_version_flag_exits_zero(capsys):
     assert __version__ in out
 
 
+@pytest.mark.parametrize("flag", [
+    "--cache-entries", "--quota-projects", "--quota-versions", "--quota-bytes",
+])
+def test_serve_refuses_a_negative_bound_before_it_binds(flag, capsys):
+    """``--cache-entries -1`` used to hang every computed request, and a
+    negative quota refused every put; each is a usage error now."""
+    assert main(["serve", "--port", "0", flag, "-1", "--no-seed-corpus"]) == EXIT_USAGE
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "-1" in line
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -46,6 +46,7 @@ def test_service_stats_process_wide_fields_are_the_ledger():
     """ServiceStats's fields from ``kernel_builds`` on are exactly the names
     the modules declare in the process-wide ledger, no more, no fewer."""
     import repro.sched
+    import repro.server.memo
     import repro.sim  # noqa: F401 — every declaring module, imported
     from repro.lru import LEDGER
 
@@ -83,3 +84,72 @@ def test_referenced_files_exist():
 def test_equivalence_suite_is_where_the_doc_says():
     assert "tests/sched/test_core_equivalence.py" in TEXT
     assert (ROOT / "tests" / "sched" / "test_core_equivalence.py").exists()
+
+
+# --------------------------------------------------------------------- #
+# drift: every name the doc leans on is defined, every cited title exists
+# --------------------------------------------------------------------- #
+#: Backticked names from outside ``src/repro`` and ``bench/`` a doc may use.
+STDLIB_NAMES = frozenset({"loop.call_soon_threadsafe"})
+
+#: A backticked dotted name, with an optional call after it.
+NAME = re.compile(
+    r"`([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)(?:\([^`]*\))?`"
+)
+CITATION = re.compile(r'docs/performance\.md`{0,2},?\s+"([^"]+)"')
+
+
+def _source_words() -> set[str]:
+    words: set[str] = set()
+    for base in (ROOT / "src" / "repro", ROOT / "bench"):
+        for path in base.rglob("*.py"):
+            words.update(re.findall(r"[A-Za-z_]\w*", path.read_text(encoding="utf-8")))
+    return words
+
+
+def undefined_names(text: str) -> set[str]:
+    """Backticked identifiers in ``text`` holding a ``_`` or a ``.`` of
+    which some part is no word under ``src/repro`` or ``bench/``.  A part
+    may drop the leading ``_`` of a private name; file names are left to
+    the file checks."""
+    words = _source_words()
+    missing = set()
+    for match in NAME.finditer(text):
+        name = match.group(1)
+        if ("_" not in name and "." not in name) or name in STDLIB_NAMES:
+            continue
+        if name.rsplit(".", 1)[-1] in ("py", "md", "json", "yml"):
+            continue
+        if any(part not in words and "_" + part not in words
+               for part in name.split(".")):
+            missing.add(name)
+    return missing
+
+
+def test_every_backticked_name_is_defined():
+    assert undefined_names(TEXT) == set()
+
+
+def test_the_name_check_sees_a_deleted_name():
+    assert undefined_names("`_parse_and_key` and `workers.on_loop`") == {
+        "_parse_and_key", "workers.on_loop",
+    }
+    assert undefined_names("`_next_hop`, `next_hop` and `ops.coalesce_key`") == set()
+
+
+def test_every_cited_heading_exists():
+    """``docs/performance.md``, "<title>" anywhere under ``src/``, ``docs/``
+    or in ``EXPERIMENTS.md`` names a heading of the page (a heading's
+    trailing parenthesis may be left out)."""
+    headings = {
+        line.lstrip("#").strip() for line in TEXT.splitlines() if line.startswith("#")
+    }
+    titles = headings | {heading.split(" (")[0] for heading in headings}
+    cited = 0
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "docs").rglob("*.md"),
+                 ROOT / "EXPERIMENTS.md"]:
+        for match in CITATION.finditer(path.read_text(encoding="utf-8")):
+            title = " ".join(match.group(1).split())
+            assert title in titles, f"{path.relative_to(ROOT)} cites missing {title!r}"
+            cited += 1
+    assert cited >= 5

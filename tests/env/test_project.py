@@ -31,6 +31,11 @@ def small_project():
 
 
 class TestWorkflow:
+    def test_repr_names_the_design_size_and_the_machine(self, lu_project):
+        assert repr(lu_project) == "BangerProject('fig1', nodes=7, machine=hypercube(4))"
+        unset = BangerProject("bare").set_design(lu3_design())
+        assert repr(unset) == "BangerProject('bare', nodes=7, machine=unset)"
+
     def test_feedback_clean_for_complete_design(self, lu_project):
         fb = lu_project.feedback()
         assert fb.ok

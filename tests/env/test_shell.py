@@ -1,6 +1,9 @@
 """Tests for the interactive shell (driven via onecmd / scripted stdin)."""
 
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,16 @@ class TestDrawing:
         shell.onecmd("new d")
         shell.onecmd("task t")
         assert "warning" in out.getvalue()
+
+    def test_feedback_lists_every_problem(self):
+        shell, out = make_shell()
+        shell.onecmd("new d")
+        shell.onecmd("task t")
+        before = len(out.getvalue())
+        shell.onecmd("feedback")
+        listed = out.getvalue()[before:]
+        assert listed.startswith("feedback: 1 error(s), 0 warning(s)")
+        assert "[t] error: no PITS program yet (DF109)" in listed
 
     def test_errors_are_caught_not_raised(self):
         shell, out = make_shell()
@@ -119,6 +132,23 @@ class TestFullSession:
     def test_empty_line_is_noop(self):
         shell, out = make_shell()
         assert shell.onecmd("") is False
+
+    def test_the_package_resolves_the_shell_on_first_use(self):
+        import repro.env
+
+        assert repro.env.BangerShell is BangerShell
+
+    def test_the_documented_entry_point_runs_a_session(self):
+        """``python -m repro.env.shell``, as README.md and docs/TUTORIAL.md
+        start it."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.env.shell"], input="new d\nquit\n",
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert "new design 'd'" in done.stdout and "bye" in done.stdout
 
 
 class TestSplitInShell:

@@ -44,7 +44,7 @@ class TestBaseScheduleOption:
         inc = second["incremental"]
         assert inc["n_dirty"] + inc["n_reused"] == inc["n_tasks"]
         assert inc["n_reused"] > 0
-        assert not inc["unchanged"]
+        assert not inc["unchanged"] and inc["fallback"] is None
         assert second["scheduler"] == "mh" + NAME_SUFFIX
         # The response document is a complete, reloadable schedule.
         reloaded = schedule_from_dict(second["schedule"])

@@ -34,17 +34,19 @@ def test_the_cli_imports_the_daemon_only_to_serve():
     assert "--workers must be >= 0" in done.stderr
 
 
-def test_the_package_still_exports_its_nine_names():
+def test_the_package_exports_its_eight_names():
     import repro.server
     from repro.server import BangerDaemon, WorkerPool, ops  # noqa: F401
 
     assert repro.server.__all__ == [
         "BangerDaemon", "OPS", "ServerMetrics", "WorkerCrash", "WorkerPool",
-        "WorkerTimeout", "coalesce_key", "execute", "run_daemon",
+        "WorkerTimeout", "execute", "run_daemon",
     ]
     for name in repro.server.__all__:
         assert getattr(repro.server, name) is not None
     assert repro.server.OPS is ops.OPS
+    # ``ops.coalesce_key`` is no daemon path's and is not re-exported
+    assert not hasattr(repro.server, "coalesce_key")
     try:
         repro.server.no_such_name
     except AttributeError as exc:

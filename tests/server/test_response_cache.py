@@ -5,6 +5,9 @@ Before the byte bound, 512 replies to a 600-task edit (~490 kB each) pinned
 ~250 MB for the life of the daemon.
 """
 
+import pytest
+
+from repro.errors import ReproError
 from repro.server import BangerDaemon
 from repro.server.app import RESPONSE_CACHE_MAX_BYTES
 
@@ -78,3 +81,16 @@ def test_metrics_report_entries_as_before_plus_bytes():
     doc = daemon._metrics_doc()["response_cache"]
     assert doc["entries"] == 4 and doc["max_entries"] == 4
     assert doc["bytes"] == 12 and doc["max_bytes"] == RESPONSE_CACHE_MAX_BYTES
+
+
+def test_a_negative_entry_bound_is_refused_and_zero_caches_nothing(daemon_factory,
+                                                                   project_doc):
+    """``cache_entries=-1`` used to hang every computed request: the LRU's
+    put raised after the reply was built and before it was handed over."""
+    with pytest.raises(ReproError, match="cache_entries must be >= 0"):
+        make_daemon(cache_entries=-1)
+    harness = daemon_factory(workers=0, cache_entries=0)
+    first = harness.client.schedule(project_doc)
+    assert harness.client.schedule(project_doc) == first
+    server = harness.client.metrics()["server"]
+    assert (server["computed"], server["cache_hits"]) == (2, 0)

@@ -190,6 +190,15 @@ class TestEndpoints:
         json.dumps(record)  # every record must be JSON-serializable
 
 
+def test_the_default_access_log_is_one_json_line_on_stderr(capsys):
+    from repro.server.app import _default_access_log
+
+    _default_access_log({"status": 200, "path": "/schedule"})
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == '{"path": "/schedule", "status": 200}\n'
+
+
 class TestProcessWorkers:
     def test_schedule_via_worker_processes(self, daemon_factory, project_doc):
         harness = daemon_factory(workers=2)

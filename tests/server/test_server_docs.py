@@ -5,6 +5,7 @@ import re
 
 from repro.server.app import DEBUG_ROUTES, ROUTES
 from repro.server.metrics import DISPOSITIONS, LATENCY_WINDOW, ServerMetrics
+from tests.env.test_performance_docs import undefined_names
 
 ROOT = pathlib.Path(__file__).parent.parent.parent
 DOCS = ROOT / "docs" / "server.md"
@@ -182,3 +183,9 @@ def test_every_option_is_documented_under_both_spellings(capsys):
                 assert flag in help_text, f"banger {op} has no {flag}"
                 assert field in namespace, f"{op}: {flag} does not store {field}"
                 assert f"{flag} " in repro.cli.__doc__
+
+
+def test_every_backticked_name_is_defined():
+    """No name of a deleted mechanism: each backticked identifier with a
+    ``_`` or a ``.`` is a word under ``src/repro`` or ``bench/``."""
+    assert undefined_names(TEXT) == set()

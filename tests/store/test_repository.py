@@ -163,6 +163,15 @@ def test_byte_quota_counts_logical_bytes():
         repo.put("t", "p2", doc)
 
 
+@pytest.mark.parametrize(
+    "field", ["max_projects", "max_versions_per_project", "max_bytes"]
+)
+def test_a_negative_limit_is_refused_when_the_quota_is_made(field):
+    """A negative limit used to refuse every put as over a quota of -1."""
+    with pytest.raises(StoreError, match=f"{field} must be >= 0, got -1"):
+        TenantQuota(**{field: -1})
+
+
 def test_corpus_tenant_is_quota_exempt():
     repo = ProjectRepository(quota=TenantQuota(max_projects=1, max_bytes=10))
     repo.put("corpus", "a", lu_doc())

@@ -134,6 +134,17 @@ def test_an_oversize_value_and_a_same_key_overwrite():
     assert len(lru) == 0 and lru.bytes == 0 and lru.evictions == 2
 
 
+def test_a_zero_bound_keeps_nothing_and_a_negative_one_is_refused():
+    """A negative bound used to empty the mapping and then raise
+    ``KeyError`` from ``popitem`` inside :meth:`LRU.put`."""
+    for bounds in ((0, None), (4, 0)):
+        lru = LRU(*bounds)
+        assert lru.put("k", b"v") == 1 and len(lru) == 0
+    for bounds in ((-1, None), (4, -1)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            LRU(*bounds)
+
+
 def test_eight_threads_exact_totals():
     lru = LRU(8)
     counters = Counters(ops=0, weight=0.0)
