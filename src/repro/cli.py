@@ -422,19 +422,16 @@ def cmd_conform(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+#: ``banger serve``'s flag for each bound the daemon checks, by the name its
+#: refusal starts with.
+SERVE_FLAGS = {"workers": "--workers", "queue_limit": "--queue-limit",
+               "request_timeout": "--timeout", "cache_entries": "--cache-entries"}
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.server import BangerDaemon, run_daemon
-
-    if args.workers is not None and args.workers < 0:
-        raise OpError(f"--workers must be >= 0, got {args.workers}")
-    if args.cache_entries < 0:
-        raise OpError(f"--cache-entries must be >= 0, got {args.cache_entries}")
-    if args.queue_limit < 1:
-        raise OpError(f"--queue-limit must be >= 1, got {args.queue_limit}")
-    if args.timeout <= 0:
-        raise OpError(f"--timeout must be > 0, got {args.timeout}")
 
     access_log = None
     if not args.no_access_log:
@@ -456,19 +453,23 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_bytes=args.quota_bytes,
         )
 
-    daemon = BangerDaemon(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        request_timeout=args.timeout,
-        cache_entries=args.cache_entries,
-        debug=args.debug,
-        access_log=access_log,
-        store_dir=args.store or os.environ.get("BANGER_STORE_DIR") or None,
-        tenant_quota=quota,
-        seed_corpus=not args.no_seed_corpus,
-    )
+    try:
+        daemon = BangerDaemon(
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            queue_limit=args.queue_limit,
+            request_timeout=args.timeout,
+            cache_entries=args.cache_entries,
+            debug=args.debug,
+            access_log=access_log,
+            store_dir=args.store or os.environ.get("BANGER_STORE_DIR") or None,
+            tenant_quota=quota,
+            seed_corpus=not args.no_seed_corpus,
+        )
+    except ReproError as exc:  # a bound the daemon refuses, named as the flag
+        name, _, rest = str(exc).partition(" ")
+        raise OpError(f"{SERVE_FLAGS.get(name, name)} {rest}") from None
 
     def ready(d: BangerDaemon) -> None:
         # One machine-readable line so wrappers can discover --port 0.
@@ -794,7 +795,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the Banger pipeline as a JSON-over-HTTP daemon",
         epilog="Endpoints: POST /lint /schedule /sweep /simulate /speedup "
-               "/conform, GET /healthz /metrics.  Identical in-flight "
+               "/codegen /conform, GET /healthz /metrics, GET and POST "
+               "/projects.  Identical in-flight "
                "requests are coalesced onto one computation; see "
                "docs/server.md for schemas and failure semantics.",
     )

@@ -504,8 +504,10 @@ class BangerProject:
 
         ``graph`` is the flattened task graph's hash, ``machine`` the
         configured machine's (``None`` until one is set).  Two projects with
-        equal fingerprints ask identical scheduling questions — the daemon
-        keys request coalescing and response caching on exactly these.
+        equal fingerprints ask identical scheduling questions: the schedule
+        cache keys on these two hashes, and so does
+        :func:`repro.server.ops.coalesce_key`.  The daemon keys on a
+        request's bytes instead.
         """
         return {
             "graph": self.hashed_flat()[1],

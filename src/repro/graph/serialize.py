@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graph.dataflow import DataflowGraph
 from repro.graph.node import StorageNode, TaskNode
-from repro.graph.taskgraph import TaskGraph, TaskSpec, TaskTable
+from repro.graph.taskgraph import TaskGraph, TaskSpec
 
 FORMAT_VERSION = 1
 
@@ -208,27 +208,11 @@ def taskgraph_to_dict(tg: TaskGraph) -> dict[str, Any]:
 
 
 def taskgraph_from_dict(data: dict[str, Any]) -> TaskGraph:
-    tg = _tasks_and_edges(TaskGraph, data)
-    (tg.graph_inputs, tg.graph_outputs, tg.input_values,
-     tg.input_sizes, tg.output_sizes) = _bindings(data)
-    return tg
-
-
-def tasktable_from_dict(data: dict[str, Any]) -> TaskTable:
-    """A taskgraph document's tasks and in-edges alone, refused wherever
-    :func:`taskgraph_from_dict` refuses the document: the same checks run,
-    and the graph-level bindings are read and dropped."""
-    table = _tasks_and_edges(TaskTable, data)
-    _bindings(data)
-    return table
-
-
-def _tasks_and_edges(kind: type[TaskTable], data: dict[str, Any]) -> Any:
     if data.get("type") != "taskgraph":
         raise GraphError(f"not a taskgraph document (type={data.get('type')!r})")
-    table = kind(data.get("name", "taskgraph"))
+    tg = TaskGraph(data.get("name", "taskgraph"))
     for entry in data.get("tasks", []):
-        table.add_task(
+        tg.add_task(
             entry["name"],
             work=entry.get("work", 1.0),
             label=entry.get("label", ""),
@@ -236,20 +220,15 @@ def _tasks_and_edges(kind: type[TaskTable], data: dict[str, Any]) -> Any:
             **(entry.get("meta") or {}),
         )
     for e in data.get("edges", []):
-        table.add_edge(e["src"], e["dst"], e.get("var", ""), e.get("size", 1.0))
-    return table
-
-
-def _bindings(data: dict[str, Any]) -> tuple:
-    """``(graph_inputs, graph_outputs, input_values, input_sizes,
-    output_sizes)`` of a taskgraph document."""
-    return (
-        {k: list(v) for k, v in (data.get("graph_inputs") or {}).items()},
-        dict(data.get("graph_outputs") or {}),
-        {k: _decode_value(v) for k, v in (data.get("input_values") or {}).items()},
-        dict(data.get("input_sizes") or {}),
-        dict(data.get("output_sizes") or {}),
-    )
+        tg.add_edge(e["src"], e["dst"], e.get("var", ""), e.get("size", 1.0))
+    tg.graph_inputs = {k: list(v) for k, v in (data.get("graph_inputs") or {}).items()}
+    tg.graph_outputs = dict(data.get("graph_outputs") or {})
+    tg.input_values = {
+        k: _decode_value(v) for k, v in (data.get("input_values") or {}).items()
+    }
+    tg.input_sizes = dict(data.get("input_sizes") or {})
+    tg.output_sizes = dict(data.get("output_sizes") or {})
+    return tg
 
 
 def taskgraph_to_json(tg: TaskGraph, indent: int | None = 2) -> str:

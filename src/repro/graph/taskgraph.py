@@ -52,14 +52,13 @@ class TaskSpec:
     meta: dict[str, Any] = field(default_factory=dict)
 
 
-class TaskTable:
-    """Tasks and the edges between them, checked as they are added.
+class TaskGraph:
+    """A weighted DAG of primitive tasks (the input to scheduling).
 
-    A :class:`TaskGraph` is a task table plus an edge list, graph-level
-    bindings and the algorithms.  On its own a table is what re-timing reads
-    of a saved schedule's embedded graph: each task's work and edges, and
-    their topological order, refused exactly where a graph would refuse
-    them, without building the rest.
+    Parameters
+    ----------
+    name:
+        Graph name, carried over from the design.
     """
 
     def __init__(self, name: str = "taskgraph"):
@@ -67,7 +66,20 @@ class TaskTable:
         self._tasks: dict[str, TaskSpec] = {}
         self._succ: dict[str, list[TaskEdge]] = {}
         self._pred: dict[str, list[TaskEdge]] = {}
+        self._edges: list[TaskEdge] = []
+        #: graph-level inputs: variable -> (consumer task names)
+        self.graph_inputs: dict[str, list[str]] = {}
+        #: graph-level outputs: variable -> producer task name
+        self.graph_outputs: dict[str, str] = {}
+        #: initial values for graph inputs (from storage nodes), if any
+        self.input_values: dict[str, Any] = {}
+        #: sizes (abstract units) of graph-level inputs and outputs
+        self.input_sizes: dict[str, float] = {}
+        self.output_sizes: dict[str, float] = {}
 
+    # ------------------------------------------------------------------ #
+    # construction
+    # ------------------------------------------------------------------ #
     def add_task(
         self,
         name: str,
@@ -100,8 +112,12 @@ class TaskTable:
                 raise GraphError(f"duplicate edge {src}->{dst} ({var!r})")
         outgoing.append(edge)
         self._pred[dst].append(edge)
+        self._edges.append(edge)
         return edge
 
+    # ------------------------------------------------------------------ #
+    # inspection
+    # ------------------------------------------------------------------ #
     def __contains__(self, name: str) -> bool:
         return name in self._tasks
 
@@ -121,6 +137,14 @@ class TaskTable:
     def task_names(self) -> list[str]:
         return list(self._tasks)
 
+    @property
+    def tasks(self) -> list[TaskSpec]:
+        return list(self._tasks.values())
+
+    @property
+    def edges(self) -> list[TaskEdge]:
+        return list(self._edges)
+
     def work(self, name: str) -> float:
         return self.task(name).work
 
@@ -131,79 +155,6 @@ class TaskTable:
     def out_edges(self, name: str) -> list[TaskEdge]:
         self.task(name)
         return list(self._succ[name])
-
-    def topological_order(self) -> list[str]:
-        """Deterministic Kahn sort; raises :class:`CycleError` on cycles."""
-        indeg = {t: len(self._pred[t]) for t in self._tasks}
-        ready = deque(t for t in self._tasks if indeg[t] == 0)
-        order: list[str] = []
-        while ready:
-            t = ready.popleft()
-            order.append(t)
-            for e in self._succ[t]:
-                indeg[e.dst] -= 1
-                if indeg[e.dst] == 0:
-                    ready.append(e.dst)
-        if len(order) != len(self._tasks):
-            raise CycleError(f"task graph {self.name!r} contains a cycle")
-        return order
-
-    def same_structure(self, other: "TaskTable") -> bool:
-        """Whether ``other`` has these tasks in this order and, per task,
-        these in-edges and out-edges in this order.  Edge sizes must match
-        type for type: ``1``, ``1.0`` and ``true`` make equal edges, but a
-        message quotes its edge's size as it is."""
-        if list(self._tasks) != list(other._tasks):
-            return False
-        for name, edges in self._pred.items():
-            theirs = other._pred[name]
-            if edges != theirs or any(
-                type(a.size) is not type(b.size) for a, b in zip(edges, theirs)
-            ):
-                return False
-        return all(edges == other._succ[name] for name, edges in self._succ.items())
-
-
-class TaskGraph(TaskTable):
-    """A weighted DAG of primitive tasks (the input to scheduling).
-
-    Parameters
-    ----------
-    name:
-        Graph name, carried over from the design.
-    """
-
-    def __init__(self, name: str = "taskgraph"):
-        super().__init__(name)
-        self._edges: list[TaskEdge] = []
-        #: graph-level inputs: variable -> (consumer task names)
-        self.graph_inputs: dict[str, list[str]] = {}
-        #: graph-level outputs: variable -> producer task name
-        self.graph_outputs: dict[str, str] = {}
-        #: initial values for graph inputs (from storage nodes), if any
-        self.input_values: dict[str, Any] = {}
-        #: sizes (abstract units) of graph-level inputs and outputs
-        self.input_sizes: dict[str, float] = {}
-        self.output_sizes: dict[str, float] = {}
-
-    # ------------------------------------------------------------------ #
-    # construction
-    # ------------------------------------------------------------------ #
-    def add_edge(self, src: str, dst: str, var: str = "", size: float = 1.0) -> TaskEdge:
-        edge = super().add_edge(src, dst, var, size)
-        self._edges.append(edge)
-        return edge
-
-    # ------------------------------------------------------------------ #
-    # inspection
-    # ------------------------------------------------------------------ #
-    @property
-    def tasks(self) -> list[TaskSpec]:
-        return list(self._tasks.values())
-
-    @property
-    def edges(self) -> list[TaskEdge]:
-        return list(self._edges)
 
     def set_work(self, name: str, work: float) -> None:
         if work < 0:
@@ -250,6 +201,37 @@ class TaskGraph(TaskTable):
     # ------------------------------------------------------------------ #
     # algorithms
     # ------------------------------------------------------------------ #
+    def topological_order(self) -> list[str]:
+        """Deterministic Kahn sort; raises :class:`CycleError` on cycles."""
+        indeg = {t: len(self._pred[t]) for t in self._tasks}
+        ready = deque(t for t in self._tasks if indeg[t] == 0)
+        order: list[str] = []
+        while ready:
+            t = ready.popleft()
+            order.append(t)
+            for e in self._succ[t]:
+                indeg[e.dst] -= 1
+                if indeg[e.dst] == 0:
+                    ready.append(e.dst)
+        if len(order) != len(self._tasks):
+            raise CycleError(f"task graph {self.name!r} contains a cycle")
+        return order
+
+    def same_structure(self, other: "TaskGraph") -> bool:
+        """Whether ``other`` has these tasks in this order and, per task,
+        these in-edges and out-edges in this order.  Edge sizes must match
+        type for type: ``1``, ``1.0`` and ``true`` make equal edges, but a
+        message quotes its edge's size as it is."""
+        if list(self._tasks) != list(other._tasks):
+            return False
+        for name, edges in self._pred.items():
+            theirs = other._pred[name]
+            if edges != theirs or any(
+                type(a.size) is not type(b.size) for a, b in zip(edges, theirs)
+            ):
+                return False
+        return all(edges == other._succ[name] for name, edges in self._succ.items())
+
     def shares_edges(self, other: "TaskGraph") -> bool:
         """Whether ``other`` has these tasks in this order over these very
         edge objects in this order, as a graph :meth:`replaced` from this one

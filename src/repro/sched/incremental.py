@@ -11,14 +11,10 @@ only the dirty suffix with the kernel's one list pass
 (:func:`repro.sched.core.run_priority_list`, started from the replayed
 prefix) — this module owns the diff and the dirty closure, not a loop.
 
-The previous schedule is read as a :class:`BaseSchedule`: its placements,
-machine and scheduler name over its graph's tasks and edges.  A base read
-from a document (:func:`repro.sched.serialize.base_schedule_from_dict`)
-never builds its embedded graph or its messages; a :class:`Schedule` in
-hand reads as itself.  A base that a client posts again and again (the
-daemon's request memo keeps it) also carries a :class:`Replay`: every base
-placement re-placed once, messages derived, from which each later edit
-forks its clean prefix instead of placing it task by task.
+The previous schedule is a :class:`Schedule`, or the :class:`Replay` of one
+that the daemon's request memo keeps for a base a client posts again and
+again: every base placement re-placed once, messages derived, from which
+each later edit forks its clean prefix instead of placing it task by task.
 
 Correctness story
 -----------------
@@ -42,7 +38,7 @@ Correctness story
   proof honest.
 * A fork off the full replay equals :func:`replay_prefix` of the clean
   set when the new graph has the base graph's structure
-  (:meth:`~repro.graph.taskgraph.TaskTable.same_structure`: the same
+  (:meth:`~repro.graph.taskgraph.TaskGraph.same_structure`: the same
   tasks in the same order, each task's in- and out-edges equal, in the
   same order).  Then both topological orders are equal, so the replay
   places the clean tasks in the very order the prefix replay does — by
@@ -68,9 +64,8 @@ Correctness story
 * When nothing changed (equal graph content hashes) both entry points
   short-circuit to the previous schedule object — byte-identical by
   construction.  A changed signature is changed content, so only an empty
-  diff pays for the two hashes.  A kept replay holds the base graph's,
-  read from the whole base once, so an empty diff against it pays for one
-  hash and reads the whole base again only when that is the answer.
+  diff pays for the two hashes.  A kept replay holds the base graph's, so
+  an empty diff against it pays for one hash.
 * A kept replay also holds the last graph that fitted and its dirty seed.
   A graph over that graph's very edges (a patched flat graph) can differ
   from the base only in that seed or in a task whose spec is another
@@ -91,11 +86,11 @@ feasible input schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.approx import approx_ge
 from repro.errors import ReproError, ScheduleError
-from repro.graph.taskgraph import TaskGraph, TaskTable
+from repro.graph.taskgraph import TaskGraph
 from repro.lru import LEDGER
 from repro.sched.core import KernelState, SchedKernel, replay_prefix, run_priority_list
 from repro.sched.schedule import Schedule
@@ -111,7 +106,7 @@ NAME_SUFFIX = "+incremental"
 LEDGER.declare(retime_forked=0, retime_replayed=0)
 
 
-def same_signature(a: TaskTable, b: TaskTable, task: str) -> bool:
+def same_signature(a: TaskGraph, b: TaskGraph, task: str) -> bool:
     """Whether ``task`` has the same scheduling-relevant content in both:
     its work and its incoming edges ``(src, var, size)`` as a multiset.
 
@@ -126,7 +121,7 @@ def same_signature(a: TaskTable, b: TaskTable, task: str) -> bool:
     return ins_a == ins_b or sorted(ins_a) == sorted(ins_b)
 
 
-def dirty_tasks(prev_graph: TaskTable, new_graph: TaskGraph) -> set[str]:
+def dirty_tasks(prev_graph: TaskGraph, new_graph: TaskGraph) -> set[str]:
     """Tasks of ``new_graph`` whose scheduling content differs from
     ``prev_graph`` (including tasks that did not exist before)."""
     prev_names = set(prev_graph.task_names)
@@ -238,7 +233,7 @@ class Replay:
     def fit(self, graph: TaskGraph, seed: set[str], changed: list[str] | None) -> Fork | None:
         """The :class:`Fork` of ``graph`` — whose dirty seed is ``seed``,
         and ``changed`` as :meth:`diff` found it — when it has the base
-        graph's structure (:meth:`TaskTable.same_structure`), the condition
+        graph's structure (:meth:`TaskGraph.same_structure`), the condition
         for forking; ``None`` when it has not.  The graph that fits is kept
         with its seed, so a graph over its very edges — a patched flat
         graph — fits without comparing an edge."""
@@ -248,11 +243,11 @@ class Replay:
         self._fits += 1
         return Fork(self, self._fits, changed)
 
-    def base_hash(self, whole: Callable[[], Schedule]) -> str:
-        """The base graph's content hash, read from the ``whole`` base the
-        first time it is asked for: the base never changes."""
+    def base_hash(self) -> str:
+        """The base graph's content hash, taken the first time it is asked
+        for: the base never changes."""
         if self._base_hash is None:
-            self._base_hash = whole().graph.content_hash()
+            self._base_hash = self.placed.graph.content_hash()
         return self._base_hash
 
 
@@ -278,30 +273,6 @@ def _replay_all(placed: Schedule) -> Schedule | None:
     except ReproError:
         return None
     return state.sched
-
-
-@dataclass(frozen=True)
-class BaseSchedule:
-    """The schedule an edit is re-timed against, as re-timing reads it.
-
-    ``placed`` carries the placements (per processor in start order), the
-    machine and the scheduler name over its graph's tasks and edges, which
-    is all a re-time reads, so its graph may be just a
-    :class:`~repro.graph.taskgraph.TaskTable`.  ``whole`` returns the
-    complete schedule, for the one answer that is the base itself: an
-    unchanged graph.  ``replay`` is the kept :class:`Replay` of ``placed``,
-    for a base that arrived before (see :mod:`repro.server.memo`); a base
-    read once has none and replays its clean prefix.
-    """
-
-    placed: Schedule
-    whole: Callable[[], Schedule]
-    replay: Replay | None = None
-
-    @classmethod
-    def of(cls, schedule: Schedule) -> "BaseSchedule":
-        """A schedule in hand: its own placements, and itself whole."""
-        return cls(schedule, lambda: schedule)
 
 
 @dataclass(frozen=True)
@@ -404,46 +375,38 @@ def _retime(
 
 
 def incremental_reschedule(
-    prev: Schedule | BaseSchedule, new_graph: TaskGraph, new_hash: str | None = None
+    prev: Schedule | Replay, new_graph: TaskGraph, new_hash: str | None = None
 ) -> IncrementalResult:
     """Reschedule ``new_graph`` by editing the previous schedule in place(ment).
 
-    ``prev`` is the previous schedule, or a :class:`BaseSchedule` read of
-    one.  The machine is taken from it — an edited *machine* is a new
-    scheduling problem, not an incremental one.  Returns the new schedule
-    plus reuse accounting; byte-identical to :func:`full_reschedule`
-    always, and to the previous schedule itself when the graph content is
-    unchanged.  Only when no task's signature changed are the two content
-    hashes compared (``new_hash`` is ``new_graph.content_hash()`` from a
-    caller that already holds it) and the whole previous schedule read;
-    a kept :class:`Replay` keeps the previous graph's hash.
+    ``prev`` is the previous schedule, or the kept :class:`Replay` of one.
+    The machine is taken from it — an edited *machine* is a new scheduling
+    problem, not an incremental one.  Returns the new schedule plus reuse
+    accounting; byte-identical to :func:`full_reschedule` always, and to
+    the previous schedule itself when the graph content is unchanged.  Only
+    when no task's signature changed are the two content hashes compared
+    (``new_hash`` is ``new_graph.content_hash()`` from a caller that already
+    holds it); a kept :class:`Replay` keeps the previous graph's hash.
     """
-    base = prev if isinstance(prev, BaseSchedule) else BaseSchedule.of(prev)
-    replay = base.replay
+    replay = prev if isinstance(prev, Replay) else None
+    placed = prev if replay is None else replay.placed
     n_tasks = len(new_graph)
     diff = None if replay is None else replay.diff(new_graph)
     if diff is None:
-        changed, seed = None, dirty_tasks(base.placed.graph, new_graph)
+        changed, seed = None, dirty_tasks(placed.graph, new_graph)
     else:
         changed, seed = diff
     if not seed:
         new_hash = new_hash or new_graph.content_hash()
-        if replay is None:
-            whole = base.whole()
-            unchanged = new_hash == whole.graph.content_hash()
-        else:
-            unchanged = new_hash == replay.base_hash(base.whole)
-            whole = base.whole() if unchanged else None
-        if unchanged:
-            return IncrementalResult(whole, n_tasks, 0, n_tasks, unchanged=True)
-    dirty, fallback = _analyse(base.placed, new_graph, seed)
+        base_hash = placed.graph.content_hash() if replay is None else replay.base_hash()
+        if new_hash == base_hash:
+            return IncrementalResult(placed, n_tasks, 0, n_tasks, unchanged=True)
+    dirty, fallback = _analyse(placed, new_graph, seed)
     fork = None
     if replay is not None and fallback is None:
         fork = replay.fit(new_graph, seed, changed)
     replayed = None if fork is None else replay()
-    schedule = _retime(
-        base.placed, new_graph, dirty, reuse_prefix=True, replayed=replayed
-    )
+    schedule = _retime(placed, new_graph, dirty, reuse_prefix=True, replayed=replayed)
     return IncrementalResult(
         schedule,
         n_tasks,

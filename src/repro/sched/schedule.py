@@ -57,17 +57,11 @@ class Message:
     route: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        check_transfer(self.src_task, self.dst_task, self.start, self.finish)
-
-
-def check_transfer(src_task: str, dst_task: str, start: float, finish: float) -> None:
-    """:class:`Message`'s checks, for callers that read a message without
-    keeping it: a transfer may not finish before it starts, nor at a time
-    that is no finite number."""
-    if finish < start:
-        raise ScheduleError(f"message {src_task}->{dst_task}: finish before start")
-    check_finite(start, f"message {src_task}->{dst_task}: start", ScheduleError)
-    check_finite(finish, f"message {src_task}->{dst_task}: finish", ScheduleError)
+        src, dst = self.src_task, self.dst_task
+        if self.finish < self.start:
+            raise ScheduleError(f"message {src}->{dst}: finish before start")
+        check_finite(self.start, f"message {src}->{dst}: start", ScheduleError)
+        check_finite(self.finish, f"message {src}->{dst}: finish", ScheduleError)
 
 
 class Schedule:

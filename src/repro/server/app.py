@@ -196,6 +196,10 @@ class BangerDaemon:
             raise ReproError(f"workers must be >= 0, got {workers}")
         if cache_entries < 0:
             raise ReproError(f"cache_entries must be >= 0, got {cache_entries}")
+        if queue_limit < 1:
+            raise ReproError(f"queue_limit must be >= 1, got {queue_limit}")
+        if not request_timeout > 0:
+            raise ReproError(f"request_timeout must be > 0, got {request_timeout}")
         self.queue_limit = queue_limit
         self.request_timeout = request_timeout
         self.cache_entries = cache_entries

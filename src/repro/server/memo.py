@@ -3,10 +3,9 @@
 An editing client posts the whole project after every change, and a change
 is usually a few nodes' fields.  A :class:`RequestMemo` keeps what the op
 built for the last request its job function parsed: the design, the
-machine, the flat graph with its hash once known, and the base schedule's
-placements, beside type-exact signatures of the documents they were built
-from.  The next body's documents are compared with the kept ones, subtree
-by subtree:
+machine, the flat graph with its hash once known, and the base schedule,
+beside type-exact signatures of the documents they were built from.  The
+next body's documents are compared with the kept ones, subtree by subtree:
 
 * a design that differs only in task-node fields (``work``, ``label``,
   ``program``, ``meta``, at any depth) is patched: only those nodes are
@@ -15,13 +14,13 @@ by subtree:
   schedule cache keeps schedules over it.  Design validation (DF1xx) reads
   only names, kinds, arcs and ports, all equal, so it does not run again;
 * an equal machine is the kept :class:`TargetMachine`, and an equal
-  ``base_schedule`` reuses the kept placements and their full
-  :class:`~repro.sched.incremental.Replay` — built by the first such
-  request whose edit keeps the base graph's structure, and forked by every
-  later one.  A fork is diffed, reported and encoded at the cost of its
-  edit from what the replay keeps beside it: its reply's ``schedule`` is
-  spliced from encoded pieces.  Each request's base is signed once, and
-  kept as its signature;
+  ``base_schedule`` is not read again: it is the kept base's
+  :class:`~repro.sched.incremental.Replay`, whose full replay is built by
+  the first such request whose edit keeps the base graph's structure, and
+  forked by every later one.  A fork is diffed, reported and encoded at
+  the cost of its edit from what the replay keeps beside it: its reply's
+  ``schedule`` is spliced from encoded pieces.  Each request's base is
+  signed once, and kept as its signature;
 * anything else (an arc, node, storage, port, name or machine change, a
   different design) is built cold, exactly as a direct caller builds it.
 
@@ -51,7 +50,6 @@ from repro.graph.node import TaskNode
 from repro.graph.serialize import task_node_from_dict
 from repro.lru import LEDGER
 from repro.sched.incremental import Replay
-from repro.sched.serialize import base_schedule_over
 from repro.sched.service import default_service
 
 #: Project ops served through a memo: built from the kept request, or cold.
@@ -155,11 +153,10 @@ class _Kept:
                  base: Any, base_sig: bytes | None):
         self.design, self.machine, self.flat, self.flat_hash = built
         self._doc, self._head, self._level = doc, head, level
-        # the base's placements, their full replay and the base document's
-        # signature, ``None`` when the op read no base; the replay is built
-        # when an equal base re-times
-        self.placed = None if base is None else base.placed
-        self.replay = None if base is None else base.replay or Replay(base.placed)
+        # the base's full replay and the base document's signature, ``None``
+        # when the op read no base; the replay is built when an equal base
+        # re-times
+        self.replay = base if base is None or isinstance(base, Replay) else Replay(base)
         self.base_sig = base_sig
 
     def head(self) -> bytes:
@@ -235,10 +232,10 @@ class _Request:
     def base_of(self, read: Callable[[dict[str, Any]], Any]) -> Any:
         kept, doc = self.kept, self.base_doc
         self.base_sig = _sig(doc)
-        if kept is None or kept.placed is None or self.base_sig != kept.base_sig:
+        if kept is None or kept.replay is None or self.base_sig != kept.base_sig:
             self.base = read(doc)
         else:
-            self.base = base_schedule_over(kept.placed, doc, kept.replay)
+            self.base = kept.replay
         return self.base
 
     def kept_next(self) -> _Kept | None:
@@ -294,8 +291,8 @@ def project_of(doc: dict[str, Any],
 
 def base_of(doc: dict[str, Any], read: Callable[[dict[str, Any]], Any]) -> Any:
     """``read(doc)``, unless ``doc`` is the ``base_schedule`` the calling
-    thread's memo is serving: then equal to the kept one, it reuses the
-    kept placements and their replay."""
+    thread's memo is serving and equal to the kept one: then the kept
+    base's :class:`~repro.sched.incremental.Replay`."""
     request = getattr(_active, "request", None)
     if request is None or doc is not request.base_doc:
         return read(doc)

@@ -40,16 +40,9 @@ from repro.errors import CodegenError, ReproError, ScheduleError
 from repro.graph.serialize import _encode_value, fingerprint
 from repro.lint import lint_project, to_json
 from repro.machine.scenario import FaultScenario
-from repro.sched.incremental import IncrementalResult, incremental_reschedule
+from repro.sched.incremental import IncrementalResult, Replay, incremental_reschedule
 from repro.sched.registry import resolve_scheduler, scheduler_cache_key
-# ``schedule_from_dict`` is not called here any more, but stays importable
-# from this module: bench/trace.py wraps it here as a layer boundary.
-from repro.sched.serialize import (  # noqa: F401
-    base_schedule_from_dict,
-    fork_reply,
-    schedule_from_dict,
-    schedule_to_dict,
-)
+from repro.sched.serialize import fork_reply, schedule_from_dict, schedule_to_dict
 from repro.sched.service import ScheduleRequest
 from repro.server.memo import base_of, project_of
 # The process-wide ScheduleService every op schedules through.  Worker
@@ -166,16 +159,15 @@ def lint_options(raw: dict[str, Any]) -> dict[str, Any]:
 
 
 def schedule_options(raw: dict[str, Any]) -> dict[str, Any]:
-    """``base_schedule`` comes back read as the base to re-time against
-    (:func:`base_schedule_from_dict`): its placements, machine, scheduler
-    name and each embedded task's work and in-edges, never a second graph.
-    It is turned away here, before any run, wherever
-    :func:`schedule_from_dict` would refuse the document, messages
-    included."""
+    """``base_schedule`` comes back read as the schedule to re-time against
+    (:func:`schedule_from_dict`), or as its kept
+    :class:`~repro.sched.incremental.Replay` when the request memo serving
+    this payload holds an equal base.  It is turned away here, before any
+    run, wherever :func:`schedule_from_dict` refuses the document."""
     base = _option(raw, "base_schedule", dict, "a saved schedule document")
     if base is not None:
         try:
-            base = base_of(base, base_schedule_from_dict)
+            base = base_of(base, schedule_from_dict)
         except ReproError as exc:
             raise OpError(f"malformed base_schedule: {exc}") from None
     return {
@@ -278,10 +270,9 @@ def run_schedule(project: BangerProject, opts: dict[str, Any]):
     base = opts["base_schedule"]
     if base is None:
         return project.schedule(opts["scheduler"]), None
+    base_machine = (base.placed if isinstance(base, Replay) else base).machine
     machine = project.machine
-    if machine is not None and (
-        machine.content_hash() != base.placed.machine.content_hash()
-    ):
+    if machine is not None and machine.content_hash() != base_machine.content_hash():
         schedule = project.schedule(opts["scheduler"])
         n_tasks = len(schedule.graph)
         return schedule, IncrementalResult(
@@ -571,9 +562,8 @@ def execute(op: str, payload: dict[str, Any]) -> dict[str, Any]:
     counters being :func:`work_since` the op started.  The daemon's job
     function (:func:`repro.server.workers.serve`) encodes ``result`` into
     the response bytes in the same process, a worker or the inline thread,
-    and counts the work of the whole job, its parse included, the same
-    way; the daemon folds those counters into ``/metrics`` so scheduler
-    runs are observable no matter which process performed them.
+    and hands the counters on; the daemon folds them into ``/metrics`` so
+    scheduler runs are observable no matter which process performed them.
     """
     fn = OPS.get(op)
     if fn is None:

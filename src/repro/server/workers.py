@@ -50,7 +50,7 @@ from typing import Any, Callable
 
 from repro.errors import ReproError
 from repro.server.memo import RequestMemo
-from repro.server.ops import execute, work_mark, work_since
+from repro.server.ops import execute
 from repro.server.protocol import json_body, parse_body
 
 
@@ -74,21 +74,22 @@ def serve(run: Callable[[str, dict[str, Any]], Any], op: str,
     inline mode builds in a thread: ``("ok", {"body": <response bytes>,
     "counters": {...}})``, ``("user_error", kind, message)`` for a
     :class:`ReproError` (the body's parse included), or ``("error", kind,
-    message + traceback)``.  The counters are the work of the whole job.
+    message + traceback)``.  The counters are those ``run`` returns beside
+    its ``result``, the work it measured (:func:`repro.server.ops.execute`).
     With a ``memo`` the op's project is patched from what the memo's last
     request built (:mod:`repro.server.memo`).  A dict ``body`` is taken as
     already parsed, and never memoized: only a document parsed here is
     sure to stay as it was.
     """
-    before = work_mark()
     try:
         if isinstance(body, dict):
             payload, memo = body, None
         else:
             payload = parse_body(body)
         with nullcontext() if memo is None else memo.serving(payload):
-            encoded = json_body(run(op, payload)["result"])
-        return ("ok", {"body": encoded, "counters": work_since(before)})
+            done = run(op, payload)
+            encoded = json_body(done["result"])
+        return ("ok", {"body": encoded, "counters": done["counters"]})
     except ReproError as exc:
         return ("user_error", type(exc).__name__, str(exc))
     except Exception as exc:  # noqa: BLE001 - reported, never raised

@@ -152,15 +152,33 @@ def test_version_flag_exits_zero(capsys):
     assert __version__ in out
 
 
-@pytest.mark.parametrize("flag", [
-    "--cache-entries", "--quota-projects", "--quota-versions", "--quota-bytes",
+@pytest.mark.parametrize("flag, value", [
+    pytest.param(flag, "-1", id=flag) for flag in (
+        "--cache-entries", "--quota-projects", "--quota-versions", "--quota-bytes",
+    )
+] + [
+    pytest.param(flag, value, id=f"{flag} {value}") for flag, value in (
+        ("--queue-limit", "0"), ("--timeout", "0"), ("--workers", "-1"),
+    )
 ])
-def test_serve_refuses_a_negative_bound_before_it_binds(flag, capsys):
-    """``--cache-entries -1`` used to hang every computed request, and a
-    negative quota refused every put; each is a usage error now."""
-    assert main(["serve", "--port", "0", flag, "-1", "--no-seed-corpus"]) == EXIT_USAGE
+def test_serve_refuses_a_negative_bound_before_it_binds(flag, value, capsys):
+    """``--cache-entries -1`` used to hang every computed request, a
+    negative quota refused every put, ``--queue-limit 0`` answered every
+    request 503 and ``--timeout 0`` 504; each is a usage error now, the
+    daemon's own refusal naming the flag."""
+    assert main(["serve", "--port", "0", flag, value, "--no-seed-corpus"]) == EXIT_USAGE
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: ") and "-1" in line
+    assert line.startswith("error: ") and value in line
+
+
+def test_serve_help_names_every_endpoint(capsys):
+    from repro.server.app import ROUTES
+
+    with pytest.raises(SystemExit):
+        main(["serve", "--help"])
+    words = capsys.readouterr().out.replace(",", " ").split()
+    for path in [*ROUTES, "/healthz", "/metrics", "/projects"]:
+        assert path in words, path
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -1,14 +1,14 @@
-"""An edit's ``base_schedule`` is read against the request's own flat graph.
+"""An edit's ``base_schedule`` is read whole, by the one schedule reader.
 
-The ``/schedule`` op reads a base document into what re-timing needs — its
-placements, machine, scheduler name and each embedded task's work and
-in-edges — instead of rebuilding the whole schedule.  What it answers and
-what it refuses must be what the whole schedule gave:
+The ``/schedule`` op reads a base document with ``schedule_from_dict``, as
+every other schedule document is read.  What it answers and what it
+refuses must be what that reader gives:
 
-* the reply to every kind of edit equals the one built from
+* the reply to every kind of edit equals the one built directly from
   ``incremental_reschedule(schedule_from_dict(base), flat)``, byte for byte;
-* every mutated base the classic reader refuses, the new reader refuses
-  with the same message, before any run;
+* every mutated base the reader refuses, the op refuses when it reads its
+  options, before any run, as ``malformed base_schedule`` with the
+  reader's message;
 * a base made on another machine is scheduled from scratch (``"cold"``),
   as :meth:`BangerProject.reschedule` does.
 """
@@ -16,6 +16,7 @@ what it refuses must be what the whole schedule gave:
 from __future__ import annotations
 
 import copy
+from dataclasses import asdict
 
 import pytest
 
@@ -24,8 +25,9 @@ from repro.errors import ReproError
 from repro.graph.generators import as_dataflow, random_layered
 from repro.graph.taskgraph import TaskGraph
 from repro.machine import NCUBE_LIKE, MachineParams
-from repro.sched.incremental import BaseSchedule
-from repro.sched.serialize import base_schedule_from_dict, schedule_from_dict
+from repro.sched.incremental import incremental_reschedule
+from repro.sched.serialize import schedule_from_dict, schedule_to_dict
+from repro.sched.metrics import report
 from repro.server import ops
 from repro.server.protocol import json_body
 
@@ -82,25 +84,50 @@ def _edited(kind: str) -> TaskGraph:
     return _rebuilt(tasks, edges)
 
 
-def _classic(doc: dict) -> BaseSchedule:
-    return BaseSchedule.of(schedule_from_dict(doc))
+def _refused(exc: ReproError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _reply(payload: dict) -> bytes | str:
     try:
         return json_body(ops.op_schedule(payload))
     except ReproError as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return _refused(exc)
 
 
-def _both(monkeypatch, payload: dict) -> tuple:
-    """``payload``'s reply through the base reader, then through the
-    classic whole-schedule reader."""
-    new = _reply(payload)
-    with monkeypatch.context() as patch:
-        patch.setattr(ops, "base_schedule_from_dict", _classic)
-        old = _reply(payload)
-    return new, old
+def _direct(payload: dict) -> bytes | str:
+    """The reply built by hand from ``incremental_reschedule`` over the
+    whole base schedule and the project's flat graph, as the op's reply
+    would quote it."""
+    project = BangerProject.from_dict(payload["project"])
+    try:
+        result = incremental_reschedule(
+            schedule_from_dict(payload["base_schedule"]), project.flat())
+    except ReproError as exc:
+        return _refused(ops.OpError(f"incremental reschedule failed: {exc}"))
+    schedule = result.schedule
+    return json_body({
+        "type": "banger-schedule",
+        "project": project.name,
+        "scheduler": schedule.scheduler,
+        "n_procs": schedule.machine.n_procs,
+        "makespan": schedule.makespan(),
+        "report": asdict(report(schedule)),
+        "schedule": schedule_to_dict(schedule),
+        "incremental": {
+            "n_tasks": result.n_tasks,
+            "n_dirty": result.n_dirty,
+            "n_reused": result.n_reused,
+            "reused_fraction": result.reused_fraction,
+            "unchanged": result.unchanged,
+            "fallback": result.fallback,
+        },
+    })
+
+
+def _both(payload: dict) -> tuple:
+    """``payload``'s reply from the op, then the one built directly."""
+    return _reply(payload), _direct(payload)
 
 
 def _base(scheduler: str = "mh", **machine) -> dict:
@@ -112,31 +139,30 @@ def _base(scheduler: str = "mh", **machine) -> dict:
     "work", "edge size", "edge added", "edge removed", "task added",
     "task deleted", "label only", "unchanged",
 ])
-def test_every_edit_kind_answers_what_the_whole_base_answers(monkeypatch, kind):
+def test_every_edit_kind_answers_what_the_whole_base_answers(kind):
     payload = {"project": _doc(_edited(kind)), "base_schedule": _base()}
-    new, old = _both(monkeypatch, payload)
+    new, old = _both(payload)
     assert isinstance(new, bytes), new
     assert new == old
 
 
-def test_a_duplicated_base_answers_what_the_whole_base_answers(monkeypatch):
+def test_a_duplicated_base_answers_what_the_whole_base_answers():
     base = _base("dsh", params=NCUBE_LIKE)
     if not schedule_from_dict(base).has_duplication():
         pytest.skip("dsh did not duplicate on this input")
     for kind in ("work", "unchanged"):
         payload = {"project": _doc(_edited(kind), params=NCUBE_LIKE),
                    "base_schedule": base}
-        new, old = _both(monkeypatch, payload)
+        new, old = _both(payload)
         assert isinstance(new, bytes) and new == old
 
 
-def test_an_incomplete_base_answers_what_the_whole_base_answers(monkeypatch):
+def test_an_incomplete_base_answers_what_the_whole_base_answers():
     base = _base()
     base["placements"].pop()
-    unchanged = _both(monkeypatch, {"project": _doc(GRAPH), "base_schedule": base})
+    unchanged = _both({"project": _doc(GRAPH), "base_schedule": base})
     assert isinstance(unchanged[0], bytes) and unchanged[0] == unchanged[1]
-    edited = _both(monkeypatch, {"project": _doc(_edited("work")),
-                                 "base_schedule": base})
+    edited = _both({"project": _doc(_edited("work")), "base_schedule": base})
     assert "complete previous schedule" in edited[0] and edited[0] == edited[1]
 
 
@@ -174,34 +200,37 @@ MUTATIONS = {
 }
 
 
-def _refusal(reader, doc: dict) -> str | None:
-    """The refusal's class and message.  A ``meta`` that is not a mapping
-    fails the ``**`` of whichever ``add_task`` reads it, and Python names
-    that method's class in the message: the one word the readers may differ
-    in."""
+def _refusal(read, doc: dict) -> str | None:
+    """The message ``read(doc)`` refuses ``doc`` with, if any."""
     try:
-        reader(doc)
+        read(doc)
     except ReproError as exc:
-        return f"{type(exc).__name__}: {exc}".replace("TaskTable.", "TaskGraph.")
+        return str(exc)
     return None
+
+
+def _options(doc: dict) -> None:
+    ops.schedule_options({"base_schedule": doc})
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
 def test_both_readers_refuse_the_same_bases(name):
+    """The reader called directly, and the op reading its options: the op
+    refuses with the reader's own message."""
     doc = _base()
     assert doc["messages"], "the table needs a base with messages"
     MUTATIONS[name](doc)
     refused = _refusal(schedule_from_dict, doc)
     assert refused is not None
-    assert _refusal(base_schedule_from_dict, doc) == refused
-    with pytest.raises(ops.OpError, match="malformed base_schedule"):
-        ops.schedule_options({"base_schedule": doc})
+    with pytest.raises(ops.OpError) as exc:
+        _options(doc)
+    assert str(exc.value) == f"malformed base_schedule: {refused}"
 
 
 def test_an_untouched_base_is_accepted_by_both_readers():
     doc = _base()
     assert _refusal(schedule_from_dict, doc) is None
-    assert _refusal(base_schedule_from_dict, doc) is None
+    assert _refusal(_options, doc) is None
 
 
 def test_a_base_from_another_machine_is_scheduled_cold():

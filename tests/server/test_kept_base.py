@@ -360,7 +360,7 @@ def test_a_reply_reads_whole_after_a_fork_it_was_not_made_for():
     its request fails after the re-time): the third's reply reads its graph
     whole, since what changed is named against the second's graph."""
     placed = serialize.schedule_from_dict(_base(_layered(60)))
-    kept = incremental.BaseSchedule(placed, lambda: placed, incremental.Replay(placed))
+    kept = incremental.Replay(placed)
     graph = placed.graph
     for step, task in enumerate(graph.task_names[5:35:10]):
         spec = graph.task(task)

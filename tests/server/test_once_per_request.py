@@ -3,9 +3,9 @@
 One ``/sweep`` used to hash its flat graph 7 times (2 for the key, 1 in
 ``flat()``, 1 per scheduler's batch), index it 16 times and level it 12;
 ``/schedule`` hashed it twice and thrice with a ``base_schedule``.  An edit
-against a base then still built the base's graph a second time, hashed
-both graphs and took the new one's whole transitive closure.  The counts
-below are taken by wrapping the functions themselves.
+against a base then still hashed both graphs and took the new one's whole
+transitive closure.  The counts below are taken by wrapping the functions
+themselves.
 """
 
 from __future__ import annotations
@@ -116,12 +116,14 @@ def test_a_schedule_against_a_base_hashes_each_graph_once(counts, builds):
     assert builds == {"graphs": 2, "closures": 0, "schedule_from_dict": 1}
 
 
-def test_an_edit_against_a_base_builds_one_graph_and_hashes_none(counts, builds):
-    """A changed task cannot be an unchanged graph: the base is read against
-    the request's own flat graph, and nothing is hashed."""
+def test_an_edit_against_a_base_reads_it_once_and_hashes_none(counts, builds):
+    """A changed task cannot be an unchanged graph: nothing is hashed.  A
+    caller without a request memo reads the base whole once, its graph
+    beside the request's own; the daemon's memo reads an unchanged base
+    once per worker (``test_request_memo.py``)."""
     assert _against_a_base(counts, builds, 99.0)["unchanged"] is False
     assert counts["hashes"] == 0
-    assert builds == {"graphs": 1, "closures": 0, "schedule_from_dict": 0}
+    assert builds == {"graphs": 2, "closures": 0, "schedule_from_dict": 1}
 
 
 def test_a_sweep_hashes_indexes_and_levels_its_graph_once(counts):

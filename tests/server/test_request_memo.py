@@ -107,8 +107,8 @@ def calls(monkeypatch):
                         counting("inflates", project_module.dataflow_from_dict))
     monkeypatch.setattr(project_module, "flatten",
                         counting("flattens", project_module.flatten))
-    monkeypatch.setattr(ops, "base_schedule_from_dict",
-                        counting("base_reads", ops.base_schedule_from_dict))
+    monkeypatch.setattr(ops, "schedule_from_dict",
+                        counting("base_reads", ops.schedule_from_dict))
     monkeypatch.setattr(TaskGraph, "content_hash",
                         counting("hashes", TaskGraph.content_hash))
     ops.shared_service().clear()
@@ -170,7 +170,7 @@ def test_a_patched_entry_keeps_signatures_not_documents():
     for body in (first, second):
         serve(ops.execute, "schedule", body, memo)
     kept = memo._kept
-    assert kept.placed is not None and kept.flat is not None
+    assert kept.replay.placed is not None and kept.flat is not None
     assert kept._doc is None and isinstance(kept.base_sig, bytes)
 
 

@@ -16,6 +16,8 @@ import time
 import pytest
 
 from repro.client import BangerClient, ServerError, wait_until_ready
+from repro.errors import ReproError
+from repro.server import BangerDaemon
 from repro.server.ops import execute
 from repro.server.workers import WorkerCrash, WorkerPool, WorkerTimeout, serve
 
@@ -29,6 +31,19 @@ def test_a_bad_sleep_is_the_callers_error(seconds):
     outcome = serve(execute, "sleep", {"seconds": seconds})
     assert outcome[:2] == ("user_error", "OpError"), outcome
     assert outcome[2].startswith("seconds must be"), outcome
+
+
+@pytest.mark.parametrize("bound", [
+    {"queue_limit": 0}, {"request_timeout": 0}, {"request_timeout": -1.0},
+    {"request_timeout": float("nan")}, {"workers": -1}, {"cache_entries": -1},
+], ids=repr)
+def test_the_daemon_refuses_a_bound_that_would_fail_every_request(bound):
+    """``queue_limit=0`` answered every compute request 503, and a timeout
+    of 0 or less 504, with process workers killing each one's worker.  The
+    daemon refuses them itself, whoever builds it."""
+    (name, _), = bound.items()
+    with pytest.raises(ReproError, match=f"^{name} must be"):
+        BangerDaemon(**{"port": 0, "workers": 0, "access_log": None, **bound})
 
 
 class TestWorkerPool:
