@@ -17,8 +17,9 @@ parses a compute body at all.  Clients encode canonically
 (``json.dumps(sort_keys=True)``), so equal content arrives as equal bytes;
 a body whose bytes are new runs, and content addressing happens where the
 work is done: the worker's schedule cache answers a schedule it has made
-before, and its request memo (:mod:`repro.server.memo`) patches the
-project from its last request when only task fields changed.
+before, and its request memo (:mod:`repro.server.memo`) decodes only the
+text that changed since its last request and patches the project from it
+when only task fields changed.
 
 Failure semantics (documented in ``docs/server.md``, asserted by
 ``tests/server/``): payload problems are 400; backpressure is 503 with

@@ -3,7 +3,9 @@
 The daemon speaks just enough HTTP to serve JSON to any stock client
 (``curl``, ``http.client``, a browser): request-line + headers +
 ``Content-Length`` bodies, keep-alive connections, and chunked-free
-responses.  No TLS, no multipart, no compression — the daemon sits behind
+responses.  A request framed otherwise (``Transfer-Encoding``, or two
+``Content-Length`` headers that differ) is answered 400 and its connection
+closed.  No TLS, no multipart, no compression — the daemon sits behind
 a reverse proxy in any real deployment, exactly like the multi-tier
 run-time assistants it is modelled on.
 """
@@ -167,8 +169,17 @@ async def read_request(conn: BufferedConn) -> Request | None:
         name, sep, value = raw.decode("latin-1").partition(":")
         if not sep:
             raise ProtocolError(f"malformed header line: {raw[:80]!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise ProtocolError("conflicting Content-Length headers")
+        headers[name] = value
 
+    # A body framed any other way would be read as the next request: a
+    # proxy in front would then see one request where the daemon sees two.
+    if "transfer-encoding" in headers:
+        raise ProtocolError(
+            "Transfer-Encoding is not supported: send the body with a Content-Length"
+        )
     length = headers.get("content-length", "0")
     try:
         n = int(length)

@@ -21,8 +21,8 @@ replaced before the next request needs it.  So each slot here is its own
 * **drain** — :meth:`WorkerPool.close` finishes politely: a ``None``
   sentinel per slot, a bounded join, then force-kill.
 
-A worker serves a job start to finish (:func:`serve`): it parses the body
-with the daemon's own parser, runs :func:`repro.server.ops.execute` on it,
+A worker serves a job start to finish (:func:`serve`): it reads the body
+through its request memo, runs :func:`repro.server.ops.execute` on it,
 and sends back the reply already encoded as response bytes, beside the
 work counters the daemon aggregates into ``/metrics``.  The daemon routes
 bytes, and caches them by the body's hash; the process that does the work
@@ -30,12 +30,15 @@ also decodes and encodes it, and holds the content-addressed caches: its
 :class:`~repro.sched.service.ScheduleService`, with its IR cache, and its
 request memo.
 
-Each worker keeps what it built for its last request in a
-:class:`~repro.server.memo.RequestMemo`: the design, machine, flat graph
-and base placements, with signatures of the documents they came from.  The
-slot freed last takes the next job, so an editing client's next edit lands
-on the worker that holds its last one, and costs the nodes it changed
-rather than the whole design.
+Each worker keeps its last request in a
+:class:`~repro.server.memo.RequestMemo`: the body's text, the payload
+parsed from it, and the design, machine, flat graph and base placements
+built from that.  The next body is compared with the kept text, and only
+the parts whose text changed are decoded; a body that is no JSON object is
+refused by the daemon's own parser, :func:`parse_body`, message for
+message.  The slot freed last takes the next job, so an editing client's
+next edit lands on the worker that holds its last one, and costs the nodes
+it changed rather than the whole design.
 """
 
 from __future__ import annotations
@@ -76,17 +79,21 @@ def serve(run: Callable[[str, dict[str, Any]], Any], op: str,
     :class:`ReproError` (the body's parse included), or ``("error", kind,
     message + traceback)``.  The counters are those ``run`` returns beside
     its ``result``, the work it measured (:func:`repro.server.ops.execute`).
-    With a ``memo`` the op's project is patched from what the memo's last
-    request built (:mod:`repro.server.memo`).  A dict ``body`` is taken as
+    With a ``memo`` the body is read against the text of the memo's last
+    request, decoding only what changed, and the op's project is patched
+    from what that request built (:mod:`repro.server.memo`); the payload
+    and every refusal are :func:`parse_body`'s.  A dict ``body`` is taken as
     already parsed, and never memoized: only a document parsed here is
     sure to stay as it was.
     """
     try:
         if isinstance(body, dict):
-            payload, memo = body, None
+            job = nullcontext(body)
+        elif memo is None:
+            job = nullcontext(parse_body(body))
         else:
-            payload = parse_body(body)
-        with nullcontext() if memo is None else memo.serving(payload):
+            job = memo.serving(body)
+        with job as payload:
             done = run(op, payload)
             encoded = json_body(done["result"])
         return ("ok", {"body": encoded, "counters": done["counters"]})
@@ -113,7 +120,7 @@ def _worker_main(conn) -> None:
             conn.send(serve(execute, op, body, memo))
         except (BrokenPipeError, OSError):
             return
-        # The memo keeps what the request built, not what it sent: kept as
+        # The memo keeps the body's decoded text, not its bytes: kept as
         # loop variables, the finished body would stay alive through the
         # next recv and sit beside the next one in RSS.
         del job, body

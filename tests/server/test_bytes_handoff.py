@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.server import app as app_mod
-from repro.server import workers as workers_mod
+from repro.server import memo as memo_mod
 from repro.server.protocol import ProtocolError, parse_body
 
 DEEP = b"[" * 100_000
@@ -155,15 +155,15 @@ def test_a_full_daemon_refuses_a_malformed_compute_body_503_first(daemon_factory
 # one parse, in the worker
 # --------------------------------------------------------------------- #
 def _counted_parses(monkeypatch, log: pathlib.Path) -> None:
-    """Append ``pid thread`` to ``log`` for every body parse a worker (or
-    the inline thread) makes.  Patch before the daemon starts: forked
-    workers inherit it."""
-    def counted(body, real=workers_mod.parse_body):
+    """Append ``pid thread`` to ``log`` for every body a worker (or the
+    inline thread) reads: each reads through its request memo's reader.
+    Patch before the daemon starts: forked workers inherit it."""
+    def counted(body, kept=None, real=memo_mod.read_body):
         with log.open("a") as out:
             out.write(f"{os.getpid()} {threading.current_thread().name}\n")
-        return real(body)
+        return real(body, kept)
 
-    monkeypatch.setattr(workers_mod, "parse_body", counted)
+    monkeypatch.setattr(memo_mod, "read_body", counted)
 
 
 def _parses(log: pathlib.Path) -> list[list[str]]:

@@ -3,10 +3,10 @@
 A worker whose memo kept an edit's ``base_schedule`` also keeps that base's
 full replay (``repro.sched.incremental.Replay``), and every later edit of
 the same graph structure forks its clean prefix off it instead of placing
-each clean task; only the dirty tasks are ranked.  The worker signs each
-request's base once.  The work is counted here by wrapping the functions,
-and every reply and refusal is compared, byte for byte, with a serve that
-keeps nothing.
+each clean task; only the dirty tasks are ranked.  A base whose text is
+the kept one's is not decoded again.  The work is counted here by wrapping
+the functions, and every reply and refusal is compared, byte for byte,
+with a serve that keeps nothing.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import marshal
 import time
 
 import pytest
@@ -172,26 +173,32 @@ def test_the_first_edit_builds_the_replay_once(counted):
     assert replays == [1, 0]
 
 
-def test_a_worker_signs_the_base_once_per_request(monkeypatch):
-    """The options' signature is the rest of the options' plus the base's,
-    which the kept base is then compared by: one signing of the base per
-    keyed request, whether or not a base was kept."""
+def test_a_one_task_edit_decodes_none_of_the_base(monkeypatch):
+    """A base whose text is the kept one's is the kept document: each edit
+    decodes the task entries that differ from the last edit's (its own, and
+    the one the last edit changed), no part of the base, signs nothing, and
+    re-times against the kept base's replay."""
     bodies = _edits(_layered(60), (7, 30, 41))
-    signed: list[dict] = []
-    sig = memo_module._sig
-
-    def counting(value):
-        if isinstance(value, dict) and ("placements" in value or "base_schedule" in value):
-            signed.append(value)
-        return sig(value)
-
-    monkeypatch.setattr(memo_module, "_sig", counting)
     memo = RequestMemo()
-    for body in bodies:
-        signed.clear()
-        outcome = _keyed(body, memo)[0]
+    serve(ops.execute, "schedule", bodies[0], memo)
+    base = memo._kept.base_doc
+    decoded, signed = [], []
+    decode, dumps = memo_module._decode, marshal.dumps
+
+    def counting_decode(text, at):
+        found = decode(text, at)
+        decoded.append(found[0])
+        return found
+
+    monkeypatch.setattr(memo_module, "_decode", counting_decode)
+    monkeypatch.setattr(marshal, "dumps", lambda *args: signed.append(args) or dumps(*args))
+    for changed, body in zip((1, 2, 2), bodies[1:]):
+        decoded.clear()
+        outcome = serve(ops.execute, "schedule", body, memo)
         assert outcome[0] == "ok"
-        assert len(signed) == 1 and "placements" in signed[0]
+        assert [node["kind"] for node in decoded] == ["task"] * changed
+        assert memo._kept.base_doc is base
+    assert signed == []
     assert _retimes(outcome) == (1, 0)
 
 

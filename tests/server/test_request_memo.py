@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import marshal
 import pathlib
 import time
 
@@ -25,6 +26,7 @@ from repro.graph.generators import as_dataflow, random_layered
 from repro.graph.node import StorageNode, TaskNode
 from repro.graph.taskgraph import TaskGraph
 from repro.machine import MachineParams, make_machine
+from repro.server import memo as memo_module
 from repro.server import ops
 from repro.server.memo import RequestMemo
 from repro.server.protocol import json_body, parse_body
@@ -162,16 +164,36 @@ def test_direct_callers_inflate_as_before(calls):
     assert calls["base_reads"] == 2  # the key never reads the base
 
 
-def test_a_patched_entry_keeps_signatures_not_documents():
-    """What an edit sends is let go once signed: after two edits the entry
-    holds what was built and the base's signature, and no parsed document."""
-    first, second = _two_edits()
+def test_a_one_task_edit_decodes_one_node_entry(monkeypatch):
+    """The edit's body is read against the kept body's text: of the whole
+    body only the one task entry whose text differs is decoded, the rest
+    of the payload is the kept one's very objects, and nothing is signed."""
+    doc = _layered(120)
+    base = ops.execute("schedule", {"project": doc})["result"]["schedule"]
+    first, second = (_body({"project": d, "base_schedule": base})
+                     for d in (doc, _with_work(doc, 61)))
     memo = RequestMemo()
-    for body in (first, second):
-        serve(ops.execute, "schedule", body, memo)
-    kept = memo._kept
-    assert kept.replay.placed is not None and kept.flat is not None
-    assert kept._doc is None and isinstance(kept.base_sig, bytes)
+    serve(ops.execute, "schedule", first, memo)
+    kept = memo._kept.read[1][2]
+    decoded, signed = [], []
+    decode, dumps = memo_module._decode, marshal.dumps
+
+    def counting_decode(text, at):
+        found = decode(text, at)
+        decoded.append(found[0])
+        return found
+
+    monkeypatch.setattr(memo_module, "_decode", counting_decode)
+    monkeypatch.setattr(marshal, "dumps", lambda *args: signed.append(args) or dumps(*args))
+    outcome = serve(ops.execute, "schedule", second, memo)
+    assert outcome[1]["counters"]["graph_patched"] == 1
+    assert decoded == [_tasks(json.loads(second)["project"]["design"])[61]]
+    assert signed == []
+    payload = memo._kept.read[1][2]
+    nodes, kept_nodes = payload["project"]["design"]["nodes"], kept["project"]["design"]["nodes"]
+    assert sum(node is not was for node, was in zip(nodes, kept_nodes)) == 1
+    assert payload["project"]["machine"] is kept["project"]["machine"]
+    assert _comparable(outcome) == _cold("schedule", second)
 
 
 def test_a_refused_request_leaves_the_memo_as_it_was(calls):
