@@ -49,3 +49,18 @@ class Backend:
             f"backend {self.name!r} cannot execute programs in-process; "
             f"use emit() and run the source on its native runtime"
         )
+
+
+def bound_inputs(
+    program: LoweredProgram, inputs: dict[str, Any] | None
+) -> dict[str, Any]:
+    """``program``'s input defaults updated by ``inputs``: the values a run
+    starts from.  Raises :class:`CodegenError` naming every graph input a
+    step reads that still has no value, before anything runs."""
+    bound = dict(program.input_defaults)
+    bound.update(inputs or {})
+    needed = {var for step in program.all_steps() for var in step.graph_inputs}
+    missing = sorted(v for v in needed if v not in bound)
+    if missing:
+        raise CodegenError(f"missing graph input value(s): {', '.join(missing)}")
+    return bound

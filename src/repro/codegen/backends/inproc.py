@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from repro.codegen.backends.base import Backend
+from repro.codegen.backends.base import Backend, bound_inputs
 from repro.codegen.ir import Channel, ComputeStep, LoweredProgram, Procs
 from repro.codegen.pits2py import function_name
 from repro.errors import CodegenError, ReproError
@@ -241,13 +241,7 @@ class InprocBackend(Backend):
     def execute(
         self, program: LoweredProgram, inputs: dict[str, Any] | None = None
     ) -> ExecutionResult:
-        bound = dict(program.input_defaults)
-        bound.update(inputs or {})
-        needed = {var for step in program.all_steps() for var in step.graph_inputs}
-        missing = sorted(v for v in needed if v not in bound)
-        if missing:
-            raise CodegenError(f"missing graph input value(s): {', '.join(missing)}")
-
+        bound = bound_inputs(program, inputs)
         fns = compile_task_functions(program)
         recorder = _Recorder()
         displays: list[str] = []

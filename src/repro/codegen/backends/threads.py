@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.codegen.backends.base import Backend
+from repro.codegen.backends.base import Backend, bound_inputs
 from repro.codegen.ir import ComputeStep, LoweredProgram
 from repro.codegen.pits2py import function_name
 from repro.errors import CodegenError
@@ -140,7 +140,9 @@ class ThreadsBackend(Backend):
     def run(
         self, program: LoweredProgram, inputs: dict[str, Any] | None = None
     ) -> dict[str, Any]:
-        """Emit the source and execute it in a fresh namespace."""
+        """Emit the source and execute it in a fresh namespace, once every
+        graph input has a value (:func:`bound_inputs`)."""
+        bound_inputs(program, inputs)
         return run_generated(self.emit(program), inputs)
 
 

@@ -355,15 +355,14 @@ class DataflowGraph:
 
         Only fields may change this way, never structure: the caller keeps
         every name, kind and port, so the result needs no new validation.
-        Arcs are copied; every other node and subgraph is shared with this
-        graph, so neither graph may then be edited (:meth:`copy` is the
-        graph to edit).
+        The arc list and the adjacency are this graph's own objects, and
+        every other node and subgraph is shared with this graph too, so
+        neither graph may then be edited (:meth:`copy` is the graph to
+        edit).
         """
         g = DataflowGraph(self.name, inputs=self.inputs, outputs=self.outputs)
         g._nodes = {**self._nodes, **(nodes or {})}
-        g._arcs = list(self._arcs)
-        g._succ = {name: list(arcs) for name, arcs in self._succ.items()}
-        g._pred = {name: list(arcs) for name, arcs in self._pred.items()}
+        g._arcs, g._succ, g._pred = self._arcs, self._succ, self._pred
         g._subgraphs = {**self._subgraphs, **(subgraphs or {})}
         return g
 

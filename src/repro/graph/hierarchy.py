@@ -231,8 +231,9 @@ def patch_flat(flat: TaskGraph, tasks: dict[str, TaskNode]) -> TaskGraph:
 
     ``tasks`` maps each such task's flat name (``composite.child``) to its
     new node.  Storage, arcs and ports are equal, so the edges and bindings
-    are too: the result is a new graph with those tasks replaced
-    (:meth:`TaskGraph.replaced`), and ``flat`` is left as it was.
+    are too: the result is a new graph with those tasks replaced, over
+    ``flat``'s very edges (:meth:`TaskGraph.replaced`), and ``flat`` is
+    left as it was.
     """
     return flat.replaced({
         name: TaskSpec(name, work=node.work, label=node.label,

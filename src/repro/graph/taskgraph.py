@@ -10,7 +10,6 @@ This is the structure every scheduler in :mod:`repro.sched` consumes.
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator
@@ -233,17 +232,13 @@ class TaskGraph:
         return all(edges == other._succ[name] for name, edges in self._succ.items())
 
     def shares_edges(self, other: "TaskGraph") -> bool:
-        """Whether ``other`` has these tasks in this order over these very
-        edge objects in this order, as a graph :meth:`replaced` from this one
-        has.  Then it has this graph's :meth:`same_structure`, settled
-        without comparing an edge: every task's edge lists are the edge
-        list's subsequences."""
-        edges, theirs = self._edges, other._edges
-        return (
-            len(edges) == len(theirs)
-            and all(map(operator.is_, edges, theirs))
-            and list(self._tasks) == list(other._tasks)
-        )
+        """Whether ``other`` holds this graph's very edge list, as a graph
+        :meth:`replaced` from this one does (or from a graph that holds
+        it), with the adjacency beside it.  Then it has these tasks in this
+        order and this graph's :meth:`same_structure`, settled without
+        comparing an edge: neither graph may be edited, and
+        :meth:`replaced` keeps every name."""
+        return self._edges is other._edges
 
     def respecified(self, other: "TaskGraph") -> list[str] | None:
         """The tasks whose spec here is not ``other``'s very object, when
@@ -311,17 +306,16 @@ class TaskGraph:
         """A new graph equal to this one but for ``tasks``, each spec put in
         place of the task of its name (names must exist here).
 
-        Edges and bindings are copied; the untouched specs are shared, so
-        neither graph may then be edited (:meth:`copy` is the graph to
-        edit).  Costs what copying the dicts costs, not a rebuild.
+        The edge list and the adjacency are this graph's own objects, and
+        the untouched specs are shared too, so neither graph may then be
+        edited (:meth:`copy` is the graph to edit); the bindings are
+        copied.  Costs what copying the task dict costs, not a rebuild.
         """
         for name in tasks:
             self.task(name)
         g = TaskGraph(self.name)
         g._tasks = {**self._tasks, **tasks}
-        g._succ = {name: list(edges) for name, edges in self._succ.items()}
-        g._pred = {name: list(edges) for name, edges in self._pred.items()}
-        g._edges = list(self._edges)
+        g._succ, g._pred, g._edges = self._succ, self._pred, self._edges
         g.graph_inputs = {k: list(v) for k, v in self.graph_inputs.items()}
         g.graph_outputs = dict(self.graph_outputs)
         g.input_values = dict(self.input_values)

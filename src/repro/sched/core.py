@@ -45,6 +45,7 @@ shows kernel builds and route-cache behaviour.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import threading
 import time
@@ -167,7 +168,8 @@ class SchedKernel:
 
     The first four are the graph half (:class:`GraphTables`, possibly
     shared with other kernels — read, never written); the rest is per
-    machine.
+    machine.  A kernel :meth:`derived` for an edited graph shares all of
+    it but the execution times of the edited tasks.
     """
 
     def __init__(self, graph: TaskGraph, machine: TargetMachine):
@@ -192,6 +194,22 @@ class SchedKernel:
         self._levels: dict[str, dict[str, float]] = {}
         _bump("kernel_builds")
         _bump("kernel_build_ms", (time.perf_counter() - t0) * 1000.0)
+
+    def derived(self, graph: TaskGraph, changed: Iterable[str]) -> "SchedKernel":
+        """The kernel of ``graph``, over this kernel's graph's very edges
+        (:meth:`~repro.graph.taskgraph.TaskGraph.shares_edges`) and differing
+        from it only in the specs of the ``changed`` tasks: the task
+        tables, the compiled topology and the cost and route memos are this
+        kernel's own objects, and only the changed tasks' execution times
+        are computed.  Levels are not shared: they depend on every work."""
+        kernel = copy.copy(self)
+        kernel.graph = graph
+        kernel._tables = None
+        kernel._levels = {}
+        exec_time = kernel.exec_time = list(self.exec_time)
+        for task in changed:
+            exec_time[self.index[task]] = self._params.exec_time(graph.work(task))
+        return kernel
 
     # ------------------------------------------------------------------ #
     # memoized cost model (identical values to TargetMachine's methods)
@@ -274,7 +292,13 @@ class SchedKernel:
         return levels
 
     def static_levels(self) -> dict[str, float]:
-        return self._tables.static_levels(self._params)
+        if self._tables is not None:
+            return self._tables.static_levels(self._params)
+        levels = self._levels.get("static")
+        if levels is None:
+            levels = self._levels["static"] = static_levels(
+                self.graph, exec_time=self._exec_of)
+        return levels
 
     def priority_array(self, levels: dict[str, float]) -> list[float]:
         """A level dict reindexed by task index (for heap keys)."""

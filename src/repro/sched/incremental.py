@@ -71,7 +71,14 @@ Correctness story
   from the base only in that seed or in a task whose spec is another
   object, so only those are diffed.  Those changed tasks are found once
   per edit and handed on with the :class:`Fork`, so what a reply reads
-  off the fork's graph is read again only for them.
+  off the fork's graph is read again only for them.  The replay keeps
+  that graph's scheduling kernel too, and the next fork over its edges
+  derives its own from it (:meth:`SchedKernel.derived`): the same task
+  tables, in-edges, successors, compiled topology and cost memos — all
+  read off edges and machine, both the same — and the same execution
+  times but for the changed tasks', computed again.  A graph over other
+  edges gets a kernel built for it, so a derived kernel is always the
+  kernel a build would give.
 * Duplication (``dsh``) breaks the one-placement-per-task bookkeeping, so a
   duplicated previous schedule falls back to treating every task as dirty
   with its primary assignment — still deterministic, still feasible.
@@ -194,8 +201,8 @@ class Replay:
     if there were no replay.  The replay is never mutated: a re-time
     copies its lists (:meth:`Schedule.take_prefix`).  Beside it are kept
     what every edit against the base reads again: the base graph's hash,
-    the last graph that fitted with its dirty seed, and what the forks'
-    replies reuse.
+    the last graph that fitted with its dirty seed and its kernel, which
+    the next fork derives its own from, and what the forks' replies reuse.
     """
 
     def __init__(self, placed: Schedule):
@@ -205,6 +212,7 @@ class Replay:
         self._fitted: TaskGraph | None = None
         self._seed: set[str] = set()
         self._fits = 0
+        self._kernel: SchedKernel | None = None  # the fitted graph's
         self._base_hash: str | None = None
         #: What the replies of the forks reuse, made and kept by
         #: :func:`repro.sched.serialize.fork_reply`.
@@ -235,13 +243,20 @@ class Replay:
         and ``changed`` as :meth:`diff` found it — when it has the base
         graph's structure (:meth:`TaskGraph.same_structure`), the condition
         for forking; ``None`` when it has not.  The graph that fits is kept
-        with its seed, so a graph over its very edges — a patched flat
-        graph — fits without comparing an edge."""
+        with its seed and its kernel, so a graph over its very edges — a
+        patched flat graph — fits without comparing an edge, and its kernel
+        is derived from the kept one (:meth:`SchedKernel.derived`), which
+        is the kernel of the graph ``changed`` is named against.  Any other
+        graph that fits gets a kernel built for it."""
         if changed is None and not self.placed.graph.same_structure(graph):
             return None
-        self._fitted, self._seed = graph, seed
+        if changed is None:
+            kernel = SchedKernel(graph, self.placed.machine)
+        else:
+            kernel = self._kernel.derived(graph, changed)
+        self._fitted, self._seed, self._kernel = graph, seed, kernel
         self._fits += 1
-        return Fork(self, self._fits, changed)
+        return Fork(self, self._fits, changed, kernel)
 
     def base_hash(self) -> str:
         """The base graph's content hash, taken the first time it is asked
@@ -257,11 +272,13 @@ class Fork:
     prefix is forked off it.  ``changed`` are the tasks whose spec is not
     the ``n - 1``-th graph's, over whose very edges it is; ``None`` when it
     is the first or over other edges.  What is read off one fork's graph
-    holds for the next but for ``changed``."""
+    holds for the next but for ``changed``.  ``kernel`` is its graph's
+    scheduling kernel on the base's machine."""
 
     replay: Replay
     n: int
     changed: list[str] | None
+    kernel: SchedKernel
 
 
 def _replay_all(placed: Schedule) -> Schedule | None:
@@ -317,6 +334,7 @@ def _retime(
     *,
     reuse_prefix: bool,
     replayed: Schedule | None = None,
+    kernel: SchedKernel | None = None,
 ) -> Schedule:
     """The shared engine behind both entry points.
 
@@ -328,8 +346,11 @@ def _retime(
     ``incremental`` conformance oracle.  ``replayed``, the base's full
     :class:`Replay` over a graph of ``new_graph``'s structure, lets the
     verbatim copy take the clean prefix from it instead of placing it.
+    ``kernel`` is ``new_graph``'s on the previous schedule's machine, when
+    the caller holds one.
     """
-    kernel = SchedKernel(new_graph, prev_schedule.machine)
+    if kernel is None:
+        kernel = SchedKernel(new_graph, prev_schedule.machine)
     state = KernelState(kernel, prev_schedule.derived_name(NAME_SUFFIX))
 
     def keep_if_feasible(ti: int, proc: int, prev_start: float) -> float:
@@ -406,7 +427,8 @@ def incremental_reschedule(
     if replay is not None and fallback is None:
         fork = replay.fit(new_graph, seed, changed)
     replayed = None if fork is None else replay()
-    schedule = _retime(placed, new_graph, dirty, reuse_prefix=True, replayed=replayed)
+    schedule = _retime(placed, new_graph, dirty, reuse_prefix=True, replayed=replayed,
+                       kernel=None if fork is None else fork.kernel)
     return IncrementalResult(
         schedule,
         n_tasks,

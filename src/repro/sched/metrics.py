@@ -20,19 +20,20 @@ def serial_time(schedule: Schedule) -> float:
     return sum(machine.exec_time(t.work) for t in schedule.graph.tasks)
 
 
-def speedup(schedule: Schedule) -> float:
-    """Serial time over makespan — the paper's speedup-prediction number."""
+def speedup(schedule: Schedule, serial: float | None = None) -> float:
+    """Serial time over makespan — the paper's speedup-prediction number;
+    the serial time is ``serial`` when the caller holds it."""
     ms = schedule.makespan()
     if ms == 0:
         return 0.0
-    return serial_time(schedule) / ms
+    return (serial_time(schedule) if serial is None else serial) / ms
 
 
-def efficiency(schedule: Schedule) -> float:
+def efficiency(schedule: Schedule, serial: float | None = None) -> float:
     """Speedup divided by the number of processors of the machine."""
     if schedule.n_procs == 0:
         return 0.0
-    return speedup(schedule) / schedule.n_procs
+    return speedup(schedule, serial) / schedule.n_procs
 
 
 def utilization(schedule: Schedule) -> dict[int, float]:
@@ -150,20 +151,23 @@ def report(
     schedule: Schedule,
     messages: tuple[int, float] | None = None,
     critical_path: float | None = None,
+    serial: float | None = None,
 ) -> ScheduleReport:
     """Summarise a schedule as one comparison-table row.  ``messages`` (its
-    :func:`message_stats`) and ``critical_path`` (as
-    :func:`schedule_length_ratio` takes it) are for a caller that holds
-    them."""
+    :func:`message_stats`), ``critical_path`` (as
+    :func:`schedule_length_ratio` takes it) and ``serial`` (its
+    :func:`serial_time`) are for a caller that holds them."""
     msgs, volume = message_stats(schedule) if messages is None else messages
+    if serial is None:
+        serial = serial_time(schedule)
     return ScheduleReport(
         scheduler=schedule.scheduler,
         graph=schedule.graph.name,
         machine=schedule.machine.name,
         n_procs=schedule.n_procs,
         makespan=schedule.makespan(),
-        speedup=speedup(schedule),
-        efficiency=efficiency(schedule),
+        speedup=speedup(schedule, serial),
+        efficiency=efficiency(schedule, serial),
         slr=schedule_length_ratio(schedule, critical_path),
         messages=msgs,
         comm_volume=volume,
@@ -175,6 +179,7 @@ def zero_comm_levels(
     schedule: Schedule,
     changed: list[str] | None = None,
     known: dict[str, float] | None = None,
+    exec_time: Callable[[str], float] | None = None,
 ) -> dict[str, float]:
     """The b-levels the zero-comm critical path of
     :func:`schedule_length_ratio` is the highest entry level of.
@@ -183,10 +188,13 @@ def zero_comm_levels(
     ``schedule.graph`` only in the specs of ``changed``: only those tasks
     and their ancestors are levelled again, each float the whole-graph
     pass's, as a level reads only its successors' levels in out-edge order.
+    ``exec_time`` is each task's execution time on the schedule's machine,
+    for a caller that holds them.
     """
     graph = schedule.graph
     tasks = None if changed is None else _ancestors(graph, changed)
-    return b_levels(graph, _exec_time(schedule), _no_comm, tasks=tasks, known=known)
+    return b_levels(graph, exec_time or _exec_time(schedule), _no_comm,
+                    tasks=tasks, known=known)
 
 
 def _ancestors(graph: TaskGraph, tasks: list[str]) -> set[str]:

@@ -14,7 +14,7 @@ for byte to ``encode_json(schedule_to_dict(schedule))``.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import ScheduleError, malformed_as
 from repro.graph.serialize import task_to_dict, taskgraph_from_dict, taskgraph_to_dict
@@ -109,9 +109,10 @@ class ForkReply:
     a fork's graph differs from the one before it, over whose very edges it
     is, only in its :attr:`~repro.sched.incremental.Fork.changed` tasks:
     only their entries are encoded again, and only they and their ancestors
-    levelled again.  What was read off the fork before is read again whole
-    for any other fork: the first, one over other edges, or one after a fork
-    this reply was not made for.
+    levelled again.  Execution times, for the levels and the serial time,
+    are read off the fork's kernel, which computed them.  What was read off
+    the fork before is read again whole for any other fork: the first, one
+    over other edges, or one after a fork this reply was not made for.
     """
 
     def __init__(self, replayed: Schedule) -> None:
@@ -129,7 +130,9 @@ class ForkReply:
     def reply(self, schedule: Schedule, fork: Fork) -> tuple[ScheduleReport, bytes]:
         """``(report(schedule), encode_json(schedule_to_dict(schedule)))``
         of the ``schedule`` forked as ``fork``."""
-        self._read(schedule, fork.changed if fork.n == self._n + 1 else None)
+        times, index = fork.kernel.exec_time, fork.kernel.index
+        self._read(schedule, fork.changed if fork.n == self._n + 1 else None,
+                   lambda t: times[index[t]])
         self._n = fork.n
         critical_path = max((self._levels[t] for t in self._entries), default=0.0)
         placements, messages = self._placements, self._messages
@@ -142,19 +145,20 @@ class ForkReply:
             _array([messages.get(id(m)) or _piece(_message_dict(m))
                     for m in schedule.messages]),
         ))
-        return report(schedule, self._stats, critical_path), document
+        return report(schedule, self._stats, critical_path, sum(times)), document
 
-    def _read(self, schedule: Schedule, changed: list[str] | None) -> None:
+    def _read(self, schedule: Schedule, changed: list[str] | None,
+              exec_time: Callable[[str], float]) -> None:
         graph = schedule.graph
         if changed is None:
             self._stats = message_stats(schedule)
-            self._levels = zero_comm_levels(schedule)
+            self._levels = zero_comm_levels(schedule, exec_time=exec_time)
             self._entries = graph.entry_tasks()
             doc = taskgraph_to_dict(graph)
             self._tasks = [_piece(task) for task in doc.pop("tasks")]
             self._rest = {key: _piece(value) for key, value in doc.items()}
         elif changed:
-            self._levels = zero_comm_levels(schedule, changed, self._levels)
+            self._levels = zero_comm_levels(schedule, changed, self._levels, exec_time)
             at = {name: i for i, name in enumerate(graph.task_names)}
             for name in changed:
                 self._tasks[at[name]] = _piece(task_to_dict(graph.task(name)))

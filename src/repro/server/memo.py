@@ -24,17 +24,20 @@ payload holds, and the ops' builds compare by identity:
 
 * a design whose nodes differ only in task-node fields (``work``,
   ``label``, ``program``, ``meta``, at any depth) is patched: only those
-  nodes are built again, so their checks run, and the op gets a *new* flat
-  graph with those tasks replaced.  A flat graph once handed out is never
-  mutated: the schedule cache keeps schedules over it.  Design validation
-  (DF1xx) reads only names, kinds, arcs and ports, all the kept ones, so it
-  does not run again;
+  nodes are built again, so their checks run, and the op gets a *new*
+  design and flat graph with those tasks replaced, over the kept graphs'
+  very arc and edge lists and adjacency maps, which are not copied.  No
+  graph once handed out is mutated: the schedule cache keeps schedules
+  over it, and the graphs patched from it share its edges.  Design
+  validation (DF1xx) reads only names, kinds, arcs and ports, all the
+  kept ones, so it does not run again;
 * the kept ``machine`` document is the kept :class:`TargetMachine`, and the
   kept ``base_schedule`` document is not read again: it is the kept base's
   :class:`~repro.sched.incremental.Replay`, whose full replay is built by
   the first such request whose edit keeps the base graph's structure, and
-  forked by every later one.  A fork is diffed, reported and encoded at
-  the cost of its edit from what the replay keeps beside it: its reply's
+  forked by every later one.  A fork is diffed, re-timed, reported and
+  encoded at the cost of its edit from what the replay keeps beside it:
+  its kernel is derived from the last fork's, and its reply's
   ``schedule`` is spliced from encoded pieces;
 * anything else (an arc, node, storage, port, name or machine change, a
   different design) is built cold, exactly as a direct caller builds it.

@@ -155,3 +155,8 @@ class TestCopy:
 
     def test_repr_mentions_counts(self, simple):
         assert "nodes=5" in repr(simple)
+
+
+def test_a_design_iterates_its_nodes(simple):
+    assert [node.name for node in simple] == ["A", "f", "B", "g", "C"]
+    assert list(simple) == simple.nodes

@@ -54,6 +54,11 @@ class TestStorageNode:
         assert s.data == "A"
         assert s.kind is NodeKind.STORAGE
 
+    def test_hashes_by_name(self):
+        """Nodes are identified by name within a graph, as task nodes are."""
+        assert hash(StorageNode("A", size=2.0)) == hash(StorageNode("A")) == hash("A")
+        assert len({StorageNode("A"), StorageNode("A"), StorageNode("B")}) == 2
+
     def test_explicit_data_and_size(self):
         s = StorageNode("store_A", data="A", size=9.0)
         assert s.data == "A"

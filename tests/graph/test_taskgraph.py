@@ -137,3 +137,8 @@ def test_respecified_names_the_tasks_put_in_place(vee):
     assert edited.respecified(edited) == []
     assert edited.replaced({}).respecified(edited) == []
     assert edited.respecified(vee.copy()) is None
+
+
+def test_a_graph_iterates_its_task_names_and_shows_its_size(vee):
+    assert list(vee) == ["a", "b", "c"]
+    assert repr(vee) == "TaskGraph('vee', tasks=3, edges=2)"

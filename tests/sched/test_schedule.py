@@ -96,6 +96,7 @@ class TestQueries:
         sched.add("a", 0, 0.0, 2.0)
         sched.add("b", 1, 1.0, 4.0)
         assert sched.makespan() == 4.0
+        assert repr(sched) == "Schedule('test', graph='g', machine='full(2)', makespan=4.000)"
 
     def test_primary_is_earliest_finish(self, sched):
         sched.add("a", 0, 0.0, 5.0)

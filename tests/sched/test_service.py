@@ -21,6 +21,7 @@ from repro.sched import (
     resolve_scheduler,
     scheduler_cache_key,
 )
+from repro.sched.base import Scheduler
 from repro.sched.serialize import schedule_to_json
 from repro.sched.validate import check_schedule
 
@@ -56,6 +57,18 @@ class TestResolveScheduler:
     def test_wrong_type(self):
         with pytest.raises(ScheduleError, match="expected a scheduler"):
             resolve_scheduler(42)
+
+    def test_every_registered_scheduler_implements_the_interface(self):
+        with pytest.raises(TypeError):
+            Scheduler()
+        for name in SCHEDULERS:
+            assert type(get_scheduler(name)).schedule is not Scheduler.schedule, name
+
+    def test_a_scheduler_and_a_service_show_what_they_are(self, graph, machine):
+        assert repr(MHScheduler()) == "MHScheduler()"
+        svc = ScheduleService(max_entries=2)
+        svc.schedule(graph, machine, "mh")
+        assert repr(svc) == "ScheduleService(entries=1/2, disk=off)"
 
 
 class TestSchedulerCacheKey:

@@ -1,11 +1,14 @@
 """The ``/codegen`` daemon op: source for any emitting backend, optional
 in-process runs, IR-hash coalescing, and clean error mapping."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.client import ServerError
-from repro.server.ops import OpError, coalesce_key, op_codegen
+from repro.server.ops import OpError, coalesce_key, execute, op_codegen
+from repro.server.workers import serve
 
 A = np.array([[4.0, 3.0, 2.0], [2.0, 4.0, 1.0], [1.0, 2.0, 3.0]])
 B = np.array([1.0, 2.0, 3.0])
@@ -61,6 +64,17 @@ class TestOpCodegen:
         with pytest.raises(OpError, match="missing graph input"):
             op_codegen({"project": project_doc, "target": "inproc", "run": True})
 
+    @pytest.mark.parametrize("target", ["threads", "inproc"])
+    def test_both_runnable_targets_refuse_missing_inputs_alike(self, project_doc, target):
+        """The threads program is neither emitted nor run without them."""
+        body = _run_body(project_doc, target)
+        assert serve(execute, "codegen", body) == (
+            "user_error", "OpError", "missing graph input value(s): A, b")
+
+
+def _run_body(doc: dict, target: str) -> bytes:
+    return json.dumps({"project": doc, "target": target, "run": True}).encode()
+
 
 class TestCoalesceKey:
     def test_same_request_same_key(self, project_doc):
@@ -108,6 +122,12 @@ class TestOverTheWire:
     def test_codegen_error_is_http_error(self, harness, project_doc):
         with pytest.raises(ServerError):
             harness.client.codegen(project_doc, target="fortran")
+
+    @pytest.mark.parametrize("target", ["threads", "inproc"])
+    def test_a_run_without_inputs_is_a_400(self, harness, project_doc, target):
+        status, reply = harness.post_bytes("/codegen", _run_body(project_doc, target))
+        assert status == 400
+        assert "missing graph input value(s): A, b" in reply.decode()
 
     def test_repeat_request_is_coalesced(self, harness, project_doc):
         first = harness.client.codegen(project_doc, target="threads")

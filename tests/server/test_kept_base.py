@@ -15,6 +15,7 @@ import copy
 import hashlib
 import json
 import marshal
+import operator
 import time
 
 import pytest
@@ -155,6 +156,60 @@ def test_a_work_edit_places_only_its_dirty_tasks(counted):
     assert counted["levels"] == [set(counted["placed"])]
     assert _retimes(outcome) == (1, 0)
     assert _comparable(outcome) == _cold(bodies[3])
+
+
+def _adjacency(memo: RequestMemo) -> list:
+    """The kept design's and flat graph's edge list and adjacency."""
+    design, flat = memo._kept.design, memo._kept.flat
+    return [design._arcs, design._succ, design._pred,
+            flat._edges, flat._succ, flat._pred]
+
+
+def test_a_forked_one_task_edit_shares_its_graphs_and_kernel_tables(monkeypatch):
+    """A one-task edit after a fork builds no graph tables, copies no
+    adjacency (its design and flat graph hold the kept graphs' own edge
+    lists), and computes execution times for its changed tasks alone."""
+    doc = _layered(120)
+    bodies = _edits(doc, (7, 61, 90))
+    memo = RequestMemo()
+    for body in bodies[:3]:  # kept, replayed whole and forked, forked
+        assert serve(ops.execute, "schedule", body, memo)[0] == "ok"
+    kept = _adjacency(memo)
+    tables, times = [], []
+    build, exec_time = core.GraphTables.__init__, PARAMS.exec_time.__func__
+    monkeypatch.setattr(core.GraphTables, "__init__",
+                        lambda self, graph: tables.append(graph) or build(self, graph))
+    monkeypatch.setattr(type(PARAMS), "exec_time",
+                        lambda self, work: times.append(work) or exec_time(self, work))
+    outcome = serve(ops.execute, "schedule", bodies[3], memo)
+    assert _retimes(outcome) == (1, 0)
+    assert tables == []
+    assert all(map(operator.is_, _adjacency(memo), kept))
+    # task 61 put back and task 90 edited: the two changed specs
+    names = [t["name"] for t in _tasks(doc)]
+    flat = memo._kept.flat
+    assert sorted(times) == sorted(flat.work(names[i]) for i in (61, 90))
+    monkeypatch.undo()
+    assert _comparable(outcome) == _cold(bodies[3])
+
+
+def test_a_derived_kernel_equals_a_built_one():
+    """The kernel a fork derives from the last fork's has the tables and
+    execution times a kernel built for its graph has."""
+    placed = serialize.schedule_from_dict(_base(_layered(120)))
+    kept = incremental.Replay(placed)
+    graph = placed.graph
+    for step, task in enumerate(graph.task_names[3:120:29]):
+        spec = graph.task(task)
+        graph = graph.replaced({task: TaskSpec(task, work=spec.work * 3.0 + 1.0)})
+        fork = incremental.incremental_reschedule(kept, graph).forked
+        assert fork is not None and fork.changed == (None if step == 0 else [task])
+        derived, built = fork.kernel, core.SchedKernel(graph, placed.machine)
+        assert derived.graph is graph
+        for name in ("tasks", "index", "in_edges", "succ_idx", "exec_time"):
+            assert getattr(derived, name) == getattr(built, name), name
+        assert derived.b_levels_comm() == built.b_levels_comm()
+        assert derived.static_levels() == built.static_levels()
 
 
 def test_the_first_edit_builds_the_replay_once(counted):

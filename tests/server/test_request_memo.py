@@ -358,6 +358,72 @@ DESIGNS = {
 }
 
 
+OPTIONS = {
+    "lint": {"concurrency": True},
+    "schedule": {"gantt": True},
+    "speedup": {"family": "hypercube", "proc_counts": [1, 2]},
+    "sweep": {"family": "ring", "proc_counts": [3], "schedulers": ["mh", "etf"]},
+    "simulate": {},
+    "codegen": {"target": "threads"},
+}
+GRAPHS = {
+    "layered": _layered(120),
+    "nested": DESIGNS["nested"],
+}
+
+
+def _edge_lists(memo: RequestMemo) -> list:
+    """The kept design's, its subgraphs' and the flat graph's edge lists
+    and adjacency maps, each beside a copy of what it holds."""
+    kept = memo._kept
+    graphs, found = [kept.design], []
+    for graph in graphs:
+        graphs.extend(graph.subgraph(node.name) for node in graph.composites)
+        found += [graph._arcs, graph._succ, graph._pred]
+    if kept.flat is not None:
+        found += [kept.flat._edges, kept.flat._succ, kept.flat._pred]
+    return [(held, _held(held)) for held in found]
+
+
+def _held(lists):
+    """A list's items, or each list of a map with its items."""
+    if isinstance(lists, list):
+        return list(lists)
+    return {name: (edges, list(edges)) for name, edges in lists.items()}
+
+
+@pytest.mark.parametrize("op, design", [
+    (op, design) for op in sorted(OPTIONS) for design in sorted(GRAPHS)
+    # only the nested design's tasks carry programs to generate code from
+    if (op, design) != ("codegen", "layered")
+])
+def test_no_op_changes_the_kept_graphs_edges(op, design):
+    """Each op served twice through one memo, the second time one task
+    edited: the second request's graphs are patched over the first's very
+    edge lists and adjacency, and neither op changed what they hold.  The
+    graphs share them, so nothing but this keeps the kept ones as built."""
+    doc = GRAPHS[design]
+    payload = {"project": doc, **OPTIONS[op]}
+    if op == "schedule":
+        payload["base_schedule"] = ops.execute("schedule", {"project": doc})[
+            "result"]["schedule"]
+    edited = copy.deepcopy(payload)
+    _tasks(edited["project"]["design"])[-1]["work"] = 3.25
+    memo = RequestMemo()
+    assert serve(ops.execute, op, _body(payload), memo)[0] == "ok"
+    kept = _edge_lists(memo)
+    outcome = serve(ops.execute, op, _body(edited), memo)
+    assert outcome[0] == "ok", outcome
+    assert outcome[1]["counters"]["graph_patched"] == 1
+    now = _edge_lists(memo)
+    assert len(now) == len(kept) >= 3
+    for (held, before), (shared, _) in zip(kept, now):
+        assert shared is held
+        assert _held(held) == before
+        if isinstance(before, dict):
+            assert all(held[name] is edges for name, (edges, _) in before.items())
+
+
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(st.data())
