@@ -666,12 +666,11 @@ def _is_boolish(e: ast.Expr) -> bool:
 def _stmt_reads(s: ast.Stmt, name: str) -> bool:
     """Does statement ``s`` (or anything nested) read variable ``name``?"""
     for inner in ast.walk_stmts((s,)):
-        for e in ast.stmt_exprs(inner):
-            for sub in ast.walk_exprs(e):
-                if isinstance(sub, ast.Name) and sub.ident == name:
-                    return True
-                if isinstance(sub, ast.Index) and sub.base == name:
-                    return True
+        for sub in ast.stmt_exprs(inner):  # nested sub-expressions included
+            if isinstance(sub, ast.Name) and sub.ident == name:
+                return True
+            if isinstance(sub, ast.Index) and sub.base == name:
+                return True
         if isinstance(inner, ast.Assign) and isinstance(inner.target, ast.Index) \
                 and inner.target.base == name:
             return True  # a partial write observes the rest of the array

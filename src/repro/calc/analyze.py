@@ -388,10 +388,9 @@ def _check_kinds(program: ast.Program, loop_vars: set[str]) -> list[Diagnostic]:
     array_assigned: set[str] = set()
 
     for s in ast.walk_stmts(program.body):
-        for e in ast.stmt_exprs(s):
-            for sub in ast.walk_exprs(e):
-                if isinstance(sub, ast.Index):
-                    indexed.setdefault(sub.base, sub.line)
+        for sub in ast.stmt_exprs(s):  # nested sub-expressions included
+            if isinstance(sub, ast.Index):
+                indexed.setdefault(sub.base, sub.line)
         if isinstance(s, ast.Assign):
             if isinstance(s.target, ast.Index):
                 indexed.setdefault(s.target.base, s.line)

@@ -155,66 +155,79 @@ class Program:
         return frozenset(self.inputs) | frozenset(self.outputs) | frozenset(self.locals)
 
 
+#: Expression nodes without sub-expressions.
+_LEAVES = frozenset((Num, BoolLit, Str, Name))
+
+
+def _walk_exprs(roots: list[Expr]) -> list[Expr]:
+    """All sub-expressions of ``roots``, preorder (each root first), by an
+    explicit stack: one list, however deep the tree."""
+    out: list[Expr] = []
+    stack = roots[::-1]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    while stack:
+        node = pop()
+        out.append(node)
+        kind = type(node)
+        if kind in _LEAVES:
+            continue
+        if kind is Binary:
+            push(node.right)
+            push(node.left)
+        elif kind is Unary:
+            push(node.operand)
+        elif kind is Call:
+            extend(node.args[::-1])
+        elif kind is Index:
+            extend(node.subscripts[::-1])
+        elif kind is ArrayLit:
+            extend(node.elements[::-1])
+    return out
+
+
 def walk_exprs(node: Expr) -> list[Expr]:
     """All sub-expressions of ``node``, preorder (node first)."""
-    out: list[Expr] = [node]
-    if isinstance(node, Unary):
-        out += walk_exprs(node.operand)
-    elif isinstance(node, Binary):
-        out += walk_exprs(node.left) + walk_exprs(node.right)
-    elif isinstance(node, Call):
-        for a in node.args:
-            out += walk_exprs(a)
-    elif isinstance(node, Index):
-        for s in node.subscripts:
-            out += walk_exprs(s)
-    elif isinstance(node, ArrayLit):
-        for e in node.elements:
-            out += walk_exprs(e)
-    return out
+    if type(node) in _LEAVES:
+        return [node]
+    return _walk_exprs([node])
 
 
 def walk_stmts(stmts: tuple[Stmt, ...]) -> list[Stmt]:
     """All statements, preorder, including nested blocks."""
     out: list[Stmt] = []
-    for s in stmts:
+    stack = list(stmts[::-1])
+    pop, extend = stack.pop, stack.extend
+    while stack:
+        s = pop()
         out.append(s)
-        if isinstance(s, If):
-            out += walk_stmts(s.then)
-            for _, block in s.elifs:
-                out += walk_stmts(block)
-            out += walk_stmts(s.orelse)
-        elif isinstance(s, (While,)):
-            out += walk_stmts(s.body)
-        elif isinstance(s, For):
-            out += walk_stmts(s.body)
-        elif isinstance(s, Repeat):
-            out += walk_stmts(s.body)
+        kind = type(s)
+        if kind is If:
+            extend(s.orelse[::-1])
+            for _, block in s.elifs[::-1]:
+                extend(block[::-1])
+            extend(s.then[::-1])
+        elif kind is For or kind is While or kind is Repeat:
+            extend(s.body[::-1])
     return out
 
 
 def stmt_exprs(s: Stmt) -> list[Expr]:
-    """The expressions directly attached to one statement (not nested stmts)."""
-    if isinstance(s, Assign):
-        exprs = walk_exprs(s.value)
-        if isinstance(s.target, Index):
-            for sub in s.target.subscripts:
-                exprs += walk_exprs(sub)
-        return exprs
-    if isinstance(s, If):
-        out = walk_exprs(s.cond)
-        for cond, _ in s.elifs:
-            out += walk_exprs(cond)
-        return out
-    if isinstance(s, While):
-        return walk_exprs(s.cond)
-    if isinstance(s, Repeat):
-        return walk_exprs(s.cond)
-    if isinstance(s, For):
-        out = walk_exprs(s.start) + walk_exprs(s.stop)
-        if s.step is not None:
-            out += walk_exprs(s.step)
-        return out
-    if isinstance(s, CallStmt):
-        return walk_exprs(s.call)
-    return []
+    """The expressions attached to one statement, each with all of its
+    sub-expressions (preorder); not those of nested statements."""
+    kind = type(s)
+    if kind is Assign:
+        roots = [s.value]
+        if type(s.target) is Index:
+            roots += s.target.subscripts
+    elif kind is If:
+        roots = [s.cond]
+        roots += [cond for cond, _ in s.elifs]
+    elif kind is While or kind is Repeat:
+        roots = [s.cond]
+    elif kind is For:
+        roots = [s.start, s.stop] if s.step is None else [s.start, s.stop, s.step]
+    elif kind is CallStmt:
+        roots = [s.call]
+    else:
+        return []
+    return _walk_exprs(roots)

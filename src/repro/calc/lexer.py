@@ -1,9 +1,45 @@
-"""Tokenizer for the PITS calculator language."""
+"""Tokenizer for the PITS calculator language.
+
+One compiled regular expression scans the text; each match is one token,
+one skipped run (blanks, a comment) or one character no token can start
+with.  A number is ASCII digits only, and a name must satisfy
+``str.isidentifier()``: ``²``, ``١٢`` or ``x²`` is a syntax error at the
+offending character, never a name or a number the rest of the pipeline
+cannot read.
+"""
 
 from __future__ import annotations
 
+import re
+
 from repro.calc.tokens import KEYWORDS, OPERATORS, Token, TokenType
 from repro.errors import CalcSyntaxError
+
+_SCAN = re.compile(
+    r"(\n)"  # 1: newline
+    r"|[ \t\r]+"  # blanks: no group
+    r"|((?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"  # 2: number
+    r"|([^\W\d]\w*)"  # 3: word (checked against str.isidentifier)
+    r'|"([^"\n]*)"'  # 4: string
+    r"|(" + "|".join(re.escape(op) for op in OPERATORS) + r")"  # 5: operator
+    r"|(\#[^\n]*)"  # 6: comment
+    r"|(.)"  # 7: a character no token starts with
+)
+
+_NEW = tuple.__new__
+_NEWLINE, _NUMBER, _IDENT, _KEYWORD, _STRING, _OP = (
+    TokenType.NEWLINE, TokenType.NUMBER, TokenType.IDENT, TokenType.KEYWORD,
+    TokenType.STRING, TokenType.OP,
+)
+
+
+def _bad_name(word: str, line: int, column: int) -> CalcSyntaxError:
+    """The error for a word that is not an identifier: at its first
+    character that cannot start or continue one."""
+    k = 1
+    while word[:k].isidentifier():
+        k += 1
+    return CalcSyntaxError(f"unexpected character {word[k - 1]!r}", line, column + k - 1)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -11,104 +47,56 @@ def tokenize(source: str) -> list[Token]:
 
     Comments run from ``#`` to end of line.  Newlines are significant (they
     terminate statements) and are emitted as NEWLINE tokens; consecutive
-    blank lines collapse to one.
+    blank lines collapse to one.  A comment does not advance the column: the
+    NEWLINE (or EOF) after one sits at the ``#``.
     """
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-
-    def push(type_: TokenType, value: str, l: int, c: int) -> None:
-        if type_ is TokenType.NEWLINE and (not tokens or tokens[-1].type is TokenType.NEWLINE):
-            return
-        tokens.append(Token(type_, value, l, c))
-
-    while i < n:
-        ch = source[i]
-
-        if ch == "\n":
-            push(TokenType.NEWLINE, "\n", line, col)
-            i += 1
-            line += 1
-            col = 1
+    append = tokens.append
+    line, line_start = 1, 0
+    after_newline = True  # a NEWLINE here would be leading or doubled
+    comment_at = -1  # where this line's comment starts, if it has one
+    for m in _SCAN.finditer(source):
+        group = m.lastindex
+        if group is None:
             continue
-
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            start, start_col = i, col
-            seen_dot = False
-            seen_exp = False
-            while i < n:
-                c2 = source[i]
-                if c2.isdigit():
-                    i += 1
-                elif c2 == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    i += 1
-                elif c2 in "eE" and not seen_exp and i + 1 < n and (
-                    source[i + 1].isdigit()
-                    or (source[i + 1] in "+-" and i + 2 < n and source[i + 2].isdigit())
-                ):
-                    seen_exp = True
-                    i += 1
-                    if source[i] in "+-":
-                        i += 1
-                else:
-                    break
-            text = source[start:i]
-            col += i - start
-            push(TokenType.NUMBER, text, line, start_col)
-            continue
-
-        if ch.isalpha() or ch == "_":
-            start, start_col = i, col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            col += i - start
+        text = m.group(group)
+        column = m.start() - line_start + 1
+        if group == 3:
             low = text.lower()
             if low in KEYWORDS:
-                push(TokenType.KEYWORD, low, line, start_col)
+                append(_NEW(Token, (_KEYWORD, low, line, column)))
+            elif text.isidentifier():
+                append(_NEW(Token, (_IDENT, text, line, column)))
             else:
-                push(TokenType.IDENT, text, line, start_col)
+                raise _bad_name(text, line, column)
+        elif group == 5:
+            append(_NEW(Token, (_OP, text, line, column)))
+        elif group == 2:
+            append(_NEW(Token, (_NUMBER, text, line, column)))
+        elif group == 1:
+            if not after_newline:
+                if comment_at >= 0:
+                    column = comment_at - line_start + 1
+                append(_NEW(Token, (_NEWLINE, "\n", line, column)))
+                after_newline = True
+            line += 1
+            line_start = m.end()
+            comment_at = -1
             continue
-
-        if ch == '"':
-            start_col = col
-            i += 1
-            col += 1
-            chars: list[str] = []
-            while i < n and source[i] != '"':
-                if source[i] == "\n":
-                    raise CalcSyntaxError("unterminated string literal", line, start_col)
-                chars.append(source[i])
-                i += 1
-                col += 1
-            if i >= n:
-                raise CalcSyntaxError("unterminated string literal", line, start_col)
-            i += 1
-            col += 1
-            push(TokenType.STRING, "".join(chars), line, start_col)
+        elif group == 6:
+            comment_at = m.start()
             continue
-
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                push(TokenType.OP, op, line, col)
-                i += len(op)
-                col += len(op)
-                break
+        elif group == 4:
+            append(_NEW(Token, (_STRING, text, line, column)))
+        elif text == '"':
+            raise CalcSyntaxError("unterminated string literal", line, column)
         else:
-            raise CalcSyntaxError(f"unexpected character {ch!r}", line, col)
+            raise CalcSyntaxError(f"unexpected character {text!r}", line, column)
+        after_newline = False
 
-    push(TokenType.NEWLINE, "\n", line, col)
-    tokens.append(Token(TokenType.EOF, "", line, col))
+    end = comment_at if comment_at >= 0 else len(source)
+    column = end - line_start + 1
+    if not after_newline:
+        append(_NEW(Token, (_NEWLINE, "\n", line, column)))
+    append(_NEW(Token, (TokenType.EOF, "", line, column)))
     return tokens

@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the PITS calculator language.
+"""Parser for the PITS calculator language: recursive descent for
+statements, precedence climbing for expressions.
 
 Grammar sketch (newline- or ``;``-terminated statements)::
 
@@ -26,14 +27,38 @@ from repro.calc.tokens import Token, TokenType
 from repro.errors import CalcSyntaxError
 from repro.facts import program_fact
 
-_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
-_BLOCK_ENDERS = ("end", "else", "elif", "until")
+_BLOCK_ENDERS = frozenset(("end", "else", "elif", "until"))
+_STATEMENT_ENDS = frozenset((TokenType.NEWLINE, ";"))
+
+#: Binding levels of the infix operators, loosest first.  ``not`` (a prefix
+#: operator) sits at 3, between ``and`` and the comparisons; comparisons do
+#: not chain.  Unary ``-``/``+``, ``^`` and postfix subscripts bind tighter
+#: than every level here and are parsed by :meth:`Parser.parse_unary`.
+_LEVEL = {
+    "or": 1, "and": 2,
+    "=": 4, "<>": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
+}
+_NOT, _COMPARE, _TIGHTEST = 3, 4, 6
+
+#: Token types whose value is their identity to the parser.
+_KEYED = (TokenType.OP, TokenType.KEYWORD)
 
 
 class Parser:
+    """Precedence climbing over a token list.
+
+    ``keys[i]`` is what the parser compares token ``i`` by: an operator's or
+    keyword's text, or any other token's type, so that each decision is one
+    string or identity test.
+    """
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
+        self.keys = [t.value if t.type in _KEYED else t.type for t in tokens]
         self.pos = 0
+        self.last = len(tokens) - 1  # the EOF token, which advance never passes
 
     # ------------------------------------------------------------------ #
     # token plumbing
@@ -43,44 +68,39 @@ class Parser:
         return self.tokens[self.pos]
 
     def advance(self) -> Token:
-        tok = self.cur
-        if tok.type is not TokenType.EOF:
+        tok = self.tokens[self.pos]
+        if self.pos < self.last:
             self.pos += 1
         return tok
 
-    def error(self, message: str, tok: Token | None = None) -> CalcSyntaxError:
-        tok = tok or self.cur
+    def error(self, message: str) -> CalcSyntaxError:
+        tok = self.cur
         return CalcSyntaxError(message, tok.line, tok.column)
 
-    def expect_op(self, op: str) -> Token:
-        if not self.cur.is_op(op):
-            raise self.error(f"expected {op!r}, found {self.cur.value!r}")
-        return self.advance()
-
-    def expect_kw(self, kw: str) -> Token:
-        if not self.cur.is_kw(kw):
-            raise self.error(f"expected {kw!r}, found {self.cur.value!r}")
+    def expect(self, key: str) -> Token:
+        """The current token, consumed, when it is the operator or keyword
+        ``key``; else the syntax error."""
+        if self.keys[self.pos] != key:
+            raise self.error(f"expected {key!r}, found {self.cur.value!r}")
         return self.advance()
 
     def expect_ident(self) -> Token:
-        if self.cur.type is not TokenType.IDENT:
+        if self.keys[self.pos] is not TokenType.IDENT:
             raise self.error(f"expected a name, found {self.cur.value!r}")
         return self.advance()
 
     def skip_newlines(self) -> None:
-        while self.cur.type is TokenType.NEWLINE or self.cur.is_op(";"):
-            self.advance()
+        keys = self.keys
+        while keys[self.pos] in _STATEMENT_ENDS:
+            self.pos += 1
 
     def end_statement(self) -> None:
-        if self.cur.type is TokenType.EOF:
-            return
-        if self.cur.type is TokenType.NEWLINE or self.cur.is_op(";"):
-            self.advance()
-            return
-        # block terminators may directly follow a one-line statement
-        if self.cur.is_kw(*_BLOCK_ENDERS):
-            return
-        raise self.error(f"expected end of statement, found {self.cur.value!r}")
+        key = self.keys[self.pos]
+        if key in _STATEMENT_ENDS:
+            self.pos += 1
+        # EOF, or a block terminator directly after a one-line statement
+        elif key is not TokenType.EOF and key not in _BLOCK_ENDERS:
+            raise self.error(f"expected end of statement, found {self.cur.value!r}")
 
     # ------------------------------------------------------------------ #
     # program structure
@@ -88,7 +108,7 @@ class Parser:
     def parse_program(self) -> ast.Program:
         self.skip_newlines()
         name = ""
-        if self.cur.is_kw("task"):
+        if self.keys[self.pos] == "task":
             self.advance()
             name = self.expect_ident().value
             self.end_statement()
@@ -98,15 +118,14 @@ class Parser:
         outputs: list[str] = []
         locals_: list[str] = []
         buckets = {"input": inputs, "output": outputs, "local": locals_}
-        while self.cur.is_kw("input", "output", "local"):
-            kind = self.advance().value
-            bucket = buckets[kind]
+        while self.keys[self.pos] in buckets:
+            bucket = buckets[self.advance().value]
             while True:
                 ident = self.expect_ident().value
-                if any(ident in b for b in buckets.values()):
+                if ident in inputs or ident in outputs or ident in locals_:
                     raise self.error(f"variable {ident!r} declared twice")
                 bucket.append(ident)
-                if self.cur.is_op(","):
+                if self.keys[self.pos] == ",":
                     self.advance()
                     continue
                 break
@@ -114,7 +133,7 @@ class Parser:
             self.skip_newlines()
 
         body = self.parse_block(top_level=True)
-        if self.cur.type is not TokenType.EOF:
+        if self.keys[self.pos] is not TokenType.EOF:
             raise self.error(f"unexpected {self.cur.value!r}")
         return ast.Program(
             name=name,
@@ -126,13 +145,15 @@ class Parser:
 
     def parse_block(self, top_level: bool = False) -> tuple[ast.Stmt, ...]:
         stmts: list[ast.Stmt] = []
+        keys = self.keys
         self.skip_newlines()
         while True:
-            if self.cur.type is TokenType.EOF:
+            key = keys[self.pos]
+            if key is TokenType.EOF:
                 if not top_level:
                     raise self.error("unexpected end of program inside a block")
                 break
-            if self.cur.is_kw(*_BLOCK_ENDERS):
+            if key in _BLOCK_ENDERS:
                 if top_level:
                     raise self.error(f"{self.cur.value!r} outside any block")
                 break
@@ -144,96 +165,97 @@ class Parser:
     # statements
     # ------------------------------------------------------------------ #
     def parse_stmt(self) -> ast.Stmt:
-        tok = self.cur
-        if tok.is_kw("if"):
-            return self.parse_if()
-        if tok.is_kw("while"):
-            return self.parse_while()
-        if tok.is_kw("for"):
-            return self.parse_for()
-        if tok.is_kw("forall"):
-            return self.parse_forall()
-        if tok.is_kw("repeat"):
-            return self.parse_repeat()
-        if tok.type is TokenType.IDENT:
+        key = self.keys[self.pos]
+        if key is TokenType.IDENT:
             return self.parse_assign_or_call()
-        raise self.error(f"expected a statement, found {tok.value!r}")
+        if key == "if":
+            return self.parse_if()
+        if key == "for":
+            return self.parse_for()
+        if key == "while":
+            return self.parse_while()
+        if key == "forall":
+            return self.parse_forall()
+        if key == "repeat":
+            return self.parse_repeat()
+        raise self.error(f"expected a statement, found {self.cur.value!r}")
 
     def parse_assign_or_call(self) -> ast.Stmt:
-        tok = self.expect_ident()
-        if self.cur.is_op("("):  # call for effect
+        tok = self.advance()
+        key = self.keys[self.pos]
+        if key == "(":  # call for effect
             call = self.finish_call(tok)
             self.end_statement()
             return ast.CallStmt(call=call, line=tok.line)
         target: ast.Expr
-        if self.cur.is_op("["):
+        if key == "[":
             subs = self.parse_subscripts()
             target = ast.Index(base=tok.value, subscripts=subs, line=tok.line)
         else:
             target = ast.Name(ident=tok.value, line=tok.line)
-        self.expect_op(":=")
+        self.expect(":=")
         value = self.parse_expr()
         self.end_statement()
         return ast.Assign(target=target, value=value, line=tok.line)
 
     def parse_if(self) -> ast.Stmt:
-        tok = self.expect_kw("if")
+        tok = self.advance()
         cond = self.parse_expr()
-        self.expect_kw("then")
+        self.expect("then")
         then = self.parse_block()
         elifs: list[tuple[ast.Expr, tuple[ast.Stmt, ...]]] = []
         orelse: tuple[ast.Stmt, ...] = ()
-        while self.cur.is_kw("elif"):
+        while self.keys[self.pos] == "elif":
             self.advance()
             c = self.parse_expr()
-            self.expect_kw("then")
+            self.expect("then")
             elifs.append((c, self.parse_block()))
-        if self.cur.is_kw("else"):
+        if self.keys[self.pos] == "else":
             self.advance()
             orelse = self.parse_block()
-        self.expect_kw("end")
+        self.expect("end")
         self.end_statement()
         return ast.If(cond=cond, then=then, elifs=tuple(elifs), orelse=orelse, line=tok.line)
 
     def parse_while(self) -> ast.Stmt:
-        tok = self.expect_kw("while")
+        tok = self.advance()
         cond = self.parse_expr()
-        self.expect_kw("do")
+        self.expect("do")
         body = self.parse_block()
-        self.expect_kw("end")
+        self.expect("end")
         self.end_statement()
         return ast.While(cond=cond, body=body, line=tok.line)
 
     def parse_for(self) -> ast.Stmt:
-        tok = self.expect_kw("for")
+        tok = self.advance()
         var = self.expect_ident().value
-        self.expect_op(":=")
+        self.expect(":=")
         start = self.parse_expr()
-        self.expect_kw("to")
+        self.expect("to")
         stop = self.parse_expr()
         step = None
-        if self.cur.is_kw("step"):
+        if self.keys[self.pos] == "step":
             self.advance()
             step = self.parse_expr()
-        self.expect_kw("do")
+        self.expect("do")
         body = self.parse_block()
-        self.expect_kw("end")
+        self.expect("end")
         self.end_statement()
         return ast.For(var=var, start=start, stop=stop, step=step, body=body, line=tok.line)
 
     def parse_forall(self) -> ast.Stmt:
         """``forall i := e1 to e2 do ... end`` — no step, unit stride."""
-        tok = self.expect_kw("forall")
+        tok = self.advance()
         var = self.expect_ident().value
-        self.expect_op(":=")
+        self.expect(":=")
         start = self.parse_expr()
-        self.expect_kw("to")
+        self.expect("to")
         stop = self.parse_expr()
-        if self.cur.is_kw("step"):
+        if self.keys[self.pos] == "step":
             raise self.error("forall does not take a step (iterations are independent)")
-        self.expect_kw("do")
+        self.expect("do")
         body = self.parse_block()
-        self.expect_kw("end")
+        self.expect("end")
         self.end_statement()
         return ast.For(
             var=var, start=start, stop=stop, step=None, body=body,
@@ -241,9 +263,9 @@ class Parser:
         )
 
     def parse_repeat(self) -> ast.Stmt:
-        tok = self.expect_kw("repeat")
+        tok = self.advance()
         body = self.parse_block()
-        self.expect_kw("until")
+        self.expect("until")
         cond = self.parse_expr()
         self.end_statement()
         return ast.Repeat(body=body, cond=cond, line=tok.line)
@@ -251,139 +273,115 @@ class Parser:
     # ------------------------------------------------------------------ #
     # expressions
     # ------------------------------------------------------------------ #
-    def parse_expr(self) -> ast.Expr:
-        return self.parse_or()
+    def parse_expr(self, min_level: int = 1) -> ast.Expr:
+        """An expression whose infix operators all bind at ``min_level`` or
+        tighter (precedence climbing).
 
-    def parse_or(self) -> ast.Expr:
-        left = self.parse_and()
-        while self.cur.is_kw("or"):
-            tok = self.advance()
-            right = self.parse_and()
-            left = ast.Binary(op="or", left=left, right=right, line=tok.line)
-        return left
-
-    def parse_and(self) -> ast.Expr:
-        left = self.parse_not()
-        while self.cur.is_kw("and"):
-            tok = self.advance()
-            right = self.parse_not()
-            left = ast.Binary(op="and", left=left, right=right, line=tok.line)
-        return left
-
-    def parse_not(self) -> ast.Expr:
-        if self.cur.is_kw("not"):
-            tok = self.advance()
-            return ast.Unary(op="not", operand=self.parse_not(), line=tok.line)
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> ast.Expr:
-        left = self.parse_additive()
-        if self.cur.is_op(*_COMPARISONS):
-            tok = self.advance()
-            right = self.parse_additive()
-            return ast.Binary(op=tok.value, left=left, right=right, line=tok.line)
-        return left
-
-    def parse_additive(self) -> ast.Expr:
-        left = self.parse_multiplicative()
-        while self.cur.is_op("+", "-"):
-            tok = self.advance()
-            right = self.parse_multiplicative()
+        Each operator's right operand is parsed one level tighter, so every
+        level is left-associative; after a comparison only a looser operator
+        may follow, and after a ``not`` operand only ``and``/``or``.
+        """
+        keys = self.keys
+        if min_level <= _NOT and keys[self.pos] == "not":
+            tok = self.tokens[self.pos]
+            self.pos += 1
+            left = ast.Unary(op="not", operand=self.parse_expr(_NOT), line=tok.line)
+            limit = _NOT - 1
+        else:
+            left = self.parse_unary()
+            limit = _TIGHTEST
+        while True:
+            level = _LEVEL.get(keys[self.pos])
+            if level is None or level < min_level or level > limit:
+                return left
+            tok = self.tokens[self.pos]
+            self.pos += 1
+            if level == _TIGHTEST:
+                right = self.parse_unary()
+            else:
+                right = self.parse_expr(level + 1)
             left = ast.Binary(op=tok.value, left=left, right=right, line=tok.line)
-        return left
-
-    def parse_multiplicative(self) -> ast.Expr:
-        left = self.parse_unary()
-        while self.cur.is_op("*", "/", "%"):
-            tok = self.advance()
-            right = self.parse_unary()
-            left = ast.Binary(op=tok.value, left=left, right=right, line=tok.line)
-        return left
+            limit = level - 1 if level == _COMPARE else level
 
     def parse_unary(self) -> ast.Expr:
-        if self.cur.is_op("-", "+"):
-            tok = self.advance()
-            return ast.Unary(op=tok.value, operand=self.parse_unary(), line=tok.line)
-        return self.parse_power()
-
-    def parse_power(self) -> ast.Expr:
-        base = self.parse_postfix()
-        if self.cur.is_op("^"):
-            tok = self.advance()
-            # right-associative: a ^ b ^ c == a ^ (b ^ c); exponent may be
-            # signed, so re-enter at unary level
-            exponent = self.parse_unary()
-            return ast.Binary(op="^", left=base, right=exponent, line=tok.line)
+        """Unary ``-``/``+``, then an atom with its subscripts, then a
+        right-associative ``^`` whose exponent may be signed."""
+        pos = self.pos
+        tok = self.tokens[pos]
+        key = self.keys[pos]
+        if key == "-" or key == "+":
+            self.pos = pos + 1
+            return ast.Unary(op=key, operand=self.parse_unary(), line=tok.line)
+        base = self.parse_atom(tok, key)
+        if self.keys[self.pos] == "^":
+            tok = self.tokens[self.pos]
+            self.pos += 1
+            return ast.Binary(op="^", left=base, right=self.parse_unary(), line=tok.line)
         return base
 
-    def parse_postfix(self) -> ast.Expr:
-        atom = self.parse_atom()
-        while True:
-            if self.cur.is_op("[") and isinstance(atom, ast.Name):
-                subs = self.parse_subscripts()
-                atom = ast.Index(base=atom.ident, subscripts=subs, line=atom.line)
-            else:
-                return atom
-
     def parse_subscripts(self) -> tuple[ast.Expr, ...]:
-        self.expect_op("[")
+        self.expect("[")
         subs = [self.parse_expr()]
-        while self.cur.is_op(","):
+        while self.keys[self.pos] == ",":
             self.advance()
             subs.append(self.parse_expr())
-        self.expect_op("]")
+        self.expect("]")
         if len(subs) > 2:
             raise self.error("at most two subscripts (vector or matrix)")
         return tuple(subs)
 
     def finish_call(self, name_tok: Token) -> ast.Call:
-        self.expect_op("(")
+        self.expect("(")
         args: list[ast.Expr] = []
-        if not self.cur.is_op(")"):
+        if self.keys[self.pos] != ")":
             args.append(self.parse_expr())
-            while self.cur.is_op(","):
+            while self.keys[self.pos] == ",":
                 self.advance()
                 args.append(self.parse_expr())
-        self.expect_op(")")
+        self.expect(")")
         return ast.Call(func=name_tok.value.lower(), args=tuple(args), line=name_tok.line)
 
-    def parse_atom(self) -> ast.Expr:
-        tok = self.cur
-        if tok.type is TokenType.NUMBER:
-            self.advance()
+    def parse_atom(self, tok: Token, key: object) -> ast.Expr:
+        """The atom at ``tok`` (the current token); a name, bare or in
+        parentheses, takes one ``[...]`` subscript list."""
+        if key is TokenType.NUMBER:
+            self.pos += 1
             return ast.Num(value=float(tok.value), line=tok.line)
-        if tok.type is TokenType.STRING:
-            self.advance()
-            return ast.Str(value=tok.value, line=tok.line)
-        if tok.is_kw("true"):
-            self.advance()
-            return ast.BoolLit(value=True, line=tok.line)
-        if tok.is_kw("false"):
-            self.advance()
-            return ast.BoolLit(value=False, line=tok.line)
-        if tok.type is TokenType.IDENT:
-            self.advance()
-            if self.cur.is_op("("):
+        if key is TokenType.IDENT:
+            self.pos += 1
+            key = self.keys[self.pos]
+            if key == "(":
                 return self.finish_call(tok)
+            if key == "[":
+                return ast.Index(base=tok.value, subscripts=self.parse_subscripts(), line=tok.line)
             return ast.Name(ident=tok.value, line=tok.line)
-        if tok.is_op("("):
-            self.advance()
+        if key == "(":
+            self.pos += 1
             inner = self.parse_expr()
-            self.expect_op(")")
+            self.expect(")")
+            if self.keys[self.pos] == "[" and isinstance(inner, ast.Name):
+                subs = self.parse_subscripts()
+                return ast.Index(base=inner.ident, subscripts=subs, line=inner.line)
             return inner
-        if tok.is_op("["):
+        if key is TokenType.STRING:
+            self.pos += 1
+            return ast.Str(value=tok.value, line=tok.line)
+        if key == "true" or key == "false":
+            self.pos += 1
+            return ast.BoolLit(value=key == "true", line=tok.line)
+        if key == "[":
             return self.parse_array_literal()
         raise self.error(f"expected an expression, found {tok.value!r}")
 
     def parse_array_literal(self) -> ast.Expr:
-        tok = self.expect_op("[")
+        tok = self.expect("[")
         elements: list[ast.Expr] = []
-        if not self.cur.is_op("]"):
+        if self.keys[self.pos] != "]":
             elements.append(self.parse_expr())
-            while self.cur.is_op(","):
+            while self.keys[self.pos] == ",":
                 self.advance()
                 elements.append(self.parse_expr())
-        self.expect_op("]")
+        self.expect("]")
         return ast.ArrayLit(elements=tuple(elements), line=tok.line)
 
 
@@ -426,6 +424,6 @@ def parse_expression(source: str) -> ast.Expr:
     except RecursionError:
         raise CalcSyntaxError("expression is nested too deeply") from None
     parser.skip_newlines()
-    if parser.cur.type is not TokenType.EOF:
+    if parser.keys[parser.pos] is not TokenType.EOF:
         raise parser.error(f"unexpected {parser.cur.value!r} after expression")
     return expr

@@ -2,9 +2,9 @@
 
 Trial runs tell a designer what a routine computes; the profiler tells them
 where its operations go, line by line, so they know what to move into a
-``forall`` or split into another node.  Implemented as a thin subclass of
-the interpreter that attributes the operation counter to the line of the
-statement being executed.
+``forall`` or split into another node.  The program runs in the
+interpreter's own compiled form, with each statement's closure wrapped to
+attribute the operation counter to its line.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.calc import ast
-from repro.calc.interp import DEFAULT_STEP_LIMIT, Interpreter, RunResult
+from repro.calc.interp import DEFAULT_STEP_LIMIT, Interpreter, RunResult, _compile
 
 
 @dataclass
@@ -60,19 +59,15 @@ class _ProfilingInterpreter(Interpreter):
     def __init__(self, program, step_limit: int = DEFAULT_STEP_LIMIT):
         super().__init__(program, step_limit=step_limit)
         self.line_stats: dict[int, LineStats] = {}
-        self._charged = 0.0
 
-    def _exec_stmt(self, s: ast.Stmt) -> None:
-        stats = self.line_stats.setdefault(s.line, LineStats(line=s.line))
-        stats.hits += 1
-        before_ops = self.ops
-        before_charged = self._charged
-        super()._exec_stmt(s)
-        gained = self.ops - before_ops
-        nested_charged = self._charged - before_charged
-        own = max(gained - nested_charged, 0.0)
-        stats.ops += own
-        self._charged = before_charged + nested_charged + own
+    def _compile(self):
+        return _compile(self.program, self.step_limit, self._stats)
+
+    def _stats(self, line: int) -> LineStats:
+        stats = self.line_stats.get(line)
+        if stats is None:
+            stats = self.line_stats[line] = LineStats(line=line)
+        return stats
 
 
 def profile_program(

@@ -9,10 +9,15 @@ on input and canonicalised to lower case.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenType(enum.Enum):
+    # Members are singletons compared by identity, so identity can hash them
+    # too: the parser hashes a token type per token, and ``Enum.__hash__``
+    # is a Python-level call.
+    __hash__ = object.__hash__
+
     NUMBER = "number"
     STRING = "string"
     IDENT = "ident"
@@ -74,9 +79,12 @@ OPERATORS = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexeme with its 1-based source position."""
+class Token(NamedTuple):
+    """One lexeme with its 1-based source position.
+
+    A named tuple, so that the lexer builds one at the cost of a tuple: a
+    program's tokens are built on every cold parse.
+    """
 
     type: TokenType
     value: str

@@ -60,7 +60,7 @@ name             kind    invariant
                          bit-identical to the sequential PITS reference
                          executor and the generated ``threads`` program
 ``pits_codegen`` pits    a PITS routine computes bit-identical outputs (and
-                         display lines) through the tree-walking interpreter
+                         display lines) through the PITS interpreter
                          and the generated-Python path; domain errors must
                          be raised by both sides or neither
 ===============  ======  ====================================================

@@ -56,8 +56,9 @@ def expand(graph: DataflowGraph) -> DataflowGraph:
       ``C.S.outputs[v] -> w``.
 
     The result is always an independent deep copy (one ``deepcopy`` per
-    node), even for a design with nothing to inline; :func:`flatten` only
-    reads the single-level view and so skips that copy.
+    node), even for a design with nothing to inline; :func:`flatten` and
+    :func:`repro.lint.lint_design` only read the single-level view and so
+    skip that copy.
 
     Raises :class:`GraphError` when an arc's variable has no matching port
     (run :meth:`DataflowGraph.validate` first for a full problem list).

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.calc.analyze import analyze
-from repro.graph.hierarchy import expand
+from repro.graph.hierarchy import _single_level
 from repro.graph.node import TaskNode
 from repro.lint.design import crosslayer_diagnostics, design_diagnostics
 from repro.lint.diagnostics import Diagnostic, Report, make_diagnostic
@@ -40,8 +40,10 @@ def lint_design(
 
     diags.extend(design_diagnostics(design))
 
+    # every rule only reads, so the single-level view will do: the design
+    # itself when it has no composites, never a copy of its nodes
     try:
-        flat = expand(design)
+        flat = _single_level(design)
     except Exception:
         flat = None  # structural problems already reported above
     nodes = [

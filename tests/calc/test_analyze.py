@@ -1,6 +1,9 @@
 """Tests for static analysis (instant feedback diagnostics)."""
 
-from repro.calc import Severity, analyze, errors, is_clean
+import pytest
+
+from repro.calc import Severity, analyze, errors, is_clean, run_program
+from repro.errors import CalcSyntaxError
 
 
 def messages(source, severity=None):
@@ -105,3 +108,22 @@ class TestDiagnosticRendering:
 
     def test_display_not_flagged(self):
         assert errors('output x\nx := 1\ndisplay("done", x)') == []
+
+
+class TestNonAsciiDigits:
+    """``y := ²`` used to raise an untyped ``ValueError`` out of ``analyze``
+    and every caller; now it is one PITS001 syntax error at the character."""
+
+    @pytest.mark.parametrize("source, column", [
+        ("output y\ny := ²", 6),
+        ("output y\nlocal x²\ny := 1", 8),
+        ("output y\ny := ١٢", 6),
+    ])
+    def test_is_one_syntax_error(self, source, column):
+        (d,) = analyze(source)
+        assert (d.rule, d.severity, d.line) == ("PITS001", Severity.ERROR, 2)
+        assert d.message.startswith(f"line 2, column {column}: unexpected character")
+
+    def test_a_trial_run_refuses_it_typed(self):
+        with pytest.raises(CalcSyntaxError, match="unexpected character '²'"):
+            run_program("output y\ny := ²")

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.calc import eval_expression, run_program
+from repro.calc import ast, eval_expression, run_program
+from repro.calc.interp import Interpreter
 from repro.errors import (
     CalcLimitError,
     CalcNameError,
@@ -121,6 +122,16 @@ class TestArrays:
         with pytest.raises(CalcTypeError, match="vector"):
             run1("local v\nv := zeros(3)\nout_ := v[1, 2]")
 
+    def test_three_subscripts_of_a_built_program_are_a_rank_error(self):
+        """The parser allows two subscripts at most; a program built as a
+        tree may carry more, and is refused at its line, typed."""
+        three = tuple(ast.Num(value=1.0) for _ in range(3))
+        program = ast.Program(inputs=("A",), outputs=("y",), body=(ast.Assign(
+            target=ast.Name(ident="y"), value=ast.Index(base="A", subscripts=three, line=2),
+            line=2),))
+        with pytest.raises(CalcTypeError, match="line 2: 'A' is a matrix; 3 subscript"):
+            Interpreter(program).run(A=[[1.0, 2.0], [3.0, 4.0]])
+
     def test_elementwise_arith(self):
         r = run_program("input u, v\noutput w\nw := u + v * 2", u=[1, 2], v=[10, 20])
         np.testing.assert_allclose(r.outputs["w"], [21, 42])
@@ -206,6 +217,12 @@ class TestDisplayAndMetering:
     def test_ops_counted(self):
         r = run_program("output x\nx := 1 + 2 + 3")
         assert r.ops >= 2
+
+    def test_a_builtin_called_for_effect_is_counted_and_dropped(self):
+        """Each statement and each expression node is a step; the calls
+        charge their cost (``sqrt`` 2, ``zeros`` 1) and leave nothing."""
+        r = run_program("output y\ny := 1\nsqrt(4)\nzeros(2, 2)")
+        assert (r.outputs, r.ops, r.steps, r.displayed) == ({"y": 1.0}, 3.0, 9, [])
 
     def test_more_work_more_ops(self):
         small = run_program("input n\noutput x\nlocal i\nx := 0\n"

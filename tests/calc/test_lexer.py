@@ -112,3 +112,53 @@ class TestPositions:
             assert exc.column == 3
         else:
             pytest.fail("expected CalcSyntaxError")
+
+
+class TestLexicalRule:
+    """A number is ASCII digits only; a name satisfies ``str.isidentifier()``;
+    anything else is a syntax error at its
+    own line and column (it used to reach ``float('²')`` in the parser, or
+    Python source that ``compile`` rejects)."""
+
+    @pytest.mark.parametrize("source, line, column, char", [
+        ("y := ²", 1, 6, "²"),
+        ("x²", 1, 2, "²"),
+        ("١٢", 1, 1, "١"),
+        ("a := 1\nb := 2٣", 2, 7, "٣"),
+        ("v := ½", 1, 6, "½"),
+        ("x := .²", 1, 6, "."),
+    ])
+    def test_non_ascii_digits_are_syntax_errors(self, source, line, column, char):
+        with pytest.raises(CalcSyntaxError) as info:
+            tokenize(source)
+        assert (info.value.line, info.value.column) == (line, column)
+        assert info.value.message == f"unexpected character {char!r}"
+
+    def test_unicode_letters_make_names(self):
+        toks = tokenize("résumé := _é + x٣")
+        assert [(t.type, t.value) for t in toks[:5]] == [
+            (TokenType.IDENT, "résumé"), (TokenType.OP, ":="),
+            (TokenType.IDENT, "_é"), (TokenType.OP, "+"), (TokenType.IDENT, "x٣"),
+        ]
+        assert all(t.value.isidentifier() for t in toks if t.type is TokenType.IDENT)
+
+    def test_ascii_digit_numbers_still_lex(self):
+        assert values("12 3.5 .5 1e3 1.e-2") == ["12", "3.5", ".5", "1e3", "1.e-2"]
+
+
+class TestCommentColumns:
+    def test_newline_after_a_comment_sits_at_the_hash(self):
+        toks = tokenize("x := 1   # note\ny")
+        newline = toks[3]
+        assert newline.type is TokenType.NEWLINE and (newline.line, newline.column) == (1, 10)
+        assert (toks[-1].line, toks[-1].column) == (2, 2)
+        assert (tokenize("x # tail")[-1].line, tokenize("x # tail")[-1].column) == (1, 3)
+
+
+class TestTokenType:
+    def test_a_token_is_a_light_tuple_that_answers_op_and_keyword(self):
+        assign, kw = tokenize("x := 1")[1], tokenize("WHILE")[0]
+        assert assign == (TokenType.OP, ":=", 1, 3) and isinstance(assign, tuple)
+        assert assign.is_op("+", ":=") and not assign.is_kw(":=")
+        assert kw.is_kw("while") and not kw.is_op("while")
+        assert repr(assign) == "Token(op, ':=', 1:3)"

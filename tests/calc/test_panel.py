@@ -31,6 +31,9 @@ class TestDeclarations:
         with pytest.raises(CalcError, match="not a valid"):
             panel.declare_local("2fast")
 
+    def test_repr_counts_the_windows(self, panel):
+        assert repr(panel) == "CalculatorPanel('SquareRoot', io=1+1, locals=2, lines=0)"
+
 
 class TestButtonEntry:
     def test_digits_accumulate(self, panel):
