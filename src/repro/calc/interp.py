@@ -32,6 +32,7 @@ attributes the counts to lines by wrapping the statement closures.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -191,9 +192,9 @@ def _subscript(value: Value, extent: int, base: str, line: int) -> int:
     if type(value) is float and value.is_integer() and 1.0 <= value <= extent:
         return int(value) - 1
     raw = _as_number(value, "subscript", line)
-    k = int(round(raw))
-    if abs(raw - k) > 1e-9:
+    if not math.isfinite(raw) or abs(raw - round(raw)) > 1e-9:
         raise CalcTypeError(f"line {line}: subscript {raw} is not an integer")
+    k = round(raw)
     if not 1 <= k <= extent:
         raise CalcRuntimeError(
             f"line {line}: subscript {k} out of range 1..{extent} for {base!r}"
@@ -305,6 +306,11 @@ def _array_arith(op: str, left: Value, right: Value, line: int) -> Value:
         raise CalcRuntimeError(f"line {line}: array division by zero") from None
     except ValueError as exc:
         raise CalcTypeError(f"line {line}: array shape mismatch: {exc}") from None
+    except TypeError:  # numpy's refusal of a non-number beside the array
+        other = right if isinstance(left, np.ndarray) else left
+        raise CalcTypeError(
+            f"line {line}: operator {op} expects a number, got {type(other).__name__}"
+        ) from None
 
 
 def _compare(op: str, left: Value, right: Value, line: int) -> bool:

@@ -114,10 +114,16 @@ def _json_file(path: str) -> Any:
 def _project(path: str) -> BangerProject:
     """The project in a file, or behind a ``corpus://`` / ``store://`` ref."""
     if path.startswith("corpus://"):
-        from repro.store.corpus import CORPUS_TENANT, default_corpus
+        import tempfile
+
+        from repro.store import ProjectRepository
+        from repro.store.corpus import CORPUS_TENANT, seed_corpus
 
         _, name, version = _parse_ref(f"{CORPUS_TENANT}/{path[len('corpus://'):]}")
-        doc = default_corpus().get(CORPUS_TENANT, name, version)
+        with tempfile.TemporaryDirectory(prefix="banger-corpus-") as root:
+            repo = ProjectRepository(root)
+            seed_corpus(repo)
+            doc = repo.get(CORPUS_TENANT, name, version)
     elif path.startswith("store://"):
         from repro.store import ProjectRepository
 

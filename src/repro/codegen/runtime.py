@@ -9,6 +9,7 @@ bit-for-bit equality between interpreted and generated runs.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -26,9 +27,10 @@ def call(name: str, *args: Any) -> Any:
 
 
 def _index(sub: float, extent: int, base: str) -> int:
-    k = int(round(float(sub)))
-    if abs(float(sub) - k) > 1e-9:
+    raw = float(sub)
+    if not math.isfinite(raw) or abs(raw - round(raw)) > 1e-9:
         raise CalcTypeError(f"subscript {sub} is not an integer")
+    k = round(raw)
     if not 1 <= k <= extent:
         raise CalcRuntimeError(f"subscript {k} out of range 1..{extent} for {base!r}")
     return k - 1

@@ -145,7 +145,8 @@ class StoreCorruption(StoreError):
 
 
 class StoreWriteError(StoreError):
-    """The store directory refused a blob, so nothing points at it (500)."""
+    """The store directory refused a blob or a ref, so nothing new points
+    at it and no version was acknowledged (500)."""
 
 
 class QuotaExceeded(StoreError):

@@ -35,8 +35,10 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import shutil
 import signal
 import sys
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -162,8 +164,9 @@ class BangerDaemon:
     access_log:
         Callable given one dict per finished request; ``None`` disables.
     store_dir:
-        Directory for the project store's persistence; ``None`` keeps it
-        in memory (still fully functional for the daemon's lifetime).
+        Directory that is the project store; ``None`` keeps the store in a
+        private scratch directory that :meth:`shutdown` removes, so it lives
+        as long as the daemon.
     tenant_quota:
         Per-tenant write limits (:class:`repro.store.TenantQuota`)
         enforced on ``/projects`` puts and forks; a violation is answered
@@ -210,6 +213,7 @@ class BangerDaemon:
         self.tenant_quota = tenant_quota
         self.seed_corpus = seed_corpus
         self.store: ProjectRepository | None = None
+        self._scratch_store: str | None = None  # made by start() without store_dir
 
         self.metrics = ServerMetrics()
         self.pool: WorkerPool | None = None
@@ -249,7 +253,10 @@ class BangerDaemon:
         # The project store lives in the daemon process (refs are stateful;
         # worker processes only ever see immutable payloads).  Seeding runs
         # off-loop so a slow disk never delays the socket bind.
-        self.store = ProjectRepository(self.store_dir, quota=self.tenant_quota)
+        root = self.store_dir
+        if root is None:
+            root = self._scratch_store = tempfile.mkdtemp(prefix="banger-store-")
+        self.store = ProjectRepository(root, quota=self.tenant_quota)
         if self.seed_corpus:
             from repro.store.corpus import seed_corpus as _seed
 
@@ -289,7 +296,12 @@ class BangerDaemon:
         if self._inline is not None:
             self._inline.shutdown(wait=False, cancel_futures=True)
         if self._store_threads is not None:
-            self._store_threads.shutdown(wait=False, cancel_futures=True)
+            # wait for a running store action: it may still write the scratch store
+            self._store_threads.shutdown(
+                wait=self._scratch_store is not None, cancel_futures=True
+            )
+        if self._scratch_store is not None:
+            shutil.rmtree(self._scratch_store, ignore_errors=True)
         self._stopped.set()
 
     # ------------------------------------------------------------------ #

@@ -7,13 +7,12 @@ design stored here and a design posted to ``/schedule`` share one identity.
 Writing the same content twice stores it once; that is the whole
 deduplication story, and :meth:`BlobStore.stats` measures how much it saved.
 
-The store is memory *or* disk, never both: without a root a dict holds the
-blobs; with one the directory does (``objects/ab/abcd….json``, git-style
-fan-out) and no blob text outlives a call, so every process sharing the
-directory sees the same store.  Disk reads are corruption-tolerant: an entry
-whose bytes no longer hash to its name is evicted and reported missing, never
-a traceback.  All methods are thread-safe — the daemon serves many
-connections over one store.
+The store is its directory: blobs live at ``objects/ab/abcd….json``
+(git-style fan-out) and no blob text outlives a call, so every process
+sharing the directory sees the same store.  Reads are corruption-tolerant:
+an entry whose bytes no longer hash to its name is evicted and reported
+missing, never a traceback.  All methods are thread-safe — the daemon
+serves many connections over one store.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ class BlobStats:
     """Write/read accounting for one blob store.
 
     ``stored_bytes`` is asked of the store when read, not kept as a running
-    total: what the dict or the directory holds is the only record of it, so
+    total: what the directory holds is the only record of it, so
     every process on one directory reports the same number, restarts included
     (a ``BlobStats()`` belonging to no store holds ``int()`` = 0 bytes).
     """
@@ -76,26 +75,20 @@ class BlobStats:
 
 
 class BlobStore:
-    """Content-addressed blob storage, in memory or in a directory.
+    """Content-addressed blob storage in a directory.
 
     Parameters
     ----------
     root:
-        Directory that *is* the store (created lazily); ``None`` keeps every
-        blob in a dict for the life of the object instead.
+        Directory that *is* the store (created lazily).
     """
 
-    def __init__(self, root: str | Path | None = None):
-        self._objects = Path(root) / "objects" if root is not None else None
-        self._mem: dict[str, str] | None = {} if root is None else None
+    def __init__(self, root: str | Path):
+        self._objects = Path(root) / "objects"
         self._lock = threading.RLock()
         self.stats = BlobStats(self.total_bytes)
 
-    # ------------------------------------------------------------------ #
-    # paths
-    # ------------------------------------------------------------------ #
     def _path(self, digest: str) -> Path:
-        assert self._objects is not None
         return self._objects / digest[:2] / f"{digest}.json"
 
     # ------------------------------------------------------------------ #
@@ -117,9 +110,6 @@ class BlobStore:
             if self.has(digest):
                 self.stats.dedup_hits += 1
                 return digest
-            if self._mem is not None:
-                self._mem[digest] = text
-                return digest
         if not atomic_write_text(self._path(digest), text):
             raise StoreWriteError(
                 f"cannot write blob {digest[:12]}… under {self._objects} "
@@ -129,11 +119,7 @@ class BlobStore:
 
     def get(self, digest: str) -> Any:
         """The stored document, or :class:`StoreError` if absent/corrupt."""
-        if self._mem is None:
-            text = self._disk_read(digest)
-        else:
-            with self._lock:
-                text = self._mem.get(digest)
+        text = self._read(digest)
         with self._lock:
             self.stats.gets += 1
             if text is None:
@@ -142,7 +128,7 @@ class BlobStore:
             raise StoreNotFound(f"no blob {digest[:12]}… in the store")
         return json.loads(text)
 
-    def _disk_read(self, digest: str) -> str | None:
+    def _read(self, digest: str) -> str | None:
         path = self._path(digest)
         try:
             data = path.read_bytes()
@@ -161,16 +147,10 @@ class BlobStore:
         return data.decode("utf-8")
 
     def has(self, digest: str) -> bool:
-        if self._mem is None:
-            return self._path(digest).exists()
-        with self._lock:
-            return digest in self._mem
+        return self._path(digest).exists()
 
     def delete(self, digest: str) -> bool:
         """Remove one blob; returns whether anything was deleted."""
-        if self._mem is not None:
-            with self._lock:
-                return self._mem.pop(digest, None) is not None
         try:
             self._path(digest).unlink()
         except OSError:
@@ -182,37 +162,26 @@ class BlobStore:
     # ------------------------------------------------------------------ #
     def digests(self) -> list[str]:
         """Every stored content hash, sorted."""
-        if self._mem is None:
-            return sorted(p.stem for p in dir_files(self._objects))
-        with self._lock:
-            return sorted(self._mem)
+        return sorted(p.stem for p in dir_files(self._objects))
 
     def __len__(self) -> int:
         return len(self.digests())
 
     def census(self) -> tuple[int, int]:
         """``(blobs, bytes)`` held right now (post-dedup), from one listing."""
-        if self._mem is None:
-            files = dir_files(self._objects)
-            return len(files), total_bytes(files)
-        with self._lock:
-            return len(self._mem), sum(len(text) for text in self._mem.values())
+        files = dir_files(self._objects)
+        return len(files), total_bytes(files)
 
     def total_bytes(self) -> int:
         return self.census()[1]
 
     def sweep(self, live: set[str]) -> list[str]:
-        """Delete every blob not in ``live`` (oldest-first on disk).
+        """Delete every blob not in ``live``, oldest first.
 
         Returns the deleted digests; the shared eviction policy
-        (:mod:`repro.store.evict`) orders the disk candidates.
+        (:mod:`repro.store.evict`) orders the candidates.
         """
-        if self._mem is None:
-            candidates = [
-                p.stem for p in oldest_first(dir_files(self._objects))
-            ]
-        else:
-            candidates = self.digests()
+        candidates = [p.stem for p in oldest_first(dir_files(self._objects))]
         deleted = [d for d in candidates if d not in live and self.delete(d)]
         with self._lock:
             self.stats.evictions += len(deleted)
@@ -221,28 +190,15 @@ class BlobStore:
     def enforce_cap(
         self, max_bytes: int, keep: set[str] = frozenset()
     ) -> list[str]:
-        """Trim oldest blobs until under ``max_bytes``, sparing ``keep``.
-
-        In memory there is no age, so blobs are trimmed in digest order;
-        returns the deleted digests.
-        """
-        if self._mem is None:
-            deleted = [
-                path.stem
-                for path in enforce_size_cap(
-                    dir_files(self._objects), max_bytes,
-                    keep={self._path(d) for d in keep},
-                )
-            ]
-        else:
-            deleted = []
-            with self._lock:
-                over = self.total_bytes() - max_bytes
-                for digest in sorted(set(self._mem) - set(keep)):
-                    if over <= 0:
-                        break
-                    over -= len(self._mem.pop(digest))
-                    deleted.append(digest)
+        """Trim oldest blobs until under ``max_bytes``, sparing ``keep``;
+        returns the deleted digests."""
+        deleted = [
+            path.stem
+            for path in enforce_size_cap(
+                dir_files(self._objects), max_bytes,
+                keep={self._path(d) for d in keep},
+            )
+        ]
         with self._lock:
             self.stats.evictions += len(deleted)
         return deleted

@@ -9,9 +9,10 @@ wavefront, ML train/apply, bitonic, cholesky) — and publishes them all
 under the reserved ``corpus`` tenant.
 
 Everything downstream draws from here: the conformance fuzzer's
-``CaseGenerator`` mixes stored corpus graphs into its case stream,
-``banger sweep corpus://<name>`` runs directly against a stored project,
-and the store benchmark measures dedup over exactly this content.
+``CaseGenerator`` mixes corpus graphs into its case stream (read from
+:func:`corpus_document` directly, no store built), ``banger sweep
+corpus://<name>`` runs against a freshly seeded store, and the store
+benchmark measures dedup over exactly this content.
 
 This module imports ``repro.apps`` and ``repro.env``; it is deliberately
 NOT imported from ``repro.store.__init__`` (see the note there).
@@ -100,6 +101,14 @@ def corpus_names() -> list[str]:
     )
 
 
+def corpus_document(name: str) -> dict[str, Any]:
+    """The ``banger-project`` document :func:`seed_corpus` stores as
+    ``corpus/<name>``; :class:`KeyError` for a name not in the corpus."""
+    if name.startswith("family_"):
+        return family_project_doc(name.removeprefix("family_"))
+    return example_project(name).to_dict()
+
+
 def seed_corpus(repo: ProjectRepository) -> dict[str, dict[str, Any]]:
     """Publish the full corpus into ``repo`` under the ``corpus`` tenant.
 
@@ -125,48 +134,35 @@ def _put_if_changed(
     from repro.graph.serialize import fingerprint
 
     if repo.refs.exists(CORPUS_TENANT, name):
-        head = repo.manifest(CORPUS_TENANT, name)
-        if head["project"] == fingerprint(doc):
-            entry = repo.refs.head(CORPUS_TENANT, name)
+        entry = repo.refs.head(CORPUS_TENANT, name)
+        project = repo.blobs.get(entry["manifest"])["project"]
+        if project == fingerprint(doc):
             return {
                 "tenant": CORPUS_TENANT,
                 "name": name,
                 "version": entry["v"],
                 "manifest": entry["manifest"],
-                "project": head["project"],
+                "project": project,
             }
     return repo.put(CORPUS_TENANT, name, doc, message=message)
 
 
 # --------------------------------------------------------------------- #
-# the shared in-memory corpus (fuzzing, sweeps, benchmarks)
+# corpus graphs for fuzzing, sweeps and benchmarks
 # --------------------------------------------------------------------- #
-_default: ProjectRepository | None = None
-_default_lock = threading.Lock()
+_taskgraphs_lock = threading.Lock()
 _taskgraphs: dict[str, TaskGraph] = {}
 
 
-def default_corpus() -> ProjectRepository:
-    """The process-wide, lazily seeded, in-memory corpus repository."""
-    global _default
-    with _default_lock:
-        if _default is None:
-            repo = ProjectRepository()
-            seed_corpus(repo)
-            _default = repo
-        return _default
-
-
 def corpus_taskgraph(name: str) -> TaskGraph:
-    """The flattened scheduling view of one stored corpus project (cached)."""
-    with _default_lock:
+    """The flattened scheduling view of one corpus project (cached)."""
+    with _taskgraphs_lock:
         cached = _taskgraphs.get(name)
     if cached is not None:
         return cached
     from repro.graph.serialize import dataflow_from_dict
 
-    doc = default_corpus().get(CORPUS_TENANT, name)
-    tg = flatten(dataflow_from_dict(doc["design"]))
-    with _default_lock:
+    tg = flatten(dataflow_from_dict(corpus_document(name)["design"]))
+    with _taskgraphs_lock:
         _taskgraphs[name] = tg
     return tg

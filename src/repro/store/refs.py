@@ -7,13 +7,17 @@ by content hash and remembers an optional commit message.  Forking a
 project is just writing a new ref whose first version reuses an existing
 manifest hash — no blob is copied.
 
-Disk layout (when a root directory is given)::
+Disk layout::
 
     refs/<tenant>/<name>.json
         {"type": "project-ref", "format": 1,
          "versions": [{"v": 1, "manifest": "<hash>", "message": "..."}]}
 
-Writes are atomic (tmp + replace) and the whole tier is thread-safe.
+The directory is the only record: every query reads ``refs/`` as it is now,
+so a ref another process wrote is seen at once, and :meth:`RefStore.append`
+numbers the next version from the file.  A ref file that cannot be read or
+parsed is no ref.  Writes are atomic (tmp + replace), a write the directory
+refuses raises :class:`StoreWriteError`, and the tier is thread-safe.
 """
 
 from __future__ import annotations
@@ -24,15 +28,15 @@ import threading
 from pathlib import Path
 from typing import Any
 
-from repro.errors import StoreError, StoreNotFound
+from repro.errors import StoreError, StoreNotFound, StoreWriteError
 from repro.store.evict import atomic_write_text
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 
 def check_name(kind: str, value: str) -> str:
     """Validate a tenant or project name; returns it unchanged."""
-    if not isinstance(value, str) or not _NAME_RE.match(value):
+    if not isinstance(value, str) or not _NAME_RE.fullmatch(value):
         raise StoreError(
             f"bad {kind} name {value!r}: use letters, digits, '_', '-', '.'"
         )
@@ -48,84 +52,60 @@ def parse_version(text: str) -> int:
 
 
 class RefStore:
-    """Named, versioned pointers into the blob tier."""
+    """Named, versioned pointers into the blob tier, read from ``refs/``."""
 
-    def __init__(self, root: str | Path | None = None):
-        self._root = Path(root) if root is not None else None
-        # tenant -> name -> list of version entries (dicts)
-        self._refs: dict[str, dict[str, list[dict[str, Any]]]] = {}
-        # refs whose last write failed: memory is their only full copy
-        self._unsaved: set[tuple[str, str]] = set()
+    def __init__(self, root: str | Path):
+        self._refs = Path(root) / "refs"
         self._lock = threading.RLock()
-        self.reload()
 
     # ------------------------------------------------------------------ #
-    # persistence
+    # the directory
     # ------------------------------------------------------------------ #
-    def _refs_dir(self) -> Path:
-        assert self._root is not None
-        return self._root / "refs"
-
     def _path(self, tenant: str, name: str) -> Path:
-        return self._refs_dir() / tenant / f"{name}.json"
+        return self._refs / tenant / f"{name}.json"
 
-    def reload(self) -> None:
-        """Read ``refs/`` again: another process may have written since.
+    @staticmethod
+    def _read(path: Path) -> list[dict[str, Any]] | None:
+        """The history in one ref file; ``None`` if it is absent or corrupt."""
+        try:
+            versions = json.loads(path.read_text(encoding="utf-8"))["versions"]
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+        return versions if isinstance(versions, list) and versions else None
 
-        A ref file on disk replaces the history held in memory, unless this
-        process's last write of that ref failed: then memory holds versions
-        the file lacks, and it stays.  A ref with no file at all stays too.
-        """
-        if self._root is None or not self._refs_dir().is_dir():
-            return
-        with self._lock:
-            for path in sorted(self._refs_dir().glob("*/*.json")):
-                try:
-                    doc = json.loads(path.read_text(encoding="utf-8"))
-                    versions = doc["versions"]
-                except (OSError, json.JSONDecodeError, KeyError):
-                    continue  # corrupt ref: skip, never crash startup
-                tenant, name = path.parent.name, path.stem
-                if (tenant, name) not in self._unsaved:
-                    self._refs.setdefault(tenant, {})[name] = list(versions)
+    def _history(self, tenant: str, name: str) -> list[dict[str, Any]] | None:
+        # A name check_name refuses has no file: it never reaches the path.
+        if not (_NAME_RE.fullmatch(tenant) and _NAME_RE.fullmatch(name)):
+            return None
+        return self._read(self._path(tenant, name))
 
-    def _persist(self, tenant: str, name: str) -> None:
-        if self._root is None:
-            return
-        path = self._path(tenant, name)
-        doc = {
-            "type": "project-ref",
-            "format": 1,
-            "versions": self._refs[tenant][name],
-        }
-        # On a failed write the memory copy stays authoritative for this
-        # process, reload() included, until a later write of the ref lands.
-        if atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=1)):
-            self._unsaved.discard((tenant, name))
-        else:
-            self._unsaved.add((tenant, name))
+    def _histories(self, tenant: str = "*"
+                   ) -> dict[tuple[str, str], list[dict[str, Any]]]:
+        """(tenant, name) -> history of every readable ref, sorted by key."""
+        found = {}
+        for path in sorted(self._refs.glob(f"{tenant}/*.json")):
+            history = self._read(path)
+            if history is not None:
+                found[path.parent.name, path.stem] = history
+        return found
 
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
     def tenants(self) -> list[str]:
-        with self._lock:
-            return sorted(self._refs)
+        return sorted({tenant for tenant, _ in self._histories()})
 
     def projects(self, tenant: str) -> list[str]:
-        with self._lock:
-            return sorted(self._refs.get(tenant, {}))
+        if not _NAME_RE.fullmatch(tenant):
+            return []
+        return [name for _, name in self._histories(tenant)]
 
     def versions(self, tenant: str, name: str) -> list[dict[str, Any]]:
-        """The full history, oldest first; copies so callers cannot mutate."""
-        with self._lock:
-            try:
-                entries = self._refs[tenant][name]
-            except KeyError:
-                raise StoreNotFound(
-                    f"no project {tenant}/{name} in the store"
-                ) from None
-            return [dict(e) for e in entries]
+        """The full history, oldest first."""
+        history = self._history(tenant, name)
+        if history is None:
+            raise StoreNotFound(f"no project {tenant}/{name} in the store")
+        return history
 
     def head(self, tenant: str, name: str) -> dict[str, Any]:
         return self.versions(tenant, name)[-1]
@@ -145,15 +125,16 @@ class RefStore:
         )
 
     def exists(self, tenant: str, name: str) -> bool:
-        with self._lock:
-            return name in self._refs.get(tenant, {})
+        return self._history(tenant, name) is not None
 
-    def version_count(self, tenant: str) -> int:
-        """Total versions across all of one tenant's projects."""
-        with self._lock:
-            return sum(
-                len(v) for v in self._refs.get(tenant, {}).values()
-            )
+    def census(self) -> tuple[int, int, int]:
+        """``(tenants, projects, versions)`` held right now, from one listing."""
+        histories = self._histories()
+        return (
+            len({tenant for tenant, _ in histories}),
+            len(histories),
+            sum(len(history) for history in histories.values()),
+        )
 
     def manifests(self, heads_only: bool = False) -> set[str]:
         """Every manifest hash any ref points at (the GC live roots).
@@ -161,44 +142,37 @@ class RefStore:
         ``heads_only`` restricts the set to each project's newest version —
         the roots a size-capped GC must preserve when it trims history.
         """
-        with self._lock:
-            return {
-                entry["manifest"]
-                for projects in self._refs.values()
-                for history in projects.values()
-                for entry in (history[-1:] if heads_only else history)
-            }
+        return {
+            entry["manifest"]
+            for history in self._histories().values()
+            for entry in (history[-1:] if heads_only else history)
+        }
 
     # ------------------------------------------------------------------ #
     # mutation
     # ------------------------------------------------------------------ #
     def append(self, tenant: str, name: str, manifest: str,
                message: str = "") -> int:
-        """Add one version pointing at ``manifest``; returns its number."""
+        """Add one version pointing at ``manifest``; returns its number.
+
+        The version is numbered from the ref file as it is now and returned
+        only once the file holding it has landed; otherwise
+        :class:`StoreWriteError`, and the file keeps its old history.
+        """
         check_name("tenant", tenant)
         check_name("project", name)
         with self._lock:
-            history = self._refs.setdefault(tenant, {}).setdefault(name, [])
+            history = self._history(tenant, name) or []
             version = history[-1]["v"] + 1 if history else 1
             history.append(
                 {"v": version, "manifest": manifest, "message": message}
             )
-            self._persist(tenant, name)
+            doc = {"type": "project-ref", "format": 1, "versions": history}
+            text = json.dumps(doc, sort_keys=True, indent=1)
+            if not atomic_write_text(self._path(tenant, name), text):
+                raise StoreWriteError(
+                    f"cannot write ref {tenant}/{name} under {self._refs} "
+                    f"(full, read-only or not a directory); version {version} "
+                    "was not stored"
+                )
             return version
-
-    def delete(self, tenant: str, name: str) -> None:
-        with self._lock:
-            try:
-                del self._refs[tenant][name]
-            except KeyError:
-                raise StoreNotFound(
-                    f"no project {tenant}/{name} in the store"
-                ) from None
-            if not self._refs[tenant]:
-                del self._refs[tenant]
-            self._unsaved.discard((tenant, name))
-        if self._root is not None:
-            try:
-                self._path(tenant, name).unlink()
-            except OSError:
-                pass

@@ -71,15 +71,15 @@ class ProjectRepository:
     Parameters
     ----------
     root:
-        Directory for persistence (blob + ref tiers); ``None`` keeps the
-        repository purely in memory.
+        The directory that is the store (blob + ref tiers); every query
+        reads it as it is now.
     quota:
         Default :class:`TenantQuota` applied to every non-exempt tenant.
     """
 
     def __init__(
         self,
-        root: str | Path | None = None,
+        root: str | Path,
         quota: TenantQuota | None = None,
     ):
         self.blobs = BlobStore(root)
@@ -461,11 +461,10 @@ class ProjectRepository:
         read as missing blobs) — every project's newest version always
         stays loadable, whatever the cap.
 
-        Liveness is decided from ``refs/`` as it is on disk now, not as this
-        process loaded it: a project another process stored since is live.
+        Liveness is decided from ``refs/`` as it is on disk now: a project
+        another process stored since is live.
         """
         with self._lock:
-            self.refs.reload()
             live = self._reachable()
             deleted = self.blobs.sweep(live)
             if (
@@ -483,12 +482,12 @@ class ProjectRepository:
 
     def stats(self) -> dict[str, Any]:
         """Repository-wide counters, including the blob tier's dedup ratio."""
-        tenants = self.refs.tenants()
+        tenants, projects, versions = self.refs.census()
         blobs, stored = self.blobs.census()
         return {
-            "tenants": len(tenants),
-            "projects": sum(len(self.refs.projects(t)) for t in tenants),
-            "versions": sum(self.refs.version_count(t) for t in tenants),
+            "tenants": tenants,
+            "projects": projects,
+            "versions": versions,
             "blobs": blobs,
             "blob": self.blobs.stats.as_dict(stored),
             "quota": self.quota.as_dict() if self.quota else None,

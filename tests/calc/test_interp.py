@@ -118,6 +118,12 @@ class TestArrays:
         with pytest.raises(CalcTypeError, match="not an integer"):
             run1("local v\nv := zeros(3)\nout_ := v[1.5]")
 
+    @pytest.mark.parametrize("sub, shown", [("1e308 * 10", "inf"), ("0 * (1e308 * 10)", "nan")])
+    @pytest.mark.parametrize("use", ["out_ := v[{}]", "v[{}] := 1\nout_ := 0"])
+    def test_a_non_finite_subscript_is_a_type_error(self, sub, shown, use):
+        with pytest.raises(CalcTypeError, match=f"line 4: subscript {shown} is not an integer"):
+            run1("local v\nv := zeros(3)\n" + use.format(sub))
+
     def test_wrong_rank(self):
         with pytest.raises(CalcTypeError, match="vector"):
             run1("local v\nv := zeros(3)\nout_ := v[1, 2]")
@@ -143,6 +149,11 @@ class TestArrays:
     def test_shape_mismatch(self):
         with pytest.raises(CalcTypeError, match="shape mismatch"):
             run_program("input u, v\noutput w\nw := u + v", u=[1, 2], v=[1, 2, 3])
+
+    @pytest.mark.parametrize("expr", ['"s" - v', 'v * "s"'])
+    def test_a_string_beside_an_array_is_a_type_error(self, expr):
+        with pytest.raises(CalcTypeError, match="line 3: operator . expects a number, got str"):
+            run_program(f"input v\noutput w\nw := {expr}", v=[1, 2])
 
     def test_array_equality(self):
         assert run1("local a, b, t\na := [1, 2]\nb := [1, 2]\n"

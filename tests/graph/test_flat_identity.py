@@ -18,7 +18,7 @@ from repro.env.project import BangerProject
 from repro.graph.dataflow import DataflowGraph
 from repro.graph.hierarchy import depth, expand, flatten
 from repro.graph.serialize import dataflow_fingerprint
-from repro.store.corpus import CORPUS_TENANT, corpus_names, default_corpus, example_names
+from repro.store.corpus import corpus_document, corpus_names, example_names
 
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent.parent / "examples"
 
@@ -92,7 +92,7 @@ def test_the_pin_list_is_the_corpus():
 
 @pytest.mark.parametrize("name", sorted(PINNED_FLAT))
 def test_corpus_project_flattens_to_the_pinned_ir(name):
-    doc = default_corpus().get(CORPUS_TENANT, name)
+    doc = corpus_document(name)
     check_project(BangerProject.from_dict(doc), name)
 
 
@@ -104,7 +104,7 @@ def test_shipped_example_flattens_to_the_pinned_ir(name):
 
 def test_figure_1_input_port_fans_out_in_port_order():
     design = BangerProject.from_dict(
-        default_corpus().get(CORPUS_TENANT, "lu_decomposition")
+        corpus_document("lu_decomposition")
     ).design
     assert depth(design) == 2
     readers = flatten(design).graph_inputs["A"]

@@ -26,7 +26,7 @@ from repro.machine.compiled import clear_compiled, compiled_for
 from repro.sched import get_scheduler
 from repro.sched.service import ScheduleService
 from repro.sim import simulate
-from repro.store.corpus import CORPUS_TENANT, default_corpus
+from repro.store.corpus import corpus_document
 
 PARAMS = MachineParams(msg_startup=0.4, transmission_rate=6.0, hop_latency=0.1)
 FAMILIES = (
@@ -152,7 +152,7 @@ def test_schedule_and_speedup_agree_in_both_orders(design):
     """``banger schedule`` and ``banger speedup --procs 8`` ask one question
     of a corpus project on its 8-processor machine; the answer must not depend
     on which was asked first."""
-    doc = default_corpus().get(CORPUS_TENANT, design)
+    doc = corpus_document(design)
     makespans = []
     for schedule_first in (True, False):
         clear_compiled()

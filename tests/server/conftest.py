@@ -83,7 +83,9 @@ class DaemonHarness:
     def stop(self) -> None:
         if self.loop is None or self._thread is None:
             return
-        if not self.loop.is_closed():
+        # A test that shut the daemon down itself leaves a loop that is
+        # finishing: a coroutine submitted now may never run, so only join.
+        if not self.loop.is_closed() and not self.daemon._draining:
             try:
                 self.submit(self.daemon.shutdown()).result(timeout=30)
             except Exception:

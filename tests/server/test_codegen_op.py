@@ -6,7 +6,12 @@ import json
 import numpy as np
 import pytest
 
+from repro.calc import run_program
 from repro.client import ServerError
+from repro.env.project import BangerProject
+from repro.errors import CalcTypeError
+from repro.graph.dataflow import DataflowGraph
+from repro.machine import MachineParams
 from repro.server.ops import OpError, coalesce_key, execute, op_codegen
 from repro.server.workers import serve
 
@@ -70,6 +75,31 @@ class TestOpCodegen:
         body = _run_body(project_doc, target)
         assert serve(execute, "codegen", body) == (
             "user_error", "OpError", "missing graph input value(s): A, b")
+
+
+def _vector_project(program: str) -> dict:
+    """One task reading the vector ``v`` = [1, 2, 3] into ``y``."""
+    design = DataflowGraph("subs")
+    design.add_storage("v", data="v", initial=B)
+    design.add_task("t", program=program)
+    design.add_storage("y", data="y")
+    design.connect("v", "t")
+    design.connect("t", "y")
+    project = BangerProject("subs").set_design(design)
+    project.set_machine("hypercube", 2, MachineParams())
+    return project.to_dict()
+
+
+@pytest.mark.parametrize("sub, shown", [("1e308 * 10", "inf"), ("0 * (1e308 * 10)", "nan")])
+def test_a_non_finite_subscript_is_one_typed_error_at_both_engines(sub, shown):
+    """The interpreter's trial run and the generated code's run refuse an
+    infinite or NaN subscript alike, as a ``CalcTypeError``."""
+    program = f"input v\noutput y\ny := v[{sub}]"
+    with pytest.raises(CalcTypeError, match=f"line 3: subscript {shown} is not an integer"):
+        run_program(program, v=B)
+    payload = {"project": _vector_project(program), "target": "inproc", "run": True}
+    with pytest.raises(CalcTypeError, match=f"subscript {shown} is not an integer"):
+        execute("codegen", payload)
 
 
 def _run_body(doc: dict, target: str) -> bytes:

@@ -6,6 +6,8 @@ multi-tenant contract — per-tenant quota rejections arriving as HTTP 403
 with a ``Retry-After`` header, exactly like 503 backpressure.
 """
 
+import tempfile
+
 import pytest
 
 from repro.client import ServerError
@@ -18,7 +20,7 @@ from repro.store.corpus import corpus_names
 
 @pytest.fixture
 def store_daemon(daemon_factory):
-    """Inline-worker daemon with a seeded in-memory store and tight quotas."""
+    """Inline-worker daemon with a seeded scratch store and tight quotas."""
     return daemon_factory(
         workers=0,
         tenant_quota=TenantQuota(max_projects=2, max_versions_per_project=3),
@@ -94,10 +96,10 @@ def test_version_pinned_get_and_404s(store_daemon, project_doc):
     ],
 )
 def test_store_errors_are_classified_by_type(
-    project_doc, path, status, kind, raised, message
+    tmp_path, project_doc, path, status, kind, raised, message
 ):
     """The status follows the exception's class; the wording is free."""
-    repo = ProjectRepository()
+    repo = ProjectRepository(tmp_path)
     repo.put("alice", "p", project_doc)
     # a manifest that pins a project hash its parts do not reassemble to
     manifest = dict(repo.manifest("alice", "p"), project="0" * 64)
@@ -172,6 +174,20 @@ def test_daemon_without_seed_corpus_starts_empty(daemon_factory, project_doc):
     assert harness.client.projects()["tenants"] == []
     harness.client.project_put("alice", "p", project_doc)
     assert harness.client.projects()["tenants"] == ["alice"]
+
+
+def test_a_daemon_without_store_dir_removes_its_scratch_store(
+    daemon_factory, project_doc, tmp_path, monkeypatch
+):
+    """Without ``store_dir`` the store is a private directory that lives as
+    long as the daemon: made at start, gone after ``shutdown()``."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    harness = daemon_factory(workers=0, seed_corpus=False)
+    harness.client.project_put("alice", "p", project_doc)
+    (scratch,) = tmp_path.glob("banger-store-*")
+    assert list(scratch.glob("refs/alice/p.json"))
+    harness.stop()
+    assert not list(tmp_path.glob("banger-store-*"))
 
 
 def test_persistent_store_dir_survives_daemon_restart(

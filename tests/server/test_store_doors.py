@@ -208,11 +208,13 @@ def test_cli_text_is_a_rendering_of_the_reply_document(doors, capsys):
                    f"{doc['stored_bytes']} byte(s) on disk\n")
 
 
-def test_client_methods_return_the_action_documents(daemon_factory, project_doc):
+def test_client_methods_return_the_action_documents(
+    tmp_path, daemon_factory, project_doc
+):
     """``BangerClient.project_*`` against a live daemon answers what
     ``store_request`` answers on a repository in the same state."""
     client = daemon_factory(workers=0, seed_corpus=False).client
-    repo = ProjectRepository()
+    repo = ProjectRepository(tmp_path)
     renamed = {**project_doc, "name": "renamed"}
     scenario = {"name": "quiet", "events": []}
 

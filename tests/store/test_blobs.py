@@ -16,20 +16,20 @@ from repro.graph.serialize import canonical_json, fingerprint
 from repro.store import BlobStore
 
 
-def test_put_returns_the_content_fingerprint():
-    store = BlobStore()
+def test_put_returns_the_content_fingerprint(tmp_path):
+    store = BlobStore(tmp_path)
     doc = {"b": [1, 2], "a": "x"}
     assert store.put(doc) == fingerprint(doc)
 
 
-def test_get_round_trips_the_document():
-    store = BlobStore()
+def test_get_round_trips_the_document(tmp_path):
+    store = BlobStore(tmp_path)
     doc = {"nested": {"k": [1.5, "two", None]}, "n": 3}
     assert store.get(store.put(doc)) == doc
 
 
-def test_identical_content_is_stored_once():
-    store = BlobStore()
+def test_identical_content_is_stored_once(tmp_path):
+    store = BlobStore(tmp_path)
     h1 = store.put({"a": 1, "b": 2})
     h2 = store.put({"b": 2, "a": 1})  # key order is canonicalized away
     assert h1 == h2
@@ -38,8 +38,8 @@ def test_identical_content_is_stored_once():
     assert store.stats.dedup_hits == 1
 
 
-def test_dedup_ratio_counts_logical_over_stored_bytes():
-    store = BlobStore()
+def test_dedup_ratio_counts_logical_over_stored_bytes(tmp_path):
+    store = BlobStore(tmp_path)
     doc = {"payload": "x" * 100}
     for _ in range(4):
         store.put(doc)
@@ -47,8 +47,8 @@ def test_dedup_ratio_counts_logical_over_stored_bytes():
     assert store.stats.dedup_ratio == pytest.approx(4.0)
 
 
-def test_missing_blob_raises_store_error():
-    store = BlobStore()
+def test_missing_blob_raises_store_error(tmp_path):
+    store = BlobStore(tmp_path)
     with pytest.raises(StoreError, match="no blob"):
         store.get("0" * 64)
 

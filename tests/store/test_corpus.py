@@ -7,8 +7,8 @@ from repro.store import ProjectRepository
 from repro.store.corpus import (
     CORPUS_TENANT,
     corpus_names,
+    corpus_document,
     corpus_taskgraph,
-    default_corpus,
     example_names,
     family_project_doc,
     seed_corpus,
@@ -32,16 +32,16 @@ def test_the_store_pr_added_at_least_five_new_families():
         assert tg.edges, f"{family} generated an edge-free graph"
 
 
-def test_seed_corpus_stores_every_project():
-    repo = ProjectRepository()
+def test_seed_corpus_stores_every_project(tmp_path):
+    repo = ProjectRepository(tmp_path)
     stored = seed_corpus(repo)
     assert sorted(stored) == sorted(corpus_names())
     for name in corpus_names():
         assert repo.refs.exists(CORPUS_TENANT, name)
 
 
-def test_seed_corpus_is_idempotent_by_content():
-    repo = ProjectRepository()
+def test_seed_corpus_is_idempotent_by_content(tmp_path):
+    repo = ProjectRepository(tmp_path)
     first = seed_corpus(repo)
     second = seed_corpus(repo)
     for name in corpus_names():
@@ -49,15 +49,15 @@ def test_seed_corpus_is_idempotent_by_content():
         assert second[name]["manifest"] == first[name]["manifest"]
 
 
-def test_corpus_dedup_ratio_exceeds_one():
+def test_corpus_dedup_ratio_exceeds_one(tmp_path):
     """Shared structure across 22 projects must actually deduplicate."""
-    repo = ProjectRepository()
+    repo = ProjectRepository(tmp_path)
     seed_corpus(repo)
     assert repo.blobs.stats.dedup_ratio > 1.0
 
 
-def test_republishing_the_corpus_under_a_second_tenant_stores_no_new_bytes():
-    repo = ProjectRepository()
+def test_republishing_the_corpus_under_a_second_tenant_stores_no_new_bytes(tmp_path):
+    repo = ProjectRepository(tmp_path)
     seed_corpus(repo)
     seeded = repo.blobs.total_bytes()
     for name in corpus_names():
@@ -66,10 +66,10 @@ def test_republishing_the_corpus_under_a_second_tenant_stores_no_new_bytes():
     assert len(repo.refs.projects("mirror")) == len(corpus_names())
 
 
-def test_family_projects_round_trip_byte_identically():
+def test_family_projects_round_trip_byte_identically(tmp_path):
     from repro.graph.serialize import fingerprint
 
-    repo = ProjectRepository()
+    repo = ProjectRepository(tmp_path)
     for family in sorted(FAMILIES):
         doc = family_project_doc(family)
         info = repo.put(CORPUS_TENANT, f"rt_{family}", doc)
@@ -78,10 +78,14 @@ def test_family_projects_round_trip_byte_identically():
         assert fingerprint(got) == info["project"], family
 
 
-def test_default_corpus_is_a_seeded_singleton():
-    repo = default_corpus()
-    assert repo is default_corpus()
-    assert set(repo.refs.projects(CORPUS_TENANT)) == set(corpus_names())
+def test_corpus_document_is_what_seed_corpus_stores(tmp_path):
+    repo = ProjectRepository(tmp_path)
+    seed_corpus(repo)
+    assert repo.refs.projects(CORPUS_TENANT) == sorted(corpus_names())
+    for name in corpus_names():
+        assert repo.get(CORPUS_TENANT, name) == corpus_document(name), name
+    with pytest.raises(KeyError):
+        corpus_document("no_such_project")
 
 
 @pytest.mark.parametrize("family", sorted(NEW_FAMILIES))

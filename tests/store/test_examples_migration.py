@@ -57,9 +57,9 @@ def test_shipped_json_matches_pinned_hash(name):
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_store_round_trip_preserves_pinned_hash(name):
+def test_store_round_trip_preserves_pinned_hash(tmp_path, name):
     """put -> get through a real repository keeps the hash byte-identical."""
-    repo = ProjectRepository()
+    repo = ProjectRepository(tmp_path)
     doc = example_project(name).to_dict()
     info = repo.put(CORPUS_TENANT, name, doc)
     assert info["project"] == PINNED[name]

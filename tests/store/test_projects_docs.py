@@ -111,10 +111,18 @@ def test_every_store_error_class_is_documented():
 
 
 def test_the_shared_directory_contract_is_documented():
-    from repro.store import RefStore
+    import inspect
 
-    assert "memory or disk, never both" in TEXT  # tests/store/test_shared_directory.py
-    assert "`RefStore.reload`" in TEXT and callable(RefStore.reload)
+    from repro.store import BlobStore, RefStore
+
+    # tests/store/test_shared_directory.py and tests/store/test_store_machine.py
+    assert "the directory is its only record" in TEXT
+    assert "Refs are read from disk on every query" in TEXT
+    for tier in (BlobStore, RefStore, ProjectRepository):
+        root = inspect.signature(tier).parameters["root"]
+        assert root.default is inspect.Parameter.empty, f"{tier.__name__} root"
+        assert f"`{tier.__name__}`" in TEXT
+    assert "two appends at one instant" in TEXT  # open, and said so
     assert "put-versus-gc race" in TEXT  # open, and said so
 
 
@@ -128,7 +136,7 @@ DOORS = {
 }
 
 
-def _fields_read_by(action: str) -> set[str]:
+def _fields_read_by(action: str, root) -> set[str]:
     """Every option the action function reads, found by handing it a mapping
     that remembers what it was asked for (and holds what the action requires)."""
     from repro.server import store_api
@@ -141,7 +149,7 @@ def _fields_read_by(action: str) -> set[str]:
             asked.add(key)
             return super().get(key, default)
 
-    repo = ProjectRepository()
+    repo = ProjectRepository(root)
     doc = example_project("lu_decomposition").to_dict()
     repo.put("alice", "p", doc)
     raw = Recording({"put": {"project": doc}, "fork": {"to_name": "q"}}.get(action, {}))
@@ -150,7 +158,9 @@ def _fields_read_by(action: str) -> set[str]:
     return asked
 
 
-def test_every_store_option_has_a_row_a_help_entry_and_a_client_parameter(capsys):
+def test_every_store_option_has_a_row_a_help_entry_and_a_client_parameter(
+    tmp_path, capsys
+):
     """docs/projects.md has one table per action that reads options; its rows
     are exactly the fields the action function reads, each CLI spelling is one
     ``banger projects <command> --help`` lists, and each field is a parameter
@@ -166,7 +176,8 @@ def test_every_store_option_has_a_row_a_help_entry_and_a_client_parameter(capsys
         section = TEXT.split(f"#### `{action}`\n", 1)[1].split("\n### ", 1)[0]
         section = section.split("\n#### ", 1)[0]
         rows = re.findall(r"^\| `([^`]+)`[^|]*\| `(\w+)` \|", section, re.M)
-        assert {field for _, field in rows} == _fields_read_by(action), action
+        read = _fields_read_by(action, tmp_path / action)
+        assert {field for _, field in rows} == read, action
         with pytest.raises(SystemExit):
             build_parser().parse_args(["projects", command, "--help"])
         help_text = capsys.readouterr().out
@@ -206,14 +217,14 @@ def test_the_failure_table_is_the_codes_table():
         assert documented == actual
 
 
-def test_every_documented_route_routes_to_its_action():
+def test_every_documented_route_routes_to_its_action(tmp_path):
     """The action table's HTTP column, driven: each spelling answers 200 with
     the reply ``type`` its row names (four of eight rows once named routes and
     fields the code never read)."""
     from repro.server.store_api import store_request
     from repro.store.corpus import example_project
 
-    repo = ProjectRepository()
+    repo = ProjectRepository(tmp_path)
     doc = example_project("lu_decomposition").to_dict()
     repo.put("alice", "p", doc)
     payloads = {"/projects/alice/p": {"project": doc},

@@ -6,16 +6,16 @@ from repro.errors import StoreError
 from repro.store import RefStore, check_name
 
 
-def test_append_numbers_versions_from_one():
-    refs = RefStore()
+def test_append_numbers_versions_from_one(tmp_path):
+    refs = RefStore(tmp_path)
     assert refs.append("alice", "proj", "m1") == 1
     assert refs.append("alice", "proj", "m2") == 2
     assert [e["v"] for e in refs.versions("alice", "proj")] == [1, 2]
     assert refs.head("alice", "proj")["manifest"] == "m2"
 
 
-def test_resolve_pinned_and_head_versions():
-    refs = RefStore()
+def test_resolve_pinned_and_head_versions(tmp_path):
+    refs = RefStore(tmp_path)
     refs.append("t", "p", "m1", "first")
     refs.append("t", "p", "m2", "second")
     assert refs.resolve("t", "p")["manifest"] == "m2"
@@ -24,15 +24,15 @@ def test_resolve_pinned_and_head_versions():
         refs.resolve("t", "p", 9)
 
 
-def test_unknown_project_raises_store_error():
-    refs = RefStore()
+def test_unknown_project_raises_store_error(tmp_path):
+    refs = RefStore(tmp_path)
     with pytest.raises(StoreError, match="no project t/missing"):
         refs.versions("t", "missing")
 
 
-@pytest.mark.parametrize("bad", ["", "../evil", "a/b", ".hidden", "sp ace"])
-def test_bad_names_are_rejected(bad):
-    refs = RefStore()
+@pytest.mark.parametrize("bad", ["", "../evil", "a/b", ".hidden", "sp ace", "trailing\n"])
+def test_bad_names_are_rejected(tmp_path, bad):
+    refs = RefStore(tmp_path)
     with pytest.raises(StoreError, match="bad (tenant|project) name"):
         refs.append(bad, "ok", "m")
     with pytest.raises(StoreError, match="bad (tenant|project) name"):
@@ -51,11 +51,11 @@ def test_refs_persist_across_reopen(tmp_path):
     reopened = RefStore(tmp_path)
     assert reopened.tenants() == ["alice", "bob"]
     assert reopened.head("alice", "proj")["message"] == "hello"
-    assert reopened.version_count("bob") == 1
+    assert reopened.census() == (2, 2, 2)  # tenants, projects, versions
 
 
-def test_manifests_collects_all_roots_and_heads_only():
-    refs = RefStore()
+def test_manifests_collects_all_roots_and_heads_only(tmp_path):
+    refs = RefStore(tmp_path)
     refs.append("t", "p", "m1")
     refs.append("t", "p", "m2")
     refs.append("t", "q", "m3")
@@ -64,10 +64,12 @@ def test_manifests_collects_all_roots_and_heads_only():
 
 
 def test_delete_removes_project_and_empty_tenant(tmp_path):
+    """Deleting a ref is deleting its file: the project is gone at once, and
+    a tenant left with no ref file is no tenant."""
     refs = RefStore(tmp_path)
     refs.append("t", "p", "m1")
-    refs.delete("t", "p")
+    (tmp_path / "refs" / "t" / "p.json").unlink()
     assert refs.tenants() == []
     assert RefStore(tmp_path).tenants() == []
-    with pytest.raises(StoreError):
-        refs.delete("t", "p")
+    with pytest.raises(StoreError, match="no project t/p"):
+        refs.versions("t", "p")

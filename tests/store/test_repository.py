@@ -19,8 +19,8 @@ def lu_doc(name: str = "lu") -> dict:
     return project.to_dict()
 
 
-def test_put_get_round_trip_is_byte_identical():
-    repo = ProjectRepository()
+def test_put_get_round_trip_is_byte_identical(tmp_path):
+    repo = ProjectRepository(tmp_path)
     doc = lu_doc()
     info = repo.put("alice", "lu", doc)
     got = repo.get("alice", "lu")
@@ -28,17 +28,17 @@ def test_put_get_round_trip_is_byte_identical():
     assert fingerprint(got) == info["project"] == fingerprint(doc)
 
 
-def test_put_accepts_project_objects():
-    repo = ProjectRepository()
+def test_put_accepts_project_objects(tmp_path):
+    repo = ProjectRepository(tmp_path)
     project = BangerProject("p").set_design(lu3_design())
     info = repo.put("alice", "p", project)
     assert repo.get("alice", "p") == project.to_dict()
     assert info["version"] == 1
 
 
-def test_design_decomposes_into_shared_blobs():
+def test_design_decomposes_into_shared_blobs(tmp_path):
     """Two projects sharing a design store its blobs once."""
-    repo = ProjectRepository()
+    repo = ProjectRepository(tmp_path)
     repo.put("alice", "a", lu_doc("a"))
     blobs_after_first = len(repo.blobs)
     repo.put("bob", "b", lu_doc("a"))  # same content, different ref
@@ -46,8 +46,8 @@ def test_design_decomposes_into_shared_blobs():
     assert repo.blobs.stats.dedup_ratio > 1.0
 
 
-def test_pits_programs_are_their_own_blobs():
-    repo = ProjectRepository()
+def test_pits_programs_are_their_own_blobs(tmp_path):
+    repo = ProjectRepository(tmp_path)
     doc = lu_doc()
     repo.put("t", "p", doc)
     docs = [repo.blobs.get(h) for h in repo.blobs.digests()]
@@ -59,8 +59,8 @@ def test_pits_programs_are_their_own_blobs():
     assert all("source" in p for p in pits)
 
 
-def test_versions_accumulate_and_log_reports_hashes():
-    repo = ProjectRepository()
+def test_versions_accumulate_and_log_reports_hashes(tmp_path):
+    repo = ProjectRepository(tmp_path)
     doc = lu_doc()
     repo.put("t", "p", doc, message="first")
     doc2 = dict(doc, name="renamed")
@@ -74,8 +74,8 @@ def test_versions_accumulate_and_log_reports_hashes():
     assert repo.get("t", "p") == doc2
 
 
-def test_fork_is_zero_copy_and_diffs_identical():
-    repo = ProjectRepository()
+def test_fork_is_zero_copy_and_diffs_identical(tmp_path):
+    repo = ProjectRepository(tmp_path)
     repo.put("t", "p", lu_doc())
     blobs_before = len(repo.blobs)
     info = repo.fork("t", "p", "u", "q")
@@ -86,8 +86,8 @@ def test_fork_is_zero_copy_and_diffs_identical():
     assert repo.get("u", "q") == repo.get("t", "p")
 
 
-def test_diff_reports_component_and_node_level_deltas():
-    repo = ProjectRepository()
+def test_diff_reports_component_and_node_level_deltas(tmp_path):
+    repo = ProjectRepository(tmp_path)
     doc = lu_doc()
     repo.put("t", "p", doc, message="v1")
     changed = {
@@ -109,8 +109,8 @@ def test_diff_reports_component_and_node_level_deltas():
     assert delta["nodes"]["added"] == [] and delta["nodes"]["removed"] == []
 
 
-def test_scenario_blob_rides_along():
-    repo = ProjectRepository()
+def test_scenario_blob_rides_along(tmp_path):
+    repo = ProjectRepository(tmp_path)
     scenario = {"type": "fault-scenario", "name": "s", "events": []}
     repo.put("t", "p", lu_doc(), scenario=scenario)
     assert repo.scenario("t", "p") == scenario
@@ -119,8 +119,8 @@ def test_scenario_blob_rides_along():
     assert repo.scenario("t", "p", 1) == scenario
 
 
-def test_rejects_documents_without_a_design():
-    repo = ProjectRepository()
+def test_rejects_documents_without_a_design(tmp_path):
+    repo = ProjectRepository(tmp_path)
     with pytest.raises(StoreError, match="design"):
         repo.put("t", "p", {"type": "banger-project", "name": "x"})
 
@@ -128,8 +128,8 @@ def test_rejects_documents_without_a_design():
 # --------------------------------------------------------------------- #
 # quotas
 # --------------------------------------------------------------------- #
-def test_project_count_quota():
-    repo = ProjectRepository(quota=TenantQuota(max_projects=2))
+def test_project_count_quota(tmp_path):
+    repo = ProjectRepository(tmp_path, quota=TenantQuota(max_projects=2))
     repo.put("t", "a", lu_doc())
     repo.put("t", "b", lu_doc())
     repo.put("t", "a", lu_doc())  # new version of an existing name is fine
@@ -143,20 +143,20 @@ def test_project_count_quota():
     assert [e["v"] for e in repo.log("t", "a")] == [1, 2]
 
 
-def test_version_depth_quota():
-    repo = ProjectRepository(quota=TenantQuota(max_versions_per_project=2))
+def test_version_depth_quota(tmp_path):
+    repo = ProjectRepository(tmp_path, quota=TenantQuota(max_versions_per_project=2))
     repo.put("t", "p", lu_doc())
     repo.put("t", "p", lu_doc())
     with pytest.raises(QuotaExceeded, match="version quota"):
         repo.put("t", "p", lu_doc())
 
 
-def test_byte_quota_counts_logical_bytes():
+def test_byte_quota_counts_logical_bytes(tmp_path):
     doc = lu_doc()
     from repro.graph.serialize import canonical_json
 
     size = len(canonical_json(doc))
-    repo = ProjectRepository(quota=TenantQuota(max_bytes=size + 10))
+    repo = ProjectRepository(tmp_path, quota=TenantQuota(max_bytes=size + 10))
     repo.put("t", "p", doc)
     assert repo.usage("t") == size
     with pytest.raises(QuotaExceeded, match="byte quota"):
@@ -172,14 +172,14 @@ def test_a_negative_limit_is_refused_when_the_quota_is_made(field):
         TenantQuota(**{field: -1})
 
 
-def test_corpus_tenant_is_quota_exempt():
-    repo = ProjectRepository(quota=TenantQuota(max_projects=1, max_bytes=10))
+def test_corpus_tenant_is_quota_exempt(tmp_path):
+    repo = ProjectRepository(tmp_path, quota=TenantQuota(max_projects=1, max_bytes=10))
     repo.put("corpus", "a", lu_doc())
     repo.put("corpus", "b", lu_doc())  # would violate both quotas
 
 
-def test_fork_respects_target_quota():
-    repo = ProjectRepository(quota=TenantQuota(max_projects=1))
+def test_fork_respects_target_quota(tmp_path):
+    repo = ProjectRepository(tmp_path, quota=TenantQuota(max_projects=1))
     repo.put("t", "p", lu_doc())
     repo.fork("t", "p", "u", "one")
     with pytest.raises(QuotaExceeded):
@@ -220,8 +220,8 @@ def test_gc_size_cap_trims_history_but_never_heads(tmp_path):
     assert missing > 0
 
 
-def test_stats_shape():
-    repo = ProjectRepository(quota=TenantQuota(max_projects=5))
+def test_stats_shape(tmp_path):
+    repo = ProjectRepository(tmp_path, quota=TenantQuota(max_projects=5))
     repo.put("t", "p", lu_doc())
     stats = repo.stats()
     assert stats["tenants"] == 1

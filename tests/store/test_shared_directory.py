@@ -1,15 +1,18 @@
 """One store directory, several processes: the directory is the only store.
 
-A disk-backed :class:`BlobStore` keeps no blob in memory, so it cannot
-answer for bytes another process deleted or that never reached the disk,
-and ``gc`` reads ``refs/`` as it is now.  Each test opens a second
-repository on the same ``tmp_path`` where a second process would.
+A :class:`BlobStore` keeps no blob and a :class:`RefStore` no ref in memory,
+so neither can answer for bytes another process deleted or that never
+reached the disk, and every query reads ``refs/`` as it is now.  Each test
+opens a second repository on the same ``tmp_path`` where a second process
+would.
 """
+
+import shutil
 
 import pytest
 
 from repro.cli import main
-from repro.errors import StoreError, StoreWriteError
+from repro.errors import StoreError, StoreNotFound, StoreWriteError
 from repro.graph.serialize import fingerprint
 from repro.server.store_api import store_request
 from repro.store import BlobStore, ProjectRepository, RefStore
@@ -33,16 +36,16 @@ def test_a_disk_store_keeps_no_blob_in_memory(tmp_path, doc):
     repo = ProjectRepository(tmp_path)
     repo.put("alice", "p", doc)
     assert repo.get("alice", "p") == doc
-    assert repo.blobs._mem is None
-    assert ProjectRepository().blobs._mem is not None  # memory mode: the dict
+    shutil.rmtree(tmp_path / "objects")
+    with pytest.raises(StoreError, match="no blob"):
+        repo.get("alice", "p")
 
 
 def test_put_rewrites_blobs_another_process_collected(tmp_path, doc):
     a = ProjectRepository(tmp_path)
     a.put("alice", "p", doc)
-    b = ProjectRepository(tmp_path)
-    b.refs.delete("alice", "p")
-    assert b.gc()["deleted"] > 0
+    (tmp_path / "refs" / "alice" / "p.json").unlink()  # another process
+    assert ProjectRepository(tmp_path).gc()["deleted"] > 0
     assert not dir_files(tmp_path / "objects")
 
     hits = a.blobs.stats.dedup_hits
@@ -85,6 +88,33 @@ def test_projects_put_on_an_unwritable_store_exits_one(
     assert err.startswith("error: cannot write blob") and "\n" not in err
 
 
+def test_a_project_one_process_stored_is_seen_by_another_at_once(tmp_path, doc):
+    daemon = ProjectRepository(tmp_path)  # opened before the put
+    ProjectRepository(tmp_path).put("alice", "p", doc)  # `banger projects put`
+    assert daemon.refs.tenants() == ["alice"]
+    assert daemon.get("alice", "p") == doc
+    assert [e["v"] for e in daemon.log("alice", "p")] == [1]
+
+
+def test_two_processes_taking_turns_lose_no_version(tmp_path, doc):
+    """Each append numbers its version from the file, not from what the
+    appending instance read before: A's v2 stays under B's v3."""
+    a, b = ProjectRepository(tmp_path), ProjectRepository(tmp_path)
+    a.put("alice", "p", doc, message="v1 by a")
+    edited = {**doc, "name": "edited"}
+    assert a.put("alice", "p", edited, message="v2 by a")["version"] == 2
+    assert b.put("alice", "p", doc, message="v3 by b")["version"] == 3
+    fork = b.fork("alice", "p", "alice", "q")
+    assert a.put("alice", "q", edited)["version"] == fork["version"] + 1 == 2
+
+    fresh = ProjectRepository(tmp_path)
+    assert [e["message"] for e in fresh.log("alice", "p")] == [
+        "v1 by a", "v2 by a", "v3 by b"
+    ]
+    assert fresh.get("alice", "p", 2) == a.get("alice", "p", 2) == edited
+    assert a.refs.head("alice", "p")["v"] == 3
+
+
 def test_gc_reads_the_refs_another_process_wrote(tmp_path, doc):
     daemon = ProjectRepository(tmp_path)
     ProjectRepository(tmp_path).put("alice", "p", doc)  # `banger projects put`
@@ -95,27 +125,40 @@ def test_gc_reads_the_refs_another_process_wrote(tmp_path, doc):
 
 
 def test_gc_keeps_a_ref_only_this_process_holds(tmp_path, doc):
-    """A ref whose file never landed stays live: disk wins, memory is kept."""
+    """No process holds a ref of its own: one whose file is deleted is gone
+    for every instance, the one that wrote it included, and ``gc`` sweeps
+    its blobs."""
     repo = ProjectRepository(tmp_path)
     repo.put("alice", "p", doc)
     (tmp_path / "refs" / "alice" / "p.json").unlink()
-    assert repo.gc()["deleted"] == 0
-    assert repo.get("alice", "p") == doc
+    for instance in (repo, ProjectRepository(tmp_path)):
+        assert not instance.refs.exists("alice", "p")
+        with pytest.raises(StoreNotFound, match="no project alice/p"):
+            instance.get("alice", "p")
+    assert repo.gc()["deleted"] > 0
+    assert not dir_files(tmp_path / "objects")
 
 
 def test_gc_keeps_a_version_whose_ref_write_failed(tmp_path, doc, monkeypatch):
-    """v1's file is on disk, v2's write failed: memory's longer history wins."""
+    """v1's file is on disk, v2's write failed: v2 is refused, never
+    acknowledged, and v1 stays the head every instance sees."""
     repo = ProjectRepository(tmp_path)
     repo.put("alice", "p", doc)
     edited = {**doc, "name": "edited"}
     monkeypatch.setattr("repro.store.refs.atomic_write_text", lambda *a: False)
-    assert repo.put("alice", "p", edited)["version"] == 2
-    assert len(RefStore(tmp_path).versions("alice", "p")) == 1  # the file: v1
-    assert repo.gc()["deleted"] == 0
-    assert repo.get("alice", "p") == edited
+    with pytest.raises(StoreWriteError, match="cannot write ref alice/p"):
+        repo.put("alice", "p", edited)
+    status, body = store_request(
+        repo, "POST", "/projects/alice/p", {"project": edited}
+    )
+    assert status == 500 and body["kind"] == "internal"
+    assert "cannot write ref" in body["message"]
+    for instance in (repo, ProjectRepository(tmp_path)):
+        assert [e["v"] for e in instance.log("alice", "p")] == [1]
+        assert instance.get("alice", "p") == doc
+    assert repo.gc()["deleted"] > 0  # the refused version's blobs
+    assert repo.get("alice", "p") == doc
 
-    monkeypatch.undo()  # the next write lands, so the file is the truth again
-    assert repo.put("alice", "p", doc)["version"] == 3
-    ProjectRepository(tmp_path).put("alice", "p", edited)  # another process: v4
-    repo.gc()
-    assert repo.refs.head("alice", "p")["v"] == 4
+    monkeypatch.undo()  # the next write lands and is numbered from the file
+    assert repo.put("alice", "p", edited)["version"] == 2
+    assert RefStore(tmp_path).head("alice", "p")["v"] == 2

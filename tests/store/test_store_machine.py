@@ -2,16 +2,17 @@
 
 Two :class:`ProjectRepository` instances open one directory, as a daemon and
 a ``banger projects`` process do, and take turns at ``put`` / ``fork`` /
-``get`` / ``gc(max_bytes)`` / reopening.  After every step a dict model is
-checked against a *freshly opened* repository: every head the model knows is
-readable and fingerprint-verified, a put wrote exactly the blobs the
-directory lacked (so ``dedup_hits`` never counts a blob that is not there),
-and every instance's ``stored_bytes`` is the bytes under ``objects/``.
+``get`` / ``gc(max_bytes)`` / reopening, all in one shared tenant.  A model
+keeps every version of every ref.  After every step it is checked against a
+*freshly opened* repository: each ref's ``log`` has the model's versions, in
+order, each version loads (``get(tenant, name, v)``, fingerprint-verified),
+a put wrote exactly the blobs the directory lacked (so ``dedup_hits`` never
+counts a blob that is not there), and every instance's ``stored_bytes`` is
+the bytes under ``objects/``.
 
-Each instance appends only to its own tenant: ``RefStore.append`` numbers a
-version from the history that instance holds, and it is ``gc`` alone that
-reads ``refs/`` again.  The same machine runs once in memory mode, where one
-instance is the whole store.
+A capped ``gc`` may trim the blobs of versions that are not a head ("heads
+always survive", docs/projects.md): the model keeps those versions in the
+count and the order, and stops requiring them to load.
 """
 
 import shutil
@@ -22,11 +23,10 @@ from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
-    precondition,
     rule,
 )
 
-from repro.graph.serialize import canonical_json
+from repro.graph.serialize import fingerprint
 from repro.store import ProjectRepository
 
 PROGRAMS = [f"input a\noutput b\nb := a + {k}" for k in range(3)]
@@ -55,105 +55,97 @@ def project_docs(draw) -> dict:
     return doc
 
 
-class StoreMachine(RuleBasedStateMachine):
-    """Disk mode: two instances and a fresh reader on one directory."""
+TENANT = "shared"
 
-    on_disk = True
+
+class StoreMachine(RuleBasedStateMachine):
+    """Two instances and a fresh reader on one directory, one tenant."""
 
     def __init__(self):
         super().__init__()
-        self.root = tempfile.mkdtemp(prefix="store-machine-") if self.on_disk else None
-        self.repos = [self._open() for _ in range(2 if self.on_disk else 1)]
-        self.model: dict[tuple[str, str], dict] = {}
+        self.root = tempfile.mkdtemp(prefix="store-machine-")
+        self.repos = [self._open() for _ in range(2)]
+        # name -> every version, oldest first: [document, must it load?]
+        self.model: dict[str, list[list]] = {}
 
     def teardown(self):
-        if self.root is not None:
-            shutil.rmtree(self.root, ignore_errors=True)
+        shutil.rmtree(self.root, ignore_errors=True)
 
     def _open(self) -> ProjectRepository:
+        """What a process starting now would see."""
         return ProjectRepository(self.root)
 
-    def _reader(self) -> ProjectRepository:
-        """What a process starting now would see."""
-        return self._open() if self.on_disk else self.repos[0]
-
-    def _who(self, who: int) -> tuple[ProjectRepository, str]:
-        who %= len(self.repos)
-        return self.repos[who], f"tenant{who}"
+    def _append(self, name: str, version: int, doc: dict) -> None:
+        history = self.model.setdefault(name, [])
+        assert version == len(history) + 1, "numbered from a stale history"
+        history.append([doc, True])
 
     # ------------------------------------------------------------------ #
     @rule(who=st.integers(0, 1), name=st.sampled_from(NAMES), doc=project_docs())
     def put(self, who, name, doc):
-        repo, tenant = self._who(who)
-        before = set(self._reader().blobs.digests())
+        repo = self.repos[who]
+        before = set(self._open().blobs.digests())
         stats = repo.blobs.stats
         puts, hits = stats.puts, stats.dedup_hits
-        repo.put(tenant, name, doc)
+        info = repo.put(TENANT, name, doc)
         stats = repo.blobs.stats
         written = (stats.puts - puts) - (stats.dedup_hits - hits)
-        appeared = set(self._reader().blobs.digests()) - before
+        appeared = set(self._open().blobs.digests()) - before
         assert written == len(appeared), "a dedup hit on a blob that is not there"
-        self.model[tenant, name] = doc
+        self._append(name, info["version"], doc)
 
     @rule(who=st.integers(0, 1), src=st.sampled_from(NAMES), dst=st.sampled_from(NAMES))
     def fork(self, who, src, dst):
-        repo, tenant = self._who(who)
-        if (tenant, src) in self.model:
-            repo.fork(tenant, src, tenant, dst)
-            self.model[tenant, dst] = self.model[tenant, src]
+        if src in self.model:
+            info = self.repos[who].fork(TENANT, src, TENANT, dst)
+            self._append(dst, info["version"], self.model[src][-1][0])
 
     @rule(who=st.integers(0, 1), name=st.sampled_from(NAMES))
     def get(self, who, name):
-        repo, tenant = self._who(who)
-        if (tenant, name) in self.model:
-            assert repo.get(tenant, name) == self.model[tenant, name]
+        if name in self.model:
+            assert self.repos[who].get(TENANT, name) == self.model[name][-1][0]
 
     @rule(who=st.integers(0, 1), max_bytes=st.sampled_from([None, 0, 400, 2000]))
     def gc(self, who, max_bytes):
-        repo, _ = self._who(who)
-        result = repo.gc(max_bytes)
+        result = self.repos[who].gc(max_bytes)
         assert result["stored_bytes"] == self._held_bytes()
+        if max_bytes is not None:
+            for history in self.model.values():
+                for version in history[:-1]:
+                    version[1] = False
 
-    @precondition(lambda self: self.on_disk)
     @rule(who=st.integers(0, 1))
     def reopen(self, who):
         self.repos[who] = self._open()
 
     # ------------------------------------------------------------------ #
     def _held_bytes(self) -> int:
-        if self.on_disk:
-            objects = Path(self.root, "objects")
-            return sum(p.stat().st_size for p in objects.rglob("*.json"))
-        blobs = self.repos[0].blobs
-        return sum(len(canonical_json(blobs.get(d))) for d in blobs.digests())
+        objects = Path(self.root, "objects")
+        return sum(p.stat().st_size for p in objects.rglob("*.json"))
 
     @invariant()
-    def every_head_is_readable_by_a_new_process(self):
-        reader = self._reader()
-        for (tenant, name), doc in self.model.items():
-            assert reader.get(tenant, name) == doc  # get verifies the fingerprint
+    def every_version_is_read_by_a_new_process(self):
+        reader = self._open()
+        assert reader.refs.projects(TENANT) == sorted(self.model)
+        for name, history in self.model.items():
+            log = reader.log(TENANT, name)
+            assert [e["v"] for e in log] == list(range(1, len(history) + 1))
+            for entry, (doc, loads) in zip(log, history):
+                if loads:  # get verifies the fingerprint
+                    assert entry["project"] == fingerprint(doc)
+                    assert reader.get(TENANT, name, entry["v"]) == doc
 
     @invariant()
     def stored_bytes_is_what_the_store_holds(self):
         held = self._held_bytes()
-        for repo in [*self.repos, self._reader()]:
+        for repo in [*self.repos, self._open()]:
             assert repo.stats()["blob"]["stored_bytes"] == held
 
 
-class MemoryMachine(StoreMachine):
-    """Memory mode: one instance is the store, and its own reader."""
-
-    on_disk = False
-
-
-_SETTINGS = settings(
+TestSharedDirectory = StoreMachine.TestCase
+TestSharedDirectory.settings = settings(
     max_examples=30,
     stateful_step_count=15,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-TestSharedDirectory = StoreMachine.TestCase
-TestSharedDirectory.settings = _SETTINGS
-TestMemoryStore = MemoryMachine.TestCase
-TestMemoryStore.settings = _SETTINGS
