@@ -14,11 +14,12 @@ Run:  python examples/heat_equation.py
 import numpy as np
 
 from repro.apps import heat_taskgraph, heat_taskgraph_split, reference_diffuse
+from repro.codegen import get_backend, lower
 from repro.graph import max_width
 from repro.graph.transform import splittable_tasks
 from repro.machine import MachineParams, make_machine
 from repro.sched import MHScheduler, predict_speedup
-from repro.sim import calibrate_works, run_dataflow, run_parallel
+from repro.sim import calibrate_works, run_dataflow
 from repro.viz import render_gantt, render_speedup_chart
 
 N, STEPS, KAPPA = 48, 3, 0.2
@@ -54,7 +55,7 @@ def main() -> None:
     machine = make_machine("full", 4, PARAMS)
     schedule = MHScheduler().schedule(split_cal, machine)
     print(render_gantt(schedule))
-    par = run_parallel(schedule)
+    par = get_backend("inproc").execute(lower(schedule))
     print(f"\nthreaded run matches: {np.allclose(par.outputs[f'u{STEPS}'], ref)} "
           f"({par.messages_sent} messages)")
 

@@ -11,10 +11,10 @@ Run:  python examples/montecarlo_pi.py
 import math
 
 from repro.apps import montecarlo_taskgraph, reference_pi
-from repro.codegen import generate, run_generated
+from repro.codegen import generate, run, run_generated
 from repro.machine import MachineParams, make_machine
 from repro.sched import MHScheduler, predict_speedup
-from repro.sim import calibrate_works, run_parallel, simulate
+from repro.sim import calibrate_works, simulate
 from repro.viz import render_gantt, render_speedup_chart, render_trace_gantt
 
 WORKERS = 8
@@ -43,8 +43,8 @@ def main() -> None:
           f"{trace.makespan():.2f} (static prediction {schedule.makespan():.2f})")
     print()
 
-    par = run_parallel(schedule)
-    estimate = float(par.outputs["pi_est"])
+    par = run(schedule, target="inproc")
+    estimate = float(par["pi_est"])
     print(f"threaded run: pi ~= {estimate}  (|err| = {abs(estimate - math.pi):.4f})")
     assert estimate == reference_pi(WORKERS, TRIALS)
 

@@ -1,8 +1,10 @@
 """Static verification of communication plans: the ``CG5xx`` rule family.
 
 The code generators (:mod:`repro.codegen`) lower a schedule to
-per-processor step sequences communicating over blocking
-``queue.Queue(maxsize=1)`` channels.  That protocol has exactly the failure
+per-processor step sequences communicating over single-message channels
+(:class:`repro.codegen.runtime.Channel`; a receive blocks until its
+message is there), modelled here as one-slot ``queue.Queue(maxsize=1)``
+queues.  That protocol has exactly the failure
 modes of real message passing — a receive with no sender, a message nobody
 consumes, two writers racing on one channel, and circular waits — and all
 of them are decidable *statically*, because the op sequences are finite and

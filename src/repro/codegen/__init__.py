@@ -5,7 +5,8 @@ One lowering IR, many targets: a schedule is lowered once to a
 backends (:mod:`repro.codegen.backends`) render or execute it:
 
 * ``threads`` — a runnable threaded message-passing Python program;
-* ``inproc`` — direct in-process execution of the IR, with an event trace;
+* ``inproc`` — the IR run in process on the PITS interpreter, with an
+  event trace;
 * ``mpi`` — an mpi4py script (one rank per processor);
 * ``c`` — C-like pseudocode for human review.
 
@@ -24,14 +25,13 @@ from repro.codegen.backends import (
     Backend,
     ExecutionResult,
     TraceEvent,
-    backend_names,
     get_backend,
     list_backends,
     run_generated,
     trace_problems,
 )
 from repro.codegen.ir import LoweredProgram, lower
-from repro.codegen.pits2py import function_name, gen_expr, gen_task_function, mangle
+from repro.codegen.pits2py import function_name, gen_task_function, mangle
 
 __all__ = [
     "BACKENDS",
@@ -40,9 +40,7 @@ __all__ = [
     "LoweredProgram",
     "TraceEvent",
     "as_lowered",
-    "backend_names",
     "function_name",
-    "gen_expr",
     "gen_task_function",
     "generate",
     "get_backend",

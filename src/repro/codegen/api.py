@@ -70,9 +70,11 @@ def run(
 ) -> dict[str, Any]:
     """Execute ``project_or_schedule`` on a runnable target; returns outputs.
 
-    ``inproc`` walks the IR directly; ``threads`` emits the program text
-    and executes it in a fresh namespace.  ``mpi`` and ``c`` raise
-    :class:`CodegenError` (their output runs on external runtimes).
+    Both run the IR on the one executor
+    (:func:`~repro.codegen.backends.inproc.run_workers`): ``inproc`` with
+    the PITS interpreter, ``threads`` with the task functions it emits.
+    ``mpi`` and ``c`` raise :class:`CodegenError` (their output runs on
+    external runtimes).
     """
     program = as_lowered(project_or_schedule, scheduler)
     return get_backend(target).run(program, inputs)

@@ -42,11 +42,6 @@ def get_backend(name: str) -> Backend:
     return cls()
 
 
-def backend_names() -> list[str]:
-    """Registered target names, sorted."""
-    return sorted(BACKENDS)
-
-
 def list_backends() -> list[dict[str, Any]]:
     """One descriptor per registered backend (name, description, abilities)."""
     out = []
@@ -72,7 +67,6 @@ __all__ = [
     "MpiBackend",
     "ThreadsBackend",
     "TraceEvent",
-    "backend_names",
     "get_backend",
     "list_backends",
     "run_generated",

@@ -1,19 +1,18 @@
-"""The ``inproc`` backend: execute the IR directly, no source round-trip.
+"""The one executor of a lowered program, and the ``inproc`` backend.
 
-Where the ``threads`` backend renders Python text and ``exec``\\ s it, this
-backend walks the :class:`~repro.codegen.ir.LoweredProgram` itself: one
-worker thread per used processor, a ``Queue(maxsize=1)`` per channel
-(:func:`run_workers` — the one worker loop, which the PITS-interpreter
-executor :mod:`repro.sim.threaded` drives too), task functions compiled
-once from the IR's stored Python bodies.  Besides the design outputs it
-returns a **timestamped event trace** — every compute, send, and receive
-with a global sequence number — which is what the ``exec_trace``
-conformance oracle checks against the schedule's precedence and channel
-plan (:func:`trace_problems`).
+:func:`run_workers` runs a :class:`~repro.codegen.ir.LoweredProgram` in
+this process: one thread per used processor
+(:func:`repro.codegen.runtime.run_procs`), a single-message channel per
+channel, and each step's task computed by the task function it is handed.
+``inproc`` hands it the PITS interpreter; ``threads`` the Python functions
+it emits.  Besides the design outputs it returns a **timestamped event
+trace** — every compute, send, and receive with a global sequence number —
+which is what the ``exec_trace`` conformance oracle checks against the
+schedule's precedence and channel plan (:func:`trace_problems`).
 
 Event-ordering guarantees the recorder enforces (and the oracle relies on):
 
-* a ``send`` event is recorded *before* its queue put, a ``recv`` event
+* a ``send`` event is recorded *before* its channel put, a ``recv`` event
   *after* its blocking get returns — so ``send.seq < recv.seq`` whenever a
   message actually flowed through a channel;
 * a ``compute`` event is recorded after the task function returns, after
@@ -23,24 +22,27 @@ Event-ordering guarantees the recorder enforces (and the oracle relies on):
 
 from __future__ import annotations
 
+import functools
 import queue
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+from repro.calc.interp import Interpreter
+from repro.calc.parser import parse
 from repro.codegen.backends.base import Backend, bound_inputs
-from repro.codegen.ir import Channel, ComputeStep, LoweredProgram, Procs
-from repro.codegen.pits2py import function_name
-from repro.errors import CodegenError, ReproError
+from repro.codegen.ir import Channel, ComputeStep, LoweredProgram
+from repro.codegen.runtime import Channel as MessageChannel, run_procs
+from repro.errors import CodegenError
 
 #: Seconds one worker may block on a single receive before declaring the
 #: run wedged (generous: trial runs are small).
 RECV_TIMEOUT = 30.0
 
-#: Put on a channel whose sender died, so its receiver stops waiting.
-_ABORTED = object()
+#: ``fn(env, display) -> outputs``: one task's routine, ``display`` taking
+#: each line it shows.  Copies of a task may run at once.
+TaskFunction = Callable[[dict[str, Any], Callable[[str], None]], dict[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -57,16 +59,6 @@ class TraceEvent:
     #: the channel for send/recv events; ``None`` for compute
     channel: Channel | None = None
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "t": self.t,
-            "kind": self.kind,
-            "proc": self.proc,
-            "task": self.task,
-            "channel": list(self.channel) if self.channel else None,
-        }
-
 
 @dataclass
 class ExecutionResult:
@@ -79,156 +71,132 @@ class ExecutionResult:
     def events_of(self, kind: str) -> list[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
 
+    @property
+    def procs_used(self) -> list[int]:
+        return sorted({e.proc for e in self.events_of("compute")})
 
-class _Recorder:
-    """Thread-safe event log with a global sequence counter."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._events: list[TraceEvent] = []
-        self._t0 = time.perf_counter()
-
-    def record(self, kind: str, proc: int, task: str, channel: Channel | None = None) -> None:
-        with self._lock:
-            self._events.append(
-                TraceEvent(
-                    seq=len(self._events),
-                    t=time.perf_counter() - self._t0,
-                    kind=kind,
-                    proc=proc,
-                    task=task,
-                    channel=channel,
-                )
-            )
-
-    def events(self) -> tuple[TraceEvent, ...]:
-        with self._lock:
-            return tuple(self._events)
-
-
-def compile_task_functions(program: LoweredProgram) -> dict[str, Callable[..., dict[str, Any]]]:
-    """Compile the IR's stored task bodies into callables, once per run."""
-    import numpy as _np
-
-    from repro.codegen import runtime as _rt
-
-    namespace: dict[str, Any] = {
-        "__name__": "banger_inproc",
-        "_np": _np,
-        "_rt": _rt,
-    }
-    fns: dict[str, Callable[..., dict[str, Any]]] = {}
-    for task in program.task_order:
-        code = program.tasks[task].python
-        exec(compile(code, f"<banger-ir:{task}>", "exec"), namespace)
-        fns[task] = namespace[function_name(task)]
-    return fns
+    @property
+    def messages_sent(self) -> int:
+        return len(self.events_of("send"))
 
 
 def run_workers(
-    procs: Procs,
-    channels: Iterable[Channel],
-    output_sources: dict[str, tuple[str, int]],
-    bound: dict[str, Any],
-    run_step: Callable[[ComputeStep, dict[str, Any]], dict[str, Any]],
-    record: Callable[..., None],
-    error: type[ReproError],
-) -> dict[str, Any]:
-    """Run lowered step lists on one thread per processor; returns outputs.
+    program: LoweredProgram,
+    inputs: dict[str, Any] | None,
+    tasks: dict[str, TaskFunction],
+) -> ExecutionResult:
+    """Run ``program`` on one thread per processor, once every graph input
+    has a value (:func:`bound_inputs`).
 
-    Each step binds its graph inputs from ``bound``, reads locals from its
-    processor's store, blocks on its receives, calls ``run_step(step, env)``
-    for the task's output values, stores them, then sends.  ``record`` is
-    told of every ``recv``/``compute``/``send`` in the order documented on
-    this module.  Protocol failures (receive timeout, wedged thread, missing
-    graph output) raise ``error``; the first exception a worker raises is
-    re-raised here.  A worker that stops early puts :data:`_ABORTED` on the
-    channels it still owed, so its consumers stop too instead of waiting out
-    :data:`RECV_TIMEOUT`.
+    Each step binds its graph inputs, reads locals from its processor's
+    store, blocks on its receives, calls ``tasks[step.task](env, display)``
+    for the task's output values, stores them, then sends; every
+    ``recv``/``compute``/``send`` is recorded in the order documented on
+    this module.  Protocol failures (receive timeout, wedged thread, a
+    variable read or sent that its task did not produce, missing graph
+    output) raise :class:`CodegenError`.  The first exception a worker
+    raises closes every channel, so no other worker waits for a message
+    that will not come, and is re-raised here.
     """
-    queues: dict[Channel, queue.Queue] = {
-        chan: queue.Queue(maxsize=1) for chan in channels
-    }
-    stores: dict[int, dict[tuple[str, str], Any]] = {p: {} for p in procs}
-    failures: list[BaseException] = []
+    bound = bound_inputs(program, inputs)
+    chans = {chan: MessageChannel() for chan in program.channels}
+    stores: dict[int, dict[tuple[str, str], Any]] = {p: {} for p in program.procs}
+    displays: list[str] = []
+    events: list[TraceEvent] = []
+    lock = threading.Lock()
+    t0 = time.perf_counter()
 
-    def worker(proc: int) -> None:
-        store = stores[proc]
-        owed = deque(
-            ComputeStep.send_channel(s) for step in procs[proc] for s in step.sends
-        )
+    def record(kind: str, proc: int, task: str, channel: Channel | None = None) -> None:
+        with lock:
+            events.append(TraceEvent(
+                len(events), time.perf_counter() - t0, kind, proc, task, channel))
+
+    def produced(store: dict[tuple[str, str], Any], task: str, var: str) -> Any:
         try:
-            for step in procs[proc]:
-                env: dict[str, Any] = {}
-                for var in step.graph_inputs:
-                    env[var] = bound[var]
-                for read in step.reads:
-                    if read.var:
-                        env[read.var] = store[(read.src_task, read.var)]
-                for recv in step.recvs:
-                    chan = step.recv_channel(recv)
-                    try:
-                        value = queues[chan].get(timeout=RECV_TIMEOUT)
-                    except queue.Empty:
-                        raise error(
-                            f"processor {proc}: timed out waiting for "
-                            f"{recv.var!r} from {recv.src_task!r} "
-                            f"(processor {recv.src_proc})"
-                        ) from None
-                    if value is _ABORTED:
-                        return
-                    record("recv", proc, step.task, chan)
-                    if recv.var:
-                        env[recv.var] = value
-                out = run_step(step, env)
-                record("compute", proc, step.task)
-                for var, value in out.items():
-                    store[(step.task, var)] = value
-                for send in step.sends:
-                    chan = owed[0]
-                    record("send", proc, step.task, chan)
-                    queues[chan].put(store.get((send.src_task, send.var)))
-                    owed.popleft()
-        except BaseException as exc:  # propagate to the caller's thread
-            failures.append(exc)
-        finally:
-            for chan in owed:
-                try:
-                    queues[chan].put_nowait(_ABORTED)
-                except queue.Full:
-                    pass  # a second writer got there first; the reader wakes anyway
+            return store[(task, var)]
+        except KeyError:
+            raise CodegenError(f"task {task!r} did not produce {var!r}") from None
 
-    threads = [
-        threading.Thread(target=worker, args=(p,), name=f"proc{p}", daemon=True)
-        for p in procs
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=RECV_TIMEOUT * 4)
-        if t.is_alive():
-            raise error(f"thread {t.name} did not finish (deadlock?)")
-    if failures:
-        raise failures[0]
+    def worker(proc: int, chans: dict[Channel, MessageChannel]) -> None:
+        store = stores[proc]
+        for step in program.procs[proc]:
+            env = {var: bound[var] for var in step.graph_inputs}
+            for read in step.reads:
+                if read.var:
+                    env[read.var] = produced(store, read.src_task, read.var)
+            for recv in step.recvs:
+                chan = step.recv_channel(recv)
+                try:
+                    value = chans[chan].get(timeout=RECV_TIMEOUT)
+                except queue.Empty:
+                    raise CodegenError(
+                        f"processor {proc}: timed out waiting for "
+                        f"{recv.var!r} from {recv.src_task!r} "
+                        f"(processor {recv.src_proc})"
+                    ) from None
+                record("recv", proc, step.task, chan)
+                if recv.var:
+                    env[recv.var] = value
+            out = tasks[step.task](
+                env, lambda line, task=step.task: displays.append(f"{task}: {line}"))
+            record("compute", proc, step.task)
+            for var, value in out.items():
+                store[(step.task, var)] = value
+            for send in step.sends:
+                # a control arc carries no datum
+                value = produced(store, send.src_task, send.var) if send.var else None
+                chan = ComputeStep.send_channel(send)
+                record("send", proc, step.task, chan)
+                chans[chan].put(value)
+
+    try:
+        run_procs(
+            {p: functools.partial(worker, p) for p in program.procs}, chans,
+            timeout=RECV_TIMEOUT * 4,
+        )
+    except TimeoutError as exc:
+        raise CodegenError(str(exc)) from None
 
     outputs: dict[str, Any] = {}
-    for var, (producer, proc) in output_sources.items():
+    for var, (producer, proc) in program.output_sources.items():
         try:
             outputs[var] = stores[proc][(producer, var)]
         except KeyError:
-            raise error(
+            raise CodegenError(
                 f"graph output {var!r} missing from processor {proc}"
             ) from None
-    return outputs
+    return ExecutionResult(outputs=outputs, displays=displays, events=tuple(events))
+
+
+def interpreted(task: str, source: str) -> TaskFunction:
+    """``task``'s PITS ``source``, run by the interpreter on the program's
+    declared inputs.  Each call builds its own :class:`Interpreter` (the
+    parse is the shared fact table's), so copies can run at once."""
+    program = parse(source)
+
+    def run(env: dict[str, Any], display: Callable[[str], None]) -> dict[str, Any]:
+        missing = [v for v in program.inputs if v not in env]
+        if missing:
+            raise CodegenError(
+                f"task {task!r}: program inputs {missing} are not supplied "
+                f"by any in-edge or graph input (available: {sorted(env)})"
+            )
+        result = Interpreter(program).run(**{v: env[v] for v in program.inputs})
+        for line in result.displayed:
+            display(line)
+        return result.outputs
+
+    return run
 
 
 class InprocBackend(Backend):
-    """Direct IR execution on worker threads, with an event trace."""
+    """The lowered program run in process on the PITS interpreter, with an
+    event trace."""
 
     name = "inproc"
     description = (
-        "execute the lowered IR in-process (thread per processor), "
-        "returning outputs and an event trace"
+        "run the lowered program in-process (thread per processor) on the "
+        "PITS interpreter, returning outputs and an event trace"
     )
     emits_source = False
     runnable = True
@@ -241,26 +209,8 @@ class InprocBackend(Backend):
     def execute(
         self, program: LoweredProgram, inputs: dict[str, Any] | None = None
     ) -> ExecutionResult:
-        bound = bound_inputs(program, inputs)
-        fns = compile_task_functions(program)
-        recorder = _Recorder()
-        displays: list[str] = []
-        display_lock = threading.Lock()
-
-        def run_step(step: ComputeStep, env: dict[str, Any]) -> dict[str, Any]:
-            def display(line: str) -> None:
-                with display_lock:
-                    displays.append(f"{step.task}: {line}")
-
-            return fns[step.task](env, display)
-
-        outputs = run_workers(
-            program.procs, program.channels, program.output_sources,
-            bound, run_step, recorder.record, CodegenError,
-        )
-        return ExecutionResult(
-            outputs=outputs, displays=displays, events=recorder.events()
-        )
+        tasks = {t: interpreted(t, code.pits) for t, code in program.tasks.items()}
+        return run_workers(program, inputs, tasks)
 
 
 # --------------------------------------------------------------------- #

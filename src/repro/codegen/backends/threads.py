@@ -1,11 +1,14 @@
-"""The ``threads`` backend: the runnable threads+queues Python program.
+"""The ``threads`` backend: the runnable threaded message-passing program.
 
-This is the historical ``generate_python`` output, re-rooted on the
-lowering IR: the emitted text is byte-identical to what the plan-walking
-generator produced (the golden files under
-``tests/codegen/golden/`` pin this), but every structural decision — step
-order, channel set, task-function bodies — now comes from the shared
-:class:`~repro.codegen.ir.LoweredProgram`.
+The emitted program (pinned by the golden files under
+``tests/codegen/golden/``) takes every structural decision — step order,
+channel set, task-function bodies — from the shared
+:class:`~repro.codegen.ir.LoweredProgram`.  It runs one thread per
+processor over single-message channels (:func:`repro.codegen.runtime.run_procs`),
+and its ``main`` ends with the first processor's exception.
+
+:meth:`ThreadsBackend.run` compiles the emitted task functions and runs
+them on the one executor, :func:`~repro.codegen.backends.inproc.run_workers`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.codegen.backends.base import Backend, bound_inputs
+from repro.codegen import runtime as _rt
+from repro.codegen.backends.base import Backend
+from repro.codegen.backends.inproc import TaskFunction, run_workers
 from repro.codegen.ir import ComputeStep, LoweredProgram
 from repro.codegen.pits2py import function_name
 from repro.errors import CodegenError
@@ -42,7 +47,7 @@ class ThreadsBackend(Backend):
     name = "threads"
     description = (
         "runnable Python program: one thread per processor, "
-        "queue-backed channels"
+        "single-message channels"
     )
     emits_source = True
     runnable = True
@@ -58,9 +63,6 @@ class ThreadsBackend(Backend):
             f"Predicted makespan: {program.makespan:.3f} time units"
         )
         lines.append(f'"""{doc}\n"""')
-        lines.append("")
-        lines.append("import queue as _queue")
-        lines.append("import threading as _threading")
         lines.append("")
         lines.append("import numpy as _np")
         lines.append("")
@@ -99,29 +101,28 @@ class ThreadsBackend(Backend):
 
         # --- main ----------------------------------------------------------- #
         lines.append("def main(inputs=None):")
-        lines.append(f'{_I}"""Run the parallel program; returns the design outputs."""')
+        lines.append(
+            f'{_I}"""Run the parallel program; returns the design outputs, or '
+            f'raises\n{_I}the first exception a processor raised."""'
+        )
         lines.append(f"{_I}values = dict(_INPUT_DEFAULTS)")
         lines.append(f"{_I}values.update(inputs or {{}})")
         if channel_keys:
             lines.append(f"{_I}channels = {{")
             for key in channel_keys:
-                lines.append(f"{_I}{_I}{key}: _queue.Queue(maxsize=1),")
+                lines.append(f"{_I}{_I}{key}: _rt.Channel(),")
             lines.append(f"{_I}}}")
         else:
             lines.append(f"{_I}channels = {{}}")
         lines.append(f"{_I}results = {{}}")
         lines.append(f"{_I}displays = []")
-        lines.append(f"{_I}threads = [")
+        lines.append(f"{_I}procs = {{")
         for proc in used_procs:
-            lines.append(
-                f"{_I}{_I}_threading.Thread(target=_proc_{proc}, "
-                f"args=(channels, values, results, displays), name='proc{proc}'),"
-            )
-        lines.append(f"{_I}]")
-        lines.append(f"{_I}for t in threads:")
-        lines.append(f"{_I}{_I}t.start()")
-        lines.append(f"{_I}for t in threads:")
-        lines.append(f"{_I}{_I}t.join()")
+            lines.append(f"{_I}{_I}{proc}: _proc_{proc},")
+        lines.append(f"{_I}}}")
+        lines.append(
+            f"{_I}_rt.run_procs(procs, channels, values, results, displays)"
+        )
         lines.append(f"{_I}for line in displays:")
         lines.append(f"{_I}{_I}print(line)")
         out_items = ", ".join(
@@ -140,10 +141,23 @@ class ThreadsBackend(Backend):
     def run(
         self, program: LoweredProgram, inputs: dict[str, Any] | None = None
     ) -> dict[str, Any]:
-        """Emit the source and execute it in a fresh namespace, once every
-        graph input has a value (:func:`bound_inputs`)."""
-        bound_inputs(program, inputs)
-        return run_generated(self.emit(program), inputs)
+        """Run the emitted task functions on the one executor."""
+        return run_workers(program, inputs, compile_task_functions(program)).outputs
+
+
+def compile_task_functions(program: LoweredProgram) -> dict[str, TaskFunction]:
+    """Compile the IR's stored task bodies into callables, once per run."""
+    namespace: dict[str, Any] = {
+        "__name__": "banger_threads",
+        "_np": np,
+        "_rt": _rt,
+    }
+    fns: dict[str, TaskFunction] = {}
+    for task in program.task_order:
+        code = program.tasks[task].python
+        exec(compile(code, f"<banger-ir:{task}>", "exec"), namespace)
+        fns[task] = namespace[function_name(task)]
+    return fns
 
 
 def _gen_proc_function(program: LoweredProgram, proc: int) -> list[str]:

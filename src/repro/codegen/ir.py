@@ -6,8 +6,8 @@ execution layer does with it:
 
 * the ``threads`` backend renders it as the threaded message-passing
   Python program (:mod:`repro.codegen.backends.threads`);
-* the ``inproc`` backend executes it directly on a thread pool with no
-  source round-trip (:mod:`repro.codegen.backends.inproc`);
+* the ``inproc`` backend runs it in process, each task on the PITS
+  interpreter (:mod:`repro.codegen.backends.inproc`);
 * the ``mpi`` and ``c`` backends render mpi4py / C-pseudocode listings;
 * the static concurrency analyzer (:mod:`repro.analysis.concurrency`)
   extracts its channel-op sequences from the same step lists, so whatever

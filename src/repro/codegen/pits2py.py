@@ -154,11 +154,6 @@ def _declared_names(program: ast.Program) -> frozenset[str]:
     return program.declared | loop_vars
 
 
-def gen_expr(e: ast.Expr, declared: frozenset[str] = frozenset()) -> str:
-    """Python expression text for a PITS expression (standalone helper)."""
-    return _Translator(declared).expr(e)
-
-
 def function_name(task: str) -> str:
     """A safe Python function name for a (possibly dotted) task name."""
     safe = "".join(c if c.isalnum() else "_" for c in task)

@@ -5,12 +5,18 @@ semantics are *identical* to the PITS interpreter's (1-based subscripts,
 value-semantics assignment, the same builtin implementations and domain
 errors).  Keeping one implementation here is what lets the test suite assert
 bit-for-bit equality between interpreted and generated runs.
+
+It also holds the message-passing layer every in-process run shares: the
+single-message :class:`Channel` and :func:`run_procs`, which runs one
+thread per processor and ends the run on the first processor's exception.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
+import queue
+import threading
+from typing import Any, Callable
 
 import numpy as np
 
@@ -18,7 +24,7 @@ from repro.calc.builtins import BUILTINS, CONSTANTS
 from repro.errors import CalcRuntimeError, CalcTypeError
 
 __all__ = ["call", "get", "set_", "assign", "div", "mod", "power", "display_line",
-           "CONSTANTS", "for_range"]
+           "CONSTANTS", "for_range", "Channel", "ChannelClosed", "run_procs"]
 
 
 def call(name: str, *args: Any) -> Any:
@@ -118,3 +124,70 @@ def display_line(*parts: Any) -> str:
         else:
             rendered.append(str(v))
     return " ".join(rendered)
+
+
+class ChannelClosed(Exception):
+    """A receive on a channel that a failing run closed."""
+
+
+_CLOSED = object()
+
+
+class Channel(queue.SimpleQueue):
+    """One single-message channel between two processors: ``put`` never
+    blocks, ``get`` blocks until the message is there (``queue.Empty``
+    after ``timeout`` seconds).  :meth:`close` makes a ``get`` that finds
+    no message raise :class:`ChannelClosed`."""
+
+    def get(self, block: bool = True, timeout: float | None = None) -> Any:
+        value = super().get(block, timeout)
+        if value is _CLOSED:
+            raise ChannelClosed
+        return value
+
+    def close(self) -> None:
+        self.put(_CLOSED)
+
+
+def run_procs(
+    procs: dict[int, Callable[..., None]],
+    channels: dict[Any, Channel],
+    *args: Any,
+    timeout: float | None = None,
+) -> None:
+    """Call ``procs[p](channels, *args)`` on one thread per processor ``p``.
+
+    The first processor to raise ends the run: it closes every channel, so
+    each other processor stops at the first receive it waits on, and its
+    exception is raised here once every thread has finished.  A thread
+    still running ``timeout`` seconds after its turn to be joined closes
+    the channels and raises :class:`TimeoutError`.
+    """
+    failures: list[BaseException] = []
+
+    def close_all() -> None:
+        for chan in channels.values():
+            chan.close()
+
+    def guarded(proc: Callable[..., None]) -> None:
+        try:
+            proc(channels, *args)
+        except ChannelClosed:
+            pass  # stopped by another processor's failure
+        except BaseException as exc:  # re-raised in the caller's thread
+            failures.append(exc)
+            close_all()
+
+    threads = [
+        threading.Thread(target=guarded, args=(proc,), name=f"proc{p}", daemon=True)
+        for p, proc in procs.items()
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+        if t.is_alive():
+            close_all()
+            raise TimeoutError(f"thread {t.name} did not finish (deadlock?)")
+    if failures:
+        raise failures[0]

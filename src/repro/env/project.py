@@ -17,6 +17,7 @@ from typing import Any, Sequence
 from repro.calc.cost import measure_work
 from repro.calc.interp import RunResult, run_program
 from repro.calc.panel import CalculatorPanel
+from repro.codegen.backends import ExecutionResult, get_backend
 from repro.errors import ReproError, ValidationError, malformed_as
 from repro.graph.dataflow import DataflowGraph
 from repro.graph.hierarchy import flatten
@@ -37,7 +38,6 @@ from repro.sched.service import (
 )
 from repro.sched.sweeps import SpeedupReport
 from repro.sim.dataflow_exec import DataflowResult, run_dataflow
-from repro.sim.threaded import ParallelResult, run_parallel
 from repro.env.feedback import Feedback, project_feedback
 from repro.viz.gantt import render_gantt, render_gantt_series
 from repro.viz.graphs import render_dataflow
@@ -399,9 +399,10 @@ class BangerProject:
 
     def run_parallel(
         self, inputs: dict[str, Any] | None = None, scheduler: str | Scheduler = "mh"
-    ) -> ParallelResult:
-        """Real threaded run of the scheduled design."""
-        return run_parallel(self.schedule(scheduler), inputs)
+    ) -> ExecutionResult:
+        """Real threaded run of the scheduled design: its lowered program
+        (:meth:`lower`) on the ``inproc`` backend."""
+        return get_backend("inproc").execute(self.lower(scheduler), inputs)
 
     # ------------------------------------------------------------------ #
     # step 4: code generation

@@ -1,4 +1,4 @@
-"""Execution substrate: simulated target machines and real executors.
+"""Execution substrate: simulated target machines and the reference executor.
 
 * :func:`simulate` — discrete-event replay of a schedule on the machine
   model (our stand-in for the paper's physical hypercubes), with optional
@@ -7,10 +7,11 @@
   factors and a fault scenario; returns a :class:`DynamicTrace`;
 * :func:`run_dataflow` — sequential reference execution of a design's PITS
   programs (semantic ground truth);
-* :func:`run_parallel` / :class:`ThreadedExecutor` — real threads + queues
-  executing the schedule's message-passing program
-  (:func:`repro.codegen.ir.lower_steps`) with the PITS interpreter;
 * :func:`calibrate_works` — measure task weights by trial-running a design.
+
+A schedule's message-passing program runs on real threads through
+:mod:`repro.codegen`: ``repro.codegen.run(schedule, target="inproc")``
+executes its lowered program with the PITS interpreter.
 """
 
 from repro.sim.dataflow_exec import (
@@ -28,7 +29,6 @@ from repro.sim.dynamic import (
 )
 from repro.sim.engine import EventEngine
 from repro.sim.stats import TaskTiming, TraceStats, trace_statistics
-from repro.sim.threaded import ParallelResult, ThreadedExecutor, run_parallel
 from repro.sim.trace import MessageHop, TaskRun, Trace, compare_with_static
 
 __all__ = [
@@ -36,10 +36,8 @@ __all__ = [
     "DynamicTrace",
     "EventEngine",
     "MessageHop",
-    "ParallelResult",
     "TaskRun",
     "TaskTiming",
-    "ThreadedExecutor",
     "Trace",
     "TraceStats",
     "trace_statistics",
@@ -48,7 +46,6 @@ __all__ = [
     "compare_with_static",
     "required_outputs",
     "run_dataflow",
-    "run_parallel",
     "run_task",
     "simulate",
     "simulate_dynamic",

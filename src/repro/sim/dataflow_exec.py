@@ -2,8 +2,9 @@
 
 This is the semantic ground truth: run every task's routine in topological
 order, passing each edge's variable from producer to consumer.  The threaded
-executor and the generated message-passing programs must produce exactly the
-same outputs (tested), differing only in *where* and *when* tasks run.
+runs of a lowered program (:mod:`repro.codegen`) and the generated
+message-passing programs must produce exactly the same outputs (tested),
+differing only in *where* and *when* tasks run.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ from repro.apps import (
 from repro.graph import max_width
 from repro.machine import MachineParams, make_machine
 from repro.sched import check_schedule, get_scheduler
-from repro.sim import run_dataflow, run_parallel
+from repro.codegen import run
+from repro.sim import run_dataflow
 
 CHEAP = MachineParams(msg_startup=0.1, transmission_rate=100.0)
 
@@ -70,9 +71,9 @@ class TestSplitting:
         machine = make_machine("full", 4, CHEAP)
         schedule = get_scheduler("mh").schedule(split, machine)
         check_schedule(schedule)
-        par = run_parallel(schedule)
+        par = run(schedule, target="inproc")
         ref = run_dataflow(heat_taskgraph(16, 2))
-        np.testing.assert_allclose(par.outputs["u2"], ref.outputs["u2"])
+        np.testing.assert_allclose(par["u2"], ref.outputs["u2"])
 
     def test_split_improves_speedup(self):
         from repro.sched import predict_speedup

@@ -7,7 +7,8 @@ from repro.apps import lu3_design, lu3_taskgraph, solve3
 from repro.graph import count_primitive_tasks, depth, flatten
 from repro.machine import NCUBE_LIKE, make_machine
 from repro.sched import check_schedule, get_scheduler
-from repro.sim import run_dataflow, run_parallel
+from repro.codegen import run
+from repro.sim import run_dataflow
 
 
 def random_spd_system(seed):
@@ -81,8 +82,8 @@ class TestScheduledExecution:
         machine = make_machine("hypercube", 4, NCUBE_LIKE)
         schedule = get_scheduler(sched_name).schedule(lu3_taskgraph(), machine)
         check_schedule(schedule)
-        par = run_parallel(schedule, {"A": A, "b": b})
-        np.testing.assert_allclose(par.outputs["x"], np.linalg.solve(A, b), rtol=1e-10)
+        par = run(schedule, inputs={"A": A, "b": b}, target="inproc")
+        np.testing.assert_allclose(par["x"], np.linalg.solve(A, b), rtol=1e-10)
 
     def test_bound_inputs_flow_through(self):
         A, b = random_spd_system(4)

@@ -7,7 +7,8 @@ from repro.apps import lun_design, lun_taskgraph, solve_n
 from repro.graph import average_parallelism, max_width
 from repro.machine import MachineParams, make_machine
 from repro.sched import check_schedule, get_scheduler, predict_speedup
-from repro.sim import calibrate_works, run_dataflow, run_parallel
+from repro.codegen import run
+from repro.sim import calibrate_works, run_dataflow
 
 CHEAP = MachineParams(msg_startup=0.1, transmission_rate=50.0)
 
@@ -78,8 +79,8 @@ class TestScheduledExecution:
         machine = make_machine("hypercube", 4, CHEAP)
         schedule = get_scheduler(sched_name).schedule(lun_taskgraph(n), machine)
         check_schedule(schedule)
-        par = run_parallel(schedule, {"A": A, "b": b})
-        np.testing.assert_allclose(par.outputs["x"], np.linalg.solve(A, b), rtol=1e-9)
+        par = run(schedule, inputs={"A": A, "b": b}, target="inproc")
+        np.testing.assert_allclose(par["x"], np.linalg.solve(A, b), rtol=1e-9)
 
     def test_generated_code_correct(self):
         from repro.codegen import generate, run_generated

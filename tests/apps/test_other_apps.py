@@ -18,7 +18,7 @@ from repro.apps import (
 from repro.graph import average_parallelism, flatten, max_width
 from repro.machine import MachineParams, make_machine
 from repro.sched import check_schedule, get_scheduler
-from repro.sim import run_parallel
+from repro.codegen import run
 
 CHEAP = MachineParams(msg_startup=0.05, transmission_rate=50.0)
 
@@ -51,8 +51,8 @@ class TestMatmul:
         machine = make_machine("full", 4, CHEAP)
         schedule = get_scheduler("mh").schedule(matmul_taskgraph(4), machine)
         check_schedule(schedule)
-        par = run_parallel(schedule, {"A": A, "B": B})
-        np.testing.assert_allclose(par.outputs["C"], A @ B, rtol=1e-10)
+        par = run(schedule, inputs={"A": A, "B": B}, target="inproc")
+        np.testing.assert_allclose(par["C"], A @ B, rtol=1e-10)
 
 
 class TestPipeline:
@@ -101,8 +101,8 @@ class TestMonteCarlo:
         tg = montecarlo_taskgraph(4, 100)
         machine = make_machine("hypercube", 4, CHEAP)
         schedule = get_scheduler("mh").schedule(tg, machine)
-        par = run_parallel(schedule)
-        assert float(par.outputs["pi_est"]) == reference_pi(4, 100)
+        par = run(schedule, target="inproc")
+        assert float(par["pi_est"]) == reference_pi(4, 100)
 
     def test_speedup_is_real_for_wide_graph(self):
         """The embarrassingly parallel app must actually predict speedup."""

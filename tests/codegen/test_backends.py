@@ -1,9 +1,9 @@
 """Pluggable backends: registry shape, golden byte-identity on every
 example project, and cross-backend execution equivalence.
 
-The golden files under ``tests/codegen/golden/`` were captured from the
-pre-IR generators; the refactored backends must keep emitting the same
-bytes so existing saved programs never change under users.
+The golden files under ``tests/codegen/golden/`` pin every emitted byte,
+so a saved program never changes under users by accident; a deliberate
+change to emitted source re-bases them in the change that makes it.
 """
 
 import math
@@ -14,7 +14,6 @@ import pytest
 
 from repro.codegen import (
     BACKENDS,
-    backend_names,
     generate,
     get_backend,
     list_backends,
@@ -58,7 +57,7 @@ def synth_inputs(tg) -> dict:
 
 class TestRegistry:
     def test_all_four_backends_registered(self):
-        assert backend_names() == ["c", "inproc", "mpi", "threads"]
+        assert [e["name"] for e in list_backends()] == ["c", "inproc", "mpi", "threads"]
         assert set(BACKENDS) == {"threads", "inproc", "mpi", "c"}
 
     def test_get_backend_unknown(self):
@@ -122,6 +121,31 @@ class TestBackendEquivalence:
             assert set(out) == set(reference.outputs)
             for var, value in reference.outputs.items():
                 np.testing.assert_array_equal(out[var], value, err_msg=var)
+
+    def test_each_runnable_backend_reads_only_its_own_rendering(self):
+        """``inproc`` runs the PITS source and ``threads`` the Python it
+        emits: blanking the other rendering changes neither's outputs."""
+        import dataclasses
+
+        from repro.codegen.ir import TaskCode
+
+        project = load_project("lu_decomposition")
+        inputs = synth_inputs(project.flat())
+        program = project.lower()
+        expected = get_backend("inproc").run(program, inputs)
+
+        def blank(field):
+            tasks = {
+                task: dataclasses.replace(code, **{field: ""})
+                for task, code in program.tasks.items()
+            }
+            return dataclasses.replace(program, tasks=tasks)
+
+        for target, field in (("inproc", "python"), ("threads", "pits")):
+            got = get_backend(target).run(blank(field), inputs)
+            assert set(got) == set(expected)
+            for var, value in expected.items():
+                np.testing.assert_array_equal(got[var], value, err_msg=var)
 
     @pytest.mark.parametrize("name", EXAMPLES)
     def test_inproc_trace_is_clean(self, name):

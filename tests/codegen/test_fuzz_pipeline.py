@@ -16,13 +16,14 @@ from repro.codegen import (
     function_name,
     gen_task_function,
     generate,
+    run,
     run_generated,
 )
 from repro.codegen import runtime as _rt
 from repro.graph import DataflowGraph, flatten
 from repro.machine import MachineParams, make_machine
 from repro.sched import get_scheduler
-from repro.sim import run_dataflow, run_parallel
+from repro.sim import run_dataflow
 
 
 def _expr_from(tree, names) -> str:
@@ -138,9 +139,9 @@ def test_full_pipeline_equivalence(trees1, trees2, inputs):
 
     machine = make_machine("full", 2, MachineParams(msg_startup=0.5))
     schedule = get_scheduler("roundrobin").schedule(tg, machine)
-    par = run_parallel(schedule)
+    par = run(schedule, target="inproc")
     gen = run_generated(generate(schedule, target="threads"))
 
     for key in ("x", "y"):
-        assert par.outputs[key] == seq.outputs[key]
+        assert par[key] == seq.outputs[key]
         assert gen[key] == seq.outputs[key]

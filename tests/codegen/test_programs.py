@@ -1,5 +1,10 @@
 """Tests for whole-program generation (Python, mpi4py-style, C-like)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,7 +14,9 @@ from repro.graph import DataflowGraph, TaskGraph, flatten
 from repro.machine import MachineParams, make_machine, single_processor
 from repro.sched import Schedule, get_scheduler
 from repro.sim import run_dataflow
+from tests.sim.test_threaded import failing_producer_schedule
 
+SRC = pathlib.Path(__file__).parent.parent.parent / "src"
 PARAMS = MachineParams(msg_startup=1.0, transmission_rate=2.0)
 
 
@@ -170,3 +177,21 @@ class TestGenerateC:
         s.add("bare", 0, 0.0, 1.0)
         with pytest.raises(CodegenError):
             generate(s, target="c")
+
+
+def test_a_standalone_program_exits_with_its_task_error(tmp_path):
+    """Run as ``python prog.py``, the emitted program of a design whose
+    producer divides by zero ends with that error: the consumer waiting
+    for the producer's message stops, and no thread keeps the process up."""
+    path = tmp_path / "prog.py"
+    path.write_text(generate(failing_producer_schedule(), target="threads"))
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    try:
+        done = subprocess.run(
+            [sys.executable, str(path)], env=env, capture_output=True,
+            text=True, timeout=10,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("the emitted program was still running after 10 s")
+    assert done.returncode != 0
+    assert "CalcRuntimeError: division by zero" in done.stderr, done.stderr

@@ -22,7 +22,8 @@ from repro.graph import DataflowGraph, flatten
 from repro.graph.generators import random_layered
 from repro.machine import MachineParams, make_machine
 from repro.sched import get_scheduler
-from repro.sim import Trace, run_dataflow, run_parallel, simulate
+from repro.codegen import run
+from repro.sim import Trace, run_dataflow, simulate
 
 
 def trace_bytes(trace: Trace) -> bytes:
@@ -102,10 +103,10 @@ def diamond_design(x: float, scheduler: str, n_procs: int):
 def test_threaded_matches_serial_reference(x, scheduler, n_procs):
     tg, schedule = diamond_design(x, scheduler, n_procs)
     serial = run_dataflow(tg)
-    parallel = run_parallel(schedule)
-    assert set(parallel.outputs) == set(serial.outputs)
+    parallel = run(schedule, target="inproc")
+    assert set(parallel) == set(serial.outputs)
     for var, val in serial.outputs.items():
-        assert values_close(parallel.outputs[var], val), (var, val)
+        assert values_close(parallel[var], val), (var, val)
 
 
 def test_threaded_matches_serial_on_vectors():
@@ -132,6 +133,6 @@ def test_threaded_matches_serial_on_vectors():
         tg, make_machine("ring", 3, MachineParams(msg_startup=0.5))
     )
     serial = run_dataflow(tg)
-    parallel = run_parallel(schedule)
+    parallel = run(schedule, target="inproc")
     for var, val in serial.outputs.items():
-        assert values_close(parallel.outputs[var], val), var
+        assert values_close(parallel[var], val), var

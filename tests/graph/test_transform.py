@@ -13,7 +13,8 @@ from repro.graph.transform import (
 )
 from repro.machine import MachineParams, make_machine
 from repro.sched import check_schedule, get_scheduler
-from repro.sim import run_dataflow, run_parallel
+from repro.codegen import run
+from repro.sim import run_dataflow
 
 VSCALE = """\
 task vscale
@@ -166,9 +167,9 @@ class TestSplitScheduledExecution:
         machine = make_machine("full", 4, MachineParams(msg_startup=0.1))
         schedule = get_scheduler("mh").schedule(tg, machine)
         check_schedule(schedule)
-        par = run_parallel(schedule)
+        par = run(schedule, target="inproc")
         ref = run_dataflow(vector_graph(16))
-        np.testing.assert_allclose(par.outputs["w"], ref.outputs["w"])
+        np.testing.assert_allclose(par["w"], ref.outputs["w"])
 
     def test_generated_code_matches(self):
         from repro.codegen import generate, run_generated

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import lu3_design
-from repro.codegen import generate, run_generated
+from repro.codegen import generate, run, run_generated
 from repro.env import BangerProject
 from repro.graph import DataflowGraph, flatten
 from repro.graph.generators import random_hierarchical
@@ -17,7 +17,7 @@ from repro.sched import (
     schedule_from_json,
     schedule_to_json,
 )
-from repro.sim import calibrate_works, run_dataflow, run_parallel, simulate
+from repro.sim import calibrate_works, run_dataflow, simulate
 
 A = np.array([[4.0, 3.0, 2.0], [2.0, 4.0, 1.0], [1.0, 2.0, 3.0]])
 B = np.array([1.0, 2.0, 3.0])
@@ -120,4 +120,4 @@ class TestAdvisorDrivenLoop:
 
         ref = run_dataflow(tg).outputs["w"]
         schedule = get_scheduler("mh").schedule(split, machine)
-        np.testing.assert_allclose(run_parallel(schedule).outputs["w"], ref)
+        np.testing.assert_allclose(run(schedule, target="inproc")["w"], ref)

@@ -14,6 +14,7 @@ from repro.graph.dataflow import DataflowGraph
 from repro.machine import MachineParams
 from repro.server.ops import OpError, coalesce_key, execute, op_codegen
 from repro.server.workers import serve
+from tests.sim.test_threaded import failing_producer_project, two_task_project
 
 A = np.array([[4.0, 3.0, 2.0], [2.0, 4.0, 1.0], [1.0, 2.0, 3.0]])
 B = np.array([1.0, 2.0, 3.0])
@@ -102,8 +103,29 @@ def test_a_non_finite_subscript_is_one_typed_error_at_both_engines(sub, shown):
         execute("codegen", payload)
 
 
-def _run_body(doc: dict, target: str) -> bytes:
-    return json.dumps({"project": doc, "target": target, "run": True}).encode()
+def test_a_task_error_on_the_threads_target_is_the_task_error():
+    """The default target runs its task functions on the one executor: a
+    failing task's own typed error, not a ``KeyError`` for the output it
+    never stored."""
+    payload = {"project": _vector_project("input v\noutput y\ny := v[1e308 * 10]"),
+               "run": True}
+    with pytest.raises(CalcTypeError, match="subscript inf is not an integer"):
+        execute("codegen", payload)
+
+
+def test_a_string_minus_a_vector_is_a_typed_error_on_inproc():
+    """``inproc`` runs the interpreter, so the typed error reaches the
+    daemon as a 400, not numpy's untyped one as a 500."""
+    program = 'input v\noutput y\ny := "s" - v'
+    body = _run_body(_vector_project(program), "inproc")
+    assert serve(execute, "codegen", body) == (
+        "user_error", "CalcTypeError", "line 3: operator - expects a number, got str")
+
+
+def _run_body(doc: dict, target: str, **fields) -> bytes:
+    return json.dumps(
+        {"project": doc, "target": target, "run": True, **fields}
+    ).encode()
 
 
 class TestCoalesceKey:
@@ -167,6 +189,14 @@ class TestOverTheWire:
         # identical requests never reach the service twice
         assert metrics["server"]["by_disposition"].get("cache", 0) >= 1, metrics
 
+    @pytest.mark.parametrize("target", ["threads", "inproc"])
+    def test_a_sent_variable_its_task_did_not_produce_is_a_400(self, harness, target):
+        doc = two_task_project("input d\noutput x\nx := d", "z").to_dict()
+        status, reply = harness.post_bytes(
+            "/codegen", _run_body(doc, target, scheduler="roundrobin"))
+        assert status == 400
+        assert "task 'producer' did not produce 'z'" in reply.decode()
+
     def test_new_target_reuses_the_cached_ir(self, harness, project_doc):
         threads = harness.client.codegen(project_doc, target="threads")
         mpi = harness.client.codegen(project_doc, target="mpi")
@@ -175,3 +205,18 @@ class TestOverTheWire:
         stats = metrics["server"]["work"]
         assert stats["ir_misses"] == 1, stats
         assert stats["ir_hits"] >= 1, stats
+
+
+def test_a_failing_task_is_a_400_and_the_daemon_keeps_serving(daemon_factory):
+    """One inline slot and a short budget: a run whose producer fails must
+    answer with its own error, and leave the slot free for the next
+    request."""
+    harness = daemon_factory(workers=0, request_timeout=5.0)
+    doc = failing_producer_project().to_dict()
+    body = {"project": doc, "run": True, "scheduler": "roundrobin"}
+    status, reply = harness.post_bytes("/codegen", json.dumps(body).encode())
+    assert status == 400, reply
+    assert "division by zero" in reply.decode()
+    status, reply = harness.post_bytes(
+        "/schedule", json.dumps({"project": doc}).encode())
+    assert status == 200, reply

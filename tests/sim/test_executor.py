@@ -156,6 +156,16 @@ def test_trace_queries():
         trace.run_of("nope")
 
 
+def test_a_trace_shows_its_design_machine_size_and_makespan():
+    tg = gaussian_elimination(4)
+    machine = make_machine("hypercube", 4, PARAMS)
+    trace = simulate(get_scheduler("mh").schedule(tg, machine))
+    assert repr(trace) == (
+        f"Trace({trace.graph_name!r} on {machine.name!r}, runs={len(tg)}, "
+        f"hops={len(trace.hops)}, makespan={trace.makespan():.3f})"
+    )
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_random_graphs_replay_consistently(seed):
     tg = random_layered(30, 6, seed=seed)
