@@ -26,8 +26,8 @@ per ``(graph, machine)`` pair:
   ``data_ready_row``/``slot`` for callers that look at every processor;
 * :class:`StartTable` / :func:`run_start_table` — every ready task's
   earliest start on every processor, each data-ready row computed once and
-  one column refreshed per placement, and the pass ETF and DLS run on it,
-  differing only in their selection key;
+  one column refreshed per placement — by a comparison per cell unless the
+  placement filled a gap — and the pass ETF and DLS run on it;
 * :func:`run_priority_list` / :func:`replay_prefix` — the static-priority
   list pass and the verbatim replay of a pinned prefix of an earlier
   schedule that incremental re-timing and reactive re-mapping run in front
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import copy
 import heapq
+import math
 import threading
 import time
 from contextlib import contextmanager
@@ -594,7 +595,8 @@ class StartTable:
     so the row :meth:`KernelState.data_ready_row` gives at that moment is
     final.  What can still move a start is a processor's timeline, and one
     placement changes one timeline: :meth:`place` re-evaluates that column
-    of the remaining rows and nothing else.
+    of the remaining rows and nothing else, searching a gap again only for
+    a placement that filled one (:meth:`_refresh`).
 
     ``rows[ti]`` is ``(arrivals, starts)`` — the data-ready row and its
     :meth:`KernelState.slot` per processor — and ``best[ti]`` the row's least
@@ -611,9 +613,13 @@ class StartTable:
             self._admit(ti)
 
     def _admit(self, ti: int) -> None:
-        slot, insertion = self._state.slot, self._insertion
-        arrivals = self._state.data_ready_row(ti)
-        starts = [slot(ti, proc, ready, insertion) for proc, ready in enumerate(arrivals)]
+        state = self._state
+        arrivals = state.data_ready_row(ti)
+        if self._insertion:
+            slot, duration = state.sched.insertion_slot, state.kernel.exec_time[ti]
+            starts = [slot(proc, ready, duration) for proc, ready in enumerate(arrivals)]
+        else:
+            starts = [r if r > tail else tail for r, tail in zip(arrivals, state.tails)]
         self.rows[ti] = (arrivals, starts)
         self.best[ti] = _least(starts)
 
@@ -639,20 +645,39 @@ class StartTable:
     def place(self, ti: int, proc: int, start: float) -> None:
         """Place ready task ``ti``, refresh column ``proc`` of the other
         rows, and admit the tasks the placement released."""
-        self._state.place(ti, proc, start)
+        state = self._state
+        state.place(ti, proc, start)
         del self.rows[ti], self.best[ti]
-        self._refresh(proc)
+        if not self._insertion:
+            self._refresh(proc, -math.inf, state.tails[proc])
+        elif state.sched.timeline(proc)[-1].task == state.kernel.tasks[ti]:
+            self._refresh(proc, start + 1e-12, state.sched.horizon(proc))
+        else:
+            self._refresh(proc, None, None)
         for tj in self._ready.complete(ti):
             self._admit(tj)
 
-    def _refresh(self, proc: int) -> None:
-        """Re-evaluate column ``proc`` after its timeline changed.  A cell may
-        move either way; a row's best is searched again only when the cell
-        that held it got worse."""
-        slot, insertion, best = self._state.slot, self._insertion, self.best
+    def _refresh(self, proc: int, fits: float | None, tail: float | None) -> None:
+        """Re-evaluate column ``proc`` after its timeline changed.  A cell
+        whose slot still ends by ``fits`` keeps it, any other becomes its
+        ready time or ``tail``, whichever is later: :meth:`KernelState.slot`
+        without insertion, and with it after a placement appended behind
+        every other on ``proc`` — that leaves each earlier gap as it was, and
+        the old tail slot still fits before it or moves to the new latest
+        finish.  With ``fits`` None (a gap was filled) every cell is searched
+        afresh.  A row's best is searched again only if its cell got worse."""
+        state, best = self._state, self.best
+        slot, exec_time = state.sched.insertion_slot, state.kernel.exec_time
         for ti, (arrivals, starts) in self.rows.items():
-            moved = slot(ti, proc, arrivals[proc], insertion)
-            if moved == starts[proc]:
+            old = starts[proc]
+            if fits is None:
+                moved = slot(proc, arrivals[proc], exec_time[ti])
+            elif old + exec_time[ti] <= fits:
+                continue
+            else:
+                ready = arrivals[proc]
+                moved = ready if ready > tail else tail
+            if moved == old:
                 continue
             starts[proc] = moved
             if (moved, proc) < best[ti]:

@@ -10,58 +10,83 @@ on the Gantt chart and replayed by the simulator.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Container, Iterator
+import sys
+from typing import Container, Iterator, NamedTuple
 
 from repro.errors import ScheduleError, check_finite
 from repro.graph.taskgraph import TaskGraph
 from repro.machine.machine import TargetMachine
 
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class Placement:
-    """One execution of ``task`` on ``proc`` during ``[start, finish)``."""
 
-    task: str
-    proc: int
-    start: float
-    finish: float
+_PlacementFields = NamedTuple(
+    "_PlacementFields", [("task", str), ("proc", int), ("start", float), ("finish", float)])
 
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ScheduleError(f"task {self.task!r}: negative start {self.start}")
-        if self.finish < self.start:
-            raise ScheduleError(
-                f"task {self.task!r}: finish {self.finish} before start {self.start}"
-            )
-        check_finite(self.start, f"task {self.task!r}: start", ScheduleError)
-        check_finite(self.finish, f"task {self.task!r}: finish", ScheduleError)
+
+class Placement(_PlacementFields):
+    """One execution of ``task`` on ``proc`` during ``[start, finish)``.
+
+    A named tuple built by ``tuple.__new__``, so that a scheduler pays a
+    tuple per placement: one chained comparison clears a valid record, and
+    anything else meets the full checks, in their order and with their
+    messages.  It compares equal to the plain tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, task: str, proc: int, start: float, finish: float) -> "Placement":
+        try:
+            valid = 0.0 <= start <= finish <= sys.float_info.max
+        except TypeError:  # no number: the checks below raise as they always have
+            valid = False
+        if not valid:
+            if start < 0:
+                raise ScheduleError(f"task {task!r}: negative start {start}")
+            if finish < start:
+                raise ScheduleError(f"task {task!r}: finish {finish} before start {start}")
+            check_finite(start, f"task {task!r}: start", ScheduleError)
+            check_finite(finish, f"task {task!r}: finish", ScheduleError)
+        return _new(cls, (task, proc, start, finish))
+
+    @classmethod
+    def _make(cls, fields) -> "Placement":  # what ``_replace`` builds: checked too
+        return cls(*fields)
 
     @property
     def duration(self) -> float:
         return self.finish - self.start
 
 
-@dataclass(frozen=True)
-class Message:
-    """A planned inter-processor transfer for edge ``src_task -> dst_task``."""
+_MessageFields = NamedTuple("_MessageFields", [
+    ("src_task", str), ("dst_task", str), ("var", str), ("size", float), ("src_proc", int),
+    ("dst_proc", int), ("start", float), ("finish", float), ("route", tuple[int, ...])])
 
-    src_task: str
-    dst_task: str
-    var: str
-    size: float
-    src_proc: int
-    dst_proc: int
-    start: float
-    finish: float
-    route: tuple[int, ...] = field(default_factory=tuple)
 
-    def __post_init__(self) -> None:
-        src, dst = self.src_task, self.dst_task
-        if self.finish < self.start:
-            raise ScheduleError(f"message {src}->{dst}: finish before start")
-        check_finite(self.start, f"message {src}->{dst}: start", ScheduleError)
-        check_finite(self.finish, f"message {src}->{dst}: finish", ScheduleError)
+class Message(_MessageFields):
+    """A planned transfer for edge ``src_task -> dst_task``, built like a :class:`Placement`."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, src_task: str, dst_task: str, var: str, size: float, src_proc: int,
+        dst_proc: int, start: float, finish: float, route: tuple[int, ...] = (),
+    ) -> "Message":
+        try:
+            valid = 0.0 <= start <= finish <= sys.float_info.max
+        except TypeError:
+            valid = False
+        if not valid:
+            if finish < start:
+                raise ScheduleError(f"message {src_task}->{dst_task}: finish before start")
+            check_finite(start, f"message {src_task}->{dst_task}: start", ScheduleError)
+            check_finite(finish, f"message {src_task}->{dst_task}: finish", ScheduleError)
+        return _new(cls, (src_task, dst_task, var, size, src_proc, dst_proc,
+                          start, finish, route))
+
+    @classmethod
+    def _make(cls, fields) -> "Message":
+        return cls(*fields)
 
 
 class Schedule:
@@ -120,8 +145,9 @@ class Schedule:
                 f"task {task!r} at [{start}, {finish}) overlaps "
                 f"{timeline[idx].task!r} on processor {proc}"
             )
-        if any(abs(p.start - start) < 1e-12 and p.proc == proc
-               for p in self._by_task.get(task, ())):
+        copies = self._by_task.get(task)
+        if copies is not None and any(abs(p.start - start) < 1e-12 and p.proc == proc
+                                      for p in copies):
             raise ScheduleError(f"task {task!r} placed twice at the same slot")
         timeline.insert(idx, entry)
         starts.insert(idx, start)
@@ -135,10 +161,12 @@ class Schedule:
                 if timeline[j].finish > running:
                     running = timeline[j].finish
                 pmax[j] = running
-        # Right-biased, so an (unlikely) tie keeps insertion order — the
-        # order a stable sort of the appended copies would give.
-        copies = self._by_task.setdefault(task, [])
-        bisect.insort(copies, entry, key=lambda e: (e.finish, e.proc))
+        if copies is None:
+            self._by_task[task] = [entry]
+        else:
+            # Right-biased, so an (unlikely) tie keeps insertion order — the
+            # order a stable sort of the appended copies would give.
+            bisect.insort(copies, entry, key=lambda e: (e.finish, e.proc))
         return entry
 
     def add_message(self, message: Message) -> None:
@@ -224,6 +252,12 @@ class Schedule:
         """Finish time of the last-by-start placement on ``proc`` (0 if idle)."""
         timeline = self._by_proc[proc]
         return timeline[-1].finish if timeline else 0.0
+
+    def horizon(self, proc: int) -> float:
+        """Latest finish on ``proc`` (0 if idle): where a task that fits no
+        gap starts, at the earliest."""
+        pmax = self._pmax[proc]
+        return pmax[-1] if pmax else 0.0
 
     def insertion_slot(self, proc: int, ready: float, duration: float) -> float:
         """Earliest gap start for a ``duration`` task ready at ``ready``.
