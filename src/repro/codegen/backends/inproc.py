@@ -93,12 +93,14 @@ def run_workers(
     for the task's output values, stores them, then sends; every
     ``recv``/``compute``/``send`` is recorded in the order documented on
     this module.  Protocol failures (receive timeout, wedged thread, a
-    variable read or sent that its task did not produce, missing graph
-    output) raise :class:`CodegenError`.  The first exception a worker
+    variable read or sent that its task did not produce, a declared program
+    input that no in-edge or graph input supplies, missing graph output)
+    raise :class:`CodegenError`, whichever target compiled ``tasks``.  The first exception a worker
     raises closes every channel, so no other worker waits for a message
     that will not come, and is re-raised here.
     """
     bound = bound_inputs(program, inputs)
+    declared = {task: parse(code.pits).inputs for task, code in program.tasks.items()}
     chans = {chan: MessageChannel() for chan in program.channels}
     stores: dict[int, dict[tuple[str, str], Any]] = {p: {} for p in program.procs}
     displays: list[str] = []
@@ -137,6 +139,12 @@ def run_workers(
                 record("recv", proc, step.task, chan)
                 if recv.var:
                     env[recv.var] = value
+            missing = [v for v in declared[step.task] if v not in env]
+            if missing:
+                raise CodegenError(
+                    f"task {step.task!r}: program inputs {missing} are not supplied "
+                    f"by any in-edge or graph input (available: {sorted(env)})"
+                )
             out = tasks[step.task](
                 env, lambda line, task=step.task: displays.append(f"{task}: {line}"))
             record("compute", proc, step.task)
@@ -168,19 +176,13 @@ def run_workers(
     return ExecutionResult(outputs=outputs, displays=displays, events=tuple(events))
 
 
-def interpreted(task: str, source: str) -> TaskFunction:
-    """``task``'s PITS ``source``, run by the interpreter on the program's
+def interpreted(source: str) -> TaskFunction:
+    """A task's PITS ``source``, run by the interpreter on the program's
     declared inputs.  Each call builds its own :class:`Interpreter` (the
     parse is the shared fact table's), so copies can run at once."""
     program = parse(source)
 
     def run(env: dict[str, Any], display: Callable[[str], None]) -> dict[str, Any]:
-        missing = [v for v in program.inputs if v not in env]
-        if missing:
-            raise CodegenError(
-                f"task {task!r}: program inputs {missing} are not supplied "
-                f"by any in-edge or graph input (available: {sorted(env)})"
-            )
         result = Interpreter(program).run(**{v: env[v] for v in program.inputs})
         for line in result.displayed:
             display(line)
@@ -209,7 +211,7 @@ class InprocBackend(Backend):
     def execute(
         self, program: LoweredProgram, inputs: dict[str, Any] | None = None
     ) -> ExecutionResult:
-        tasks = {t: interpreted(t, code.pits) for t, code in program.tasks.items()}
+        tasks = {t: interpreted(code.pits) for t, code in program.tasks.items()}
         return run_workers(program, inputs, tasks)
 
 

@@ -10,8 +10,12 @@ on the Gantt chart and replayed by the simulator.
 from __future__ import annotations
 
 import bisect
+import marshal
 import sys
-from typing import Container, Iterator, NamedTuple
+from array import array
+from itertools import chain, islice, repeat
+from operator import itemgetter
+from typing import Container, Iterable, Iterator, NamedTuple
 
 from repro.errors import ScheduleError, check_finite
 from repro.graph.taskgraph import TaskGraph
@@ -182,21 +186,31 @@ class Schedule:
         relative order whatever else was inserted around them.  The frozen
         placements and messages are shared; every list is new.
         """
-        for proc, timeline in source._by_proc.items():
-            kept = [e for e in timeline if e.task in tasks]
-            self._by_proc[proc].extend(kept)
-            self._starts[proc].extend(e.start for e in kept)
-            pmax, running = self._pmax[proc], 0.0
-            for e in kept:
-                if e.finish > running:
-                    running = e.finish
-                pmax.append(running)
-        self._by_task.update(
-            (task, list(copies))
-            for task, copies in source._by_task.items()
-            if task in tasks
+        self._fill(
+            {proc: [e for e in timeline if e.task in tasks]
+             for proc, timeline in source._by_proc.items()},
+            ((task, list(copies)) for task, copies in source._by_task.items()
+             if task in tasks),
+            (m for m in source.messages if m.dst_task in tasks),
         )
-        self.messages.extend(m for m in source.messages if m.dst_task in tasks)
+
+    def _fill(self, timelines: dict[int, list[Placement]],
+              by_task: Iterable[tuple[str, list[Placement]]],
+              messages: Iterable[Message]) -> None:
+        """Fill this empty schedule with ready-made, mutually consistent
+        parts: each processor's start-ordered timeline, the per-task copy
+        lists in key order, and the messages; the start and prefix-max
+        arrays are derived here."""
+        for proc, kept in timelines.items():
+            self._by_proc[proc].extend(kept)
+            self._starts[proc].extend(map(_start, kept))
+            pmax, running = self._pmax[proc], 0.0
+            for finish in map(_finish, kept):
+                if finish > running:
+                    running = finish
+                pmax.append(running)
+        self._by_task.update(by_task)
+        self.messages.extend(messages)
 
     # ------------------------------------------------------------------ #
     # lookups
@@ -345,3 +359,105 @@ class Schedule:
             f"Schedule({self.scheduler or 'unnamed'!r}, graph={self.graph.name!r}, "
             f"machine={self.machine.name!r}, makespan={self.makespan():.3f})"
         )
+
+
+# --------------------------------------------------------------------- #
+# packed form: a schedule as one bytes object, rebuilt over equal inputs
+# --------------------------------------------------------------------- #
+_start, _finish = itemgetter(2), itemgetter(3)
+#: marshal format 2 writes no back-references: it never looks a float up in
+#: a table, and a payload has few strings to share
+_MARSHAL = 2
+
+
+class _Index(dict):
+    """value -> its position, a new value appended on first lookup."""
+
+    def __missing__(self, key):
+        self[key] = index = len(self)
+        return index
+
+
+def _ints(values: Iterable[int]) -> bytes:
+    return array("i", list(values)).tobytes()  # from a list: twice as fast
+
+
+def pack_schedule(schedule: Schedule) -> bytes:
+    """``schedule`` as one ``bytes`` object that :func:`unpack_schedule`
+    rebuilds over any graph and machine equal in content to its own.
+
+    Tasks are stored as their positions in the graph's task list, a
+    message's variable (or a name the graph does not hold) in a table of
+    extra names, each distinct route once.  Integer columns are ``int32``
+    arrays; float columns are kept as marshalled tuples, so an ``int``
+    stays an ``int`` and every document byte survives the round trip.
+    """
+    graph_names = schedule.graph.task_names
+    names = _Index((name, i) for i, name in enumerate(graph_names))
+    name = names.__getitem__
+    flat = [e for timeline in schedule._by_proc.values() for e in timeline]
+    tasks, _, starts, finishes = zip(*flat) if flat else ((),) * 4
+    at = dict(zip(flat, range(len(flat))))
+    copies = chain.from_iterable(schedule._by_task.values())
+    if schedule.messages:
+        src, dst, var, size, src_proc, dst_proc, m_start, m_finish, routes = zip(
+            *schedule.messages)
+    else:
+        src = dst = var = size = src_proc = dst_proc = m_start = m_finish = routes = ()
+    route_index = _Index()
+    columns = (
+        _ints(map(len, schedule._by_proc.values())),
+        _ints(map(name, tasks)),
+        _ints(map(at.__getitem__, copies)),
+        _ints(map(name, src)),
+        _ints(map(name, dst)),
+        _ints(map(name, var)),
+        _ints(src_proc),
+        _ints(dst_proc),
+        _ints(map(route_index.__getitem__, routes)),
+        _ints(map(len, route_index)),
+        _ints(chain.from_iterable(route_index)),
+    )
+    extras = tuple(islice(names, len(graph_names), None))
+    return marshal.dumps((schedule.scheduler, extras, columns,
+                          (starts, finishes, size, m_start, m_finish)), _MARSHAL)
+
+
+def unpack_schedule(payload: bytes, graph: TaskGraph, machine: TargetMachine) -> Schedule:
+    """The schedule :func:`pack_schedule` packed, over ``graph`` and
+    ``machine`` (equal in content to the packed schedule's own): equal
+    timelines, copy lists, messages and routes, in the same orders.  The
+    records were checked when first built, so they are rebuilt unchecked."""
+    scheduler, extras, columns, floats = marshal.loads(payload)
+    (counts, tasks, order, src, dst, var, src_proc, dst_proc,
+     route_at, route_len, hops) = map(_int_column, columns)
+    starts, finishes, size, m_start, m_finish = floats
+    name = (graph.task_names + list(extras)).__getitem__
+    schedule = Schedule(graph, machine, scheduler)
+    procs = chain.from_iterable(map(repeat, schedule._by_proc, counts))
+    placed = list(map(_new, repeat(Placement),
+                      zip(map(name, tasks), procs, starts, finishes)))
+    flow = iter(hops)
+    table = [tuple(islice(flow, n)) for n in route_len]
+    messages = map(_new, repeat(Message), zip(
+        map(name, src), map(name, dst), map(name, var), size, src_proc, dst_proc,
+        m_start, m_finish, map(table.__getitem__, route_at)))
+    by_task: dict[str, list[Placement]] = {}
+    for j in order:
+        entry = placed[j]
+        copies = by_task.get(entry.task)
+        if copies is None:
+            by_task[entry.task] = [entry]
+        else:
+            copies.append(entry)
+    flow = iter(placed)
+    schedule._fill({proc: list(islice(flow, n))
+                    for proc, n in zip(schedule._by_proc, counts)},
+                   by_task.items(), messages)
+    return schedule
+
+
+def _int_column(raw: bytes) -> array:
+    column = array("i")
+    column.frombytes(raw)
+    return column

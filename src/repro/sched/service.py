@@ -28,9 +28,12 @@ the shell) and the heuristics in :mod:`repro.sched`:
 * **Observability.**  :meth:`ScheduleService.stats` reports hits, misses,
   evictions, and per-sweep wall time — surfaced by ``banger sweep --stats``.
 
-Schedules returned by the service are shared objects; treat them as
-immutable (every editing helper in :mod:`repro.sched.edit` already returns
-a new schedule).
+Each cached schedule is held packed (:func:`~repro.sched.schedule.pack_schedule`):
+one ``bytes`` object, a fraction of the live schedule's size, that the
+garbage collector never traverses.  A hit rebuilds it over the *caller's*
+graph and machine, so it returns a schedule equal to the one first computed,
+never the same object, and never one whose graph or machine another caller
+has since edited.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from repro.machine.params import IDEAL, MachineParams
 from repro.sched.base import Scheduler
 from repro.sched.core import sharing_graph_tables
 from repro.sched.registry import resolve_scheduler, scheduler_cache_key
-from repro.sched.schedule import Schedule
+from repro.sched.schedule import Schedule, pack_schedule, unpack_schedule
 from repro.sched.serialize import schedule_from_dict, schedule_to_dict
 from repro.sched.sweeps import SpeedupPoint, SpeedupReport
 from repro.store.evict import atomic_write_text, dir_files, enforce_size_cap
@@ -195,6 +198,11 @@ class ServiceStats:
 class ScheduleService:
     """Persistent, queryable scheduling behind the interactive surface.
 
+    A hit returns a schedule equal to the one the miss computed (the same
+    :func:`~repro.sched.serialize.schedule_to_dict` document, timelines and
+    copy lists in the same order), built over the caller's own graph and
+    machine; it is never the object an earlier call returned.
+
     Parameters
     ----------
     max_entries:
@@ -229,7 +237,7 @@ class ScheduleService:
             except ValueError:
                 disk_cache_max_bytes = 0
         self.disk_cache_max_bytes = disk_cache_max_bytes or None
-        self._lru = LRU(max_entries)  # (graph, machine, scheduler) -> Schedule
+        self._lru = LRU(max_entries)  # (graph, machine, scheduler) -> packed bytes
         # Lowered-program cache (memory only): same content key as the
         # schedule LRU — the IR is a pure function of (graph, machine,
         # scheduler) — but a separate store, because the disk layer only
@@ -479,7 +487,7 @@ class ScheduleService:
         with sharing_graph_tables(graph):
             for machine, sched in pairs:
                 key = self._key(graph, machine, sched, fp)
-                schedule = self._get(key)
+                schedule = self._get(key, graph, machine)
                 if schedule is None:
                     schedule = sched.schedule(graph, machine)
                     self._put(key, schedule)
@@ -493,17 +501,22 @@ class ScheduleService:
     # ------------------------------------------------------------------ #
     # cache internals
     # ------------------------------------------------------------------ #
-    def _get(self, key: tuple[str, str, str]) -> Schedule | None:
-        cached = self._lru.get(key)
-        if cached is None:
-            cached = self._disk_read(key)
-            if cached is not None:
-                self._lru.put(key, cached)
-                self._counts.bump("disk_hits")
-        return cached
+    def _get(self, key: tuple[str, str, str], graph: TaskGraph,
+             machine: TargetMachine) -> Schedule | None:
+        """The schedule cached under ``key``, rebuilt over ``graph`` and
+        ``machine`` (whose content the key names), or ``None``."""
+        packed = self._lru.get(key)
+        if packed is None:
+            loaded = self._disk_read(key)
+            if loaded is None:
+                return None
+            packed = pack_schedule(loaded)
+            self._lru.put(key, packed)
+            self._counts.bump("disk_hits")
+        return unpack_schedule(packed, graph, machine)
 
     def _put(self, key: tuple[str, str, str], schedule: Schedule) -> None:
-        self._lru.put(key, schedule)
+        self._lru.put(key, pack_schedule(schedule))
         if self._disk_write(key, schedule):
             self._counts.bump("disk_writes")
 

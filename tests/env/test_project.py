@@ -8,6 +8,7 @@ from repro.env import BangerProject
 from repro.errors import ReproError
 from repro.graph import DataflowGraph
 from repro.machine import MachineParams, NCUBE_LIKE
+from repro.sched.serialize import schedule_to_dict
 
 A = np.array([[4.0, 3.0, 2.0], [2.0, 4.0, 1.0], [1.0, 2.0, 3.0]])
 B = np.array([1.0, 2.0, 3.0])
@@ -153,7 +154,17 @@ class TestScheduleCaching:
     """Every mutator must evict exactly the stale cache entries."""
 
     def assert_cached(self, project):
-        assert project.schedule("mh") is project.schedule("mh")
+        first = schedule_to_dict(project.schedule("mh"))
+        hits = project.service.stats().hits
+        assert schedule_to_dict(project.schedule("mh")) == first
+        assert project.service.stats().hits == hits + 1
+
+    @staticmethod
+    def recomputed(project) -> bool:
+        """Scheduling ``project`` now misses the cache and computes."""
+        misses = project.service.stats().misses
+        project.schedule("mh")
+        return project.service.stats().misses == misses + 1
 
     def test_schedule_is_memoized(self, lu_project):
         self.assert_cached(lu_project)
@@ -161,21 +172,21 @@ class TestScheduleCaching:
         assert stats.hits >= 1
 
     def test_attach_program_evicts(self, lu_project):
-        before = lu_project.schedule("mh")
+        lu_project.schedule("mh")
         lu_project.attach_program(
             "lud.fan1",
             "input A\noutput m21, m31\nm21 := A[2,1] / A[1,1]\nm31 := A[3,1] / A[1,1]",
             update_work=True,
             A=A,
         )
-        assert lu_project.schedule("mh") is not before
+        assert self.recomputed(lu_project)
         self.assert_cached(lu_project)
 
     def test_commit_panel_evicts(self, lu_project):
-        before = lu_project.schedule("mh")
+        lu_project.schedule("mh")
         panel = lu_project.open_calculator("lud.fan2")
         lu_project.commit_panel("lud.fan2", panel)
-        assert lu_project.schedule("mh") is not before
+        assert self.recomputed(lu_project)
 
     @pytest.fixture
     def forall_project(self):
@@ -191,34 +202,33 @@ class TestScheduleCaching:
         return BangerProject("dp").set_design(g).set_machine("full", 4)
 
     def test_split_node_evicts(self, forall_project):
-        before = forall_project.schedule("mh")
+        forall_project.schedule("mh")
         forall_project.split_node("f", 2)
-        assert forall_project.schedule("mh") is not before
+        assert self.recomputed(forall_project)
         self.assert_cached(forall_project)
 
     def test_split_all_evicts(self, forall_project):
-        before = forall_project.schedule("mh")
+        forall_project.schedule("mh")
         forall_project.split_all(2)
-        assert forall_project.schedule("mh") is not before
+        assert self.recomputed(forall_project)
 
     def test_calibrate_evicts(self, lu_project):
         lu_project.design.node("A").initial = A
         lu_project.design.node("b").initial = B
-        before = lu_project.schedule("mh")
+        lu_project.schedule("mh")
         lu_project.calibrate()
-        assert lu_project.schedule("mh") is not before
+        assert self.recomputed(lu_project)
 
     def test_set_design_evicts(self, lu_project):
-        before = lu_project.schedule("mh")
+        lu_project.schedule("mh")
         lu_project.set_design(lu3_design())
-        assert lu_project.schedule("mh") is not before
+        assert self.recomputed(lu_project)
 
     def test_set_machine_evicts(self, lu_project):
-        before = lu_project.schedule("mh")
+        lu_project.schedule("mh")
         lu_project.set_machine("hypercube", 8, NCUBE_LIKE)
-        after = lu_project.schedule("mh")
-        assert after is not before
-        assert after.n_procs == 8
+        assert self.recomputed(lu_project)
+        assert lu_project.schedule("mh").n_procs == 8
 
     def test_mutators_chain(self):
         project = (

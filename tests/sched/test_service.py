@@ -23,7 +23,7 @@ from repro.sched import (
 )
 from repro.sched.base import Scheduler
 from repro.sched.serialize import schedule_to_json
-from repro.sched.validate import check_schedule
+from repro.sched.validate import check_schedule, schedule_problems
 
 PARAMS = MachineParams(msg_startup=0.5, transmission_rate=5.0)
 
@@ -126,12 +126,17 @@ class TestDefaultFamily:
         assert default_family(machine) == "hypercube"
 
 
+def same_document(a, b) -> bool:
+    return schedule_to_json(a) == schedule_to_json(b)
+
+
 class TestMemoization:
-    def test_hit_returns_same_object(self, graph, machine):
+    def test_hit_returns_equal_schedule(self, graph, machine):
         svc = ScheduleService()
         first = svc.schedule(graph, machine, "mh")
         second = svc.schedule(graph, machine, "mh")
-        assert first is second
+        assert same_document(first, second)
+        assert second.graph is graph and second.machine is machine
         stats = svc.stats()
         assert (stats.hits, stats.misses) == (1, 1)
 
@@ -139,20 +144,48 @@ class TestMemoization:
         svc = ScheduleService()
         first = svc.schedule(graph, machine, MHScheduler())
         second = svc.schedule(graph, machine, MHScheduler())
-        assert first is second
+        assert same_document(first, second)
+        assert (svc.stats().hits, svc.stats().misses) == (1, 1)
 
     def test_different_scheduler_misses(self, graph, machine):
         svc = ScheduleService()
-        assert svc.schedule(graph, machine, "mh") is not svc.schedule(
-            graph, machine, "hlfet"
-        )
+        mh = svc.schedule(graph, machine, "mh")
+        hlfet = svc.schedule(graph, machine, "hlfet")
+        assert (svc.stats().hits, svc.stats().misses) == (0, 2)
+        assert (mh.scheduler, hlfet.scheduler) == ("mh", "hlfet")
 
     def test_graph_mutation_misses(self, graph, machine):
         svc = ScheduleService()
         first = svc.schedule(graph, machine, "mh")
         graph.set_work(graph.task_names[0], 99.0)
         second = svc.schedule(graph, machine, "mh")
-        assert first is not second
+        assert (svc.stats().hits, svc.stats().misses) == (0, 2)
+        assert not same_document(first, second)
+
+    def test_hit_is_built_over_the_callers_graph(self):
+        """A graph edited in place after its schedule was cached must not
+        leak into a hit for an unedited copy."""
+        svc = ScheduleService()
+        graph = random_layered(30, 5, seed=1)
+        pristine = graph.copy()
+        machine = make_machine("hypercube", 4, PARAMS)
+        svc.schedule(graph, machine, "mh")
+        graph.set_work("r0", graph.work("r0") * 50)
+        hit = svc.schedule(pristine, machine, "mh")
+        assert svc.stats().hits == 1
+        assert hit.graph is pristine and hit.machine is machine
+        assert schedule_problems(hit) == []
+
+    def test_hit_is_built_over_the_callers_machine(self, graph):
+        svc = ScheduleService()
+        edited = make_machine("ring", 6, PARAMS)
+        svc.schedule(graph, edited, "mh")
+        edited.topology.add_link(0, 3)
+        ring = make_machine("ring", 6, PARAMS)
+        hit = svc.schedule(graph, ring, "mh")
+        assert svc.stats().hits == 1
+        assert hit.machine is ring and hit.graph is graph
+        assert schedule_problems(hit) == []
 
     def test_lru_eviction(self, graph):
         svc = ScheduleService(max_entries=2)

@@ -17,6 +17,7 @@ from repro.lru import LEDGER
 from repro.machine.machine import make_machine
 from repro.machine.params import MachineParams
 from repro.sched.core import SchedKernel, kernel_counters
+from repro.sched.serialize import schedule_to_dict
 from repro.sched.service import ScheduleService
 
 PARAMS = MachineParams(msg_startup=0.2, transmission_rate=10.0)
@@ -112,7 +113,7 @@ class TestServiceStats:
         graph = random_layered(40, n_layers=5, seed=7)
         machine = make_machine("hypercube", 4, PARAMS)
         service.schedule(graph, machine, "mh")  # warm: the only miss
-        reference = service.schedule(graph, machine, "mh")
+        reference = schedule_to_dict(service.schedule(graph, machine, "mh"))
         base = service.stats()
         assert base.misses == 1
 
@@ -120,7 +121,7 @@ class TestServiceStats:
 
         def hammer() -> None:
             for _ in range(rounds):
-                assert service.schedule(graph, machine, "mh") is reference
+                assert schedule_to_dict(service.schedule(graph, machine, "mh")) == reference
 
         _run_threads(n_threads, hammer)
         stats = service.stats()

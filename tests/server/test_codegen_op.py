@@ -197,6 +197,22 @@ class TestOverTheWire:
         assert status == 400
         assert "task 'producer' did not produce 'z'" in reply.decode()
 
+    @pytest.mark.parametrize("target", ["threads", "inproc"])
+    def test_an_unwired_program_input_is_a_400(self, harness, target):
+        """A program reading ``b`` that nothing wires is refused by the one
+        executor both targets share, with one message."""
+        design = DataflowGraph("unwired")
+        design.add_storage("a", data="a", initial=1.0)
+        design.add_task("t", program="input a, b\noutput r\nr := a + b")
+        design.add_storage("r", data="r")
+        design.connect("a", "t")
+        design.connect("t", "r")
+        project = BangerProject("unwired").set_design(design)
+        project.set_machine("hypercube", 2, MachineParams())
+        status, reply = harness.post_bytes("/codegen", _run_body(project.to_dict(), target))
+        assert status == 400, reply
+        assert "task 't': program inputs ['b'] are not supplied" in reply.decode()
+
     def test_new_target_reuses_the_cached_ir(self, harness, project_doc):
         threads = harness.client.codegen(project_doc, target="threads")
         mpi = harness.client.codegen(project_doc, target="mpi")
