@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import bisect
 import marshal
+import numbers
 import sys
-from array import array
-from itertools import chain, islice, repeat
+from itertools import chain
 from operator import itemgetter
 from typing import Container, Iterable, Iterator, NamedTuple
 
@@ -365,62 +365,46 @@ class Schedule:
 # packed form: a schedule as one bytes object, rebuilt over equal inputs
 # --------------------------------------------------------------------- #
 _start, _finish = itemgetter(2), itemgetter(3)
-#: marshal format 2 writes no back-references: it never looks a float up in
-#: a table, and a payload has few strings to share
-_MARSHAL = 2
-
-
-class _Index(dict):
-    """value -> its position, a new value appended on first lookup."""
-
-    def __missing__(self, key):
-        self[key] = index = len(self)
-        return index
-
-
-def _ints(values: Iterable[int]) -> bytes:
-    return array("i", list(values)).tobytes()  # from a list: twice as fast
+#: marshal format 4 writes a name shared by many records once
+_MARSHAL = 4
+#: the types a record field may have as it is: a route is a tuple of the
+#: topology's own ``int`` processor numbers
+_PLAIN = frozenset((int, float, str, bool, tuple))
 
 
 def pack_schedule(schedule: Schedule) -> bytes:
     """``schedule`` as one ``bytes`` object that :func:`unpack_schedule`
     rebuilds over any graph and machine equal in content to its own.
 
-    Tasks are stored as their positions in the graph's task list, a
-    message's variable (or a name the graph does not hold) in a table of
-    extra names, each distinct route once.  Integer columns are ``int32``
-    arrays; float columns are kept as marshalled tuples, so an ``int``
-    stays an ``int`` and every document byte survives the round trip.
+    The records are marshalled as plain tuples, the copy lists as positions
+    in the concatenated timelines.  A number of a subclass (numpy's
+    ``float64``, say) is stored as its exact ``int`` or ``float``, which
+    prints the same; every other value keeps its type.
     """
-    graph_names = schedule.graph.task_names
-    names = _Index((name, i) for i, name in enumerate(graph_names))
-    name = names.__getitem__
-    flat = [e for timeline in schedule._by_proc.values() for e in timeline]
-    tasks, _, starts, finishes = zip(*flat) if flat else ((),) * 4
-    at = dict(zip(flat, range(len(flat))))
-    copies = chain.from_iterable(schedule._by_task.values())
-    if schedule.messages:
-        src, dst, var, size, src_proc, dst_proc, m_start, m_finish, routes = zip(
-            *schedule.messages)
-    else:
-        src = dst = var = size = src_proc = dst_proc = m_start = m_finish = routes = ()
-    route_index = _Index()
-    columns = (
-        _ints(map(len, schedule._by_proc.values())),
-        _ints(map(name, tasks)),
-        _ints(map(at.__getitem__, copies)),
-        _ints(map(name, src)),
-        _ints(map(name, dst)),
-        _ints(map(name, var)),
-        _ints(src_proc),
-        _ints(dst_proc),
-        _ints(map(route_index.__getitem__, routes)),
-        _ints(map(len, route_index)),
-        _ints(chain.from_iterable(route_index)),
-    )
-    extras = tuple(islice(names, len(graph_names), None))
-    return marshal.dumps((schedule.scheduler, extras, columns,
-                          (starts, finishes, size, m_start, m_finish)), _MARSHAL)
+    timelines = schedule._by_proc.values()
+    at = {e: i for i, e in enumerate(chain.from_iterable(timelines))}
+    packed = (schedule.scheduler,
+              tuple(tuple(map(tuple, timeline)) for timeline in timelines),
+              tuple(map(at.__getitem__, chain.from_iterable(schedule._by_task.values()))),
+              tuple(map(tuple, schedule.messages)))
+    fields = chain.from_iterable(chain(chain.from_iterable(timelines), schedule.messages))
+    if not _PLAIN.issuperset(map(type, fields)):
+        packed = _exact(packed)  # marshal would store a numpy scalar as its raw bytes
+    return marshal.dumps(packed, _MARSHAL)
+
+
+def _exact(value):
+    """``value`` with every tuple rebuilt and every number or string of a
+    subclass made its exact base type."""
+    if type(value) is tuple:
+        return tuple(map(_exact, value))
+    if value is None or type(value) in _PLAIN:
+        return value
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        return float(value)
+    return str(value) if isinstance(value, str) else value
 
 
 def unpack_schedule(payload: bytes, graph: TaskGraph, machine: TargetMachine) -> Schedule:
@@ -428,36 +412,18 @@ def unpack_schedule(payload: bytes, graph: TaskGraph, machine: TargetMachine) ->
     ``machine`` (equal in content to the packed schedule's own): equal
     timelines, copy lists, messages and routes, in the same orders.  The
     records were checked when first built, so they are rebuilt unchecked."""
-    scheduler, extras, columns, floats = marshal.loads(payload)
-    (counts, tasks, order, src, dst, var, src_proc, dst_proc,
-     route_at, route_len, hops) = map(_int_column, columns)
-    starts, finishes, size, m_start, m_finish = floats
-    name = (graph.task_names + list(extras)).__getitem__
+    scheduler, timelines, order, messages = marshal.loads(payload)
     schedule = Schedule(graph, machine, scheduler)
-    procs = chain.from_iterable(map(repeat, schedule._by_proc, counts))
-    placed = list(map(_new, repeat(Placement),
-                      zip(map(name, tasks), procs, starts, finishes)))
-    flow = iter(hops)
-    table = [tuple(islice(flow, n)) for n in route_len]
-    messages = map(_new, repeat(Message), zip(
-        map(name, src), map(name, dst), map(name, var), size, src_proc, dst_proc,
-        m_start, m_finish, map(table.__getitem__, route_at)))
+    placed = {proc: [_new(Placement, e) for e in timeline]
+              for proc, timeline in zip(schedule._by_proc, timelines)}
+    flat = list(chain.from_iterable(placed.values()))
     by_task: dict[str, list[Placement]] = {}
     for j in order:
-        entry = placed[j]
+        entry = flat[j]
         copies = by_task.get(entry.task)
         if copies is None:
             by_task[entry.task] = [entry]
         else:
             copies.append(entry)
-    flow = iter(placed)
-    schedule._fill({proc: list(islice(flow, n))
-                    for proc, n in zip(schedule._by_proc, counts)},
-                   by_task.items(), messages)
+    schedule._fill(placed, by_task.items(), [_new(Message, m) for m in messages])
     return schedule
-
-
-def _int_column(raw: bytes) -> array:
-    column = array("i")
-    column.frombytes(raw)
-    return column

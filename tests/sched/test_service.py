@@ -5,6 +5,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.errors import ScheduleError
@@ -185,6 +186,19 @@ class TestMemoization:
         hit = svc.schedule(graph, ring, "mh")
         assert svc.stats().hits == 1
         assert hit.machine is ring and hit.graph is graph
+        assert schedule_problems(hit) == []
+
+    def test_numpy_numbers_are_cached(self, machine):
+        """A work or edge size that is a numpy scalar is stored as the plain
+        number it prints as; the miss and the hit give one document."""
+        graph = random_layered(12, 3, edge_prob=0.5, seed=2)
+        graph.set_work("r0", np.float64(2.5))
+        graph.add_edge("r0", graph.task_names[-1], "v", size=np.float64(3.0))
+        svc = ScheduleService()
+        miss = svc.schedule(graph, machine, "mh")
+        hit = svc.schedule(graph.copy(), machine, "mh")
+        assert (svc.stats().hits, svc.stats().misses) == (1, 1)
+        assert same_document(miss, hit)
         assert schedule_problems(hit) == []
 
     def test_lru_eviction(self, graph):
