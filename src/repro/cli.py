@@ -817,7 +817,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=30.0,
                    help="per-request compute budget in seconds (default 30)")
     p.add_argument("--cache-entries", type=int, default=512,
-                   help="response LRU size (default 512; 0 caches nothing)")
+                   help="response LRU size (default 512; 0 caches nothing); "
+                        "a reply over one entry's share of the 64 MiB byte "
+                        "bound (64 MiB / entries) is kept only once it is "
+                        "computed a second time")
     p.add_argument("--debug", action="store_true",
                    help="expose /debug/* fault-injection endpoints")
     p.add_argument("--access-log", default=None, metavar="PATH",

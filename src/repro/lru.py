@@ -20,9 +20,10 @@ class LRU:
 
     ``max_entries`` bounds the entry count; the optional ``max_bytes`` also
     bounds the total ``len(value)`` held (values must then be sized, e.g.
-    ``bytes``).  Inserting beyond either evicts oldest-first, so a value
-    larger than the whole byte bound evicts everything including itself.
-    A miss reads as ``None``, so ``None`` is not a storable value.
+    ``bytes``).  Inserting beyond either evicts oldest-first; a value
+    larger than the whole byte bound is refused, so it cannot flush the
+    entries that do fit.  A miss reads as ``None``, so ``None`` is not a
+    storable value.
 
     ``hits``/``misses`` count :meth:`get` and :meth:`get_or_compute` lookups
     (:meth:`peek` is uncounted); ``evictions`` counts entries a bound pushed
@@ -63,10 +64,16 @@ class LRU:
 
     def put(self, key: Hashable, value: Any) -> int:
         """Insert or overwrite ``key`` as the most recent entry; returns how
-        many entries the bounds evicted to make room."""
+        many entries the bounds evicted to make room.  A value over the
+        whole byte bound is not stored: any stale value under ``key`` is
+        dropped, nothing else is evicted, and ``0`` is returned."""
         with self._lock:
             entries = self._entries
-            self.bytes += self._size(value) - self._size(entries.get(key, b""))
+            size = self._size(value)
+            if size > (self.max_bytes or 0):
+                self.bytes -= self._size(entries.pop(key, b""))
+                return 0
+            self.bytes += size - self._size(entries.get(key, b""))
             entries[key] = value
             entries.move_to_end(key)
             evicted = 0

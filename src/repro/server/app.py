@@ -157,7 +157,9 @@ class BangerDaemon:
         and recycles the worker.
     cache_entries:
         Entry bound of the response LRU (successful responses only); the
-        LRU is also capped at ``RESPONSE_CACHE_MAX_BYTES`` of bodies.
+        LRU is also capped at ``RESPONSE_CACHE_MAX_BYTES`` of bodies.  A
+        reply over one entry's share of that bound (``max_bytes /
+        cache_entries``) is stored only when its body is computed again.
         ``0`` caches nothing.
     debug:
         Expose ``/debug/*`` fault-injection routes.
@@ -227,6 +229,11 @@ class BangerDaemon:
 
         # body hash -> 200 response body, and the computations in flight
         self._cache = LRU(cache_entries, max_bytes=RESPONSE_CACHE_MAX_BYTES)
+        # Hashes of bodies whose reply outgrew its share and was not stored:
+        # a one-off reply (an edit's) never displaces the replies asked again.
+        self._share = RESPONSE_CACHE_MAX_BYTES // max(cache_entries, 1)
+        self._seen = LRU(cache_entries)
+        self._deferred = 0
         self._inflight: dict[str, _Inflight] = {}
         self._active_ops = 0
         self._conn_tasks: set[asyncio.Task] = set()
@@ -549,9 +556,18 @@ class BangerDaemon:
         if outcome.counters:
             self.metrics.fold_work(outcome.counters)
         if entry.body is not None and outcome.status == 200:
-            self._cache.put(entry.body, outcome.body)
+            self._keep(entry.body, outcome.body)
         if not entry.future.done():
             entry.future.set_result(outcome)
+
+    def _keep(self, body_sha: str, reply: bytes) -> None:
+        """Store a 200 reply under its body hash, unless it outgrows its
+        share and this is the first time its body was computed."""
+        if len(reply) > self._share and self._seen.pop(body_sha) is None:
+            self._seen.put(body_sha, True)
+            self._deferred += 1
+        else:
+            self._cache.put(body_sha, reply)
 
     async def _run_op(self, op: str, body: bytes) -> _Outcome:
         """Serve one job ``(op, body)`` on a worker, or inline."""
@@ -628,6 +644,8 @@ class BangerDaemon:
                 "max_entries": self.cache_entries,
                 "bytes": self._cache.bytes,
                 "max_bytes": RESPONSE_CACHE_MAX_BYTES,
+                "share_bytes": self._share,
+                "deferred": self._deferred,
             },
             "store": self.store.stats() if self.store is not None else None,
         }

@@ -37,11 +37,6 @@ class EventEngine:
             raise SimError(f"cannot schedule event at {time} before now={self.now}")
         heapq.heappush(self._queue, _Entry(max(time, self.now), next(self._seq), action))
 
-    def schedule_after(self, delay: float, action: Callable[[], None]) -> None:
-        if delay < 0:
-            raise SimError(f"negative delay {delay}")
-        self.schedule(self.now + delay, action)
-
     def run(self, max_events: int = 10_000_000) -> float:
         """Process events until the queue drains; returns the final time."""
         while self._queue:
@@ -52,7 +47,3 @@ class EventEngine:
             if self.processed > max_events:
                 raise SimError(f"simulation exceeded {max_events} events")
         return self.now
-
-    @property
-    def pending(self) -> int:
-        return len(self._queue)

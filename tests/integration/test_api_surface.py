@@ -61,12 +61,13 @@ class TestScheduleOddsAndEnds:
 
 
 class TestSimOddsAndEnds:
-    def test_engine_pending(self):
+    def test_engine_run_drains_the_queue(self):
         engine = EventEngine()
         engine.schedule(1.0, lambda: None)
-        assert engine.pending == 1
-        engine.run()
-        assert engine.pending == 0
+        engine.schedule(2.5, lambda: None)
+        assert engine.processed == 0
+        assert engine.run() == 2.5 and engine.processed == 2
+        assert engine.run() == 2.5 and engine.processed == 2  # nothing left
 
     def test_trace_runs_on(self):
         from repro.graph.generators import fork_join

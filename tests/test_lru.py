@@ -61,6 +61,8 @@ class LRUModel(RuleBasedStateMachine):
         pair = self._find(key)
         if pair is not None:
             self.model.remove(pair)
+        if self.max_bytes is not None and len(value) > self.max_bytes:
+            return 0  # refused: only the stale value under the key goes
         self.model.append((key, value))
         evicted = 0
         while self._over():
@@ -130,16 +132,21 @@ def test_an_oversize_value_and_a_same_key_overwrite():
     lru = LRU(4, max_bytes=10)
     lru.put("k", bytes(8))
     assert lru.put("k", bytes(3)) == 0 and lru.bytes == 3  # overwrite: no leak
-    assert lru.put("huge", bytes(11)) == 2  # evicts "k", then itself
-    assert len(lru) == 0 and lru.bytes == 0 and lru.evictions == 2
+    # Over the whole bound: refused, and nothing that fits is flushed.
+    assert lru.put("huge", bytes(11)) == 0
+    assert lru.keys() == ["k"] and lru.bytes == 3 and lru.evictions == 0
+    # A stale value under the refused key is dropped, not kept.
+    assert lru.put("k", bytes(11)) == 0
+    assert len(lru) == 0 and lru.bytes == 0 and lru.evictions == 0
 
 
 def test_a_zero_bound_keeps_nothing_and_a_negative_one_is_refused():
     """A negative bound used to empty the mapping and then raise
     ``KeyError`` from ``popitem`` inside :meth:`LRU.put`."""
-    for bounds in ((0, None), (4, 0)):
+    # A zero entry bound evicts the value; a zero byte bound refuses it.
+    for bounds, evicted in (((0, None), 1), ((4, 0), 0)):
         lru = LRU(*bounds)
-        assert lru.put("k", b"v") == 1 and len(lru) == 0
+        assert lru.put("k", b"v") == evicted and len(lru) == 0
     for bounds in ((-1, None), (4, -1)):
         with pytest.raises(ValueError, match="must be >= 0"):
             LRU(*bounds)
